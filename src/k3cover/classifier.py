@@ -30,7 +30,7 @@ from typing import Any, ClassVar
 
 from .embeddings import Embedding, maximal_minor_gcd, orthogonal_complement, validate
 from .errors import VerificationError
-from .intmat import IntMatrix
+from .intmat import IntMatrix, left_kernel
 from .lattices import (
     Sl2Matrix,
     TranscendentalForm,
@@ -138,9 +138,34 @@ def case_iii_embedding(t: TranscendentalForm) -> Embedding:
     )
 
 
-def _complement_roots(e: Embedding) -> list[tuple[int, ...]]:
-    _, comp = orthogonal_complement(e.target, e)
-    return list(enumerate_norm(NormQuery(comp, -2)))
+# the U + U(2) coordinates of U + U(2) + E8(2); the E8(2) block follows
+_HYPERBOLIC = 4
+
+
+def _complement_has_root(e: Embedding) -> bool:
+    """Whether a vector of norm -2 in U + U(2) + E8(2) is orthogonal to the image.
+
+    When the matrix is zero on the E8(2) columns, as every construction here
+    is, the complement splits as B + E8(2), B the rank-2 complement inside
+    U + U(2).  E8(2) norms lie in 4Z<=0 and B is even and negative definite,
+    so a norm -2 vector lies wholly in B, and it exists exactly when the
+    positive form -B/2 represents 1, which Gauss reduction decides.  Any
+    other matrix, which no construction here writes, falls back to
+    enumerating the full rank-10 complement.
+    """
+    rows = e.matrix.entries
+    if any(x for row in rows for x in row[_HYPERBOLIC:]):
+        _, comp = orthogonal_complement(e.target, e)
+        return bool(enumerate_norm(NormQuery(comp, -2)))
+    gram = IntMatrix.from_rows([row[:_HYPERBOLIC] for row in e.target.gram.entries[:_HYPERBOLIC]])
+    image = IntMatrix.from_rows([row[:_HYPERBOLIC] for row in rows])
+    basis = left_kernel((image @ gram).transpose())
+    if basis.rows != 2:
+        raise VerificationError("complement block in U + U(2) does not have rank 2")
+    (p, q), (_, r) = (basis @ gram @ basis.transpose()).entries
+    if p % 2 or r % 2 or p >= 0 or p * r <= q * q:
+        raise VerificationError("complement block in U + U(2) is not even and negative definite")
+    return represents_one(BinaryForm(-p // 2, -q, -r // 2))
 
 
 @dataclass(frozen=True)
@@ -194,21 +219,23 @@ class ExplicitEmbedding:
         }
 
     def replay(self, t: TranscendentalForm) -> None:
-        normalized = TranscendentalForm(*self.normalized)
-        g = Sl2Matrix(*self.basis_change)
+        try:
+            normalized = TranscendentalForm(*self.normalized)
+            g = Sl2Matrix(*self.basis_change)
+            emb = Embedding(
+                to_lattice(normalized),
+                standard_lattice("LambdaMinus"),
+                IntMatrix.from_rows(self.matrix),
+            )
+        except (TypeError, ValueError) as exc:
+            raise VerificationError(f"malformed embedding certificate: {exc}") from None
         if apply_basis_change(t, g).triple() != normalized.triple():
             raise VerificationError("recorded basis change does not reach the recorded form")
-        emb = Embedding(
-            to_lattice(normalized),
-            standard_lattice("LambdaMinus"),
-            IntMatrix.from_rows([list(row) for row in self.matrix]),
-        )
         if not validate(emb):
             raise VerificationError("matrix does not pull the target form back to the source")
         if self.minor_gcd != 1 or maximal_minor_gcd(emb) != 1:
             raise VerificationError("embedding is not primitive")
-        roots = _complement_roots(emb)
-        if roots or self.minus_two:
+        if self.minus_two or _complement_has_root(emb):
             raise VerificationError("orthogonal complement contains a norm -2 vector")
 
 
@@ -376,8 +403,7 @@ def _embedding_certificate(
         raise VerificationError(f"BUG: {construction} construction broke the form")
     if maximal_minor_gcd(emb) != 1:
         raise VerificationError(f"BUG: {construction} construction is not primitive")
-    roots = _complement_roots(emb)
-    if roots:
+    if _complement_has_root(emb):
         if required:
             raise VerificationError(f"BUG: {construction} complement contains a root")
         return None

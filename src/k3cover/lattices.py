@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from math import gcd
 
 from .intmat import IntMatrix
@@ -123,8 +124,9 @@ def hyperbolic_plane(scale: int = 1) -> IntegralLattice:
     return IntegralLattice.from_gram_rows([[0, scale], [scale, 0]])
 
 
+@cache
 def standard_lattice(name: str) -> IntegralLattice:
-    """Named building blocks: U, U2, E8_2 and their sum LambdaMinus."""
+    """Named building blocks: U, U2, E8_2 and their sum LambdaMinus (built once each)."""
     if name == "U":
         return hyperbolic_plane(1)
     if name == "U2":

@@ -1,5 +1,6 @@
 """The six-way classification and its replayable certificates."""
 
+import dataclasses
 import json
 import random
 
@@ -13,6 +14,7 @@ from k3cover.classifier import (
     KeumCitation,
     ParityObstruction,
     VinbergWitness,
+    _complement_has_root,
     case_ii_embedding,
     case_iii_embedding,
     case_of,
@@ -22,8 +24,9 @@ from k3cover.classifier import (
     normalize_case_III,
     verify_classification,
 )
-from k3cover.embeddings import is_primitive, orthogonal_complement, validate
+from k3cover.embeddings import Embedding, is_primitive, orthogonal_complement, validate
 from k3cover.errors import VerificationError
+from k3cover.intmat import IntMatrix
 from k3cover.lattices import TranscendentalForm, apply_basis_change, standard_lattice
 from k3cover.shortvec import NormQuery, has_norm
 
@@ -290,3 +293,37 @@ def test_try_embedding_for_all_even_forms():
     assert cls.case_label == "I"
     assert cls.certificate.kind in ("keum-citation", "explicit-embedding")
     verify_classification(t, cls)
+
+
+def _replay_tampered_embedding(**changes) -> None:
+    t = TranscendentalForm(1, 2, 1)
+    dataclasses.replace(classify(t).certificate, **changes).replay(t)
+
+
+def test_replay_rejects_a_one_row_matrix():
+    with pytest.raises(VerificationError):
+        _replay_tampered_embedding(matrix=((1, 1, -1) + (0,) * 9,))
+
+
+def test_replay_rejects_an_eleven_column_matrix():
+    with pytest.raises(VerificationError):
+        _replay_tampered_embedding(matrix=((1, 1, -1) + (0,) * 8, (1, 2, 0, 1) + (0,) * 7))
+
+
+def test_replay_rejects_a_basis_change_of_determinant_four():
+    with pytest.raises(VerificationError):
+        _replay_tampered_embedding(basis_change=(2, 0, 0, 2))
+
+
+def test_replay_rejects_a_non_positive_normalized_form():
+    with pytest.raises(VerificationError):
+        _replay_tampered_embedding(normalized=(0, 2, 1))
+
+
+def test_complement_check_rejects_a_non_definite_block():
+    # U sent onto the U summand leaves U(2) as the block, which is indefinite
+    rows = [[1, 0] + [0] * 10, [0, 1] + [0] * 10]
+    e = Embedding(standard_lattice("U"), LAMBDA, IntMatrix.from_rows(rows))
+    assert validate(e)
+    with pytest.raises(VerificationError):
+        _complement_has_root(e)

@@ -1,0 +1,141 @@
+"""The B + E8(2) split against full enumeration of the rank-10 complement.
+
+`_complement_has_root` decides root-freeness of the complement from its
+rank-2 block in U + U(2) by Gauss reduction.  The oracle here is the general
+path: the complement's Hermite basis and Fincke-Pohst enumeration of all
+its norm -2 vectors.
+"""
+
+import random
+
+import pytest
+
+from k3cover import classifier
+from k3cover.classifier import (
+    ExplicitEmbedding,
+    _complement_has_root,
+    _embedding_rows_all_even,
+    case_ii_embedding,
+    case_iii_embedding,
+    classify,
+    normalize_case_III,
+)
+from k3cover.embeddings import Embedding, is_primitive, orthogonal_complement, validate
+from k3cover.intmat import IntMatrix
+from k3cover.lattices import (
+    TranscendentalForm,
+    apply_basis_change,
+    inner_product,
+    parity_class,
+    standard_lattice,
+    to_lattice,
+)
+from k3cover.shortvec import NormQuery, enumerate_norm
+
+from conftest import random_sl2
+
+LAMBDA = standard_lattice("LambdaMinus")
+
+
+def written_down_embedding(t: TranscendentalForm) -> Embedding | None:
+    """The c-odd, c-even (after normalization) or all-even construction."""
+    parity = parity_class(t)
+    if parity == "II":
+        return case_ii_embedding(t)
+    if parity == "III":
+        return case_iii_embedding(normalize_case_III(t))
+    if parity == "I":
+        return Embedding(to_lattice(t), LAMBDA, IntMatrix.from_rows(_embedding_rows_all_even(t)))
+    return None
+
+
+def oracle_has_root(e: Embedding) -> bool:
+    _, comp = orthogonal_complement(LAMBDA, e)
+    return bool(enumerate_norm(NormQuery(comp, -2)))
+
+
+def test_block_check_matches_enumeration_on_the_box():
+    checked = with_roots = 0
+    for a in range(1, 13):
+        for b in range(1, 13):
+            for c in range(-12, 13):
+                if 4 * a * b - c * c <= 0:
+                    continue
+                t = TranscendentalForm(a, b, c)
+                e = written_down_embedding(t)
+                if e is None:
+                    continue
+                has_root = _complement_has_root(e)
+                assert has_root == oracle_has_root(e), t.triple()
+                checked += 1
+                with_roots += has_root
+    assert checked == 2498
+    assert with_roots >= 155
+
+
+def test_block_check_matches_enumeration_on_big_coefficients():
+    rng = random.Random(211)
+    forms = []
+    while len(forms) < 25:
+        # random 6-digit diagonal: mostly root-free complements
+        a, b = rng.randint(10**5, 10**6 - 1), rng.randint(10**5, 10**6 - 1)
+        c = rng.randint(-2 * a, 2 * a)
+        if 4 * a * b - c * c > 0 and parity_class(TranscendentalForm(a, b, c)) != "IV":
+            forms.append(TranscendentalForm(a, b, c))
+    while len(forms) < 50:
+        # (1, n, 0) in a random basis: represents 1, so the c-even complement has a root
+        t = apply_basis_change(TranscendentalForm(1, rng.randint(10**3, 10**4), 0),
+                               random_sl2(rng, 30))
+        if min(t.a, t.b) >= 10**5:
+            forms.append(t)
+    with_roots = 0
+    for t in forms:
+        e = written_down_embedding(t)
+        has_root = _complement_has_root(e)
+        assert has_root == oracle_has_root(e), t.triple()
+        with_roots += has_root
+    assert 0 < with_roots < len(forms)
+
+
+def reflect_into_e8(e: Embedding) -> Embedding:
+    """The image under the reflection in w = u1 + u2 + e1, of norm 2 - 4 = -2.
+
+    x -> x + (x.w) w is an integral isometry of the ambient lattice, so the
+    embedding stays valid and primitive and its complement keeps its roots,
+    but the rows now use the E8(2) coordinate e1.
+    """
+    w = (1, 1, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0)
+    assert inner_product(LAMBDA, w, w) == -2
+    rows = []
+    for row in e.matrix.entries:
+        k = inner_product(LAMBDA, row, w)
+        rows.append([x + k * y for x, y in zip(row, w)])
+    return Embedding(e.source, LAMBDA, IntMatrix.from_rows(rows))
+
+
+@pytest.mark.parametrize("triple, has_root", [((1, 2, 1), False), ((2, 3, 2), False),
+                                              ((1, 3, 0), True), ((1, 1, 0), True)])
+def test_matrix_touching_e8_takes_the_fallback(monkeypatch, triple, has_root):
+    e = reflect_into_e8(written_down_embedding(TranscendentalForm(*triple)))
+    assert any(row[4] for row in e.matrix.entries)
+    assert validate(e) and is_primitive(e)
+
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return orthogonal_complement(*args)
+
+    monkeypatch.setattr(classifier, "orthogonal_complement", counted)
+    assert _complement_has_root(e) == oracle_has_root(e) == has_root
+    assert len(calls) == 1
+
+
+def test_replay_accepts_a_valid_matrix_touching_e8():
+    t = TranscendentalForm(2, 3, 2)
+    cert = classify(t).certificate
+    e = Embedding(to_lattice(TranscendentalForm(*cert.normalized)), LAMBDA,
+                  IntMatrix.from_rows(cert.matrix))
+    moved = tuple(reflect_into_e8(e).matrix.entries)
+    ExplicitEmbedding(cert.construction, cert.normalized, cert.basis_change,
+                      moved, 1, ()).replay(t)

@@ -5,12 +5,14 @@ import math
 import random
 
 import pytest
+import sympy
 
 from k3cover.intmat import IntMatrix
 from k3cover.lattices import IntegralLattice, inner_product, standard_lattice
 from k3cover.shortvec import (
     NORM_CEILING,
     NormQuery,
+    _check_negative_definite,
     clear_cache,
     enumerate_by_norm,
     enumerate_norm,
@@ -77,6 +79,29 @@ def test_validation_errors():
     for bad in ([[2]], [[0]], [[-2, 3], [3, -2]]):
         with pytest.raises(ValueError):
             enumerate_norm(NormQuery(IntegralLattice.from_gram_rows(bad), -2))
+
+
+def test_definiteness_check_matches_sympy():
+    """Sylvester's criterion by Bareiss agrees with sympy, including on
+    matrices that fail only at a later leading minor."""
+    rng = random.Random(79)
+    for trial in range(300):
+        n = rng.randint(1, 6)
+        g = _random_neg_def(rng, n)
+        rows = g.to_lists()
+        if trial % 2:
+            i, j = rng.randrange(n), rng.randrange(n)
+            k = rng.randint(-6, 6)
+            rows[i][j] += k
+            rows[j][i] += k if i != j else 0
+        lat = IntegralLattice.from_gram_rows(rows)
+        expected = sympy.Matrix(rows).is_negative_definite
+        try:
+            _check_negative_definite(lat)
+            ok = True
+        except ValueError:
+            ok = False
+        assert ok == expected, rows
 
 
 def test_doubled_e8_roots_match_coordinate_model():
