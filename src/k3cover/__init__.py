@@ -51,6 +51,7 @@ from .vinberg import (
     in_P,
     max_norm_in_slice,
     search_norm,
+    slice_norms,
 )
 
 __version__ = "0.1.0"
@@ -95,6 +96,7 @@ __all__ = [
     "represents_one",
     "search_norm",
     "shifted_form",
+    "slice_norms",
     "standard_lattice",
     "to_lattice",
     "torsion_witness",

@@ -14,7 +14,6 @@ from __future__ import annotations
 import json
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from random import Random
 from typing import Any
@@ -177,6 +176,9 @@ def scan_cmd(a_max: int, b_max: int, c_min: int, c_max: int, out: str) -> None:
                 counts[label] += 1
                 handle.write(line + "\n")
         else:
+            # imported on demand: it adds 20-40 ms to every start-up
+            from concurrent.futures import ProcessPoolExecutor
+
             with ProcessPoolExecutor(max_workers=workers) as pool:
                 for label, line in pool.map(_scan_worker, triples, chunksize=64):
                     counts[label] += 1
@@ -212,7 +214,7 @@ def _check_absence(slice_max: int) -> str:
     targets = sorted(vinberg.ABSENT)
     for n in targets:
         for m in range(3, slice_max + 1):
-            if any(vinberg.norm(v) == -n for v in vinberg.enumerate_P_slice(m)):
+            if -n in vinberg.slice_norms(m):
                 raise VerificationError(f"norm -{n} appears in slice {m}")
         if vinberg.search_norm(n) is not None:
             raise VerificationError(f"search found a phantom witness for norm -{n}")

@@ -158,12 +158,19 @@ def enumerate_P_slice(m: int) -> list[Vector11]:
     return list(_slice_members(m))
 
 
+@lru_cache(maxsize=None)
+def slice_norms(m: int) -> frozenset[int]:
+    """Every norm attained on the slice x0 = m (gcd not applied).
+
+    Memoised like the slice itself, so that absence checks and the maximum
+    table cost one pass over each slice per process.
+    """
+    return frozenset(norm(v) for v in enumerate_P_slice(m))
+
+
 def max_norm_in_slice(m: int) -> int | None:
     """Largest norm over the slice; None when the slice is empty."""
-    members = enumerate_P_slice(m)
-    if not members:
-        return None
-    return max(norm(v) for v in members)
+    return max(slice_norms(m), default=None)
 
 
 def predicted_max_norm(m: int) -> int | None:

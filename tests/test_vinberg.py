@@ -22,6 +22,7 @@ from k3cover.vinberg import (
     predicted_max_norm,
     search_norm,
     slice_maximizer,
+    slice_norms,
 )
 
 MAX_TABLE = {
@@ -153,6 +154,14 @@ def test_slice_frozen_members():
     assert (8, 4, 2, 2, 2, 2, 2, 2, 2, 2, 2) in eight
     assert max_norm_in_slice(8) == -12
     assert max_norm_in_slice(3) is None
+
+
+def test_slice_norms_match_members():
+    assert slice_norms(3) == frozenset()
+    for m in range(4, 15):
+        assert slice_norms(m) == {norm(v) for v in enumerate_P_slice(m)}
+    assert -3 in slice_norms(4)
+    assert not ABSENT & {-x for x in slice_norms(4)}
 
 
 def test_max_table():
