@@ -26,11 +26,12 @@ transcript, or the parity residues that make an embedding impossible.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import gcd
 from typing import Any, ClassVar
 
 from .embeddings import Embedding, maximal_minor_gcd, orthogonal_complement, validate
 from .errors import VerificationError
-from .intmat import IntMatrix, left_kernel
+from .intmat import IntMatrix, xgcd
 from .lattices import (
     Sl2Matrix,
     TranscendentalForm,
@@ -138,8 +139,53 @@ def case_iii_embedding(t: TranscendentalForm) -> Embedding:
     )
 
 
-# the U + U(2) coordinates of U + U(2) + E8(2); the E8(2) block follows
+# U + U(2) + E8(2) has rank 12; its first four coordinates are U + U(2)
+_AMBIENT_RANK = 12
 _HYPERBOLIC = 4
+_UNIT4 = ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1))
+_MINOR_COLUMNS = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
+
+
+def _pair(x, y) -> int:
+    """The U + U(2) pairing of the first four coordinates of x and y."""
+    return x[0] * y[1] + x[1] * y[0] + 2 * (x[2] * y[3] + x[3] * y[2])
+
+
+def _block_has_root(rows) -> bool:
+    """Root check for an image inside U + U(2), from the 2 x 4 block of its rows.
+
+    The complement B is the integer kernel of the block times the Gram
+    matrix G4 of U + U(2).  Unimodular column steps find it: for each row,
+    xgcd combines the basis vectors it does not kill into one pivot and
+    leaves the rest in its kernel; dropping the pivot keeps the kernel
+    saturated.  Two nonzero pivots mean rank 2, and two vectors remain.
+    """
+    basis = _UNIT4
+    for row in rows:
+        pivot, pv, kept = None, 0, []
+        for w in basis:
+            wv = _pair(row, w)
+            if not wv:
+                kept.append(w)
+            elif pivot is None:
+                pivot, pv = w, wv
+            else:
+                g, x, y = xgcd(pv, wv)
+                pivot, w = _combine(x, pivot, y, w), _combine(pv // g, w, -(wv // g), pivot)
+                pv = g
+                kept.append(w)
+        if pivot is None:
+            raise VerificationError("complement block in U + U(2) does not have rank 2")
+        basis = kept
+    k1, k2 = basis
+    p, q, r = _pair(k1, k1), _pair(k1, k2), _pair(k2, k2)
+    if p % 2 or r % 2 or p >= 0 or p * r <= q * q:
+        raise VerificationError("complement block in U + U(2) is not even and negative definite")
+    return represents_one(BinaryForm(-p // 2, -q, -r // 2))
+
+
+def _combine(x: int, v, y: int, w) -> tuple[int, ...]:
+    return tuple(x * vi + y * wi for vi, wi in zip(v, w))
 
 
 def _complement_has_root(e: Embedding) -> bool:
@@ -157,15 +203,34 @@ def _complement_has_root(e: Embedding) -> bool:
     if any(x for row in rows for x in row[_HYPERBOLIC:]):
         _, comp = orthogonal_complement(e.target, e)
         return bool(enumerate_norm(NormQuery(comp, -2)))
-    gram = IntMatrix.from_rows([row[:_HYPERBOLIC] for row in e.target.gram.entries[:_HYPERBOLIC]])
-    image = IntMatrix.from_rows([row[:_HYPERBOLIC] for row in rows])
-    basis = left_kernel((image @ gram).transpose())
-    if basis.rows != 2:
-        raise VerificationError("complement block in U + U(2) does not have rank 2")
-    (p, q), (_, r) = (basis @ gram @ basis.transpose()).entries
-    if p % 2 or r % 2 or p >= 0 or p * r <= q * q:
-        raise VerificationError("complement block in U + U(2) is not even and negative definite")
-    return represents_one(BinaryForm(-p // 2, -q, -r // 2))
+    return _block_has_root(rows)
+
+
+def _embedding_defect(t: TranscendentalForm, rows) -> str | None:
+    """The first check that rows fail as an embedding of t into U + U(2) + E8(2).
+
+    Returns "pullback", "primitive" or "root", or None for a valid, primitive
+    embedding with a root-free complement.  Rows that are zero on the E8(2)
+    columns are checked in plain ints on their 2 x 4 block: the pullback
+    against (2a, c, 2b), and primitivity as gcd 1 of the six 2 x 2 minors,
+    which also proves rank 2.  Any other matrix takes the general path.
+    """
+    if any(x for row in rows for x in row[_HYPERBOLIC:]):
+        emb = Embedding(to_lattice(t), standard_lattice("LambdaMinus"), IntMatrix.from_rows(rows))
+        if not validate(emb):
+            return "pullback"
+        if maximal_minor_gcd(emb) != 1:
+            return "primitive"
+        return "root" if _complement_has_root(emb) else None
+    u, v = rows
+    if (_pair(u, u), _pair(u, v), _pair(v, v)) != (2 * t.a, t.c, 2 * t.b):
+        return "pullback"
+    d = 0
+    for i, j in _MINOR_COLUMNS:
+        d = gcd(d, u[i] * v[j] - u[j] * v[i])
+    if d != 1:
+        return "primitive"
+    return "root" if _block_has_root(rows) else None
 
 
 @dataclass(frozen=True)
@@ -222,20 +287,19 @@ class ExplicitEmbedding:
         try:
             normalized = TranscendentalForm(*self.normalized)
             g = Sl2Matrix(*self.basis_change)
-            emb = Embedding(
-                to_lattice(normalized),
-                standard_lattice("LambdaMinus"),
-                IntMatrix.from_rows(self.matrix),
-            )
+            rows = [[int(x) for x in row] for row in self.matrix]
         except (TypeError, ValueError) as exc:
             raise VerificationError(f"malformed embedding certificate: {exc}") from None
+        if len(rows) != 2 or any(len(row) != _AMBIENT_RANK for row in rows):
+            raise VerificationError("malformed embedding certificate: matrix is not 2 x 12")
         if apply_basis_change(t, g).triple() != normalized.triple():
             raise VerificationError("recorded basis change does not reach the recorded form")
-        if not validate(emb):
+        defect = _embedding_defect(normalized, rows)
+        if defect == "pullback":
             raise VerificationError("matrix does not pull the target form back to the source")
-        if self.minor_gcd != 1 or maximal_minor_gcd(emb) != 1:
+        if self.minor_gcd != 1 or defect == "primitive":
             raise VerificationError("embedding is not primitive")
-        if self.minus_two or _complement_has_root(emb):
+        if self.minus_two or defect == "root":
             raise VerificationError("orthogonal complement contains a norm -2 vector")
 
 
@@ -336,28 +400,37 @@ _KINDS_FOR_CASE: dict[CaseLabel, tuple[str, ...]] = {
 
 
 def certificate_from_dict(data: dict[str, Any]) -> Certificate:
-    kind = data.get("kind")
-    if kind == "keum-citation":
-        return KeumCitation(halved=tuple(int(x) for x in data["halved"]))
-    if kind == "explicit-embedding":
-        return ExplicitEmbedding(
-            construction=str(data["construction"]),
-            normalized=tuple(int(x) for x in data["normalized"]),
-            basis_change=tuple(int(x) for x in data["basis_change"]),
-            matrix=tuple(tuple(int(x) for x in row) for row in data["matrix"]),
-            minor_gcd=int(data["minor_gcd"]),
-            minus_two=tuple(tuple(int(x) for x in v) for v in data["minus_two"]),
-        )
-    if kind == "vinberg-witness":
-        return VinbergWitness(n=int(data["n"]), vector=tuple(int(x) for x in data["vector"]))
-    if kind == "exhaustive-absence":
-        return ExhaustiveAbsence(n=int(data["n"]), slices=tuple(int(m) for m in data["slices"]))
-    if kind == "parity-obstruction":
-        return ParityObstruction(
-            norms_mod_4=tuple(int(x) for x in data["norms_mod_4"]),
-            pairing_mod_2=int(data["pairing_mod_2"]),
-        )
-    raise ValueError(f"unknown certificate kind {kind!r}")
+    """Parse a serialized certificate; an unknown kind raises ValueError.
+
+    A missing key or a field of the wrong shape raises VerificationError.
+    """
+    try:
+        kind = data.get("kind")
+        if kind == "keum-citation":
+            return KeumCitation(halved=tuple(int(x) for x in data["halved"]))
+        if kind == "explicit-embedding":
+            return ExplicitEmbedding(
+                construction=str(data["construction"]),
+                normalized=tuple(int(x) for x in data["normalized"]),
+                basis_change=tuple(int(x) for x in data["basis_change"]),
+                matrix=tuple(tuple(int(x) for x in row) for row in data["matrix"]),
+                minor_gcd=int(data["minor_gcd"]),
+                minus_two=tuple(tuple(int(x) for x in v) for v in data["minus_two"]),
+            )
+        if kind == "vinberg-witness":
+            return VinbergWitness(n=int(data["n"]), vector=tuple(int(x) for x in data["vector"]))
+        if kind == "exhaustive-absence":
+            return ExhaustiveAbsence(n=int(data["n"]), slices=tuple(int(m) for m in data["slices"]))
+        if kind == "parity-obstruction":
+            return ParityObstruction(
+                norms_mod_4=tuple(int(x) for x in data["norms_mod_4"]),
+                pairing_mod_2=int(data["pairing_mod_2"]),
+            )
+        raise ValueError(f"unknown certificate kind {kind!r}")
+    except KeyError as exc:
+        raise VerificationError(f"certificate is missing the key {exc}") from None
+    except (AttributeError, TypeError) as exc:
+        raise VerificationError(f"malformed certificate: {exc}") from None
 
 
 @dataclass(frozen=True)
@@ -377,12 +450,17 @@ class Classification:
 
     @classmethod
     def from_dict(cls, data: dict[str, Any]) -> "Classification":
-        return cls(
-            case_label=str(data["case"]),
-            covers=bool(data["covers"]),
-            delta=int(data["delta"]),
-            certificate=certificate_from_dict(data["certificate"]),
-        )
+        try:
+            return cls(
+                case_label=str(data["case"]),
+                covers=bool(data["covers"]),
+                delta=int(data["delta"]),
+                certificate=certificate_from_dict(data["certificate"]),
+            )
+        except KeyError as exc:
+            raise VerificationError(f"classification is missing the key {exc}") from None
+        except TypeError as exc:
+            raise VerificationError(f"malformed classification: {exc}") from None
 
 
 def _embedding_certificate(
@@ -394,16 +472,12 @@ def _embedding_certificate(
     *,
     required: bool,
 ) -> ExplicitEmbedding | None:
-    emb = Embedding(
-        to_lattice(normalized),
-        standard_lattice("LambdaMinus"),
-        IntMatrix.from_rows(rows),
-    )
-    if not validate(emb):
+    defect = _embedding_defect(normalized, rows)
+    if defect == "pullback":
         raise VerificationError(f"BUG: {construction} construction broke the form")
-    if maximal_minor_gcd(emb) != 1:
+    if defect == "primitive":
         raise VerificationError(f"BUG: {construction} construction is not primitive")
-    if _complement_has_root(emb):
+    if defect == "root":
         if required:
             raise VerificationError(f"BUG: {construction} complement contains a root")
         return None

@@ -267,27 +267,35 @@ def _iter_vectors(lattice: IntegralLattice, bound: int, exact: int | None,
         sub = tuple(tuple(lattice.gram.entries[i][j] for j in comp) for i in comp)
         groups.append(_component_groups(sub, bound, reduce_basis))
 
-    def rec(ci: int, used: int, parts: list, any_nonzero: bool):
-        if ci == len(comps):
-            if any_nonzero and (exact is None or used == exact):
-                full = [0] * n
-                for comp, part in zip(comps, parts):
-                    if part is not None:
-                        vec, sign = part
-                        for pos, coord in zip(comp, vec):
-                            full[pos] = sign * coord
-                yield _canonical_sign(tuple(full)), -used
-            return
-        yield from rec(ci + 1, used, parts + [None], any_nonzero)
+    # one vector, filled in place: component ci owns the positions comps[ci]
+    # and leaves them zero whenever control returns to an earlier component;
+    # the last component yields its vectors itself instead of recursing
+    full = [0] * n
+    last = len(comps) - 1
+
+    def rec(ci: int, used: int, any_nonzero: bool):
+        comp = comps[ci]
+        if ci < last:
+            yield from rec(ci + 1, used, any_nonzero)
+        elif any_nonzero and (exact is None or used == exact):
+            yield _canonical_sign(tuple(full)), -used
+        signs = (1, -1) if any_nonzero else (1,)
         for val, vecs in groups[ci].items():
-            if used + val > bound:
+            total = used + val
+            if total > bound or (ci == last and exact is not None and total != exact):
                 continue
             for v in vecs:
-                yield from rec(ci + 1, used + val, parts + [(v, 1)], True)
-                if any_nonzero:
-                    yield from rec(ci + 1, used + val, parts + [(v, -1)], True)
+                for sign in signs:
+                    for pos, coord in zip(comp, v):
+                        full[pos] = sign * coord
+                    if ci < last:
+                        yield from rec(ci + 1, total, True)
+                    else:
+                        yield _canonical_sign(tuple(full)), -total
+        for pos in comp:
+            full[pos] = 0
 
-    yield from rec(0, 0, [], False)
+    yield from rec(0, 0, False)
 
 
 def enumerate_by_norm(lattice: IntegralLattice, floor_norm: int, *,

@@ -327,3 +327,32 @@ def test_complement_check_rejects_a_non_definite_block():
     assert validate(e)
     with pytest.raises(VerificationError):
         _complement_has_root(e)
+
+
+def _embedding_record() -> dict:
+    return json.loads(json.dumps(classify(TranscendentalForm(1, 2, 1)).to_dict()))
+
+
+def test_from_dict_rejects_a_missing_minus_two():
+    data = _embedding_record()
+    del data["certificate"]["minus_two"]
+    with pytest.raises(VerificationError, match="minus_two"):
+        Classification.from_dict(data)
+    with pytest.raises(VerificationError, match="minus_two"):
+        certificate_from_dict(data["certificate"])
+
+
+def test_from_dict_rejects_a_missing_certificate():
+    data = _embedding_record()
+    del data["certificate"]
+    with pytest.raises(VerificationError, match="certificate"):
+        Classification.from_dict(data)
+
+
+def test_from_dict_rejects_a_scalar_matrix():
+    data = _embedding_record()
+    data["certificate"]["matrix"] = 5
+    with pytest.raises(VerificationError, match="malformed certificate"):
+        Classification.from_dict(data)
+    with pytest.raises(VerificationError, match="malformed certificate"):
+        certificate_from_dict(data["certificate"])

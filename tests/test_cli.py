@@ -1,5 +1,6 @@
 """Command line surface: classify, scan, verify-lemmas."""
 
+import hashlib
 import json
 
 import pytest
@@ -116,6 +117,22 @@ def test_scan_all_even_box_covers(runner, tmp_path):
         if data["a"] % 2 == 0 and data["b"] % 2 == 0 and data["c"] % 2 == 0:
             assert data["case"] == "I"
             assert data["covers"] is True
+
+
+# sha256 of the scan below, recorded before the 2 x 4 block check replaced
+# the 12 x 12 matrix algebra; certificates and their order must not move
+SCAN_6_SHA256 = "136f7796ac2e6474298d364da374a19a67636bf75ae780c0b5f8d5211d9ee1aa"
+
+
+def test_scan_output_bytes_are_pinned(runner, tmp_path):
+    out = tmp_path / "scan.jsonl"
+    result = runner.invoke(main, [
+        "scan", "--a-max", "6", "--b-max", "6", "--c-min", "-6", "--c-max", "6",
+        "--out", str(out)], env={"K3COVER_THREADS": "1"})
+    assert result.exit_code == 0
+    assert result.stderr.strip() == \
+        "scanned 382 forms: I=55 II=140 III-1=94 III-2=18 III-3=33 IV=42"
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == SCAN_6_SHA256
 
 
 def test_scan_stdout_default(runner):

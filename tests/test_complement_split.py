@@ -1,11 +1,14 @@
 """The B + E8(2) split against full enumeration of the rank-10 complement.
 
 `_complement_has_root` decides root-freeness of the complement from its
-rank-2 block in U + U(2) by Gauss reduction.  The oracle here is the general
-path: the complement's Hermite basis and Fincke-Pohst enumeration of all
-its norm -2 vectors.
+rank-2 block in U + U(2) by Gauss reduction, and `_embedding_defect` checks
+the pullback and primitivity of a matrix on the same block in plain ints.
+The oracle here is the general path: `validate` and the maximal minor gcd
+on the full 2 x 12 matrix, the complement's Hermite basis and Fincke-Pohst
+enumeration of all its norm -2 vectors.
 """
 
+import dataclasses
 import random
 
 import pytest
@@ -14,14 +17,23 @@ from k3cover import classifier
 from k3cover.classifier import (
     ExplicitEmbedding,
     _complement_has_root,
+    _embedding_defect,
     _embedding_rows_all_even,
     case_ii_embedding,
     case_iii_embedding,
+    case_of,
     classify,
     normalize_case_III,
 )
-from k3cover.embeddings import Embedding, is_primitive, orthogonal_complement, validate
-from k3cover.intmat import IntMatrix
+from k3cover.embeddings import (
+    Embedding,
+    is_primitive,
+    maximal_minor_gcd,
+    orthogonal_complement,
+    validate,
+)
+from k3cover.errors import VerificationError
+from k3cover.intmat import IntMatrix, left_kernel
 from k3cover.lattices import (
     TranscendentalForm,
     apply_basis_change,
@@ -30,6 +42,7 @@ from k3cover.lattices import (
     standard_lattice,
     to_lattice,
 )
+from k3cover.quadforms import BinaryForm, represents_one
 from k3cover.shortvec import NormQuery, enumerate_norm
 
 from conftest import random_sl2
@@ -52,6 +65,31 @@ def written_down_embedding(t: TranscendentalForm) -> Embedding | None:
 def oracle_has_root(e: Embedding) -> bool:
     _, comp = orthogonal_complement(LAMBDA, e)
     return bool(enumerate_norm(NormQuery(comp, -2)))
+
+
+def source_form(e: Embedding) -> TranscendentalForm:
+    (d1, c), (_, d2) = e.source.gram.entries
+    return TranscendentalForm(d1 // 2, d2 // 2, c)
+
+
+def oracle_defect(t: TranscendentalForm, rows, has_root=oracle_has_root) -> str | None:
+    """The general path's first failed check, in `_embedding_defect`'s terms."""
+    e = Embedding(to_lattice(t), LAMBDA, IntMatrix.from_rows(rows))
+    if not validate(e):
+        return "pullback"
+    if maximal_minor_gcd(e) != 1:
+        return "primitive"
+    return "root" if has_root(e) else None
+
+
+def box_embeddings(bound: int):
+    for a in range(1, bound + 1):
+        for b in range(1, bound + 1):
+            for c in range(-bound, bound + 1):
+                if 4 * a * b - c * c > 0:
+                    e = written_down_embedding(TranscendentalForm(a, b, c))
+                    if e is not None:
+                        yield e
 
 
 def test_block_check_matches_enumeration_on_the_box():
@@ -139,3 +177,95 @@ def test_replay_accepts_a_valid_matrix_touching_e8():
     moved = tuple(reflect_into_e8(e).matrix.entries)
     ExplicitEmbedding(cert.construction, cert.normalized, cert.basis_change,
                       moved, 1, ()).replay(t)
+
+
+def test_block_defect_matches_the_general_path_on_the_box():
+    defects = {}
+    for e in box_embeddings(12):
+        t, rows = source_form(e), e.matrix.entries
+        defect = _embedding_defect(t, rows)
+        assert defect == oracle_defect(t, rows), t.triple()
+        defects[defect] = defects.get(defect, 0) + 1
+    assert defects == {None: 2498 - defects["root"], "root": defects["root"]}
+    assert defects["root"] >= 155
+
+
+def test_block_defect_matches_the_general_path_on_bumped_rows():
+    defects = {}
+    for e in box_embeddings(6):
+        t = source_form(e)
+        for i in range(2):
+            for j in range(4):
+                rows = [list(row) for row in e.matrix.entries]
+                rows[i][j] += 1
+                defect = _embedding_defect(t, rows)
+                assert defect == oracle_defect(t, rows), (t.triple(), i, j)
+                defects[defect] = defects.get(defect, 0) + 1
+    assert defects["pullback"] > 0.9 * sum(defects.values())
+
+
+def test_block_defect_rejects_doubled_rows_as_not_primitive():
+    checked = 0
+    for e in box_embeddings(6):
+        small = source_form(e)
+        t = TranscendentalForm(4 * small.a, 4 * small.b, 4 * small.c)
+        rows = [[2 * x for x in row] for row in e.matrix.entries]
+        assert _embedding_defect(t, rows) == oracle_defect(t, rows) == "primitive"
+        checked += 1
+    assert checked > 300
+
+
+@pytest.mark.parametrize("triple", [(1, 2, 1), (2, 3, 2), (3, 4, -3), (5, 7, 6)])
+def test_replay_rejects_doubled_rows_for_four_times_the_form(triple):
+    small = TranscendentalForm(*triple)
+    cert = classify(small).certificate
+    big = TranscendentalForm(*(4 * x for x in triple))
+    doubled = dataclasses.replace(
+        cert, normalized=tuple(4 * x for x in cert.normalized),
+        matrix=tuple(tuple(2 * x for x in row) for row in cert.matrix))
+    with pytest.raises(VerificationError, match="not primitive"):
+        doubled.replay(big)
+
+
+def hnf_block_has_root(e: Embedding) -> bool:
+    """The complement block by the Hermite kernel of the 4 x 2 block of M G.
+
+    For coefficients this large Fincke-Pohst on an unreduced block basis
+    does not finish, so the oracle is the Hermite form route instead.
+    """
+    gram = IntMatrix.from_rows([row[:4] for row in LAMBDA.gram.entries[:4]])
+    image = IntMatrix.from_rows([row[:4] for row in e.matrix.entries])
+    basis = left_kernel((image @ gram).transpose())
+    (p, q), (_, r) = (basis @ gram @ basis.transpose()).entries
+    assert p < 0 and p * r > q * q and p % 2 == r % 2 == 0
+    return represents_one(BinaryForm(-p // 2, -q, -r // 2))
+
+
+def test_block_defect_on_coefficients_beyond_10_to_30():
+    rng = random.Random(307)
+    forms = []
+    while len(forms) < 30:
+        a, b = rng.randint(10**30, 10**31), rng.randint(10**30, 10**31)
+        c = rng.randint(-2 * a, 2 * a)
+        if 4 * a * b - c * c > 0 and parity_class(TranscendentalForm(a, b, c)) != "IV":
+            forms.append(TranscendentalForm(a, b, c))
+    while len(forms) < 40:
+        # represents 1, so its c-even complement has a root
+        t = apply_basis_change(TranscendentalForm(1, rng.randint(10**30, 10**31), 0),
+                               random_sl2(rng, 30))
+        forms.append(t)
+    seen = set()
+    for t in forms:
+        e = written_down_embedding(t)
+        small, rows = source_form(e), e.matrix.entries
+        defect = _embedding_defect(small, rows)
+        assert defect == oracle_defect(small, rows, hnf_block_has_root), t.triple()
+        # the c-odd and c-even complements have a root exactly when case_of
+        # says the form does not cover through this embedding
+        if parity_class(t) in ("II", "III"):
+            assert (defect == "root") == (case_of(t)[0] in ("III-2", "III-3")), t.triple()
+        bumped = [list(row) for row in rows]
+        bumped[1][1] += 1
+        assert _embedding_defect(small, bumped) == oracle_defect(small, bumped) == "pullback"
+        seen.add(defect)
+    assert seen == {None, "root"}
