@@ -315,6 +315,8 @@ class VinbergWitness:
         return {"kind": self.kind, "n": self.n, "vector": list(self.vector)}
 
     def replay(self, t: TranscendentalForm) -> None:
+        if len(self.vector) != 11 or not all(_is_int(x) for x in self.vector):
+            raise VerificationError("witness vector does not have 11 integer coordinates")
         if t.delta % 4 != 0 or self.n != t.delta // 4:
             raise VerificationError("witness norm does not match the discriminant")
         if self.n in ABSENT:
@@ -399,6 +401,11 @@ _KINDS_FOR_CASE: dict[CaseLabel, tuple[str, ...]] = {
 }
 
 
+def _is_int(x) -> bool:
+    """An int that is not a bool: what a serialized integer field must hold."""
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 def certificate_from_dict(data: dict[str, Any]) -> Certificate:
     """Parse a serialized certificate; an unknown kind raises ValueError.
 
@@ -450,11 +457,18 @@ class Classification:
 
     @classmethod
     def from_dict(cls, data: dict[str, Any]) -> "Classification":
+        """Parse a serialized classification; ``covers`` must be a bool and
+        ``delta`` an int, never a value that merely converts to one."""
         try:
+            covers, delta = data["covers"], data["delta"]
+            if not isinstance(covers, bool):
+                raise VerificationError(f"covers must be true or false, not {covers!r}")
+            if not _is_int(delta):
+                raise VerificationError(f"delta must be an integer, not {delta!r}")
             return cls(
                 case_label=str(data["case"]),
-                covers=bool(data["covers"]),
-                delta=int(data["delta"]),
+                covers=covers,
+                delta=delta,
                 certificate=certificate_from_dict(data["certificate"]),
             )
         except KeyError as exc:

@@ -10,8 +10,16 @@ import itertools
 import random
 from math import gcd
 
+from hypothesis import settings
+from hypothesis import strategies as st
+
 from k3cover.intmat import IntMatrix, rank, solve_left, xgcd
 from k3cover.lattices import Sl2Matrix
+
+# Property tests replay the same examples on every run, like the seeded
+# tests, and keep no example database; big-integer examples have no deadline.
+settings.register_profile("k3cover", derandomize=True, database=None, deadline=None)
+settings.load_profile("k3cover")
 
 
 def random_sl2(rng: random.Random, bound: int = 20) -> Sl2Matrix:
@@ -27,6 +35,22 @@ def random_sl2(rng: random.Random, bound: int = 20) -> Sl2Matrix:
         y, w = -t + k * x, s + k * z
         if max(abs(y), abs(w)) <= bound:
             return Sl2Matrix(x, y, z, w)
+
+
+def sl2_matrices(bound: int) -> st.SearchStrategy[Sl2Matrix]:
+    """Hypothesis strategy: products of one to four alternating upper and
+    lower shears [[1, k], [0, 1]], [[1, 0], [k, 1]] with |k| <= bound.
+
+    These shears generate SL2(Z), and no example is ever filtered out.
+    """
+    return st.lists(st.integers(-bound, bound), min_size=1, max_size=4).map(_alternating_shears)
+
+
+def _alternating_shears(ks: list[int]) -> Sl2Matrix:
+    g = Sl2Matrix.identity()
+    for i, k in enumerate(ks):
+        g = g.compose(Sl2Matrix(1, k, 0, 1) if i % 2 == 0 else Sl2Matrix(1, 0, k, 1))
+    return g
 
 
 def random_full_rank(rng: random.Random, n: int, m: int, bound: int = 5) -> IntMatrix:

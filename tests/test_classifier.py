@@ -2,9 +2,12 @@
 
 import dataclasses
 import json
+import math
 import random
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from k3cover.classifier import (
     ABSENCE_SLICES,
@@ -30,7 +33,7 @@ from k3cover.intmat import IntMatrix
 from k3cover.lattices import TranscendentalForm, apply_basis_change, standard_lattice
 from k3cover.shortvec import NormQuery, has_norm
 
-from conftest import random_sl2
+from conftest import random_sl2, sl2_matrices
 
 LAMBDA = standard_lattice("LambdaMinus")
 
@@ -77,6 +80,25 @@ def test_grid_case_structure():
             assert label == "I" and covers
         if parities == (1, 1, 1):
             assert label == "IV" and not covers
+
+
+@given(st.integers(1, 10**6), sl2_matrices(10**15))
+def test_case_of_is_invariant_for_moved_unit_forms_property(n, g):
+    # (1, n, 0) represents 1, so it is III-2 or III-3 in every basis
+    t = TranscendentalForm(1, n, 0)
+    assert case_of(apply_basis_change(t, g)) == case_of(t)
+
+
+@st.composite
+def small_forms(draw) -> TranscendentalForm:
+    a, b = draw(st.integers(1, 40)), draw(st.integers(1, 40))
+    c_max = math.isqrt(4 * a * b - 1)
+    return TranscendentalForm(a, b, draw(st.integers(-c_max, c_max)))
+
+
+@given(small_forms(), sl2_matrices(10**15))
+def test_case_of_is_invariant_under_large_basis_changes_property(t, g):
+    assert case_of(apply_basis_change(t, g)) == case_of(t)
 
 
 def test_case_invariant_under_basis_change():
@@ -254,6 +276,15 @@ def test_tampered_witness_certificate():
         VinbergWitness(n=3, vector=(4, 1, 2, 1, 1, 1, 1, 1, 1, 1, 1)).replay(t)
 
 
+def test_witness_replay_rejects_a_short_vector():
+    # a 2-coordinate vector raised ValueError from vinberg.norm
+    with pytest.raises(VerificationError, match="11 integer coordinates"):
+        VinbergWitness(n=5, vector=(3, 2)).replay(TranscendentalForm(1, 5, 0))
+    with pytest.raises(VerificationError, match="11 integer coordinates"):
+        VinbergWitness(n=5, vector=(3, 2, 1, 1, 1, 1, 1, 1, 1, 1, 0.5)).replay(
+            TranscendentalForm(1, 5, 0))
+
+
 def test_tampered_absence_certificate():
     t = TranscendentalForm(1, 1, 0)
     with pytest.raises(VerificationError):
@@ -356,3 +387,21 @@ def test_from_dict_rejects_a_scalar_matrix():
         Classification.from_dict(data)
     with pytest.raises(VerificationError, match="malformed certificate"):
         certificate_from_dict(data["certificate"])
+
+
+def test_from_dict_rejects_a_string_covers():
+    # "covers": "false" used to parse as covers=True
+    data = _embedding_record()
+    for covers in ("false", 1, None):
+        data["covers"] = covers
+        with pytest.raises(VerificationError, match="covers"):
+            Classification.from_dict(data)
+
+
+def test_from_dict_rejects_a_non_integer_delta():
+    # "delta": 23.9 used to parse as delta=23
+    data = _embedding_record()
+    for delta in (23.9, 23.0, "23", True):
+        data["delta"] = delta
+        with pytest.raises(VerificationError, match="delta"):
+            Classification.from_dict(data)

@@ -4,6 +4,8 @@ import math
 import random
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from k3cover.lattices import TranscendentalForm
 from k3cover.quadforms import (
@@ -14,6 +16,8 @@ from k3cover.quadforms import (
     shifted_form,
     transform,
 )
+
+from conftest import sl2_matrices
 
 
 def test_binary_form_validation():
@@ -118,3 +122,37 @@ def test_shifted_form_is_equivalent_to_reordering():
         rhs, _ = reduce_form(BinaryForm(a, c, b))
         assert lhs == rhs
         assert represents_one(shifted_form(t)) == represents_one(BinaryForm(a, c, b))
+
+
+@st.composite
+def definite_forms(draw, p_r: st.SearchStrategy[int]) -> BinaryForm:
+    """Positive definite forms with p and r drawn from p_r and any q that
+    keeps q^2 < 4pr."""
+    p, r = draw(p_r), draw(p_r)
+    q_max = math.isqrt(4 * p * r - 1)
+    return BinaryForm(p, draw(st.integers(-q_max, q_max)), r)
+
+
+SMALL = st.integers(1, 60)
+BIG = st.one_of(st.integers(1, 10**6), st.integers(10**30, 10**40))
+
+
+@given(definite_forms(SMALL))
+def test_represents_one_matches_box_search_property(f):
+    assert represents_one(f) == _represents_one_naive(f)
+
+
+@given(definite_forms(BIG))
+def test_reduce_form_returns_its_transform_property(f):
+    red, g = reduce_form(f)
+    assert transform(f, g) == red
+    assert red.is_reduced()
+    assert red.discriminant == f.discriminant
+
+
+@given(definite_forms(BIG), sl2_matrices(10**30))
+def test_reduction_is_invariant_under_sl2_property(f, g):
+    moved = transform(f, g)
+    red, _ = reduce_form(f)
+    assert reduce_form(moved)[0] == red
+    assert represents_one(moved) == (red.p == 1)
