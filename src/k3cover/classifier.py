@@ -144,6 +144,8 @@ _AMBIENT_RANK = 12
 _HYPERBOLIC = 4
 _UNIT4 = ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1))
 _MINOR_COLUMNS = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
+# the written-down embeddings, by the name an explicit-embedding records
+CONSTRUCTIONS = ("c-odd", "c-even", "all-even")
 
 
 def _pair(x, y) -> int:
@@ -151,14 +153,55 @@ def _pair(x, y) -> int:
     return x[0] * y[1] + x[1] * y[0] + 2 * (x[2] * y[3] + x[3] * y[2])
 
 
-def _block_has_root(rows) -> bool:
-    """Root check for an image inside U + U(2), from the 2 x 4 block of its rows.
+def _minor_gcd(x, y) -> int:
+    """The gcd of the six 2 x 2 minors of the first four coordinates of x and y."""
+    return gcd(*(x[i] * y[j] - x[j] * y[i] for i, j in _MINOR_COLUMNS))
 
-    The complement B is the integer kernel of the block times the Gram
-    matrix G4 of U + U(2).  Unimodular column steps find it: for each row,
-    xgcd combines the basis vectors it does not kill into one pivot and
-    leaves the rest in its kernel; dropping the pivot keeps the kernel
-    saturated.  Two nonzero pivots mean rank 2, and two vectors remain.
+
+def _formula_complement(construction: str, t: TranscendentalForm):
+    """The closed-form basis (k1, k2) of the complement block B of a
+    written-down construction at t, or None for any other name.
+
+    Gram matrices of these bases in U + U(2):
+      c-odd, s = (c - ab - 1)/2:  2 [[-4a, 2ab - c], [2ab - c, 2bs]], det 4 delta;
+      c-even (a, b odd):          [[-2a, 2a - c], [2a - c, -2(a + b - c)]], det delta;
+      all-even:                   [[-2b, -c], [-c, -2a]], det delta.
+    The result is only a guess: `_block_has_root` checks it exactly before
+    it uses it, so a record whose matrix is not the formula at t costs a
+    failed check and nothing else.
+    """
+    a, b, c = t.a, t.b, t.c
+    if construction == "c-odd":
+        s = (c - a * b - 1) // 2
+        return (-2 * a, 2, a * b - 1, 0), (-2 * s, 0, b * s, 1)
+    if construction == "c-even":
+        return (1, -a, 0, a - c // 2), (0, 0, 1, (c - a - b) // 2)
+    if construction == "all-even":
+        return (1, -b, 0, 0), (0, -c, 1, -(a // 2))
+    return None
+
+
+def _is_block_basis(rows, k1, k2) -> bool:
+    """Whether k1, k2 is a basis of the complement block of two rows of rank 2.
+
+    Both vectors pair to zero with both rows, and the six 2 x 2 minors of
+    (k1, k2) have gcd 1, so their span is saturated of rank 2; inside the
+    rank-2 kernel of the rows that makes it the whole kernel.
+    """
+    u, v = rows
+    if _pair(u, k1) or _pair(u, k2) or _pair(v, k1) or _pair(v, k2):
+        return False
+    return _minor_gcd(k1, k2) == 1
+
+
+def _kernel_basis(rows) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The complement block B by unimodular column steps.
+
+    B is the integer kernel of the block times the Gram matrix G4 of
+    U + U(2).  For each row, xgcd combines the basis vectors it does not
+    kill into one pivot and leaves the rest in its kernel; dropping the
+    pivot keeps the kernel saturated.  Two nonzero pivots mean rank 2, and
+    two vectors remain.
     """
     basis = _UNIT4
     for row in rows:
@@ -178,6 +221,23 @@ def _block_has_root(rows) -> bool:
             raise VerificationError("complement block in U + U(2) does not have rank 2")
         basis = kept
     k1, k2 = basis
+    return k1, k2
+
+
+def _block_has_root(rows, guess=None) -> bool:
+    """Root check for an image inside U + U(2), from the 2 x 4 block of its rows.
+
+    ``guess`` is a candidate basis (k1, k2) of the complement block B, such
+    as `_formula_complement` gives; it is used only when `_is_block_basis`
+    proves it is B, and that proof needs rows of rank 2, which callers
+    passing a guess have established.  Otherwise xgcd column steps find B.
+    Either way B must be even and negative definite, and it contains a
+    root exactly when the positive form -B/2 represents 1.
+    """
+    if guess is not None and _is_block_basis(rows, *guess):
+        k1, k2 = guess
+    else:
+        k1, k2 = _kernel_basis(rows)
     p, q, r = _pair(k1, k1), _pair(k1, k2), _pair(k2, k2)
     if p % 2 or r % 2 or p >= 0 or p * r <= q * q:
         raise VerificationError("complement block in U + U(2) is not even and negative definite")
@@ -200,37 +260,37 @@ def _complement_has_root(e: Embedding) -> bool:
     enumerating the full rank-10 complement.
     """
     rows = e.matrix.entries
-    if any(x for row in rows for x in row[_HYPERBOLIC:]):
+    if any(any(row[_HYPERBOLIC:]) for row in rows):
         _, comp = orthogonal_complement(e.target, e)
         return bool(enumerate_norm(NormQuery(comp, -2)))
     return _block_has_root(rows)
 
 
-def _embedding_defect(t: TranscendentalForm, rows) -> str | None:
+def _embedding_defect(t: TranscendentalForm, rows, construction: str | None = None) -> str | None:
     """The first check that rows fail as an embedding of t into U + U(2) + E8(2).
 
     Returns "pullback", "primitive" or "root", or None for a valid, primitive
     embedding with a root-free complement.  Rows that are zero on the E8(2)
     columns are checked in plain ints on their 2 x 4 block: the pullback
     against (2a, c, 2b), and primitivity as gcd 1 of the six 2 x 2 minors,
-    which also proves rank 2.  Any other matrix takes the general path.
+    which also proves rank 2.  The root check then tries the closed-form
+    complement of ``construction`` at t and falls back to the xgcd kernel
+    when that basis is not the complement of these rows.  Any other matrix
+    takes the general path.
     """
-    if any(x for row in rows for x in row[_HYPERBOLIC:]):
+    u, v = rows
+    if any(u[_HYPERBOLIC:]) or any(v[_HYPERBOLIC:]):
         emb = Embedding(to_lattice(t), standard_lattice("LambdaMinus"), IntMatrix.from_rows(rows))
         if not validate(emb):
             return "pullback"
         if maximal_minor_gcd(emb) != 1:
             return "primitive"
         return "root" if _complement_has_root(emb) else None
-    u, v = rows
     if (_pair(u, u), _pair(u, v), _pair(v, v)) != (2 * t.a, t.c, 2 * t.b):
         return "pullback"
-    d = 0
-    for i, j in _MINOR_COLUMNS:
-        d = gcd(d, u[i] * v[j] - u[j] * v[i])
-    if d != 1:
+    if _minor_gcd(u, v) != 1:
         return "primitive"
-    return "root" if _block_has_root(rows) else None
+    return "root" if _block_has_root(rows, _formula_complement(construction, t)) else None
 
 
 @dataclass(frozen=True)
@@ -258,10 +318,13 @@ class KeumCitation:
 class ExplicitEmbedding:
     """A primitive embedding into U + U(2) + E8(2) with root-free complement.
 
-    ``normalized`` is the SL2-equivalent form the matrix actually embeds and
-    ``basis_change`` the change of basis realizing the equivalence.  Replay
-    re-checks the equivalence, the Gram pullback, primitivity, and that the
-    orthogonal complement has no vector of norm -2.
+    ``construction`` names the written-down embedding (one of
+    CONSTRUCTIONS), ``normalized`` is the SL2-equivalent form the matrix
+    actually embeds and ``basis_change`` the change of basis realizing the
+    equivalence.  Replay re-checks the equivalence, the Gram pullback,
+    primitivity, and that the orthogonal complement has no vector of norm
+    -2; the construction's closed-form complement at ``normalized`` is
+    tried first, and a matrix it does not fit takes the xgcd kernel.
     """
 
     kind: ClassVar[str] = "explicit-embedding"
@@ -294,7 +357,7 @@ class ExplicitEmbedding:
             raise VerificationError("malformed embedding certificate: matrix is not 2 x 12")
         if apply_basis_change(t, g).triple() != normalized.triple():
             raise VerificationError("recorded basis change does not reach the recorded form")
-        defect = _embedding_defect(normalized, rows)
+        defect = _embedding_defect(normalized, rows, self.construction)
         if defect == "pullback":
             raise VerificationError("matrix does not pull the target form back to the source")
         if self.minor_gcd != 1 or defect == "primitive":
@@ -406,24 +469,49 @@ def _is_int(x) -> bool:
     return isinstance(x, int) and not isinstance(x, bool)
 
 
+_EXACT_INT = frozenset((int,))
+
+
+def _ints(field: str, values, length: int | None = None) -> tuple[int, ...]:
+    """The entries of a serialized integer list, each passing `_is_int`."""
+    out = tuple(values)
+    # entries whose type is exactly int, as json gives, are checked in C
+    if not (_EXACT_INT.issuperset(map(type, out)) or all(map(_is_int, out))):
+        raise VerificationError(f"malformed certificate: {field} must hold integers")
+    if length is not None and len(out) != length:
+        raise VerificationError(f"malformed certificate: {field} must have {length} entries")
+    return out
+
+
+def _explicit_embedding_from_dict(data: dict[str, Any]) -> ExplicitEmbedding:
+    construction, minor_gcd = data["construction"], data["minor_gcd"]
+    if construction not in CONSTRUCTIONS:
+        raise VerificationError(f"unknown embedding construction {construction!r}")
+    if not _is_int(minor_gcd):
+        raise VerificationError(f"malformed certificate: minor_gcd {minor_gcd!r} is not an integer")
+    return ExplicitEmbedding(
+        construction=construction,
+        normalized=_ints("normalized", data["normalized"], 3),
+        basis_change=_ints("basis_change", data["basis_change"], 4),
+        matrix=tuple(_ints("matrix", row) for row in data["matrix"]),
+        minor_gcd=minor_gcd,
+        minus_two=tuple(_ints("minus_two", v) for v in data["minus_two"]),
+    )
+
+
 def certificate_from_dict(data: dict[str, Any]) -> Certificate:
     """Parse a serialized certificate; an unknown kind raises ValueError.
 
-    A missing key or a field of the wrong shape raises VerificationError.
+    A missing key or a field of the wrong shape raises VerificationError;
+    so does an explicit embedding with an unknown construction or an
+    integer field holding anything but ints.
     """
     try:
         kind = data.get("kind")
         if kind == "keum-citation":
             return KeumCitation(halved=tuple(int(x) for x in data["halved"]))
         if kind == "explicit-embedding":
-            return ExplicitEmbedding(
-                construction=str(data["construction"]),
-                normalized=tuple(int(x) for x in data["normalized"]),
-                basis_change=tuple(int(x) for x in data["basis_change"]),
-                matrix=tuple(tuple(int(x) for x in row) for row in data["matrix"]),
-                minor_gcd=int(data["minor_gcd"]),
-                minus_two=tuple(tuple(int(x) for x in v) for v in data["minus_two"]),
-            )
+            return _explicit_embedding_from_dict(data)
         if kind == "vinberg-witness":
             return VinbergWitness(n=int(data["n"]), vector=tuple(int(x) for x in data["vector"]))
         if kind == "exhaustive-absence":
@@ -478,23 +566,18 @@ class Classification:
 
 
 def _embedding_certificate(
-    t: TranscendentalForm,
     construction: str,
     normalized: TranscendentalForm,
     g: Sl2Matrix,
     rows: list[list[int]],
-    *,
-    required: bool,
-) -> ExplicitEmbedding | None:
-    defect = _embedding_defect(normalized, rows)
+) -> ExplicitEmbedding:
+    defect = _embedding_defect(normalized, rows, construction)
     if defect == "pullback":
         raise VerificationError(f"BUG: {construction} construction broke the form")
     if defect == "primitive":
         raise VerificationError(f"BUG: {construction} construction is not primitive")
     if defect == "root":
-        if required:
-            raise VerificationError(f"BUG: {construction} complement contains a root")
-        return None
+        raise VerificationError(f"BUG: {construction} complement contains a root")
     return ExplicitEmbedding(
         construction=construction,
         normalized=normalized.triple(),
@@ -509,28 +592,16 @@ def certify(t: TranscendentalForm, label: CaseLabel, *, try_embedding: bool = Fa
     """Build the certificate backing a classification label for this form."""
     if label == "I":
         if try_embedding:
-            cert = _embedding_certificate(
-                t, "all-even", t, Sl2Matrix.identity(),
-                _embedding_rows_all_even(t), required=False,
-            )
-            if cert is not None:
-                return cert
+            return _embedding_certificate(
+                "all-even", t, Sl2Matrix.identity(), _embedding_rows_all_even(t))
         return KeumCitation(halved=(t.a // 2, t.b // 2, t.c // 2))
     if label == "II":
-        cert = _embedding_certificate(
-            t, "c-odd", t, Sl2Matrix.identity(),
-            _embedding_rows_c_odd(t), required=True,
-        )
-        assert cert is not None
-        return cert
+        return _embedding_certificate(
+            "c-odd", t, Sl2Matrix.identity(), _embedding_rows_c_odd(t))
     if label == "III-1":
         normalized, g = _normalize_with_transform(t)
-        cert = _embedding_certificate(
-            t, "c-even", normalized, g,
-            _embedding_rows_c_even(normalized), required=True,
-        )
-        assert cert is not None
-        return cert
+        return _embedding_certificate(
+            "c-even", normalized, g, _embedding_rows_c_even(normalized))
     if label == "III-2":
         n = t.delta // 4
         witness = search_norm(n)
@@ -550,9 +621,10 @@ def certify(t: TranscendentalForm, label: CaseLabel, *, try_embedding: bool = Fa
 def classify(t: TranscendentalForm, *, try_embedding: bool = False) -> Classification:
     """Full decision for one form: label, verdict, and certificate.
 
-    ``try_embedding`` additionally attempts a concrete embedding in the
-    all-even case, falling back to the citation certificate whenever the
-    attempted complement is not root-free.
+    ``try_embedding`` backs all-even forms by the written-down all-even
+    embedding instead of the citation certificate.  That embedding always
+    works: its complement block is -(b, c, a) with every entry even, so it
+    never represents 1.
     """
     label, covers = case_of(t)
     certificate = certify(t, label, try_embedding=try_embedding)

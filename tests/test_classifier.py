@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from k3cover.classifier import (
     ABSENCE_SLICES,
+    CONSTRUCTIONS,
     Classification,
     ExhaustiveAbsence,
     ExplicitEmbedding,
@@ -319,11 +320,21 @@ def test_mismatched_classification_fields():
 
 
 def test_try_embedding_for_all_even_forms():
-    t = TranscendentalForm(2, 2, 2)
-    cls = classify(t, try_embedding=True)
-    assert cls.case_label == "I"
-    assert cls.certificate.kind in ("keum-citation", "explicit-embedding")
-    verify_classification(t, cls)
+    # the all-even complement block is -(b, c, a), all even: never a root
+    checked = 0
+    for a in range(2, 13, 2):
+        for b in range(2, 13, 2):
+            for c in range(-12, 13, 2):
+                if 4 * a * b <= c * c:
+                    continue
+                t = TranscendentalForm(a, b, c)
+                cls = classify(t, try_embedding=True)
+                assert cls.case_label == "I"
+                assert cls.certificate.kind == "explicit-embedding", t.triple()
+                assert cls.certificate.construction == "all-even"
+                verify_classification(t, cls)
+                checked += 1
+    assert checked == 382
 
 
 def _replay_tampered_embedding(**changes) -> None:
@@ -405,3 +416,69 @@ def test_from_dict_rejects_a_non_integer_delta():
         data["delta"] = delta
         with pytest.raises(VerificationError, match="delta"):
             Classification.from_dict(data)
+
+
+def _case_ii_record() -> dict:
+    return json.loads(json.dumps(classify(TranscendentalForm(2, 3, 1)).to_dict()))
+
+
+def _assert_rejected(data: dict) -> None:
+    with pytest.raises(VerificationError):
+        Classification.from_dict(data)
+    with pytest.raises(VerificationError):
+        certificate_from_dict(data["certificate"])
+
+
+def test_from_dict_rejects_a_non_integer_minor_gcd():
+    for minor_gcd in (1.9, 1.0, True, "1", None):
+        data = _case_ii_record()
+        data["certificate"]["minor_gcd"] = minor_gcd
+        _assert_rejected(data)
+
+
+def test_from_dict_rejects_an_unknown_construction():
+    for construction in (5, "bogus", None, ["c-odd"]):
+        data = _case_ii_record()
+        data["certificate"]["construction"] = construction
+        _assert_rejected(data)
+
+
+def test_from_dict_rejects_a_string_normalized_form():
+    data = _case_ii_record()
+    data["certificate"]["normalized"] = [str(x) for x in data["certificate"]["normalized"]]
+    _assert_rejected(data)
+    data["certificate"]["normalized"] = "231"
+    _assert_rejected(data)
+
+
+def test_from_dict_rejects_a_non_integer_matrix_entry():
+    for entry in (2.0, "1", True, None):
+        data = _case_ii_record()
+        data["certificate"]["matrix"][0][0] = entry
+        _assert_rejected(data)
+
+
+def test_from_dict_rejects_a_float_basis_change():
+    data = _case_ii_record()
+    data["certificate"]["basis_change"] = [float(x) for x in data["certificate"]["basis_change"]]
+    _assert_rejected(data)
+    data["certificate"]["basis_change"] = [1, 0, 0]
+    _assert_rejected(data)
+
+
+def test_from_dict_rejects_a_non_integer_minus_two_entry():
+    data = _case_ii_record()
+    data["certificate"]["minus_two"] = [[1.0] + [0] * 11]
+    _assert_rejected(data)
+
+
+def test_from_dict_accepts_every_construction():
+    seen = set()
+    for triple, try_embedding in (((2, 3, 1), False), ((2, 3, 2), False), ((2, 2, 2), True)):
+        t = TranscendentalForm(*triple)
+        cls = classify(t, try_embedding=try_embedding)
+        back = Classification.from_dict(json.loads(json.dumps(cls.to_dict())))
+        assert back == cls
+        verify_classification(t, back)
+        seen.add(back.certificate.construction)
+    assert seen == set(CONSTRUCTIONS)

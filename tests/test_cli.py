@@ -7,7 +7,7 @@ import pytest
 from click.testing import CliRunner
 
 from k3cover import vinberg
-from k3cover.cli import CASE_ORDER, QueryRecord, main
+from k3cover.cli import CASE_ORDER, QueryRecord, _scan_worker, main
 from k3cover.classifier import case_of, verify_classification
 from k3cover.lattices import TranscendentalForm
 
@@ -133,6 +133,18 @@ def test_scan_output_bytes_are_pinned(runner, tmp_path):
     assert result.stderr.strip() == \
         "scanned 382 forms: I=55 II=140 III-1=94 III-2=18 III-3=33 IV=42"
     assert hashlib.sha256(out.read_bytes()).hexdigest() == SCAN_6_SHA256
+
+
+# sha256 of `k3cover scan --a-max 20 --b-max 20 --c-min -20 --c-max 20`,
+# the 12 668-form box whose digest every change to the hot path must keep
+SCAN_20_SHA256 = "bc2490feacaa5c3cc5abaab98ed6fcad8ba044aa3c76a859a202c4b4ea586b12"
+
+
+def test_full_box_scan_lines_are_pinned():
+    digest = hashlib.sha256()
+    for triple in _expected_records(20, 20, -20, 20):
+        digest.update((_scan_worker(triple)[1] + "\n").encode())
+    assert digest.hexdigest() == SCAN_20_SHA256
 
 
 def test_scan_stdout_default(runner):

@@ -5,25 +5,40 @@ rank-2 block in U + U(2) by Gauss reduction, and `_embedding_defect` checks
 the pullback and primitivity of a matrix on the same block in plain ints.
 The oracle here is the general path: `validate` and the maximal minor gcd
 on the full 2 x 12 matrix, the complement's Hermite basis and Fincke-Pohst
-enumeration of all its norm -2 vectors.
+enumeration of all its norm -2 vectors.  The closed-form block bases of the
+three constructions are checked against the xgcd kernel search, which in
+turn is checked against that general path.
 """
 
 import dataclasses
 import random
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from k3cover import classifier
 from k3cover.classifier import (
+    CONSTRUCTIONS,
+    Classification,
     ExplicitEmbedding,
+    _block_has_root,
     _complement_has_root,
     _embedding_defect,
     _embedding_rows_all_even,
+    _embedding_rows_c_even,
+    _embedding_rows_c_odd,
+    _formula_complement,
+    _is_block_basis,
+    _kernel_basis,
+    _pair,
     case_ii_embedding,
     case_iii_embedding,
     case_of,
+    certify,
     classify,
     normalize_case_III,
+    verify_classification,
 )
 from k3cover.embeddings import (
     Embedding,
@@ -45,9 +60,12 @@ from k3cover.lattices import (
 from k3cover.quadforms import BinaryForm, represents_one
 from k3cover.shortvec import NormQuery, enumerate_norm
 
-from conftest import random_sl2
+from conftest import random_sl2, sl2_matrices
 
 LAMBDA = standard_lattice("LambdaMinus")
+
+
+CONSTRUCTION_OF = {"II": "c-odd", "III": "c-even", "I": "all-even"}
 
 
 def written_down_embedding(t: TranscendentalForm) -> Embedding | None:
@@ -185,6 +203,8 @@ def test_block_defect_matches_the_general_path_on_the_box():
         t, rows = source_form(e), e.matrix.entries
         defect = _embedding_defect(t, rows)
         assert defect == oracle_defect(t, rows), t.triple()
+        construction = CONSTRUCTION_OF[parity_class(t)]
+        assert _embedding_defect(t, rows, construction) == defect, t.triple()
         defects[defect] = defects.get(defect, 0) + 1
     assert defects == {None: 2498 - defects["root"], "root": defects["root"]}
     assert defects["root"] >= 155
@@ -269,3 +289,111 @@ def test_block_defect_on_coefficients_beyond_10_to_30():
         assert _embedding_defect(small, bumped) == oracle_defect(small, bumped) == "pullback"
         seen.add(defect)
     assert seen == {None, "root"}
+
+
+ROWS_OF = {"c-odd": _embedding_rows_c_odd, "c-even": _embedding_rows_c_even,
+           "all-even": _embedding_rows_all_even}
+
+
+def construction_form(construction: str, a: int, b: int, c: int, g) -> TranscendentalForm:
+    """A form the construction applies to, from a, b >= |c| moved by g.
+
+    The parities of (a, b, c) are bumped to the construction's class, so
+    a, b >= |c| - 1 keeps the form definite with a minimum of about a, b.
+    The c-even construction embeds the normalized form (a, b odd).
+    """
+    if construction == "c-odd":
+        a, c = a + a % 2, c | 1
+    elif construction == "c-even":
+        a, c = a | 1, c - c % 2
+    else:
+        a, b, c = a + a % 2, b + b % 2, c - c % 2
+    t = apply_basis_change(TranscendentalForm(a, b, c), g)
+    return normalize_case_III(t) if construction == "c-even" else t
+
+
+def gram(k1, k2) -> tuple[int, int, int]:
+    return _pair(k1, k1), _pair(k1, k2), _pair(k2, k2)
+
+
+@given(st.sampled_from(CONSTRUCTIONS), st.integers(10**30, 10**31), st.integers(10**30, 10**31),
+       st.integers(-10**30, 10**30), sl2_matrices(10**6))
+def test_formula_complement_matches_the_kernel_search_property(construction, a, b, c, g):
+    t = construction_form(construction, a, b, c, g)
+    assert min(t.a, t.b) >= 10**30
+    rows = ROWS_OF[construction](t)
+    k1, k2 = _formula_complement(construction, t)
+    assert _is_block_basis(rows, k1, k2)
+    assert all(_pair(row, k) == 0 for row in rows for k in (k1, k2))
+    p, q, r = gram(k1, k2)
+    xp, xq, xr = gram(*_kernel_basis(rows))
+    assert p * r - q * q == xp * xr - xq * xq == (4 if construction == "c-odd" else 1) * t.delta
+    has_root = _block_has_root(rows, (k1, k2))
+    assert has_root == _block_has_root(rows)
+    assert has_root == (construction == "c-even" and case_of(t)[0] != "III-1")
+    assert has_root == represents_one(BinaryForm(-p // 2, -q, -r // 2))
+
+
+def test_formula_complement_knows_only_the_three_constructions():
+    t = TranscendentalForm(2, 3, 1)
+    assert _formula_complement("c-odd", t) is not None
+    for name in ("bogus", None, "C-ODD"):
+        assert _formula_complement(name, t) is None
+
+
+def counted_xgcd(monkeypatch) -> list:
+    calls = []
+    xgcd = classifier.xgcd
+
+    def counted(*args):
+        calls.append(args)
+        return xgcd(*args)
+
+    monkeypatch.setattr(classifier, "xgcd", counted)
+    return calls
+
+
+def test_certify_and_replay_never_search_the_kernel(monkeypatch):
+    calls = counted_xgcd(monkeypatch)
+    embedded = 0
+    for a in range(1, 13):
+        for b in range(1, 13):
+            for c in range(-12, 13):
+                if 4 * a * b - c * c <= 0:
+                    continue
+                t = TranscendentalForm(a, b, c)
+                label = case_of(t)[0]
+                cert = certify(t, label, try_embedding=True)
+                if cert.kind == "explicit-embedding":
+                    verify_classification(t, Classification(label, True, t.delta, cert))
+                    embedded += 1
+    assert embedded == 2343
+    assert calls == []
+
+
+@pytest.mark.parametrize("triple", [(2, 3, 1), (2, 3, 2), (2, 2, 2), (5, 8, -3)])
+def test_replay_of_a_non_formula_block_takes_the_kernel_search(monkeypatch, triple):
+    # swapping u1, u2 and v1, v2 is an isometry of U + U(2): the matrix
+    # stays a valid primitive embedding, but the formula basis misses it
+    t = TranscendentalForm(*triple)
+    cert = classify(t, try_embedding=True).certificate
+    moved = tuple(tuple(row[i] for i in (1, 0, 3, 2)) + row[4:] for row in cert.matrix)
+    assert moved != cert.matrix
+    calls = counted_xgcd(monkeypatch)
+    ExplicitEmbedding(cert.construction, cert.normalized, cert.basis_change,
+                      moved, 1, ()).replay(t)
+    assert len(calls) >= 1
+
+
+def test_block_root_check_verifies_its_guess():
+    # (1, 3, 0) represents 1, so its c-even complement has a root: k1 itself
+    t = TranscendentalForm(1, 3, 0)
+    rows = _embedding_rows_c_even(t)
+    k1, k2 = _formula_complement("c-even", t)
+    assert _pair(k1, k1) == -2
+    doubled = tuple(2 * x for x in k1)
+    bumped = (k1[0] + 1,) + k1[1:]
+    for guess in ((doubled, k2), (k1, k1), (bumped, k2)):
+        assert not _is_block_basis(rows, *guess)
+        assert _block_has_root(rows, guess) is True
+    assert _block_has_root(rows, (k1, k2)) is True
