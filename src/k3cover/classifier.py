@@ -74,6 +74,9 @@ def case_of(t: TranscendentalForm) -> tuple[CaseLabel, bool]:
     return "III-2", True
 
 
+_IDENTITY = Sl2Matrix.identity()
+
+
 def _normalize_with_transform(t: TranscendentalForm) -> tuple[TranscendentalForm, Sl2Matrix]:
     if parity_class(t) != "III":
         raise ValueError("normalization applies to forms with c even, a or b odd")
@@ -82,7 +85,7 @@ def _normalize_with_transform(t: TranscendentalForm) -> tuple[TranscendentalForm
     elif t.b % 2 == 0:
         g = Sl2Matrix(1, 1, 1, 2)
     else:
-        g = Sl2Matrix.identity()
+        g = _IDENTITY
     return apply_basis_change(t, g), g
 
 
@@ -91,30 +94,33 @@ def normalize_case_III(t: TranscendentalForm) -> TranscendentalForm:
     return _normalize_with_transform(t)[0]
 
 
-def _embedding_rows_c_odd(t: TranscendentalForm) -> list[list[int]]:
+Rows = tuple[tuple[int, ...], ...]
+
+
+def _embedding_rows_c_odd(t: TranscendentalForm) -> Rows:
     # u -> a*u1 + u2 + ((c - ab - 1)/2) v1,  v -> u1 + b*u2 + v2
     s = (t.c - t.a * t.b - 1) // 2
-    return [
-        [t.a, 1, s, 0, 0, 0, 0, 0, 0, 0, 0, 0],
-        [1, t.b, 0, 1, 0, 0, 0, 0, 0, 0, 0, 0],
-    ]
+    return (
+        (t.a, 1, s, 0, 0, 0, 0, 0, 0, 0, 0, 0),
+        (1, t.b, 0, 1, 0, 0, 0, 0, 0, 0, 0, 0),
+    )
 
 
-def _embedding_rows_c_even(t: TranscendentalForm) -> list[list[int]]:
+def _embedding_rows_c_even(t: TranscendentalForm) -> Rows:
     # u -> u1 + a*u2,  v -> u1 + (c - a)*u2 + v1 + ((a + b - c)/2) v2
     s = (t.a + t.b - t.c) // 2
-    return [
-        [1, t.a, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0],
-        [1, t.c - t.a, 1, s, 0, 0, 0, 0, 0, 0, 0, 0],
-    ]
+    return (
+        (1, t.a, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0),
+        (1, t.c - t.a, 1, s, 0, 0, 0, 0, 0, 0, 0, 0),
+    )
 
 
-def _embedding_rows_all_even(t: TranscendentalForm) -> list[list[int]]:
+def _embedding_rows_all_even(t: TranscendentalForm) -> Rows:
     # u -> v1 + (a/2) v2,  v -> u1 + b*u2 + (c/2) v2
-    return [
-        [0, 0, 1, t.a // 2, 0, 0, 0, 0, 0, 0, 0, 0],
-        [1, t.b, 0, t.c // 2, 0, 0, 0, 0, 0, 0, 0, 0],
-    ]
+    return (
+        (0, 0, 1, t.a // 2, 0, 0, 0, 0, 0, 0, 0, 0),
+        (1, t.b, 0, t.c // 2, 0, 0, 0, 0, 0, 0, 0, 0),
+    )
 
 
 def case_ii_embedding(t: TranscendentalForm) -> Embedding:
@@ -143,7 +149,6 @@ def case_iii_embedding(t: TranscendentalForm) -> Embedding:
 _AMBIENT_RANK = 12
 _HYPERBOLIC = 4
 _UNIT4 = ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1))
-_MINOR_COLUMNS = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
 # the written-down embeddings, by the name an explicit-embedding records
 CONSTRUCTIONS = ("c-odd", "c-even", "all-even")
 
@@ -155,7 +160,10 @@ def _pair(x, y) -> int:
 
 def _minor_gcd(x, y) -> int:
     """The gcd of the six 2 x 2 minors of the first four coordinates of x and y."""
-    return gcd(*(x[i] * y[j] - x[j] * y[i] for i, j in _MINOR_COLUMNS))
+    x0, x1, x2, x3 = x[:4]
+    y0, y1, y2, y3 = y[:4]
+    return gcd(x0 * y1 - x1 * y0, x0 * y2 - x2 * y0, x0 * y3 - x3 * y0,
+               x1 * y2 - x2 * y1, x1 * y3 - x3 * y1, x2 * y3 - x3 * y2)
 
 
 def _formula_complement(construction: str, t: TranscendentalForm):
@@ -266,7 +274,7 @@ def _complement_has_root(e: Embedding) -> bool:
     return _block_has_root(rows)
 
 
-def _embedding_defect(t: TranscendentalForm, rows, construction: str | None = None) -> str | None:
+def _embedding_defect(t: TranscendentalForm, rows, construction: str) -> str | None:
     """The first check that rows fail as an embedding of t into U + U(2) + E8(2).
 
     Returns "pullback", "primitive" or "root", or None for a valid, primitive
@@ -350,7 +358,7 @@ class ExplicitEmbedding:
         try:
             normalized = TranscendentalForm(*self.normalized)
             g = Sl2Matrix(*self.basis_change)
-            rows = [[int(x) for x in row] for row in self.matrix]
+            rows = [_ints("matrix", row) for row in self.matrix]
         except (TypeError, ValueError) as exc:
             raise VerificationError(f"malformed embedding certificate: {exc}") from None
         if len(rows) != 2 or any(len(row) != _AMBIENT_RANK for row in rows):
@@ -569,7 +577,7 @@ def _embedding_certificate(
     construction: str,
     normalized: TranscendentalForm,
     g: Sl2Matrix,
-    rows: list[list[int]],
+    rows: Rows,
 ) -> ExplicitEmbedding:
     defect = _embedding_defect(normalized, rows, construction)
     if defect == "pullback":
@@ -582,7 +590,7 @@ def _embedding_certificate(
         construction=construction,
         normalized=normalized.triple(),
         basis_change=g.as_tuple(),
-        matrix=tuple(tuple(row) for row in rows),
+        matrix=rows,
         minor_gcd=1,
         minus_two=(),
     )
@@ -593,11 +601,11 @@ def certify(t: TranscendentalForm, label: CaseLabel, *, try_embedding: bool = Fa
     if label == "I":
         if try_embedding:
             return _embedding_certificate(
-                "all-even", t, Sl2Matrix.identity(), _embedding_rows_all_even(t))
+                "all-even", t, _IDENTITY, _embedding_rows_all_even(t))
         return KeumCitation(halved=(t.a // 2, t.b // 2, t.c // 2))
     if label == "II":
         return _embedding_certificate(
-            "c-odd", t, Sl2Matrix.identity(), _embedding_rows_c_odd(t))
+            "c-odd", t, _IDENTITY, _embedding_rows_c_odd(t))
     if label == "III-1":
         normalized, g = _normalize_with_transform(t)
         return _embedding_certificate(

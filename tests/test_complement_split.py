@@ -65,9 +65,6 @@ from conftest import random_sl2, sl2_matrices
 LAMBDA = standard_lattice("LambdaMinus")
 
 
-CONSTRUCTION_OF = {"II": "c-odd", "III": "c-even", "I": "all-even"}
-
-
 def written_down_embedding(t: TranscendentalForm) -> Embedding | None:
     """The c-odd, c-even (after normalization) or all-even construction."""
     parity = parity_class(t)
@@ -78,6 +75,10 @@ def written_down_embedding(t: TranscendentalForm) -> Embedding | None:
     if parity == "I":
         return Embedding(to_lattice(t), LAMBDA, IntMatrix.from_rows(_embedding_rows_all_even(t)))
     return None
+
+
+def construction_of(t: TranscendentalForm) -> str:
+    return {"II": "c-odd", "III": "c-even", "I": "all-even"}[parity_class(t)]
 
 
 def oracle_has_root(e: Embedding) -> bool:
@@ -201,10 +202,8 @@ def test_block_defect_matches_the_general_path_on_the_box():
     defects = {}
     for e in box_embeddings(12):
         t, rows = source_form(e), e.matrix.entries
-        defect = _embedding_defect(t, rows)
+        defect = _embedding_defect(t, rows, construction_of(t))
         assert defect == oracle_defect(t, rows), t.triple()
-        construction = CONSTRUCTION_OF[parity_class(t)]
-        assert _embedding_defect(t, rows, construction) == defect, t.triple()
         defects[defect] = defects.get(defect, 0) + 1
     assert defects == {None: 2498 - defects["root"], "root": defects["root"]}
     assert defects["root"] >= 155
@@ -218,7 +217,7 @@ def test_block_defect_matches_the_general_path_on_bumped_rows():
             for j in range(4):
                 rows = [list(row) for row in e.matrix.entries]
                 rows[i][j] += 1
-                defect = _embedding_defect(t, rows)
+                defect = _embedding_defect(t, rows, construction_of(t))
                 assert defect == oracle_defect(t, rows), (t.triple(), i, j)
                 defects[defect] = defects.get(defect, 0) + 1
     assert defects["pullback"] > 0.9 * sum(defects.values())
@@ -230,7 +229,8 @@ def test_block_defect_rejects_doubled_rows_as_not_primitive():
         small = source_form(e)
         t = TranscendentalForm(4 * small.a, 4 * small.b, 4 * small.c)
         rows = [[2 * x for x in row] for row in e.matrix.entries]
-        assert _embedding_defect(t, rows) == oracle_defect(t, rows) == "primitive"
+        assert _embedding_defect(t, rows, construction_of(small)) == oracle_defect(t, rows) \
+            == "primitive"
         checked += 1
     assert checked > 300
 
@@ -278,7 +278,7 @@ def test_block_defect_on_coefficients_beyond_10_to_30():
     for t in forms:
         e = written_down_embedding(t)
         small, rows = source_form(e), e.matrix.entries
-        defect = _embedding_defect(small, rows)
+        defect = _embedding_defect(small, rows, construction_of(small))
         assert defect == oracle_defect(small, rows, hnf_block_has_root), t.triple()
         # the c-odd and c-even complements have a root exactly when case_of
         # says the form does not cover through this embedding
@@ -286,7 +286,8 @@ def test_block_defect_on_coefficients_beyond_10_to_30():
             assert (defect == "root") == (case_of(t)[0] in ("III-2", "III-3")), t.triple()
         bumped = [list(row) for row in rows]
         bumped[1][1] += 1
-        assert _embedding_defect(small, bumped) == oracle_defect(small, bumped) == "pullback"
+        assert _embedding_defect(small, bumped, construction_of(small)) \
+            == oracle_defect(small, bumped) == "pullback"
         seen.add(defect)
     assert seen == {None, "root"}
 
