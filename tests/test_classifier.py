@@ -352,6 +352,12 @@ def test_replay_rejects_an_eleven_column_matrix():
         _replay_tampered_embedding(matrix=((1, 1, -1) + (0,) * 8, (1, 2, 0, 1) + (0,) * 7))
 
 
+def test_replay_rejects_a_float_matrix_entry():
+    # replay used to convert each entry with int(), so 1.0 passed as 1
+    with pytest.raises(VerificationError, match="matrix must hold integers"):
+        _replay_tampered_embedding(matrix=((1.0, 1, -1) + (0,) * 9, (1, 2, 0, 1) + (0,) * 8))
+
+
 def test_replay_rejects_a_basis_change_of_determinant_four():
     with pytest.raises(VerificationError):
         _replay_tampered_embedding(basis_change=(2, 0, 0, 2))
