@@ -377,8 +377,8 @@ def test_complement_check_rejects_a_non_definite_block():
         _complement_has_root(e)
 
 
-def _embedding_record() -> dict:
-    return json.loads(json.dumps(classify(TranscendentalForm(1, 2, 1)).to_dict()))
+def _embedding_record(triple=(1, 2, 1)) -> dict:
+    return json.loads(json.dumps(classify(TranscendentalForm(*triple)).to_dict()))
 
 
 def test_from_dict_rejects_a_missing_minus_two():
@@ -424,10 +424,6 @@ def test_from_dict_rejects_a_non_integer_delta():
             Classification.from_dict(data)
 
 
-def _case_ii_record() -> dict:
-    return json.loads(json.dumps(classify(TranscendentalForm(2, 3, 1)).to_dict()))
-
-
 def _assert_rejected(data: dict) -> None:
     with pytest.raises(VerificationError):
         Classification.from_dict(data)
@@ -437,20 +433,20 @@ def _assert_rejected(data: dict) -> None:
 
 def test_from_dict_rejects_a_non_integer_minor_gcd():
     for minor_gcd in (1.9, 1.0, True, "1", None):
-        data = _case_ii_record()
+        data = _embedding_record((2, 3, 1))
         data["certificate"]["minor_gcd"] = minor_gcd
         _assert_rejected(data)
 
 
 def test_from_dict_rejects_an_unknown_construction():
     for construction in (5, "bogus", None, ["c-odd"]):
-        data = _case_ii_record()
+        data = _embedding_record((2, 3, 1))
         data["certificate"]["construction"] = construction
         _assert_rejected(data)
 
 
 def test_from_dict_rejects_a_string_normalized_form():
-    data = _case_ii_record()
+    data = _embedding_record((2, 3, 1))
     data["certificate"]["normalized"] = [str(x) for x in data["certificate"]["normalized"]]
     _assert_rejected(data)
     data["certificate"]["normalized"] = "231"
@@ -459,13 +455,13 @@ def test_from_dict_rejects_a_string_normalized_form():
 
 def test_from_dict_rejects_a_non_integer_matrix_entry():
     for entry in (2.0, "1", True, None):
-        data = _case_ii_record()
+        data = _embedding_record((2, 3, 1))
         data["certificate"]["matrix"][0][0] = entry
         _assert_rejected(data)
 
 
 def test_from_dict_rejects_a_float_basis_change():
-    data = _case_ii_record()
+    data = _embedding_record((2, 3, 1))
     data["certificate"]["basis_change"] = [float(x) for x in data["certificate"]["basis_change"]]
     _assert_rejected(data)
     data["certificate"]["basis_change"] = [1, 0, 0]
@@ -473,7 +469,7 @@ def test_from_dict_rejects_a_float_basis_change():
 
 
 def test_from_dict_rejects_a_non_integer_minus_two_entry():
-    data = _case_ii_record()
+    data = _embedding_record((2, 3, 1))
     data["certificate"]["minus_two"] = [[1.0] + [0] * 11]
     _assert_rejected(data)
 
