@@ -491,18 +491,23 @@ def _ints(field: str, values, length: int | None = None) -> tuple[int, ...]:
     return out
 
 
+def _int(field: str, value) -> int:
+    """A serialized integer scalar, passing `_is_int`."""
+    if not _is_int(value):
+        raise VerificationError(f"malformed certificate: {field} {value!r} is not an integer")
+    return value
+
+
 def _explicit_embedding_from_dict(data: dict[str, Any]) -> ExplicitEmbedding:
-    construction, minor_gcd = data["construction"], data["minor_gcd"]
+    construction = data["construction"]
     if construction not in CONSTRUCTIONS:
         raise VerificationError(f"unknown embedding construction {construction!r}")
-    if not _is_int(minor_gcd):
-        raise VerificationError(f"malformed certificate: minor_gcd {minor_gcd!r} is not an integer")
     return ExplicitEmbedding(
         construction=construction,
         normalized=_ints("normalized", data["normalized"], 3),
         basis_change=_ints("basis_change", data["basis_change"], 4),
         matrix=tuple(_ints("matrix", row) for row in data["matrix"]),
-        minor_gcd=minor_gcd,
+        minor_gcd=_int("minor_gcd", data["minor_gcd"]),
         minus_two=tuple(_ints("minus_two", v) for v in data["minus_two"]),
     )
 
@@ -511,23 +516,24 @@ def certificate_from_dict(data: dict[str, Any]) -> Certificate:
     """Parse a serialized certificate; an unknown kind raises ValueError.
 
     A missing key or a field of the wrong shape raises VerificationError;
-    so does an explicit embedding with an unknown construction or an
-    integer field holding anything but ints.
+    so does an explicit embedding with an unknown construction, or any
+    integer field holding anything but ints (a float, a bool or a string
+    that would convert to one is refused, never coerced).
     """
     try:
         kind = data.get("kind")
         if kind == "keum-citation":
-            return KeumCitation(halved=tuple(int(x) for x in data["halved"]))
+            return KeumCitation(halved=_ints("halved", data["halved"], 3))
         if kind == "explicit-embedding":
             return _explicit_embedding_from_dict(data)
         if kind == "vinberg-witness":
-            return VinbergWitness(n=int(data["n"]), vector=tuple(int(x) for x in data["vector"]))
+            return VinbergWitness(n=_int("n", data["n"]), vector=_ints("vector", data["vector"]))
         if kind == "exhaustive-absence":
-            return ExhaustiveAbsence(n=int(data["n"]), slices=tuple(int(m) for m in data["slices"]))
+            return ExhaustiveAbsence(n=_int("n", data["n"]), slices=_ints("slices", data["slices"]))
         if kind == "parity-obstruction":
             return ParityObstruction(
-                norms_mod_4=tuple(int(x) for x in data["norms_mod_4"]),
-                pairing_mod_2=int(data["pairing_mod_2"]),
+                norms_mod_4=_ints("norms_mod_4", data["norms_mod_4"], 2),
+                pairing_mod_2=_int("pairing_mod_2", data["pairing_mod_2"]),
             )
         raise ValueError(f"unknown certificate kind {kind!r}")
     except KeyError as exc:

@@ -14,44 +14,19 @@ from __future__ import annotations
 import json
 import os
 import sys
-from dataclasses import dataclass
 from random import Random
 from typing import Any
 
 import click
 
 from . import vinberg
-from .classifier import Classification, classify, verify_classification
+from .classifier import classify, verify_classification
 from .embeddings import Embedding, torsion_witness, verify_torsion_witness
 from .errors import VerificationError
 from .intmat import IntMatrix, maximal_minor_gcd, rank, smith_invariant_factors
 from .lattices import IntegralLattice, TranscendentalForm
 
 CASE_ORDER = ("I", "II", "III-1", "III-2", "III-3", "IV")
-
-
-@dataclass(frozen=True)
-class QueryRecord:
-    """One classified form, flattened for line-oriented output."""
-
-    a: int
-    b: int
-    c: int
-    classification: Classification
-
-    def to_dict(self) -> dict[str, Any]:
-        out: dict[str, Any] = {"a": self.a, "b": self.b, "c": self.c}
-        out.update(self.classification.to_dict())
-        return out
-
-    @classmethod
-    def from_dict(cls, data: dict[str, Any]) -> "QueryRecord":
-        return cls(
-            a=int(data["a"]),
-            b=int(data["b"]),
-            c=int(data["c"]),
-            classification=Classification.from_dict(data),
-        )
 
 
 def _json_line(data: dict[str, Any]) -> str:
@@ -121,8 +96,10 @@ def classify_cmd(a: int | None, b: int | None, c: int | None, gram: str | None,
 
 def _scan_worker(triple: tuple[int, int, int]) -> tuple[str, str]:
     form = TranscendentalForm(*triple)
-    record = QueryRecord(form.a, form.b, form.c, classify(form))
-    return record.classification.case_label, _json_line(record.to_dict())
+    result = classify(form)
+    line: dict[str, Any] = {"a": form.a, "b": form.b, "c": form.c}
+    line.update(result.to_dict())
+    return result.case_label, _json_line(line)
 
 
 def _worker_count(n_tasks: int) -> int:

@@ -2,9 +2,11 @@
 
 
 class VerificationError(RuntimeError):
-    """An internal consistency check failed.
+    """A certificate, witness or embedding does not verify.
 
-    Raised when a constructed object (witness, certificate, embedding)
-    does not re-verify.  This signals a bug in the library, never bad
-    user input; bad input raises ValueError at the boundary.
+    Raised when replay rejects a record, including a serialized one that
+    is malformed or tampered with (a missing key, a wrong shape, a
+    non-integer where an integer belongs), and when the library's own
+    construction fails to re-verify, which is a bug.  Invalid arguments
+    to the library's functions raise ValueError instead.
     """

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .lattices import Sl2Matrix, TranscendentalForm
+from .lattices import Sl2Matrix
 
 
 @dataclass(frozen=True)
@@ -99,12 +99,3 @@ def represents_one(f: BinaryForm) -> bool:
     """Whether f(x, y) = 1 has an integer solution."""
     return _gauss(f.p, f.q, f.r)[0] == 1
 
-
-def shifted_form(t: TranscendentalForm) -> BinaryForm:
-    """The form (a, c - 2a, a + b - c), equivalent to (a, c, b).
-
-    This is the coefficient form controlling norm -2 vectors orthogonal to
-    the standard rank-2 embedding used for the even-c classification branch:
-    such a vector exists precisely when this form represents 1.
-    """
-    return BinaryForm(t.a, t.c - 2 * t.a, t.a + t.b - t.c)

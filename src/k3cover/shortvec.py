@@ -12,10 +12,10 @@ its own embeddings by reducing a binary form and comes here only for an
 embedding matrix that uses the E8(2) coordinates; the test suite uses it as
 an independent oracle for that shortcut.
 
-Two performance devices, neither affecting results:
-  * optional LLL reduction (delta = 3/4) of the Gram matrix before search;
-  * the Gram matrix is split into orthogonal connected components, each
-    enumerated once and memoized per (component, bound), then recombined.
+The Gram matrix is split into orthogonal connected components, each
+enumerated once and memoized per (component, bound), then recombined.
+No basis reduction runs first: the only block of rank >= 3 the classifier
+enumerates is E8(2), whose standard Gram matrix is already reduced.
 """
 
 from __future__ import annotations
@@ -32,19 +32,18 @@ NORM_CEILING = 64
 
 @dataclass(frozen=True)
 class NormQuery:
-    """Search request: exact norm (floor=False) or all norms >= target."""
+    """Search request: every vector of norm exactly target_norm."""
 
     lattice: IntegralLattice
     target_norm: int
-    floor: bool = False
 
 
-def _validate(q: NormQuery, ceiling: int) -> int:
-    if q.target_norm >= 0:
+def _validate(target_norm: int) -> int:
+    if target_norm >= 0:
         raise ValueError("target norm must be negative in a negative definite lattice")
-    bound = -q.target_norm
-    if bound > ceiling:
-        raise ValueError(f"|target norm| {bound} exceeds the ceiling {ceiling}")
+    bound = -target_norm
+    if bound > NORM_CEILING:
+        raise ValueError(f"|target norm| {bound} exceeds the ceiling {NORM_CEILING}")
     return bound
 
 
@@ -83,63 +82,6 @@ def _check_negative_definite(lattice: IntegralLattice) -> None:
             for j in range(k + 1, n):
                 m[i][j] = (m[i][j] * pivot - m[i][k] * m[k][j]) // prev
         prev = pivot
-
-
-def lll_reduce_gram(gram: IntMatrix, delta: Fraction = Fraction(3, 4)) -> tuple[IntMatrix, IntMatrix]:
-    """LLL-reduce a positive definite integer Gram matrix.
-
-    Returns (reduced, U) with U unimodular and U @ gram @ U^T == reduced.
-    Operates on the Gram matrix alone: every basis operation is mirrored as
-    a congruence (row plus matching column update), and Gram-Schmidt data is
-    recomputed exactly; ranks here stay <= 12 so that is cheap.
-    """
-    n = gram.rows
-    u = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-    g = [list(row) for row in gram.entries]
-
-    def row_op(k: int, j: int, r: int) -> None:
-        # basis_k -= r * basis_j
-        u[k] = [x - r * y for x, y in zip(u[k], u[j])]
-        g[k] = [x - r * y for x, y in zip(g[k], g[j])]
-        for row in g:
-            row[k] -= r * row[j]
-
-    def swap(k: int) -> None:
-        u[k], u[k - 1] = u[k - 1], u[k]
-        g[k], g[k - 1] = g[k - 1], g[k]
-        for row in g:
-            row[k], row[k - 1] = row[k - 1], row[k]
-
-    def gram_schmidt():
-        mu = [[Fraction(0)] * n for _ in range(n)]
-        b = [Fraction(0)] * n
-        for i in range(n):
-            for j in range(i):
-                s = Fraction(g[i][j])
-                for l in range(j):
-                    s -= mu[j][l] * mu[i][l] * b[l]
-                mu[i][j] = s / b[j]
-            s = Fraction(g[i][i])
-            for l in range(i):
-                s -= mu[i][l] * mu[i][l] * b[l]
-            b[i] = s
-        return mu, b
-
-    mu, b = gram_schmidt()
-    k = 1
-    while k < n:
-        for j in range(k - 1, -1, -1):
-            r = round(mu[k][j])
-            if r:
-                row_op(k, j, r)
-                mu, b = gram_schmidt()
-        if b[k] >= (delta - mu[k][k - 1] * mu[k][k - 1]) * b[k - 1]:
-            k += 1
-        else:
-            swap(k)
-            mu, b = gram_schmidt()
-            k = max(k - 1, 1)
-    return IntMatrix.from_rows(g), IntMatrix.from_rows(u)
 
 
 def _level_range(c: Fraction, budget: Fraction) -> tuple[int, int]:
@@ -204,28 +146,16 @@ def _canonical_sign(vec: tuple[int, ...]) -> tuple[int, ...]:
 _CACHE: dict[tuple, tuple[int, dict[int, tuple[tuple[int, ...], ...]]]] = {}
 
 
-def _component_groups(gram_rows: tuple[tuple[int, ...], ...], bound: int,
-                      reduce_basis: bool) -> dict[int, tuple[tuple[int, ...], ...]]:
+def _component_groups(gram_rows: tuple[tuple[int, ...], ...],
+                      bound: int) -> dict[int, tuple[tuple[int, ...], ...]]:
     """Memoized enumeration of one definite block up to the given bound."""
-    key = (gram_rows, reduce_basis)
+    key = (gram_rows,)   # perfbench/worker.py reads the block as key[0]
     hit = _CACHE.get(key)
     if hit is not None and hit[0] >= bound:
         return {val: vecs for val, vecs in hit[1].items() if val <= bound}
-    n = len(gram_rows)
-    q = [[-x for x in row] for row in gram_rows]
-    if reduce_basis and n >= 3:
-        reduced, trans = lll_reduce_gram(IntMatrix.from_rows(q))
-        raw = _fp_groups(reduced.to_lists(), bound)
-        tr = trans.entries
-        groups = {}
-        for val, vecs in raw.items():
-            back = [_canonical_sign(tuple(sum(y[i] * tr[i][j] for i in range(n))
-                                          for j in range(n))) for y in vecs]
-            groups[val] = tuple(sorted(back))
-    else:
-        raw = _fp_groups(q, bound)
-        groups = {val: tuple(sorted(_canonical_sign(v) for v in vecs))
-                  for val, vecs in raw.items()}
+    raw = _fp_groups([[-x for x in row] for row in gram_rows], bound)
+    groups = {val: tuple(sorted(_canonical_sign(v) for v in vecs))
+              for val, vecs in raw.items()}
     _CACHE[key] = (bound, groups)
     return groups
 
@@ -255,8 +185,7 @@ def _components(gram: IntMatrix) -> list[tuple[int, ...]]:
     return comps
 
 
-def _iter_vectors(lattice: IntegralLattice, bound: int, exact: int | None,
-                  reduce_basis: bool):
+def _iter_vectors(lattice: IntegralLattice, bound: int, exact: int | None):
     """Yield (vector, norm) for 0 != v with norm >= -bound (or == -exact)."""
     n = lattice.rank
     if n == 0:
@@ -265,7 +194,7 @@ def _iter_vectors(lattice: IntegralLattice, bound: int, exact: int | None,
     groups = []
     for comp in comps:
         sub = tuple(tuple(lattice.gram.entries[i][j] for j in comp) for i in comp)
-        groups.append(_component_groups(sub, bound, reduce_basis))
+        groups.append(_component_groups(sub, bound))
 
     # one vector, filled in place: component ci owns the positions comps[ci]
     # and leaves them zero whenever control returns to an earlier component;
@@ -298,37 +227,30 @@ def _iter_vectors(lattice: IntegralLattice, bound: int, exact: int | None,
     yield from rec(0, 0, False)
 
 
-def enumerate_by_norm(lattice: IntegralLattice, floor_norm: int, *,
-                      ceiling: int = NORM_CEILING,
-                      reduce_basis: bool = True) -> dict[int, tuple[tuple[int, ...], ...]]:
+def enumerate_by_norm(lattice: IntegralLattice,
+                      floor_norm: int) -> dict[int, tuple[tuple[int, ...], ...]]:
     """All norm classes >= floor_norm: {norm: sorted vectors}, exact and complete."""
-    q = NormQuery(lattice, floor_norm, floor=True)
-    bound = _validate(q, ceiling)
+    bound = _validate(floor_norm)
     _check_negative_definite(lattice)
     out: dict[int, list[tuple[int, ...]]] = {}
-    for vec, norm in _iter_vectors(lattice, bound, None, reduce_basis):
+    for vec, norm in _iter_vectors(lattice, bound, None):
         out.setdefault(norm, []).append(vec)
     return {norm: tuple(sorted(vecs)) for norm, vecs in sorted(out.items())}
 
 
-def enumerate_norm(q: NormQuery, *, ceiling: int = NORM_CEILING,
-                   reduce_basis: bool = True) -> list[tuple[int, ...]]:
-    """All vectors of the requested norm (or all norms >= it when q.floor).
+def enumerate_norm(q: NormQuery) -> list[tuple[int, ...]]:
+    """All vectors of the requested norm.
 
     One representative per +/- pair, first nonzero coordinate positive,
     sorted lexicographically.
     """
-    bound = _validate(q, ceiling)
+    bound = _validate(q.target_norm)
     _check_negative_definite(q.lattice)
-    exact = None if q.floor else bound
-    vecs = [v for v, _ in _iter_vectors(q.lattice, bound, exact, reduce_basis)]
-    return sorted(vecs)
+    return sorted(v for v, _ in _iter_vectors(q.lattice, bound, bound))
 
 
-def has_norm(q: NormQuery, *, ceiling: int = NORM_CEILING,
-             reduce_basis: bool = True) -> bool:
+def has_norm(q: NormQuery) -> bool:
     """Existence check; stops at the first witness."""
-    bound = _validate(q, ceiling)
+    bound = _validate(q.target_norm)
     _check_negative_definite(q.lattice)
-    exact = None if q.floor else bound
-    return next(_iter_vectors(q.lattice, bound, exact, reduce_basis), None) is not None
+    return next(_iter_vectors(q.lattice, bound, bound), None) is not None

@@ -213,18 +213,16 @@ def slice_maximizer(m: int) -> Vector11 | None:
     return (m,) + _desc((q + 2, 1), (q, 8), (3, 1))
 
 
-def search_norm(n: int, x0_cap: int | None = None) -> Vector11 | None:
+def search_norm(n: int) -> Vector11 | None:
     """A vector of P with norm -n, or None when no such vector exists.
 
-    Closed-form families are preferred; slice search (x0 up to x0_cap,
-    clamped to desk scale) covers the few values the families miss.  For
+    Closed-form families are preferred; slice search (x0 up to 3n, at least
+    14 and at most SLICE_CAP) covers the few values the families miss.  For
     n in {1, 2, 4} the answer None is exhaustive: slices are searched up to
     14 and the per-slice maximum formulas exclude everything beyond.
     """
     if n <= 0:
         raise ValueError("search target must be a positive integer")
-    if x0_cap is None:
-        x0_cap = 3 * n
     if n in (6, 8, 20):
         return family_vector(f"Y{n}")
     if n % 2 == 1:
@@ -237,7 +235,7 @@ def search_norm(n: int, x0_cap: int | None = None) -> Vector11 | None:
         k, min_param = n // 24, FAMILIES[f"X{n % 24}"][1]
         if k >= min_param:
             return family_vector(name, k)
-    limit = min(max(x0_cap, 14), SLICE_CAP)
+    limit = min(max(3 * n, 14), SLICE_CAP)
     for m in range(3, limit + 1):
         for v in _slice_members(m):
             if norm(v) == -n and in_P(v):

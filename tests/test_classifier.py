@@ -484,3 +484,32 @@ def test_from_dict_accepts_every_construction():
         verify_classification(t, back)
         seen.add(back.certificate.construction)
     assert seen == set(CONSTRUCTIONS)
+
+
+# (form, kind, field, value): each record used to parse, because int()
+# converted the value or the length went unchecked; a dict in `halved`
+# made int() raise ValueError
+_NON_INTEGER_PROBES = [
+    ((1, 3, 0), "vinberg-witness", "n", 3.5),
+    ((1, 3, 0), "vinberg-witness", "n", 3.0),
+    ((1, 3, 0), "vinberg-witness", "vector", [4.0, 2, 2, 1, 1, 1, 1, 1, 1, 1, 1]),
+    ((1, 1, 0), "exhaustive-absence", "n", 1.0),
+    ((1, 1, 0), "exhaustive-absence", "n", True),
+    ((1, 1, 0), "exhaustive-absence", "slices", [float(m) for m in ABSENCE_SLICES]),
+    ((1, 1, 1), "parity-obstruction", "pairing_mod_2", 1.5),
+    ((1, 1, 1), "parity-obstruction", "pairing_mod_2", True),
+    ((1, 1, 1), "parity-obstruction", "norms_mod_4", [2.2, 2]),
+    ((1, 1, 1), "parity-obstruction", "norms_mod_4", [2, 2, 2]),
+    ((2, 2, 2), "keum-citation", "halved", [1.0, 1, 1]),
+    ((2, 2, 2), "keum-citation", "halved", ["1", "1", "1"]),
+    ((2, 2, 2), "keum-citation", "halved", {"a": 1}),
+    ((2, 2, 2), "keum-citation", "halved", "111"),
+]
+
+
+@pytest.mark.parametrize("triple, kind, field, value", _NON_INTEGER_PROBES)
+def test_from_dict_rejects_non_integer_fields_of_every_kind(triple, kind, field, value):
+    data = json.loads(json.dumps(classify(TranscendentalForm(*triple)).to_dict()))
+    assert data["certificate"]["kind"] == kind
+    data["certificate"][field] = value
+    _assert_rejected(data)

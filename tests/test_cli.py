@@ -7,8 +7,8 @@ import pytest
 from click.testing import CliRunner
 
 from k3cover import vinberg
-from k3cover.cli import CASE_ORDER, QueryRecord, _scan_worker, main
-from k3cover.classifier import case_of, verify_classification
+from k3cover.cli import CASE_ORDER, _scan_worker, main
+from k3cover.classifier import Classification, case_of, verify_classification
 from k3cover.lattices import TranscendentalForm
 
 
@@ -101,9 +101,9 @@ def test_scan_records_and_tally(runner, tmp_path):
         label, covers = case_of(t)
         assert data["case"] == label
         assert data["covers"] == covers
-        record = QueryRecord.from_dict(data)
-        assert record.to_dict() == data
-        verify_classification(t, record.classification)
+        classification = Classification.from_dict(data)
+        assert {"a": t.a, "b": t.b, "c": t.c, **classification.to_dict()} == data
+        verify_classification(t, classification)
 
 
 def test_scan_all_even_box_covers(runner, tmp_path):

@@ -7,13 +7,11 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from k3cover.lattices import TranscendentalForm
 from k3cover.quadforms import (
     BinaryForm,
     evaluate,
     reduce_form,
     represents_one,
-    shifted_form,
     transform,
 )
 
@@ -96,32 +94,6 @@ def test_represents_one_against_box_search():
         done += 1
         f = BinaryForm(p, q, r)
         assert represents_one(f) == _represents_one_naive(f)
-
-
-def test_shifted_form_frozen():
-    s = shifted_form(TranscendentalForm(1, 1, 0))
-    assert (s.p, s.q, s.r) == (1, -2, 2)
-    s = shifted_form(TranscendentalForm(2, 3, 2))
-    assert (s.p, s.q, s.r) == (2, -2, 3)
-
-
-def test_shifted_form_is_equivalent_to_reordering():
-    # the shift substitutes x -> x - y, so it reduces to the same form
-    # as a x^2 + c x y + b y^2 and represents the same numbers
-    rng = random.Random(59)
-    done = 0
-    while done < 500:
-        a = rng.randint(1, 20)
-        b = rng.randint(1, 20)
-        c = rng.randint(-20, 20)
-        if 4 * a * b - c * c <= 0:
-            continue
-        done += 1
-        t = TranscendentalForm(a, b, c)
-        lhs, _ = reduce_form(shifted_form(t))
-        rhs, _ = reduce_form(BinaryForm(a, c, b))
-        assert lhs == rhs
-        assert represents_one(shifted_form(t)) == represents_one(BinaryForm(a, c, b))
 
 
 @st.composite
