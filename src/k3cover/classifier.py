@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from math import gcd
 from typing import Any, ClassVar
 
-from .embeddings import Embedding, maximal_minor_gcd, orthogonal_complement, validate
+from .embeddings import Embedding
 from .errors import VerificationError
 from .intmat import IntMatrix, xgcd
 from .lattices import (
@@ -41,7 +41,6 @@ from .lattices import (
     to_lattice,
 )
 from .quadforms import BinaryForm, represents_one
-from .shortvec import NormQuery, enumerate_norm
 from .vinberg import ABSENT, in_P
 from .vinberg import norm as region_norm
 from .vinberg import search_norm, slice_norms
@@ -256,44 +255,22 @@ def _combine(x: int, v, y: int, w) -> tuple[int, ...]:
     return tuple(x * vi + y * wi for vi, wi in zip(v, w))
 
 
-def _complement_has_root(e: Embedding) -> bool:
-    """Whether a vector of norm -2 in U + U(2) + E8(2) is orthogonal to the image.
-
-    When the matrix is zero on the E8(2) columns, as every construction here
-    is, the complement splits as B + E8(2), B the rank-2 complement inside
-    U + U(2).  E8(2) norms lie in 4Z<=0 and B is even and negative definite,
-    so a norm -2 vector lies wholly in B, and it exists exactly when the
-    positive form -B/2 represents 1, which Gauss reduction decides.  Any
-    other matrix, which no construction here writes, falls back to
-    enumerating the full rank-10 complement.
-    """
-    rows = e.matrix.entries
-    if any(any(row[_HYPERBOLIC:]) for row in rows):
-        _, comp = orthogonal_complement(e.target, e)
-        return bool(enumerate_norm(NormQuery(comp, -2)))
-    return _block_has_root(rows)
-
-
 def _embedding_defect(t: TranscendentalForm, rows, construction: str) -> str | None:
     """The first check that rows fail as an embedding of t into U + U(2) + E8(2).
 
     Returns "pullback", "primitive" or "root", or None for a valid, primitive
-    embedding with a root-free complement.  Rows that are zero on the E8(2)
-    columns are checked in plain ints on their 2 x 4 block: the pullback
-    against (2a, c, 2b), and primitivity as gcd 1 of the six 2 x 2 minors,
-    which also proves rank 2.  The root check then tries the closed-form
-    complement of ``construction`` at t and falls back to the xgcd kernel
-    when that basis is not the complement of these rows.  Any other matrix
-    takes the general path.
+    embedding with a root-free complement.  Rows must be zero on the E8(2)
+    columns, as every construction here is; any other matrix raises
+    VerificationError.  The 2 x 4 block is then checked in plain ints: the
+    pullback against (2a, c, 2b), and primitivity as gcd 1 of the six 2 x 2
+    minors, which also proves rank 2.  The complement is B + E8(2), and a
+    norm -2 vector lies wholly in B; the root check tries the closed-form B
+    of ``construction`` at t and falls back to the xgcd kernel when that
+    basis is not the complement of these rows.
     """
     u, v = rows
     if any(u[_HYPERBOLIC:]) or any(v[_HYPERBOLIC:]):
-        emb = Embedding(to_lattice(t), standard_lattice("LambdaMinus"), IntMatrix.from_rows(rows))
-        if not validate(emb):
-            return "pullback"
-        if maximal_minor_gcd(emb) != 1:
-            return "primitive"
-        return "root" if _complement_has_root(emb) else None
+        raise VerificationError("matrix uses the E8(2) columns; an embedding must lie in U + U(2)")
     if (_pair(u, u), _pair(u, v), _pair(v, v)) != (2 * t.a, t.c, 2 * t.b):
         return "pullback"
     if _minor_gcd(u, v) != 1:
@@ -329,10 +306,11 @@ class ExplicitEmbedding:
     ``construction`` names the written-down embedding (one of
     CONSTRUCTIONS), ``normalized`` is the SL2-equivalent form the matrix
     actually embeds and ``basis_change`` the change of basis realizing the
-    equivalence.  Replay re-checks the equivalence, the Gram pullback,
-    primitivity, and that the orthogonal complement has no vector of norm
-    -2; the construction's closed-form complement at ``normalized`` is
-    tried first, and a matrix it does not fit takes the xgcd kernel.
+    equivalence.  The matrix must be zero on the eight E8(2) columns, as
+    every construction is.  Replay re-checks the equivalence, the Gram
+    pullback, primitivity, and that the orthogonal complement has no vector
+    of norm -2; the construction's closed-form complement at ``normalized``
+    is tried first, and a matrix it does not fit takes the xgcd kernel.
     """
 
     kind: ClassVar[str] = "explicit-embedding"
@@ -457,11 +435,6 @@ Certificate = (
     KeumCitation | ExplicitEmbedding | VinbergWitness | ExhaustiveAbsence | ParityObstruction
 )
 
-_CERTIFICATE_TYPES: dict[str, type] = {
-    cls.kind: cls  # type: ignore[attr-defined]
-    for cls in (KeumCitation, ExplicitEmbedding, VinbergWitness, ExhaustiveAbsence, ParityObstruction)
-}
-
 _KINDS_FOR_CASE: dict[CaseLabel, tuple[str, ...]] = {
     "I": ("keum-citation", "explicit-embedding"),
     "II": ("explicit-embedding",),
@@ -559,23 +532,27 @@ class Classification:
 
     @classmethod
     def from_dict(cls, data: dict[str, Any]) -> "Classification":
-        """Parse a serialized classification; ``covers`` must be a bool and
-        ``delta`` an int, never a value that merely converts to one."""
+        """Parse a serialized classification; ``case`` must be a str,
+        ``covers`` a bool and ``delta`` an int, never a value that merely
+        converts to one.  An unknown certificate kind is a VerificationError
+        here too."""
         try:
-            covers, delta = data["covers"], data["delta"]
+            case, covers, delta = data["case"], data["covers"], data["delta"]
+            if not isinstance(case, str):
+                raise VerificationError(f"case must be a string, not {case!r}")
             if not isinstance(covers, bool):
                 raise VerificationError(f"covers must be true or false, not {covers!r}")
             if not _is_int(delta):
                 raise VerificationError(f"delta must be an integer, not {delta!r}")
             return cls(
-                case_label=str(data["case"]),
+                case_label=case,
                 covers=covers,
                 delta=delta,
                 certificate=certificate_from_dict(data["certificate"]),
             )
         except KeyError as exc:
             raise VerificationError(f"classification is missing the key {exc}") from None
-        except TypeError as exc:
+        except (TypeError, ValueError) as exc:
             raise VerificationError(f"malformed classification: {exc}") from None
 
 

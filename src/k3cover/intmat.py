@@ -66,9 +66,6 @@ class IntMatrix:
     def row(self, i: int) -> tuple[int, ...]:
         return self.entries[i]
 
-    def column(self, j: int) -> tuple[int, ...]:
-        return tuple(row[j] for row in self.entries)
-
     def transpose(self) -> "IntMatrix":
         return IntMatrix(self.cols, self.rows,
                          tuple(tuple(self.entries[i][j] for i in range(self.rows))

@@ -7,15 +7,18 @@ norm -2 exists" answer is genuinely exhaustive.
 Vectors come in +/- pairs; one representative per pair is returned, the one
 whose first nonzero coordinate is positive, in lexicographic order.
 
-This is the general machinery.  The classifier decides the complements of
-its own embeddings by reducing a binary form and comes here only for an
-embedding matrix that uses the E8(2) coordinates; the test suite uses it as
-an independent oracle for that shortcut.
+This is the general machinery.  The classifier does not use it: it decides
+the complements of its embeddings, which lie in U + U(2), by reducing a
+binary form.  The test suite uses it as an independent oracle for that
+shortcut.
 
 The Gram matrix is split into orthogonal connected components, each
 enumerated once and memoized per (component, bound), then recombined.
-No basis reduction runs first: the only block of rank >= 3 the classifier
-enumerates is E8(2), whose standard Gram matrix is already reduced.
+The Cholesky factorization of each component is also the definiteness
+check: a component that is not negative definite raises ValueError, and
+only components that passed it are memoized.  No basis reduction runs
+first: the only block of rank >= 3 the tests enumerate is E8(2), whose
+standard Gram matrix is already reduced.
 """
 
 from __future__ import annotations
@@ -48,7 +51,7 @@ def _validate(target_norm: int) -> int:
 
 
 def _cholesky(q: list[list[Fraction]]) -> tuple[list[Fraction], list[list[Fraction]]]:
-    """Q(x) = sum_i d[i] * (x_i + sum_{j>i} u[i][j] x_j)^2; requires Q > 0."""
+    """Q(x) = sum_i d[i] * (x_i + sum_{j>i} u[i][j] x_j)^2; ValueError unless Q > 0."""
     n = len(q)
     m = [row[:] for row in q]
     d = [Fraction(0)] * n
@@ -63,25 +66,6 @@ def _cholesky(q: list[list[Fraction]]) -> tuple[list[Fraction], list[list[Fracti
             for c in range(i + 1, n):
                 m[r][c] -= m[i][r] * m[i][c] / d[i]
     return d, u
-
-
-def _check_negative_definite(lattice: IntegralLattice) -> None:
-    """Sylvester's criterion on -G: every leading principal minor is positive.
-
-    One fraction-free Bareiss pass without pivoting; its k-th pivot is the
-    k-th leading principal minor, and every division is exact.
-    """
-    m = [[-x for x in row] for row in lattice.gram.entries]
-    n = len(m)
-    prev = 1
-    for k in range(n):
-        pivot = m[k][k]
-        if pivot <= 0:
-            raise ValueError("lattice must be negative definite")
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                m[i][j] = (m[i][j] * pivot - m[i][k] * m[k][j]) // prev
-        prev = pivot
 
 
 def _level_range(c: Fraction, budget: Fraction) -> tuple[int, int]:
@@ -231,7 +215,6 @@ def enumerate_by_norm(lattice: IntegralLattice,
                       floor_norm: int) -> dict[int, tuple[tuple[int, ...], ...]]:
     """All norm classes >= floor_norm: {norm: sorted vectors}, exact and complete."""
     bound = _validate(floor_norm)
-    _check_negative_definite(lattice)
     out: dict[int, list[tuple[int, ...]]] = {}
     for vec, norm in _iter_vectors(lattice, bound, None):
         out.setdefault(norm, []).append(vec)
@@ -245,12 +228,10 @@ def enumerate_norm(q: NormQuery) -> list[tuple[int, ...]]:
     sorted lexicographically.
     """
     bound = _validate(q.target_norm)
-    _check_negative_definite(q.lattice)
     return sorted(v for v, _ in _iter_vectors(q.lattice, bound, bound))
 
 
 def has_norm(q: NormQuery) -> bool:
     """Existence check; stops at the first witness."""
     bound = _validate(q.target_norm)
-    _check_negative_definite(q.lattice)
     return next(_iter_vectors(q.lattice, bound, bound), None) is not None

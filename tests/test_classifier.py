@@ -18,7 +18,7 @@ from k3cover.classifier import (
     KeumCitation,
     ParityObstruction,
     VinbergWitness,
-    _complement_has_root,
+    _block_has_root,
     case_ii_embedding,
     case_iii_embedding,
     case_of,
@@ -374,7 +374,7 @@ def test_complement_check_rejects_a_non_definite_block():
     e = Embedding(standard_lattice("U"), LAMBDA, IntMatrix.from_rows(rows))
     assert validate(e)
     with pytest.raises(VerificationError):
-        _complement_has_root(e)
+        _block_has_root(e.matrix.entries)
 
 
 def _embedding_record(triple=(1, 2, 1)) -> dict:
@@ -422,6 +422,22 @@ def test_from_dict_rejects_a_non_integer_delta():
         data["delta"] = delta
         with pytest.raises(VerificationError, match="delta"):
             Classification.from_dict(data)
+
+
+@pytest.mark.parametrize("field, value", [
+    ("certificate", {"kind": "bogus"}),
+    ("certificate", {"kind": None}),
+    ("certificate", {}),
+    ("case", 5),
+    ("case", None),
+])
+def test_from_dict_rejects_an_unknown_kind_or_a_non_string_case(field, value):
+    # an unknown kind let certificate_from_dict's ValueError escape, and
+    # str() turned "case": 5 into "5"
+    data = _embedding_record()
+    data[field] = value
+    with pytest.raises(VerificationError):
+        Classification.from_dict(data)
 
 
 def _assert_rejected(data: dict) -> None:

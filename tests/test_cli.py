@@ -2,10 +2,15 @@
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
 
+import k3cover
 from k3cover import vinberg
 from k3cover.cli import CASE_ORDER, _scan_worker, main
 from k3cover.classifier import Classification, case_of, verify_classification
@@ -223,3 +228,14 @@ def test_verify_lemmas_rejects_bad_bounds(runner):
 
 def test_case_order_is_complete():
     assert set(CASE_ORDER) == {"I", "II", "III-1", "III-2", "III-3", "IV"}
+
+
+def test_cli_import_leaves_out_the_short_vector_search():
+    # the classifier's root check is a binary-form reduction; shortvec is
+    # the tests' oracle, not a dependency of the program
+    src = str(Path(k3cover.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    code = "import sys, k3cover.cli; print('k3cover.shortvec' in sys.modules)"
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                          timeout=60, check=True)
+    assert done.stdout.strip() == "False"

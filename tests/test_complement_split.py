@@ -1,17 +1,20 @@
 """The B + E8(2) split against full enumeration of the rank-10 complement.
 
-`_complement_has_root` decides root-freeness of the complement from its
-rank-2 block in U + U(2) by Gauss reduction, and `_embedding_defect` checks
-the pullback and primitivity of a matrix on the same block in plain ints.
-The oracle here is the general path: `validate` and the maximal minor gcd
+For a matrix that is zero on the E8(2) columns, `_block_has_root` decides
+root-freeness of the complement from its rank-2 block in U + U(2) by Gauss
+reduction, and `_embedding_defect` checks the pullback and primitivity on
+the same block in plain ints; replay rejects every other matrix.  The
+oracle here is the general machinery: `validate` and the maximal minor gcd
 on the full 2 x 12 matrix, the complement's Hermite basis and Fincke-Pohst
 enumeration of all its norm -2 vectors.  The closed-form block bases of the
 three constructions are checked against the xgcd kernel search, which in
-turn is checked against that general path.
+turn is checked against that oracle.
 """
 
 import dataclasses
+import json
 import random
+import time
 
 import pytest
 from hypothesis import given
@@ -23,7 +26,6 @@ from k3cover.classifier import (
     Classification,
     ExplicitEmbedding,
     _block_has_root,
-    _complement_has_root,
     _embedding_defect,
     _embedding_rows_all_even,
     _embedding_rows_c_even,
@@ -31,6 +33,7 @@ from k3cover.classifier import (
     _formula_complement,
     _is_block_basis,
     _kernel_basis,
+    _normalize_with_transform,
     _pair,
     case_ii_embedding,
     case_iii_embedding,
@@ -122,7 +125,7 @@ def test_block_check_matches_enumeration_on_the_box():
                 e = written_down_embedding(t)
                 if e is None:
                     continue
-                has_root = _complement_has_root(e)
+                has_root = _block_has_root(e.matrix.entries)
                 assert has_root == oracle_has_root(e), t.triple()
                 checked += 1
                 with_roots += has_root
@@ -148,7 +151,7 @@ def test_block_check_matches_enumeration_on_big_coefficients():
     with_roots = 0
     for t in forms:
         e = written_down_embedding(t)
-        has_root = _complement_has_root(e)
+        has_root = _block_has_root(e.matrix.entries)
         assert has_root == oracle_has_root(e), t.triple()
         with_roots += has_root
     assert 0 < with_roots < len(forms)
@@ -170,32 +173,35 @@ def reflect_into_e8(e: Embedding) -> Embedding:
     return Embedding(e.source, LAMBDA, IntMatrix.from_rows(rows))
 
 
-@pytest.mark.parametrize("triple, has_root", [((1, 2, 1), False), ((2, 3, 2), False),
-                                              ((1, 3, 0), True), ((1, 1, 0), True)])
-def test_matrix_touching_e8_takes_the_fallback(monkeypatch, triple, has_root):
-    e = reflect_into_e8(written_down_embedding(TranscendentalForm(*triple)))
-    assert any(row[4] for row in e.matrix.entries)
-    assert validate(e) and is_primitive(e)
-
-    calls = []
-
-    def counted(*args):
-        calls.append(args)
-        return orthogonal_complement(*args)
-
-    monkeypatch.setattr(classifier, "orthogonal_complement", counted)
-    assert _complement_has_root(e) == oracle_has_root(e) == has_root
-    assert len(calls) == 1
-
-
-def test_replay_accepts_a_valid_matrix_touching_e8():
-    t = TranscendentalForm(2, 3, 2)
-    cert = classify(t).certificate
-    e = Embedding(to_lattice(TranscendentalForm(*cert.normalized)), LAMBDA,
-                  IntMatrix.from_rows(cert.matrix))
-    moved = tuple(reflect_into_e8(e).matrix.entries)
-    ExplicitEmbedding(cert.construction, cert.normalized, cert.basis_change,
-                      moved, 1, ()).replay(t)
+def test_replay_rejects_a_matrix_touching_e8():
+    # valid primitive embeddings all: root-free complements, then complements
+    # with a root, then a 6-digit form whose rank-10 complement takes seconds
+    # to search; rejection must not depend on any of that
+    triples = [(1, 2, 1), (2, 3, 2), (1, 3, 0), (1, 1, 0), (123457, 234568, 99999)]
+    records = []
+    for triple in triples:
+        t = TranscendentalForm(*triple)
+        e = reflect_into_e8(written_down_embedding(t))
+        assert any(row[4] for row in e.matrix.entries)
+        assert validate(e) and is_primitive(e)
+        basis_change = (_normalize_with_transform(t)[1].as_tuple()
+                        if parity_class(t) == "III" else (1, 0, 0, 1))
+        cert = ExplicitEmbedding(construction_of(t), source_form(e).triple(), basis_change,
+                                 e.matrix.entries, 1, ())
+        label, covers = case_of(t)
+        records.append((t, json.loads(json.dumps(
+            {"case": label, "covers": covers, "delta": t.delta, "certificate": cert.to_dict()}))))
+    start = time.perf_counter()
+    for t, record in records:
+        parsed = Classification.from_dict(record)
+        with pytest.raises(VerificationError, match=r"E8\(2\)"):
+            if parsed.case_label in ("II", "III-1"):
+                verify_classification(t, parsed)
+            else:
+                # III-2 and III-3 take no embedding, so verify_classification
+                # refuses the kind first; replay the certificate itself
+                parsed.certificate.replay(t)
+    assert time.perf_counter() - start < 0.5
 
 
 def test_block_defect_matches_the_general_path_on_the_box():

@@ -12,7 +12,6 @@ from k3cover.lattices import IntegralLattice, inner_product, standard_lattice
 from k3cover.shortvec import (
     NORM_CEILING,
     NormQuery,
-    _check_negative_definite,
     clear_cache,
     enumerate_by_norm,
     enumerate_norm,
@@ -78,8 +77,9 @@ def test_validation_errors():
 
 
 def test_definiteness_check_matches_sympy():
-    """Sylvester's criterion by Bareiss agrees with sympy, including on
-    matrices that fail only at a later leading minor."""
+    """The Cholesky pass of the enumeration rejects exactly the matrices
+    sympy calls not negative definite, including those that fail only at a
+    later leading minor."""
     rng = random.Random(79)
     for trial in range(300):
         n = rng.randint(1, 6)
@@ -93,7 +93,7 @@ def test_definiteness_check_matches_sympy():
         lat = IntegralLattice.from_gram_rows(rows)
         expected = sympy.Matrix(rows).is_negative_definite
         try:
-            _check_negative_definite(lat)
+            enumerate_norm(NormQuery(lat, -2))
             ok = True
         except ValueError:
             ok = False
