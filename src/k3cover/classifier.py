@@ -31,7 +31,7 @@ from typing import Any, ClassVar
 
 from .embeddings import Embedding
 from .errors import VerificationError
-from .intmat import IntMatrix, xgcd
+from .intmat import IntMatrix
 from .lattices import (
     Sl2Matrix,
     TranscendentalForm,
@@ -147,7 +147,6 @@ def case_iii_embedding(t: TranscendentalForm) -> Embedding:
 # U + U(2) + E8(2) has rank 12; its first four coordinates are U + U(2)
 _AMBIENT_RANK = 12
 _HYPERBOLIC = 4
-_UNIT4 = ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1))
 # the written-down embeddings, by the name an explicit-embedding records
 CONSTRUCTIONS = ("c-odd", "c-even", "all-even")
 
@@ -173,9 +172,9 @@ def _formula_complement(construction: str, t: TranscendentalForm):
       c-odd, s = (c - ab - 1)/2:  2 [[-4a, 2ab - c], [2ab - c, 2bs]], det 4 delta;
       c-even (a, b odd):          [[-2a, 2a - c], [2a - c, -2(a + b - c)]], det delta;
       all-even:                   [[-2b, -c], [-c, -2a]], det delta.
-    The result is only a guess: `_block_has_root` checks it exactly before
-    it uses it, so a record whose matrix is not the formula at t costs a
-    failed check and nothing else.
+    A construction's name is binding: `_block_has_root` proves the basis
+    is B of the rows before it uses it, and a matrix it does not fit
+    misnames its construction.
     """
     a, b, c = t.a, t.b, t.c
     if construction == "c-odd":
@@ -201,58 +200,22 @@ def _is_block_basis(rows, k1, k2) -> bool:
     return _minor_gcd(k1, k2) == 1
 
 
-def _kernel_basis(rows) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """The complement block B by unimodular column steps.
-
-    B is the integer kernel of the block times the Gram matrix G4 of
-    U + U(2).  For each row, xgcd combines the basis vectors it does not
-    kill into one pivot and leaves the rest in its kernel; dropping the
-    pivot keeps the kernel saturated.  Two nonzero pivots mean rank 2, and
-    two vectors remain.
-    """
-    basis = _UNIT4
-    for row in rows:
-        pivot, pv, kept = None, 0, []
-        for w in basis:
-            wv = _pair(row, w)
-            if not wv:
-                kept.append(w)
-            elif pivot is None:
-                pivot, pv = w, wv
-            else:
-                g, x, y = xgcd(pv, wv)
-                pivot, w = _combine(x, pivot, y, w), _combine(pv // g, w, -(wv // g), pivot)
-                pv = g
-                kept.append(w)
-        if pivot is None:
-            raise VerificationError("complement block in U + U(2) does not have rank 2")
-        basis = kept
-    k1, k2 = basis
-    return k1, k2
-
-
-def _block_has_root(rows, guess=None) -> bool:
+def _block_has_root(rows, basis) -> bool:
     """Root check for an image inside U + U(2), from the 2 x 4 block of its rows.
 
-    ``guess`` is a candidate basis (k1, k2) of the complement block B, such
-    as `_formula_complement` gives; it is used only when `_is_block_basis`
-    proves it is B, and that proof needs rows of rank 2, which callers
-    passing a guess have established.  Otherwise xgcd column steps find B.
-    Either way B must be even and negative definite, and it contains a
-    root exactly when the positive form -B/2 represents 1.
+    ``basis`` is the closed-form (k1, k2) that `_formula_complement` gives
+    for the construction the rows claim to be; `_is_block_basis` must prove
+    it is the complement block B, which needs rows of rank 2, and any other
+    basis raises VerificationError.  B must be even and negative definite,
+    and it contains a root exactly when the positive form -B/2 represents 1.
     """
-    if guess is not None and _is_block_basis(rows, *guess):
-        k1, k2 = guess
-    else:
-        k1, k2 = _kernel_basis(rows)
+    if basis is None or not _is_block_basis(rows, *basis):
+        raise VerificationError("matrix does not fit the complement of its named construction")
+    k1, k2 = basis
     p, q, r = _pair(k1, k1), _pair(k1, k2), _pair(k2, k2)
     if p % 2 or r % 2 or p >= 0 or p * r <= q * q:
         raise VerificationError("complement block in U + U(2) is not even and negative definite")
     return represents_one(BinaryForm(-p // 2, -q, -r // 2))
-
-
-def _combine(x: int, v, y: int, w) -> tuple[int, ...]:
-    return tuple(x * vi + y * wi for vi, wi in zip(v, w))
 
 
 def _embedding_defect(t: TranscendentalForm, rows, construction: str) -> str | None:
@@ -264,9 +227,9 @@ def _embedding_defect(t: TranscendentalForm, rows, construction: str) -> str | N
     VerificationError.  The 2 x 4 block is then checked in plain ints: the
     pullback against (2a, c, 2b), and primitivity as gcd 1 of the six 2 x 2
     minors, which also proves rank 2.  The complement is B + E8(2), and a
-    norm -2 vector lies wholly in B; the root check tries the closed-form B
-    of ``construction`` at t and falls back to the xgcd kernel when that
-    basis is not the complement of these rows.
+    norm -2 vector lies wholly in B; the root check takes the closed-form B
+    of ``construction`` at t, and rows it is not the complement of (or an
+    unknown construction) raise VerificationError.
     """
     u, v = rows
     if any(u[_HYPERBOLIC:]) or any(v[_HYPERBOLIC:]):
@@ -309,8 +272,9 @@ class ExplicitEmbedding:
     equivalence.  The matrix must be zero on the eight E8(2) columns, as
     every construction is.  Replay re-checks the equivalence, the Gram
     pullback, primitivity, and that the orthogonal complement has no vector
-    of norm -2; the construction's closed-form complement at ``normalized``
-    is tried first, and a matrix it does not fit takes the xgcd kernel.
+    of norm -2, with the construction's closed-form complement at
+    ``normalized``.  The name is binding: a matrix that basis does not fit,
+    valid embedding or not, raises VerificationError.
     """
 
     kind: ClassVar[str] = "explicit-embedding"
@@ -453,9 +417,17 @@ def _is_int(x) -> bool:
 _EXACT_INT = frozenset((int,))
 
 
+def _array(field: str, values) -> list | tuple:
+    """A serialized list: a JSON array (or the tuple a certificate holds),
+    never a string or an object that merely iterates."""
+    if not isinstance(values, (list, tuple)):
+        raise VerificationError(f"malformed certificate: {field} must be a list")
+    return values
+
+
 def _ints(field: str, values, length: int | None = None) -> tuple[int, ...]:
     """The entries of a serialized integer list, each passing `_is_int`."""
-    out = tuple(values)
+    out = tuple(_array(field, values))
     # entries whose type is exactly int, as json gives, are checked in C
     if not (_EXACT_INT.issuperset(map(type, out)) or all(map(_is_int, out))):
         raise VerificationError(f"malformed certificate: {field} must hold integers")
@@ -479,9 +451,9 @@ def _explicit_embedding_from_dict(data: dict[str, Any]) -> ExplicitEmbedding:
         construction=construction,
         normalized=_ints("normalized", data["normalized"], 3),
         basis_change=_ints("basis_change", data["basis_change"], 4),
-        matrix=tuple(_ints("matrix", row) for row in data["matrix"]),
+        matrix=tuple(_ints("matrix", row) for row in _array("matrix", data["matrix"])),
         minor_gcd=_int("minor_gcd", data["minor_gcd"]),
-        minus_two=tuple(_ints("minus_two", v) for v in data["minus_two"]),
+        minus_two=tuple(_ints("minus_two", v) for v in _array("minus_two", data["minus_two"])),
     )
 
 
@@ -563,12 +535,8 @@ def _embedding_certificate(
     rows: Rows,
 ) -> ExplicitEmbedding:
     defect = _embedding_defect(normalized, rows, construction)
-    if defect == "pullback":
-        raise VerificationError(f"BUG: {construction} construction broke the form")
-    if defect == "primitive":
-        raise VerificationError(f"BUG: {construction} construction is not primitive")
-    if defect == "root":
-        raise VerificationError(f"BUG: {construction} complement contains a root")
+    if defect is not None:
+        raise VerificationError(f"BUG: {construction} construction fails the {defect} check")
     return ExplicitEmbedding(
         construction=construction,
         normalized=normalized.triple(),

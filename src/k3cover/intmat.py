@@ -79,10 +79,6 @@ class IntMatrix:
                      for row in self.entries)
         return IntMatrix(self.rows, other.cols, ents)
 
-    def __neg__(self) -> "IntMatrix":
-        return IntMatrix(self.rows, self.cols,
-                         tuple(tuple(-x for x in row) for row in self.entries))
-
     def scale(self, k: int) -> "IntMatrix":
         return IntMatrix(self.rows, self.cols,
                          tuple(tuple(k * x for x in row) for row in self.entries))

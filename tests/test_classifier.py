@@ -6,7 +6,7 @@ import math
 import random
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from k3cover.classifier import (
@@ -373,8 +373,9 @@ def test_complement_check_rejects_a_non_definite_block():
     rows = [[1, 0] + [0] * 10, [0, 1] + [0] * 10]
     e = Embedding(standard_lattice("U"), LAMBDA, IntMatrix.from_rows(rows))
     assert validate(e)
-    with pytest.raises(VerificationError):
-        _block_has_root(e.matrix.entries)
+    # its true complement block: definiteness, not the basis check, refuses it
+    with pytest.raises(VerificationError, match="negative definite"):
+        _block_has_root(e.matrix.entries, ((0, 0, 1, 0), (0, 0, 0, 1)))
 
 
 def _embedding_record(triple=(1, 2, 1)) -> dict:
@@ -503,8 +504,9 @@ def test_from_dict_accepts_every_construction():
 
 
 # (form, kind, field, value): each record used to parse, because int()
-# converted the value or the length went unchecked; a dict in `halved`
-# made int() raise ValueError
+# converted the value, the length went unchecked, or a dict or string stood
+# in for a list; a dict in `halved` made int() raise ValueError, and an
+# empty dict or string as `minus_two` verified as "no roots"
 _NON_INTEGER_PROBES = [
     ((1, 3, 0), "vinberg-witness", "n", 3.5),
     ((1, 3, 0), "vinberg-witness", "n", 3.0),
@@ -520,6 +522,12 @@ _NON_INTEGER_PROBES = [
     ((2, 2, 2), "keum-citation", "halved", ["1", "1", "1"]),
     ((2, 2, 2), "keum-citation", "halved", {"a": 1}),
     ((2, 2, 2), "keum-citation", "halved", "111"),
+    ((1, 2, 1), "explicit-embedding", "minus_two", {}),
+    ((1, 2, 1), "explicit-embedding", "minus_two", ""),
+    ((123457, 234568, 99999), "explicit-embedding", "minus_two", {}),
+    ((2, 3, 2), "explicit-embedding", "minus_two", ""),
+    ((1, 2, 1), "explicit-embedding", "matrix", {}),
+    ((1, 2, 1), "explicit-embedding", "matrix", ""),
 ]
 
 
@@ -529,3 +537,83 @@ def test_from_dict_rejects_non_integer_fields_of_every_kind(triple, kind, field,
     assert data["certificate"]["kind"] == kind
     data["certificate"][field] = value
     _assert_rejected(data)
+
+
+# one valid record per case and per construction, with 6-digit forms for
+# the two cases whose embeddings carry the form's own coefficients
+_RECORD_FORMS = {
+    "I": ((2, 2, 2), False),
+    "I-all-even": ((2, 2, 2), True),
+    "II": ((1, 2, 1), False),
+    "II-6-digit": ((123457, 234568, 99999), False),
+    "III-1": ((2, 3, 2), False),
+    "III-1-6-digit": ((234568, 123457, 99998), False),
+    "III-2": ((1, 3, 0), False),
+    "III-3": ((1, 1, 0), False),
+    "IV": ((1, 1, 1), False),
+}
+_MUTATED_RECORDS = {
+    name: json.loads(json.dumps(
+        classify(TranscendentalForm(*triple), try_embedding=try_embedding).to_dict()))
+    for name, (triple, try_embedding) in _RECORD_FORMS.items()
+}
+
+
+def _json_paths(node, prefix=()):
+    """Every key and list index below a JSON value, as paths from it."""
+    if isinstance(node, dict):
+        children = node.items()
+    elif isinstance(node, list):
+        children = enumerate(node)
+    else:
+        return
+    for key, child in children:
+        yield prefix + (key,)
+        yield from _json_paths(child, prefix + (key,))
+
+
+_MUTATION_SITES = [(name, path) for name, record in _MUTATED_RECORDS.items()
+                   for path in _json_paths(record)]
+
+_REPLACEMENTS = st.one_of(
+    st.integers(-3, 3),
+    st.sampled_from([10**40, -10**40, 10**40 + 1]),
+    st.integers(),
+    st.floats(),
+    st.booleans(),
+    st.none(),
+    st.sampled_from(CONSTRUCTIONS + tuple(EXPECTED_KIND) + tuple(EXPECTED_KIND.values())),
+    st.text(max_size=4),
+    st.just([]),
+    st.just({}),
+    st.lists(st.integers(-3, 3), max_size=4),
+)
+
+
+@settings(max_examples=400)
+@given(st.sampled_from(_MUTATION_SITES),
+       st.just(("delete", None)) | _REPLACEMENTS.map(lambda v: ("replace", v)))
+@example(("II", ("certificate", "minus_two")), ("replace", {}))
+@example(("II-6-digit", ("certificate", "minus_two")), ("replace", ""))
+@example(("III-1", ("certificate", "minus_two")), ("replace", {}))
+@example(("II", ("certificate", "basis_change")), ("replace", [-1, 0, 0, -1]))
+@example(("III-2", ("certificate", "vector", 0)), ("replace", 4.0))
+@example(("I", ("covers",)), ("replace", 1))
+def test_a_mutated_record_is_rejected_or_verifies_uncoerced_property(site, mutation):
+    name, path = site
+    op, value = mutation
+    data = json.loads(json.dumps(_MUTATED_RECORDS[name]))
+    parent = data
+    for key in path[:-1]:
+        parent = parent[key]
+    if op == "delete":
+        del parent[path[-1]]
+    else:
+        parent[path[-1]] = value
+    try:
+        parsed = Classification.from_dict(data)
+        verify_classification(TranscendentalForm(*_RECORD_FORMS[name][0]), parsed)
+    except VerificationError:
+        return
+    # the text comparison tells 1 from 1.0 and from true, as == does not
+    assert json.dumps(parsed.to_dict(), sort_keys=True) == json.dumps(data, sort_keys=True)

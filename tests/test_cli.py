@@ -145,11 +145,18 @@ def test_scan_output_bytes_are_pinned(runner, tmp_path):
 SCAN_20_SHA256 = "bc2490feacaa5c3cc5abaab98ed6fcad8ba044aa3c76a859a202c4b4ea586b12"
 
 
-def test_full_box_scan_lines_are_pinned():
+def test_full_box_scan_lines_are_pinned(runner, tmp_path):
     digest = hashlib.sha256()
     for triple in _expected_records(20, 20, -20, 20):
         digest.update((_scan_worker(triple)[1] + "\n").encode())
     assert digest.hexdigest() == SCAN_20_SHA256
+    # the same bytes through the command and a pool of two workers
+    out = tmp_path / "scan.jsonl"
+    result = runner.invoke(main, [
+        "scan", "--a-max", "20", "--b-max", "20", "--c-min", "-20", "--c-max", "20",
+        "--out", str(out)], env={"K3COVER_THREADS": "2"})
+    assert result.exit_code == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == SCAN_20_SHA256
 
 
 def test_scan_stdout_default(runner):

@@ -1,14 +1,16 @@
 """The B + E8(2) split against full enumeration of the rank-10 complement.
 
 For a matrix that is zero on the E8(2) columns, `_block_has_root` decides
-root-freeness of the complement from its rank-2 block in U + U(2) by Gauss
-reduction, and `_embedding_defect` checks the pullback and primitivity on
-the same block in plain ints; replay rejects every other matrix.  The
-oracle here is the general machinery: `validate` and the maximal minor gcd
-on the full 2 x 12 matrix, the complement's Hermite basis and Fincke-Pohst
-enumeration of all its norm -2 vectors.  The closed-form block bases of the
-three constructions are checked against the xgcd kernel search, which in
-turn is checked against that oracle.
+root-freeness of the complement from its rank-2 block B in U + U(2) by
+Gauss reduction, and `_embedding_defect` checks the pullback and
+primitivity on the same block in plain ints; replay rejects every other
+matrix.  B is always the closed-form basis of the record's named
+construction, and a matrix that basis does not fit is rejected as well.
+The oracle here is the general machinery: `validate` and the maximal minor
+gcd on the full 2 x 12 matrix, the complement's Hermite basis and
+Fincke-Pohst enumeration of all its norm -2 vectors.  The closed-form
+bases are checked against that enumeration on the box and against the
+Hermite kernel of the block for coefficients beyond 10^30.
 """
 
 import dataclasses
@@ -20,7 +22,6 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from k3cover import classifier
 from k3cover.classifier import (
     CONSTRUCTIONS,
     Classification,
@@ -32,7 +33,6 @@ from k3cover.classifier import (
     _embedding_rows_c_odd,
     _formula_complement,
     _is_block_basis,
-    _kernel_basis,
     _normalize_with_transform,
     _pair,
     case_ii_embedding,
@@ -84,6 +84,12 @@ def construction_of(t: TranscendentalForm) -> str:
     return {"II": "c-odd", "III": "c-even", "I": "all-even"}[parity_class(t)]
 
 
+def formula_basis(e: Embedding):
+    """The closed-form complement basis of the construction that built e."""
+    t = source_form(e)
+    return _formula_complement(construction_of(t), t)
+
+
 def oracle_has_root(e: Embedding) -> bool:
     _, comp = orthogonal_complement(LAMBDA, e)
     return bool(enumerate_norm(NormQuery(comp, -2)))
@@ -125,7 +131,7 @@ def test_block_check_matches_enumeration_on_the_box():
                 e = written_down_embedding(t)
                 if e is None:
                     continue
-                has_root = _block_has_root(e.matrix.entries)
+                has_root = _block_has_root(e.matrix.entries, formula_basis(e))
                 assert has_root == oracle_has_root(e), t.triple()
                 checked += 1
                 with_roots += has_root
@@ -151,7 +157,7 @@ def test_block_check_matches_enumeration_on_big_coefficients():
     with_roots = 0
     for t in forms:
         e = written_down_embedding(t)
-        has_root = _block_has_root(e.matrix.entries)
+        has_root = _block_has_root(e.matrix.entries, formula_basis(e))
         assert has_root == oracle_has_root(e), t.triple()
         with_roots += has_root
     assert 0 < with_roots < len(forms)
@@ -253,16 +259,23 @@ def test_replay_rejects_doubled_rows_for_four_times_the_form(triple):
         doubled.replay(big)
 
 
+def hermite_block_gram(rows) -> tuple[int, int, int]:
+    """The Gram matrix (p, q, r) of the complement block, from the Hermite
+    kernel of the 4 x 2 block of M G: no closed form involved."""
+    g4 = IntMatrix.from_rows([row[:4] for row in LAMBDA.gram.entries[:4]])
+    image = IntMatrix.from_rows([row[:4] for row in rows])
+    basis = left_kernel((image @ g4).transpose())
+    (p, q), (_, r) = (basis @ g4 @ basis.transpose()).entries
+    return p, q, r
+
+
 def hnf_block_has_root(e: Embedding) -> bool:
-    """The complement block by the Hermite kernel of the 4 x 2 block of M G.
+    """Root check of the Hermite complement block.
 
     For coefficients this large Fincke-Pohst on an unreduced block basis
     does not finish, so the oracle is the Hermite form route instead.
     """
-    gram = IntMatrix.from_rows([row[:4] for row in LAMBDA.gram.entries[:4]])
-    image = IntMatrix.from_rows([row[:4] for row in e.matrix.entries])
-    basis = left_kernel((image @ gram).transpose())
-    (p, q), (_, r) = (basis @ gram @ basis.transpose()).entries
+    p, q, r = hermite_block_gram(e.matrix.entries)
     assert p < 0 and p * r > q * q and p % 2 == r % 2 == 0
     return represents_one(BinaryForm(-p // 2, -q, -r // 2))
 
@@ -333,10 +346,10 @@ def test_formula_complement_matches_the_kernel_search_property(construction, a, 
     k1, k2 = _formula_complement(construction, t)
     assert _is_block_basis(rows, k1, k2)
     p, q, r = gram(k1, k2)
-    xp, xq, xr = gram(*_kernel_basis(rows))
+    xp, xq, xr = hermite_block_gram(rows)
     assert p * r - q * q == xp * xr - xq * xq == (4 if construction == "c-odd" else 1) * t.delta
     has_root = _block_has_root(rows, (k1, k2))
-    assert has_root == _block_has_root(rows)
+    assert has_root == represents_one(BinaryForm(-xp // 2, -xq, -xr // 2))
     assert has_root == (construction == "c-even" and case_of(t)[0] != "III-1")
     assert has_root == represents_one(BinaryForm(-p // 2, -q, -r // 2))
 
@@ -348,20 +361,9 @@ def test_formula_complement_knows_only_the_three_constructions():
         assert _formula_complement(name, t) is None
 
 
-def counted_xgcd(monkeypatch) -> list:
-    calls = []
-    xgcd = classifier.xgcd
-
-    def counted(*args):
-        calls.append(args)
-        return xgcd(*args)
-
-    monkeypatch.setattr(classifier, "xgcd", counted)
-    return calls
-
-
-def test_certify_and_replay_never_search_the_kernel(monkeypatch):
-    calls = counted_xgcd(monkeypatch)
+def test_certify_and_replay_never_search_the_kernel():
+    # every embedding certify writes replays through its own construction's
+    # closed-form complement, the only complement replay computes
     embedded = 0
     for a in range(1, 13):
         for b in range(1, 13):
@@ -375,25 +377,37 @@ def test_certify_and_replay_never_search_the_kernel(monkeypatch):
                     verify_classification(t, Classification(label, True, t.delta, cert))
                     embedded += 1
     assert embedded == 2343
-    assert calls == []
 
 
 @pytest.mark.parametrize("triple", [(2, 3, 1), (2, 3, 2), (2, 2, 2), (5, 8, -3)])
-def test_replay_of_a_non_formula_block_takes_the_kernel_search(monkeypatch, triple):
+def test_replay_rejects_a_matrix_that_misnames_its_construction(triple):
     # swapping u1, u2 and v1, v2 is an isometry of U + U(2): the matrix
-    # stays a valid primitive embedding, but the formula basis misses it
+    # stays a valid primitive embedding, but it is not the construction
+    # its record names, so the named closed-form complement does not fit
     t = TranscendentalForm(*triple)
     cert = classify(t, try_embedding=True).certificate
     moved = tuple(tuple(row[i] for i in (1, 0, 3, 2)) + row[4:] for row in cert.matrix)
     assert moved != cert.matrix
-    calls = counted_xgcd(monkeypatch)
-    ExplicitEmbedding(cert.construction, cert.normalized, cert.basis_change,
-                      moved, 1, ()).replay(t)
-    assert len(calls) >= 1
+    e = Embedding(to_lattice(TranscendentalForm(*cert.normalized)), LAMBDA,
+                  IntMatrix.from_rows(moved))
+    assert validate(e) and is_primitive(e)
+    with pytest.raises(VerificationError, match="construction"):
+        ExplicitEmbedding(cert.construction, cert.normalized, cert.basis_change,
+                          moved, 1, ()).replay(t)
+
+
+def test_replay_rejects_an_unknown_construction():
+    # from_dict refuses the name; a record built directly reaches replay
+    t = TranscendentalForm(2, 3, 1)
+    cert = classify(t).certificate
+    for construction in ("bogus", None, "C-ODD"):
+        with pytest.raises(VerificationError, match="construction"):
+            dataclasses.replace(cert, construction=construction).replay(t)
 
 
 def test_block_root_check_verifies_its_guess():
-    # (1, 3, 0) represents 1, so its c-even complement has a root: k1 itself
+    # (1, 3, 0) represents 1, so its c-even complement has a root: k1 itself;
+    # a basis that is not B is refused, even where B has a root
     t = TranscendentalForm(1, 3, 0)
     rows = _embedding_rows_c_even(t)
     k1, k2 = _formula_complement("c-even", t)
@@ -402,5 +416,6 @@ def test_block_root_check_verifies_its_guess():
     bumped = (k1[0] + 1,) + k1[1:]
     for guess in ((doubled, k2), (k1, k1), (bumped, k2)):
         assert not _is_block_basis(rows, *guess)
-        assert _block_has_root(rows, guess) is True
+        with pytest.raises(VerificationError, match="construction"):
+            _block_has_root(rows, guess)
     assert _block_has_root(rows, (k1, k2)) is True

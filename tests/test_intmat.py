@@ -66,7 +66,6 @@ def test_matmul_and_transpose():
     b = IntMatrix.from_rows([[0, 1], [1, 0]])
     assert (a @ b).to_lists() == [[2, 1], [4, 3]]
     assert a.transpose().to_lists() == [[1, 3], [2, 4]]
-    assert (-a).to_lists() == [[-1, -2], [-3, -4]]
     assert a.scale(3).to_lists() == [[3, 6], [9, 12]]
     with pytest.raises(ValueError):
         a @ IntMatrix.from_rows([[1, 2, 3]])
