@@ -46,6 +46,12 @@ def main() -> None:
     lattice [[2a, c], [c, 2b]]; every verdict ships with a certificate that
     can be replayed independently.
     """
+    # Coefficients and certificate entries may pass CPython's default limit
+    # of 4 300 digits for int <-> str; click parses the subcommand's options
+    # after this callback.  Versions before 3.10.7 have no limit to lift.
+    lift = getattr(sys, "set_int_max_str_digits", None)
+    if lift is not None:
+        lift(0)
 
 
 @main.command("classify")

@@ -6,10 +6,10 @@ A covering certificate for the interesting branch needs a vector x =
     gcd(x0..x10) = 1,  x1 >= x2 >= ... >= x10 > 0,
     x0 >= x1 + x2 + x3,  3*x0 > x1 + ... + x10.
 
-Closed-form families cover every N >= 3 except N = 4 (N = 16 is reached by
-slice search); for N in {1, 2, 4} no vector of P has norm -N, which the
-slice enumerator verifies at desk scale and the per-slice maximum formulas
-certify beyond it.
+Closed-form families cover every N >= 3 except N = 4, so search_norm is a
+dispatch that never enumerates; for N in {1, 2, 4} no vector of P has norm
+-N, which the slice enumerator verifies at desk scale and the per-slice
+maximum formulas certify beyond it.
 
 Slices are indexed by x0 = m and enumerated lexicographically descending.
 A slice deliberately drops the gcd condition: the maximum-norm table is
@@ -106,6 +106,7 @@ FAMILIES: dict[str, tuple] = {
     "X22": (lambda k: _family_x(22, k), 0, lambda k: 22 + 24 * k),
     "Y6": (lambda _: (4,) + _desc((1, 10)), 0, lambda _: 6),
     "Y8": (lambda _: (6,) + _desc((2, 6), (1, 4)), 0, lambda _: 8),
+    "Y16": (lambda _: (7,) + _desc((3, 1), (2, 5), (1, 4)), 0, lambda _: 16),
     "Y20": (lambda _: (6,) + _desc((2, 2), (1, 8)), 0, lambda _: 20),
     "Z": (lambda n: (3 * n + 1,) + _desc((n + 1, 1), (n, 8), (1, 1)), 1, lambda n: 4 * n - 1),
     "W": (lambda n: (3 * n,) + _desc((n, 7), (n - 1, 2), (1, 1)), 2, lambda n: 4 * n - 3),
@@ -216,28 +217,17 @@ def slice_maximizer(m: int) -> Vector11 | None:
 def search_norm(n: int) -> Vector11 | None:
     """A vector of P with norm -n, or None when no such vector exists.
 
-    Closed-form families are preferred; slice search (x0 up to 3n, at least
-    14 and at most SLICE_CAP) covers the few values the families miss.  For
-    n in {1, 2, 4} the answer None is exhaustive: slices are searched up to
-    14 and the per-slice maximum formulas exclude everything beyond.
+    A dispatch to the closed-form families, which lie in P with their stated
+    norms for every parameter: Y for n in {6, 8, 16, 20}, Z for n = 3 mod 4,
+    W for the other odd n, and X by n mod 24 for the rest.  None for n in
+    ABSENT is exhaustive, by the slice tables (see the module docstring).
     """
     if n <= 0:
         raise ValueError("search target must be a positive integer")
-    if n in (6, 8, 20):
+    if n in ABSENT:
+        return None
+    if n in (6, 8, 16, 20):
         return family_vector(f"Y{n}")
     if n % 2 == 1:
-        if n % 4 == 3:
-            return family_vector("Z", (n + 1) // 4)
-        if n >= 5:
-            return family_vector("W", (n + 3) // 4)
-    else:
-        name = f"X{n % 24}"
-        k, min_param = n // 24, FAMILIES[f"X{n % 24}"][1]
-        if k >= min_param:
-            return family_vector(name, k)
-    limit = min(max(3 * n, 14), SLICE_CAP)
-    for m in range(3, limit + 1):
-        for v in _slice_members(m):
-            if norm(v) == -n and in_P(v):
-                return v
-    return None
+        return family_vector("Z", (n + 1) // 4) if n % 4 == 3 else family_vector("W", (n + 3) // 4)
+    return family_vector(f"X{n % 24}", n // 24)

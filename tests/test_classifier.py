@@ -382,6 +382,50 @@ def _embedding_record(triple=(1, 2, 1)) -> dict:
     return json.loads(json.dumps(classify(TranscendentalForm(*triple)).to_dict()))
 
 
+def _edited_record(triple, edit) -> Classification:
+    """The JSON record of the form, edited in place and parsed back."""
+    data = _embedding_record(triple)
+    edit(data)
+    return Classification.from_dict(data)
+
+
+def _bump_matrix_entry(data: dict) -> None:
+    data["certificate"]["matrix"][0][1] += 6
+
+
+# One probe per replay guard that a record or a certificate can reach: the
+# form it is replayed against, the replay, and the guard's message.  The
+# first two records verify if their guard is removed.
+REPLAY_GUARD_PROBES = [
+    ((1, 2, 1), lambda t: verify_classification(
+        t, _edited_record((1, 4, 1), lambda d: d.update(delta=7))),
+     "basis change does not reach"),
+    ((1, 2, 1), lambda t: verify_classification(
+        t, _edited_record((1, 2, 1), _bump_matrix_entry)),
+     "does not pull the target form back"),
+    ((2, 2, 1), KeumCitation((1, 1, 0)).replay, "halving"),
+    ((1, 1, 0), VinbergWitness(1, (1,) + (0,) * 10).replay, "witness claimed"),
+    ((1, 3, 0), VinbergWitness(3, (5, 2, 1, 1, 1, 1, 1, 1, 1, 1, 1)).replay, "wrong norm"),
+    ((1, 3, 0), ExhaustiveAbsence(3, ABSENCE_SLICES).replay, "absence claimed"),
+    ((1, 2, 1), ParityObstruction((2, 2), 1).replay, "norm residues"),
+    ((1, 3, 2), ParityObstruction((2, 2), 1).replay, "pairing parity"),
+    ((2, 1, 1), ParityObstruction((0, 2), 1).replay, "do not constitute"),
+    ((1, 2, 1), lambda t: verify_classification(
+        t, dataclasses.replace(classify(t), case_label="IV")),
+     "disagrees with recomputed"),
+    ((1, 3, 0), lambda t: verify_classification(
+        t, Classification("III-2", True, 12, ParityObstruction((2, 2), 1))),
+     "cannot back case"),
+]
+
+
+@pytest.mark.parametrize("triple, replay, message", REPLAY_GUARD_PROBES,
+                         ids=[probe[2] for probe in REPLAY_GUARD_PROBES])
+def test_each_replay_guard_rejects_its_probe(triple, replay, message):
+    with pytest.raises(VerificationError, match=message):
+        replay(TranscendentalForm(*triple))
+
+
 def test_from_dict_rejects_a_missing_minus_two():
     data = _embedding_record()
     del data["certificate"]["minus_two"]

@@ -22,6 +22,17 @@ def runner():
     return CliRunner()
 
 
+@pytest.fixture(autouse=True)
+def digit_limit():
+    """Restores this process's int <-> str digit limit, which every
+    in-process run of `main` lifts, so that other tests keep the default."""
+    get_limit = getattr(sys, "get_int_max_str_digits", None)
+    before = get_limit() if get_limit else None
+    yield
+    if before is not None:
+        sys.set_int_max_str_digits(before)
+
+
 def test_classify_human_output(runner):
     result = runner.invoke(main, ["classify", "--a", "1", "--b", "1", "--c", "1"])
     assert result.exit_code == 0
@@ -75,6 +86,27 @@ def test_classify_rejects_bad_input(runner):
         result = runner.invoke(main, args)
         assert result.exit_code == 1, args
         assert result.stderr.startswith("error:"), args
+
+
+def test_classify_round_trips_a_2500_digit_form(runner):
+    # the c-odd matrix entry (c - ab - 1)/2 has about 5 000 digits, past
+    # CPython's default limit of 4 300 for int <-> str
+    a, b = 2 * 10**2499, 3 * 10**2499
+    result = runner.invoke(main, ["classify", "--a", str(a), "--b", str(b), "--c", "1",
+                                  "--json", "--verify"])
+    assert result.exit_code == 0, result.output
+    data = json.loads(result.output)
+    assert data["input"] == {"a": a, "b": b, "c": 1}
+    assert data["case"] == "II"
+    assert max(len(str(abs(x))) for row in data["certificate"]["matrix"] for x in row) > 4300
+    verify_classification(TranscendentalForm(a, b, 1), Classification.from_dict(data))
+
+
+def test_classify_accepts_a_5000_digit_coefficient(runner):
+    result = runner.invoke(main, ["classify", "--a", "1" + "0" * 4999, "--b", "1", "--c", "0",
+                                  "--verify"])
+    assert result.exit_code == 0, result.output
+    assert result.output == "case III-2: covers\n"
 
 
 def _expected_records(a_max, b_max, c_min, c_max):

@@ -14,6 +14,7 @@ Hermite kernel of the block for coefficients beyond 10^30.
 """
 
 import dataclasses
+import itertools
 import json
 import random
 import time
@@ -359,6 +360,88 @@ def test_formula_complement_knows_only_the_three_constructions():
     assert _formula_complement("c-odd", t) is not None
     for name in ("bogus", None, "C-ODD"):
         assert _formula_complement(name, t) is None
+
+
+# Each construction's parity class, as (a, b, c) in terms of free integers
+# (x, y, z); c-odd needs a or b even.
+PARITY_CLASSES = {
+    "c-odd, a even": ("c-odd", lambda x, y, z: (2 * x, y, 2 * z + 1)),
+    "c-odd, b even": ("c-odd", lambda x, y, z: (x, 2 * y, 2 * z + 1)),
+    "c-even": ("c-even", lambda x, y, z: (2 * x + 1, 2 * y + 1, 2 * z)),
+    "all-even": ("all-even", lambda x, y, z: (2 * x, 2 * y, 2 * z)),
+}
+
+
+def minor(x, y, i: int, j: int) -> int:
+    return x[i] * y[j] - x[j] * y[i]
+
+
+def stated_gram(construction: str, t: TranscendentalForm) -> tuple[int, int, int]:
+    """The Gram matrix of the complement basis, as `_formula_complement`'s
+    docstring states it."""
+    a, b, c = t.triple()
+    if construction == "c-odd":
+        s = (c - a * b - 1) // 2
+        return -8 * a, 2 * (2 * a * b - c), 4 * b * s
+    if construction == "c-even":
+        return -2 * a, 2 * a - c, -2 * (a + b - c)
+    return -2 * b, -c, -2 * a
+
+
+def assert_complement_identities(parity: str, complement=_formula_complement) -> None:
+    """The construction's rows and closed-form complement fit for every form
+    of the parity class.
+
+    After the substitution every entry of the rows and of the basis (k1, k2)
+    is a polynomial in (x, y, z) of degree at most 2 in each variable (b * s
+    is the worst), so every pairing, Gram entry and 2 x 2 minor below has
+    degree at most d = 4 in each.  A polynomial of degree <= d in each
+    variable that vanishes on a (d + 1)^3 grid is zero, so these identities
+    hold for every (x, y, z).  The grid keeps the forms definite.
+
+    The identities: the rows pull (2a, c, 2b) back; k1, k2 pair to zero with
+    both rows; their Gram matrix is the stated one; and fixed minors prove
+    the gcd of the minors 1, so (k1, k2) is saturated, hence the whole
+    complement block, and the rows are primitive.  For c-odd, minor (1, 3)
+    of (k1, k2) is 2 and minor (2, 3) is ab - 1, odd as ab is even; for the
+    others minor (0, 2) is 1.  The rows have minor (1, 3) = 1 (c-odd) or
+    minor (0, 2) = +-1.
+    """
+    construction, substitute = PARITY_CLASSES[parity]
+    d = 4
+    for x, y, z in itertools.product(range(5, 6 + d), range(5, 6 + d), range(d + 1)):
+        t = TranscendentalForm(*substitute(x, y, z))
+        u, v = rows = ROWS_OF[construction](t)
+        k1, k2 = complement(construction, t)
+        assert gram(u, v) == (2 * t.a, t.c, 2 * t.b), ("pullback", t)
+        assert [_pair(row, k) for row in rows for k in (k1, k2)] == [0] * 4, ("pairing", t)
+        assert gram(k1, k2) == stated_gram(construction, t), ("gram", t)
+        if construction == "c-odd":
+            assert (minor(k1, k2, 1, 3), minor(k1, k2, 2, 3)) == (2, t.a * t.b - 1), ("minor", t)
+            assert (t.a * t.b - 1) % 2 == 1
+            assert minor(u, v, 1, 3) == 1, ("rows", t)
+        else:
+            assert minor(k1, k2, 0, 2) == 1, ("minor", t)
+            assert abs(minor(u, v, 0, 2)) == 1, ("rows", t)
+
+
+@pytest.mark.parametrize("parity", sorted(PARITY_CLASSES))
+def test_formula_complement_fits_every_form_of_its_parity(parity):
+    assert_complement_identities(parity)
+
+
+@pytest.mark.parametrize("parity", sorted(PARITY_CLASSES))
+@pytest.mark.parametrize("tamper, check", [
+    (lambda k1, k2: (k1, tuple(x + y for x, y in zip(k1, k2))), "gram"),   # still a basis
+    (lambda k1, k2: ((k1[0] + 1,) + k1[1:], k2), "pairing"),
+    (lambda k1, k2: (k1, tuple(2 * x for x in k2)), "gram"),
+])
+def test_complement_identities_catch_a_tampered_formula(parity, tamper, check):
+    def tampered(construction, t):
+        return tamper(*_formula_complement(construction, t))
+
+    with pytest.raises(AssertionError, match=check):
+        assert_complement_identities(parity, tampered)
 
 
 def test_certify_and_replay_never_search_the_kernel():

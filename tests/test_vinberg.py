@@ -1,15 +1,20 @@
 """The region P in <-1> + <1>^10: witnesses, slices, per-slice maxima.
 
 The slice enumerator is checked against a combinations-based oracle, the
-closed-form witness families against their stated norms, and the maximum
-table against both the stored formulas and the raw slice data.
+closed-form witness families against their stated norms and the region for
+every parameter, and the maximum table against both the stored formulas and
+the raw slice data.
 """
 
+import hashlib
 import itertools
+import json
+from dataclasses import dataclass
 from math import gcd
 
 import pytest
 
+from k3cover import vinberg
 from k3cover.vinberg import (
     ABSENT,
     FAMILIES,
@@ -28,6 +33,7 @@ from k3cover.vinberg import (
 MAX_TABLE = {
     4: -3, 5: -7, 6: -5, 7: -7, 8: -12, 9: -7,
     10: -11, 11: -15, 12: -11, 13: -15, 14: -23,
+    15: -15, 16: -19, 17: -31, 18: -19, 19: -23, 20: -39,
 }
 
 
@@ -99,6 +105,174 @@ def test_families_verify_to_large_norms():
                 break                      # the Y families are single vectors
 
 
+@dataclass(frozen=True)
+class Affine:
+    """The value t + s*k of a family entry, as a function of the parameter k
+    over every integer k >= start.
+
+    Two values compare by their order for k > start, and the comparison
+    raises unless that order also holds, perhaps as a tie, at k = start.
+    So a builder that sorts these values puts its runs in one order that
+    sorts them for every parameter in the range.
+    """
+
+    t: int
+    s: int
+    start: int
+
+    def _lift(self, other):
+        return other if isinstance(other, Affine) else Affine(other, 0, self.start)
+
+    def __add__(self, other):
+        other = self._lift(other)
+        return Affine(self.t + other.t, self.s + other.s, self.start)
+
+    __radd__ = __add__
+
+    def __sub__(self, other):
+        other = self._lift(other)
+        return Affine(self.t - other.t, self.s - other.s, self.start)
+
+    def __mul__(self, c):
+        assert isinstance(c, int)
+        return Affine(self.t * c, self.s * c, self.start)
+
+    __rmul__ = __mul__
+
+    def at(self, k: int) -> int:
+        return self.t + self.s * k
+
+    def _sign(self, other) -> int:
+        d = self - other
+        low = d.at(d.start)
+        if d.s == 0:
+            return (low > 0) - (low < 0)
+        if d.s > 0 and low >= 0:
+            return 1
+        if d.s < 0 and low <= 0:
+            return -1
+        raise AssertionError(f"the order of {self} and {other} changes with the parameter")
+
+    def __lt__(self, other):
+        return self._sign(other) < 0
+
+    def __gt__(self, other):
+        return self._sign(other) > 0
+
+
+def _symbolic_family(name: str) -> tuple[Affine, ...]:
+    """A family's vector with each entry an affine function of its parameter;
+    building it sorts the runs, which proves their order constant."""
+    build, start, _ = FAMILIES[name]
+    return tuple(x if isinstance(x, Affine) else Affine(x, 0, start)
+                 for x in build(Affine(0, 1, start)))
+
+
+def _coprime_for_every_parameter(x: Affine, y: Affine) -> bool:
+    """Two entries whose gcd is 1 for every parameter: an entry 1, two
+    consecutive values, or an odd value 2j*k + odd beside a power of two."""
+    if (x.s, x.t) == (0, 1) or (y.s, y.t) == (0, 1):
+        return True
+    if x.s == y.s and abs(x.t - y.t) == 1:
+        return True
+    for odd, power in ((x, y), (y, x)):
+        c = power.t
+        if power.s == 0 and c > 0 and c & (c - 1) == 0 and odd.s % 2 == 0 and odd.t % 2 == 1:
+            return True
+    return False
+
+
+def _assert_total(name: str) -> None:
+    """Every member of the family, for every parameter from the minimal one
+    on, lies in P and has the stated norm.
+
+    The entries are affine in the parameter k and their order is fixed (the
+    symbolic build proves both).  So the norm is a quadratic in k, and so is
+    the stated norm; three parameters prove them equal.  Each condition of P
+    other than the gcd is an affine function of k that must stay >= 0: it
+    holds at the minimal parameter and has a slope >= 0.  The gcd is 1
+    because two of the entries are coprime for every k.
+    """
+    build, start, norm_of = FAMILIES[name]
+    v = _symbolic_family(name)
+    assert len(v) == 11
+    assert isinstance(norm_of(Affine(0, 1, start)), (int, Affine)), "norm"   # at most linear
+    for k in (start, start + 1, start + 2):
+        member = build(k)
+        assert member == tuple(x.at(k) for x in v)
+        assert norm(member) == -norm_of(k), "norm"
+    x0, tail = v[0], v[1:]
+    conditions = [tail[i] - tail[i + 1] for i in range(9)] + [
+        tail[9] - 1,                                # x10 > 0
+        x0 - (tail[0] + tail[1] + tail[2]),         # x0 >= x1 + x2 + x3
+        3 * x0 - sum(tail) - 1,                     # 3 x0 > x1 + ... + x10
+    ]
+    for condition in conditions:
+        assert condition.at(start) >= 0 and condition.s >= 0, f"condition {condition}"
+    assert any(_coprime_for_every_parameter(x, y)
+               for x, y in itertools.combinations(v, 2)), "gcd"
+
+
+@pytest.mark.parametrize("name", sorted(FAMILIES))
+def test_family_lies_in_P_with_its_norm_for_every_parameter(name):
+    _assert_total(name)
+
+
+@pytest.mark.parametrize("name, change, check", [
+    ("X16", lambda v: v[:10] + (v[10] + 1,), "norm"),
+    ("Z", lambda v: (v[0], v[10]) + v[2:10] + (v[1],), "condition"),   # unsorted
+    ("W", lambda v: tuple(2 * x for x in v), "gcd"),
+])
+def test_family_totality_catches_a_tampered_family(name, change, check, monkeypatch):
+    build, start, norm_of = FAMILIES[name]
+    scale = 4 if check == "gcd" else 1
+    monkeypatch.setitem(FAMILIES, name, (lambda k: change(build(k)), start,
+                                         lambda k: scale * norm_of(k)))
+    with pytest.raises(AssertionError, match=check):
+        _assert_total(name)
+
+
+def test_search_norm_dispatch_covers_every_norm(monkeypatch):
+    """search_norm calls one family with a parameter in its range for every
+    n >= 3 outside ABSENT, and no family for n in ABSENT.
+
+    From n = 24 on the family depends only on n mod 24 (X) or n mod 4 (Z, W),
+    and n + 24 raises the parameter by 1 (X) or by 6 (Z, W); so two periods
+    past 24 cover every larger n.
+    """
+    calls = []
+
+    def recording(name, param=0):
+        calls.append((name, param))
+        return family_vector(name, param)
+
+    monkeypatch.setattr(vinberg, "family_vector", recording)
+    dispatched = {}
+    for n in range(1, 24 * 4):
+        calls.clear()
+        v = search_norm(n)
+        if n in ABSENT:
+            assert v is None and calls == []
+            continue
+        [(name, param)] = calls
+        assert param >= FAMILIES[name][1], n
+        assert norm(v) == -n
+        dispatched[n] = (name, param)
+    for n in range(24, 24 * 3):
+        name, param = dispatched[n]
+        assert dispatched[n + 24] == (name, param + (1 if name.startswith("X") else 6))
+
+
+# sha256 of json.dumps([search_norm(n) for n in range(1, 20001)]), recorded
+# before n = 16 had a family of its own: the witnesses must not move
+WITNESS_SHA256 = "8b552dae919bc12c09298694f8d2b6831c25ac54d0cc3024e5630d230373b8c1"
+
+
+def test_search_norm_witnesses_are_pinned():
+    witnesses = json.dumps([search_norm(n) for n in range(1, 20001)])
+    assert hashlib.sha256(witnesses.encode()).hexdigest() == WITNESS_SHA256
+
+
 def test_search_norm_frozen():
     assert search_norm(3) == (4, 2, 1, 1, 1, 1, 1, 1, 1, 1, 1)
     assert search_norm(5) == (6, 2, 2, 2, 2, 2, 2, 2, 1, 1, 1)
@@ -111,9 +285,10 @@ def test_search_norm_frozen():
 
 
 def test_search_norm_sixteen_has_a_witness():
-    # norm -16 falls outside the even-residue families' parameter range,
-    # so it comes from the slice fallback; only its properties are pinned
+    # norm -16 falls outside the X16 family's parameter range, so it has a
+    # family of its own, Y16; pinned so that its certificates do not move
     v = search_norm(16)
+    assert v == family_vector("Y16") == (7, 3, 2, 2, 2, 2, 2, 1, 1, 1, 1)
     assert v is not None
     assert norm(v) == -16
     assert in_P(v)
@@ -158,15 +333,17 @@ def test_slice_frozen_members():
 
 def test_slice_norms_match_members():
     assert slice_norms(3) == frozenset()
-    for m in range(4, 15):
+    for m in range(4, SLICE_CAP + 1):
         assert slice_norms(m) == {norm(v) for v in enumerate_P_slice(m)}
     assert -3 in slice_norms(4)
-    assert not ABSENT & {-x for x in slice_norms(4)}
+    for m in range(3, SLICE_CAP + 1):
+        assert not ABSENT & {-x for x in slice_norms(m)}, m
 
 
 def test_max_table():
     assert predicted_max_norm(3) is None
     assert slice_maximizer(3) is None
+    assert sorted(MAX_TABLE) == list(range(4, SLICE_CAP + 1))
     for m, value in MAX_TABLE.items():
         assert max_norm_in_slice(m) == value
         assert predicted_max_norm(m) == value
