@@ -96,30 +96,45 @@ def normalize_case_III(t: TranscendentalForm) -> TranscendentalForm:
 Rows = tuple[tuple[int, ...], ...]
 
 
-def _embedding_rows_c_odd(t: TranscendentalForm) -> Rows:
+# The written-down embeddings, by the name an explicit-embedding records.
+# Each maps (a, b, c) to (rows, basis): the images of u, v on the U + U(2)
+# coordinates (u1, u2, v1, v2), and the closed-form basis (k1, k2) of the
+# complement block B of those rows.  Gram matrices of the bases in U + U(2):
+#   c-odd, s = (c - ab - 1)/2:  2 [[-4a, 2ab - c], [2ab - c, 2bs]], det 4 delta;
+#   c-even (a, b odd):          [[-2a, 2a - c], [2a - c, -2(a + b - c)]], det delta;
+#   all-even:                   [[-2b, -c], [-c, -2a]], det delta.
+# A construction's name is binding: `_block_has_root` proves the basis is
+# B of the rows before it uses it, and a matrix it does not fit misnames
+# its construction.
+def _c_odd(a: int, b: int, c: int) -> tuple[Rows, Rows]:
     # u -> a*u1 + u2 + ((c - ab - 1)/2) v1,  v -> u1 + b*u2 + v2
-    s = (t.c - t.a * t.b - 1) // 2
-    return (
-        (t.a, 1, s, 0, 0, 0, 0, 0, 0, 0, 0, 0),
-        (1, t.b, 0, 1, 0, 0, 0, 0, 0, 0, 0, 0),
-    )
+    s = (c - a * b - 1) // 2
+    return ((a, 1, s, 0), (1, b, 0, 1)), ((-2 * a, 2, a * b - 1, 0), (-2 * s, 0, b * s, 1))
 
 
-def _embedding_rows_c_even(t: TranscendentalForm) -> Rows:
+def _c_even(a: int, b: int, c: int) -> tuple[Rows, Rows]:
     # u -> u1 + a*u2,  v -> u1 + (c - a)*u2 + v1 + ((a + b - c)/2) v2
-    s = (t.a + t.b - t.c) // 2
-    return (
-        (1, t.a, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0),
-        (1, t.c - t.a, 1, s, 0, 0, 0, 0, 0, 0, 0, 0),
-    )
+    return (((1, a, 0, 0), (1, c - a, 1, (a + b - c) // 2)),
+            ((1, -a, 0, a - c // 2), (0, 0, 1, (c - a - b) // 2)))
 
 
-def _embedding_rows_all_even(t: TranscendentalForm) -> Rows:
+def _all_even(a: int, b: int, c: int) -> tuple[Rows, Rows]:
     # u -> v1 + (a/2) v2,  v -> u1 + b*u2 + (c/2) v2
-    return (
-        (0, 0, 1, t.a // 2, 0, 0, 0, 0, 0, 0, 0, 0),
-        (1, t.b, 0, t.c // 2, 0, 0, 0, 0, 0, 0, 0, 0),
-    )
+    return ((0, 0, 1, a // 2), (1, b, 0, c // 2)), ((1, -b, 0, 0), (0, -c, 1, -(a // 2)))
+
+
+CONSTRUCTIONS = {"c-odd": _c_odd, "c-even": _c_even, "all-even": _all_even}
+
+# U + U(2) + E8(2) has rank 12; its first four coordinates are U + U(2)
+_AMBIENT_RANK = 12
+_HYPERBOLIC = 4
+_E8_ZEROS = (0,) * (_AMBIENT_RANK - _HYPERBOLIC)
+
+
+def _rows(construction: str, t: TranscendentalForm) -> Rows:
+    """The construction's rows at t, widened by eight zero E8(2) columns."""
+    (u, v), _ = CONSTRUCTIONS[construction](t.a, t.b, t.c)
+    return u + _E8_ZEROS, v + _E8_ZEROS
 
 
 def case_ii_embedding(t: TranscendentalForm) -> Embedding:
@@ -129,7 +144,7 @@ def case_ii_embedding(t: TranscendentalForm) -> Embedding:
     return Embedding(
         to_lattice(t),
         standard_lattice("LambdaMinus"),
-        IntMatrix.from_rows(_embedding_rows_c_odd(t)),
+        IntMatrix.from_rows(_rows("c-odd", t)),
     )
 
 
@@ -140,15 +155,8 @@ def case_iii_embedding(t: TranscendentalForm) -> Embedding:
     return Embedding(
         to_lattice(t),
         standard_lattice("LambdaMinus"),
-        IntMatrix.from_rows(_embedding_rows_c_even(t)),
+        IntMatrix.from_rows(_rows("c-even", t)),
     )
-
-
-# U + U(2) + E8(2) has rank 12; its first four coordinates are U + U(2)
-_AMBIENT_RANK = 12
-_HYPERBOLIC = 4
-# the written-down embeddings, by the name an explicit-embedding records
-CONSTRUCTIONS = ("c-odd", "c-even", "all-even")
 
 
 def _pair(x, y) -> int:
@@ -162,29 +170,6 @@ def _minor_gcd(x, y) -> int:
     y0, y1, y2, y3 = y[:4]
     return gcd(x0 * y1 - x1 * y0, x0 * y2 - x2 * y0, x0 * y3 - x3 * y0,
                x1 * y2 - x2 * y1, x1 * y3 - x3 * y1, x2 * y3 - x3 * y2)
-
-
-def _formula_complement(construction: str, t: TranscendentalForm):
-    """The closed-form basis (k1, k2) of the complement block B of a
-    written-down construction at t, or None for any other name.
-
-    Gram matrices of these bases in U + U(2):
-      c-odd, s = (c - ab - 1)/2:  2 [[-4a, 2ab - c], [2ab - c, 2bs]], det 4 delta;
-      c-even (a, b odd):          [[-2a, 2a - c], [2a - c, -2(a + b - c)]], det delta;
-      all-even:                   [[-2b, -c], [-c, -2a]], det delta.
-    A construction's name is binding: `_block_has_root` proves the basis
-    is B of the rows before it uses it, and a matrix it does not fit
-    misnames its construction.
-    """
-    a, b, c = t.a, t.b, t.c
-    if construction == "c-odd":
-        s = (c - a * b - 1) // 2
-        return (-2 * a, 2, a * b - 1, 0), (-2 * s, 0, b * s, 1)
-    if construction == "c-even":
-        return (1, -a, 0, a - c // 2), (0, 0, 1, (c - a - b) // 2)
-    if construction == "all-even":
-        return (1, -b, 0, 0), (0, -c, 1, -(a // 2))
-    return None
 
 
 def _is_block_basis(rows, k1, k2) -> bool:
@@ -203,10 +188,10 @@ def _is_block_basis(rows, k1, k2) -> bool:
 def _block_has_root(rows, basis) -> bool:
     """Root check for an image inside U + U(2), from the 2 x 4 block of its rows.
 
-    ``basis`` is the closed-form (k1, k2) that `_formula_complement` gives
-    for the construction the rows claim to be; `_is_block_basis` must prove
-    it is the complement block B, which needs rows of rank 2, and any other
-    basis raises VerificationError.  B must be even and negative definite,
+    ``basis`` is the closed-form (k1, k2) that CONSTRUCTIONS gives for the
+    construction the rows claim to be; `_is_block_basis` must prove it is
+    the complement block B, which needs rows of rank 2, and any other basis
+    raises VerificationError.  B must be even and negative definite,
     and it contains a root exactly when the positive form -B/2 represents 1.
     """
     if basis is None or not _is_block_basis(rows, *basis):
@@ -238,7 +223,9 @@ def _embedding_defect(t: TranscendentalForm, rows, construction: str) -> str | N
         return "pullback"
     if _minor_gcd(u, v) != 1:
         return "primitive"
-    return "root" if _block_has_root(rows, _formula_complement(construction, t)) else None
+    build = CONSTRUCTIONS.get(construction) if isinstance(construction, str) else None
+    basis = None if build is None else build(t.a, t.b, t.c)[1]
+    return "root" if _block_has_root(rows, basis) else None
 
 
 @dataclass(frozen=True)
@@ -258,7 +245,7 @@ class KeumCitation:
     def replay(self, t: TranscendentalForm) -> None:
         if any(x % 2 for x in t.triple()):
             raise VerificationError("halving certificate on a form that is not all even")
-        if tuple(self.halved) != (t.a // 2, t.b // 2, t.c // 2):
+        if _ints("halved", self.halved, 3) != (t.a // 2, t.b // 2, t.c // 2):
             raise VerificationError("halved form does not match the input")
 
 
@@ -266,15 +253,12 @@ class KeumCitation:
 class ExplicitEmbedding:
     """A primitive embedding into U + U(2) + E8(2) with root-free complement.
 
-    ``construction`` names the written-down embedding (one of
+    ``construction`` names the written-down embedding (a key of
     CONSTRUCTIONS), ``normalized`` is the SL2-equivalent form the matrix
     actually embeds and ``basis_change`` the change of basis realizing the
-    equivalence.  The matrix must be zero on the eight E8(2) columns, as
-    every construction is.  Replay re-checks the equivalence, the Gram
-    pullback, primitivity, and that the orthogonal complement has no vector
-    of norm -2, with the construction's closed-form complement at
-    ``normalized``.  The name is binding: a matrix that basis does not fit,
-    valid embedding or not, raises VerificationError.
+    equivalence.  Replay checks that every integer field holds ints, re-checks
+    the equivalence and runs `_embedding_defect` at ``normalized``, whose
+    closed-form complement makes the construction's name binding.
     """
 
     kind: ClassVar[str] = "explicit-embedding"
@@ -298,10 +282,10 @@ class ExplicitEmbedding:
 
     def replay(self, t: TranscendentalForm) -> None:
         try:
-            normalized = TranscendentalForm(*self.normalized)
-            g = Sl2Matrix(*self.basis_change)
-            rows = [_ints("matrix", row) for row in self.matrix]
-        except (TypeError, ValueError) as exc:
+            normalized = TranscendentalForm(*_ints("normalized", self.normalized, 3))
+            g = Sl2Matrix(*_ints("basis_change", self.basis_change, 4))
+            rows = [_ints("matrix", row) for row in _array("matrix", self.matrix)]
+        except ValueError as exc:
             raise VerificationError(f"malformed embedding certificate: {exc}") from None
         if len(rows) != 2 or any(len(row) != _AMBIENT_RANK for row in rows):
             raise VerificationError("malformed embedding certificate: matrix is not 2 x 12")
@@ -310,9 +294,9 @@ class ExplicitEmbedding:
         defect = _embedding_defect(normalized, rows, self.construction)
         if defect == "pullback":
             raise VerificationError("matrix does not pull the target form back to the source")
-        if self.minor_gcd != 1 or defect == "primitive":
+        if _int("minor_gcd", self.minor_gcd) != 1 or defect == "primitive":
             raise VerificationError("embedding is not primitive")
-        if self.minus_two or defect == "root":
+        if _array("minus_two", self.minus_two) or defect == "root":
             raise VerificationError("orthogonal complement contains a norm -2 vector")
 
 
@@ -328,9 +312,9 @@ class VinbergWitness:
         return {"kind": self.kind, "n": self.n, "vector": list(self.vector)}
 
     def replay(self, t: TranscendentalForm) -> None:
-        if len(self.vector) != 11 or not all(_is_int(x) for x in self.vector):
+        if len(_array("vector", self.vector)) != 11 or not all(map(_is_int, self.vector)):
             raise VerificationError("witness vector does not have 11 integer coordinates")
-        if t.delta % 4 != 0 or self.n != t.delta // 4:
+        if t.delta % 4 != 0 or _int("n", self.n) != t.delta // 4:
             raise VerificationError("witness norm does not match the discriminant")
         if self.n in ABSENT:
             raise VerificationError("witness claimed for a discriminant with none")
@@ -356,11 +340,11 @@ class ExhaustiveAbsence:
         return {"kind": self.kind, "n": self.n, "slices": list(self.slices)}
 
     def replay(self, t: TranscendentalForm) -> None:
-        if t.delta % 4 != 0 or self.n != t.delta // 4:
+        if t.delta % 4 != 0 or _int("n", self.n) != t.delta // 4:
             raise VerificationError("absence norm does not match the discriminant")
         if self.n not in ABSENT:
             raise VerificationError("absence claimed for a discriminant that has a witness")
-        if tuple(self.slices) != ABSENCE_SLICES:
+        if _ints("slices", self.slices) != ABSENCE_SLICES:
             raise VerificationError("absence transcript does not cover the required slices")
         for m in self.slices:
             if -self.n in slice_norms(m):
@@ -387,11 +371,12 @@ class ParityObstruction:
         }
 
     def replay(self, t: TranscendentalForm) -> None:
-        if tuple(self.norms_mod_4) != (2 * t.a % 4, 2 * t.b % 4):
+        norms = _ints("norms_mod_4", self.norms_mod_4, 2)
+        if norms != (2 * t.a % 4, 2 * t.b % 4):
             raise VerificationError("recorded norm residues do not match the form")
-        if self.pairing_mod_2 != t.c % 2:
+        if _int("pairing_mod_2", self.pairing_mod_2) != t.c % 2:
             raise VerificationError("recorded pairing parity does not match the form")
-        if self.norms_mod_4 != (2, 2) or self.pairing_mod_2 != 1:
+        if norms != (2, 2) or self.pairing_mod_2 != 1:
             raise VerificationError("residues do not constitute an obstruction")
 
 
@@ -487,6 +472,17 @@ def certificate_from_dict(data: dict[str, Any]) -> Certificate:
         raise VerificationError(f"malformed certificate: {exc}") from None
 
 
+def _check_fields(case, covers, delta) -> None:
+    """``case`` must be a str, ``covers`` a bool and ``delta`` an int, never a
+    value that merely converts to one."""
+    if not isinstance(case, str):
+        raise VerificationError(f"case must be a string, not {case!r}")
+    if not isinstance(covers, bool):
+        raise VerificationError(f"covers must be true or false, not {covers!r}")
+    if not _is_int(delta):
+        raise VerificationError(f"delta must be an integer, not {delta!r}")
+
+
 @dataclass(frozen=True)
 class Classification:
     case_label: CaseLabel
@@ -504,18 +500,12 @@ class Classification:
 
     @classmethod
     def from_dict(cls, data: dict[str, Any]) -> "Classification":
-        """Parse a serialized classification; ``case`` must be a str,
-        ``covers`` a bool and ``delta`` an int, never a value that merely
-        converts to one.  An unknown certificate kind is a VerificationError
+        """Parse a serialized classification, its fields checked by
+        `_check_fields`.  An unknown certificate kind is a VerificationError
         here too."""
         try:
             case, covers, delta = data["case"], data["covers"], data["delta"]
-            if not isinstance(case, str):
-                raise VerificationError(f"case must be a string, not {case!r}")
-            if not isinstance(covers, bool):
-                raise VerificationError(f"covers must be true or false, not {covers!r}")
-            if not _is_int(delta):
-                raise VerificationError(f"delta must be an integer, not {delta!r}")
+            _check_fields(case, covers, delta)
             return cls(
                 case_label=case,
                 covers=covers,
@@ -528,12 +518,17 @@ class Classification:
             raise VerificationError(f"malformed classification: {exc}") from None
 
 
-def _embedding_certificate(
-    construction: str,
-    normalized: TranscendentalForm,
-    g: Sl2Matrix,
-    rows: Rows,
-) -> ExplicitEmbedding:
+def embedding_certificate(construction: str, normalized: TranscendentalForm,
+                          g: Sl2Matrix = _IDENTITY) -> ExplicitEmbedding:
+    """The certificate of the named written-down embedding of ``normalized``,
+    the form that ``g`` carries the input to.
+
+    `certify` backs case II by `c-odd` and case III-1 by `c-even` of the
+    normalized form.  Case I is backed by the citation; the `all-even`
+    embedding, ``embedding_certificate("all-even", t)``, backs it as well and
+    always fits: its -B/2 is (b, c, a), all even, so it never represents 1.
+    """
+    rows = _rows(construction, normalized)
     defect = _embedding_defect(normalized, rows, construction)
     if defect is not None:
         raise VerificationError(f"BUG: {construction} construction fails the {defect} check")
@@ -547,20 +542,14 @@ def _embedding_certificate(
     )
 
 
-def certify(t: TranscendentalForm, label: CaseLabel, *, try_embedding: bool = False) -> Certificate:
+def certify(t: TranscendentalForm, label: CaseLabel) -> Certificate:
     """Build the certificate backing a classification label for this form."""
     if label == "I":
-        if try_embedding:
-            return _embedding_certificate(
-                "all-even", t, _IDENTITY, _embedding_rows_all_even(t))
         return KeumCitation(halved=(t.a // 2, t.b // 2, t.c // 2))
     if label == "II":
-        return _embedding_certificate(
-            "c-odd", t, _IDENTITY, _embedding_rows_c_odd(t))
+        return embedding_certificate("c-odd", t)
     if label == "III-1":
-        normalized, g = _normalize_with_transform(t)
-        return _embedding_certificate(
-            "c-even", normalized, g, _embedding_rows_c_even(normalized))
+        return embedding_certificate("c-even", *_normalize_with_transform(t))
     if label == "III-2":
         n = t.delta // 4
         witness = search_norm(n)
@@ -577,25 +566,21 @@ def certify(t: TranscendentalForm, label: CaseLabel, *, try_embedding: bool = Fa
     raise ValueError(f"unknown case label {label!r}")
 
 
-def classify(t: TranscendentalForm, *, try_embedding: bool = False) -> Classification:
-    """Full decision for one form: label, verdict, and certificate.
-
-    ``try_embedding`` backs all-even forms by the written-down all-even
-    embedding instead of the citation certificate.  That embedding always
-    works: its complement block is -(b, c, a) with every entry even, so it
-    never represents 1.
-    """
+def classify(t: TranscendentalForm) -> Classification:
+    """Full decision for one form: label, verdict, and certificate."""
     label, covers = case_of(t)
-    certificate = certify(t, label, try_embedding=try_embedding)
-    return Classification(case_label=label, covers=covers, delta=t.delta, certificate=certificate)
+    return Classification(case_label=label, covers=covers, delta=t.delta,
+                          certificate=certify(t, label))
 
 
 def verify_classification(t: TranscendentalForm, cls: Classification) -> None:
     """Replay a classification against the form it claims to describe.
 
     Raises VerificationError unless the label, the verdict, the discriminant
-    and the certificate all check out independently.
+    and the certificate all check out independently, each field of the type
+    `_check_fields` requires.
     """
+    _check_fields(cls.case_label, cls.covers, cls.delta)
     label, covers = case_of(t)
     if cls.case_label != label:
         raise VerificationError(f"label {cls.case_label!r} disagrees with recomputed {label!r}")

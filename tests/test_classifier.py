@@ -4,6 +4,7 @@ import dataclasses
 import json
 import math
 import random
+import sys
 
 import pytest
 from hypothesis import example, given, settings
@@ -25,6 +26,7 @@ from k3cover.classifier import (
     certificate_from_dict,
     certify,
     classify,
+    embedding_certificate,
     normalize_case_III,
     verify_classification,
 )
@@ -319,7 +321,12 @@ def test_mismatched_classification_fields():
         verify_classification(t, Classification("IV", False, 3, KeumCitation((0, 0, 0))))
 
 
-def test_try_embedding_for_all_even_forms():
+def _all_even_classification(t: TranscendentalForm) -> Classification:
+    """The case I classification of t, backed by the all-even embedding."""
+    return dataclasses.replace(classify(t), certificate=embedding_certificate("all-even", t))
+
+
+def test_all_even_embedding_backs_every_all_even_form():
     # the all-even complement block is -(b, c, a), all even: never a root
     checked = 0
     for a in range(2, 13, 2):
@@ -328,7 +335,7 @@ def test_try_embedding_for_all_even_forms():
                 if 4 * a * b <= c * c:
                     continue
                 t = TranscendentalForm(a, b, c)
-                cls = classify(t, try_embedding=True)
+                cls = _all_even_classification(t)
                 assert cls.case_label == "I"
                 assert cls.certificate.kind == "explicit-embedding", t.triple()
                 assert cls.certificate.construction == "all-even"
@@ -423,6 +430,36 @@ REPLAY_GUARD_PROBES = [
                          ids=[probe[2] for probe in REPLAY_GUARD_PROBES])
 def test_each_replay_guard_rejects_its_probe(triple, replay, message):
     with pytest.raises(VerificationError, match=message):
+        replay(TranscendentalForm(*triple))
+
+
+# Certificates and classifications built directly, not parsed: each field
+# holds a value that merely converts to the int (or bool) replay wants, and
+# replay accepted every one of them as that value
+_COERCED_PROBES = {
+    "absence n 1.0": ((1, 1, 0), ExhaustiveAbsence(1.0, ABSENCE_SLICES).replay),
+    "absence n True": ((1, 1, 0), ExhaustiveAbsence(True, ABSENCE_SLICES).replay),
+    "halved 1.0": ((2, 2, 0), KeumCitation((1.0, 1, 0)).replay),
+    "residues 2.0, True": ((1, 1, 1), ParityObstruction((2.0, 2), True).replay),
+    "witness n 3.0": ((1, 3, 0), VinbergWitness(3.0, (4, 2, 1, 1, 1, 1, 1, 1, 1, 1, 1)).replay),
+    # a dict iterates its keys, here a witness of norm -344
+    "witness vector dict": ((1, 344, 0), VinbergWitness(
+        344, dict.fromkeys((27, 10, 9, 8, 7, 6, 5, 4, 3, 2, 1))).replay),
+    "delta 4.0": ((1, 1, 0), lambda t: verify_classification(
+        t, dataclasses.replace(classify(t), delta=4.0))),
+    "covers 0": ((1, 1, 0), lambda t: verify_classification(
+        t, dataclasses.replace(classify(t), covers=0))),
+    "minor_gcd True": ((1, 2, 1), lambda t: _replay_tampered_embedding(minor_gcd=True)),
+    "normalized 1.0": ((1, 2, 1), lambda t: _replay_tampered_embedding(normalized=(1.0, 2, 1))),
+    "basis_change 1.0": ((1, 2, 1), lambda t: _replay_tampered_embedding(
+        basis_change=(1.0, 0, 0, 1))),
+    "minus_two {}": ((1, 2, 1), lambda t: _replay_tampered_embedding(minus_two={})),
+}
+
+
+@pytest.mark.parametrize("triple, replay", _COERCED_PROBES.values(), ids=list(_COERCED_PROBES))
+def test_replay_refuses_a_value_that_merely_converts(triple, replay):
+    with pytest.raises(VerificationError):
         replay(TranscendentalForm(*triple))
 
 
@@ -537,9 +574,10 @@ def test_from_dict_rejects_a_non_integer_minus_two_entry():
 
 def test_from_dict_accepts_every_construction():
     seen = set()
-    for triple, try_embedding in (((2, 3, 1), False), ((2, 3, 2), False), ((2, 2, 2), True)):
+    for triple, build in (((2, 3, 1), classify), ((2, 3, 2), classify),
+                          ((2, 2, 2), _all_even_classification)):
         t = TranscendentalForm(*triple)
-        cls = classify(t, try_embedding=try_embedding)
+        cls = build(t)
         back = Classification.from_dict(json.loads(json.dumps(cls.to_dict())))
         assert back == cls
         verify_classification(t, back)
@@ -586,20 +624,21 @@ def test_from_dict_rejects_non_integer_fields_of_every_kind(triple, kind, field,
 # one valid record per case and per construction, with 6-digit forms for
 # the two cases whose embeddings carry the form's own coefficients
 _RECORD_FORMS = {
-    "I": ((2, 2, 2), False),
-    "I-all-even": ((2, 2, 2), True),
-    "II": ((1, 2, 1), False),
-    "II-6-digit": ((123457, 234568, 99999), False),
-    "III-1": ((2, 3, 2), False),
-    "III-1-6-digit": ((234568, 123457, 99998), False),
-    "III-2": ((1, 3, 0), False),
-    "III-3": ((1, 1, 0), False),
-    "IV": ((1, 1, 1), False),
+    "I": (2, 2, 2),
+    "I-all-even": (2, 2, 2),
+    "II": (1, 2, 1),
+    "II-6-digit": (123457, 234568, 99999),
+    "III-1": (2, 3, 2),
+    "III-1-6-digit": (234568, 123457, 99998),
+    "III-2": (1, 3, 0),
+    "III-3": (1, 1, 0),
+    "IV": (1, 1, 1),
 }
 _MUTATED_RECORDS = {
     name: json.loads(json.dumps(
-        classify(TranscendentalForm(*triple), try_embedding=try_embedding).to_dict()))
-    for name, (triple, try_embedding) in _RECORD_FORMS.items()
+        (_all_even_classification if name == "I-all-even" else classify)(
+            TranscendentalForm(*triple)).to_dict()))
+    for name, triple in _RECORD_FORMS.items()
 }
 
 
@@ -622,11 +661,13 @@ _MUTATION_SITES = [(name, path) for name, record in _MUTATED_RECORDS.items()
 _REPLACEMENTS = st.one_of(
     st.integers(-3, 3),
     st.sampled_from([10**40, -10**40, 10**40 + 1]),
+    # past CPython's default limit of 4 300 digits for int <-> str
+    st.sampled_from([10**5000, -10**5000, 10**5000 + 1]),
     st.integers(),
     st.floats(),
     st.booleans(),
     st.none(),
-    st.sampled_from(CONSTRUCTIONS + tuple(EXPECTED_KIND) + tuple(EXPECTED_KIND.values())),
+    st.sampled_from(tuple(CONSTRUCTIONS) + tuple(EXPECTED_KIND) + tuple(EXPECTED_KIND.values())),
     st.text(max_size=4),
     st.just([]),
     st.just({}),
@@ -644,8 +685,20 @@ _REPLACEMENTS = st.one_of(
 @example(("III-2", ("certificate", "vector", 0)), ("replace", 4.0))
 @example(("I", ("covers",)), ("replace", 1))
 def test_a_mutated_record_is_rejected_or_verifies_uncoerced_property(site, mutation):
-    name, path = site
-    op, value = mutation
+    # the comparison below prints ints past 4 300 digits; lift the limit
+    # for this body only, so that other tests keep the default
+    get_limit = getattr(sys, "get_int_max_str_digits", None)
+    before = get_limit() if get_limit else None
+    if before is not None:
+        sys.set_int_max_str_digits(0)
+    try:
+        _mutate_and_replay(*site, *mutation)
+    finally:
+        if before is not None:
+            sys.set_int_max_str_digits(before)
+
+
+def _mutate_and_replay(name, path, op, value) -> None:
     data = json.loads(json.dumps(_MUTATED_RECORDS[name]))
     parent = data
     for key in path[:-1]:
@@ -656,7 +709,7 @@ def test_a_mutated_record_is_rejected_or_verifies_uncoerced_property(site, mutat
         parent[path[-1]] = value
     try:
         parsed = Classification.from_dict(data)
-        verify_classification(TranscendentalForm(*_RECORD_FORMS[name][0]), parsed)
+        verify_classification(TranscendentalForm(*_RECORD_FORMS[name]), parsed)
     except VerificationError:
         return
     # the text comparison tells 1 from 1.0 and from true, as == does not

@@ -3,6 +3,7 @@
 import hashlib
 import json
 import os
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -11,7 +12,7 @@ import pytest
 from click.testing import CliRunner
 
 import k3cover
-from k3cover import vinberg
+from k3cover import classifier, vinberg
 from k3cover.cli import CASE_ORDER, _scan_worker, main
 from k3cover.classifier import Classification, case_of, verify_classification
 from k3cover.lattices import TranscendentalForm
@@ -257,6 +258,17 @@ def test_verify_lemmas_catches_corrupted_table(runner, monkeypatch):
     assert "FAIL" in result.output
 
 
+def test_verify_lemmas_checks_the_minor_gcd_that_replay_runs(runner, monkeypatch):
+    # a block of rank below 2 read as primitive: the row must turn red
+    real = classifier._minor_gcd
+    monkeypatch.setattr(classifier, "_minor_gcd", lambda x, y: real(x, y) or 1)
+    result = runner.invoke(main, ["verify-lemmas", "--n-max", "30"])
+    assert result.exit_code == 2
+    rows = dict(line.split(None, 1) for line in result.stdout.splitlines())
+    assert rows.pop("primitivity-snf").startswith("FAIL")
+    assert all(row.startswith("pass") for row in rows.values())
+
+
 def test_verify_lemmas_rejects_bad_bounds(runner):
     assert runner.invoke(main, ["verify-lemmas", "--n-max", "2"]).exit_code == 1
     assert runner.invoke(main, ["verify-lemmas", "--slice-max", "2"]).exit_code == 1
@@ -278,3 +290,40 @@ def test_cli_import_leaves_out_the_short_vector_search():
     done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
                           timeout=60, check=True)
     assert done.stdout.strip() == "False"
+
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def _readme_commands() -> list[tuple[str, str]]:
+    """Each `$ k3cover ...` line of README.md, with the output shown below it."""
+    examples, command, shown = [], None, []
+    for line in README.read_text(encoding="utf-8").splitlines() + [""]:
+        if command is not None and line and not line.startswith(("$", "```")):
+            shown.append(line + "\n")
+            continue
+        if command is not None:
+            examples.append((command, "".join(shown)))
+            command = None
+        if line.startswith("$ k3cover "):
+            command, shown = line[len("$ k3cover "):], []
+    return examples
+
+
+README_COMMANDS = _readme_commands()
+
+
+def test_readme_shows_every_subcommand():
+    assert {shlex.split(command)[0] for command, _ in README_COMMANDS} == \
+        {"classify", "scan", "verify-lemmas"}
+
+
+@pytest.mark.parametrize("command, shown", README_COMMANDS,
+                         ids=[command for command, _ in README_COMMANDS])
+def test_readme_command_prints_what_the_readme_shows(runner, tmp_path, monkeypatch,
+                                                      command, shown):
+    monkeypatch.chdir(tmp_path)
+    result = runner.invoke(main, shlex.split(command))
+    assert result.exit_code == 0, result.output
+    # scan writes its records to --out and its tally to stderr
+    assert (result.stderr if command.startswith("scan") else result.stdout) == shown

@@ -29,18 +29,14 @@ from k3cover.classifier import (
     ExplicitEmbedding,
     _block_has_root,
     _embedding_defect,
-    _embedding_rows_all_even,
-    _embedding_rows_c_even,
-    _embedding_rows_c_odd,
-    _formula_complement,
     _is_block_basis,
     _normalize_with_transform,
     _pair,
-    case_ii_embedding,
-    case_iii_embedding,
+    _rows,
     case_of,
     certify,
     classify,
+    embedding_certificate,
     normalize_case_III,
     verify_classification,
 )
@@ -69,26 +65,33 @@ from conftest import random_sl2, sl2_matrices
 LAMBDA = standard_lattice("LambdaMinus")
 
 
-def written_down_embedding(t: TranscendentalForm) -> Embedding | None:
-    """The c-odd, c-even (after normalization) or all-even construction."""
-    parity = parity_class(t)
-    if parity == "II":
-        return case_ii_embedding(t)
-    if parity == "III":
-        return case_iii_embedding(normalize_case_III(t))
-    if parity == "I":
-        return Embedding(to_lattice(t), LAMBDA, IntMatrix.from_rows(_embedding_rows_all_even(t)))
-    return None
+# CONSTRUCTIONS lists the constructions in the order of the parity classes
+# they serve: c odd (II), c even with a or b odd (III), all even (I)
+CONSTRUCTION_OF_PARITY = dict(zip(("II", "III", "I"), CONSTRUCTIONS))
+
+
+def table(construction: str, t: TranscendentalForm):
+    """The construction's (rows, basis) at t, as the classifier's table gives them."""
+    return CONSTRUCTIONS[construction](t.a, t.b, t.c)
 
 
 def construction_of(t: TranscendentalForm) -> str:
-    return {"II": "c-odd", "III": "c-even", "I": "all-even"}[parity_class(t)]
+    return CONSTRUCTION_OF_PARITY[parity_class(t)]
+
+
+def written_down_embedding(t: TranscendentalForm) -> Embedding | None:
+    """The construction of t's parity class, of the normalized form in case III."""
+    if parity_class(t) not in CONSTRUCTION_OF_PARITY:
+        return None
+    if parity_class(t) == "III":
+        t = normalize_case_III(t)
+    return Embedding(to_lattice(t), LAMBDA, IntMatrix.from_rows(_rows(construction_of(t), t)))
 
 
 def formula_basis(e: Embedding):
     """The closed-form complement basis of the construction that built e."""
     t = source_form(e)
-    return _formula_complement(construction_of(t), t)
+    return table(construction_of(t), t)[1]
 
 
 def oracle_has_root(e: Embedding) -> bool:
@@ -312,10 +315,6 @@ def test_block_defect_on_coefficients_beyond_10_to_30():
     assert seen == {None, "root"}
 
 
-ROWS_OF = {"c-odd": _embedding_rows_c_odd, "c-even": _embedding_rows_c_even,
-           "all-even": _embedding_rows_all_even}
-
-
 def construction_form(construction: str, a: int, b: int, c: int, g) -> TranscendentalForm:
     """A form the construction applies to: (a, b, c) moved by g, its
     parities first bumped to the construction's class.
@@ -338,13 +337,12 @@ def gram(k1, k2) -> tuple[int, int, int]:
     return _pair(k1, k1), _pair(k1, k2), _pair(k2, k2)
 
 
-@given(st.sampled_from(CONSTRUCTIONS), st.integers(10**30, 10**31), st.integers(10**30, 10**31),
-       st.integers(-10**29, 10**29), sl2_matrices(10**6))
+@given(st.sampled_from(tuple(CONSTRUCTIONS)), st.integers(10**30, 10**31),
+       st.integers(10**30, 10**31), st.integers(-10**29, 10**29), sl2_matrices(10**6))
 def test_formula_complement_matches_the_kernel_search_property(construction, a, b, c, g):
     t = construction_form(construction, a, b, c, g)
     assert min(t.a, t.b) >= 10**30
-    rows = ROWS_OF[construction](t)
-    k1, k2 = _formula_complement(construction, t)
+    rows, (k1, k2) = table(construction, t)
     assert _is_block_basis(rows, k1, k2)
     p, q, r = gram(k1, k2)
     xp, xq, xr = hermite_block_gram(rows)
@@ -355,11 +353,14 @@ def test_formula_complement_matches_the_kernel_search_property(construction, a, 
     assert has_root == represents_one(BinaryForm(-p // 2, -q, -r // 2))
 
 
-def test_formula_complement_knows_only_the_three_constructions():
+def test_construction_table_knows_only_the_three_constructions():
+    assert tuple(CONSTRUCTIONS) == ("c-odd", "c-even", "all-even")
     t = TranscendentalForm(2, 3, 1)
-    assert _formula_complement("c-odd", t) is not None
-    for name in ("bogus", None, "C-ODD"):
-        assert _formula_complement(name, t) is None
+    rows = _rows("c-odd", t)
+    assert _embedding_defect(t, rows, "c-odd") is None
+    for name in ("bogus", None, "C-ODD", ["c-odd"]):
+        with pytest.raises(VerificationError, match="construction"):
+            _embedding_defect(t, rows, name)
 
 
 # Each construction's parity class, as (a, b, c) in terms of free integers
@@ -377,8 +378,8 @@ def minor(x, y, i: int, j: int) -> int:
 
 
 def stated_gram(construction: str, t: TranscendentalForm) -> tuple[int, int, int]:
-    """The Gram matrix of the complement basis, as `_formula_complement`'s
-    docstring states it."""
+    """The Gram matrix of the complement basis, as the comment above
+    CONSTRUCTIONS states it."""
     a, b, c = t.triple()
     if construction == "c-odd":
         s = (c - a * b - 1) // 2
@@ -388,7 +389,7 @@ def stated_gram(construction: str, t: TranscendentalForm) -> tuple[int, int, int
     return -2 * b, -c, -2 * a
 
 
-def assert_complement_identities(parity: str, complement=_formula_complement) -> None:
+def assert_complement_identities(parity: str, tamper=None) -> None:
     """The construction's rows and closed-form complement fit for every form
     of the parity class.
 
@@ -397,7 +398,8 @@ def assert_complement_identities(parity: str, complement=_formula_complement) ->
     is the worst), so every pairing, Gram entry and 2 x 2 minor below has
     degree at most d = 4 in each.  A polynomial of degree <= d in each
     variable that vanishes on a (d + 1)^3 grid is zero, so these identities
-    hold for every (x, y, z).  The grid keeps the forms definite.
+    hold for every (x, y, z).  The grid keeps the forms definite.  ``tamper``,
+    if given, maps the table's basis to the one checked.
 
     The identities: the rows pull (2a, c, 2b) back; k1, k2 pair to zero with
     both rows; their Gram matrix is the stated one; and fixed minors prove
@@ -411,8 +413,9 @@ def assert_complement_identities(parity: str, complement=_formula_complement) ->
     d = 4
     for x, y, z in itertools.product(range(5, 6 + d), range(5, 6 + d), range(d + 1)):
         t = TranscendentalForm(*substitute(x, y, z))
-        u, v = rows = ROWS_OF[construction](t)
-        k1, k2 = complement(construction, t)
+        rows, basis = table(construction, t)
+        u, v = rows
+        k1, k2 = basis if tamper is None else tamper(*basis)
         assert gram(u, v) == (2 * t.a, t.c, 2 * t.b), ("pullback", t)
         assert [_pair(row, k) for row in rows for k in (k1, k2)] == [0] * 4, ("pairing", t)
         assert gram(k1, k2) == stated_gram(construction, t), ("gram", t)
@@ -437,11 +440,8 @@ def test_formula_complement_fits_every_form_of_its_parity(parity):
     (lambda k1, k2: (k1, tuple(2 * x for x in k2)), "gram"),
 ])
 def test_complement_identities_catch_a_tampered_formula(parity, tamper, check):
-    def tampered(construction, t):
-        return tamper(*_formula_complement(construction, t))
-
     with pytest.raises(AssertionError, match=check):
-        assert_complement_identities(parity, tampered)
+        assert_complement_identities(parity, tamper)
 
 
 def test_certify_and_replay_never_search_the_kernel():
@@ -455,7 +455,7 @@ def test_certify_and_replay_never_search_the_kernel():
                     continue
                 t = TranscendentalForm(a, b, c)
                 label = case_of(t)[0]
-                cert = certify(t, label, try_embedding=True)
+                cert = embedding_certificate("all-even", t) if label == "I" else certify(t, label)
                 if cert.kind == "explicit-embedding":
                     verify_classification(t, Classification(label, True, t.delta, cert))
                     embedded += 1
@@ -468,7 +468,8 @@ def test_replay_rejects_a_matrix_that_misnames_its_construction(triple):
     # stays a valid primitive embedding, but it is not the construction
     # its record names, so the named closed-form complement does not fit
     t = TranscendentalForm(*triple)
-    cert = classify(t, try_embedding=True).certificate
+    cert = (embedding_certificate("all-even", t) if case_of(t)[0] == "I"
+            else classify(t).certificate)
     moved = tuple(tuple(row[i] for i in (1, 0, 3, 2)) + row[4:] for row in cert.matrix)
     assert moved != cert.matrix
     e = Embedding(to_lattice(TranscendentalForm(*cert.normalized)), LAMBDA,
@@ -492,8 +493,7 @@ def test_block_root_check_verifies_its_guess():
     # (1, 3, 0) represents 1, so its c-even complement has a root: k1 itself;
     # a basis that is not B is refused, even where B has a root
     t = TranscendentalForm(1, 3, 0)
-    rows = _embedding_rows_c_even(t)
-    k1, k2 = _formula_complement("c-even", t)
+    rows, (k1, k2) = table("c-even", t)
     assert _pair(k1, k1) == -2
     doubled = tuple(2 * x for x in k1)
     bumped = (k1[0] + 1,) + k1[1:]
