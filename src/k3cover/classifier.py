@@ -29,17 +29,8 @@ from dataclasses import dataclass
 from math import gcd
 from typing import Any, ClassVar
 
-from .embeddings import Embedding
 from .errors import VerificationError
-from .intmat import IntMatrix
-from .lattices import (
-    Sl2Matrix,
-    TranscendentalForm,
-    apply_basis_change,
-    parity_class,
-    standard_lattice,
-    to_lattice,
-)
+from .lattices import Sl2Matrix, TranscendentalForm, apply_basis_change, parity_class
 from .quadforms import BinaryForm, represents_one
 from .vinberg import ABSENT, in_P
 from .vinberg import norm as region_norm
@@ -51,26 +42,29 @@ CaseLabel = str
 # the per-slice maximum norm stays below -14, out of reach of -1, -2, -4.
 ABSENCE_SLICES: tuple[int, ...] = tuple(range(3, 15))
 
-_COVERS: dict[CaseLabel, bool] = {
-    "I": True,
-    "II": True,
-    "III-1": True,
-    "III-2": True,
-    "III-3": False,
-    "IV": False,
+# The six cases in report order, each with whether it covers and the
+# certificate kinds that may back it.
+CASES: dict[CaseLabel, tuple[bool, tuple[str, ...]]] = {
+    "I": (True, ("keum-citation", "explicit-embedding")),
+    "II": (True, ("explicit-embedding",)),
+    "III-1": (True, ("explicit-embedding",)),
+    "III-2": (True, ("vinberg-witness",)),
+    "III-3": (False, ("exhaustive-absence",)),
+    "IV": (False, ("parity-obstruction",)),
 }
 
 
 def case_of(t: TranscendentalForm) -> tuple[CaseLabel, bool]:
     """Classification label for the form and whether a covering exists."""
-    coarse = parity_class(t)
-    if coarse != "III":
-        return coarse, _COVERS[coarse]
-    if not represents_one(BinaryForm(t.a, t.c, t.b)):
-        return "III-1", True
-    if t.delta in (4, 8, 16):
-        return "III-3", False
-    return "III-2", True
+    label = parity_class(t)
+    if label == "III":
+        if not represents_one(BinaryForm(t.a, t.c, t.b)):
+            label = "III-1"
+        elif t.delta in (4, 8, 16):
+            label = "III-3"
+        else:
+            label = "III-2"
+    return label, CASES[label][0]
 
 
 _IDENTITY = Sl2Matrix.identity()
@@ -131,34 +125,6 @@ _HYPERBOLIC = 4
 _E8_ZEROS = (0,) * (_AMBIENT_RANK - _HYPERBOLIC)
 
 
-def _rows(construction: str, t: TranscendentalForm) -> Rows:
-    """The construction's rows at t, widened by eight zero E8(2) columns."""
-    (u, v), _ = CONSTRUCTIONS[construction](t.a, t.b, t.c)
-    return u + _E8_ZEROS, v + _E8_ZEROS
-
-
-def case_ii_embedding(t: TranscendentalForm) -> Embedding:
-    """The written-down primitive embedding for c odd, ab even."""
-    if parity_class(t) != "II":
-        raise ValueError("this construction needs c odd and ab even")
-    return Embedding(
-        to_lattice(t),
-        standard_lattice("LambdaMinus"),
-        IntMatrix.from_rows(_rows("c-odd", t)),
-    )
-
-
-def case_iii_embedding(t: TranscendentalForm) -> Embedding:
-    """The written-down embedding for a, b odd and c even (normalize first)."""
-    if not (t.a % 2 == 1 and t.b % 2 == 1 and t.c % 2 == 0):
-        raise ValueError("this construction needs a, b odd and c even")
-    return Embedding(
-        to_lattice(t),
-        standard_lattice("LambdaMinus"),
-        IntMatrix.from_rows(_rows("c-even", t)),
-    )
-
-
 def _pair(x, y) -> int:
     """The U + U(2) pairing of the first four coordinates of x and y."""
     return x[0] * y[1] + x[1] * y[0] + 2 * (x[2] * y[3] + x[3] * y[2])
@@ -203,7 +169,7 @@ def _block_has_root(rows, basis) -> bool:
     return represents_one(BinaryForm(-p // 2, -q, -r // 2))
 
 
-def _embedding_defect(t: TranscendentalForm, rows, construction: str) -> str | None:
+def _embedding_defect(t: TranscendentalForm, rows, basis) -> str | None:
     """The first check that rows fail as an embedding of t into U + U(2) + E8(2).
 
     Returns "pullback", "primitive" or "root", or None for a valid, primitive
@@ -212,9 +178,9 @@ def _embedding_defect(t: TranscendentalForm, rows, construction: str) -> str | N
     VerificationError.  The 2 x 4 block is then checked in plain ints: the
     pullback against (2a, c, 2b), and primitivity as gcd 1 of the six 2 x 2
     minors, which also proves rank 2.  The complement is B + E8(2), and a
-    norm -2 vector lies wholly in B; the root check takes the closed-form B
-    of ``construction`` at t, and rows it is not the complement of (or an
-    unknown construction) raise VerificationError.
+    norm -2 vector lies wholly in B; the root check takes ``basis``, the
+    closed-form B of the named construction at t (None for an unknown
+    name), and rows it is not the complement of raise VerificationError.
     """
     u, v = rows
     if any(u[_HYPERBOLIC:]) or any(v[_HYPERBOLIC:]):
@@ -223,8 +189,6 @@ def _embedding_defect(t: TranscendentalForm, rows, construction: str) -> str | N
         return "pullback"
     if _minor_gcd(u, v) != 1:
         return "primitive"
-    build = CONSTRUCTIONS.get(construction) if isinstance(construction, str) else None
-    basis = None if build is None else build(t.a, t.b, t.c)[1]
     return "root" if _block_has_root(rows, basis) else None
 
 
@@ -243,10 +207,9 @@ class KeumCitation:
         return {"kind": self.kind, "halved": list(self.halved)}
 
     def replay(self, t: TranscendentalForm) -> None:
-        if any(x % 2 for x in t.triple()):
-            raise VerificationError("halving certificate on a form that is not all even")
-        if _ints("halved", self.halved, 3) != (t.a // 2, t.b // 2, t.c // 2):
-            raise VerificationError("halved form does not match the input")
+        a, b, c = _ints("halved", self.halved, 3)
+        if (2 * a, 2 * b, 2 * c) != (t.a, t.b, t.c):
+            raise VerificationError("halving certificate: twice the halved form is not the input")
 
 
 @dataclass(frozen=True)
@@ -291,7 +254,9 @@ class ExplicitEmbedding:
             raise VerificationError("malformed embedding certificate: matrix is not 2 x 12")
         if apply_basis_change(t, g).triple() != normalized.triple():
             raise VerificationError("recorded basis change does not reach the recorded form")
-        defect = _embedding_defect(normalized, rows, self.construction)
+        build = CONSTRUCTIONS.get(self.construction) if isinstance(self.construction, str) else None
+        basis = None if build is None else build(normalized.a, normalized.b, normalized.c)[1]
+        defect = _embedding_defect(normalized, rows, basis)
         if defect == "pullback":
             raise VerificationError("matrix does not pull the target form back to the source")
         if _int("minor_gcd", self.minor_gcd) != 1 or defect == "primitive":
@@ -372,26 +337,15 @@ class ParityObstruction:
 
     def replay(self, t: TranscendentalForm) -> None:
         norms = _ints("norms_mod_4", self.norms_mod_4, 2)
-        if norms != (2 * t.a % 4, 2 * t.b % 4):
-            raise VerificationError("recorded norm residues do not match the form")
-        if _int("pairing_mod_2", self.pairing_mod_2) != t.c % 2:
-            raise VerificationError("recorded pairing parity does not match the form")
-        if norms != (2, 2) or self.pairing_mod_2 != 1:
-            raise VerificationError("residues do not constitute an obstruction")
+        pairing = _int("pairing_mod_2", self.pairing_mod_2)
+        if norms != (2, 2) or pairing != 1 or (2 * t.a % 4, 2 * t.b % 4, t.c % 2) != (2, 2, 1):
+            raise VerificationError("recorded or recomputed norm residues and pairing parity"
+                                    " do not constitute an obstruction")
 
 
 Certificate = (
     KeumCitation | ExplicitEmbedding | VinbergWitness | ExhaustiveAbsence | ParityObstruction
 )
-
-_KINDS_FOR_CASE: dict[CaseLabel, tuple[str, ...]] = {
-    "I": ("keum-citation", "explicit-embedding"),
-    "II": ("explicit-embedding",),
-    "III-1": ("explicit-embedding",),
-    "III-2": ("vinberg-witness",),
-    "III-3": ("exhaustive-absence",),
-    "IV": ("parity-obstruction",),
-}
 
 
 def _is_int(x) -> bool:
@@ -528,8 +482,9 @@ def embedding_certificate(construction: str, normalized: TranscendentalForm,
     embedding, ``embedding_certificate("all-even", t)``, backs it as well and
     always fits: its -B/2 is (b, c, a), all even, so it never represents 1.
     """
-    rows = _rows(construction, normalized)
-    defect = _embedding_defect(normalized, rows, construction)
+    (u, v), basis = CONSTRUCTIONS[construction](normalized.a, normalized.b, normalized.c)
+    rows = u + _E8_ZEROS, v + _E8_ZEROS
+    defect = _embedding_defect(normalized, rows, basis)
     if defect is not None:
         raise VerificationError(f"BUG: {construction} construction fails the {defect} check")
     return ExplicitEmbedding(
@@ -588,7 +543,7 @@ def verify_classification(t: TranscendentalForm, cls: Classification) -> None:
         raise VerificationError("covering verdict disagrees with the recomputed case")
     if cls.delta != t.delta:
         raise VerificationError("recorded discriminant disagrees with the form")
-    if cls.certificate.kind not in _KINDS_FOR_CASE[label]:
+    if cls.certificate.kind not in CASES[label][1]:
         raise VerificationError(
             f"certificate kind {cls.certificate.kind!r} cannot back case {label!r}"
         )

@@ -25,7 +25,7 @@ from .errors import VerificationError
 from .intmat import IntMatrix, smith_invariant_factors
 from .lattices import TranscendentalForm
 
-CASE_ORDER = ("I", "II", "III-1", "III-2", "III-3", "IV")
+CASE_ORDER = tuple(classifier.CASES)
 
 
 def _json_line(data: dict[str, Any]) -> str:

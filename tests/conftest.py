@@ -13,13 +13,44 @@ from math import gcd
 from hypothesis import settings
 from hypothesis import strategies as st
 
+from k3cover.classifier import CONSTRUCTIONS, normalize_case_III
+from k3cover.embeddings import Embedding
 from k3cover.intmat import IntMatrix, rank, solve_left, xgcd
-from k3cover.lattices import Sl2Matrix
+from k3cover.lattices import (
+    Sl2Matrix,
+    TranscendentalForm,
+    parity_class,
+    standard_lattice,
+    to_lattice,
+)
 
 # Property tests replay the same examples on every run, like the seeded
 # tests, and keep no example database; big-integer examples have no deadline.
 settings.register_profile("k3cover", derandomize=True, database=None, deadline=None)
 settings.load_profile("k3cover")
+
+
+LAMBDA = standard_lattice("LambdaMinus")
+
+# CONSTRUCTIONS lists the constructions in the order of the parity classes
+# they serve: c odd (II), c even with a or b odd (III), all even (I)
+CONSTRUCTION_OF_PARITY = dict(zip(("II", "III", "I"), CONSTRUCTIONS))
+
+
+def construction_of(t: TranscendentalForm) -> str:
+    return CONSTRUCTION_OF_PARITY[parity_class(t)]
+
+
+def written_down_embedding(t: TranscendentalForm) -> Embedding | None:
+    """The construction of t's parity class, of the normalized form in case III,
+    as an `Embedding` into U + U(2) + E8(2) for the oracle stack; None in case IV."""
+    if parity_class(t) not in CONSTRUCTION_OF_PARITY:
+        return None
+    if parity_class(t) == "III":
+        t = normalize_case_III(t)
+    (u, v), _ = CONSTRUCTIONS[construction_of(t)](t.a, t.b, t.c)
+    zeros = (0,) * 8   # the E8(2) columns
+    return Embedding(to_lattice(t), LAMBDA, IntMatrix.from_rows([u + zeros, v + zeros]))
 
 
 def random_sl2(rng: random.Random, bound: int = 20) -> Sl2Matrix:

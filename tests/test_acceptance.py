@@ -11,13 +11,7 @@ from math import gcd
 
 import pytest
 
-from k3cover.classifier import (
-    case_ii_embedding,
-    case_iii_embedding,
-    case_of,
-    classify,
-    normalize_case_III,
-)
+from k3cover.classifier import case_of, classify
 from k3cover.embeddings import (
     Embedding,
     in_image,
@@ -47,9 +41,7 @@ from k3cover.vinberg import (
     slice_maximizer,
 )
 
-from conftest import random_full_rank, random_sl2
-
-LAMBDA = standard_lattice("LambdaMinus")
+from conftest import LAMBDA, random_full_rank, random_sl2, written_down_embedding
 
 GRID = [
     TranscendentalForm(a, b, c)
@@ -103,7 +95,7 @@ def test_criterion_02_case_ii_embeddings_are_root_free():
         if case_of(t)[0] != "II":
             continue
         checked += 1
-        e = case_ii_embedding(t)
+        e = written_down_embedding(t)
         assert validate(e)
         assert maximal_minor_gcd(e.matrix) == 1
         _, comp = orthogonal_complement(LAMBDA, e)
@@ -130,7 +122,7 @@ def test_criterion_03_case_iii_split_by_complement_roots():
         if label not in seen:
             continue
         seen[label] += 1
-        e = case_iii_embedding(normalize_case_III(t))
+        e = written_down_embedding(t)
         assert validate(e)
         assert is_primitive(e)
         _, comp = orthogonal_complement(LAMBDA, e)

@@ -12,7 +12,9 @@ from hypothesis import strategies as st
 
 from k3cover.classifier import (
     ABSENCE_SLICES,
+    CASES,
     CONSTRUCTIONS,
+    Certificate,
     Classification,
     ExhaustiveAbsence,
     ExplicitEmbedding,
@@ -20,8 +22,6 @@ from k3cover.classifier import (
     ParityObstruction,
     VinbergWitness,
     _block_has_root,
-    case_ii_embedding,
-    case_iii_embedding,
     case_of,
     certificate_from_dict,
     certify,
@@ -36,9 +36,7 @@ from k3cover.intmat import IntMatrix
 from k3cover.lattices import TranscendentalForm, apply_basis_change, standard_lattice
 from k3cover.shortvec import NormQuery, has_norm
 
-from conftest import random_sl2, sl2_matrices
-
-LAMBDA = standard_lattice("LambdaMinus")
+from conftest import LAMBDA, random_sl2, sl2_matrices, written_down_embedding
 
 FROZEN_CASES = {
     (2, 2, 2): ("I", True),
@@ -70,6 +68,12 @@ def _grid():
 def test_case_of_frozen():
     for triple, expected in FROZEN_CASES.items():
         assert case_of(TranscendentalForm(*triple)) == expected
+
+
+def test_case_table_names_exactly_the_certificate_kinds():
+    named = {kind for _, kinds in CASES.values() for kind in kinds}
+    assert named == {cert.kind for cert in Certificate.__args__}
+    assert len(Certificate.__args__) == 5
 
 
 def test_grid_case_structure():
@@ -134,7 +138,7 @@ def test_normalize_case_III():
 
 
 def test_embedding_constructors_frozen():
-    e = case_ii_embedding(TranscendentalForm(1, 2, 1))
+    e = written_down_embedding(TranscendentalForm(1, 2, 1))
     assert e.matrix.to_lists() == [
         [1, 1, -1, 0, 0, 0, 0, 0, 0, 0, 0, 0],
         [1, 2, 0, 1, 0, 0, 0, 0, 0, 0, 0, 0],
@@ -143,19 +147,12 @@ def test_embedding_constructors_frozen():
 
     n = normalize_case_III(TranscendentalForm(2, 3, 2))
     assert n.triple() == (15, 7, 20)
-    e = case_iii_embedding(n)
+    e = written_down_embedding(n)
     assert e.matrix.to_lists() == [
         [1, 15, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0],
         [1, 5, 1, 1, 0, 0, 0, 0, 0, 0, 0, 0],
     ]
     assert validate(e) and is_primitive(e)
-
-    with pytest.raises(ValueError):
-        case_ii_embedding(TranscendentalForm(1, 1, 0))
-    with pytest.raises(ValueError):
-        case_iii_embedding(TranscendentalForm(1, 2, 1))
-    with pytest.raises(ValueError):
-        case_iii_embedding(TranscendentalForm(2, 1, 0))   # a even: normalize first
 
 
 def test_embedding_constructors_on_samples():
@@ -167,18 +164,18 @@ def test_embedding_constructors_on_samples():
         label = case_of(t)[0]
         if label == "II" and seen["II"] < 12:
             seen["II"] += 1
-            e = case_ii_embedding(t)
+            e = written_down_embedding(t)
             assert validate(e) and is_primitive(e)
         elif label.startswith("III") and seen["III"] < 12:
             seen["III"] += 1
-            e = case_iii_embedding(normalize_case_III(t))
+            e = written_down_embedding(t)
             assert validate(e) and is_primitive(e)
     assert seen == {"II": 12, "III": 12}
 
 
 def test_complement_root_presence_separates_the_iii_branches():
     def complement_has_root(t):
-        e = case_iii_embedding(normalize_case_III(t))
+        e = written_down_embedding(t)
         _, comp = orthogonal_complement(LAMBDA, e)
         return has_norm(NormQuery(comp, -2))
 

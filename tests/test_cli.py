@@ -279,17 +279,20 @@ def test_verify_lemmas_rejects_bad_bounds(runner):
 
 def test_case_order_is_complete():
     assert set(CASE_ORDER) == {"I", "II", "III-1", "III-2", "III-3", "IV"}
+    assert CASE_ORDER == tuple(classifier.CASES)
 
 
 def test_cli_import_leaves_out_the_short_vector_search():
-    # the classifier's root check is a binary-form reduction; shortvec is
-    # the tests' oracle, not a dependency of the program
+    # the classifier's checks are closed forms and binary-form reduction;
+    # embeddings and shortvec are the tests' oracle stack, not dependencies
+    # of the program
     src = str(Path(k3cover.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": src}
-    code = "import sys, k3cover.cli; print('k3cover.shortvec' in sys.modules)"
+    code = ("import sys, k3cover.cli; "
+            "print([m for m in ('k3cover.embeddings', 'k3cover.shortvec') if m in sys.modules])")
     done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
                           timeout=60, check=True)
-    assert done.stdout.strip() == "False"
+    assert done.stdout.strip() == "[]"
 
 
 README = Path(__file__).resolve().parents[1] / "README.md"

@@ -32,7 +32,6 @@ from k3cover.classifier import (
     _is_block_basis,
     _normalize_with_transform,
     _pair,
-    _rows,
     case_of,
     certify,
     classify,
@@ -54,38 +53,17 @@ from k3cover.lattices import (
     apply_basis_change,
     inner_product,
     parity_class,
-    standard_lattice,
     to_lattice,
 )
 from k3cover.quadforms import BinaryForm, represents_one
 from k3cover.shortvec import NormQuery, enumerate_norm
 
-from conftest import random_sl2, sl2_matrices
-
-LAMBDA = standard_lattice("LambdaMinus")
-
-
-# CONSTRUCTIONS lists the constructions in the order of the parity classes
-# they serve: c odd (II), c even with a or b odd (III), all even (I)
-CONSTRUCTION_OF_PARITY = dict(zip(("II", "III", "I"), CONSTRUCTIONS))
+from conftest import LAMBDA, construction_of, random_sl2, sl2_matrices, written_down_embedding
 
 
 def table(construction: str, t: TranscendentalForm):
     """The construction's (rows, basis) at t, as the classifier's table gives them."""
     return CONSTRUCTIONS[construction](t.a, t.b, t.c)
-
-
-def construction_of(t: TranscendentalForm) -> str:
-    return CONSTRUCTION_OF_PARITY[parity_class(t)]
-
-
-def written_down_embedding(t: TranscendentalForm) -> Embedding | None:
-    """The construction of t's parity class, of the normalized form in case III."""
-    if parity_class(t) not in CONSTRUCTION_OF_PARITY:
-        return None
-    if parity_class(t) == "III":
-        t = normalize_case_III(t)
-    return Embedding(to_lattice(t), LAMBDA, IntMatrix.from_rows(_rows(construction_of(t), t)))
 
 
 def formula_basis(e: Embedding):
@@ -218,7 +196,7 @@ def test_block_defect_matches_the_general_path_on_the_box():
     defects = {}
     for e in box_embeddings(12):
         t, rows = source_form(e), e.matrix.entries
-        defect = _embedding_defect(t, rows, construction_of(t))
+        defect = _embedding_defect(t, rows, formula_basis(e))
         assert defect == oracle_defect(t, rows), t.triple()
         defects[defect] = defects.get(defect, 0) + 1
     assert defects == {None: 2498 - defects["root"], "root": defects["root"]}
@@ -233,7 +211,7 @@ def test_block_defect_matches_the_general_path_on_bumped_rows():
             for j in range(4):
                 rows = [list(row) for row in e.matrix.entries]
                 rows[i][j] += 1
-                defect = _embedding_defect(t, rows, construction_of(t))
+                defect = _embedding_defect(t, rows, formula_basis(e))
                 assert defect == oracle_defect(t, rows), (t.triple(), i, j)
                 defects[defect] = defects.get(defect, 0) + 1
     assert defects["pullback"] > 0.9 * sum(defects.values())
@@ -245,8 +223,8 @@ def test_block_defect_rejects_doubled_rows_as_not_primitive():
         small = source_form(e)
         t = TranscendentalForm(4 * small.a, 4 * small.b, 4 * small.c)
         rows = [[2 * x for x in row] for row in e.matrix.entries]
-        assert _embedding_defect(t, rows, construction_of(small)) == oracle_defect(t, rows) \
-            == "primitive"
+        basis = table(construction_of(small), t)[1]
+        assert _embedding_defect(t, rows, basis) == oracle_defect(t, rows) == "primitive"
         checked += 1
     assert checked > 300
 
@@ -301,7 +279,7 @@ def test_block_defect_on_coefficients_beyond_10_to_30():
     for t in forms:
         e = written_down_embedding(t)
         small, rows = source_form(e), e.matrix.entries
-        defect = _embedding_defect(small, rows, construction_of(small))
+        defect = _embedding_defect(small, rows, formula_basis(e))
         assert defect == oracle_defect(small, rows, hnf_block_has_root), t.triple()
         # the c-odd and c-even complements have a root exactly when case_of
         # says the form does not cover through this embedding
@@ -309,7 +287,7 @@ def test_block_defect_on_coefficients_beyond_10_to_30():
             assert (defect == "root") == (case_of(t)[0] in ("III-2", "III-3")), t.triple()
         bumped = [list(row) for row in rows]
         bumped[1][1] += 1
-        assert _embedding_defect(small, bumped, construction_of(small)) \
+        assert _embedding_defect(small, bumped, formula_basis(e)) \
             == oracle_defect(small, bumped) == "pullback"
         seen.add(defect)
     assert seen == {None, "root"}
@@ -355,12 +333,13 @@ def test_formula_complement_matches_the_kernel_search_property(construction, a, 
 
 def test_construction_table_knows_only_the_three_constructions():
     assert tuple(CONSTRUCTIONS) == ("c-odd", "c-even", "all-even")
+    # an unknown name has no basis: replay passes None, and the defect
+    # check refuses it (test_replay_rejects_an_unknown_construction)
     t = TranscendentalForm(2, 3, 1)
-    rows = _rows("c-odd", t)
-    assert _embedding_defect(t, rows, "c-odd") is None
-    for name in ("bogus", None, "C-ODD", ["c-odd"]):
-        with pytest.raises(VerificationError, match="construction"):
-            _embedding_defect(t, rows, name)
+    e = written_down_embedding(t)
+    assert _embedding_defect(t, e.matrix.entries, formula_basis(e)) is None
+    with pytest.raises(VerificationError, match="construction"):
+        _embedding_defect(t, e.matrix.entries, None)
 
 
 # Each construction's parity class, as (a, b, c) in terms of free integers
@@ -484,7 +463,7 @@ def test_replay_rejects_an_unknown_construction():
     # from_dict refuses the name; a record built directly reaches replay
     t = TranscendentalForm(2, 3, 1)
     cert = classify(t).certificate
-    for construction in ("bogus", None, "C-ODD"):
+    for construction in ("bogus", None, "C-ODD", ["c-odd"]):
         with pytest.raises(VerificationError, match="construction"):
             dataclasses.replace(cert, construction=construction).replay(t)
 

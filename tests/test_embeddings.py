@@ -30,9 +30,7 @@ from k3cover.lattices import (
     to_lattice,
 )
 
-from conftest import random_full_rank
-
-LAMBDA = standard_lattice("LambdaMinus")
+from conftest import LAMBDA, random_full_rank, written_down_embedding
 
 
 def _pad(row):
@@ -169,9 +167,7 @@ def test_orthogonal_complement_in_hyperbolic_plane():
 def test_complement_of_covering_embedding():
     """The complement of the written-down embedding for (1, 2, 1) is rank 10,
     negative definite, and every vector norm is divisible by 4."""
-    from k3cover.classifier import case_ii_embedding
-
-    e = case_ii_embedding(TranscendentalForm(1, 2, 1))
+    e = written_down_embedding(TranscendentalForm(1, 2, 1))
     _, comp = orthogonal_complement(LAMBDA, e)
     assert comp.rank == 10
     assert comp.signature() == (0, 10, 0)
