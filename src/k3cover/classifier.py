@@ -25,18 +25,19 @@ transcript, or the parity residues that make an embedding impossible.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import gcd
-from typing import Any, ClassVar
+from typing import Any
 
 from .errors import VerificationError
-from .lattices import Sl2Matrix, TranscendentalForm, apply_basis_change, parity_class
+from .lattices import Frozen, Sl2Matrix, TranscendentalForm, apply_basis_change, parity_class
 from .quadforms import BinaryForm, represents_one
 from .vinberg import ABSENT, in_P
 from .vinberg import norm as region_norm
 from .vinberg import search_norm, slice_norms
 
 CaseLabel = str
+
+_set = object.__setattr__
 
 # x0-slices that certificates of absence must search; beyond the last slice
 # the per-slice maximum norm stays below -14, out of reach of -1, -2, -4.
@@ -192,16 +193,18 @@ def _embedding_defect(t: TranscendentalForm, rows, basis) -> str | None:
     return "root" if _block_has_root(rows, basis) else None
 
 
-@dataclass(frozen=True)
-class KeumCitation:
+class KeumCitation(Frozen):
     """Covering certificate for all-even forms: the form is twice another.
 
     The replayed content is the halving itself; that a doubled form always
     covers is the classical theorem this certificate points to.
     """
 
-    kind: ClassVar[str] = "keum-citation"
-    halved: tuple[int, int, int]
+    __slots__ = ("halved",)
+    kind = "keum-citation"
+
+    def __init__(self, halved: tuple[int, int, int]) -> None:
+        _set(self, "halved", halved)
 
     def to_dict(self) -> dict[str, Any]:
         return {"kind": self.kind, "halved": list(self.halved)}
@@ -212,8 +215,7 @@ class KeumCitation:
             raise VerificationError("halving certificate: twice the halved form is not the input")
 
 
-@dataclass(frozen=True)
-class ExplicitEmbedding:
+class ExplicitEmbedding(Frozen):
     """A primitive embedding into U + U(2) + E8(2) with root-free complement.
 
     ``construction`` names the written-down embedding (a key of
@@ -224,13 +226,18 @@ class ExplicitEmbedding:
     closed-form complement makes the construction's name binding.
     """
 
-    kind: ClassVar[str] = "explicit-embedding"
-    construction: str
-    normalized: tuple[int, int, int]
-    basis_change: tuple[int, int, int, int]
-    matrix: tuple[tuple[int, ...], ...]
-    minor_gcd: int
-    minus_two: tuple[tuple[int, ...], ...]
+    __slots__ = ("construction", "normalized", "basis_change", "matrix", "minor_gcd", "minus_two")
+    kind = "explicit-embedding"
+
+    def __init__(self, construction: str, normalized: tuple[int, int, int],
+                 basis_change: tuple[int, int, int, int], matrix: Rows, minor_gcd: int,
+                 minus_two: Rows) -> None:
+        _set(self, "construction", construction)
+        _set(self, "normalized", normalized)
+        _set(self, "basis_change", basis_change)
+        _set(self, "matrix", matrix)
+        _set(self, "minor_gcd", minor_gcd)
+        _set(self, "minus_two", minus_two)
 
     def to_dict(self) -> dict[str, Any]:
         return {
@@ -265,13 +272,15 @@ class ExplicitEmbedding:
             raise VerificationError("orthogonal complement contains a norm -2 vector")
 
 
-@dataclass(frozen=True)
-class VinbergWitness:
+class VinbergWitness(Frozen):
     """A vector of norm -n in the region P of <-1> + <1>^10, n = delta/4."""
 
-    kind: ClassVar[str] = "vinberg-witness"
-    n: int
-    vector: tuple[int, ...]
+    __slots__ = ("n", "vector")
+    kind = "vinberg-witness"
+
+    def __init__(self, n: int, vector: tuple[int, ...]) -> None:
+        _set(self, "n", n)
+        _set(self, "vector", vector)
 
     def to_dict(self) -> dict[str, Any]:
         return {"kind": self.kind, "n": self.n, "vector": list(self.vector)}
@@ -289,17 +298,19 @@ class VinbergWitness:
             raise VerificationError("witness vector lies outside the region")
 
 
-@dataclass(frozen=True)
-class ExhaustiveAbsence:
+class ExhaustiveAbsence(Frozen):
     """No vector of norm -n in P, checked slice by slice (n in {1, 2, 4}).
 
     Slices past the recorded range cannot help: their maximum norm drops
     below every norm in question, so the finite transcript is conclusive.
     """
 
-    kind: ClassVar[str] = "exhaustive-absence"
-    n: int
-    slices: tuple[int, ...]
+    __slots__ = ("n", "slices")
+    kind = "exhaustive-absence"
+
+    def __init__(self, n: int, slices: tuple[int, ...]) -> None:
+        _set(self, "n", n)
+        _set(self, "slices", slices)
 
     def to_dict(self) -> dict[str, Any]:
         return {"kind": self.kind, "n": self.n, "slices": list(self.slices)}
@@ -316,17 +327,19 @@ class ExhaustiveAbsence:
                 raise VerificationError(f"slice {m} contains a vector of norm {-self.n}")
 
 
-@dataclass(frozen=True)
-class ParityObstruction:
+class ParityObstruction(Frozen):
     """All of a, b, c odd: no primitive embedding avoids the parity clash.
 
     Any vectors of norms 2a and 2b, both 2 mod 4, must each use both
     hyperbolic coordinates oddly, forcing an even pairing; c is odd.
     """
 
-    kind: ClassVar[str] = "parity-obstruction"
-    norms_mod_4: tuple[int, int]
-    pairing_mod_2: int
+    __slots__ = ("norms_mod_4", "pairing_mod_2")
+    kind = "parity-obstruction"
+
+    def __init__(self, norms_mod_4: tuple[int, int], pairing_mod_2: int) -> None:
+        _set(self, "norms_mod_4", norms_mod_4)
+        _set(self, "pairing_mod_2", pairing_mod_2)
 
     def to_dict(self) -> dict[str, Any]:
         return {
@@ -437,12 +450,18 @@ def _check_fields(case, covers, delta) -> None:
         raise VerificationError(f"delta must be an integer, not {delta!r}")
 
 
-@dataclass(frozen=True)
-class Classification:
-    case_label: CaseLabel
-    covers: bool
-    delta: int
-    certificate: Certificate
+class Classification(Frozen):
+    """A form's case label, covering verdict and discriminant, with the
+    certificate that backs them."""
+
+    __slots__ = ("case_label", "covers", "delta", "certificate")
+
+    def __init__(self, case_label: CaseLabel, covers: bool, delta: int,
+                 certificate: Certificate) -> None:
+        _set(self, "case_label", case_label)
+        _set(self, "covers", covers)
+        _set(self, "delta", delta)
+        _set(self, "certificate", certificate)
 
     def to_dict(self) -> dict[str, Any]:
         return {

@@ -11,18 +11,15 @@ Exit codes: 0 success, 1 invalid input, 2 verification failure.
 
 from __future__ import annotations
 
+import argparse
 import json
 import os
 import sys
-from random import Random
 from typing import Any
-
-import click
 
 from . import classifier, vinberg
 from .classifier import classify, verify_classification
 from .errors import VerificationError
-from .intmat import IntMatrix, smith_invariant_factors
 from .lattices import TranscendentalForm
 
 CASE_ORDER = tuple(classifier.CASES)
@@ -33,35 +30,10 @@ def _json_line(data: dict[str, Any]) -> str:
 
 
 def _fail(message: str, code: int) -> None:
-    click.echo(f"error: {message}", err=True)
+    print(f"error: {message}", file=sys.stderr)
     sys.exit(code)
 
 
-@click.group()
-def main() -> None:
-    """Decide which singular K3 surfaces doubly cover an Enriques surface.
-
-    A surface is given by the coefficients (a, b, c) of its transcendental
-    lattice [[2a, c], [c, 2b]]; every verdict ships with a certificate that
-    can be replayed independently.
-    """
-    # Coefficients and certificate entries may pass CPython's default limit
-    # of 4 300 digits for int <-> str; click parses the subcommand's options
-    # after this callback.  Versions before 3.10.7 have no limit to lift.
-    lift = getattr(sys, "set_int_max_str_digits", None)
-    if lift is not None:
-        lift(0)
-
-
-@main.command("classify")
-@click.option("--a", "a", type=int, default=None, help="Half the first diagonal entry.")
-@click.option("--b", "b", type=int, default=None, help="Half the second diagonal entry.")
-@click.option("--c", "c", type=int, default=None, help="The off-diagonal entry.")
-@click.option("--gram", "gram", default=None, metavar="D1,C,D2",
-              help="Raw Gram entries instead of --a/--b/--c; diagonal must be even.")
-@click.option("--json", "as_json", is_flag=True, help="Emit the full record as JSON.")
-@click.option("--verify", "do_verify", is_flag=True,
-              help="Replay the certificate before printing (exit 2 on failure).")
 def classify_cmd(a: int | None, b: int | None, c: int | None, gram: str | None,
                  as_json: bool, do_verify: bool) -> None:
     """Classify a single form and print its verdict."""
@@ -93,10 +65,10 @@ def classify_cmd(a: int | None, b: int | None, c: int | None, gram: str | None,
     if as_json:
         payload: dict[str, Any] = {"input": {"a": form.a, "b": form.b, "c": form.c}}
         payload.update(result.to_dict())
-        click.echo(_json_line(payload))
+        print(_json_line(payload))
     else:
         verdict = "covers" if result.covers else "does not cover"
-        click.echo(f"case {result.case_label}: {verdict}")
+        print(f"case {result.case_label}: {verdict}")
 
 
 def _scan_worker(triple: tuple[int, int, int]) -> tuple[str, str]:
@@ -122,13 +94,6 @@ def _worker_count(n_tasks: int) -> int:
     return max(1, min(limit, n_tasks // 16))
 
 
-@main.command("scan")
-@click.option("--a-max", type=int, required=True, help="Scan a = 1 .. a-max.")
-@click.option("--b-max", type=int, required=True, help="Scan b = 1 .. b-max.")
-@click.option("--c-min", type=int, required=True, help="Lower end of the c range.")
-@click.option("--c-max", type=int, required=True, help="Upper end of the c range.")
-@click.option("--out", default="-", metavar="PATH",
-              help="Output file for the JSON lines ('-' for stdout).")
 def scan_cmd(a_max: int, b_max: int, c_min: int, c_max: int, out: str) -> None:
     """Classify every positive definite form in a coefficient box.
 
@@ -169,7 +134,7 @@ def scan_cmd(a_max: int, b_max: int, c_min: int, c_max: int, out: str) -> None:
         if handle is not sys.stdout:
             handle.close()
     tally = " ".join(f"{label}={counts[label]}" for label in CASE_ORDER)
-    click.echo(f"scanned {len(triples)} forms: {tally}", err=True)
+    print(f"scanned {len(triples)} forms: {tally}", file=sys.stderr)
 
 
 def _check_family_coverage(n_max: int) -> str:
@@ -221,6 +186,10 @@ def _check_primitivity_snf(samples: int = 1000) -> str:
     # the primitivity test explicit-embedding replay runs: the gcd of the
     # 2 x 2 minors of a 2 x 4 block is d1 * d2 of its Smith form, and 0 below
     # rank 2, which every fourth block is by construction
+    from random import Random
+
+    from .intmat import IntMatrix, smith_invariant_factors
+
     rng = Random(1105)
     deficient = 0
     for i in range(samples):
@@ -234,11 +203,6 @@ def _check_primitivity_snf(samples: int = 1000) -> str:
     return f"{samples} blocks checked, {deficient} of rank below 2"
 
 
-@main.command("verify-lemmas")
-@click.option("--n-max", type=int, default=200, show_default=True,
-              help="Witness every admissible norm -n for n up to this bound.")
-@click.option("--slice-max", type=int, default=14, show_default=True,
-              help="Enumerate region slices with x0 up to this bound.")
 def verify_lemmas_cmd(n_max: int, slice_max: int) -> None:
     """Re-derive the tabulated facts behind the classifier; exit 2 on any failure."""
     if n_max < 3:
@@ -257,11 +221,79 @@ def verify_lemmas_cmd(n_max: int, slice_max: int) -> None:
             detail = check()
         except Exception as exc:  # noqa: BLE001 - any breakage must turn the row red
             failed = True
-            click.echo(f"{name:<20} FAIL  {exc}")
+            print(f"{name:<20} FAIL  {exc}")
         else:
-            click.echo(f"{name:<20} pass  {detail}")
+            print(f"{name:<20} pass  {detail}")
     if failed:
         sys.exit(2)
+
+
+class _Parser(argparse.ArgumentParser):
+    """Options must be spelled in full, and a usage error is invalid input:
+    `error: ...` on stderr, exit 1."""
+
+    def __init__(self, **kwargs: Any) -> None:
+        super().__init__(allow_abbrev=False, **kwargs)
+
+    def error(self, message: str) -> None:
+        _fail(message, 1)
+
+
+def _parser() -> argparse.ArgumentParser:
+    parser = _Parser(
+        prog="k3cover",
+        description="Decide which singular K3 surfaces doubly cover an Enriques surface.  "
+                    "A surface is given by the coefficients (a, b, c) of its transcendental "
+                    "lattice [[2a, c], [c, 2b]]; every verdict ships with a certificate that "
+                    "can be replayed independently.")
+    commands = parser.add_subparsers(required=True, metavar="COMMAND")
+
+    cmd = commands.add_parser("classify", help="Classify a single form and print its verdict.")
+    cmd.add_argument("--a", type=int, help="Half the first diagonal entry.")
+    cmd.add_argument("--b", type=int, help="Half the second diagonal entry.")
+    cmd.add_argument("--c", type=int, help="The off-diagonal entry.")
+    cmd.add_argument("--gram", metavar="D1,C,D2",
+                     help="Raw Gram entries instead of --a/--b/--c; diagonal must be even.")
+    cmd.add_argument("--json", dest="as_json", action="store_true",
+                     help="Emit the full record as JSON.")
+    cmd.add_argument("--verify", dest="do_verify", action="store_true",
+                     help="Replay the certificate before printing (exit 2 on failure).")
+    cmd.set_defaults(run=classify_cmd)
+
+    cmd = commands.add_parser(
+        "scan", help="Classify every positive definite form in a coefficient box.",
+        description=scan_cmd.__doc__)
+    cmd.add_argument("--a-max", type=int, required=True, help="Scan a = 1 .. a-max.")
+    cmd.add_argument("--b-max", type=int, required=True, help="Scan b = 1 .. b-max.")
+    cmd.add_argument("--c-min", type=int, required=True, help="Lower end of the c range.")
+    cmd.add_argument("--c-max", type=int, required=True, help="Upper end of the c range.")
+    cmd.add_argument("--out", default="-", metavar="PATH",
+                     help="Output file for the JSON lines ('-' for stdout).")
+    cmd.set_defaults(run=scan_cmd)
+
+    cmd = commands.add_parser(
+        "verify-lemmas", help="Re-derive the tabulated facts behind the classifier; "
+                              "exit 2 on any failure.")
+    cmd.add_argument("--n-max", type=int, default=200,
+                     help="Witness every admissible norm -n for n up to this bound "
+                          "(default: %(default)s).")
+    cmd.add_argument("--slice-max", type=int, default=14,
+                     help="Enumerate region slices with x0 up to this bound "
+                          "(default: %(default)s).")
+    cmd.set_defaults(run=verify_lemmas_cmd)
+    return parser
+
+
+def main(argv: list[str] | None = None) -> None:
+    """Run one subcommand; `argv` defaults to the process's arguments."""
+    # Coefficients and certificate entries may pass CPython's default limit
+    # of 4 300 digits for int <-> str, so it is lifted before any option is
+    # parsed.  Versions before 3.10.7 have no limit to lift.
+    lift = getattr(sys, "set_int_max_str_digits", None)
+    if lift is not None:
+        lift(0)
+    args = vars(_parser().parse_args(argv))
+    args.pop("run")(**args)
 
 
 if __name__ == "__main__":

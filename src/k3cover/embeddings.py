@@ -15,8 +15,16 @@ from itertools import combinations
 from math import gcd
 
 from .errors import VerificationError
-from .intmat import IntMatrix, hnf, left_kernel, maximal_minor_gcd as _matrix_minor_gcd, rank, solve_left
-from .lattices import IntegralLattice, inner_product, primitive_vector
+from .intmat import (
+    IntegralLattice,
+    IntMatrix,
+    inner_product,
+    left_kernel,
+    maximal_minor_gcd as _matrix_minor_gcd,
+    primitive_vector,
+    rank,
+    solve_left,
+)
 
 
 @dataclass(frozen=True)

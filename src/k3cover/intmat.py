@@ -1,17 +1,30 @@
-"""Exact integer matrix algebra.
+"""Exact integer matrix algebra, and the integral lattices built on it.
 
 Everything here runs on arbitrary-precision Python ints (plus Fraction for
-the one rational solve).  No floating point anywhere: determinants, Hermite
-and Smith forms, kernels and adjugates are computed exactly, so the
-certificate machinery built on top can be replayed bit for bit.
+the one rational solve and the signature).  No floating point anywhere:
+determinants, Hermite and Smith forms, kernels and adjugates are computed
+exactly, so the certificate machinery built on top can be replayed bit for
+bit.
+
+The Gram-matrix layer at the end gives integral lattices and the ambient
+lattice of every covering question here, the even lattice of signature
+(2,10) built as U + U(2) + E8(2), with basis ordered (u1, u2 | v1, v2 |
+e1..e8).  U is the hyperbolic plane, U(2) the same with the form doubled,
+and E8(2) the negative definite E8 lattice with the form doubled
+(Cartan-matrix basis, negated, scaled by 2).  The classifier needs none of
+this; it is the ground the tests' oracle stack (`embeddings`, `shortvec`)
+stands on.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from itertools import combinations
 from math import gcd
+
+from .lattices import TranscendentalForm
 
 
 def xgcd(a: int, b: int) -> tuple[int, int, int]:
@@ -329,3 +342,137 @@ def smith_invariant_factors(a: IntMatrix) -> tuple[int, ...]:
         factors.append(abs(m[top][top]))
         top += 1
     return tuple(factors)
+
+
+@dataclass(frozen=True)
+class IntegralLattice:
+    """Free Z-module of finite rank with an integral symmetric bilinear form."""
+
+    rank: int
+    gram: IntMatrix
+
+    def __post_init__(self) -> None:
+        if self.gram.rows != self.rank or self.gram.cols != self.rank:
+            raise ValueError("gram matrix shape does not match rank")
+        if not self.gram.is_symmetric():
+            raise ValueError("gram matrix must be symmetric")
+
+    @classmethod
+    def from_gram_rows(cls, rows) -> "IntegralLattice":
+        g = IntMatrix.from_rows(rows)
+        return cls(g.rows, g)
+
+    def det(self) -> int:
+        return self.gram.det()
+
+    def is_even(self) -> bool:
+        return all(self.gram.entries[i][i] % 2 == 0 for i in range(self.rank))
+
+    def signature(self) -> tuple[int, int, int]:
+        """(positive, negative, zero) counts of a rational diagonalization."""
+        return _signature(self.gram)
+
+
+def inner_product(lattice: IntegralLattice, u, v) -> int:
+    """Bilinear form value u . v in the given lattice."""
+    u, v = tuple(u), tuple(v)
+    if len(u) != lattice.rank or len(v) != lattice.rank:
+        raise ValueError("vector length does not match lattice rank")
+    g = lattice.gram.entries
+    return sum(u[i] * sum(g[i][j] * v[j] for j in range(lattice.rank))
+               for i in range(lattice.rank))
+
+
+def direct_sum(a: IntegralLattice, b: IntegralLattice) -> IntegralLattice:
+    n, m = a.rank, b.rank
+    rows = []
+    for i in range(n):
+        rows.append(tuple(a.gram.entries[i]) + (0,) * m)
+    for i in range(m):
+        rows.append((0,) * n + tuple(b.gram.entries[i]))
+    return IntegralLattice(n + m, IntMatrix.from_rows(rows) if rows else IntMatrix(0, 0, ()))
+
+
+def _signature(gram: IntMatrix) -> tuple[int, int, int]:
+    """Signature by exact symmetric Gaussian diagonalization over Q."""
+    n = gram.rows
+    m = [[Fraction(x) for x in row] for row in gram.entries]
+    pos = neg = zero = 0
+    for k in range(n):
+        if m[k][k] == 0:
+            # bring a nonzero diagonal entry into position k if possible
+            swap = next((i for i in range(k + 1, n) if m[i][i] != 0), None)
+            if swap is not None:
+                m[k], m[swap] = m[swap], m[k]
+                for row in m:
+                    row[k], row[swap] = row[swap], row[k]
+            else:
+                off = next((j for j in range(k + 1, n) if m[k][j] != 0), None)
+                if off is None:
+                    zero += 1
+                    continue
+                # m[k][k] = m[off][off] = 0, m[k][off] != 0: fold row/col `off` in
+                for j in range(n):
+                    m[k][j] += m[off][j]
+                for i in range(n):
+                    m[i][k] += m[i][off]
+        p = m[k][k]
+        if p > 0:
+            pos += 1
+        else:
+            neg += 1
+        # row-eliminate below the pivot; the matching column operations then
+        # only zero out row k, leaving the symmetric Schur complement
+        for i in range(k + 1, n):
+            if m[i][k] != 0:
+                f = m[i][k] / p
+                for j in range(k, n):
+                    m[i][j] -= f * m[k][j]
+        for j in range(k + 1, n):
+            m[k][j] = Fraction(0)
+    return pos, neg, zero
+
+
+_E8_EDGES = ((0, 2), (2, 3), (3, 4), (4, 5), (5, 6), (6, 7), (1, 3))
+
+
+def _e8_doubled_gram() -> IntMatrix:
+    # negative definite E8 with the form scaled by 2: diagonal -4,
+    # off-diagonal +2 along the Dynkin adjacency
+    g = [[0] * 8 for _ in range(8)]
+    for i in range(8):
+        g[i][i] = -4
+    for i, j in _E8_EDGES:
+        g[i][j] = g[j][i] = 2
+    return IntMatrix.from_rows(g)
+
+
+def hyperbolic_plane(scale: int = 1) -> IntegralLattice:
+    return IntegralLattice.from_gram_rows([[0, scale], [scale, 0]])
+
+
+@cache
+def standard_lattice(name: str) -> IntegralLattice:
+    """Named building blocks: U, U2, E8_2 and their sum LambdaMinus (built once each)."""
+    if name == "U":
+        return hyperbolic_plane(1)
+    if name == "U2":
+        return hyperbolic_plane(2)
+    if name == "E8_2":
+        return IntegralLattice(8, _e8_doubled_gram())
+    if name == "LambdaMinus":
+        return direct_sum(direct_sum(hyperbolic_plane(1), hyperbolic_plane(2)),
+                          IntegralLattice(8, _e8_doubled_gram()))
+    raise ValueError(f"unknown lattice name: {name!r}")
+
+
+def to_lattice(t: TranscendentalForm) -> IntegralLattice:
+    return IntegralLattice.from_gram_rows([[2 * t.a, t.c], [t.c, 2 * t.b]])
+
+
+def primitive_vector(v) -> bool:
+    """True when the integer vector has coprime entries."""
+    g = 0
+    for x in v:
+        g = gcd(g, x)
+    return g == 1

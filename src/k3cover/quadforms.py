@@ -13,24 +13,24 @@ each, at the end.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from .lattices import Frozen, Sl2Matrix
 
-from .lattices import Sl2Matrix
+_set = object.__setattr__
 
 
-@dataclass(frozen=True)
-class BinaryForm:
+class BinaryForm(Frozen):
     """p x^2 + q x y + r y^2 with p > 0 and negative discriminant."""
 
-    p: int
-    q: int
-    r: int
+    __slots__ = ("p", "q", "r")
 
-    def __post_init__(self) -> None:
-        if self.p <= 0:
+    def __init__(self, p: int, q: int, r: int) -> None:
+        if p <= 0:
             raise ValueError("leading coefficient must be positive")
-        if self.discriminant >= 0:
+        if q * q - 4 * p * r >= 0:
             raise ValueError("form must be positive definite (q^2 - 4pr < 0)")
+        _set(self, "p", p)
+        _set(self, "q", q)
+        _set(self, "r", r)
 
     @property
     def discriminant(self) -> int:

@@ -27,8 +27,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt
 
-from .intmat import IntMatrix
-from .lattices import IntegralLattice
+from .intmat import IntegralLattice, IntMatrix
 
 NORM_CEILING = 64
 

@@ -1,28 +1,29 @@
-"""Shared construction helpers for the test suite.
+"""Shared construction helpers for the test suite, and the CLI runner.
 
 Plain functions rather than fixtures: every test seeds its own RNG, so
-runs are reproducible and tests stay order-independent.
+runs are reproducible and tests stay order-independent.  The one fixture,
+`runner`, drives `k3cover.cli.main` in-process.
 """
 
 from __future__ import annotations
 
+import io
 import itertools
+import os
 import random
+from contextlib import redirect_stderr, redirect_stdout
 from math import gcd
+from types import SimpleNamespace
+from unittest.mock import patch
 
+import pytest
 from hypothesis import settings
 from hypothesis import strategies as st
 
 from k3cover.classifier import CONSTRUCTIONS, normalize_case_III
 from k3cover.embeddings import Embedding
-from k3cover.intmat import IntMatrix, rank, solve_left, xgcd
-from k3cover.lattices import (
-    Sl2Matrix,
-    TranscendentalForm,
-    parity_class,
-    standard_lattice,
-    to_lattice,
-)
+from k3cover.intmat import IntMatrix, rank, solve_left, standard_lattice, to_lattice, xgcd
+from k3cover.lattices import Sl2Matrix, TranscendentalForm, parity_class
 
 # Property tests replay the same examples on every run, like the seeded
 # tests, and keep no example database; big-integer examples have no deadline.
@@ -31,6 +32,48 @@ settings.load_profile("k3cover")
 
 
 LAMBDA = standard_lattice("LambdaMinus")
+
+
+def replace(value, **changes):
+    """A copy of a k3cover value object with the named fields changed."""
+    fields = {name: getattr(value, name) for name in type(value).__slots__}
+    return type(value)(**{**fields, **changes})
+
+
+class _Capture(io.StringIO):
+    """One output stream that also copies what it is given into `mixed`."""
+
+    def __init__(self, mixed: io.StringIO) -> None:
+        super().__init__()
+        self._mixed = mixed
+
+    def write(self, text: str) -> int:
+        self._mixed.write(text)
+        return super().write(text)
+
+
+class Runner:
+    """Runs a command line entry point in-process with captured output."""
+
+    def invoke(self, main, args, env=None) -> SimpleNamespace:
+        """Call ``main(args)`` with ``env`` laid over os.environ.  SystemExit
+        becomes ``exit_code``; ``output`` interleaves stdout and stderr."""
+        mixed = io.StringIO()
+        out, err = _Capture(mixed), _Capture(mixed)
+        code = 0
+        with patch.dict(os.environ, env or {}), redirect_stdout(out), redirect_stderr(err):
+            try:
+                main(list(args))
+            except SystemExit as exc:
+                code = 0 if exc.code is None else exc.code
+        return SimpleNamespace(exit_code=code, stdout=out.getvalue(), stderr=err.getvalue(),
+                               output=mixed.getvalue())
+
+
+@pytest.fixture()
+def runner() -> Runner:
+    return Runner()
+
 
 # CONSTRUCTIONS lists the constructions in the order of the parity classes
 # they serve: c odd (II), c even with a or b odd (III), all even (I)

@@ -22,14 +22,15 @@ from k3cover.embeddings import (
     validate,
     verify_torsion_witness,
 )
-from k3cover.intmat import IntMatrix, maximal_minor_gcd, smith_invariant_factors
-from k3cover.lattices import (
+from k3cover.intmat import (
     IntegralLattice,
-    TranscendentalForm,
-    apply_basis_change,
+    IntMatrix,
     inner_product,
+    maximal_minor_gcd,
+    smith_invariant_factors,
     standard_lattice,
 )
+from k3cover.lattices import TranscendentalForm, apply_basis_change
 from k3cover.quadforms import BinaryForm, represents_one
 from k3cover.shortvec import NormQuery, enumerate_by_norm, enumerate_norm
 from k3cover.vinberg import (

@@ -1,6 +1,5 @@
 """The six-way classification and its replayable certificates."""
 
-import dataclasses
 import json
 import math
 import random
@@ -32,11 +31,11 @@ from k3cover.classifier import (
 )
 from k3cover.embeddings import Embedding, is_primitive, orthogonal_complement, validate
 from k3cover.errors import VerificationError
-from k3cover.intmat import IntMatrix
-from k3cover.lattices import TranscendentalForm, apply_basis_change, standard_lattice
+from k3cover.intmat import IntMatrix, standard_lattice
+from k3cover.lattices import TranscendentalForm, apply_basis_change
 from k3cover.shortvec import NormQuery, has_norm
 
-from conftest import LAMBDA, random_sl2, sl2_matrices, written_down_embedding
+from conftest import LAMBDA, random_sl2, replace, sl2_matrices, written_down_embedding
 
 FROZEN_CASES = {
     (2, 2, 2): ("I", True),
@@ -320,7 +319,7 @@ def test_mismatched_classification_fields():
 
 def _all_even_classification(t: TranscendentalForm) -> Classification:
     """The case I classification of t, backed by the all-even embedding."""
-    return dataclasses.replace(classify(t), certificate=embedding_certificate("all-even", t))
+    return replace(classify(t), certificate=embedding_certificate("all-even", t))
 
 
 def test_all_even_embedding_backs_every_all_even_form():
@@ -343,7 +342,7 @@ def test_all_even_embedding_backs_every_all_even_form():
 
 def _replay_tampered_embedding(**changes) -> None:
     t = TranscendentalForm(1, 2, 1)
-    dataclasses.replace(classify(t).certificate, **changes).replay(t)
+    replace(classify(t).certificate, **changes).replay(t)
 
 
 def test_replay_rejects_a_one_row_matrix():
@@ -415,7 +414,7 @@ REPLAY_GUARD_PROBES = [
     ((1, 3, 2), ParityObstruction((2, 2), 1).replay, "pairing parity"),
     ((2, 1, 1), ParityObstruction((0, 2), 1).replay, "do not constitute"),
     ((1, 2, 1), lambda t: verify_classification(
-        t, dataclasses.replace(classify(t), case_label="IV")),
+        t, replace(classify(t), case_label="IV")),
      "disagrees with recomputed"),
     ((1, 3, 0), lambda t: verify_classification(
         t, Classification("III-2", True, 12, ParityObstruction((2, 2), 1))),
@@ -443,9 +442,9 @@ _COERCED_PROBES = {
     "witness vector dict": ((1, 344, 0), VinbergWitness(
         344, dict.fromkeys((27, 10, 9, 8, 7, 6, 5, 4, 3, 2, 1))).replay),
     "delta 4.0": ((1, 1, 0), lambda t: verify_classification(
-        t, dataclasses.replace(classify(t), delta=4.0))),
+        t, replace(classify(t), delta=4.0))),
     "covers 0": ((1, 1, 0), lambda t: verify_classification(
-        t, dataclasses.replace(classify(t), covers=0))),
+        t, replace(classify(t), covers=0))),
     "minor_gcd True": ((1, 2, 1), lambda t: _replay_tampered_embedding(minor_gcd=True)),
     "normalized 1.0": ((1, 2, 1), lambda t: _replay_tampered_embedding(normalized=(1.0, 2, 1))),
     "basis_change 1.0": ((1, 2, 1), lambda t: _replay_tampered_embedding(

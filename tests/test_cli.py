@@ -9,18 +9,12 @@ import sys
 from pathlib import Path
 
 import pytest
-from click.testing import CliRunner
 
 import k3cover
 from k3cover import classifier, vinberg
 from k3cover.cli import CASE_ORDER, _scan_worker, main
 from k3cover.classifier import Classification, case_of, verify_classification
 from k3cover.lattices import TranscendentalForm
-
-
-@pytest.fixture()
-def runner():
-    return CliRunner()
 
 
 @pytest.fixture(autouse=True)
@@ -87,6 +81,28 @@ def test_classify_rejects_bad_input(runner):
         result = runner.invoke(main, args)
         assert result.exit_code == 1, args
         assert result.stderr.startswith("error:"), args
+
+
+@pytest.mark.parametrize("args", [
+    ["classify", "--a", "abc", "--b", "1", "--c", "0"],
+    ["classify", "--a", "1", "--b", "1", "--c", "0", "--colour"],
+    ["scan", "--a-max", "1", "--c-min", "0", "--c-max", "1"],
+    ["colour"],
+], ids=["not-an-int", "unknown-option", "missing-option", "unknown-subcommand"])
+def test_usage_errors_exit_1(runner, args):
+    # a malformed call is invalid input (1), never a failed replay (2)
+    result = runner.invoke(main, args)
+    assert result.exit_code == 1
+    assert result.stderr.startswith("error:")
+    assert result.stdout == ""
+
+
+@pytest.mark.parametrize("args", [[], ["classify"], ["scan"], ["verify-lemmas"]],
+                         ids=["main", "classify", "scan", "verify-lemmas"])
+def test_help_exits_0(runner, args):
+    result = runner.invoke(main, args + ["--help"])
+    assert result.exit_code == 0
+    assert result.stdout.startswith("usage: k3cover")
 
 
 def test_classify_round_trips_a_2500_digit_form(runner):
@@ -282,17 +298,27 @@ def test_case_order_is_complete():
     assert CASE_ORDER == tuple(classifier.CASES)
 
 
+# modules no classify, scan or replay runs: the tests' oracle stack and
+# the standard library modules that only cost start-up
+OFF_THE_CLASSIFY_PATH = {"click", "dataclasses", "inspect", "fractions", "decimal",
+                         "k3cover.intmat", "k3cover.embeddings", "k3cover.shortvec"}
+
+
 def test_cli_import_leaves_out_the_short_vector_search():
     # the classifier's checks are closed forms and binary-form reduction;
-    # embeddings and shortvec are the tests' oracle stack, not dependencies
-    # of the program
+    # embeddings, shortvec and the matrix layer under them are the tests'
+    # oracle stack, not dependencies of the program.  Only the modules the
+    # import adds count, not those the interpreter's start-up already loaded.
     src = str(Path(k3cover.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": src}
-    code = ("import sys, k3cover.cli; "
-            "print([m for m in ('k3cover.embeddings', 'k3cover.shortvec') if m in sys.modules])")
-    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
-                          timeout=60, check=True)
-    assert done.stdout.strip() == "[]"
+    for target in ("k3cover.cli", "k3cover.classifier, k3cover.lattices"):
+        code = ("import json, sys; before = set(sys.modules); import " + target + "; "
+                "print(json.dumps(sorted(set(sys.modules) - before)))")
+        done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                              text=True, timeout=60, check=True)
+        added = set(json.loads(done.stdout))
+        assert "k3cover.classifier" in added, target
+        assert added & OFF_THE_CLASSIFY_PATH == set(), target
 
 
 README = Path(__file__).resolve().parents[1] / "README.md"

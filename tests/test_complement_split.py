@@ -13,7 +13,6 @@ bases are checked against that enumeration on the box and against the
 Hermite kernel of the block for coefficients beyond 10^30.
 """
 
-import dataclasses
 import itertools
 import json
 import random
@@ -47,18 +46,19 @@ from k3cover.embeddings import (
     validate,
 )
 from k3cover.errors import VerificationError
-from k3cover.intmat import IntMatrix, left_kernel
-from k3cover.lattices import (
-    TranscendentalForm,
-    apply_basis_change,
-    inner_product,
-    parity_class,
-    to_lattice,
-)
+from k3cover.intmat import IntMatrix, inner_product, left_kernel, to_lattice
+from k3cover.lattices import TranscendentalForm, apply_basis_change, parity_class
 from k3cover.quadforms import BinaryForm, represents_one
 from k3cover.shortvec import NormQuery, enumerate_norm
 
-from conftest import LAMBDA, construction_of, random_sl2, sl2_matrices, written_down_embedding
+from conftest import (
+    LAMBDA,
+    construction_of,
+    random_sl2,
+    replace,
+    sl2_matrices,
+    written_down_embedding,
+)
 
 
 def table(construction: str, t: TranscendentalForm):
@@ -234,7 +234,7 @@ def test_replay_rejects_doubled_rows_for_four_times_the_form(triple):
     small = TranscendentalForm(*triple)
     cert = classify(small).certificate
     big = TranscendentalForm(*(4 * x for x in triple))
-    doubled = dataclasses.replace(
+    doubled = replace(
         cert, normalized=tuple(4 * x for x in cert.normalized),
         matrix=tuple(tuple(2 * x for x in row) for row in cert.matrix))
     with pytest.raises(VerificationError, match="not primitive"):
@@ -465,7 +465,7 @@ def test_replay_rejects_an_unknown_construction():
     cert = classify(t).certificate
     for construction in ("bogus", None, "C-ODD", ["c-odd"]):
         with pytest.raises(VerificationError, match="construction"):
-            dataclasses.replace(cert, construction=construction).replay(t)
+            replace(cert, construction=construction).replay(t)
 
 
 def test_block_root_check_verifies_its_guess():

@@ -19,16 +19,16 @@ from k3cover.embeddings import (
     verify_torsion_witness,
 )
 from k3cover.errors import VerificationError
-from k3cover.intmat import IntMatrix
-from k3cover.intmat import maximal_minor_gcd as matrix_minor_gcd
-from k3cover.lattices import (
+from k3cover.intmat import (
     IntegralLattice,
-    TranscendentalForm,
+    IntMatrix,
     direct_sum,
     inner_product,
     standard_lattice,
     to_lattice,
 )
+from k3cover.intmat import maximal_minor_gcd as matrix_minor_gcd
+from k3cover.lattices import TranscendentalForm
 
 from conftest import LAMBDA, random_full_rank, written_down_embedding
 

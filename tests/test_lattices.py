@@ -4,20 +4,17 @@ import random
 
 import pytest
 
-from k3cover.intmat import IntMatrix
-from k3cover.lattices import (
+from k3cover.intmat import (
     IntegralLattice,
-    Sl2Matrix,
-    TranscendentalForm,
-    apply_basis_change,
+    IntMatrix,
     direct_sum,
     hyperbolic_plane,
     inner_product,
-    parity_class,
     primitive_vector,
     standard_lattice,
     to_lattice,
 )
+from k3cover.lattices import Sl2Matrix, TranscendentalForm, apply_basis_change, parity_class
 
 from conftest import random_sl2
 

@@ -7,8 +7,7 @@ import random
 import pytest
 import sympy
 
-from k3cover.intmat import IntMatrix
-from k3cover.lattices import IntegralLattice, inner_product, standard_lattice
+from k3cover.intmat import IntegralLattice, IntMatrix, inner_product, standard_lattice
 from k3cover.shortvec import (
     NORM_CEILING,
     NormQuery,
