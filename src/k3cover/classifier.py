@@ -26,11 +26,10 @@ transcript, or the parity residues that make an embedding impossible.
 from __future__ import annotations
 
 from math import gcd
-from typing import Any
 
 from .errors import VerificationError
 from .lattices import Frozen, Sl2Matrix, TranscendentalForm, apply_basis_change, parity_class
-from .quadforms import BinaryForm, represents_one
+from .quadforms import represents_one
 from .vinberg import ABSENT, in_P
 from .vinberg import norm as region_norm
 from .vinberg import search_norm, slice_norms
@@ -59,7 +58,7 @@ def case_of(t: TranscendentalForm) -> tuple[CaseLabel, bool]:
     """Classification label for the form and whether a covering exists."""
     label = parity_class(t)
     if label == "III":
-        if not represents_one(BinaryForm(t.a, t.c, t.b)):
+        if not represents_one(t):
             label = "III-1"
         elif t.delta in (4, 8, 16):
             label = "III-3"
@@ -167,7 +166,7 @@ def _block_has_root(rows, basis) -> bool:
     p, q, r = _pair(k1, k1), _pair(k1, k2), _pair(k2, k2)
     if p % 2 or r % 2 or p >= 0 or p * r <= q * q:
         raise VerificationError("complement block in U + U(2) is not even and negative definite")
-    return represents_one(BinaryForm(-p // 2, -q, -r // 2))
+    return represents_one(TranscendentalForm(-p // 2, -r // 2, -q))
 
 
 def _embedding_defect(t: TranscendentalForm, rows, basis) -> str | None:
@@ -206,7 +205,7 @@ class KeumCitation(Frozen):
     def __init__(self, halved: tuple[int, int, int]) -> None:
         _set(self, "halved", halved)
 
-    def to_dict(self) -> dict[str, Any]:
+    def to_dict(self) -> dict[str, object]:
         return {"kind": self.kind, "halved": list(self.halved)}
 
     def replay(self, t: TranscendentalForm) -> None:
@@ -239,7 +238,7 @@ class ExplicitEmbedding(Frozen):
         _set(self, "minor_gcd", minor_gcd)
         _set(self, "minus_two", minus_two)
 
-    def to_dict(self) -> dict[str, Any]:
+    def to_dict(self) -> dict[str, object]:
         return {
             "kind": self.kind,
             "construction": self.construction,
@@ -282,7 +281,7 @@ class VinbergWitness(Frozen):
         _set(self, "n", n)
         _set(self, "vector", vector)
 
-    def to_dict(self) -> dict[str, Any]:
+    def to_dict(self) -> dict[str, object]:
         return {"kind": self.kind, "n": self.n, "vector": list(self.vector)}
 
     def replay(self, t: TranscendentalForm) -> None:
@@ -312,7 +311,7 @@ class ExhaustiveAbsence(Frozen):
         _set(self, "n", n)
         _set(self, "slices", slices)
 
-    def to_dict(self) -> dict[str, Any]:
+    def to_dict(self) -> dict[str, object]:
         return {"kind": self.kind, "n": self.n, "slices": list(self.slices)}
 
     def replay(self, t: TranscendentalForm) -> None:
@@ -341,7 +340,7 @@ class ParityObstruction(Frozen):
         _set(self, "norms_mod_4", norms_mod_4)
         _set(self, "pairing_mod_2", pairing_mod_2)
 
-    def to_dict(self) -> dict[str, Any]:
+    def to_dict(self) -> dict[str, object]:
         return {
             "kind": self.kind,
             "norms_mod_4": list(self.norms_mod_4),
@@ -395,7 +394,7 @@ def _int(field: str, value) -> int:
     return value
 
 
-def _explicit_embedding_from_dict(data: dict[str, Any]) -> ExplicitEmbedding:
+def _explicit_embedding_from_dict(data: dict[str, object]) -> ExplicitEmbedding:
     construction = data["construction"]
     if construction not in CONSTRUCTIONS:
         raise VerificationError(f"unknown embedding construction {construction!r}")
@@ -409,7 +408,7 @@ def _explicit_embedding_from_dict(data: dict[str, Any]) -> ExplicitEmbedding:
     )
 
 
-def certificate_from_dict(data: dict[str, Any]) -> Certificate:
+def certificate_from_dict(data: dict[str, object]) -> Certificate:
     """Parse a serialized certificate; an unknown kind raises ValueError.
 
     A missing key or a field of the wrong shape raises VerificationError;
@@ -463,7 +462,7 @@ class Classification(Frozen):
         _set(self, "delta", delta)
         _set(self, "certificate", certificate)
 
-    def to_dict(self) -> dict[str, Any]:
+    def to_dict(self) -> dict[str, object]:
         return {
             "case": self.case_label,
             "covers": self.covers,
@@ -472,7 +471,7 @@ class Classification(Frozen):
         }
 
     @classmethod
-    def from_dict(cls, data: dict[str, Any]) -> "Classification":
+    def from_dict(cls, data: dict[str, object]) -> "Classification":
         """Parse a serialized classification, its fields checked by
         `_check_fields`.  An unknown certificate kind is a VerificationError
         here too."""
@@ -552,7 +551,7 @@ def verify_classification(t: TranscendentalForm, cls: Classification) -> None:
 
     Raises VerificationError unless the label, the verdict, the discriminant
     and the certificate all check out independently, each field of the type
-    `_check_fields` requires.
+    `_check_fields` requires and the certificate one of the five classes.
     """
     _check_fields(cls.case_label, cls.covers, cls.delta)
     label, covers = case_of(t)
@@ -562,6 +561,8 @@ def verify_classification(t: TranscendentalForm, cls: Classification) -> None:
         raise VerificationError("covering verdict disagrees with the recomputed case")
     if cls.delta != t.delta:
         raise VerificationError("recorded discriminant disagrees with the form")
+    if not isinstance(cls.certificate, Certificate):
+        raise VerificationError(f"certificate {cls.certificate!r} is not a certificate object")
     if cls.certificate.kind not in CASES[label][1]:
         raise VerificationError(
             f"certificate kind {cls.certificate.kind!r} cannot back case {label!r}"

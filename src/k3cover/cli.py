@@ -6,7 +6,8 @@ Three subcommands:
   scan            classify a whole box of forms to JSON lines
   verify-lemmas   re-check the tabulated facts the classifier relies on
 
-Exit codes: 0 success, 1 invalid input, 2 verification failure.
+Exit codes: 0 success, 1 invalid input (or stdout closed early),
+2 verification failure.
 """
 
 from __future__ import annotations
@@ -15,7 +16,6 @@ import argparse
 import json
 import os
 import sys
-from typing import Any
 
 from . import classifier, vinberg
 from .classifier import classify, verify_classification
@@ -25,7 +25,7 @@ from .lattices import TranscendentalForm
 CASE_ORDER = tuple(classifier.CASES)
 
 
-def _json_line(data: dict[str, Any]) -> str:
+def _json_line(data: dict[str, object]) -> str:
     return json.dumps(data, sort_keys=True, separators=(",", ":"))
 
 
@@ -63,7 +63,7 @@ def classify_cmd(a: int | None, b: int | None, c: int | None, gram: str | None,
         except VerificationError as exc:
             _fail(f"verification failed: {exc}", 2)
     if as_json:
-        payload: dict[str, Any] = {"input": {"a": form.a, "b": form.b, "c": form.c}}
+        payload: dict[str, object] = {"input": {"a": form.a, "b": form.b, "c": form.c}}
         payload.update(result.to_dict())
         print(_json_line(payload))
     else:
@@ -74,7 +74,7 @@ def classify_cmd(a: int | None, b: int | None, c: int | None, gram: str | None,
 def _scan_worker(triple: tuple[int, int, int]) -> tuple[str, str]:
     form = TranscendentalForm(*triple)
     result = classify(form)
-    line: dict[str, Any] = {"a": form.a, "b": form.b, "c": form.c}
+    line: dict[str, object] = {"a": form.a, "b": form.b, "c": form.c}
     line.update(result.to_dict())
     return result.case_label, _json_line(line)
 
@@ -232,7 +232,7 @@ class _Parser(argparse.ArgumentParser):
     """Options must be spelled in full, and a usage error is invalid input:
     `error: ...` on stderr, exit 1."""
 
-    def __init__(self, **kwargs: Any) -> None:
+    def __init__(self, **kwargs: object) -> None:
         super().__init__(allow_abbrev=False, **kwargs)
 
     def error(self, message: str) -> None:
@@ -293,7 +293,14 @@ def main(argv: list[str] | None = None) -> None:
     if lift is not None:
         lift(0)
     args = vars(_parser().parse_args(argv))
-    args.pop("run")(**args)
+    try:
+        args.pop("run")(**args)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed stdout (`k3cover scan ... | head`): what is still
+        # buffered goes to the null device, so the exit flush stays silent
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        _fail("the reader closed the output before all of it was written", 1)
 
 
 if __name__ == "__main__":

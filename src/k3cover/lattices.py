@@ -1,9 +1,11 @@
 """Rank-2 transcendental forms, their SL2 changes of basis, and parity classes.
 
-These are the value types the classifier reads its input through, kept
-free of any matrix machinery: the Gram-matrix layer (integral lattices and
-the ambient U + U(2) + E8(2)) lives in `intmat` beside the algebra it is
-built on.
+`TranscendentalForm(a, b, c)` is the package's one binary-form type: the
+Gram matrix [[2a, c], [c, 2b]], or equally the positive definite form
+a x^2 + c x y + b y^2 that `quadforms` reduces.  These are the value types
+the classifier reads its input through, kept free of any matrix machinery:
+the Gram-matrix layer (integral lattices and the ambient U + U(2) + E8(2))
+lives in `intmat` beside the algebra it is built on.
 """
 
 from __future__ import annotations

@@ -1,58 +1,21 @@
-"""Positive definite binary quadratic forms and Gauss reduction.
+"""Gauss reduction of positive definite binary forms, and representing 1.
 
-A form p x^2 + q x y + r y^2 is reduced when |q| <= p <= r, with q >= 0 on
+The forms are `TranscendentalForm`s: (a, b, c), the Gram matrix
+[[2a, c], [c, 2b]], is the form a x^2 + c x y + b y^2.  Written as
+p x^2 + q x y + r y^2, a form is reduced when |q| <= p <= r, with q >= 0 on
 the boundary (|q| = p or p = r).  Every positive definite form is equivalent
 to exactly one reduced form, and the reduced form starts with the minimum of
 the form, so "represents 1" is just "reduced leading coefficient is 1".
 
-Reduction runs as one loop on plain ints (p, q, r), carrying the change of
-basis as four ints; `represents_one` reads the reduced p and drops the
-rest, and only `reduce_form` builds a `BinaryForm` and an `Sl2Matrix`, once
-each, at the end.
+Reduction runs as one loop on plain ints (p, q, r) = (a, c, b), carrying
+the change of basis as four ints; `represents_one` reads the reduced p and
+drops the rest, and only `reduce_form` builds a `TranscendentalForm` and an
+`Sl2Matrix`, once each, at the end.
 """
 
 from __future__ import annotations
 
-from .lattices import Frozen, Sl2Matrix
-
-_set = object.__setattr__
-
-
-class BinaryForm(Frozen):
-    """p x^2 + q x y + r y^2 with p > 0 and negative discriminant."""
-
-    __slots__ = ("p", "q", "r")
-
-    def __init__(self, p: int, q: int, r: int) -> None:
-        if p <= 0:
-            raise ValueError("leading coefficient must be positive")
-        if q * q - 4 * p * r >= 0:
-            raise ValueError("form must be positive definite (q^2 - 4pr < 0)")
-        _set(self, "p", p)
-        _set(self, "q", q)
-        _set(self, "r", r)
-
-    @property
-    def discriminant(self) -> int:
-        return self.q * self.q - 4 * self.p * self.r
-
-    def triple(self) -> tuple[int, int, int]:
-        return (self.p, self.q, self.r)
-
-    def is_reduced(self) -> bool:
-        return _is_reduced(self.p, self.q, self.r)
-
-
-def evaluate(f: BinaryForm, x: int, y: int) -> int:
-    return f.p * x * x + f.q * x * y + f.r * y * y
-
-
-def transform(f: BinaryForm, g: Sl2Matrix) -> BinaryForm:
-    """The equivalent form f((x, y) sent through g), i.e. basis change by g."""
-    p = evaluate(f, g.x, g.z)
-    r = evaluate(f, g.y, g.w)
-    q = 2 * f.p * g.x * g.y + f.q * (g.x * g.w + g.y * g.z) + 2 * f.r * g.z * g.w
-    return BinaryForm(p, q, r)
+from .lattices import Sl2Matrix, TranscendentalForm
 
 
 def _is_reduced(p: int, q: int, r: int) -> bool:
@@ -63,7 +26,7 @@ def _is_reduced(p: int, q: int, r: int) -> bool:
 
 
 def _gauss(p: int, q: int, r: int) -> tuple[int, int, int, int, int, int, int]:
-    """Gauss reduction of a positive definite (p, q, r) on plain ints.
+    """Gauss reduction of a positive definite p x^2 + q x y + r y^2 on plain ints.
 
     Returns the reduced (p, q, r) followed by the entries (x, y, z, w) of
     the SL2 matrix that carries the input to it.  Each translation by t is
@@ -89,13 +52,12 @@ def _gauss(p: int, q: int, r: int) -> tuple[int, int, int, int, int, int, int]:
     return p, q, r, x, y, z, w
 
 
-def reduce_form(f: BinaryForm) -> tuple[BinaryForm, Sl2Matrix]:
-    """Gauss reduction.  Returns (reduced, g) with transform(f, g) == reduced."""
-    p, q, r, x, y, z, w = _gauss(f.p, f.q, f.r)
-    return BinaryForm(p, q, r), Sl2Matrix(x, y, z, w)
+def reduce_form(t: TranscendentalForm) -> tuple[TranscendentalForm, Sl2Matrix]:
+    """Gauss reduction.  Returns (reduced, g) with apply_basis_change(t, g) == reduced."""
+    p, q, r, x, y, z, w = _gauss(t.a, t.c, t.b)
+    return TranscendentalForm(p, r, q), Sl2Matrix(x, y, z, w)
 
 
-def represents_one(f: BinaryForm) -> bool:
-    """Whether f(x, y) = 1 has an integer solution."""
-    return _gauss(f.p, f.q, f.r)[0] == 1
-
+def represents_one(t: TranscendentalForm) -> bool:
+    """Whether a x^2 + c x y + b y^2 = 1 has an integer solution."""
+    return _gauss(t.a, t.c, t.b)[0] == 1

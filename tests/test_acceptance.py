@@ -31,7 +31,7 @@ from k3cover.intmat import (
     standard_lattice,
 )
 from k3cover.lattices import TranscendentalForm, apply_basis_change
-from k3cover.quadforms import BinaryForm, represents_one
+from k3cover.quadforms import represents_one
 from k3cover.shortvec import NormQuery, enumerate_by_norm, enumerate_norm
 from k3cover.vinberg import (
     enumerate_P_slice,
@@ -63,7 +63,7 @@ def test_criterion_01_grid_selects_exactly_one_branch():
     for t in GRID:
         a_even, b_even, c_even = t.a % 2 == 0, t.b % 2 == 0, t.c % 2 == 0
         is_iii = c_even and not (a_even and b_even)
-        rep1 = represents_one(BinaryForm(t.a, t.c, t.b)) if is_iii else False
+        rep1 = represents_one(t) if is_iii else False
         predicates = {
             "I": a_even and b_even and c_even,
             "II": not c_even and (a_even or b_even),

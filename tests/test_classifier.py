@@ -445,6 +445,13 @@ _COERCED_PROBES = {
         t, replace(classify(t), delta=4.0))),
     "covers 0": ((1, 1, 0), lambda t: verify_classification(
         t, replace(classify(t), covers=0))),
+    # a certificate that is not one of the five classes
+    "certificate None": ((1, 1, 0), lambda t: verify_classification(
+        t, replace(classify(t), certificate=None))),
+    "certificate record dict": ((1, 1, 0), lambda t: verify_classification(
+        t, replace(classify(t), certificate=classify(t).certificate.to_dict()))),
+    "certificate kind str": ((1, 1, 0), lambda t: verify_classification(
+        t, replace(classify(t), certificate="exhaustive-absence"))),
     "minor_gcd True": ((1, 2, 1), lambda t: _replay_tampered_embedding(minor_gcd=True)),
     "normalized 1.0": ((1, 2, 1), lambda t: _replay_tampered_embedding(normalized=(1.0, 2, 1))),
     "basis_change 1.0": ((1, 2, 1), lambda t: _replay_tampered_embedding(

@@ -253,6 +253,27 @@ def test_scan_error_paths(runner, tmp_path):
     assert result.exit_code == 1
 
 
+@pytest.mark.parametrize("workers", ["1", "2"])
+def test_scan_into_a_closed_pipe_exits_1_without_a_traceback(workers):
+    # `k3cover scan ... | head -n 1`: the reader takes one line and closes
+    # the pipe.  The box's 370 kB of records overflow the pipe buffer, so
+    # the scan's later writes meet the closed end.
+    src = str(Path(k3cover.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src, "K3COVER_THREADS": workers}
+    args = [sys.executable, "-m", "k3cover.cli", "scan", "--a-max", "10", "--b-max", "10",
+            "--c-min", "-10", "--c-max", "10"]
+    with subprocess.Popen(args, env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                          text=True) as proc:
+        first = proc.stdout.readline()
+        proc.stdout.close()
+        stderr = proc.stderr.read()
+        code = proc.wait(timeout=60)
+    assert json.loads(first)["case"] == "IV"
+    assert code == 1, stderr
+    assert "Traceback" not in stderr and "Exception ignored" not in stderr
+    assert stderr.startswith("error: ")
+
+
 def test_verify_lemmas_passes(runner):
     result = runner.invoke(main, ["verify-lemmas", "--n-max", "30"])
     assert result.exit_code == 0
@@ -300,7 +321,7 @@ def test_case_order_is_complete():
 
 # modules no classify, scan or replay runs: the tests' oracle stack and
 # the standard library modules that only cost start-up
-OFF_THE_CLASSIFY_PATH = {"click", "dataclasses", "inspect", "fractions", "decimal",
+OFF_THE_CLASSIFY_PATH = {"click", "dataclasses", "inspect", "fractions", "decimal", "typing",
                          "k3cover.intmat", "k3cover.embeddings", "k3cover.shortvec"}
 
 
@@ -308,13 +329,14 @@ def test_cli_import_leaves_out_the_short_vector_search():
     # the classifier's checks are closed forms and binary-form reduction;
     # embeddings, shortvec and the matrix layer under them are the tests'
     # oracle stack, not dependencies of the program.  Only the modules the
-    # import adds count, not those the interpreter's start-up already loaded.
+    # import adds count, not those the interpreter's start-up already loaded;
+    # `-S` keeps `site` from preloading any (it may load `typing`).
     src = str(Path(k3cover.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": src}
     for target in ("k3cover.cli", "k3cover.classifier, k3cover.lattices"):
         code = ("import json, sys; before = set(sys.modules); import " + target + "; "
                 "print(json.dumps(sorted(set(sys.modules) - before)))")
-        done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+        done = subprocess.run([sys.executable, "-S", "-c", code], env=env, capture_output=True,
                               text=True, timeout=60, check=True)
         added = set(json.loads(done.stdout))
         assert "k3cover.classifier" in added, target

@@ -48,7 +48,7 @@ from k3cover.embeddings import (
 from k3cover.errors import VerificationError
 from k3cover.intmat import IntMatrix, inner_product, left_kernel, to_lattice
 from k3cover.lattices import TranscendentalForm, apply_basis_change, parity_class
-from k3cover.quadforms import BinaryForm, represents_one
+from k3cover.quadforms import represents_one
 from k3cover.shortvec import NormQuery, enumerate_norm
 
 from conftest import (
@@ -259,7 +259,7 @@ def hnf_block_has_root(e: Embedding) -> bool:
     """
     p, q, r = hermite_block_gram(e.matrix.entries)
     assert p < 0 and p * r > q * q and p % 2 == r % 2 == 0
-    return represents_one(BinaryForm(-p // 2, -q, -r // 2))
+    return represents_one(TranscendentalForm(-p // 2, -r // 2, -q))
 
 
 def test_block_defect_on_coefficients_beyond_10_to_30():
@@ -326,9 +326,9 @@ def test_formula_complement_matches_the_kernel_search_property(construction, a, 
     xp, xq, xr = hermite_block_gram(rows)
     assert p * r - q * q == xp * xr - xq * xq == (4 if construction == "c-odd" else 1) * t.delta
     has_root = _block_has_root(rows, (k1, k2))
-    assert has_root == represents_one(BinaryForm(-xp // 2, -xq, -xr // 2))
+    assert has_root == represents_one(TranscendentalForm(-xp // 2, -xr // 2, -xq))
     assert has_root == (construction == "c-even" and case_of(t)[0] != "III-1")
-    assert has_root == represents_one(BinaryForm(-p // 2, -q, -r // 2))
+    assert has_root == represents_one(TranscendentalForm(-p // 2, -r // 2, -q))
 
 
 def test_construction_table_knows_only_the_three_constructions():

@@ -16,7 +16,6 @@ from k3cover.classifier import (
     VinbergWitness,
 )
 from k3cover.lattices import Sl2Matrix, TranscendentalForm
-from k3cover.quadforms import BinaryForm
 
 _ROWS = ((1, 1, -1, 0) + (0,) * 8, (1, 2, 0, 1) + (0,) * 8)
 _WITNESS = (4, 2, 1, 1, 1, 1, 1, 1, 1, 1, 1)
@@ -26,7 +25,6 @@ _WITNESS = (4, 2, 1, 1, 1, 1, 1, 1, 1, 1, 1)
 VALUES = [
     (TranscendentalForm, (1, 2, 1), (1, 3, 1)),
     (Sl2Matrix, (2, 1, 1, 1), (1, 1, 0, 1)),
-    (BinaryForm, (1, 1, 2), (1, 1, 3)),
     (KeumCitation, ((1, 1, 1),), ((1, 1, 2),)),
     (ExplicitEmbedding, ("c-odd", (1, 2, 1), (1, 0, 0, 1), _ROWS, 1, ()),
                         ("c-even", (1, 2, 1), (1, 0, 0, 1), _ROWS, 1, ())),
@@ -78,12 +76,12 @@ def test_certificate_kind_is_a_plain_str_class_attribute():
 @pytest.mark.parametrize("cls, args", [
     (TranscendentalForm, (0, 1, 0)),
     (TranscendentalForm, (1, -1, 0)),
-    (TranscendentalForm, (1, 1, 2)),
+    (TranscendentalForm, (1, 1, 2)),     # 4ab - c^2 zero
     (Sl2Matrix, (1, 1, 1, 1)),
     (Sl2Matrix, (2, 0, 0, 2)),
-    (BinaryForm, (0, 1, 1)),
-    (BinaryForm, (1, 2, 1)),
-    (BinaryForm, (1, 3, 1)),
+    (TranscendentalForm, (-1, 1, 0)),
+    (TranscendentalForm, (0, 1, 1)),
+    (TranscendentalForm, (1, 1, 3)),     # indefinite
 ])
 def test_invalid_value_raises_value_error(cls, args):
     with pytest.raises(ValueError):
