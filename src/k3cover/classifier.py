@@ -70,7 +70,9 @@ def case_of(t: TranscendentalForm) -> tuple[CaseLabel, bool]:
 _IDENTITY = Sl2Matrix.identity()
 
 
-def _normalize_with_transform(t: TranscendentalForm) -> tuple[TranscendentalForm, Sl2Matrix]:
+def normalize_case_III(t: TranscendentalForm) -> tuple[TranscendentalForm, Sl2Matrix]:
+    """Equivalent form with both diagonal entries odd (c stays even), and the
+    basis change g that carries t to it."""
     if parity_class(t) != "III":
         raise ValueError("normalization applies to forms with c even, a or b odd")
     if t.a % 2 == 0:
@@ -80,11 +82,6 @@ def _normalize_with_transform(t: TranscendentalForm) -> tuple[TranscendentalForm
     else:
         g = _IDENTITY
     return apply_basis_change(t, g), g
-
-
-def normalize_case_III(t: TranscendentalForm) -> TranscendentalForm:
-    """Equivalent form with both diagonal entries odd (c stays even)."""
-    return _normalize_with_transform(t)[0]
 
 
 Rows = tuple[tuple[int, ...], ...]
@@ -369,7 +366,7 @@ _EXACT_INT = frozenset((int,))
 
 
 def _array(field: str, values) -> list | tuple:
-    """A serialized list: a JSON array (or the tuple a certificate holds),
+    """A list field: the tuple parsing makes of a JSON array, or a list,
     never a string or an object that merely iterates."""
     if not isinstance(values, (list, tuple)):
         raise VerificationError(f"malformed certificate: {field} must be a list")
@@ -394,48 +391,35 @@ def _int(field: str, value) -> int:
     return value
 
 
-def _explicit_embedding_from_dict(data: dict[str, object]) -> ExplicitEmbedding:
-    construction = data["construction"]
-    if construction not in CONSTRUCTIONS:
-        raise VerificationError(f"unknown embedding construction {construction!r}")
-    return ExplicitEmbedding(
-        construction=construction,
-        normalized=_ints("normalized", data["normalized"], 3),
-        basis_change=_ints("basis_change", data["basis_change"], 4),
-        matrix=tuple(_ints("matrix", row) for row in _array("matrix", data["matrix"])),
-        minor_gcd=_int("minor_gcd", data["minor_gcd"]),
-        minus_two=tuple(_ints("minus_two", v) for v in _array("minus_two", data["minus_two"])),
-    )
+def _frozen(value):
+    """A JSON array as a tuple, and each array directly inside it as well;
+    anything else, deeper arrays included, as it is."""
+    if type(value) is list:
+        value = tuple(value)
+        # rows are looked for in C, so a flat array costs no Python loop
+        if list in map(type, value):
+            return tuple([tuple(x) if type(x) is list else x for x in value])
+    return value
 
 
 def certificate_from_dict(data: dict[str, object]) -> Certificate:
-    """Parse a serialized certificate; an unknown kind raises ValueError.
+    """Build the certificate a serialized one describes; an unknown kind
+    raises ValueError, a missing key or a non-mapping VerificationError.
 
-    A missing key or a field of the wrong shape raises VerificationError;
-    so does an explicit embedding with an unknown construction, or any
-    integer field holding anything but ints (a float, a bool or a string
-    that would convert to one is refused, never coerced).
+    Parsing only builds: each field is taken as it is, its arrays as tuples,
+    and nothing is checked or converted.  `replay` checks every field and
+    refuses a wrong type, shape or construction; it never coerces one.
     """
     try:
         kind = data.get("kind")
-        if kind == "keum-citation":
-            return KeumCitation(halved=_ints("halved", data["halved"], 3))
-        if kind == "explicit-embedding":
-            return _explicit_embedding_from_dict(data)
-        if kind == "vinberg-witness":
-            return VinbergWitness(n=_int("n", data["n"]), vector=_ints("vector", data["vector"]))
-        if kind == "exhaustive-absence":
-            return ExhaustiveAbsence(n=_int("n", data["n"]), slices=_ints("slices", data["slices"]))
-        if kind == "parity-obstruction":
-            return ParityObstruction(
-                norms_mod_4=_ints("norms_mod_4", data["norms_mod_4"], 2),
-                pairing_mod_2=_int("pairing_mod_2", data["pairing_mod_2"]),
-            )
-        raise ValueError(f"unknown certificate kind {kind!r}")
+        for cls in Certificate.__args__:
+            if cls.kind == kind:
+                return cls(*[_frozen(data[name]) for name in cls.__slots__])
     except KeyError as exc:
         raise VerificationError(f"certificate is missing the key {exc}") from None
     except (AttributeError, TypeError) as exc:
         raise VerificationError(f"malformed certificate: {exc}") from None
+    raise ValueError(f"unknown certificate kind {kind!r}")
 
 
 def _check_fields(case, covers, delta) -> None:
@@ -472,18 +456,13 @@ class Classification(Frozen):
 
     @classmethod
     def from_dict(cls, data: dict[str, object]) -> "Classification":
-        """Parse a serialized classification, its fields checked by
-        `_check_fields`.  An unknown certificate kind is a VerificationError
-        here too."""
+        """Build the classification a serialized one describes.  Only a
+        missing key, a non-mapping and an unknown certificate kind are
+        refused here, each with VerificationError; `verify_classification`
+        checks every field."""
         try:
-            case, covers, delta = data["case"], data["covers"], data["delta"]
-            _check_fields(case, covers, delta)
-            return cls(
-                case_label=case,
-                covers=covers,
-                delta=delta,
-                certificate=certificate_from_dict(data["certificate"]),
-            )
+            return cls(data["case"], data["covers"], data["delta"],
+                       certificate_from_dict(data["certificate"]))
         except KeyError as exc:
             raise VerificationError(f"classification is missing the key {exc}") from None
         except (TypeError, ValueError) as exc:
@@ -522,7 +501,7 @@ def certify(t: TranscendentalForm, label: CaseLabel) -> Certificate:
     if label == "II":
         return embedding_certificate("c-odd", t)
     if label == "III-1":
-        return embedding_certificate("c-even", *_normalize_with_transform(t))
+        return embedding_certificate("c-even", *normalize_case_III(t))
     if label == "III-2":
         n = t.delta // 4
         witness = search_norm(n)

@@ -121,15 +121,16 @@ def test_case_invariant_under_basis_change():
 
 
 def test_normalize_case_III():
-    assert normalize_case_III(TranscendentalForm(2, 1, 0)).triple() == (9, 3, 10)
-    assert normalize_case_III(TranscendentalForm(1, 2, 2)).triple() == (5, 13, 16)
-    assert normalize_case_III(TranscendentalForm(1, 1, 0)).triple() == (1, 1, 0)
+    assert normalize_case_III(TranscendentalForm(2, 1, 0))[0].triple() == (9, 3, 10)
+    assert normalize_case_III(TranscendentalForm(1, 2, 2))[0].triple() == (5, 13, 16)
+    assert normalize_case_III(TranscendentalForm(1, 1, 0))[0].triple() == (1, 1, 0)
     for t in _grid():
         if case_of(t)[0].startswith("III"):
-            n = normalize_case_III(t)
+            n, g = normalize_case_III(t)
+            assert apply_basis_change(t, g) == n
             assert n.a % 2 == 1 and n.b % 2 == 1 and n.c % 2 == 0
             assert n.delta == t.delta
-            assert normalize_case_III(n).triple() == n.triple()
+            assert normalize_case_III(n)[0].triple() == n.triple()
     with pytest.raises(ValueError):
         normalize_case_III(TranscendentalForm(1, 2, 1))
     with pytest.raises(ValueError):
@@ -144,7 +145,7 @@ def test_embedding_constructors_frozen():
     ]
     assert validate(e) and is_primitive(e)
 
-    n = normalize_case_III(TranscendentalForm(2, 3, 2))
+    n = normalize_case_III(TranscendentalForm(2, 3, 2))[0]
     assert n.triple() == (15, 7, 20)
     e = written_down_embedding(n)
     assert e.matrix.to_lists() == [
@@ -482,13 +483,18 @@ def test_from_dict_rejects_a_missing_certificate():
         Classification.from_dict(data)
 
 
+def _parse_and_verify(triple, data: dict) -> None:
+    t = TranscendentalForm(*triple)
+    verify_classification(t, Classification.from_dict(data))
+
+
 def test_from_dict_rejects_a_scalar_matrix():
     data = _embedding_record()
     data["certificate"]["matrix"] = 5
     with pytest.raises(VerificationError, match="malformed certificate"):
-        Classification.from_dict(data)
+        _parse_and_verify((1, 2, 1), data)
     with pytest.raises(VerificationError, match="malformed certificate"):
-        certificate_from_dict(data["certificate"])
+        certificate_from_dict(data["certificate"]).replay(TranscendentalForm(1, 2, 1))
 
 
 def test_from_dict_rejects_a_string_covers():
@@ -497,7 +503,7 @@ def test_from_dict_rejects_a_string_covers():
     for covers in ("false", 1, None):
         data["covers"] = covers
         with pytest.raises(VerificationError, match="covers"):
-            Classification.from_dict(data)
+            _parse_and_verify((1, 2, 1), data)
 
 
 def test_from_dict_rejects_a_non_integer_delta():
@@ -506,7 +512,7 @@ def test_from_dict_rejects_a_non_integer_delta():
     for delta in (23.9, 23.0, "23", True):
         data["delta"] = delta
         with pytest.raises(VerificationError, match="delta"):
-            Classification.from_dict(data)
+            _parse_and_verify((1, 2, 1), data)
 
 
 @pytest.mark.parametrize("field, value", [
@@ -522,57 +528,60 @@ def test_from_dict_rejects_an_unknown_kind_or_a_non_string_case(field, value):
     data = _embedding_record()
     data[field] = value
     with pytest.raises(VerificationError):
-        Classification.from_dict(data)
+        _parse_and_verify((1, 2, 1), data)
 
 
-def _assert_rejected(data: dict) -> None:
+def _assert_rejected(triple, data: dict) -> None:
+    """Parsing the record builds it, and replay against the form refuses it,
+    as a classification and as a certificate alone."""
     with pytest.raises(VerificationError):
-        Classification.from_dict(data)
+        _parse_and_verify(triple, data)
+    certificate = certificate_from_dict(data["certificate"])
     with pytest.raises(VerificationError):
-        certificate_from_dict(data["certificate"])
+        certificate.replay(TranscendentalForm(*triple))
 
 
 def test_from_dict_rejects_a_non_integer_minor_gcd():
     for minor_gcd in (1.9, 1.0, True, "1", None):
         data = _embedding_record((2, 3, 1))
         data["certificate"]["minor_gcd"] = minor_gcd
-        _assert_rejected(data)
+        _assert_rejected((2, 3, 1), data)
 
 
 def test_from_dict_rejects_an_unknown_construction():
     for construction in (5, "bogus", None, ["c-odd"]):
         data = _embedding_record((2, 3, 1))
         data["certificate"]["construction"] = construction
-        _assert_rejected(data)
+        _assert_rejected((2, 3, 1), data)
 
 
 def test_from_dict_rejects_a_string_normalized_form():
     data = _embedding_record((2, 3, 1))
     data["certificate"]["normalized"] = [str(x) for x in data["certificate"]["normalized"]]
-    _assert_rejected(data)
+    _assert_rejected((2, 3, 1), data)
     data["certificate"]["normalized"] = "231"
-    _assert_rejected(data)
+    _assert_rejected((2, 3, 1), data)
 
 
 def test_from_dict_rejects_a_non_integer_matrix_entry():
     for entry in (2.0, "1", True, None):
         data = _embedding_record((2, 3, 1))
         data["certificate"]["matrix"][0][0] = entry
-        _assert_rejected(data)
+        _assert_rejected((2, 3, 1), data)
 
 
 def test_from_dict_rejects_a_float_basis_change():
     data = _embedding_record((2, 3, 1))
     data["certificate"]["basis_change"] = [float(x) for x in data["certificate"]["basis_change"]]
-    _assert_rejected(data)
+    _assert_rejected((2, 3, 1), data)
     data["certificate"]["basis_change"] = [1, 0, 0]
-    _assert_rejected(data)
+    _assert_rejected((2, 3, 1), data)
 
 
 def test_from_dict_rejects_a_non_integer_minus_two_entry():
     data = _embedding_record((2, 3, 1))
     data["certificate"]["minus_two"] = [[1.0] + [0] * 11]
-    _assert_rejected(data)
+    _assert_rejected((2, 3, 1), data)
 
 
 def test_from_dict_accepts_every_construction():
@@ -621,7 +630,7 @@ def test_from_dict_rejects_non_integer_fields_of_every_kind(triple, kind, field,
     data = json.loads(json.dumps(classify(TranscendentalForm(*triple)).to_dict()))
     assert data["certificate"]["kind"] == kind
     data["certificate"][field] = value
-    _assert_rejected(data)
+    _assert_rejected(triple, data)
 
 
 # one valid record per case and per construction, with 6-digit forms for
@@ -688,20 +697,49 @@ _REPLACEMENTS = st.one_of(
 @example(("III-2", ("certificate", "vector", 0)), ("replace", 4.0))
 @example(("I", ("covers",)), ("replace", 1))
 def test_a_mutated_record_is_rejected_or_verifies_uncoerced_property(site, mutation):
+    _mutate_and_replay(*site, *mutation)
+
+
+# Any JSON value: scalars of every type, ints past 4 300 digits among them
+# (built by map, as the strategy's repr must not print one), inside lists
+# and string-keyed objects nested to any depth
+_JSON_TREES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4)
+    | st.integers(-2, 2).map(lambda k: k * 10**5000 + 1),
+    lambda children: st.lists(children, max_size=4)
+    | st.dictionaries(st.text(max_size=4), children, max_size=4),
+    max_leaves=12,
+)
+
+
+@settings(max_examples=300)
+@given(st.sampled_from(_MUTATION_SITES), _JSON_TREES)
+@example(("II", ("certificate", "matrix")), [[[[[1]]]]] * 2)
+@example(("III-1", ("certificate", "construction")), {"c-even": "c-even"})
+@example(("III-3", ("delta",)), 10**5000)
+@example(("IV", ("certificate",)), [{"kind": "parity-obstruction"}])
+def test_any_json_at_any_path_is_rejected_or_verifies_unchanged_property(site, tree):
+    _mutate_and_replay(*site, "replace", tree)
+
+
+def _mutate_and_replay(name, path, op, value) -> None:
+    """Delete or replace the value at one path of a case's record, then parse
+    and replay it: it must raise VerificationError, or verify and write back
+    exactly the text it was read from."""
     # the comparison below prints ints past 4 300 digits; lift the limit
-    # for this body only, so that other tests keep the default
+    # for this call only, so that other tests keep the default
     get_limit = getattr(sys, "get_int_max_str_digits", None)
     before = get_limit() if get_limit else None
     if before is not None:
         sys.set_int_max_str_digits(0)
     try:
-        _mutate_and_replay(*site, *mutation)
+        _replay_mutated(name, path, op, value)
     finally:
         if before is not None:
             sys.set_int_max_str_digits(before)
 
 
-def _mutate_and_replay(name, path, op, value) -> None:
+def _replay_mutated(name, path, op, value) -> None:
     data = json.loads(json.dumps(_MUTATED_RECORDS[name]))
     parent = data
     for key in path[:-1]:

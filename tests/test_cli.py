@@ -195,9 +195,14 @@ SCAN_20_SHA256 = "bc2490feacaa5c3cc5abaab98ed6fcad8ba044aa3c76a859a202c4b4ea586b
 
 
 def test_full_box_scan_lines_are_pinned(runner, tmp_path):
+    # every line is also parsed back and replayed against its own form: the
+    # traffic that replay, the one gate for every certificate field, serves
     digest = hashlib.sha256()
     for triple in _expected_records(20, 20, -20, 20):
-        digest.update((_scan_worker(triple)[1] + "\n").encode())
+        line = _scan_worker(triple)[1]
+        digest.update((line + "\n").encode())
+        parsed = Classification.from_dict(json.loads(line))
+        verify_classification(TranscendentalForm(*triple), parsed)
     assert digest.hexdigest() == SCAN_20_SHA256
     # the same bytes through the command and a pool of two workers
     out = tmp_path / "scan.jsonl"

@@ -29,7 +29,6 @@ from k3cover.classifier import (
     _block_has_root,
     _embedding_defect,
     _is_block_basis,
-    _normalize_with_transform,
     _pair,
     case_of,
     certify,
@@ -172,7 +171,7 @@ def test_replay_rejects_a_matrix_touching_e8():
         e = reflect_into_e8(written_down_embedding(t))
         assert any(row[4] for row in e.matrix.entries)
         assert validate(e) and is_primitive(e)
-        basis_change = (_normalize_with_transform(t)[1].as_tuple()
+        basis_change = (normalize_case_III(t)[1].as_tuple()
                         if parity_class(t) == "III" else (1, 0, 0, 1))
         cert = ExplicitEmbedding(construction_of(t), source_form(e).triple(), basis_change,
                                  e.matrix.entries, 1, ())
@@ -308,7 +307,7 @@ def construction_form(construction: str, a: int, b: int, c: int, g) -> Transcend
     else:
         a, b, c = a + a % 2, b + b % 2, c - c % 2
     t = apply_basis_change(TranscendentalForm(a, b, c), g)
-    return normalize_case_III(t) if construction == "c-even" else t
+    return normalize_case_III(t)[0] if construction == "c-even" else t
 
 
 def gram(k1, k2) -> tuple[int, int, int]:
