@@ -385,9 +385,11 @@ def _ints(field: str, values, length: int | None = None) -> tuple[int, ...]:
 
 
 def _int(field: str, value) -> int:
-    """A serialized integer scalar, passing `_is_int`."""
+    """A serialized integer scalar, passing `_is_int`; the message names the
+    type of anything else, as `_check_fields` does."""
     if not _is_int(value):
-        raise VerificationError(f"malformed certificate: {field} {value!r} is not an integer")
+        raise VerificationError(
+            f"malformed certificate: {field} must be an integer, not {type(value).__name__}")
     return value
 
 
@@ -424,13 +426,15 @@ def certificate_from_dict(data: dict[str, object]) -> Certificate:
 
 def _check_fields(case, covers, delta) -> None:
     """``case`` must be a str, ``covers`` a bool and ``delta`` an int, never a
-    value that merely converts to one."""
+    value that merely converts to one.  The messages name the wrong value's
+    type, not the value: the repr of an int past CPython's int -> str digit
+    limit would raise ValueError in place of VerificationError."""
     if not isinstance(case, str):
-        raise VerificationError(f"case must be a string, not {case!r}")
+        raise VerificationError(f"case must be a string, not {type(case).__name__}")
     if not isinstance(covers, bool):
-        raise VerificationError(f"covers must be true or false, not {covers!r}")
+        raise VerificationError(f"covers must be true or false, not {type(covers).__name__}")
     if not _is_int(delta):
-        raise VerificationError(f"delta must be an integer, not {delta!r}")
+        raise VerificationError(f"delta must be an integer, not {type(delta).__name__}")
 
 
 class Classification(Frozen):
@@ -541,7 +545,8 @@ def verify_classification(t: TranscendentalForm, cls: Classification) -> None:
     if cls.delta != t.delta:
         raise VerificationError("recorded discriminant disagrees with the form")
     if not isinstance(cls.certificate, Certificate):
-        raise VerificationError(f"certificate {cls.certificate!r} is not a certificate object")
+        raise VerificationError(
+            f"certificate of type {type(cls.certificate).__name__} is not a certificate object")
     if cls.certificate.kind not in CASES[label][1]:
         raise VerificationError(
             f"certificate kind {cls.certificate.kind!r} cannot back case {label!r}"

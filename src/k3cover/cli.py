@@ -16,6 +16,9 @@ import argparse
 import json
 import os
 import sys
+from collections import deque
+from math import isqrt
+from operator import add
 
 from . import classifier, vinberg
 from .classifier import classify, verify_classification
@@ -23,10 +26,6 @@ from .errors import VerificationError
 from .lattices import TranscendentalForm
 
 CASE_ORDER = tuple(classifier.CASES)
-
-
-def _json_line(data: dict[str, object]) -> str:
-    return json.dumps(data, sort_keys=True, separators=(",", ":"))
 
 
 def _fail(message: str, code: int) -> None:
@@ -65,21 +64,128 @@ def classify_cmd(a: int | None, b: int | None, c: int | None, gram: str | None,
     if as_json:
         payload: dict[str, object] = {"input": {"a": form.a, "b": form.b, "c": form.c}}
         payload.update(result.to_dict())
-        print(_json_line(payload))
+        print(json.dumps(payload, sort_keys=True, separators=(",", ":")))
     else:
         verdict = "covers" if result.covers else "does not cover"
         print(f"case {result.case_label}: {verdict}")
 
 
+def _join(values) -> str:
+    return ",".join(map(str, values))
+
+
+def _rows_json(rows) -> str:
+    return "[" + ",".join([f"[{_join(row)}]" for row in rows]) + "]"
+
+
+# The strings a scan line may hold, each already quoted: the case labels and
+# the construction names.  Anything else is refused with KeyError, so no
+# string a template writes needs escaping.
+_QUOTED = {name: f'"{name}"' for name in (*CASE_ORDER, *classifier.CONSTRUCTIONS)}
+
+# One template per certificate kind: `to_dict()` of the certificate as
+# json.dumps writes it with sorted keys and no whitespace.
+_CERTIFICATE_JSON = {
+    "keum-citation": lambda k: f'{{"halved":[{_join(k.halved)}],"kind":"keum-citation"}}',
+    "explicit-embedding": lambda e: (
+        f'{{"basis_change":[{_join(e.basis_change)}],'
+        f'"construction":{_QUOTED[e.construction]},"kind":"explicit-embedding",'
+        f'"matrix":{_rows_json(e.matrix)},"minor_gcd":{e.minor_gcd},'
+        f'"minus_two":{_rows_json(e.minus_two)},"normalized":[{_join(e.normalized)}]}}'),
+    "vinberg-witness": lambda w: (
+        f'{{"kind":"vinberg-witness","n":{w.n},"vector":[{_join(w.vector)}]}}'),
+    "exhaustive-absence": lambda x: (
+        f'{{"kind":"exhaustive-absence","n":{x.n},"slices":[{_join(x.slices)}]}}'),
+    "parity-obstruction": lambda p: (
+        f'{{"kind":"parity-obstruction","norms_mod_4":[{_join(p.norms_mod_4)}],'
+        f'"pairing_mod_2":{p.pairing_mod_2}}}'),
+}
+
+
+def _scan_line(form: TranscendentalForm, result: classifier.Classification) -> str:
+    """The scan record of one form, written from fixed templates.
+
+    The bytes are those of `json.dumps` with sorted keys and no whitespace
+    of ``{"a", "b", "c"}`` next to ``result.to_dict()``, which stays the
+    oracle the tests hold this encoder to: ints through `str`, booleans as
+    true / false, and no string but the fixed ones in `_QUOTED`.
+    """
+    cert = result.certificate
+    return (f'{{"a":{form.a},"b":{form.b},"c":{form.c},"case":{_QUOTED[result.case_label]},'
+            f'"certificate":{_CERTIFICATE_JSON[cert.kind](cert)},'
+            f'"covers":{"true" if result.covers else "false"},"delta":{result.delta}}}')
+
+
 def _scan_worker(triple: tuple[int, int, int]) -> tuple[str, str]:
     form = TranscendentalForm(*triple)
     result = classify(form)
-    line: dict[str, object] = {"a": form.a, "b": form.b, "c": form.c}
-    line.update(result.to_dict())
-    return result.case_label, _json_line(line)
+    return result.case_label, _scan_line(form, result)
 
 
-def _worker_count(n_tasks: int) -> int:
+# A task gathers whole rows until it holds this many forms: enough to pay
+# for a round trip through the pool, and small enough that its block of
+# lines stays a few hundred kB.
+_TASK_FORMS = 1024
+# Tasks in flight per worker process: the pool never waits for work, and
+# the parent never holds more than this many blocks.
+_TASKS_PER_WORKER = 4
+
+
+def _rows(a_max: int, b_max: int, c_min: int, c_max: int):
+    """The non-empty rows of the box in scan order, as (a, b, first c, last c).
+
+    The form is positive definite exactly when c^2 < 4ab, that is when
+    |c| <= isqrt(4ab - 1), so each row is one interval of c.
+    """
+    for a in range(1, a_max + 1):
+        for b in range(1, b_max + 1):
+            r = isqrt(4 * a * b - 1)
+            lo, hi = max(c_min, -r), min(c_max, r)
+            if lo <= hi:
+                yield a, b, lo, hi
+
+
+def _tasks(rows):
+    """Consecutive rows, grouped into tuples of at least `_TASK_FORMS` forms
+    (the last may hold fewer)."""
+    task, size = [], 0
+    for row in rows:
+        task.append(row)
+        size += row[3] - row[2] + 1
+        if size >= _TASK_FORMS:
+            yield tuple(task)
+            task, size = [], 0
+    if task:
+        yield tuple(task)
+
+
+def _scan_rows(rows) -> tuple[tuple[int, ...], str]:
+    """Classify every form of some rows: the per-case counts, in CASE_ORDER,
+    and the rows' lines as one block, each line ended by a newline."""
+    counts = dict.fromkeys(CASE_ORDER, 0)
+    lines = []
+    for a, b, lo, hi in rows:
+        for c in range(lo, hi + 1):
+            label, line = _scan_worker((a, b, c))
+            counts[label] += 1
+            lines.append(line)
+    lines.append("")
+    return tuple(counts.values()), "\n".join(lines)
+
+
+def _in_order(pool, fn, tasks, window: int):
+    """``map(fn, tasks)`` on a process pool, with at most ``window`` tasks
+    submitted and not yet taken; results come in the order of ``tasks``."""
+    pending = deque()
+    for task in tasks:
+        pending.append(pool.submit(fn, task))
+        if len(pending) >= window:
+            yield pending.popleft().result()
+    while pending:
+        yield pending.popleft().result()
+
+
+def _worker_count(n_forms: int) -> int:
     limit = os.cpu_count() or 1
     env = os.environ.get("K3COVER_THREADS")
     if env is not None:
@@ -90,8 +196,9 @@ def _worker_count(n_tasks: int) -> int:
         if cap < 1:
             _fail("K3COVER_THREADS must be at least 1", 1)
         limit = min(limit, cap)
-    # parallelism only pays off once the box is reasonably large
-    return max(1, min(limit, n_tasks // 16))
+    # a pool costs about 40 ms to start, which a worker earns back only
+    # once it has a window's worth of tasks to run
+    return max(1, min(limit, n_forms // (_TASKS_PER_WORKER * _TASK_FORMS)))
 
 
 def scan_cmd(a_max: int, b_max: int, c_min: int, c_max: int, out: str) -> None:
@@ -99,42 +206,41 @@ def scan_cmd(a_max: int, b_max: int, c_min: int, c_max: int, out: str) -> None:
 
     Emits one JSON line per form, ordered by (a, b, c) ascending, and a
     per-case tally on stderr.  Output is byte-identical for a given box no
-    matter how many worker processes run (K3COVER_THREADS caps them).
+    matter how many worker processes run (K3COVER_THREADS caps them).  Rows
+    of the box stream through in blocks, so memory does not grow with it.
     """
-    triples = [
-        (a, b, c)
-        for a in range(1, a_max + 1)
-        for b in range(1, b_max + 1)
-        for c in range(c_min, c_max + 1)
-        if 4 * a * b - c * c > 0
-    ]
-    if not triples:
+    box = (a_max, b_max, c_min, c_max)
+    n_forms = sum(hi - lo + 1 for _, _, lo, hi in _rows(*box))
+    if not n_forms:
         _fail("no positive definite forms in the requested ranges", 1)
-    workers = _worker_count(len(triples))
+    workers = _worker_count(n_forms)
     try:
         handle = sys.stdout if out == "-" else open(out, "w", encoding="utf-8")
     except OSError as exc:
         _fail(f"cannot open {out!r} for writing: {exc}", 1)
-    counts = dict.fromkeys(CASE_ORDER, 0)
+    counts = [0] * len(CASE_ORDER)
+    tasks = _tasks(_rows(*box))
+    pool = None
     try:
         if workers == 1:
-            results = map(_scan_worker, triples)
-            for label, line in results:
-                counts[label] += 1
-                handle.write(line + "\n")
+            blocks = map(_scan_rows, tasks)
         else:
             # imported on demand: it adds 20-40 ms to every start-up
             from concurrent.futures import ProcessPoolExecutor
 
-            with ProcessPoolExecutor(max_workers=workers) as pool:
-                for label, line in pool.map(_scan_worker, triples, chunksize=64):
-                    counts[label] += 1
-                    handle.write(line + "\n")
+            pool = ProcessPoolExecutor(max_workers=workers)
+            blocks = _in_order(pool, _scan_rows, tasks, _TASKS_PER_WORKER * workers)
+        for task_counts, block in blocks:
+            counts = list(map(add, counts, task_counts))
+            handle.write(block)
     finally:
+        if pool is not None:
+            # after a failed write, the window's tasks not yet started are dropped
+            pool.shutdown(cancel_futures=True)
         if handle is not sys.stdout:
             handle.close()
-    tally = " ".join(f"{label}={counts[label]}" for label in CASE_ORDER)
-    print(f"scanned {len(triples)} forms: {tally}", file=sys.stderr)
+    tally = " ".join(f"{label}={count}" for label, count in zip(CASE_ORDER, counts))
+    print(f"scanned {n_forms} forms: {tally}", file=sys.stderr)
 
 
 def _check_family_coverage(n_max: int) -> str:

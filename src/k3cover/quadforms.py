@@ -59,5 +59,11 @@ def reduce_form(t: TranscendentalForm) -> tuple[TranscendentalForm, Sl2Matrix]:
 
 
 def represents_one(t: TranscendentalForm) -> bool:
-    """Whether a x^2 + c x y + b y^2 = 1 has an integer solution."""
+    """Whether a x^2 + c x y + b y^2 = 1 has an integer solution.
+
+    A form whose three coefficients are all even takes only even values, so
+    it never represents 1; only the other forms are reduced.
+    """
+    if not (t.a | t.b | t.c) & 1:
+        return False
     return _gauss(t.a, t.c, t.b)[0] == 1

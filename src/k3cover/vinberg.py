@@ -22,6 +22,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 from math import gcd
+from operator import ge, mul
 
 SLICE_CAP = 20          # desk-scale cap on x0 for exhaustive slice work
 ABSENT = frozenset({1, 2, 4})   # norms -N with no witness in P
@@ -33,7 +34,8 @@ def norm(v) -> int:
     v = tuple(v)
     if len(v) != 11:
         raise ValueError("vectors here have 11 coordinates")
-    return -v[0] * v[0] + sum(x * x for x in v[1:])
+    tail = v[1:]
+    return sum(map(mul, tail, tail)) - v[0] * v[0]
 
 
 def in_P(v) -> bool:
@@ -41,17 +43,13 @@ def in_P(v) -> bool:
     v = tuple(v)
     if len(v) != 11:
         raise ValueError("vectors here have 11 coordinates")
-    g = 0
-    for x in v:
-        g = gcd(g, x)
-    if g != 1:
+    if gcd(*v) != 1:
         return False
     tail = v[1:]
-    if any(tail[i] < tail[i + 1] for i in range(9)) or tail[9] <= 0:
+    # x1 >= x2 >= ... >= x10, compared pairwise in C
+    if not all(map(ge, tail, v[2:])) or tail[9] <= 0:
         return False
-    if v[0] < tail[0] + tail[1] + tail[2]:
-        return False
-    return 3 * v[0] > sum(tail)
+    return v[0] >= tail[0] + tail[1] + tail[2] and 3 * v[0] > sum(tail)
 
 
 def _desc(*chunks: tuple[int, int]) -> tuple[int, ...]:

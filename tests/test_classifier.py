@@ -755,3 +755,31 @@ def _replay_mutated(name, path, op, value) -> None:
         return
     # the text comparison tells 1 from 1.0 and from true, as == does not
     assert json.dumps(parsed.to_dict(), sort_keys=True) == json.dumps(data, sort_keys=True)
+
+
+# 4 300 is CPython's default int <-> str digit limit; 10**5000 lies past it
+_HUGE = 10**5000
+
+
+@pytest.mark.parametrize("probe", [
+    lambda: verify_classification(TranscendentalForm(1, 1, 1),
+                                  Classification("IV", _HUGE, 3, ParityObstruction((2, 2), 1))),
+    lambda: verify_classification(TranscendentalForm(1, 1, 1),
+                                  Classification(_HUGE, False, 3, ParityObstruction((2, 2), 1))),
+    lambda: verify_classification(TranscendentalForm(1, 1, 1),
+                                  Classification("IV", False, 3, _HUGE)),
+    lambda: ParityObstruction((2, 2), [_HUGE]).replay(TranscendentalForm(1, 1, 1)),
+], ids=["covers", "case", "certificate", "pairing_mod_2"])
+def test_huge_int_in_a_wrong_field_is_refused_at_the_default_digit_limit(probe):
+    # the messages used to hold repr(value), and the repr of an int past the
+    # limit raises ValueError, not VerificationError
+    get_limit = getattr(sys, "get_int_max_str_digits", None)
+    before = get_limit() if get_limit else None
+    if before is not None:
+        sys.set_int_max_str_digits(4300)
+    try:
+        with pytest.raises(VerificationError, match="not"):
+            probe()
+    finally:
+        if before is not None:
+            sys.set_int_max_str_digits(before)

@@ -3,18 +3,36 @@
 import hashlib
 import json
 import os
+import random
 import shlex
 import subprocess
 import sys
 from pathlib import Path
 
+import tracemalloc
+from concurrent.futures import Future
+
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import k3cover
-from k3cover import classifier, vinberg
+from k3cover import classifier, cli, vinberg
 from k3cover.cli import CASE_ORDER, _scan_worker, main
-from k3cover.classifier import Classification, case_of, verify_classification
-from k3cover.lattices import TranscendentalForm
+from k3cover.classifier import (
+    Classification,
+    ExhaustiveAbsence,
+    ExplicitEmbedding,
+    KeumCitation,
+    ParityObstruction,
+    VinbergWitness,
+    case_of,
+    classify,
+    verify_classification,
+)
+from k3cover.lattices import TranscendentalForm, apply_basis_change
+
+from conftest import random_sl2
 
 
 @pytest.fixture(autouse=True)
@@ -213,6 +231,141 @@ def test_full_box_scan_lines_are_pinned(runner, tmp_path):
     assert hashlib.sha256(out.read_bytes()).hexdigest() == SCAN_20_SHA256
 
 
+def _json_oracle(form, result) -> str:
+    """The scan line as json.dumps writes it: the bytes `_scan_line` must keep."""
+    data = {"a": form.a, "b": form.b, "c": form.c, **result.to_dict()}
+    return json.dumps(data, sort_keys=True, separators=(",", ":"))
+
+
+# small ints, ints past 10**30, and ints past CPython's 4 300-digit limit
+_INTS = st.one_of(st.integers(-10**6, 10**6), st.integers(10**30, 10**40),
+                  st.integers(-10**40, -10**30), st.integers(10**4400, 10**4401))
+
+
+def _int_tuples(size=None):
+    sizes = {"min_size": size, "max_size": size} if size else {"max_size": 12}
+    return st.lists(_INTS, **sizes).map(tuple)
+
+
+_CERTIFICATES = st.one_of(
+    st.builds(KeumCitation, _int_tuples(3)),
+    st.builds(ExplicitEmbedding, st.sampled_from(sorted(classifier.CONSTRUCTIONS)),
+              _int_tuples(3), _int_tuples(4), st.lists(_int_tuples(12), max_size=2).map(tuple),
+              _INTS, st.lists(_int_tuples(12), max_size=2).map(tuple)),
+    st.builds(VinbergWitness, _INTS, _int_tuples(11)),
+    st.builds(ExhaustiveAbsence, _INTS, _int_tuples()),
+    st.builds(ParityObstruction, _int_tuples(2), _INTS),
+)
+
+
+@given(st.integers(1, 10**4400), st.integers(1, 10**40), st.sampled_from(CASE_ORDER),
+       st.booleans(), _INTS, _CERTIFICATES)
+def test_scan_line_is_json_dumps_of_the_record_property(a, b, label, covers, delta, certificate):
+    sys.set_int_max_str_digits(0)   # restored by the digit_limit fixture
+    form = TranscendentalForm(a, b, 1)
+    result = Classification(label, covers, delta, certificate)
+    assert cli._scan_line(form, result) == _json_oracle(form, result)
+
+
+def test_scan_line_is_json_dumps_of_classified_forms():
+    # every case, at small coefficients and in random SL2 bases past 10**30
+    forms = [TranscendentalForm(*triple) for triple in _expected_records(6, 6, -6, 6)]
+    rng = random.Random(1707)
+    for a, b, c in ((2, 4, 2), (2, 3, 1), (2, 3, 2), (1, 5, 0), (1, 1, 0), (1, 1, 1)):
+        g = random_sl2(rng, 10**15)
+        forms.append(apply_basis_change(TranscendentalForm(a, b, c), g))
+    assert {case_of(t)[0] for t in forms} == set(CASE_ORDER)
+    for t in forms:
+        result = classify(t)
+        assert cli._scan_line(t, result) == _json_oracle(t, result)
+
+
+def test_scan_line_writes_no_string_but_the_fixed_ones():
+    form = TranscendentalForm(2, 3, 1)
+    good = classify(form)
+    with pytest.raises(KeyError):
+        cli._scan_line(form, Classification('II"', True, 23, good.certificate))
+    bad = ExplicitEmbedding(*[getattr(good.certificate, name) if name != "construction"
+                              else "c-odd\\" for name in ExplicitEmbedding.__slots__])
+    with pytest.raises(KeyError):
+        cli._scan_line(form, Classification("II", True, 23, bad))
+
+
+class _CountingPool:
+    """A stand-in for a process pool that runs each task at once and records
+    how many were submitted and not yet taken."""
+
+    def __init__(self, taken: list[int]) -> None:
+        self.submitted, self.taken, self.most = 0, taken, 0
+
+    def submit(self, fn, task):
+        self.submitted += 1
+        self.most = max(self.most, self.submitted - len(self.taken))
+        future = Future()
+        future.set_result(fn(task))
+        return future
+
+
+def test_in_order_keeps_a_bounded_window_and_the_task_order():
+    taken = []
+    pool = _CountingPool(taken)
+    for value in cli._in_order(pool, lambda task: -task, range(100), window=8):
+        taken.append(value)
+    assert taken == [-task for task in range(100)]
+    assert pool.most == 8
+
+
+def test_scan_streams_more_tasks_than_the_window_holds(runner, tmp_path, monkeypatch):
+    # small tasks, so that a small box starts two workers, even on a
+    # one-core machine, and its tasks outnumber the futures the parent
+    # keeps in flight several times over
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(cli, "_TASK_FORMS", 32)
+    box = (12, 12, -12, 12)
+    tasks = list(cli._tasks(cli._rows(*box)))
+    assert len(tasks) > 3 * cli._TASKS_PER_WORKER * 2
+    assert [row for task in tasks for row in task] == list(cli._rows(*box))
+    assert cli._worker_count(sum(hi - lo + 1 for _, _, lo, hi in cli._rows(*box))) == 2
+    args = ["scan", "--a-max", "12", "--b-max", "12", "--c-min", "-12", "--c-max", "12"]
+    outputs, tallies = [], []
+    for workers in ("1", "2"):
+        out = tmp_path / f"scan-w{workers}.jsonl"
+        result = runner.invoke(main, args + ["--out", str(out)],
+                               env={"K3COVER_THREADS": workers})
+        assert result.exit_code == 0
+        outputs.append(out.read_bytes())
+        tallies.append(result.stderr)
+    assert outputs[0] == outputs[1]
+    assert tallies[0] == tallies[1]
+    expected = _expected_records(*box)
+    lines = outputs[0].decode().splitlines()
+    assert [tuple(json.loads(line)[k] for k in "abc") for line in lines] == expected
+    assert tallies[0].startswith(f"scanned {len(expected)} forms:")
+
+
+def _traced_peak(runner, out, a_max: int) -> int:
+    tracemalloc.start()
+    try:
+        result = runner.invoke(main, [
+            "scan", "--a-max", str(a_max), "--b-max", "20", "--c-min", "-20", "--c-max", "20",
+            "--out", str(out)], env={"K3COVER_THREADS": "1"})
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert result.exit_code == 0
+    return peak
+
+
+def test_scan_memory_does_not_grow_with_the_box(runner, tmp_path):
+    # the in-process scan holds one task's block at a time: more than doubling the
+    # box's a range (2 626 forms to 6 690) leaves its peak where it was,
+    # where a list of the box's triples grows with it
+    out = tmp_path / "scan.jsonl"
+    _traced_peak(runner, out, 2)    # fills the caches classify keeps
+    small, large = _traced_peak(runner, out, 6), _traced_peak(runner, out, 12)
+    assert large <= 1.25 * small, (small, large)
+
+
 def test_scan_stdout_default(runner):
     result = runner.invoke(main, [
         "scan", "--a-max", "1", "--b-max", "1", "--c-min", "0", "--c-max", "1"])
@@ -261,12 +414,13 @@ def test_scan_error_paths(runner, tmp_path):
 @pytest.mark.parametrize("workers", ["1", "2"])
 def test_scan_into_a_closed_pipe_exits_1_without_a_traceback(workers):
     # `k3cover scan ... | head -n 1`: the reader takes one line and closes
-    # the pipe.  The box's 370 kB of records overflow the pipe buffer, so
-    # the scan's later writes meet the closed end.
+    # the pipe.  The box's 2.9 MB of records overflow the pipe buffer, so
+    # the scan's later writes meet the closed end; its 12 668 forms are
+    # enough for `_worker_count` to start two workers.
     src = str(Path(k3cover.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": src, "K3COVER_THREADS": workers}
-    args = [sys.executable, "-m", "k3cover.cli", "scan", "--a-max", "10", "--b-max", "10",
-            "--c-min", "-10", "--c-max", "10"]
+    args = [sys.executable, "-m", "k3cover.cli", "scan", "--a-max", "20", "--b-max", "20",
+            "--c-min", "-20", "--c-max", "20"]
     with subprocess.Popen(args, env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
                           text=True) as proc:
         first = proc.stdout.readline()

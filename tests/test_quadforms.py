@@ -6,8 +6,9 @@ import random
 from hypothesis import given
 from hypothesis import strategies as st
 
-from k3cover.lattices import TranscendentalForm, apply_basis_change
-from k3cover.quadforms import reduce_form, represents_one
+from k3cover import classifier
+from k3cover.lattices import TranscendentalForm, apply_basis_change, parity_class
+from k3cover.quadforms import _gauss, reduce_form, represents_one
 
 from conftest import sl2_matrices
 
@@ -116,3 +117,44 @@ def test_reduction_is_invariant_under_sl2_property(t, g):
     red, _ = reduce_form(t)
     assert reduce_form(moved)[0] == red
     assert represents_one(moved) == (red.a == 1)
+
+
+def _reduces_to_one(t: TranscendentalForm) -> bool:
+    """represents_one by the plain reduction loop alone."""
+    return _gauss(t.a, t.c, t.b)[0] == 1
+
+
+@given(definite_forms(st.integers(10**30, 10**40)))
+def test_all_even_forms_never_represent_one_property(t):
+    # the guard answers for the doubled form without reducing it, and must
+    # agree with reduction on it and on the form itself
+    doubled = TranscendentalForm(2 * t.a, 2 * t.b, 2 * t.c)
+    assert represents_one(doubled) is _reduces_to_one(doubled) is False
+    assert represents_one(t) == _reduces_to_one(t)
+
+
+def test_represents_one_agrees_with_reduction_on_every_complement_block_of_the_box():
+    # -B/2 of the construction certify uses for each form of the box
+    # a, b <= 20, |c| <= 20: all-even for case I, c-odd for II, and c-even
+    # at the normalized form for III; c-odd and all-even blocks are all even
+    construction = {"I": "all-even", "II": "c-odd", "III": "c-even"}
+    blocks = 0
+    for a in range(1, 21):
+        for b in range(1, 21):
+            for c in range(-20, 21):
+                if 4 * a * b - c * c <= 0:
+                    continue
+                t = TranscendentalForm(a, b, c)
+                name = construction.get(parity_class(t))
+                if name is None:
+                    continue
+                if name == "c-even":
+                    t = classifier.normalize_case_III(t)[0]
+                k1, k2 = classifier.CONSTRUCTIONS[name](t.a, t.b, t.c)[1]
+                p, q, r = (classifier._pair(k1, k1), classifier._pair(k1, k2),
+                           classifier._pair(k2, k2))
+                block = TranscendentalForm(-p // 2, -r // 2, -q)
+                assert represents_one(block) == _reduces_to_one(block), (name, t)
+                blocks += 1
+    # every form of the box but its 1 510 case IV forms, which have no embedding
+    assert blocks == 12668 - 1510

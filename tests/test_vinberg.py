@@ -13,6 +13,8 @@ from dataclasses import dataclass
 from math import gcd
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from k3cover import vinberg
 from k3cover.vinberg import (
@@ -67,6 +69,45 @@ def test_in_P_frozen():
     assert not in_P((8, 4, 2, 2, 2, 2, 2, 2, 2, 2, 2))   # gcd 2
     with pytest.raises(ValueError):
         in_P((1, 1))
+
+
+def _in_P_reference(v) -> bool:
+    """Membership in P, one condition at a time, by plain loops."""
+    g = 0
+    for x in v:
+        g = gcd(g, x)
+    if g != 1:
+        return False
+    for i in range(1, 10):
+        if v[i] < v[i + 1]:
+            return False
+    if v[10] <= 0:
+        return False
+    if v[0] < v[1] + v[2] + v[3]:
+        return False
+    return 3 * v[0] > sum(v[1:])
+
+
+@st.composite
+def near_P_vectors(draw):
+    """11 ints around P: a tail that is usually sorted and positive, an x0
+    near both cone bounds, a common factor now and then, and huge entries."""
+    entry = st.one_of(st.integers(1, 30), st.integers(10**30, 10**40))
+    tail = draw(st.lists(entry, min_size=9, max_size=9)) + [draw(st.integers(-1, 3))]
+    if draw(st.integers(0, 3)):
+        tail.sort(reverse=True)
+    x0 = max(tail[0] + tail[1] + tail[2], sum(tail) // 3 + 1) + draw(st.integers(-2, 2))
+    factor = draw(st.sampled_from([1, 1, 1, 2, 3]))
+    return tuple(factor * x for x in (x0, *tail))
+
+
+@given(near_P_vectors())
+@example((4,) + (1,) * 10)
+@example((8, 4, 2, 2, 2, 2, 2, 2, 2, 2, 2))
+@example((0,) * 11)
+def test_in_P_matches_the_loop_reference_property(v):
+    assert in_P(v) == _in_P_reference(v)
+    assert in_P(list(v)) == in_P(v)
 
 
 def test_family_vectors_frozen():
