@@ -53,12 +53,14 @@ class TranscendentalForm(Frozen):
     """Positive definite even rank-2 form [[2a, c], [c, 2b]].
 
     This is the transcendental lattice datum of a singular K3 surface,
-    presented by the half-integer triple (a, b, c).
+    presented by the half-integer triple (a, b, c) of ints (bools refused).
     """
 
     __slots__ = ("a", "b", "c")
 
     def __init__(self, a: int, b: int, c: int) -> None:
+        if type(a) is not int or type(b) is not int or type(c) is not int:
+            raise ValueError("coefficients a, b, c must be ints")
         if a <= 0 or b <= 0:
             raise ValueError("diagonal coefficients a, b must be positive")
         if 4 * a * b - c * c <= 0:

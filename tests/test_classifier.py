@@ -9,6 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from k3cover import vinberg
 from k3cover.classifier import (
     ABSENCE_SLICES,
     CASES,
@@ -31,8 +32,8 @@ from k3cover.classifier import (
 )
 from k3cover.embeddings import Embedding, is_primitive, orthogonal_complement, validate
 from k3cover.errors import VerificationError
-from k3cover.intmat import IntMatrix, standard_lattice
-from k3cover.lattices import TranscendentalForm, apply_basis_change
+from k3cover.intmat import IntMatrix, standard_lattice, to_lattice
+from k3cover.lattices import Sl2Matrix, TranscendentalForm, apply_basis_change
 from k3cover.shortvec import NormQuery, has_norm
 
 from conftest import LAMBDA, random_sl2, replace, sl2_matrices, written_down_embedding
@@ -694,6 +695,8 @@ _REPLACEMENTS = st.one_of(
 @example(("II-6-digit", ("certificate", "minus_two")), ("replace", ""))
 @example(("III-1", ("certificate", "minus_two")), ("replace", {}))
 @example(("II", ("certificate", "basis_change")), ("replace", [-1, 0, 0, -1]))
+@example(("I-all-even", ("certificate", "basis_change")), ("replace", [-1, 0, 0, -1]))
+@example(("III-2", ("certificate", "n")), ("replace", 3))
 @example(("III-2", ("certificate", "vector", 0)), ("replace", 4.0))
 @example(("I", ("covers",)), ("replace", 1))
 def test_a_mutated_record_is_rejected_or_verifies_uncoerced_property(site, mutation):
@@ -755,6 +758,22 @@ def _replay_mutated(name, path, op, value) -> None:
         return
     # the text comparison tells 1 from 1.0 and from true, as == does not
     assert json.dumps(parsed.to_dict(), sort_keys=True) == json.dumps(data, sort_keys=True)
+    _confirm_on_the_oracle_stack(TranscendentalForm(*_RECORD_FORMS[name]), parsed.certificate)
+
+
+def _confirm_on_the_oracle_stack(t, cert) -> None:
+    """Re-check a certificate that replay accepted without the classifier's
+    replay: an embedding on the general lattice machinery, down to a search
+    of its complement for roots, and a witness by its norm and the region."""
+    if cert.kind == "explicit-embedding":
+        normalized = TranscendentalForm(*cert.normalized)
+        assert apply_basis_change(t, Sl2Matrix(*cert.basis_change)) == normalized
+        e = Embedding(to_lattice(normalized), LAMBDA, IntMatrix.from_rows(cert.matrix))
+        assert validate(e) and is_primitive(e)
+        _, complement = orthogonal_complement(LAMBDA, e)
+        assert not has_norm(NormQuery(complement, -2))
+    elif cert.kind == "vinberg-witness":
+        assert 4 * vinberg.norm(cert.vector) == -t.delta and vinberg.in_P(cert.vector)
 
 
 # 4 300 is CPython's default int <-> str digit limit; 10**5000 lies past it

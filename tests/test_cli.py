@@ -433,14 +433,36 @@ def test_scan_into_a_closed_pipe_exits_1_without_a_traceback(workers):
     assert stderr.startswith("error: ")
 
 
+_FULL_BOX_SCAN = ["scan", "--a-max", "20", "--b-max", "20", "--c-min", "-20", "--c-max", "20"]
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs the /dev/full device")
+@pytest.mark.parametrize("workers", ["1", "2"])
+@pytest.mark.parametrize("args", [
+    ["classify", "--a", "1", "--b", "2", "--c", "1"],
+    _FULL_BOX_SCAN,
+    _FULL_BOX_SCAN + ["--out", "/dev/full"],
+], ids=["classify", "scan", "scan-out"])
+def test_a_write_to_a_full_device_exits_1_without_a_traceback(args, workers):
+    # every write to /dev/full fails with ENOSPC; the full box is large
+    # enough for `_worker_count` to start two workers
+    src = str(Path(k3cover.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src, "K3COVER_THREADS": workers}
+    with open("/dev/full", "w") as full:
+        done = subprocess.run([sys.executable, "-m", "k3cover.cli", *args], env=env,
+                              stdout=full, stderr=subprocess.PIPE, text=True, timeout=60)
+    assert done.returncode == 1, done.stderr
+    assert done.stderr.startswith("error: ")
+    assert "Traceback" not in done.stderr and "Exception ignored" not in done.stderr
+
+
 def test_verify_lemmas_passes(runner):
-    result = runner.invoke(main, ["verify-lemmas", "--n-max", "30"])
+    result = runner.invoke(main, ["verify-lemmas"])
     assert result.exit_code == 0
     lines = result.output.splitlines()
-    assert len(lines) == 4
+    assert len(lines) == 3
     names = [line.split()[0] for line in lines]
-    assert names == ["family-coverage", "small-norm-absence", "max-table",
-                     "primitivity-snf"]
+    assert names == ["family-coverage", "small-norm-absence", "max-table"]
     assert all(" pass " in line for line in lines)
 
 
@@ -448,25 +470,13 @@ def test_verify_lemmas_catches_corrupted_table(runner, monkeypatch):
     build, min_param, _ = vinberg.FAMILIES["Z"]
     monkeypatch.setitem(vinberg.FAMILIES, "Z",
                         (build, min_param, lambda n: 4 * n + 1))
-    result = runner.invoke(main, ["verify-lemmas", "--n-max", "30"])
+    result = runner.invoke(main, ["verify-lemmas"])
     assert result.exit_code == 2
     assert "family-coverage" in result.output
     assert "FAIL" in result.output
 
 
-def test_verify_lemmas_checks_the_minor_gcd_that_replay_runs(runner, monkeypatch):
-    # a block of rank below 2 read as primitive: the row must turn red
-    real = classifier._minor_gcd
-    monkeypatch.setattr(classifier, "_minor_gcd", lambda x, y: real(x, y) or 1)
-    result = runner.invoke(main, ["verify-lemmas", "--n-max", "30"])
-    assert result.exit_code == 2
-    rows = dict(line.split(None, 1) for line in result.stdout.splitlines())
-    assert rows.pop("primitivity-snf").startswith("FAIL")
-    assert all(row.startswith("pass") for row in rows.values())
-
-
 def test_verify_lemmas_rejects_bad_bounds(runner):
-    assert runner.invoke(main, ["verify-lemmas", "--n-max", "2"]).exit_code == 1
     assert runner.invoke(main, ["verify-lemmas", "--slice-max", "2"]).exit_code == 1
     assert runner.invoke(
         main, ["verify-lemmas", "--slice-max", str(vinberg.SLICE_CAP + 1)]
@@ -478,8 +488,8 @@ def test_case_order_is_complete():
     assert CASE_ORDER == tuple(classifier.CASES)
 
 
-# modules no classify, scan or replay runs: the tests' oracle stack and
-# the standard library modules that only cost start-up
+# modules no command runs (classify, scan, replay or verify-lemmas): the
+# tests' oracle stack and the standard library modules that only cost start-up
 OFF_THE_CLASSIFY_PATH = {"click", "dataclasses", "inspect", "fractions", "decimal", "typing",
                          "k3cover.intmat", "k3cover.embeddings", "k3cover.shortvec"}
 
@@ -500,6 +510,28 @@ def test_cli_import_leaves_out_the_short_vector_search():
         added = set(json.loads(done.stdout))
         assert "k3cover.classifier" in added, target
         assert added & OFF_THE_CLASSIFY_PATH == set(), target
+
+
+def test_no_command_loads_the_oracle_stack(tmp_path):
+    # what running the commands loads, not only importing the CLI: classify
+    # with replay, a small scan and verify-lemmas, one after another in one
+    # `-S` process, leave out the oracle stack and `random`
+    src = str(Path(k3cover.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src, "K3COVER_THREADS": "1"}
+    code = ("import json, os, sys\n"
+            "from k3cover.cli import main\n"
+            "main(['classify', '--a', '1', '--b', '2', '--c', '1', '--json', '--verify'])\n"
+            "main(['scan', '--a-max', '3', '--b-max', '3', '--c-min', '-3', '--c-max', '3',\n"
+            "      '--out', os.devnull])\n"
+            "main(['verify-lemmas'])\n"
+            "with open(sys.argv[1], 'w') as out:\n"
+            "    json.dump(sorted(sys.modules), out)\n")
+    modules = tmp_path / "modules.json"
+    subprocess.run([sys.executable, "-S", "-c", code, str(modules)], env=env,
+                   capture_output=True, text=True, timeout=60, check=True)
+    loaded = set(json.loads(modules.read_text()))
+    assert "k3cover.vinberg" in loaded
+    assert loaded & (OFF_THE_CLASSIFY_PATH | {"random"}) == set()
 
 
 README = Path(__file__).resolve().parents[1] / "README.md"

@@ -82,6 +82,11 @@ def test_certificate_kind_is_a_plain_str_class_attribute():
     (TranscendentalForm, (-1, 1, 0)),
     (TranscendentalForm, (0, 1, 1)),
     (TranscendentalForm, (1, 1, 3)),     # indefinite
+    # coefficients that are not ints, bools among them
+    (TranscendentalForm, (0.5, 1, 0)),
+    (TranscendentalForm, (2.0, 2.0, 0.0)),
+    (TranscendentalForm, (True, 1, 0)),
+    (TranscendentalForm, (1, 1, "0")),
 ])
 def test_invalid_value_raises_value_error(cls, args):
     with pytest.raises(ValueError):
