@@ -272,7 +272,7 @@ def _check_absence(slice_max: int) -> str:
 
 
 def _check_max_table(slice_max: int) -> str:
-    if vinberg.enumerate_P_slice(3):
+    if vinberg.slice_norms(3):
         raise VerificationError("slice 3 should be empty")
     for m in range(4, slice_max + 1):
         want = vinberg.predicted_max_norm(m)
@@ -280,7 +280,7 @@ def _check_max_table(slice_max: int) -> str:
         if got != want:
             raise VerificationError(f"slice {m}: maximum {got}, formula says {want}")
         top = vinberg.slice_maximizer(m)
-        if top is None or vinberg.norm(top) != want or top not in vinberg.enumerate_P_slice(m):
+        if top is None or vinberg.norm(top) != want or not vinberg.in_slice(top, m):
             raise VerificationError(f"slice {m}: stated maximizer is invalid")
     return f"slices 4..{slice_max} match the formulas"
 
@@ -316,6 +316,13 @@ class _Parser(argparse.ArgumentParser):
 
     def error(self, message: str) -> None:
         _fail(message, 1)
+
+    def print_help(self, file=None) -> None:
+        # argparse's own writer drops a failed write; flushed here, the
+        # error reaches the handler in `main` before --help exits 0
+        file = sys.stdout if file is None else file
+        file.write(self.format_help())
+        file.flush()
 
 
 def _parser() -> argparse.ArgumentParser:
@@ -354,7 +361,7 @@ def _parser() -> argparse.ArgumentParser:
         "verify-lemmas", help="Re-derive the tabulated facts behind the classifier; "
                               "exit 2 on any failure.")
     cmd.add_argument("--slice-max", type=int, default=14,
-                     help="Enumerate region slices with x0 up to this bound "
+                     help="Check region slices with x0 up to this bound "
                           "(default: %(default)s).")
     cmd.set_defaults(run=verify_lemmas_cmd)
     return parser
@@ -368,8 +375,8 @@ def main(argv: list[str] | None = None) -> None:
     lift = getattr(sys, "set_int_max_str_digits", None)
     if lift is not None:
         lift(0)
-    args = vars(_parser().parse_args(argv))
     try:
+        args = vars(_parser().parse_args(argv))
         args.pop("run")(**args)
         sys.stdout.flush()
     except OSError as exc:

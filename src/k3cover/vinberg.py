@@ -8,14 +8,16 @@ A covering certificate for the interesting branch needs a vector x =
 
 Closed-form families cover every N >= 3 except N = 4, so search_norm is a
 dispatch that never enumerates; for N in {1, 2, 4} no vector of P has norm
--N, which the slice enumerator verifies at desk scale and the per-slice
+-N, which the per-slice norm sets verify at desk scale and the per-slice
 maximum formulas certify beyond it.
 
-Slices are indexed by x0 = m and enumerated lexicographically descending.
-A slice deliberately drops the gcd condition: the maximum-norm table is
-stated for the plain cone slices (its slice-8 maximizer is divisible by 2),
-and searching the larger set only strengthens absence results.  Full
-membership, gcd included, is what in_P checks.
+Slices are indexed by x0 = m.  A slice deliberately drops the gcd
+condition: the maximum-norm table is stated for the plain cone slices (its
+slice-8 maximizer is divisible by 2), and searching the larger set only
+strengthens absence results.  in_slice checks membership of one slice,
+in_P full membership, gcd included.  No slice is ever listed: slice_norms
+builds a slice's set of norms by a memoised recurrence on sums of squares,
+and the test suite holds it to an explicit enumeration of the slice.
 """
 
 from __future__ import annotations
@@ -50,6 +52,17 @@ def in_P(v) -> bool:
     if not all(map(ge, tail, v[2:])) or tail[9] <= 0:
         return False
     return v[0] >= tail[0] + tail[1] + tail[2] and 3 * v[0] > sum(tail)
+
+
+def in_slice(v, m: int) -> bool:
+    """Membership in the slice x0 = m: the conditions of P but the gcd.
+
+    Those conditions are homogeneous, so v meets them exactly when v divided
+    by its gcd does, and that vector has gcd 1: in_P holds the one copy.
+    """
+    v = tuple(v)
+    g = gcd(*v)
+    return g > 0 and in_P(x // g for x in v) and v[0] == m
 
 
 def _desc(*chunks: tuple[int, int]) -> tuple[int, ...]:
@@ -126,45 +139,39 @@ def family_vector(name: str, param: int = 0) -> Vector11:
 
 
 @lru_cache(maxsize=None)
-def _slice_members(m: int) -> tuple[Vector11, ...]:
-    """The cone slice at x0 = m, lexicographic descending on (x1..x10)."""
-    out: list[Vector11] = []
-    budget = 3 * m - 1      # sum of the tail must stay <= budget
-    tail = [0] * 10
-
-    def walk(i: int, prev: int, head3: int, total: int) -> None:
-        if i == 10:
-            out.append((m, *tail))
-            return
-        hi = min(prev, budget - total - (9 - i))
-        if i < 3:
-            hi = min(hi, m - head3 - (2 - i))
-        for v in range(hi, 0, -1):
-            tail[i] = v
-            walk(i + 1, v, head3 + v if i < 3 else head3, total + v)
-
-    walk(0, m, 0, 0)
-    return tuple(out)
-
-
-def enumerate_P_slice(m: int) -> list[Vector11]:
-    """The slice x0 = m of the ordering and cone conditions (gcd not applied).
-
-    Desk scale only: 3 <= m <= SLICE_CAP.
-    """
-    if not 3 <= m <= SLICE_CAP:
-        raise ValueError(f"slice index must lie in [3, {SLICE_CAP}]")
-    return list(_slice_members(m))
+def _tail_squares(k: int, top: int, room: int) -> int:
+    """The sums of squares of k entries, as a bitset: bit j is set when k
+    non-increasing entries in [1, top], summing to at most room, have
+    squares that sum to j."""
+    if k == 0:
+        return 1
+    bits = 0
+    # the first entry v leaves room - v for the other k - 1, each at least 1
+    for v in range(1, min(top, room - k + 1) + 1):
+        bits |= _tail_squares(k - 1, v, room - v) << v * v
+    return bits
 
 
 @lru_cache(maxsize=None)
 def slice_norms(m: int) -> frozenset[int]:
     """Every norm attained on the slice x0 = m (gcd not applied).
 
-    Memoised like the slice itself, so that absence checks and the maximum
-    table cost one pass over each slice per process.
+    The slice is x1 >= ... >= x10 >= 1 with x1 + x2 + x3 <= m and a tail
+    sum of at most 3m - 1.  Each head x1, x2, x3 leaves seven entries in
+    [1, x3] for the rest of that sum, and their sums of squares come from
+    `_tail_squares`, which every slice shares.  Memoised, so that absence
+    checks and the maximum table cost one pass per slice and process.
     """
-    return frozenset(norm(v) for v in enumerate_P_slice(m))
+    if not 3 <= m <= SLICE_CAP:
+        raise ValueError(f"slice index must lie in [3, {SLICE_CAP}]")
+    bits = 0
+    for x1 in range(1, m + 1):
+        for x2 in range(1, min(x1, m - x1) + 1):
+            for x3 in range(1, min(x2, m - x1 - x2) + 1):
+                bits |= (_tail_squares(7, x3, 3 * m - 1 - x1 - x2 - x3)
+                         << x1 * x1 + x2 * x2 + x3 * x3)
+    # bit j of `bits` is digit j from the right of its binary string
+    return frozenset(j - m * m for j, digit in enumerate(reversed(bin(bits))) if digit == "1")
 
 
 def max_norm_in_slice(m: int) -> int | None:

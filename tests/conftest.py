@@ -12,6 +12,7 @@ import itertools
 import os
 import random
 from contextlib import redirect_stderr, redirect_stdout
+from functools import lru_cache
 from math import gcd
 from types import SimpleNamespace
 from unittest.mock import patch
@@ -24,6 +25,7 @@ from k3cover.classifier import CONSTRUCTIONS, normalize_case_III
 from k3cover.embeddings import Embedding
 from k3cover.intmat import IntMatrix, rank, solve_left, standard_lattice, to_lattice, xgcd
 from k3cover.lattices import Sl2Matrix, TranscendentalForm, parity_class
+from k3cover.vinberg import SLICE_CAP
 
 # Property tests replay the same examples on every run, like the seeded
 # tests, and keep no example database; big-integer examples have no deadline.
@@ -125,6 +127,38 @@ def _alternating_shears(ks: list[int]) -> Sl2Matrix:
     for i, k in enumerate(ks):
         g = g.compose(Sl2Matrix(1, k, 0, 1) if i % 2 == 0 else Sl2Matrix(1, 0, k, 1))
     return g
+
+
+@lru_cache(maxsize=None)
+def _slice_members(m: int) -> tuple[tuple[int, ...], ...]:
+    """The cone slice at x0 = m, lexicographic descending on (x1..x10)."""
+    out: list[tuple[int, ...]] = []
+    budget = 3 * m - 1      # sum of the tail must stay <= budget
+    tail = [0] * 10
+
+    def walk(i: int, prev: int, head3: int, total: int) -> None:
+        if i == 10:
+            out.append((m, *tail))
+            return
+        hi = min(prev, budget - total - (9 - i))
+        if i < 3:
+            hi = min(hi, m - head3 - (2 - i))
+        for v in range(hi, 0, -1):
+            tail[i] = v
+            walk(i + 1, v, head3 + v if i < 3 else head3, total + v)
+
+    walk(0, m, 0, 0)
+    return tuple(out)
+
+
+def enumerate_P_slice(m: int) -> list[tuple[int, ...]]:
+    """The slice x0 = m of the ordering and cone conditions (gcd not applied),
+    listed member by member: the oracle `vinberg.slice_norms` and
+    `vinberg.in_slice` are held to.  Desk scale only: 3 <= m <= SLICE_CAP.
+    """
+    if not 3 <= m <= SLICE_CAP:
+        raise ValueError(f"slice index must lie in [3, {SLICE_CAP}]")
+    return list(_slice_members(m))
 
 
 def random_full_rank(rng: random.Random, n: int, m: int, bound: int = 5) -> IntMatrix:

@@ -34,7 +34,6 @@ from k3cover.lattices import TranscendentalForm, apply_basis_change
 from k3cover.quadforms import represents_one
 from k3cover.shortvec import NormQuery, enumerate_by_norm, enumerate_norm
 from k3cover.vinberg import (
-    enumerate_P_slice,
     in_P,
     max_norm_in_slice,
     norm,
@@ -42,7 +41,13 @@ from k3cover.vinberg import (
     slice_maximizer,
 )
 
-from conftest import LAMBDA, random_full_rank, random_sl2, written_down_embedding
+from conftest import (
+    LAMBDA,
+    enumerate_P_slice,
+    random_full_rank,
+    random_sl2,
+    written_down_embedding,
+)
 
 GRID = [
     TranscendentalForm(a, b, c)

@@ -36,7 +36,14 @@ from k3cover.intmat import IntMatrix, standard_lattice, to_lattice
 from k3cover.lattices import Sl2Matrix, TranscendentalForm, apply_basis_change
 from k3cover.shortvec import NormQuery, has_norm
 
-from conftest import LAMBDA, random_sl2, replace, sl2_matrices, written_down_embedding
+from conftest import (
+    LAMBDA,
+    enumerate_P_slice,
+    random_sl2,
+    replace,
+    sl2_matrices,
+    written_down_embedding,
+)
 
 FROZEN_CASES = {
     (2, 2, 2): ("I", True),
@@ -699,6 +706,9 @@ _REPLACEMENTS = st.one_of(
 @example(("III-2", ("certificate", "n")), ("replace", 3))
 @example(("III-2", ("certificate", "vector", 0)), ("replace", 4.0))
 @example(("I", ("covers",)), ("replace", 1))
+@example(("I", ("certificate", "halved", 0)), ("replace", 1))
+@example(("III-3", ("certificate", "n")), ("replace", 1))
+@example(("IV", ("certificate", "pairing_mod_2")), ("replace", 1))
 def test_a_mutated_record_is_rejected_or_verifies_uncoerced_property(site, mutation):
     _mutate_and_replay(*site, *mutation)
 
@@ -764,8 +774,17 @@ def _replay_mutated(name, path, op, value) -> None:
 def _confirm_on_the_oracle_stack(t, cert) -> None:
     """Re-check a certificate that replay accepted without the classifier's
     replay: an embedding on the general lattice machinery, down to a search
-    of its complement for roots, and a witness by its norm and the region."""
-    if cert.kind == "explicit-embedding":
+    of its complement for roots, a witness by its norm and the region, an
+    absence on the listed slices, and a halving or an odd form by hand."""
+    if cert.kind == "keum-citation":
+        assert tuple(2 * x for x in cert.halved) == (t.a, t.b, t.c)
+    elif cert.kind == "parity-obstruction":
+        assert t.a % 2 == t.b % 2 == t.c % 2 == 1
+    elif cert.kind == "exhaustive-absence":
+        assert 4 * cert.n == t.delta
+        for m in range(3, 15):
+            assert all(vinberg.norm(v) != -cert.n for v in enumerate_P_slice(m))
+    elif cert.kind == "explicit-embedding":
         normalized = TranscendentalForm(*cert.normalized)
         assert apply_basis_change(t, Sl2Matrix(*cert.basis_change)) == normalized
         e = Embedding(to_lattice(normalized), LAMBDA, IntMatrix.from_rows(cert.matrix))
@@ -774,6 +793,8 @@ def _confirm_on_the_oracle_stack(t, cert) -> None:
         assert not has_norm(NormQuery(complement, -2))
     elif cert.kind == "vinberg-witness":
         assert 4 * vinberg.norm(cert.vector) == -t.delta and vinberg.in_P(cert.vector)
+    else:
+        raise AssertionError(f"no oracle for {cert.kind!r}")
 
 
 # 4 300 is CPython's default int <-> str digit limit; 10**5000 lies past it

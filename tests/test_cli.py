@@ -32,7 +32,7 @@ from k3cover.classifier import (
 )
 from k3cover.lattices import TranscendentalForm, apply_basis_change
 
-from conftest import random_sl2
+from conftest import enumerate_P_slice, random_sl2
 
 
 @pytest.fixture(autouse=True)
@@ -456,6 +456,24 @@ def test_a_write_to_a_full_device_exits_1_without_a_traceback(args, workers):
     assert "Traceback" not in done.stderr and "Exception ignored" not in done.stderr
 
 
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs the /dev/full device")
+@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize("args", [["--help"], ["scan", "--help"]], ids=["main", "scan"])
+def test_help_to_a_full_device_exits_1_without_a_traceback(args, unbuffered):
+    # buffered, the help text fails only when flushed; unbuffered, when written
+    src = str(Path(k3cover.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    env.pop("PYTHONUNBUFFERED", None)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    with open("/dev/full", "w") as full:
+        done = subprocess.run([sys.executable, "-m", "k3cover.cli", *args], env=env,
+                              stdout=full, stderr=subprocess.PIPE, text=True, timeout=60)
+    assert done.returncode == 1, done.stderr
+    assert done.stderr.startswith("error: ")
+    assert "Traceback" not in done.stderr and "Exception ignored" not in done.stderr
+
+
 def test_verify_lemmas_passes(runner):
     result = runner.invoke(main, ["verify-lemmas"])
     assert result.exit_code == 0
@@ -474,6 +492,39 @@ def test_verify_lemmas_catches_corrupted_table(runner, monkeypatch):
     assert result.exit_code == 2
     assert "family-coverage" in result.output
     assert "FAIL" in result.output
+
+
+# One wrong fact each, for slice 9 alone, and the row that must catch it:
+# a stated maximizer with the right norm that lies outside its slice, a
+# maximum formula off by one, and a norm -4 in a slice's norm set
+_LEMMA_PROBES = {
+    "maximizer-outside-slice": (
+        "max-table", "slice_maximizer",
+        lambda real: lambda m: real(m)[:1] + real(m)[:0:-1] if m == 9 else real(m)),
+    "max-formula-off-by-one": (
+        "max-table", "predicted_max_norm",
+        lambda real: lambda m: real(m) + 1 if m == 9 else real(m)),
+    "minus-4-in-slice-9": (
+        "small-norm-absence", "slice_norms",
+        lambda real: lambda m: real(m) | {-4} if m == 9 else real(m)),
+}
+
+
+@pytest.mark.parametrize("row, name, wrong", _LEMMA_PROBES.values(), ids=list(_LEMMA_PROBES))
+def test_verify_lemmas_fails_the_row_of_each_wrong_slice_fact(runner, monkeypatch, row, name,
+                                                               wrong):
+    monkeypatch.setattr(vinberg, name, wrong(getattr(vinberg, name)))
+    result = runner.invoke(main, ["verify-lemmas"])
+    assert result.exit_code == 2
+    rows = {line.split()[0]: line.split()[1] for line in result.stdout.splitlines()}
+    assert rows[row] == "FAIL", result.stdout
+    assert rows["family-coverage"] == "pass"
+
+
+def test_the_outside_maximizer_probe_has_the_right_norm():
+    top = _LEMMA_PROBES["maximizer-outside-slice"][2](vinberg.slice_maximizer)(9)
+    assert vinberg.norm(top) == vinberg.predicted_max_norm(9)
+    assert top not in enumerate_P_slice(9)
 
 
 def test_verify_lemmas_rejects_bad_bounds(runner):

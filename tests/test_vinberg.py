@@ -1,9 +1,10 @@
 """The region P in <-1> + <1>^10: witnesses, slices, per-slice maxima.
 
-The slice enumerator is checked against a combinations-based oracle, the
-closed-form witness families against their stated norms and the region for
-every parameter, and the maximum table against both the stored formulas and
-the raw slice data.
+The slice enumerator of the test suite (conftest.py) is checked against a
+combinations-based oracle, and the program's slice norm sets and slice
+membership against that enumerator; the closed-form witness families against
+their stated norms and the region for every parameter, and the maximum table
+against both the stored formulas and the raw slice data.
 """
 
 import hashlib
@@ -21,9 +22,9 @@ from k3cover.vinberg import (
     ABSENT,
     FAMILIES,
     SLICE_CAP,
-    enumerate_P_slice,
     family_vector,
     in_P,
+    in_slice,
     max_norm_in_slice,
     norm,
     predicted_max_norm,
@@ -31,6 +32,8 @@ from k3cover.vinberg import (
     slice_maximizer,
     slice_norms,
 )
+
+from conftest import enumerate_P_slice
 
 MAX_TABLE = {
     4: -3, 5: -7, 6: -5, 7: -7, 8: -12, 9: -7,
@@ -379,6 +382,55 @@ def test_slice_norms_match_members():
     assert -3 in slice_norms(4)
     for m in range(3, SLICE_CAP + 1):
         assert not ABSENT & {-x for x in slice_norms(m)}, m
+
+
+def _slice_conditions(v, m) -> dict[str, bool]:
+    """The conditions of slice m, one by one, by plain loops."""
+    tail = v[1:]
+    return {
+        "x0": v[0] == m,
+        "sorted": all(tail[i] >= tail[i + 1] for i in range(9)),
+        "positive": tail[9] > 0,
+        "head": v[0] >= tail[0] + tail[1] + tail[2],
+        "budget": 3 * v[0] > sum(tail),
+    }
+
+
+def _near(v):
+    """v with one coordinate moved by one, or one unit moved between two
+    coordinates of the tail."""
+    for i in range(11):
+        for step in (1, -1):
+            yield v[:i] + (v[i] + step,) + v[i + 1:]
+    for i, j in itertools.permutations(range(1, 11), 2):
+        w = list(v)
+        w[i] += 1
+        w[j] -= 1
+        yield tuple(w)
+
+
+def test_in_slice_holds_on_every_member_and_fails_on_each_violation():
+    for m in range(4, 11):
+        assert all(in_slice(v, m) for v in enumerate_P_slice(m))
+    seen = set()
+    for m in range(4, SLICE_CAP + 1):
+        top = slice_maximizer(m)
+        assert in_slice(top, m) and in_slice(list(top), m)
+        for v in _near(top):
+            broken = [name for name, holds in _slice_conditions(v, m).items() if not holds]
+            assert in_slice(v, m) == (not broken), (m, v)
+            if len(broken) == 1:
+                seen.update(broken)
+    assert seen == set(_slice_conditions(top, m))
+    with pytest.raises(ValueError):
+        in_slice((4, 1), 4)
+
+
+def test_slice_norms_bounds():
+    with pytest.raises(ValueError):
+        slice_norms(2)
+    with pytest.raises(ValueError):
+        slice_norms(SLICE_CAP + 1)
 
 
 def test_max_table():
