@@ -13,7 +13,6 @@ Exit codes: 0 success, 1 invalid input (or output that cannot be written),
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 from collections import deque
@@ -59,8 +58,7 @@ def classify_cmd(a: int | None, b: int | None, c: int | None, gram: str | None,
         except VerificationError as exc:
             _fail(f"verification failed: {exc}", 2)
     if as_json:
-        payload = {"input": {"a": form.a, "b": form.b, "c": form.c}, **result.to_dict()}
-        print(json.dumps(payload, sort_keys=True, separators=(",", ":")))
+        print(_classify_line(form, result))
     else:
         verdict = "covers" if result.covers else "does not cover"
         print(f"case {result.case_label}: {verdict}")
@@ -74,7 +72,7 @@ def _rows_json(rows) -> str:
     return "[" + ",".join([f"[{_join(row)}]" for row in rows]) + "]"
 
 
-# The strings a scan line may hold, each already quoted: the case labels and
+# The strings a record may hold, each already quoted: the case labels and
 # the construction names.  Anything else is refused with KeyError, so no
 # string a template writes needs escaping.
 _QUOTED = {name: f'"{name}"' for name in (*CASE_ORDER, *classifier.CONSTRUCTIONS)}
@@ -98,24 +96,29 @@ _CERTIFICATE_JSON = {
 }
 
 
-def _scan_line(form: TranscendentalForm, result: classifier.Classification) -> str:
-    """The scan record of one form, written from fixed templates.
+def _verdict_members(result: classifier.Classification) -> str:
+    """The "case", "certificate", "covers" and "delta" members of a record,
+    written from fixed templates.
 
-    The bytes are those of `json.dumps` with sorted keys and no whitespace
-    of ``{"a", "b", "c"}`` next to ``result.to_dict()``, which stays the
-    oracle the tests hold this encoder to: ints through `str`, booleans as
-    true / false, and no string but the fixed ones in `_QUOTED`.
+    The bytes are those `json.dumps` writes, with sorted keys and no
+    whitespace, for ``result.to_dict()``, which stays the oracle the tests
+    hold this encoder to: ints through `str`, booleans as true / false, and
+    no string but the fixed ones in `_QUOTED`.
     """
     cert = result.certificate
-    return (f'{{"a":{form.a},"b":{form.b},"c":{form.c},"case":{_QUOTED[result.case_label]},'
+    return (f'"case":{_QUOTED[result.case_label]},'
             f'"certificate":{_CERTIFICATE_JSON[cert.kind](cert)},'
-            f'"covers":{"true" if result.covers else "false"},"delta":{result.delta}}}')
+            f'"covers":{"true" if result.covers else "false"},"delta":{result.delta}')
 
 
-def _scan_worker(triple: tuple[int, int, int]) -> tuple[str, str]:
-    form = TranscendentalForm(*triple)
-    result = classify(form)
-    return result.case_label, _scan_line(form, result)
+def _scan_line(form: TranscendentalForm, result: classifier.Classification) -> str:
+    """The scan record of one form: ``{"a", "b", "c"}`` next to the verdict."""
+    return f'{{"a":{form.a},"b":{form.b},"c":{form.c},{_verdict_members(result)}}}'
+
+
+def _classify_line(form: TranscendentalForm, result: classifier.Classification) -> str:
+    """The `classify --json` record: the verdict, then the form as "input"."""
+    return f'{{{_verdict_members(result)},"input":{{"a":{form.a},"b":{form.b},"c":{form.c}}}}}'
 
 
 # A task gathers whole rows until it holds this many forms: enough to pay
@@ -162,9 +165,10 @@ def _scan_rows(rows) -> tuple[tuple[int, ...], str]:
     lines = []
     for a, b, lo, hi in rows:
         for c in range(lo, hi + 1):
-            label, line = _scan_worker((a, b, c))
-            counts[label] += 1
-            lines.append(line)
+            form = TranscendentalForm(a, b, c)
+            result = classify(form)
+            counts[result.case_label] += 1
+            lines.append(_scan_line(form, result))
     lines.append("")
     return tuple(counts.values()), "\n".join(lines)
 
@@ -247,11 +251,9 @@ def _check_family_coverage() -> str:
             vinberg.family_vector(name, param)
     witnessed = 0
     for n in range(3, up_to + 1):
-        v = vinberg.search_norm(n)
         if n in vinberg.ABSENT:
-            if v is not None:
-                raise VerificationError(f"unexpected witness for norm -{n}")
-            continue
+            continue    # small-norm-absence checks that these have no witness
+        v = vinberg.search_norm(n)
         if v is None:
             raise VerificationError(f"no witness of norm -{n}")
         if vinberg.norm(v) != -n or not vinberg.in_P(v):
@@ -260,21 +262,21 @@ def _check_family_coverage() -> str:
     return f"{witnessed} norms witnessed up to {up_to}"
 
 
-def _check_absence(slice_max: int) -> str:
+def _check_absence() -> str:
     targets = sorted(vinberg.ABSENT)
     for n in targets:
-        for m in range(3, slice_max + 1):
+        for m in range(3, vinberg.SLICE_CAP + 1):
             if -n in vinberg.slice_norms(m):
                 raise VerificationError(f"norm -{n} appears in slice {m}")
         if vinberg.search_norm(n) is not None:
             raise VerificationError(f"search found a phantom witness for norm -{n}")
-    return f"norms {targets} absent through slice {slice_max}"
+    return f"norms {targets} absent through slice {vinberg.SLICE_CAP}"
 
 
-def _check_max_table(slice_max: int) -> str:
+def _check_max_table() -> str:
     if vinberg.slice_norms(3):
         raise VerificationError("slice 3 should be empty")
-    for m in range(4, slice_max + 1):
+    for m in range(4, vinberg.SLICE_CAP + 1):
         want = vinberg.predicted_max_norm(m)
         got = vinberg.max_norm_in_slice(m)
         if got != want:
@@ -282,17 +284,16 @@ def _check_max_table(slice_max: int) -> str:
         top = vinberg.slice_maximizer(m)
         if top is None or vinberg.norm(top) != want or not vinberg.in_slice(top, m):
             raise VerificationError(f"slice {m}: stated maximizer is invalid")
-    return f"slices 4..{slice_max} match the formulas"
+    return f"slices 4..{vinberg.SLICE_CAP} match the formulas"
 
 
-def verify_lemmas_cmd(slice_max: int) -> None:
-    """Re-derive the tabulated facts behind the classifier; exit 2 on any failure."""
-    if not 3 <= slice_max <= vinberg.SLICE_CAP:
-        _fail(f"--slice-max must lie in [3, {vinberg.SLICE_CAP}]", 1)
+def verify_lemmas_cmd() -> None:
+    """Re-derive the tabulated facts behind the classifier, through slice
+    `vinberg.SLICE_CAP`; exit 2 on any failure."""
     checks = (
         ("family-coverage", _check_family_coverage),
-        ("small-norm-absence", lambda: _check_absence(slice_max)),
-        ("max-table", lambda: _check_max_table(slice_max)),
+        ("small-norm-absence", _check_absence),
+        ("max-table", _check_max_table),
     )
     failed = False
     for name, check in checks:
@@ -360,9 +361,6 @@ def _parser() -> argparse.ArgumentParser:
     cmd = commands.add_parser(
         "verify-lemmas", help="Re-derive the tabulated facts behind the classifier; "
                               "exit 2 on any failure.")
-    cmd.add_argument("--slice-max", type=int, default=14,
-                     help="Check region slices with x0 up to this bound "
-                          "(default: %(default)s).")
     cmd.set_defaults(run=verify_lemmas_cmd)
     return parser
 

@@ -1,5 +1,6 @@
 """Command line surface: classify, scan, verify-lemmas."""
 
+import ast
 import hashlib
 import json
 import os
@@ -18,7 +19,7 @@ from hypothesis import strategies as st
 
 import k3cover
 from k3cover import classifier, cli, vinberg
-from k3cover.cli import CASE_ORDER, _scan_worker, main
+from k3cover.cli import CASE_ORDER, main
 from k3cover.classifier import (
     Classification,
     ExhaustiveAbsence,
@@ -106,7 +107,9 @@ def test_classify_rejects_bad_input(runner):
     ["classify", "--a", "1", "--b", "1", "--c", "0", "--colour"],
     ["scan", "--a-max", "1", "--c-min", "0", "--c-max", "1"],
     ["colour"],
-], ids=["not-an-int", "unknown-option", "missing-option", "unknown-subcommand"])
+    ["verify-lemmas", "--slice-max", "20"],
+], ids=["not-an-int", "unknown-option", "missing-option", "unknown-subcommand",
+        "verify-lemmas-option"])
 def test_usage_errors_exit_1(runner, args):
     # a malformed call is invalid input (1), never a failed replay (2)
     result = runner.invoke(main, args)
@@ -217,10 +220,11 @@ def test_full_box_scan_lines_are_pinned(runner, tmp_path):
     # traffic that replay, the one gate for every certificate field, serves
     digest = hashlib.sha256()
     for triple in _expected_records(20, 20, -20, 20):
-        line = _scan_worker(triple)[1]
+        t = TranscendentalForm(*triple)
+        line = cli._scan_line(t, classify(t))
         digest.update((line + "\n").encode())
         parsed = Classification.from_dict(json.loads(line))
-        verify_classification(TranscendentalForm(*triple), parsed)
+        verify_classification(t, parsed)
     assert digest.hexdigest() == SCAN_20_SHA256
     # the same bytes through the command and a pool of two workers
     out = tmp_path / "scan.jsonl"
@@ -234,6 +238,13 @@ def test_full_box_scan_lines_are_pinned(runner, tmp_path):
 def _json_oracle(form, result) -> str:
     """The scan line as json.dumps writes it: the bytes `_scan_line` must keep."""
     data = {"a": form.a, "b": form.b, "c": form.c, **result.to_dict()}
+    return json.dumps(data, sort_keys=True, separators=(",", ":"))
+
+
+def _classify_json_oracle(form, result) -> str:
+    """The `classify --json` record as json.dumps writes it: the bytes
+    `_classify_line` must keep."""
+    data = {"input": {"a": form.a, "b": form.b, "c": form.c}, **result.to_dict()}
     return json.dumps(data, sort_keys=True, separators=(",", ":"))
 
 
@@ -265,6 +276,7 @@ def test_scan_line_is_json_dumps_of_the_record_property(a, b, label, covers, del
     form = TranscendentalForm(a, b, 1)
     result = Classification(label, covers, delta, certificate)
     assert cli._scan_line(form, result) == _json_oracle(form, result)
+    assert cli._classify_line(form, result) == _classify_json_oracle(form, result)
 
 
 def test_scan_line_is_json_dumps_of_classified_forms():
@@ -278,6 +290,7 @@ def test_scan_line_is_json_dumps_of_classified_forms():
     for t in forms:
         result = classify(t)
         assert cli._scan_line(t, result) == _json_oracle(t, result)
+        assert cli._classify_line(t, result) == _classify_json_oracle(t, result)
 
 
 def test_scan_line_writes_no_string_but_the_fixed_ones():
@@ -411,14 +424,32 @@ def test_scan_error_paths(runner, tmp_path):
     assert result.exit_code == 1
 
 
-@pytest.mark.parametrize("workers", ["1", "2"])
-def test_scan_into_a_closed_pipe_exits_1_without_a_traceback(workers):
+def _child_env(unbuffered: bool, **extra: str) -> dict[str, str]:
+    """The environment of a `python -m k3cover.cli` child, with its stdout
+    buffered or not whatever PYTHONUNBUFFERED this process has.  Buffered,
+    a write may fail only at the flush `main` makes before it returns;
+    unbuffered, the write itself fails."""
+    src = str(Path(k3cover.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src, **extra}
+    env.pop("PYTHONUNBUFFERED", None)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    return env
+
+
+# (workers, unbuffered); an id without a suffix runs with stdout unbuffered
+_WORKERS_AND_BUFFERING = [pytest.param(workers, unbuffered, id=workers + suffix)
+                          for unbuffered, suffix in ((True, ""), (False, "-buffered"))
+                          for workers in ("1", "2")]
+
+
+@pytest.mark.parametrize("workers, unbuffered", _WORKERS_AND_BUFFERING)
+def test_scan_into_a_closed_pipe_exits_1_without_a_traceback(workers, unbuffered):
     # `k3cover scan ... | head -n 1`: the reader takes one line and closes
     # the pipe.  The box's 2.9 MB of records overflow the pipe buffer, so
     # the scan's later writes meet the closed end; its 12 668 forms are
     # enough for `_worker_count` to start two workers.
-    src = str(Path(k3cover.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": src, "K3COVER_THREADS": workers}
+    env = _child_env(unbuffered, K3COVER_THREADS=workers)
     args = [sys.executable, "-m", "k3cover.cli", "scan", "--a-max", "20", "--b-max", "20",
             "--c-min", "-20", "--c-max", "20"]
     with subprocess.Popen(args, env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
@@ -437,17 +468,16 @@ _FULL_BOX_SCAN = ["scan", "--a-max", "20", "--b-max", "20", "--c-min", "-20", "-
 
 
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs the /dev/full device")
-@pytest.mark.parametrize("workers", ["1", "2"])
+@pytest.mark.parametrize("workers, unbuffered", _WORKERS_AND_BUFFERING)
 @pytest.mark.parametrize("args", [
     ["classify", "--a", "1", "--b", "2", "--c", "1"],
     _FULL_BOX_SCAN,
     _FULL_BOX_SCAN + ["--out", "/dev/full"],
 ], ids=["classify", "scan", "scan-out"])
-def test_a_write_to_a_full_device_exits_1_without_a_traceback(args, workers):
+def test_a_write_to_a_full_device_exits_1_without_a_traceback(args, workers, unbuffered):
     # every write to /dev/full fails with ENOSPC; the full box is large
     # enough for `_worker_count` to start two workers
-    src = str(Path(k3cover.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": src, "K3COVER_THREADS": workers}
+    env = _child_env(unbuffered, K3COVER_THREADS=workers)
     with open("/dev/full", "w") as full:
         done = subprocess.run([sys.executable, "-m", "k3cover.cli", *args], env=env,
                               stdout=full, stderr=subprocess.PIPE, text=True, timeout=60)
@@ -461,11 +491,7 @@ def test_a_write_to_a_full_device_exits_1_without_a_traceback(args, workers):
 @pytest.mark.parametrize("args", [["--help"], ["scan", "--help"]], ids=["main", "scan"])
 def test_help_to_a_full_device_exits_1_without_a_traceback(args, unbuffered):
     # buffered, the help text fails only when flushed; unbuffered, when written
-    src = str(Path(k3cover.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": src}
-    env.pop("PYTHONUNBUFFERED", None)
-    if unbuffered:
-        env["PYTHONUNBUFFERED"] = "1"
+    env = _child_env(unbuffered)
     with open("/dev/full", "w") as full:
         done = subprocess.run([sys.executable, "-m", "k3cover.cli", *args], env=env,
                               stdout=full, stderr=subprocess.PIPE, text=True, timeout=60)
@@ -482,6 +508,8 @@ def test_verify_lemmas_passes(runner):
     names = [line.split()[0] for line in lines]
     assert names == ["family-coverage", "small-norm-absence", "max-table"]
     assert all(" pass " in line for line in lines)
+    assert lines[1].endswith(f"through slice {vinberg.SLICE_CAP}")
+    assert lines[2].endswith(f"slices 4..{vinberg.SLICE_CAP} match the formulas")
 
 
 def test_verify_lemmas_catches_corrupted_table(runner, monkeypatch):
@@ -494,9 +522,10 @@ def test_verify_lemmas_catches_corrupted_table(runner, monkeypatch):
     assert "FAIL" in result.output
 
 
-# One wrong fact each, for slice 9 alone, and the row that must catch it:
-# a stated maximizer with the right norm that lies outside its slice, a
-# maximum formula off by one, and a norm -4 in a slice's norm set
+# One wrong fact each, for slice 9 or norm -4 alone, and the row that must
+# catch it: a stated maximizer with the right norm that lies outside its
+# slice, a maximum formula off by one, a norm -4 in a slice's norm set, and
+# a witness for the absent norm -4, which only small-norm-absence checks
 _LEMMA_PROBES = {
     "maximizer-outside-slice": (
         "max-table", "slice_maximizer",
@@ -507,6 +536,9 @@ _LEMMA_PROBES = {
     "minus-4-in-slice-9": (
         "small-norm-absence", "slice_norms",
         lambda real: lambda m: real(m) | {-4} if m == 9 else real(m)),
+    "witness-for-minus-4": (
+        "small-norm-absence", "search_norm",
+        lambda real: lambda n: real(5) if n == 4 else real(n)),
 }
 
 
@@ -527,22 +559,15 @@ def test_the_outside_maximizer_probe_has_the_right_norm():
     assert top not in enumerate_P_slice(9)
 
 
-def test_verify_lemmas_rejects_bad_bounds(runner):
-    assert runner.invoke(main, ["verify-lemmas", "--slice-max", "2"]).exit_code == 1
-    assert runner.invoke(
-        main, ["verify-lemmas", "--slice-max", str(vinberg.SLICE_CAP + 1)]
-    ).exit_code == 1
-
-
 def test_case_order_is_complete():
     assert set(CASE_ORDER) == {"I", "II", "III-1", "III-2", "III-3", "IV"}
     assert CASE_ORDER == tuple(classifier.CASES)
 
 
-# modules no command runs (classify, scan, replay or verify-lemmas): the
-# tests' oracle stack and the standard library modules that only cost start-up
+# modules no command runs (classify, scan or verify-lemmas): the tests'
+# oracle stack and the standard library modules that only cost start-up
 OFF_THE_CLASSIFY_PATH = {"click", "dataclasses", "inspect", "fractions", "decimal", "typing",
-                         "k3cover.intmat", "k3cover.embeddings", "k3cover.shortvec"}
+                         "json", "k3cover.intmat", "k3cover.embeddings", "k3cover.shortvec"}
 
 
 def test_cli_import_leaves_out_the_short_vector_search():
@@ -550,37 +575,37 @@ def test_cli_import_leaves_out_the_short_vector_search():
     # embeddings, shortvec and the matrix layer under them are the tests'
     # oracle stack, not dependencies of the program.  Only the modules the
     # import adds count, not those the interpreter's start-up already loaded;
-    # `-S` keeps `site` from preloading any (it may load `typing`).
+    # `-S` keeps `site` from preloading any (it may load `typing`), and the
+    # child reports them with `repr`, so that it loads nothing itself.
     src = str(Path(k3cover.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": src}
     for target in ("k3cover.cli", "k3cover.classifier, k3cover.lattices"):
-        code = ("import json, sys; before = set(sys.modules); import " + target + "; "
-                "print(json.dumps(sorted(set(sys.modules) - before)))")
+        code = ("import sys; before = set(sys.modules); import " + target + "; "
+                "print(repr(sorted(set(sys.modules) - before)))")
         done = subprocess.run([sys.executable, "-S", "-c", code], env=env, capture_output=True,
                               text=True, timeout=60, check=True)
-        added = set(json.loads(done.stdout))
+        added = set(ast.literal_eval(done.stdout))
         assert "k3cover.classifier" in added, target
         assert added & OFF_THE_CLASSIFY_PATH == set(), target
 
 
-def test_no_command_loads_the_oracle_stack(tmp_path):
+def test_no_command_loads_the_oracle_stack():
     # what running the commands loads, not only importing the CLI: classify
     # with replay, a small scan and verify-lemmas, one after another in one
-    # `-S` process, leave out the oracle stack and `random`
+    # `-S` process, leave out the oracle stack, `json` and `random`.  The
+    # child's last line is the `repr` of its modules.
     src = str(Path(k3cover.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": src, "K3COVER_THREADS": "1"}
-    code = ("import json, os, sys\n"
+    code = ("import os, sys\n"
             "from k3cover.cli import main\n"
             "main(['classify', '--a', '1', '--b', '2', '--c', '1', '--json', '--verify'])\n"
             "main(['scan', '--a-max', '3', '--b-max', '3', '--c-min', '-3', '--c-max', '3',\n"
             "      '--out', os.devnull])\n"
             "main(['verify-lemmas'])\n"
-            "with open(sys.argv[1], 'w') as out:\n"
-            "    json.dump(sorted(sys.modules), out)\n")
-    modules = tmp_path / "modules.json"
-    subprocess.run([sys.executable, "-S", "-c", code, str(modules)], env=env,
-                   capture_output=True, text=True, timeout=60, check=True)
-    loaded = set(json.loads(modules.read_text()))
+            "print(repr(sorted(sys.modules)))\n")
+    done = subprocess.run([sys.executable, "-S", "-c", code], env=env, capture_output=True,
+                          text=True, timeout=60, check=True)
+    loaded = set(ast.literal_eval(done.stdout.splitlines()[-1]))
     assert "k3cover.vinberg" in loaded
     assert loaded & (OFF_THE_CLASSIFY_PATH | {"random"}) == set()
 
