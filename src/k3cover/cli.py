@@ -16,6 +16,7 @@ import argparse
 import os
 import sys
 from collections import deque
+from itertools import islice
 from math import isqrt
 from operator import add
 
@@ -134,14 +135,16 @@ def _rows(a_max: int, b_max: int, c_min: int, c_max: int):
     """The non-empty rows of the box in scan order, as (a, b, first c, last c).
 
     The form is positive definite exactly when c^2 < 4ab, that is when
-    |c| <= isqrt(4ab - 1), so each row is one interval of c.
-    """
-    for a in range(1, a_max + 1):
-        for b in range(1, b_max + 1):
+    |c| <= isqrt(4ab - 1), so each row is one interval of c, non-empty
+    exactly when 4ab > c0^2 for c0 the smallest |c| of the range: a and b
+    start where that holds, and no empty row is visited."""
+    if c_min > c_max or b_max < 1:
+        return
+    c0 = max(c_min, -c_max, 0)
+    for a in range(c0 * c0 // (4 * b_max) + 1, a_max + 1):
+        for b in range(c0 * c0 // (4 * a) + 1, b_max + 1):
             r = isqrt(4 * a * b - 1)
-            lo, hi = max(c_min, -r), min(c_max, r)
-            if lo <= hi:
-                yield a, b, lo, hi
+            yield a, b, max(c_min, -r), min(c_max, r)
 
 
 def _tasks(rows):
@@ -185,7 +188,7 @@ def _in_order(pool, fn, tasks, window: int):
         yield pending.popleft().result()
 
 
-def _worker_count(n_forms: int) -> int:
+def _worker_count(rows) -> int:
     limit = os.cpu_count() or 1
     env = os.environ.get("K3COVER_THREADS")
     if env is not None:
@@ -197,8 +200,11 @@ def _worker_count(n_forms: int) -> int:
             _fail("K3COVER_THREADS must be at least 1", 1)
         limit = min(limit, cap)
     # a pool costs about 40 ms to start, which a worker earns back only
-    # once it has a window's worth of tasks to run
-    return max(1, min(limit, n_forms // (_TASKS_PER_WORKER * _TASK_FORMS)))
+    # once it has a window's worth of tasks to run.  Every row holds a form,
+    # so `limit` windows' worth of rows settle the count.
+    window = _TASKS_PER_WORKER * _TASK_FORMS
+    n_forms = sum(hi - lo + 1 for _, _, lo, hi in islice(rows, limit * window))
+    return max(1, min(limit, n_forms // window))
 
 
 def scan_cmd(a_max: int, b_max: int, c_min: int, c_max: int, out: str) -> None:
@@ -210,10 +216,9 @@ def scan_cmd(a_max: int, b_max: int, c_min: int, c_max: int, out: str) -> None:
     of the box stream through in blocks, so memory does not grow with it.
     """
     box = (a_max, b_max, c_min, c_max)
-    n_forms = sum(hi - lo + 1 for _, _, lo, hi in _rows(*box))
-    if not n_forms:
+    if next(_rows(*box), None) is None:
         _fail("no positive definite forms in the requested ranges", 1)
-    workers = _worker_count(n_forms)
+    workers = _worker_count(_rows(*box))
     try:
         handle = sys.stdout if out == "-" else open(out, "w", encoding="utf-8")
     except OSError as exc:
@@ -240,15 +245,16 @@ def scan_cmd(a_max: int, b_max: int, c_min: int, c_max: int, out: str) -> None:
         if handle is not sys.stdout:
             handle.close()
     tally = " ".join(f"{label}={count}" for label, count in zip(CASE_ORDER, counts))
-    print(f"scanned {n_forms} forms: {tally}", file=sys.stderr)
+    print(f"scanned {sum(counts)} forms: {tally}", file=sys.stderr)
 
 
 def _check_family_coverage() -> str:
     up_to = 200     # every admissible norm -n up to here must have its witness
-    for name in sorted(vinberg.FAMILIES):
-        min_param = vinberg.FAMILIES[name][1]
+    for name, (_, min_param, norm_of) in sorted(vinberg.FAMILIES.items()):
         for param in range(min_param, min_param + 25):
-            vinberg.family_vector(name, param)
+            v = vinberg.family_vector(name, param)
+            if vinberg.norm(v) != -norm_of(param) or not vinberg.in_P(v):
+                raise VerificationError(f"family {name}({param}) is not in P with its norm")
     witnessed = 0
     for n in range(3, up_to + 1):
         if n in vinberg.ABSENT:

@@ -6,7 +6,6 @@ class VerificationError(RuntimeError):
 
     Raised when replay rejects a record, including a serialized one that
     is malformed or tampered with (a missing key, a wrong shape, a
-    non-integer where an integer belongs), and when the library's own
-    construction fails to re-verify, which is a bug.  Invalid arguments
-    to the library's functions raise ValueError instead.
+    non-integer where an integer belongs), and when a `verify-lemmas` row
+    fails.  Invalid arguments to the library's functions raise ValueError.
     """

@@ -125,17 +125,15 @@ FAMILIES: dict[str, tuple] = {
 
 
 def family_vector(name: str, param: int = 0) -> Vector11:
-    """Closed-form witness; verified against the region and its stated norm."""
+    """A family's closed-form witness at a parameter in its range.  It only
+    builds: the tests prove every family in P with its stated norm, and the
+    `family-coverage` row of `verify-lemmas` re-checks the members it draws."""
     if name not in FAMILIES:
         raise ValueError(f"unknown family {name!r}")
-    build, min_param, norm_of = FAMILIES[name]
+    build, min_param, _ = FAMILIES[name]
     if param < min_param:
         raise ValueError(f"family {name} needs parameter >= {min_param}")
-    v = build(param)
-    expected = -norm_of(param)
-    if norm(v) != expected or not in_P(v):
-        raise AssertionError(f"BUG: family {name}({param}) fails its own contract")
-    return v
+    return build(param)
 
 
 @lru_cache(maxsize=None)

@@ -1,15 +1,17 @@
 """The six-way classification and its replayable certificates."""
 
+import itertools
 import json
 import math
 import random
 import sys
+from functools import lru_cache
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from k3cover import vinberg
+from k3cover import classifier, vinberg
 from k3cover.classifier import (
     ABSENCE_SLICES,
     CASES,
@@ -823,3 +825,123 @@ def test_huge_int_in_a_wrong_field_is_refused_at_the_default_digit_limit(probe):
     finally:
         if before is not None:
             sys.set_int_max_str_digits(before)
+
+
+def _refuse(*args, **kwargs):
+    raise AssertionError("classify ran a check that belongs to replay")
+
+
+def test_classify_builds_from_proved_constructions_and_checks_nothing(monkeypatch):
+    """classify builds every certificate without checking it: the
+    constructions and the witness families are proved in the tests, and
+    replay is the one check.  With the embedding check and the region's
+    norm and membership made to raise, one form of every case classifies,
+    III-2 among them at n = 3, 5, 6 and every residue of n mod 24 past 24."""
+    forms = [(2, 2, 2), (1, 2, 1), (2, 3, 2), (1, 1, 0), (1, 1, 1)]
+    forms += [(1, n, 0) for n in (3, 5, 6, *range(24, 48))]
+    with monkeypatch.context() as patch:
+        for module, name in ((classifier, "_embedding_defect"), (classifier, "region_norm"),
+                             (classifier, "in_P"), (vinberg, "norm"), (vinberg, "in_P")):
+            patch.setattr(module, name, _refuse)
+        results = [(TranscendentalForm(*triple), classify(TranscendentalForm(*triple)))
+                   for triple in forms]
+        results.append((TranscendentalForm(2, 2, 2),
+                        _all_even_classification(TranscendentalForm(2, 2, 2))))
+    assert {result.case_label for _, result in results} == set(CASES)
+    assert [result.case_label for _, result in results[5:-1]] == ["III-2"] * 27
+    for t, result in results:
+        verify_classification(t, result)
+    # replay, with its checks back, still refuses a bumped matrix and a
+    # witness of the wrong norm
+    t, embedded = results[1]
+    bumped = [list(row) for row in embedded.certificate.matrix]
+    bumped[1][1] += 1
+    with pytest.raises(VerificationError, match="pull"):
+        verify_classification(t, replace(embedded, certificate=replace(
+            embedded.certificate, matrix=tuple(map(tuple, bumped)))))
+    t, witnessed = results[5]
+    vector = witnessed.certificate.vector
+    with pytest.raises(VerificationError, match="wrong norm"):
+        verify_classification(t, replace(witnessed, certificate=replace(
+            witnessed.certificate, vector=vector[:10] + (vector[10] + 1,))))
+
+
+# The changes of basis with entries in {-1, 0, 1}: each carries a form to an
+# equivalent one that a valid certificate may embed instead
+_SMALL_MOVES = tuple(Sl2Matrix(*m) for m in itertools.product((-1, 0, 1), repeat=4)
+                     if m[0] * m[3] - m[1] * m[2] == 1)
+
+
+def _inverse(g: Sl2Matrix) -> Sl2Matrix:
+    return Sl2Matrix(g.w, -g.y, -g.z, g.x)
+
+
+def _box_by_case() -> dict[str, tuple[TranscendentalForm, ...]]:
+    """The forms of the box a, b <= 20, |c| <= 20, by case."""
+    out: dict[str, list[TranscendentalForm]] = {}
+    for a in range(1, 21):
+        for b in range(1, 21):
+            for c in range(-20, 21):
+                if 4 * a * b - c * c > 0:
+                    t = TranscendentalForm(a, b, c)
+                    out.setdefault(case_of(t)[0], []).append(t)
+    return {label: tuple(forms) for label, forms in out.items()}
+
+
+@lru_cache(maxsize=None)
+def _witnesses_by_norm() -> dict[int, tuple[tuple[int, ...], ...]]:
+    """Every vector of P in slices 3..14 whose norm -n has n outside ABSENT,
+    by n: each a valid witness, most of them not the one search_norm gives."""
+    out: dict[int, list[tuple[int, ...]]] = {}
+    for m in range(3, 15):
+        for v in enumerate_P_slice(m):
+            n = -vinberg.norm(v)
+            if n > 0 and n not in vinberg.ABSENT and math.gcd(*v) == 1:
+                out.setdefault(n, []).append(v)
+    return {n: tuple(vs) for n, vs in out.items()}
+
+
+def _accept_and_confirm(t, label, cert, confirmed: set) -> None:
+    verify_classification(t, Classification(label, True, t.delta, cert))
+    _confirm_on_the_oracle_stack(t, cert)
+    confirmed.add((t, cert))
+
+
+def test_replay_accepts_valid_certificates_that_are_not_canonical():
+    """Replay accepts every valid certificate, not only the one classify
+    writes.  Box forms of the covering cases are moved by SL2 matrices
+    with shears up to 10^30; each embedding construction is then certified
+    at every equivalent form it fits, reached by a small move, and every
+    witness of P in slices 3..14 is replayed against a moved form of its
+    discriminant.  The oracle stack confirms each record."""
+    confirmed: set = set()
+    by_case = _box_by_case()
+
+    @settings(max_examples=100)
+    @given(st.sampled_from(("I", "II", "III-1", "III-2")).flatmap(
+        lambda label: st.sampled_from(by_case[label])), sl2_matrices(10**30))
+    def check(s, h):
+        t = apply_basis_change(s, h)
+        label = case_of(t)[0]
+        if label == "III-2":
+            for v in _witnesses_by_norm()[t.delta // 4]:
+                _accept_and_confirm(t, label, VinbergWitness(t.delta // 4, v), confirmed)
+            return
+        construction = {"I": "all-even", "II": "c-odd", "III-1": "c-even"}[label]
+        for k in _SMALL_MOVES:
+            moved = apply_basis_change(s, k)
+            if construction == "c-even" and not moved.a % 2 == moved.b % 2 == 1:
+                continue
+            cert = embedding_certificate(construction, moved, _inverse(h).compose(k))
+            _accept_and_confirm(t, label, cert, confirmed)
+
+    check()
+    rng = random.Random(2951)
+    for n, witnesses in _witnesses_by_norm().items():
+        t = apply_basis_change(TranscendentalForm(1, n, 0), random_sl2(rng, 10**30))
+        for v in witnesses:
+            _accept_and_confirm(t, "III-2", VinbergWitness(n, v), confirmed)
+    assert sum(cert.kind == "explicit-embedding" for _, cert in confirmed) >= 1000
+    witnessed = {(cert.n, cert.vector) for _, cert in confirmed if cert.kind == "vinberg-witness"}
+    assert witnessed == {(n, v) for n, vs in _witnesses_by_norm().items() for v in vs}
+    assert len(witnessed) == 2951

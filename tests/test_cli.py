@@ -8,6 +8,7 @@ import random
 import shlex
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import tracemalloc
@@ -338,7 +339,7 @@ def test_scan_streams_more_tasks_than_the_window_holds(runner, tmp_path, monkeyp
     tasks = list(cli._tasks(cli._rows(*box)))
     assert len(tasks) > 3 * cli._TASKS_PER_WORKER * 2
     assert [row for task in tasks for row in task] == list(cli._rows(*box))
-    assert cli._worker_count(sum(hi - lo + 1 for _, _, lo, hi in cli._rows(*box))) == 2
+    assert cli._worker_count(cli._rows(*box)) == 2
     args = ["scan", "--a-max", "12", "--b-max", "12", "--c-min", "-12", "--c-max", "12"]
     outputs, tallies = [], []
     for workers in ("1", "2"):
@@ -400,6 +401,55 @@ def test_scan_deterministic_across_worker_counts(runner, tmp_path):
     assert r1.exit_code == 0 and r2.exit_code == 0
     assert single.read_bytes() == multi.read_bytes()
     assert r1.stderr == r2.stderr
+
+
+@given(st.integers(-1, 8), st.integers(-1, 8), st.integers(-30, 30), st.integers(-30, 30))
+def test_rows_are_the_non_empty_rows_of_the_box_property(a_max, b_max, c_min, c_max):
+    # empty and negative c ranges, ranges off one end and empty a or b ranges
+    expected = []
+    for a in range(1, a_max + 1):
+        for b in range(1, b_max + 1):
+            cs = [c for c in range(c_min, c_max + 1) if c * c < 4 * a * b]
+            if cs:
+                expected.append((a, b, cs[0], cs[-1]))
+    assert list(cli._rows(a_max, b_max, c_min, c_max)) == expected
+
+
+def test_a_box_without_forms_fails_at_once(runner):
+    # 9 000 000 rows, every one of them empty: the scan used to walk them
+    # all, twice, before it said so
+    start = time.perf_counter()
+    result = runner.invoke(main, [
+        "scan", "--a-max", "3000", "--b-max", "3000", "--c-min", "1000000", "--c-max", "1000000"])
+    assert time.perf_counter() - start < 0.2
+    assert result.exit_code == 1
+    assert "no positive definite forms" in result.stderr
+
+
+def test_worker_count_reads_only_the_rows_it_needs(monkeypatch):
+    # 10^12 rows of one form each: two workers' windows of tasks are 8 192
+    # forms, and the count must stop there
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    monkeypatch.delenv("K3COVER_THREADS", raising=False)
+    rows = cli._rows(10**6, 10**6, 0, 0)
+    assert cli._worker_count(rows) == 2
+    assert next(rows) == (1, 8193, 0, 0)
+
+
+def test_scan_of_a_box_whose_rows_are_almost_all_empty(runner, tmp_path):
+    # c^2 < 4ab needs a, b > 2 990 here, so every row with a or b below
+    # 2 900 is empty, and the brute force needs to look at no other
+    assert 4 * 2899 * 3000 < 5990**2
+    expected = [(a, b, c) for a in range(2900, 3001) for b in range(2900, 3001)
+                for c in range(5990, 6001) if c * c < 4 * a * b]
+    out = tmp_path / "sparse.jsonl"
+    result = runner.invoke(main, [
+        "scan", "--a-max", "3000", "--b-max", "3000", "--c-min", "5990", "--c-max", "6000",
+        "--out", str(out)])
+    assert result.exit_code == 0
+    lines = out.read_text().splitlines()
+    assert [tuple(json.loads(line)[k] for k in "abc") for line in lines] == expected
+    assert result.stderr.startswith(f"scanned {len(expected)} forms:")
 
 
 def test_scan_error_paths(runner, tmp_path):

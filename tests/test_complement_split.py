@@ -399,7 +399,7 @@ def stated_gram(construction: str, t: TranscendentalForm) -> tuple[int, int, int
     return -2 * b, -c, -2 * a
 
 
-def assert_complement_identities(parity: str, tamper=None) -> None:
+def assert_complement_identities(parity: str, tamper=None, tamper_rows=None) -> None:
     """The construction's rows and closed-form complement fit for every form
     of the parity class.
 
@@ -408,8 +408,9 @@ def assert_complement_identities(parity: str, tamper=None) -> None:
     is the worst), so every pairing, Gram entry and 2 x 2 minor below has
     degree at most d = 4 in each.  A polynomial of degree <= d in each
     variable that vanishes on a (d + 1)^3 grid is zero, so these identities
-    hold for every (x, y, z).  The grid keeps the forms definite.  ``tamper``,
-    if given, maps the table's basis to the one checked.
+    hold for every (x, y, z).  The grid keeps the forms definite.  ``tamper``
+    and ``tamper_rows``, if given, map the table's basis and rows to the
+    ones checked.
 
     The identities: the rows pull (2a, c, 2b) back; k1, k2 pair to zero with
     both rows; their Gram matrix is the stated one; and fixed minors prove
@@ -424,6 +425,7 @@ def assert_complement_identities(parity: str, tamper=None) -> None:
     for x, y, z in itertools.product(range(5, 6 + d), range(5, 6 + d), range(d + 1)):
         t = TranscendentalForm(*substitute(x, y, z))
         rows, basis = table(construction, t)
+        rows = rows if tamper_rows is None else tamper_rows(*rows)
         u, v = rows
         k1, k2 = basis if tamper is None else tamper(*basis)
         assert gram(u, v) == (2 * t.a, t.c, 2 * t.b), ("pullback", t)
@@ -452,6 +454,29 @@ def test_formula_complement_fits_every_form_of_its_parity(parity):
 def test_complement_identities_catch_a_tampered_formula(parity, tamper, check):
     with pytest.raises(AssertionError, match=check):
         assert_complement_identities(parity, tamper)
+
+
+# Entry j of row i (u or v) of each parity class's construction, for every
+# entry that is not 0 at a sample form: the entries that are 0 there are 0
+# for every form, and have no sign to flip
+_ROW_ENTRIES = [(parity, i, j) for parity in sorted(PARITY_CLASSES) for i in range(2)
+                for j in range(4)
+                if table(PARITY_CLASSES[parity][0],
+                         TranscendentalForm(*PARITY_CLASSES[parity][1](5, 6, 1)))[0][i][j]]
+
+
+@pytest.mark.parametrize("parity, i, j", _ROW_ENTRIES)
+def test_complement_identities_catch_a_sign_flipped_row(parity, i, j):
+    # the identities are what proves each construction, now that
+    # `embedding_certificate` only builds: a sign flipped in one entry of
+    # u or of v must break the pullback or the rows' fixed minor
+    def tamper_rows(*rows):
+        rows = [list(row) for row in rows]
+        rows[i][j] = -rows[i][j]
+        return tuple(map(tuple, rows))
+
+    with pytest.raises(AssertionError, match="pullback|rows"):
+        assert_complement_identities(parity, tamper_rows=tamper_rows)
 
 
 def test_certify_and_replay_never_search_the_kernel():

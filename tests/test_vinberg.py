@@ -135,8 +135,8 @@ def test_family_parameter_ranges():
 def test_families_verify_to_large_norms():
     """Every family member up to norm 1000 lies in P with the claimed norm.
 
-    family_vector re-checks its own contract on each call, so constructing
-    the vectors is the assertion; the norms are recomputed here anyway.
+    family_vector only builds, so the two asserts below are the check;
+    `_assert_total` proves the same for every parameter.
     """
     for name, (build, min_param, norm_of) in sorted(FAMILIES.items()):
         param = min_param
