@@ -4,6 +4,7 @@ import itertools
 import json
 import math
 import random
+import re
 import sys
 from functools import lru_cache
 
@@ -407,36 +408,103 @@ def _bump_matrix_entry(data: dict) -> None:
     data["certificate"]["matrix"][0][1] += 6
 
 
+def _verifies(triple, edit):
+    """A probe that verifies the edited JSON record of ``triple`` against
+    the form it is given."""
+    return lambda t: verify_classification(t, _edited_record(triple, edit))
+
+
+def _set_certificate(**fields):
+    """An edit that sets fields of a record's certificate."""
+    return lambda data: data["certificate"].update(fields)
+
+
+def _edited_ii(edit, message):
+    """A probe: the case II record of (1, 2, 1), edited, against (1, 2, 1)."""
+    return (1, 2, 1), _verifies((1, 2, 1), edit), message
+
+
+def _quadrupled(data: dict) -> None:
+    # (1, 2, 1) becomes (4, 8, 4), case I, with its rows doubled: the
+    # pullback still matches, but the rows span an index-4 sublattice
+    data.update(case="I", delta=112)
+    certificate = data["certificate"]
+    certificate["normalized"] = [4 * x for x in certificate["normalized"]]
+    certificate["matrix"] = [[2 * x for x in row] for row in certificate["matrix"]]
+
+
+def _c_even_record_of_a_unit_form(t: TranscendentalForm) -> None:
+    # (1, 3, 0) represents 1, so its c-even complement has a root; no label
+    # of such a form takes an embedding, so the parsed certificate itself
+    # is replayed
+    record = json.loads(json.dumps(embedding_certificate("c-even", t).to_dict()))
+    certificate_from_dict(record).replay(t)
+
+
+_NO_OBSTRUCTION = ("recorded or recomputed norm residues and pairing parity"
+                   " do not constitute an obstruction")
+
 # One probe per replay guard that a record or a certificate can reach: the
-# form it is replayed against, the replay, and the guard's message.  The
-# first two records verify if their guard is removed.
-REPLAY_GUARD_PROBES = [
-    ((1, 2, 1), lambda t: verify_classification(
+# form it is replayed against, the replay, and the guard's whole message.
+# The first two records verify if their guard is removed.  The embedding
+# probes follow replay's order of guards; the block definiteness guard has
+# none, as no record reaches it (test_complement_check_rejects_a_non_definite_block).
+REPLAY_GUARD_PROBES = {
+    "basis change does not reach": ((1, 2, 1), lambda t: verify_classification(
         t, _edited_record((1, 4, 1), lambda d: d.update(delta=7))),
-     "basis change does not reach"),
-    ((1, 2, 1), lambda t: verify_classification(
+        "recorded basis change does not reach the recorded form"),
+    "does not pull the target form back": ((1, 2, 1), lambda t: verify_classification(
         t, _edited_record((1, 2, 1), _bump_matrix_entry)),
-     "does not pull the target form back"),
-    ((2, 2, 1), KeumCitation((1, 1, 0)).replay, "halving"),
-    ((1, 1, 0), VinbergWitness(1, (1,) + (0,) * 10).replay, "witness claimed"),
-    ((1, 3, 0), VinbergWitness(3, (5, 2, 1, 1, 1, 1, 1, 1, 1, 1, 1)).replay, "wrong norm"),
-    ((1, 3, 0), ExhaustiveAbsence(3, ABSENCE_SLICES).replay, "absence claimed"),
-    ((1, 2, 1), ParityObstruction((2, 2), 1).replay, "norm residues"),
-    ((1, 3, 2), ParityObstruction((2, 2), 1).replay, "pairing parity"),
-    ((2, 1, 1), ParityObstruction((0, 2), 1).replay, "do not constitute"),
-    ((1, 2, 1), lambda t: verify_classification(
+        "matrix does not pull the target form back to the source"),
+    "halving": ((2, 2, 1), KeumCitation((1, 1, 0)).replay,
+                "halving certificate: twice the halved form is not the input"),
+    "witness claimed": ((1, 1, 0), VinbergWitness(1, (1,) + (0,) * 10).replay,
+                        "witness claimed for a discriminant with none"),
+    "wrong norm": ((1, 3, 0), VinbergWitness(3, (5, 2, 1, 1, 1, 1, 1, 1, 1, 1, 1)).replay,
+                   "witness vector has the wrong norm"),
+    "absence claimed": ((1, 3, 0), ExhaustiveAbsence(3, ABSENCE_SLICES).replay,
+                        "absence claimed for a discriminant that has a witness"),
+    "norm residues": ((1, 2, 1), ParityObstruction((2, 2), 1).replay, _NO_OBSTRUCTION),
+    "pairing parity": ((1, 3, 2), ParityObstruction((2, 2), 1).replay, _NO_OBSTRUCTION),
+    "do not constitute": ((2, 1, 1), ParityObstruction((0, 2), 1).replay, _NO_OBSTRUCTION),
+    "disagrees with recomputed": ((1, 2, 1), lambda t: verify_classification(
         t, replace(classify(t), case_label="IV")),
-     "disagrees with recomputed"),
-    ((1, 3, 0), lambda t: verify_classification(
+        "label 'IV' disagrees with recomputed 'II'"),
+    "cannot back case": ((1, 3, 0), lambda t: verify_classification(
         t, Classification("III-2", True, 12, ParityObstruction((2, 2), 1))),
-     "cannot back case"),
-]
+        "certificate kind 'parity-obstruction' cannot back case 'III-2'"),
+    "not positive definite": _edited_ii(
+        _set_certificate(normalized=[1, 2, 3]),
+        "malformed embedding certificate: form must be positive definite (4ab - c^2 > 0)"),
+    "determinant": _edited_ii(
+        _set_certificate(basis_change=[2, 0, 0, 2]),
+        "malformed embedding certificate: matrix must have determinant 1"),
+    "not 2 x 12": _edited_ii(
+        lambda d: [row.pop() for row in d["certificate"]["matrix"]],
+        "malformed embedding certificate: matrix is not 2 x 12"),
+    "E8(2) column": _edited_ii(
+        lambda d: d["certificate"]["matrix"][1].__setitem__(4, 1),
+        "matrix uses the E8(2) columns; an embedding must lie in U + U(2)"),
+    "imprimitive rows": ((4, 8, 4), _verifies((1, 2, 1), _quadrupled),
+                         "embedding is not primitive"),
+    "misnamed construction": _edited_ii(
+        _set_certificate(construction="c-even"),
+        "matrix does not fit the complement of its named construction"),
+    "unknown construction": _edited_ii(
+        _set_certificate(construction="bogus"),
+        "matrix does not fit the complement of its named construction"),
+    "minor_gcd": _edited_ii(_set_certificate(minor_gcd=2), "embedding is not primitive"),
+    "root": ((1, 3, 0), _c_even_record_of_a_unit_form,
+             "orthogonal complement contains a norm -2 vector"),
+    "minus_two": _edited_ii(_set_certificate(minus_two=[[0] * 12]),
+                            "orthogonal complement contains a norm -2 vector"),
+}
 
 
-@pytest.mark.parametrize("triple, replay, message", REPLAY_GUARD_PROBES,
-                         ids=[probe[2] for probe in REPLAY_GUARD_PROBES])
+@pytest.mark.parametrize("triple, replay, message", REPLAY_GUARD_PROBES.values(),
+                         ids=list(REPLAY_GUARD_PROBES))
 def test_each_replay_guard_rejects_its_probe(triple, replay, message):
-    with pytest.raises(VerificationError, match=message):
+    with pytest.raises(VerificationError, match=f"^{re.escape(message)}$"):
         replay(TranscendentalForm(*triple))
 
 
