@@ -29,7 +29,7 @@ from math import gcd
 
 from .errors import VerificationError
 from .lattices import Frozen, Sl2Matrix, TranscendentalForm, apply_basis_change, parity_class
-from .quadforms import represents_one
+from .quadforms import _gauss, represents_one
 from .vinberg import ABSENT, in_P
 from .vinberg import norm as region_norm
 from .vinberg import search_norm, slice_norms
@@ -94,9 +94,9 @@ Rows = tuple[tuple[int, ...], ...]
 #   c-odd, s = (c - ab - 1)/2:  2 [[-4a, 2ab - c], [2ab - c, 2bs]], det 4 delta;
 #   c-even (a, b odd):          [[-2a, 2a - c], [2a - c, -2(a + b - c)]], det delta;
 #   all-even:                   [[-2b, -c], [-c, -2a]], det delta.
-# A construction's name is binding: `_block_has_root` proves the basis is
-# B of the rows before it uses it, and a matrix it does not fit misnames
-# its construction.
+# A construction's name is binding: `_embedding_defect` proves the basis
+# is B of the rows before it uses it, and a matrix it does not fit
+# misnames its construction.
 def _c_odd(a: int, b: int, c: int) -> tuple[Rows, Rows]:
     # u -> a*u1 + u2 + ((c - ab - 1)/2) v1,  v -> u1 + b*u2 + v2
     s = (c - a * b - 1) // 2
@@ -122,71 +122,55 @@ _HYPERBOLIC = 4
 _E8_ZEROS = (0,) * (_AMBIENT_RANK - _HYPERBOLIC)
 
 
-def _pair(x, y) -> int:
-    """The U + U(2) pairing of the first four coordinates of x and y."""
-    return x[0] * y[1] + x[1] * y[0] + 2 * (x[2] * y[3] + x[3] * y[2])
+def _embedding_defect(a: int, b: int, c: int, rows, basis) -> str | None:
+    """The first check that rows fail as an embedding of (a, b, c) into
+    U + U(2) + E8(2): "pullback", "primitive" or "root", or None for a valid,
+    primitive embedding with a root-free complement.
 
-
-def _minor_gcd(x, y) -> int:
-    """The gcd of the six 2 x 2 minors of the first four coordinates of x and y."""
-    x0, x1, x2, x3 = x[:4]
-    y0, y1, y2, y3 = y[:4]
-    return gcd(x0 * y1 - x1 * y0, x0 * y2 - x2 * y0, x0 * y3 - x3 * y0,
-               x1 * y2 - x2 * y1, x1 * y3 - x3 * y1, x2 * y3 - x3 * y2)
-
-
-def _is_block_basis(rows, k1, k2) -> bool:
-    """Whether k1, k2 is a basis of the complement block of two rows of rank 2.
-
-    Both vectors pair to zero with both rows, and the six 2 x 2 minors of
-    (k1, k2) have gcd 1, so their span is saturated of rank 2; inside the
-    rank-2 kernel of the rows that makes it the whole kernel.
+    ``rows`` are two 12-tuples of ints, as replay's field and shape checks
+    leave them, so one comparison per row finds a nonzero E8(2) entry, which
+    raises VerificationError.  Then, on plain ints, for the 2 x 4 block u, v:
+    1. the pullback: u, v pair to (2a, c, 2b) in U + U(2);
+    2. primitivity: the six 2 x 2 minors of (u, v) have gcd 1, which also
+       proves rank 2;
+    3. ``basis`` (k1, k2), the closed-form complement block B of the named
+       construction (None for an unknown name), pairs to zero with u and v
+       and its own six minors have gcd 1, so it spans the whole rank-2
+       kernel of the rows; else VerificationError;
+    4. B, even as U + U(2) is, is negative definite, else
+       VerificationError; no record reaches this, as a positive definite
+       pullback always leaves B so;
+    5. the complement is B + E8(2) and a norm -2 vector lies wholly in B, so
+       there is a root exactly when -B/2 represents 1: never when all its
+       coefficients are even, else when its Gauss reduction starts with 1.
     """
     u, v = rows
-    if _pair(u, k1) or _pair(u, k2) or _pair(v, k1) or _pair(v, k2):
-        return False
-    return _minor_gcd(k1, k2) == 1
-
-
-def _block_has_root(rows, basis) -> bool:
-    """Root check for an image inside U + U(2), from the 2 x 4 block of its rows.
-
-    ``basis`` is the closed-form (k1, k2) that CONSTRUCTIONS gives for the
-    construction the rows claim to be; `_is_block_basis` must prove it is
-    the complement block B, which needs rows of rank 2, and any other basis
-    raises VerificationError.  B must be even and negative definite,
-    and it contains a root exactly when the positive form -B/2 represents 1.
-    """
-    if basis is None or not _is_block_basis(rows, *basis):
-        raise VerificationError("matrix does not fit the complement of its named construction")
-    k1, k2 = basis
-    p, q, r = _pair(k1, k1), _pair(k1, k2), _pair(k2, k2)
-    if p % 2 or r % 2 or p >= 0 or p * r <= q * q:
-        raise VerificationError("complement block in U + U(2) is not even and negative definite")
-    return represents_one(TranscendentalForm(-p // 2, -r // 2, -q))
-
-
-def _embedding_defect(t: TranscendentalForm, rows, basis) -> str | None:
-    """The first check that rows fail as an embedding of t into U + U(2) + E8(2).
-
-    Returns "pullback", "primitive" or "root", or None for a valid, primitive
-    embedding with a root-free complement.  Rows must be zero on the E8(2)
-    columns, as every construction here is; any other matrix raises
-    VerificationError.  The 2 x 4 block is then checked in plain ints: the
-    pullback against (2a, c, 2b), and primitivity as gcd 1 of the six 2 x 2
-    minors, which also proves rank 2.  The complement is B + E8(2), and a
-    norm -2 vector lies wholly in B; the root check takes ``basis``, the
-    closed-form B of the named construction at t (None for an unknown
-    name), and rows it is not the complement of raise VerificationError.
-    """
-    u, v = rows
-    if any(u[_HYPERBOLIC:]) or any(v[_HYPERBOLIC:]):
+    if u[_HYPERBOLIC:] != _E8_ZEROS or v[_HYPERBOLIC:] != _E8_ZEROS:
         raise VerificationError("matrix uses the E8(2) columns; an embedding must lie in U + U(2)")
-    if (_pair(u, u), _pair(u, v), _pair(v, v)) != (2 * t.a, t.c, 2 * t.b):
+    u0, u1, u2, u3 = u[:_HYPERBOLIC]
+    v0, v1, v2, v3 = v[:_HYPERBOLIC]
+    if (u0 * u1 + 2 * u2 * u3, u0 * v1 + u1 * v0 + 2 * (u2 * v3 + u3 * v2),
+            v0 * v1 + 2 * v2 * v3) != (a, c, b):
         return "pullback"
-    if _minor_gcd(u, v) != 1:
+    if gcd(u0 * v1 - u1 * v0, u0 * v2 - u2 * v0, u0 * v3 - u3 * v0,
+           u1 * v2 - u2 * v1, u1 * v3 - u3 * v1, u2 * v3 - u3 * v2) != 1:
         return "primitive"
-    return "root" if _block_has_root(rows, basis) else None
+    if basis is None:
+        raise VerificationError("matrix does not fit the complement of its named construction")
+    (x0, x1, x2, x3), (y0, y1, y2, y3) = basis
+    if (u0 * x1 + u1 * x0 + 2 * (u2 * x3 + u3 * x2) or u0 * y1 + u1 * y0 + 2 * (u2 * y3 + u3 * y2)
+            or v0 * x1 + v1 * x0 + 2 * (v2 * x3 + v3 * x2)
+            or v0 * y1 + v1 * y0 + 2 * (v2 * y3 + v3 * y2)
+            or gcd(x0 * y1 - x1 * y0, x0 * y2 - x2 * y0, x0 * y3 - x3 * y0,
+                   x1 * y2 - x2 * y1, x1 * y3 - x3 * y1, x2 * y3 - x3 * y2) != 1):
+        raise VerificationError("matrix does not fit the complement of its named construction")
+    # -B/2 as p x^2 + q x y + r y^2; B is even, as x.x = 2 (x0 x1 + 2 x2 x3)
+    p = -(x0 * x1 + 2 * x2 * x3)
+    q = -(x0 * y1 + x1 * y0 + 2 * (x2 * y3 + x3 * y2))
+    r = -(y0 * y1 + 2 * y2 * y3)
+    if p <= 0 or 4 * p * r <= q * q:
+        raise VerificationError("complement block in U + U(2) is not even and negative definite")
+    return "root" if (p | q | r) & 1 and _gauss(p, q, r)[0] == 1 else None
 
 
 class KeumCitation(Frozen):
@@ -217,9 +201,11 @@ class ExplicitEmbedding(Frozen):
     ``construction`` names the written-down embedding (a key of
     CONSTRUCTIONS), ``normalized`` is the SL2-equivalent form the matrix
     actually embeds and ``basis_change`` the change of basis realizing the
-    equivalence.  Replay checks that every integer field holds ints, re-checks
-    the equivalence and runs `_embedding_defect` at ``normalized``, whose
-    closed-form complement makes the construction's name binding.
+    equivalence.  Replay checks the types and shapes of the fields, that the
+    change moves the input's coefficients, on ints, to ``normalized``, then
+    runs `_embedding_defect` at ``normalized``, whose closed-form complement
+    makes the construction's name binding; ``minor_gcd`` must be 1 and
+    ``minus_two`` empty.
     """
 
     __slots__ = ("construction", "normalized", "basis_change", "matrix", "minor_gcd", "minus_two")
@@ -248,18 +234,23 @@ class ExplicitEmbedding(Frozen):
 
     def replay(self, t: TranscendentalForm) -> None:
         try:
-            normalized = TranscendentalForm(*_ints("normalized", self.normalized, 3))
-            g = Sl2Matrix(*_ints("basis_change", self.basis_change, 4))
+            # the two constructors only validate, with their own messages
+            normalized = _ints("normalized", self.normalized, 3)
+            TranscendentalForm(*normalized)
+            x, y, z, w = g = _ints("basis_change", self.basis_change, 4)
+            Sl2Matrix(*g)
             rows = [_ints("matrix", row) for row in _array("matrix", self.matrix)]
         except ValueError as exc:
             raise VerificationError(f"malformed embedding certificate: {exc}") from None
-        if len(rows) != 2 or any(len(row) != _AMBIENT_RANK for row in rows):
+        if len(rows) != 2 or len(rows[0]) != _AMBIENT_RANK or len(rows[1]) != _AMBIENT_RANK:
             raise VerificationError("malformed embedding certificate: matrix is not 2 x 12")
-        if apply_basis_change(t, g).triple() != normalized.triple():
+        a, b, c = t.a, t.b, t.c
+        if (a * x * x + c * x * z + b * z * z, a * y * y + c * y * w + b * w * w,
+                2 * a * x * y + c * (x * w + y * z) + 2 * b * w * z) != normalized:
             raise VerificationError("recorded basis change does not reach the recorded form")
         build = CONSTRUCTIONS.get(self.construction) if isinstance(self.construction, str) else None
-        basis = None if build is None else build(normalized.a, normalized.b, normalized.c)[1]
-        defect = _embedding_defect(normalized, rows, basis)
+        basis = None if build is None else build(*normalized)[1]
+        defect = _embedding_defect(*normalized, rows, basis)
         if defect == "pullback":
             raise VerificationError("matrix does not pull the target form back to the source")
         if _int("minor_gcd", self.minor_gcd) != 1 or defect == "primitive":
@@ -404,19 +395,25 @@ def _frozen(value):
     return value
 
 
+# The certificate class of each kind, for parsing
+_CERTIFICATE_CLASSES = {cls.kind: cls for cls in Certificate.__args__}
+
+
 def certificate_from_dict(data: dict[str, object]) -> Certificate:
     """Build the certificate a serialized one describes; an unknown kind
     raises ValueError, a missing key or a non-mapping VerificationError.
 
-    Parsing only builds: each field is taken as it is, its arrays as tuples,
-    and nothing is checked or converted.  `replay` checks every field and
-    refuses a wrong type, shape or construction; it never coerces one.
+    The class is looked up by ``kind`` in one table; a kind that is not a
+    string, hashable or not, is unknown.  Parsing only builds: each field is
+    taken as it is, its arrays as tuples, and nothing is checked or
+    converted.  `replay` checks every field and refuses a wrong type, shape
+    or construction; it never coerces one.
     """
     try:
         kind = data.get("kind")
-        for cls in Certificate.__args__:
-            if cls.kind == kind:
-                return cls(*[_frozen(data[name]) for name in cls.__slots__])
+        cls = _CERTIFICATE_CLASSES.get(kind) if isinstance(kind, str) else None
+        if cls is not None:
+            return cls(*[_frozen(data[name]) for name in cls.__slots__])
     except KeyError as exc:
         raise VerificationError(f"certificate is missing the key {exc}") from None
     except (AttributeError, TypeError) as exc:

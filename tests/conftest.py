@@ -98,6 +98,18 @@ def written_down_embedding(t: TranscendentalForm) -> Embedding | None:
     return Embedding(to_lattice(t), LAMBDA, IntMatrix.from_rows([u + zeros, v + zeros]))
 
 
+# The U + U(2) block arithmetic that the classifier's `_embedding_defect`
+# inlines, kept as plain oracles for the tests that hold the kernel to it
+def pair(x, y) -> int:
+    """The U + U(2) pairing of the first four coordinates of x and y."""
+    return x[0] * y[1] + x[1] * y[0] + 2 * (x[2] * y[3] + x[3] * y[2])
+
+
+def minor_gcd(x, y) -> int:
+    """The gcd of the six 2 x 2 minors of the first four coordinates of x and y."""
+    return gcd(*(x[i] * y[j] - x[j] * y[i] for i, j in itertools.combinations(range(4), 2)))
+
+
 def random_sl2(rng: random.Random, bound: int = 20) -> Sl2Matrix:
     """Random determinant-one integer matrix with entries bounded by `bound`."""
     while True:

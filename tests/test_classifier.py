@@ -24,7 +24,7 @@ from k3cover.classifier import (
     KeumCitation,
     ParityObstruction,
     VinbergWitness,
-    _block_has_root,
+    _embedding_defect,
     case_of,
     certificate_from_dict,
     certify,
@@ -241,8 +241,11 @@ def test_json_round_trip():
 
 
 def test_certificate_from_dict_rejects_unknown_kind():
-    with pytest.raises(ValueError):
-        certificate_from_dict({"kind": "handshake"})
+    # the kinds are looked up in a table: a kind that is not a string, an
+    # unhashable one included, is as unknown as a wrong name
+    for kind in ("handshake", None, 5, ["keum-citation"], {"kind": "keum-citation"}):
+        with pytest.raises(ValueError, match=f"^unknown certificate kind {re.escape(repr(kind))}$"):
+            certificate_from_dict({"kind": kind, "halved": [1, 1, 1]})
     with pytest.raises(ValueError):
         certify(TranscendentalForm(1, 1, 1), "V")
 
@@ -384,13 +387,16 @@ def test_replay_rejects_a_non_positive_normalized_form():
 
 
 def test_complement_check_rejects_a_non_definite_block():
-    # U sent onto the U summand leaves U(2) as the block, which is indefinite
-    rows = [[1, 0] + [0] * 10, [0, 1] + [0] * 10]
+    # U sent onto the U summand leaves U(2) as the block, which is indefinite;
+    # no record reaches this, as U is not positive definite: the kernel is
+    # called at U's own (a, b, c) = (0, 0, 1)
+    rows = ((1, 0) + (0,) * 10, (0, 1) + (0,) * 10)
     e = Embedding(standard_lattice("U"), LAMBDA, IntMatrix.from_rows(rows))
-    assert validate(e)
+    assert validate(e) and is_primitive(e)
     # its true complement block: definiteness, not the basis check, refuses it
-    with pytest.raises(VerificationError, match="negative definite"):
-        _block_has_root(e.matrix.entries, ((0, 0, 1, 0), (0, 0, 0, 1)))
+    message = "complement block in U + U(2) is not even and negative definite"
+    with pytest.raises(VerificationError, match=f"^{re.escape(message)}$"):
+        _embedding_defect(0, 0, 1, rows, ((0, 0, 1, 0), (0, 0, 0, 1)))
 
 
 def _embedding_record(triple=(1, 2, 1)) -> dict:

@@ -1,16 +1,17 @@
 """The B + E8(2) split against full enumeration of the rank-10 complement.
 
-For a matrix that is zero on the E8(2) columns, `_block_has_root` decides
-root-freeness of the complement from its rank-2 block B in U + U(2) by
-Gauss reduction, and `_embedding_defect` checks the pullback and
-primitivity on the same block in plain ints; replay rejects every other
-matrix.  B is always the closed-form basis of the record's named
-construction, and a matrix that basis does not fit is rejected as well.
-The oracle here is the general machinery: `validate` and the maximal minor
-gcd on the full 2 x 12 matrix, the complement's Hermite basis and
-Fincke-Pohst enumeration of all its norm -2 vectors.  The closed-form
-bases are checked against that enumeration on the box and against the
-Hermite kernel of the block for coefficients beyond 10^30.
+For a matrix that is zero on the E8(2) columns, `_embedding_defect` checks
+the pullback and primitivity on its 2 x 4 block in U + U(2), and decides
+root-freeness of the complement from the rank-2 block B there by Gauss
+reduction, all in plain ints; replay rejects every other matrix.  B is
+always the closed-form basis of the record's named construction, and a
+matrix that basis does not fit is rejected as well.  The oracle here is
+the general machinery: `validate` and the maximal minor gcd on the full
+2 x 12 matrix, the complement's Hermite basis and Fincke-Pohst enumeration
+of all its norm -2 vectors.  The closed-form bases are checked against
+that enumeration on the box and against the Hermite kernel of the block
+for coefficients beyond 10^30.  The block arithmetic the kernel inlines,
+`conftest.pair` and `conftest.minor_gcd`, is checked on its own.
 """
 
 import itertools
@@ -26,11 +27,7 @@ from k3cover.classifier import (
     CONSTRUCTIONS,
     Classification,
     ExplicitEmbedding,
-    _block_has_root,
     _embedding_defect,
-    _is_block_basis,
-    _minor_gcd,
-    _pair,
     case_of,
     certify,
     classify,
@@ -60,6 +57,8 @@ from k3cover.shortvec import NormQuery, enumerate_norm
 from conftest import (
     LAMBDA,
     construction_of,
+    minor_gcd,
+    pair,
     random_sl2,
     replace,
     sl2_matrices,
@@ -76,6 +75,23 @@ def formula_basis(e: Embedding):
     """The closed-form complement basis of the construction that built e."""
     t = source_form(e)
     return table(construction_of(t), t)[1]
+
+
+E8_ZEROS = (0,) * 8
+
+
+def defect(t: TranscendentalForm, rows, basis) -> str | None:
+    """`_embedding_defect` at t, for rows given as any two sequences: the
+    kernel takes the 12-tuples that replay's field checks leave."""
+    return _embedding_defect(t.a, t.b, t.c, tuple(map(tuple, rows)), basis)
+
+
+def kernel_has_root(e: Embedding) -> bool:
+    """The kernel's root check of a valid, primitive e: all it can find is a
+    root or nothing."""
+    found = defect(source_form(e), e.matrix.entries, formula_basis(e))
+    assert found in (None, "root")
+    return found == "root"
 
 
 def oracle_has_root(e: Embedding) -> bool:
@@ -119,7 +135,7 @@ def test_block_check_matches_enumeration_on_the_box():
                 e = written_down_embedding(t)
                 if e is None:
                     continue
-                has_root = _block_has_root(e.matrix.entries, formula_basis(e))
+                has_root = kernel_has_root(e)
                 assert has_root == oracle_has_root(e), t.triple()
                 checked += 1
                 with_roots += has_root
@@ -145,7 +161,7 @@ def test_block_check_matches_enumeration_on_big_coefficients():
     with_roots = 0
     for t in forms:
         e = written_down_embedding(t)
-        has_root = _block_has_root(e.matrix.entries, formula_basis(e))
+        has_root = kernel_has_root(e)
         assert has_root == oracle_has_root(e), t.triple()
         with_roots += has_root
     assert 0 < with_roots < len(forms)
@@ -202,9 +218,9 @@ def test_block_defect_matches_the_general_path_on_the_box():
     defects = {}
     for e in box_embeddings(12):
         t, rows = source_form(e), e.matrix.entries
-        defect = _embedding_defect(t, rows, formula_basis(e))
-        assert defect == oracle_defect(t, rows), t.triple()
-        defects[defect] = defects.get(defect, 0) + 1
+        found = defect(t, rows, formula_basis(e))
+        assert found == oracle_defect(t, rows), t.triple()
+        defects[found] = defects.get(found, 0) + 1
     assert defects == {None: 2498 - defects["root"], "root": defects["root"]}
     assert defects["root"] >= 155
 
@@ -217,9 +233,9 @@ def test_block_defect_matches_the_general_path_on_bumped_rows():
             for j in range(4):
                 rows = [list(row) for row in e.matrix.entries]
                 rows[i][j] += 1
-                defect = _embedding_defect(t, rows, formula_basis(e))
-                assert defect == oracle_defect(t, rows), (t.triple(), i, j)
-                defects[defect] = defects.get(defect, 0) + 1
+                found = defect(t, rows, formula_basis(e))
+                assert found == oracle_defect(t, rows), (t.triple(), i, j)
+                defects[found] = defects.get(found, 0) + 1
     assert defects["pullback"] > 0.9 * sum(defects.values())
 
 
@@ -230,34 +246,59 @@ def test_block_defect_rejects_doubled_rows_as_not_primitive():
         t = TranscendentalForm(4 * small.a, 4 * small.b, 4 * small.c)
         rows = [[2 * x for x in row] for row in e.matrix.entries]
         basis = table(construction_of(small), t)[1]
-        assert _embedding_defect(t, rows, basis) == oracle_defect(t, rows) == "primitive"
+        assert defect(t, rows, basis) == oracle_defect(t, rows) == "primitive"
         checked += 1
     assert checked > 300
 
 
-def smith_form_mismatches(minor_gcd) -> tuple[int, int]:
-    """Over 1 000 seeded 2 x 4 blocks, every fourth of rank below 2 by
-    construction: how many have rank below 2, and on how many ``minor_gcd``
-    differs from d1 * d2 of the Smith form, which is 0 below rank 2."""
+def smith_blocks():
+    """1 000 seeded 2 x 4 blocks, every fourth of rank below 2 by
+    construction, each with d1 * d2 of its Smith form, or 0 below rank 2."""
     rng = random.Random(1105)
-    deficient = mismatches = 0
     for i in range(1000):
         x = [rng.randint(-5, 5) for _ in range(4)]
         k = rng.randint(-2, 2)
         y = [rng.randint(-5, 5) for _ in range(4)] if i % 4 else [k * e for e in x]
         factors = smith_invariant_factors(IntMatrix.from_rows([x, y]))
-        deficient += len(factors) < 2
-        mismatches += minor_gcd(x, y) != (factors[0] * factors[1] if len(factors) == 2 else 0)
+        yield x, y, factors[0] * factors[1] if len(factors) == 2 else 0
+
+
+def smith_form_mismatches(gcd_of_minors) -> tuple[int, int]:
+    """How many of `smith_blocks` have rank below 2, and on how many
+    ``gcd_of_minors`` differs from d1 * d2."""
+    deficient = mismatches = 0
+    for x, y, d in smith_blocks():
+        deficient += d == 0
+        mismatches += gcd_of_minors(x, y) != d
     return deficient, mismatches
+
+
+def kernel_calls_primitive(x, y) -> bool:
+    """Whether `_embedding_defect` passes rows (x, y) as primitive, at the form
+    they pull back: with no basis, a primitive block goes on to the basis
+    check and raises there."""
+    t = pair(x, x) // 2, pair(y, y) // 2, pair(x, y)
+    try:
+        assert _embedding_defect(*t, (tuple(x) + E8_ZEROS, tuple(y) + E8_ZEROS), None) \
+            == "primitive"
+    except VerificationError as exc:
+        assert "construction" in str(exc)
+        return True
+    return False
 
 
 def test_minor_gcd_is_d1_d2_of_the_smith_form():
     # the primitivity test explicit-embedding replay runs, the gcd of the six
     # 2 x 2 minors, against the Smith form of the same block
-    assert smith_form_mismatches(_minor_gcd) == (251, 0)
+    assert smith_form_mismatches(minor_gcd) == (251, 0)
     # and the comparison is load-bearing: a minor gcd that reads a block of
     # rank below 2 as primitive disagrees on every such block
-    assert smith_form_mismatches(lambda x, y: _minor_gcd(x, y) or 1) == (251, 251)
+    assert smith_form_mismatches(lambda x, y: minor_gcd(x, y) or 1) == (251, 251)
+    # the kernel, which inlines those minors, calls exactly the blocks with
+    # d1 * d2 = 1 primitive
+    calls = [(kernel_calls_primitive(x, y), d == 1) for x, y, d in smith_blocks()]
+    assert all(called == primitive for called, primitive in calls)
+    assert sum(primitive for _, primitive in calls) == 604
 
 
 @pytest.mark.parametrize("triple", [(1, 2, 1), (2, 3, 2), (3, 4, -3), (5, 7, 6)])
@@ -310,17 +351,17 @@ def test_block_defect_on_coefficients_beyond_10_to_30():
     for t in forms:
         e = written_down_embedding(t)
         small, rows = source_form(e), e.matrix.entries
-        defect = _embedding_defect(small, rows, formula_basis(e))
-        assert defect == oracle_defect(small, rows, hnf_block_has_root), t.triple()
+        found = defect(small, rows, formula_basis(e))
+        assert found == oracle_defect(small, rows, hnf_block_has_root), t.triple()
         # the c-odd and c-even complements have a root exactly when case_of
         # says the form does not cover through this embedding
         if parity_class(t) in ("II", "III"):
-            assert (defect == "root") == (case_of(t)[0] in ("III-2", "III-3")), t.triple()
+            assert (found == "root") == (case_of(t)[0] in ("III-2", "III-3")), t.triple()
         bumped = [list(row) for row in rows]
         bumped[1][1] += 1
-        assert _embedding_defect(small, bumped, formula_basis(e)) \
+        assert defect(small, bumped, formula_basis(e)) \
             == oracle_defect(small, bumped) == "pullback"
-        seen.add(defect)
+        seen.add(found)
     assert seen == {None, "root"}
 
 
@@ -343,7 +384,14 @@ def construction_form(construction: str, a: int, b: int, c: int, g) -> Transcend
 
 
 def gram(k1, k2) -> tuple[int, int, int]:
-    return _pair(k1, k1), _pair(k1, k2), _pair(k2, k2)
+    return pair(k1, k1), pair(k1, k2), pair(k2, k2)
+
+
+def is_block_basis(rows, k1, k2) -> bool:
+    """Whether k1, k2 pair to zero with both rows and their six 2 x 2 minors
+    have gcd 1: their span is then saturated of rank 2 inside the rank-2
+    kernel of rows of rank 2, so it is the whole complement block."""
+    return not any(pair(row, k) for row in rows for k in (k1, k2)) and minor_gcd(k1, k2) == 1
 
 
 @given(st.sampled_from(tuple(CONSTRUCTIONS)), st.integers(10**30, 10**31),
@@ -352,11 +400,13 @@ def test_formula_complement_matches_the_kernel_search_property(construction, a, 
     t = construction_form(construction, a, b, c, g)
     assert min(t.a, t.b) >= 10**30
     rows, (k1, k2) = table(construction, t)
-    assert _is_block_basis(rows, k1, k2)
+    assert is_block_basis(rows, k1, k2)
     p, q, r = gram(k1, k2)
     xp, xq, xr = hermite_block_gram(rows)
     assert p * r - q * q == xp * xr - xq * xq == (4 if construction == "c-odd" else 1) * t.delta
-    has_root = _block_has_root(rows, (k1, k2))
+    found = defect(t, [row + E8_ZEROS for row in rows], (k1, k2))
+    assert found in (None, "root")
+    has_root = found == "root"
     assert has_root == represents_one(TranscendentalForm(-xp // 2, -xr // 2, -xq))
     assert has_root == (construction == "c-even" and case_of(t)[0] != "III-1")
     assert has_root == represents_one(TranscendentalForm(-p // 2, -r // 2, -q))
@@ -368,9 +418,9 @@ def test_construction_table_knows_only_the_three_constructions():
     # check refuses it (test_replay_rejects_an_unknown_construction)
     t = TranscendentalForm(2, 3, 1)
     e = written_down_embedding(t)
-    assert _embedding_defect(t, e.matrix.entries, formula_basis(e)) is None
+    assert defect(t, e.matrix.entries, formula_basis(e)) is None
     with pytest.raises(VerificationError, match="construction"):
-        _embedding_defect(t, e.matrix.entries, None)
+        defect(t, e.matrix.entries, None)
 
 
 # Each construction's parity class, as (a, b, c) in terms of free integers
@@ -429,7 +479,7 @@ def assert_complement_identities(parity: str, tamper=None, tamper_rows=None) -> 
         u, v = rows
         k1, k2 = basis if tamper is None else tamper(*basis)
         assert gram(u, v) == (2 * t.a, t.c, 2 * t.b), ("pullback", t)
-        assert [_pair(row, k) for row in rows for k in (k1, k2)] == [0] * 4, ("pairing", t)
+        assert [pair(row, k) for row in rows for k in (k1, k2)] == [0] * 4, ("pairing", t)
         assert gram(k1, k2) == stated_gram(construction, t), ("gram", t)
         if construction == "c-odd":
             assert (minor(k1, k2, 1, 3), minor(k1, k2, 2, 3)) == (2, t.a * t.b - 1), ("minor", t)
@@ -529,11 +579,12 @@ def test_block_root_check_verifies_its_guess():
     # a basis that is not B is refused, even where B has a root
     t = TranscendentalForm(1, 3, 0)
     rows, (k1, k2) = table("c-even", t)
-    assert _pair(k1, k1) == -2
+    assert pair(k1, k1) == -2
+    rows = [row + E8_ZEROS for row in rows]
     doubled = tuple(2 * x for x in k1)
     bumped = (k1[0] + 1,) + k1[1:]
     for guess in ((doubled, k2), (k1, k1), (bumped, k2)):
-        assert not _is_block_basis(rows, *guess)
+        assert not is_block_basis(rows, *guess)
         with pytest.raises(VerificationError, match="construction"):
-            _block_has_root(rows, guess)
-    assert _block_has_root(rows, (k1, k2)) is True
+            defect(t, rows, guess)
+    assert defect(t, rows, (k1, k2)) == "root"
