@@ -128,19 +128,19 @@ def _embedding_defect(a: int, b: int, c: int, rows, basis) -> str | None:
     primitive embedding with a root-free complement.
 
     ``rows`` are two 12-tuples of ints, as replay's field and shape checks
-    leave them, so one comparison per row finds a nonzero E8(2) entry, which
-    raises VerificationError.  Then, on plain ints, for the 2 x 4 block u, v:
-    1. the pullback: u, v pair to (2a, c, 2b) in U + U(2);
-    2. primitivity: the six 2 x 2 minors of (u, v) have gcd 1, which also
+    leave them.  The checks, on plain ints and in this order:
+    1. the E8(2) columns are zero, one comparison per row, else
+       VerificationError; then, on the 2 x 4 block u, v of the rows:
+    2. the pullback: u, v pair to (2a, c, 2b) in U + U(2);
+    3. primitivity: the six 2 x 2 minors of (u, v) have gcd 1, which also
        proves rank 2;
-    3. ``basis`` (k1, k2), the closed-form complement block B of the named
+    4. ``basis`` (k1, k2), the closed-form complement block B of the named
        construction (None for an unknown name), pairs to zero with u and v
        and its own six minors have gcd 1, so it spans the whole rank-2
        kernel of the rows; else VerificationError;
-    4. B, even as U + U(2) is, is negative definite, else
-       VerificationError; no record reaches this, as a positive definite
-       pullback always leaves B so;
-    5. the complement is B + E8(2) and a norm -2 vector lies wholly in B, so
+    5. B, even as U + U(2) is, is negative definite, else VerificationError;
+       no record reaches this, as a positive definite pullback leaves B so;
+    6. the complement is B + E8(2) and a norm -2 vector lies wholly in B, so
        there is a root exactly when -B/2 represents 1: never when all its
        coefficients are even, else when its Gauss reduction starts with 1.
     """
@@ -237,8 +237,8 @@ class ExplicitEmbedding(Frozen):
             # the two constructors only validate, with their own messages
             normalized = _ints("normalized", self.normalized, 3)
             TranscendentalForm(*normalized)
-            x, y, z, w = g = _ints("basis_change", self.basis_change, 4)
-            Sl2Matrix(*g)
+            x, y, z, w = _ints("basis_change", self.basis_change, 4)
+            Sl2Matrix(x, y, z, w)
             rows = [_ints("matrix", row) for row in _array("matrix", self.matrix)]
         except ValueError as exc:
             raise VerificationError(f"malformed embedding certificate: {exc}") from None

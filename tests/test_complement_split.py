@@ -10,8 +10,8 @@ the general machinery: `validate` and the maximal minor gcd on the full
 2 x 12 matrix, the complement's Hermite basis and Fincke-Pohst enumeration
 of all its norm -2 vectors.  The closed-form bases are checked against
 that enumeration on the box and against the Hermite kernel of the block
-for coefficients beyond 10^30.  The block arithmetic the kernel inlines,
-`conftest.pair` and `conftest.minor_gcd`, is checked on its own.
+for coefficients beyond 10^30.  The kernel inlines the block arithmetic of
+`conftest.pair` and `conftest.minor_gcd`, which stay here as oracles.
 """
 
 import itertools
