@@ -17,7 +17,9 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from k3cover import vinberg
+from k3cover import cli, vinberg
+from k3cover.classifier import classify
+from k3cover.lattices import TranscendentalForm
 from k3cover.vinberg import (
     ABSENT,
     FAMILIES,
@@ -315,6 +317,34 @@ WITNESS_SHA256 = "8b552dae919bc12c09298694f8d2b6831c25ac54d0cc3024e5630d230373b8
 def test_search_norm_witnesses_are_pinned():
     witnesses = json.dumps([search_norm(n) for n in range(1, 20001)])
     assert hashlib.sha256(witnesses.encode()).hexdigest() == WITNESS_SHA256
+
+
+# sha256 of the reprs of the closed forms, and of the scan lines of the box
+# a = 1, b <= 20 000, c = 0 (19 997 III-2 records and 3 III-3), as
+# `k3cover scan --a-max 1 --b-max 20000 --c-min 0 --c-max 0` writes them:
+# recorded before the families became a table of runs, which must not move them
+FAMILY_MEMBERS_SHA256 = "ed8068313e49ff1c40c3b8c89c98c691bea97fe6e9b1aedce35cb274b883e291"
+MAXIMIZERS_SHA256 = "a109a48b2467093e7a2a18710d5414c5064a970c3b3e3eafefc683ab8d140187"
+WITNESS_BOX_SHA256 = "55e73d8a264a37001fdb2aec4a0e0edf2aef1c677984939ff8c8c17919173ee7"
+
+
+def test_closed_forms_and_the_witness_box_are_pinned():
+    members = []
+    for name in sorted(FAMILIES):
+        for k in [*range(200), 10**40]:
+            try:
+                members.append(family_vector(name, k))
+            except ValueError:
+                continue                   # below the family's minimal parameter
+    assert len(members) == 3608
+    assert hashlib.sha256(repr(members).encode()).hexdigest() == FAMILY_MEMBERS_SHA256
+    tops = [(slice_maximizer(m), predicted_max_norm(m)) for m in range(3, SLICE_CAP + 1)]
+    assert hashlib.sha256(repr(tops).encode()).hexdigest() == MAXIMIZERS_SHA256
+    digest = hashlib.sha256()
+    for b in range(1, 20001):
+        t = TranscendentalForm(1, b, 0)
+        digest.update((cli._scan_line(t, classify(t)) + "\n").encode())
+    assert digest.hexdigest() == WITNESS_BOX_SHA256
 
 
 def test_search_norm_frozen():
