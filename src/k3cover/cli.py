@@ -250,10 +250,10 @@ def scan_cmd(a_max: int, b_max: int, c_min: int, c_max: int, out: str) -> None:
 
 def _check_family_coverage() -> str:
     up_to = 200     # every admissible norm -n up to here must have its witness
-    for name, (_, min_param, norm_of) in sorted(vinberg.FAMILIES.items()):
+    for name, (min_param, (slope, intercept), _) in sorted(vinberg.FAMILIES.items()):
         for param in range(min_param, min_param + 25):
             v = vinberg.family_vector(name, param)
-            if vinberg.norm(v) != -norm_of(param) or not vinberg.in_P(v):
+            if vinberg.norm(v) != -(slope * param + intercept) or not vinberg.in_P(v):
                 raise VerificationError(f"family {name}({param}) is not in P with its norm")
     witnessed = 0
     for n in range(3, up_to + 1):

@@ -7,7 +7,10 @@ A covering certificate for the interesting branch needs a vector x =
     x0 >= x1 + x2 + x3,  3*x0 > x1 + ... + x10.
 
 Closed-form families cover every N >= 3 except N = 4, so search_norm is a
-dispatch that never enumerates; for N in {1, 2, 4} no vector of P has norm
+dispatch that never enumerates.  FAMILIES states each family once, as a row
+(minimal parameter k, stated N as (slope, intercept), runs of x0, x1, ..,
+x10 in order), where a run (slope, intercept, count) stands for `count`
+entries slope*k + intercept.  For N in {1, 2, 4} no vector of P has norm
 -N, which the per-slice norm sets verify at desk scale and the per-slice
 maximum formulas certify beyond it.
 
@@ -65,63 +68,36 @@ def in_slice(v, m: int) -> bool:
     return g > 0 and in_P(x // g for x in v) and v[0] == m
 
 
-def _desc(*chunks: tuple[int, int]) -> tuple[int, ...]:
-    """Expand ((value, count), ...) runs and sort descending."""
-    out: list[int] = []
-    for value, count in chunks:
-        out.extend([value] * count)
-    return tuple(sorted(out, reverse=True))
-
-
-def _family_x(m: int, k: int) -> Vector11:
-    if m == 0:
-        return (9 * k + 4,) + _desc((3 * k + 2, 1), (3 * k + 1, 7), (3 * k - 1, 1), (2, 1))
-    if m == 2:
-        return (9 * k + 4,) + _desc((3 * k + 2, 1), (3 * k + 1, 6), (3 * k, 2), (2, 1))
-    if m == 4:
-        return (12 * k + 4,) + _desc((4 * k + 2, 1), (4 * k + 1, 7), (4 * k, 1), (1, 1))
-    if m == 6:
-        return (9 * k + 5,) + _desc((3 * k + 2, 2), (3 * k + 1, 7), (2, 1))
-    if m == 8:
-        return (9 * k + 7,) + _desc((3 * k + 3, 1), (3 * k + 2, 7), (3 * k, 1), (2, 1))
-    if m == 10:
-        return (12 * k + 7,) + _desc((4 * k + 3, 1), (4 * k + 2, 7), (4 * k + 1, 1), (1, 1))
-    if m == 12:
-        return (12 * k + 9,) + _desc((4 * k + 3, 7), (4 * k + 2, 1), (4 * k + 1, 1), (1, 1))
-    if m == 14:
-        return (9 * k + 8,) + _desc((3 * k + 3, 2), (3 * k + 2, 7), (2, 1))
-    if m == 16:
-        return (9 * k + 10,) + _desc((3 * k + 4, 1), (3 * k + 3, 7), (3 * k + 1, 1), (2, 1))
-    if m == 18:
-        return (12 * k + 12,) + _desc((4 * k + 4, 7), (4 * k + 3, 1), (4 * k + 2, 1), (1, 1))
-    if m == 20:
-        return (6 * k + 12,) + _desc((2 * k + 6, 1), (2 * k + 3, 8), (4, 1))
-    if m == 22:
-        return (9 * k + 11,) + _desc((3 * k + 4, 2), (3 * k + 3, 7), (2, 1))
-    raise ValueError(f"no X family for residue {m}")
-
-
-# family name -> (builder, minimal parameter, norm as a function of the parameter)
-FAMILIES: dict[str, tuple] = {
-    "X0": (lambda k: _family_x(0, k), 1, lambda k: 24 * k),
-    "X2": (lambda k: _family_x(2, k), 1, lambda k: 2 + 24 * k),
-    "X4": (lambda k: _family_x(4, k), 1, lambda k: 4 + 24 * k),
-    "X6": (lambda k: _family_x(6, k), 1, lambda k: 6 + 24 * k),
-    "X8": (lambda k: _family_x(8, k), 1, lambda k: 8 + 24 * k),
-    "X10": (lambda k: _family_x(10, k), 0, lambda k: 10 + 24 * k),
-    "X12": (lambda k: _family_x(12, k), 0, lambda k: 12 + 24 * k),
-    "X14": (lambda k: _family_x(14, k), 0, lambda k: 14 + 24 * k),
-    "X16": (lambda k: _family_x(16, k), 1, lambda k: 16 + 24 * k),
-    "X18": (lambda k: _family_x(18, k), 0, lambda k: 18 + 24 * k),
-    "X20": (lambda k: _family_x(20, k), 1, lambda k: 20 + 24 * k),
-    "X22": (lambda k: _family_x(22, k), 0, lambda k: 22 + 24 * k),
-    "Y6": (lambda _: (4,) + _desc((1, 10)), 0, lambda _: 6),
-    "Y8": (lambda _: (6,) + _desc((2, 6), (1, 4)), 0, lambda _: 8),
-    "Y16": (lambda _: (7,) + _desc((3, 1), (2, 5), (1, 4)), 0, lambda _: 16),
-    "Y20": (lambda _: (6,) + _desc((2, 2), (1, 8)), 0, lambda _: 20),
-    "Z": (lambda n: (3 * n + 1,) + _desc((n + 1, 1), (n, 8), (1, 1)), 1, lambda n: 4 * n - 1),
-    "W": (lambda n: (3 * n,) + _desc((n, 7), (n - 1, 2), (1, 1)), 2, lambda n: 4 * n - 3),
+# name -> (minimal parameter k, N = slope*k + intercept as (slope, intercept),
+# runs (slope, intercept, count) of x0, x1, .., x10); the tests' proof reads these
+FAMILIES: dict[str, tuple[int, tuple[int, int], tuple[tuple[int, int, int], ...]]] = {
+    "X0": (1, (24, 0), ((9, 4, 1), (3, 2, 1), (3, 1, 7), (3, -1, 1), (0, 2, 1))),
+    "X2": (1, (24, 2), ((9, 4, 1), (3, 2, 1), (3, 1, 6), (3, 0, 2), (0, 2, 1))),
+    "X4": (1, (24, 4), ((12, 4, 1), (4, 2, 1), (4, 1, 7), (4, 0, 1), (0, 1, 1))),
+    "X6": (1, (24, 6), ((9, 5, 1), (3, 2, 2), (3, 1, 7), (0, 2, 1))),
+    "X8": (1, (24, 8), ((9, 7, 1), (3, 3, 1), (3, 2, 7), (3, 0, 1), (0, 2, 1))),
+    "X10": (0, (24, 10), ((12, 7, 1), (4, 3, 1), (4, 2, 7), (4, 1, 1), (0, 1, 1))),
+    "X12": (0, (24, 12), ((12, 9, 1), (4, 3, 7), (4, 2, 1), (4, 1, 1), (0, 1, 1))),
+    "X14": (0, (24, 14), ((9, 8, 1), (3, 3, 2), (3, 2, 7), (0, 2, 1))),
+    "X16": (1, (24, 16), ((9, 10, 1), (3, 4, 1), (3, 3, 7), (3, 1, 1), (0, 2, 1))),
+    "X18": (0, (24, 18), ((12, 12, 1), (4, 4, 7), (4, 3, 1), (4, 2, 1), (0, 1, 1))),
+    "X20": (1, (24, 20), ((6, 12, 1), (2, 6, 1), (2, 3, 8), (0, 4, 1))),
+    "X22": (0, (24, 22), ((9, 11, 1), (3, 4, 2), (3, 3, 7), (0, 2, 1))),
+    "Y6": (0, (0, 6), ((0, 4, 1), (0, 1, 10))),
+    "Y8": (0, (0, 8), ((0, 6, 1), (0, 2, 6), (0, 1, 4))),
+    "Y16": (0, (0, 16), ((0, 7, 1), (0, 3, 1), (0, 2, 5), (0, 1, 4))),
+    "Y20": (0, (0, 20), ((0, 6, 1), (0, 2, 2), (0, 1, 8))),
+    "Z": (1, (4, -1), ((3, 1, 1), (1, 1, 1), (1, 0, 8), (0, 1, 1))),
+    "W": (2, (4, -3), ((3, 0, 1), (1, 0, 7), (1, -1, 2), (0, 1, 1))),
 }
+
+
+def _expand(runs, k: int) -> Vector11:
+    """The vector of runs (slope, intercept, count) at parameter k."""
+    out: Vector11 = ()
+    for slope, intercept, count in runs:
+        out += (slope * k + intercept,) * count
+    return out
 
 
 def family_vector(name: str, param: int = 0) -> Vector11:
@@ -130,10 +106,10 @@ def family_vector(name: str, param: int = 0) -> Vector11:
     `family-coverage` row of `verify-lemmas` re-checks the members it draws."""
     if name not in FAMILIES:
         raise ValueError(f"unknown family {name!r}")
-    build, min_param, _ = FAMILIES[name]
+    min_param, _, runs = FAMILIES[name]
     if param < min_param:
         raise ValueError(f"family {name} needs parameter >= {min_param}")
-    return build(param)
+    return _expand(runs, param)
 
 
 @lru_cache(maxsize=None)
@@ -197,6 +173,12 @@ def predicted_max_norm(m: int) -> int | None:
     return 9 - 8 * q
 
 
+# runs in q of the maximizer of slice m = 3q + r, by the residue r
+_MAXIMIZER_RUNS = (((3, 0, 1), (1, 0, 8), (1, -2, 1), (0, 1, 1)),
+                   ((3, 1, 1), (1, 1, 1), (1, 0, 8), (0, 1, 1)),
+                   ((3, 2, 1), (1, 2, 1), (1, 0, 8), (0, 3, 1)))
+
+
 def slice_maximizer(m: int) -> Vector11 | None:
     """A slice member achieving predicted_max_norm(m); None for m = 3."""
     if not 3 <= m <= SLICE_CAP:
@@ -204,17 +186,13 @@ def slice_maximizer(m: int) -> Vector11 | None:
     if m == 3:
         return None
     if m == 5:
-        return (5,) + _desc((3, 1), (1, 9))
+        return (5, 3, 1, 1, 1, 1, 1, 1, 1, 1, 1)
     if m == 6:
-        return (6,) + _desc((2, 7), (1, 3))
+        return (6, 2, 2, 2, 2, 2, 2, 2, 1, 1, 1)
     if m == 8:
-        return (8,) + _desc((4, 1), (2, 9))
+        return (8, 4, 2, 2, 2, 2, 2, 2, 2, 2, 2)
     q, r = divmod(m, 3)
-    if r == 0:
-        return (m,) + _desc((q, 8), (q - 2, 1), (1, 1))
-    if r == 1:
-        return (m,) + _desc((q + 1, 1), (q, 8), (1, 1))
-    return (m,) + _desc((q + 2, 1), (q, 8), (3, 1))
+    return _expand(_MAXIMIZER_RUNS[r], q)
 
 
 def search_norm(n: int) -> Vector11 | None:

@@ -563,13 +563,13 @@ def test_verify_lemmas_passes(runner):
 
 
 def test_verify_lemmas_catches_corrupted_table(runner, monkeypatch):
-    build, min_param, _ = vinberg.FAMILIES["Z"]
-    monkeypatch.setitem(vinberg.FAMILIES, "Z",
-                        (build, min_param, lambda n: 4 * n + 1))
+    min_param, _, runs = vinberg.FAMILIES["Z"]
+    monkeypatch.setitem(vinberg.FAMILIES, "Z", (min_param, (4, 1), runs))
     result = runner.invoke(main, ["verify-lemmas"])
     assert result.exit_code == 2
-    assert "family-coverage" in result.output
-    assert "FAIL" in result.output
+    # the row must fail on the stated norm, not on a row it cannot unpack
+    assert "family-coverage      FAIL  family Z(1) is not in P with its norm" in \
+        result.stdout.splitlines()
 
 
 # One wrong fact each, for slice 9 or norm -4 alone, and the row that must

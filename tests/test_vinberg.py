@@ -140,11 +140,11 @@ def test_families_verify_to_large_norms():
     family_vector only builds, so the two asserts below are the check;
     `_assert_total` proves the same for every parameter.
     """
-    for name, (build, min_param, norm_of) in sorted(FAMILIES.items()):
+    for name, (min_param, (slope, intercept), _) in sorted(FAMILIES.items()):
         param = min_param
-        while norm_of(param) <= 1000:
+        while slope * param + intercept <= 1000:
             v = family_vector(name, param)
-            assert norm(v) == -norm_of(param)
+            assert norm(v) == -(slope * param + intercept)
             assert in_P(v)
             param += 1
             if name.startswith("Y"):
@@ -153,65 +153,32 @@ def test_families_verify_to_large_norms():
 
 @dataclass(frozen=True)
 class Affine:
-    """The value t + s*k of a family entry, as a function of the parameter k
-    over every integer k >= start.
-
-    Two values compare by their order for k > start, and the comparison
-    raises unless that order also holds, perhaps as a tie, at k = start.
-    So a builder that sorts these values puts its runs in one order that
-    sorts them for every parameter in the range.
-    """
+    """The value t + s*k of a family entry, as a function of the parameter k."""
 
     t: int
     s: int
-    start: int
 
     def _lift(self, other):
-        return other if isinstance(other, Affine) else Affine(other, 0, self.start)
+        return other if isinstance(other, Affine) else Affine(other, 0)
 
     def __add__(self, other):
         other = self._lift(other)
-        return Affine(self.t + other.t, self.s + other.s, self.start)
+        return Affine(self.t + other.t, self.s + other.s)
 
     __radd__ = __add__
 
     def __sub__(self, other):
         other = self._lift(other)
-        return Affine(self.t - other.t, self.s - other.s, self.start)
+        return Affine(self.t - other.t, self.s - other.s)
 
     def __mul__(self, c):
         assert isinstance(c, int)
-        return Affine(self.t * c, self.s * c, self.start)
+        return Affine(self.t * c, self.s * c)
 
     __rmul__ = __mul__
 
     def at(self, k: int) -> int:
         return self.t + self.s * k
-
-    def _sign(self, other) -> int:
-        d = self - other
-        low = d.at(d.start)
-        if d.s == 0:
-            return (low > 0) - (low < 0)
-        if d.s > 0 and low >= 0:
-            return 1
-        if d.s < 0 and low <= 0:
-            return -1
-        raise AssertionError(f"the order of {self} and {other} changes with the parameter")
-
-    def __lt__(self, other):
-        return self._sign(other) < 0
-
-    def __gt__(self, other):
-        return self._sign(other) > 0
-
-
-def _symbolic_family(name: str) -> tuple[Affine, ...]:
-    """A family's vector with each entry an affine function of its parameter;
-    building it sorts the runs, which proves their order constant."""
-    build, start, _ = FAMILIES[name]
-    return tuple(x if isinstance(x, Affine) else Affine(x, 0, start)
-                 for x in build(Affine(0, 1, start)))
 
 
 def _coprime_for_every_parameter(x: Affine, y: Affine) -> bool:
@@ -232,21 +199,21 @@ def _assert_total(name: str) -> None:
     """Every member of the family, for every parameter from the minimal one
     on, lies in P and has the stated norm.
 
-    The entries are affine in the parameter k and their order is fixed (the
-    symbolic build proves both).  So the norm is a quadratic in k, and so is
-    the stated norm; three parameters prove them equal.  Each condition of P
-    other than the gcd is an affine function of k that must stay >= 0: it
-    holds at the minimal parameter and has a slope >= 0.  The gcd is 1
-    because two of the entries are coprime for every k.
+    The family's row gives each entry as an affine function of the
+    parameter k, run by run.  So the norm is a quadratic in k, and the
+    stated norm is linear; three parameters prove them equal.  Each
+    condition of P other than the gcd, the order of the tail included, is an
+    affine function of k that must stay >= 0: it holds at the minimal
+    parameter and has a slope >= 0.  The gcd is 1 because two of the entries
+    are coprime for every k.
     """
-    build, start, norm_of = FAMILIES[name]
-    v = _symbolic_family(name)
+    start, (slope, intercept), runs = FAMILIES[name]
+    v = tuple(Affine(t, s) for s, t, count in runs for _ in range(count))
     assert len(v) == 11
-    assert isinstance(norm_of(Affine(0, 1, start)), (int, Affine)), "norm"   # at most linear
     for k in (start, start + 1, start + 2):
-        member = build(k)
+        member = family_vector(name, k)
         assert member == tuple(x.at(k) for x in v)
-        assert norm(member) == -norm_of(k), "norm"
+        assert norm(member) == -(slope * k + intercept), "norm"
     x0, tail = v[0], v[1:]
     conditions = [tail[i] - tail[i + 1] for i in range(9)] + [
         tail[9] - 1,                                # x10 > 0
@@ -264,16 +231,20 @@ def test_family_lies_in_P_with_its_norm_for_every_parameter(name):
     _assert_total(name)
 
 
+# Each change maps a row (start, stated norm, runs) to a tampered one
 @pytest.mark.parametrize("name, change, check", [
-    ("X16", lambda v: v[:10] + (v[10] + 1,), "norm"),
-    ("Z", lambda v: (v[0], v[10]) + v[2:10] + (v[1],), "condition"),   # unsorted
-    ("W", lambda v: tuple(2 * x for x in v), "gcd"),
+    # the intercept of x10 one more: the norm moves
+    ("X16", lambda start, stated, runs: (start, stated, runs[:-1] + ((0, 3, 1),)), "norm"),
+    # the runs of x1 and x10 swapped: the same norm, but unsorted
+    ("Z", lambda start, stated, runs: (start, stated, (runs[0], runs[3], runs[2], runs[1])),
+     "condition"),
+    # every entry doubled, with 4 times the norm
+    ("W", lambda start, stated, runs: (start, tuple(4 * x for x in stated),
+                                       tuple((2 * s, 2 * t, count) for s, t, count in runs)),
+     "gcd"),
 ])
 def test_family_totality_catches_a_tampered_family(name, change, check, monkeypatch):
-    build, start, norm_of = FAMILIES[name]
-    scale = 4 if check == "gcd" else 1
-    monkeypatch.setitem(FAMILIES, name, (lambda k: change(build(k)), start,
-                                         lambda k: scale * norm_of(k)))
+    monkeypatch.setitem(FAMILIES, name, change(*FAMILIES[name]))
     with pytest.raises(AssertionError, match=check):
         _assert_total(name)
 
@@ -301,7 +272,7 @@ def test_search_norm_dispatch_covers_every_norm(monkeypatch):
             assert v is None and calls == []
             continue
         [(name, param)] = calls
-        assert param >= FAMILIES[name][1], n
+        assert param >= FAMILIES[name][0], n
         assert norm(v) == -n
         dispatched[n] = (name, param)
     for n in range(24, 24 * 3):
