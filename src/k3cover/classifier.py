@@ -248,7 +248,7 @@ class ExplicitEmbedding(Frozen):
         if (a * x * x + c * x * z + b * z * z, a * y * y + c * y * w + b * w * w,
                 2 * a * x * y + c * (x * w + y * z) + 2 * b * w * z) != normalized:
             raise VerificationError("recorded basis change does not reach the recorded form")
-        build = CONSTRUCTIONS.get(self.construction) if isinstance(self.construction, str) else None
+        build = CONSTRUCTIONS.get(self.construction) if type(self.construction) is str else None
         basis = None if build is None else build(*normalized)[1]
         defect = _embedding_defect(*normalized, rows, basis)
         if defect == "pullback":
@@ -349,17 +349,18 @@ Certificate = (
 
 
 def _is_int(x) -> bool:
-    """An int that is not a bool: what a serialized integer field must hold."""
-    return isinstance(x, int) and not isinstance(x, bool)
+    """Of type exactly int, as json gives: not a bool, nor any other subclass."""
+    return type(x) is int
 
 
 _EXACT_INT = frozenset((int,))
 
 
 def _array(field: str, values) -> list | tuple:
-    """A list field: the tuple parsing makes of a JSON array, or a list,
-    never a string or an object that merely iterates."""
-    if not isinstance(values, (list, tuple)):
+    """A list field: the tuple parsing makes of a JSON array, or a list, of
+    exactly that type; never a string, a subclass or an object that merely
+    iterates."""
+    if type(values) is not list and type(values) is not tuple:
         raise VerificationError(f"malformed certificate: {field} must be a list")
     return values
 
@@ -367,8 +368,8 @@ def _array(field: str, values) -> list | tuple:
 def _ints(field: str, values, length: int | None = None) -> tuple[int, ...]:
     """The entries of a serialized integer list, each passing `_is_int`."""
     out = tuple(_array(field, values))
-    # entries whose type is exactly int, as json gives, are checked in C
-    if not (_EXACT_INT.issuperset(map(type, out)) or all(map(_is_int, out))):
+    # the type of every entry must be exactly int; checked in C
+    if not _EXACT_INT.issuperset(map(type, out)):
         raise VerificationError(f"malformed certificate: {field} must hold integers")
     if length is not None and len(out) != length:
         raise VerificationError(f"malformed certificate: {field} must have {length} entries")
@@ -422,11 +423,11 @@ def certificate_from_dict(data: dict[str, object]) -> Certificate:
 
 
 def _check_fields(case, covers, delta) -> None:
-    """``case`` must be a str, ``covers`` a bool and ``delta`` an int, never a
-    value that merely converts to one.  The messages name the wrong value's
+    """``case`` must be of type exactly str, ``covers`` a bool and ``delta`` of
+    type exactly int, never a subclass or a value that merely converts to one.  The messages name the wrong value's
     type, not the value: the repr of an int past CPython's int -> str digit
     limit would raise ValueError in place of VerificationError."""
-    if not isinstance(case, str):
+    if type(case) is not str:
         raise VerificationError(f"case must be a string, not {type(case).__name__}")
     if not isinstance(covers, bool):
         raise VerificationError(f"covers must be true or false, not {type(covers).__name__}")
@@ -527,7 +528,8 @@ def verify_classification(t: TranscendentalForm, cls: Classification) -> None:
 
     Raises VerificationError unless the label, the verdict, the discriminant
     and the certificate all check out independently, each field of the type
-    `_check_fields` requires and the certificate one of the five classes.
+    `_check_fields` requires and the certificate's type exactly one of the
+    five classes.
     """
     _check_fields(cls.case_label, cls.covers, cls.delta)
     label, covers = case_of(t)
@@ -537,7 +539,7 @@ def verify_classification(t: TranscendentalForm, cls: Classification) -> None:
         raise VerificationError("covering verdict disagrees with the recomputed case")
     if cls.delta != t.delta:
         raise VerificationError("recorded discriminant disagrees with the form")
-    if not isinstance(cls.certificate, Certificate):
+    if type(cls.certificate) not in Certificate.__args__:
         raise VerificationError(
             f"certificate of type {type(cls.certificate).__name__} is not a certificate object")
     if cls.certificate.kind not in CASES[label][1]:

@@ -551,6 +551,86 @@ def test_replay_refuses_a_value_that_merely_converts(triple, replay):
         replay(TranscendentalForm(*triple))
 
 
+class _Liar(int):
+    """An int that claims to equal everything."""
+
+    def __eq__(self, other):
+        return True
+
+    def __ne__(self, other):
+        return False
+
+    __hash__ = int.__hash__
+
+
+class _LiarStr(str):
+    """A str that claims to equal everything."""
+
+    __eq__ = _Liar.__eq__
+    __ne__ = _Liar.__ne__
+    __hash__ = str.__hash__
+
+
+class _LooksEmpty(tuple):
+    """A tuple that reports no entries, whatever it holds."""
+
+    def __len__(self):
+        return 0
+
+
+class _SkippedReplay(ExplicitEmbedding):
+    """An explicit embedding whose replay checks nothing."""
+
+    __slots__ = ()
+
+    def replay(self, t):
+        pass
+
+
+def _verify_ii(**fields) -> None:
+    """Verify the case II classification of (1, 2, 1) with fields replaced."""
+    t = TranscendentalForm(1, 2, 1)
+    verify_classification(t, replace(classify(t), **fields))
+
+
+def _verify_ii_embedding(cls=ExplicitEmbedding, **fields) -> None:
+    """Verify the case II classification of (1, 2, 1) with its certificate
+    rebuilt as ``cls`` and the given fields replaced."""
+    certificate = classify(TranscendentalForm(1, 2, 1)).certificate
+    values = {name: getattr(certificate, name) for name in ExplicitEmbedding.__slots__}
+    _verify_ii(certificate=cls(**{**values, **fields}))
+
+
+# Values built in code, each of a subclass that a parsed record never holds
+# and that lies about its value: replay accepted every one of them while it
+# checked types by isinstance.  Replay now compares types exactly.
+_FORGED_PROBES = {
+    "residues and pairing that equal anything": (lambda: verify_classification(
+        TranscendentalForm(1, 1, 1),
+        Classification("IV", False, 3, ParityObstruction((_Liar(0), _Liar(0)), _Liar(0)))),
+        "malformed certificate: norms_mod_4 must hold integers"),
+    "delta that equals anything": (lambda: _verify_ii(delta=_Liar(5)),
+                                   "delta must be an integer, not _Liar"),
+    "minor_gcd that equals anything": (lambda: _verify_ii_embedding(minor_gcd=_Liar(7)),
+                                       "malformed certificate: minor_gcd must be an integer,"
+                                       " not _Liar"),
+    "case that equals anything": (lambda: _verify_ii(case_label=_LiarStr("IV")),
+                                  "case must be a string, not _LiarStr"),
+    "minus_two that looks empty": (lambda: _verify_ii_embedding(
+        minus_two=_LooksEmpty(((0,) * 12,))),
+        "malformed certificate: minus_two must be a list"),
+    "embedding subclass that skips replay": (lambda: _verify_ii_embedding(
+        _SkippedReplay, minor_gcd=5),
+        "certificate of type _SkippedReplay is not a certificate object"),
+}
+
+
+@pytest.mark.parametrize("verify, message", _FORGED_PROBES.values(), ids=list(_FORGED_PROBES))
+def test_replay_refuses_a_forged_value(verify, message):
+    with pytest.raises(VerificationError, match=f"^{re.escape(message)}$"):
+        verify()
+
+
 def test_from_dict_rejects_a_missing_minus_two():
     data = _embedding_record()
     del data["certificate"]["minus_two"]
