@@ -357,9 +357,8 @@ _EXACT_INT = frozenset((int,))
 
 
 def _array(field: str, values) -> list | tuple:
-    """A list field: the tuple parsing makes of a JSON array, or a list, of
-    exactly that type; never a string, a subclass or an object that merely
-    iterates."""
+    """A list field: exactly the tuple parsing makes of a JSON array, or a
+    list; never a string, a subclass or an object that merely iterates."""
     if type(values) is not list and type(values) is not tuple:
         raise VerificationError(f"malformed certificate: {field} must be a list")
     return values
@@ -424,9 +423,10 @@ def certificate_from_dict(data: dict[str, object]) -> Certificate:
 
 def _check_fields(case, covers, delta) -> None:
     """``case`` must be of type exactly str, ``covers`` a bool and ``delta`` of
-    type exactly int, never a subclass or a value that merely converts to one.  The messages name the wrong value's
-    type, not the value: the repr of an int past CPython's int -> str digit
-    limit would raise ValueError in place of VerificationError."""
+    type exactly int, never a subclass or a value that merely converts to one.
+    The messages name the wrong value's type, not the value: the repr of an
+    int past CPython's int -> str digit limit would raise ValueError in place
+    of VerificationError."""
     if type(case) is not str:
         raise VerificationError(f"case must be a string, not {type(case).__name__}")
     if not isinstance(covers, bool):
@@ -528,8 +528,7 @@ def verify_classification(t: TranscendentalForm, cls: Classification) -> None:
 
     Raises VerificationError unless the label, the verdict, the discriminant
     and the certificate all check out independently, each field of the type
-    `_check_fields` requires and the certificate's type exactly one of the
-    five classes.
+    `_check_fields` requires and the certificate's type one of the five classes.
     """
     _check_fields(cls.case_label, cls.covers, cls.delta)
     label, covers = case_of(t)
