@@ -280,14 +280,14 @@ def _check_absence() -> str:
 
 
 def _check_max_table() -> str:
-    if vinberg.slice_norms(3):
-        raise VerificationError("slice 3 should be empty")
-    for m in range(4, vinberg.SLICE_CAP + 1):
+    for m in range(3, vinberg.SLICE_CAP + 1):
         want = vinberg.predicted_max_norm(m)
         got = vinberg.max_norm_in_slice(m)
         if got != want:
             raise VerificationError(f"slice {m}: maximum {got}, formula says {want}")
         top = vinberg.slice_maximizer(m)
+        if top is None and got is None:
+            continue    # an empty slice states no maximizer
         if top is None or vinberg.norm(top) != want or not vinberg.in_slice(top, m):
             raise VerificationError(f"slice {m}: stated maximizer is invalid")
     return f"slices 4..{vinberg.SLICE_CAP} match the formulas"

@@ -2,9 +2,8 @@
 
 Everything here runs on arbitrary-precision Python ints (plus Fraction for
 the one rational solve and the signature).  No floating point anywhere:
-determinants, Hermite and Smith forms, kernels and adjugates are computed
-exactly, so the certificate machinery built on top can be replayed bit for
-bit.
+determinants, Hermite forms, kernels and adjugates are computed exactly,
+so the certificate machinery built on top can be replayed bit for bit.
 
 The Gram-matrix layer at the end gives integral lattices and the ambient
 lattice of every covering question here, the even lattice of signature
@@ -284,64 +283,6 @@ def maximal_minor_gcd(a: IntMatrix) -> int:
         if d == 1:
             return 1
     return d
-
-
-def smith_invariant_factors(a: IntMatrix) -> tuple[int, ...]:
-    """Nonzero invariant factors d_1 | d_2 | ... of the matrix, all positive.
-
-    Classic elimination: move a nonzero entry of smallest magnitude to the
-    pivot, clear its row and column (swapping remainders back in), then fold
-    any entry the pivot fails to divide into the pivot row and repeat.
-    """
-    m = a.to_lists()
-    rows, cols = a.rows, a.cols
-    factors: list[int] = []
-    top = 0
-    while top < rows and top < cols:
-        pr = pc = -1
-        best = None
-        for i in range(top, rows):
-            for j in range(top, cols):
-                v = abs(m[i][j])
-                if v and (best is None or v < best):
-                    best, pr, pc = v, i, j
-        if best is None:
-            break
-        m[top], m[pr] = m[pr], m[top]
-        for row_ in m:
-            row_[top], row_[pc] = row_[pc], row_[top]
-        # clear row and column of the pivot
-        dirty = True
-        while dirty:
-            dirty = False
-            for i in range(top + 1, rows):
-                if m[i][top]:
-                    q = m[i][top] // m[top][top]
-                    m[i] = [x - q * y for x, y in zip(m[i], m[top])]
-                    if m[i][top]:
-                        m[top], m[i] = m[i], m[top]
-                        dirty = True
-            for j in range(top + 1, cols):
-                if m[top][j]:
-                    q = m[top][j] // m[top][top]
-                    for row_ in m:
-                        row_[j] -= q * row_[top]
-                    if m[top][j]:
-                        for row_ in m:
-                            row_[top], row_[j] = row_[j], row_[top]
-                        dirty = True
-            if not dirty:
-                # enforce divisibility: pivot must divide everything below/right
-                p = m[top][top]
-                off = next(((i, j) for i in range(top + 1, rows)
-                            for j in range(top + 1, cols) if m[i][j] % p), None)
-                if off is not None:
-                    i, _ = off
-                    m[top] = [x + y for x, y in zip(m[top], m[i])]
-                    dirty = True
-        factors.append(abs(m[top][top]))
-        top += 1
-    return tuple(factors)
 
 
 @dataclass(frozen=True)

@@ -11,8 +11,9 @@ dispatch that never enumerates.  FAMILIES states each family once, as a row
 (minimal parameter k, stated N as (slope, intercept), runs of x0, x1, ..,
 x10 in order), where a run (slope, intercept, count) stands for `count`
 entries slope*k + intercept.  For N in {1, 2, 4} no vector of P has norm
--N, which the per-slice norm sets verify at desk scale and the per-slice
-maximum formulas certify beyond it.
+-N: the per-slice norm sets verify it through slice SLICE_CAP, and beyond
+that it rests on the per-slice maximum table, which nothing yet checks
+past SLICE_CAP.
 
 Slices are indexed by x0 = m.  A slice deliberately drops the gcd
 condition: the maximum-norm table is stated for the plain cone slices (its
@@ -126,6 +127,11 @@ def _tail_squares(k: int, top: int, room: int) -> int:
     return bits
 
 
+def _check_slice(m: int) -> None:
+    if not 3 <= m <= SLICE_CAP:
+        raise ValueError(f"slice index must lie in [3, {SLICE_CAP}]")
+
+
 @lru_cache(maxsize=None)
 def slice_norms(m: int) -> frozenset[int]:
     """Every norm attained on the slice x0 = m (gcd not applied).
@@ -136,8 +142,7 @@ def slice_norms(m: int) -> frozenset[int]:
     `_tail_squares`, which every slice shares.  Memoised, so that absence
     checks and the maximum table cost one pass per slice and process.
     """
-    if not 3 <= m <= SLICE_CAP:
-        raise ValueError(f"slice index must lie in [3, {SLICE_CAP}]")
+    _check_slice(m)
     bits = 0
     for x1 in range(1, m + 1):
         for x2 in range(1, min(x1, m - x1) + 1):
@@ -153,46 +158,29 @@ def max_norm_in_slice(m: int) -> int | None:
     return max(slice_norms(m), default=None)
 
 
-def predicted_max_norm(m: int) -> int | None:
-    """Slice maximum by the closed formulas; None for the empty slice m = 3."""
-    if not 3 <= m <= SLICE_CAP:
-        raise ValueError(f"slice index must lie in [3, {SLICE_CAP}]")
-    if m == 3:
-        return None
-    if m == 5:
-        return -7
-    if m == 6:
-        return -5
-    if m == 8:
-        return -12
-    q, r = divmod(m, 3)
-    if r == 0:
-        return 5 - 4 * q
-    if r == 1:
-        return 1 - 4 * q
-    return 9 - 8 * q
-
-
-# runs in q of the maximizer of slice m = 3q + r, by the residue r
+# The maximum table, stated once as the maximizer of each slice m: slices 5,
+# 6 and 8 written out, the empty slice 3 as None, and every other m = 3q + r
+# as runs in q by the residue r, of norms 5 - 4q, 1 - 4q and 9 - 8q
+_MAXIMIZERS = {3: None, 5: (5, 3, 1, 1, 1, 1, 1, 1, 1, 1, 1),
+               6: (6, 2, 2, 2, 2, 2, 2, 2, 1, 1, 1), 8: (8, 4, 2, 2, 2, 2, 2, 2, 2, 2, 2)}
 _MAXIMIZER_RUNS = (((3, 0, 1), (1, 0, 8), (1, -2, 1), (0, 1, 1)),
                    ((3, 1, 1), (1, 1, 1), (1, 0, 8), (0, 1, 1)),
                    ((3, 2, 1), (1, 2, 1), (1, 0, 8), (0, 3, 1)))
 
 
 def slice_maximizer(m: int) -> Vector11 | None:
-    """A slice member achieving predicted_max_norm(m); None for m = 3."""
-    if not 3 <= m <= SLICE_CAP:
-        raise ValueError(f"slice index must lie in [3, {SLICE_CAP}]")
-    if m == 3:
-        return None
-    if m == 5:
-        return (5, 3, 1, 1, 1, 1, 1, 1, 1, 1, 1)
-    if m == 6:
-        return (6, 2, 2, 2, 2, 2, 2, 2, 1, 1, 1)
-    if m == 8:
-        return (8, 4, 2, 2, 2, 2, 2, 2, 2, 2, 2)
+    """The stated maximizer of slice m; None for the empty slice m = 3."""
+    _check_slice(m)
+    if m in _MAXIMIZERS:
+        return _MAXIMIZERS[m]
     q, r = divmod(m, 3)
     return _expand(_MAXIMIZER_RUNS[r], q)
+
+
+def predicted_max_norm(m: int) -> int | None:
+    """The stated slice maximum: the norm of slice_maximizer(m)."""
+    top = slice_maximizer(m)
+    return None if top is None else norm(top)
 
 
 def search_norm(n: int) -> Vector11 | None:

@@ -20,6 +20,8 @@ from unittest.mock import patch
 import pytest
 from hypothesis import settings
 from hypothesis import strategies as st
+from sympy import ZZ, Matrix
+from sympy.matrices.normalforms import invariant_factors
 
 from k3cover.classifier import CONSTRUCTIONS, normalize_case_III
 from k3cover.embeddings import Embedding
@@ -171,6 +173,12 @@ def enumerate_P_slice(m: int) -> list[tuple[int, ...]]:
     if not 3 <= m <= SLICE_CAP:
         raise ValueError(f"slice index must lie in [3, {SLICE_CAP}]")
     return list(_slice_members(m))
+
+
+def smith_invariant_factors(a: IntMatrix) -> tuple[int, ...]:
+    """The nonzero invariant factors d1 | d2 | ... of the matrix, all
+    positive, from sympy's Smith normal form: the tests' one Smith oracle."""
+    return tuple(abs(int(d)) for d in invariant_factors(Matrix(a.to_lists()), domain=ZZ) if d)
 
 
 def random_full_rank(rng: random.Random, n: int, m: int, bound: int = 5) -> IntMatrix:

@@ -27,7 +27,6 @@ from k3cover.intmat import (
     IntMatrix,
     inner_product,
     maximal_minor_gcd,
-    smith_invariant_factors,
     standard_lattice,
 )
 from k3cover.lattices import TranscendentalForm, apply_basis_change
@@ -46,6 +45,7 @@ from conftest import (
     enumerate_P_slice,
     random_full_rank,
     random_sl2,
+    smith_invariant_factors,
     written_down_embedding,
 )
 

@@ -571,6 +571,23 @@ class _LiarStr(str):
     __hash__ = str.__hash__
 
 
+class _EqualsEveryType(type):
+    """A metaclass whose classes hash like int and equal every type."""
+
+    def __eq__(cls, other):
+        return True
+
+    def __ne__(cls, other):
+        return False
+
+    def __hash__(cls):
+        return hash(int)
+
+
+class _TypeLiar(_Liar, metaclass=_EqualsEveryType):
+    """An int that claims to equal everything, of a type that claims the same."""
+
+
 class _LooksEmpty(tuple):
     """A tuple that reports no entries, whatever it holds."""
 
@@ -580,6 +597,16 @@ class _LooksEmpty(tuple):
 
 class _SkippedReplay(ExplicitEmbedding):
     """An explicit embedding whose replay checks nothing."""
+
+    __slots__ = ()
+
+    def replay(self, t):
+        pass
+
+
+class _SkippedParity(ParityObstruction, metaclass=_EqualsEveryType):
+    """A parity obstruction whose replay checks nothing, of a type that
+    claims to equal every type."""
 
     __slots__ = ()
 
@@ -603,7 +630,9 @@ def _verify_ii_embedding(cls=ExplicitEmbedding, **fields) -> None:
 
 # Values built in code, each of a subclass that a parsed record never holds
 # and that lies about its value: replay accepted every one of them while it
-# checked types by isinstance.  Replay now compares types exactly.
+# checked types by isinstance.  The last two lie about their type as well,
+# through a metaclass, and passed while replay compared types by hash and
+# ==.  Replay now compares types by identity.
 _FORGED_PROBES = {
     "residues and pairing that equal anything": (lambda: verify_classification(
         TranscendentalForm(1, 1, 1),
@@ -622,6 +651,14 @@ _FORGED_PROBES = {
     "embedding subclass that skips replay": (lambda: _verify_ii_embedding(
         _SkippedReplay, minor_gcd=5),
         "certificate of type _SkippedReplay is not a certificate object"),
+    "residues of a type that equals int": (lambda: verify_classification(
+        TranscendentalForm(1, 1, 1),
+        Classification("IV", False, 3, ParityObstruction((_TypeLiar(0), _TypeLiar(0)), 1))),
+        "malformed certificate: norms_mod_4 must hold integers"),
+    "obstruction of a type that equals every class": (lambda: verify_classification(
+        TranscendentalForm(1, 1, 1),
+        Classification("IV", False, 3, _SkippedParity((0, 0), 0))),
+        "certificate of type _SkippedParity is not a certificate object"),
 }
 
 

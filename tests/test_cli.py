@@ -575,7 +575,11 @@ def test_verify_lemmas_catches_corrupted_table(runner, monkeypatch):
 # One wrong fact each, for slice 9 or norm -4 alone, and the row that must
 # catch it: a stated maximizer with the right norm that lies outside its
 # slice, a maximum formula off by one, a norm -4 in a slice's norm set, and
-# a witness for the absent norm -4, which only small-norm-absence checks
+# a witness for the absent norm -4, which only small-norm-absence checks.
+# Then two wrong entries of the maximum table as data: the last run of the
+# maximizers of slices 3q + 1 raised from 1 to 2, and slice 8's written-out
+# maximizer replaced by a member of its slice of lower norm
+_LOWER_IN_SLICE_8 = (8, 3, 2, 2, 2, 2, 2, 2, 2, 2, 2)
 _LEMMA_PROBES = {
     "maximizer-outside-slice": (
         "max-table", "slice_maximizer",
@@ -589,6 +593,12 @@ _LEMMA_PROBES = {
     "witness-for-minus-4": (
         "small-norm-absence", "search_norm",
         lambda real: lambda n: real(5) if n == 4 else real(n)),
+    "maximizer-run-changed": (
+        "max-table", "_MAXIMIZER_RUNS",
+        lambda real: (real[0], real[1][:-1] + ((0, 2, 1),), real[2])),
+    "slice-8-maximizer-lowered": (
+        "max-table", "_MAXIMIZERS",
+        lambda real: {**real, 8: _LOWER_IN_SLICE_8}),
 }
 
 
@@ -609,15 +619,21 @@ def test_the_outside_maximizer_probe_has_the_right_norm():
     assert top not in enumerate_P_slice(9)
 
 
+def test_the_lowered_maximizer_probe_lies_in_its_slice():
+    assert _LOWER_IN_SLICE_8 in enumerate_P_slice(8)
+    assert vinberg.norm(_LOWER_IN_SLICE_8) < vinberg.predicted_max_norm(8)
+
+
 def test_case_order_is_complete():
     assert set(CASE_ORDER) == {"I", "II", "III-1", "III-2", "III-3", "IV"}
     assert CASE_ORDER == tuple(classifier.CASES)
 
 
 # modules no command runs (classify, scan or verify-lemmas): the tests'
-# oracle stack and the standard library modules that only cost start-up
+# oracle stack, sympy, and the standard library modules that only cost start-up
 OFF_THE_CLASSIFY_PATH = {"click", "dataclasses", "inspect", "fractions", "decimal", "typing",
-                         "json", "k3cover.intmat", "k3cover.embeddings", "k3cover.shortvec"}
+                         "json", "sympy", "k3cover.intmat", "k3cover.embeddings",
+                         "k3cover.shortvec"}
 
 
 def test_cli_import_leaves_out_the_short_vector_search():

@@ -47,7 +47,6 @@ from k3cover.intmat import (
     IntMatrix,
     inner_product,
     left_kernel,
-    smith_invariant_factors,
     to_lattice,
 )
 from k3cover.lattices import TranscendentalForm, apply_basis_change, parity_class
@@ -62,6 +61,7 @@ from conftest import (
     random_sl2,
     replace,
     sl2_matrices,
+    smith_invariant_factors,
     written_down_embedding,
 )
 

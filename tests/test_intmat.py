@@ -6,7 +6,6 @@ from math import gcd
 
 import pytest
 import sympy
-from sympy.matrices.normalforms import smith_normal_form
 
 from k3cover.intmat import (
     IntMatrix,
@@ -14,12 +13,11 @@ from k3cover.intmat import (
     left_kernel,
     maximal_minor_gcd,
     rank,
-    smith_invariant_factors,
     solve_left,
     xgcd,
 )
 
-from conftest import random_full_rank
+from conftest import random_full_rank, smith_invariant_factors
 
 
 def _random_matrix(rng, n, m, bound=9):
@@ -174,19 +172,6 @@ def test_maximal_minor_gcd_frozen_values():
     assert maximal_minor_gcd(IntMatrix.from_rows([[1, 2], [2, 4]])) == 0
     with pytest.raises(ValueError):
         maximal_minor_gcd(IntMatrix.from_rows([[1], [2]]))
-
-
-def test_smith_invariant_factors_match_sympy():
-    rng = random.Random(31)
-    for _ in range(100):
-        n, m = rng.randint(1, 4), rng.randint(1, 4)
-        a = _random_matrix(rng, n, m, bound=6)
-        ours = smith_invariant_factors(a)
-        snf = smith_normal_form(sympy.Matrix(a.to_lists()), domain=sympy.ZZ)
-        theirs = tuple(abs(int(snf[i, i])) for i in range(min(n, m)) if snf[i, i] != 0)
-        assert ours == theirs
-        for d1, d2 in zip(ours, ours[1:]):
-            assert d2 % d1 == 0
 
 
 def test_minor_gcd_equals_invariant_factor_product():
