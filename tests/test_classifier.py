@@ -447,6 +447,7 @@ def _c_even_record_of_a_unit_form(t: TranscendentalForm) -> None:
     certificate_from_dict(record).replay(t)
 
 
+_NOT_ELEVEN_INTEGERS = "witness vector does not have 11 integer coordinates"
 _NO_OBSTRUCTION = ("recorded or recomputed norm residues and pairing parity"
                    " do not constitute an obstruction")
 
@@ -464,21 +465,44 @@ REPLAY_GUARD_PROBES = {
         "matrix does not pull the target form back to the source"),
     "halving": ((2, 2, 1), KeumCitation((1, 1, 0)).replay,
                 "halving certificate: twice the halved form is not the input"),
+    "ten coordinates": ((1, 3, 0), VinbergWitness(3, (4, 2, 1, 1, 1, 1, 1, 1, 1, 1)).replay,
+                        _NOT_ELEVEN_INTEGERS),
+    "coordinate true": ((1, 3, 0), VinbergWitness(
+        3, (4, 2, 1, 1, 1, 1, 1, 1, 1, 1, True)).replay, _NOT_ELEVEN_INTEGERS),
+    "witness norm": ((1, 3, 0), VinbergWitness(4, (4, 2, 1, 1, 1, 1, 1, 1, 1, 1, 1)).replay,
+                     "witness norm does not match the discriminant"),
     "witness claimed": ((1, 1, 0), VinbergWitness(1, (1,) + (0,) * 10).replay,
                         "witness claimed for a discriminant with none"),
     "wrong norm": ((1, 3, 0), VinbergWitness(3, (5, 2, 1, 1, 1, 1, 1, 1, 1, 1, 1)).replay,
                    "witness vector has the wrong norm"),
+    # norm -3, but its tail is not sorted
+    "outside the region": ((1, 3, 0), VinbergWitness(
+        3, (4, 1, 2, 1, 1, 1, 1, 1, 1, 1, 1)).replay,
+        "witness vector lies outside the region"),
+    "absence norm": ((1, 1, 0), ExhaustiveAbsence(2, ABSENCE_SLICES).replay,
+                     "absence norm does not match the discriminant"),
     "absence claimed": ((1, 3, 0), ExhaustiveAbsence(3, ABSENCE_SLICES).replay,
                         "absence claimed for a discriminant that has a witness"),
+    "slices": ((1, 1, 0), ExhaustiveAbsence(1, tuple(range(3, 14))).replay,
+               "absence transcript does not cover the required slices"),
     "norm residues": ((1, 2, 1), ParityObstruction((2, 2), 1).replay, _NO_OBSTRUCTION),
     "pairing parity": ((1, 3, 2), ParityObstruction((2, 2), 1).replay, _NO_OBSTRUCTION),
     "do not constitute": ((2, 1, 1), ParityObstruction((0, 2), 1).replay, _NO_OBSTRUCTION),
     "disagrees with recomputed": ((1, 2, 1), lambda t: verify_classification(
         t, replace(classify(t), case_label="IV")),
         "label 'IV' disagrees with recomputed 'II'"),
+    "covering verdict": ((1, 3, 0), lambda t: verify_classification(
+        t, replace(classify(t), covers=False)),
+        "covering verdict disagrees with the recomputed case"),
+    "discriminant": ((1, 3, 0), lambda t: verify_classification(
+        t, replace(classify(t), delta=16)),
+        "recorded discriminant disagrees with the form"),
     "cannot back case": ((1, 3, 0), lambda t: verify_classification(
         t, Classification("III-2", True, 12, ParityObstruction((2, 2), 1))),
         "certificate kind 'parity-obstruction' cannot back case 'III-2'"),
+    "diagonal": _edited_ii(
+        _set_certificate(normalized=[0, 5, 1]),
+        "malformed embedding certificate: diagonal coefficients a, b must be positive"),
     "not positive definite": _edited_ii(
         _set_certificate(normalized=[1, 2, 3]),
         "malformed embedding certificate: form must be positive definite (4ab - c^2 > 0)"),
