@@ -201,11 +201,14 @@ class ExplicitEmbedding(Frozen):
     ``construction`` names the written-down embedding (a key of
     CONSTRUCTIONS), ``normalized`` is the SL2-equivalent form the matrix
     actually embeds and ``basis_change`` the change of basis realizing the
-    equivalence.  Replay checks the types and shapes of the fields, that the
-    change moves the input's coefficients, on ints, to ``normalized``, then
-    runs `_embedding_defect` at ``normalized``, whose closed-form complement
-    makes the construction's name binding; ``minor_gcd`` must be 1 and
-    ``minus_two`` empty.
+    equivalence.  Replay checks the types and shapes of the fields; on their
+    ints, without building a form or a matrix, that ``normalized`` has a
+    positive diagonal and is positive definite and that ``basis_change`` has
+    determinant 1, with the messages of `TranscendentalForm` and `Sl2Matrix`;
+    and that the change moves the input's coefficients to ``normalized``.
+    It then runs `_embedding_defect` at ``normalized``, whose closed-form
+    complement makes the construction's name binding; ``minor_gcd`` must be
+    1 and ``minus_two`` empty.
     """
 
     __slots__ = ("construction", "normalized", "basis_change", "matrix", "minor_gcd", "minus_two")
@@ -233,15 +236,20 @@ class ExplicitEmbedding(Frozen):
         }
 
     def replay(self, t: TranscendentalForm) -> None:
-        try:
-            # the two constructors only validate, with their own messages
-            normalized = _ints("normalized", self.normalized, 3)
-            TranscendentalForm(*normalized)
-            x, y, z, w = _ints("basis_change", self.basis_change, 4)
-            Sl2Matrix(x, y, z, w)
-            rows = [_ints("matrix", row) for row in _array("matrix", self.matrix)]
-        except ValueError as exc:
-            raise VerificationError(f"malformed embedding certificate: {exc}") from None
+        # the checks of TranscendentalForm and Sl2Matrix, in their order and
+        # with their messages, on the ints themselves
+        na, nb, nc = normalized = _ints("normalized", self.normalized, 3)
+        if na <= 0 or nb <= 0:
+            raise VerificationError("malformed embedding certificate:"
+                                    " diagonal coefficients a, b must be positive")
+        if 4 * na * nb - nc * nc <= 0:
+            raise VerificationError("malformed embedding certificate:"
+                                    " form must be positive definite (4ab - c^2 > 0)")
+        x, y, z, w = _ints("basis_change", self.basis_change, 4)
+        if x * w - y * z != 1:
+            raise VerificationError("malformed embedding certificate:"
+                                    " matrix must have determinant 1")
+        rows = [_ints("matrix", row) for row in _array("matrix", self.matrix)]
         if len(rows) != 2 or len(rows[0]) != _AMBIENT_RANK or len(rows[1]) != _AMBIENT_RANK:
             raise VerificationError("malformed embedding certificate: matrix is not 2 x 12")
         a, b, c = t.a, t.b, t.c

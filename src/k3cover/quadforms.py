@@ -7,15 +7,15 @@ the boundary (|q| = p or p = r).  Every positive definite form is equivalent
 to exactly one reduced form, and the reduced form starts with the minimum of
 the form, so "represents 1" is just "reduced leading coefficient is 1".
 
-Reduction runs as one loop on plain ints (p, q, r) = (a, c, b), carrying
-the change of basis as four ints; `represents_one` reads the reduced p and
-drops the rest, and only `reduce_form` builds a `TranscendentalForm` and an
-`Sl2Matrix`, once each, at the end.
+Reduction runs as one loop on plain ints (p, q, r) = (a, c, b) and returns
+the reduced triple alone: `represents_one` reads its p, and no caller reads
+the change of basis, so the loop does not track one.  The loop that does,
+and proves each reduction by applying it, is the tests' oracle.
 """
 
 from __future__ import annotations
 
-from .lattices import Sl2Matrix, TranscendentalForm
+from .lattices import TranscendentalForm
 
 
 def _is_reduced(p: int, q: int, r: int) -> bool:
@@ -25,37 +25,26 @@ def _is_reduced(p: int, q: int, r: int) -> bool:
     return q >= 0 or not (-q == p or p == r)
 
 
-def _gauss(p: int, q: int, r: int) -> tuple[int, int, int, int, int, int, int]:
+def _gauss(p: int, q: int, r: int) -> tuple[int, int, int]:
     """Gauss reduction of a positive definite p x^2 + q x y + r y^2 on plain ints.
 
-    Returns the reduced (p, q, r) followed by the entries (x, y, z, w) of
-    the SL2 matrix that carries the input to it.  Each translation by t is
-    the matrix [[1, t], [0, 1]] and each swap is [[0, -1], [1, 0]].
+    Returns the reduced (p, q, r).  Each step translates by t, the basis
+    change [[1, t], [0, 1]], or swaps, [[0, -1], [1, 0]]; the steps are not
+    recorded.
     """
-    x, y, z, w = 1, 0, 0, 1
     while True:
         # translate q into (-p, p]
         t = (p - q) // (2 * p)
         if t:
             r += t * (q + p * t)
             q += 2 * p * t
-            y += x * t
-            w += z * t
         if p <= r:
             break
         p, q, r = r, -q, p
-        x, y, z, w = y, -x, w, -z
     if p == r and q < 0:
         q = -q
-        x, y, z, w = y, -x, w, -z
     assert _is_reduced(p, q, r), f"BUG: reduction ended on non-reduced form {(p, q, r)}"
-    return p, q, r, x, y, z, w
-
-
-def reduce_form(t: TranscendentalForm) -> tuple[TranscendentalForm, Sl2Matrix]:
-    """Gauss reduction.  Returns (reduced, g) with apply_basis_change(t, g) == reduced."""
-    p, q, r, x, y, z, w = _gauss(t.a, t.c, t.b)
-    return TranscendentalForm(p, r, q), Sl2Matrix(x, y, z, w)
+    return p, q, r
 
 
 def represents_one(t: TranscendentalForm) -> bool:

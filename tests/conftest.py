@@ -143,6 +143,35 @@ def _alternating_shears(ks: list[int]) -> Sl2Matrix:
     return g
 
 
+def reduce_form(t: TranscendentalForm) -> tuple[TranscendentalForm, Sl2Matrix]:
+    """Gauss reduction of a x^2 + c x y + b y^2, tracking the change of basis.
+
+    Returns (reduced, g) with apply_basis_change(t, g) == reduced: the
+    tests' oracle for `quadforms._gauss`, which runs the same loop on
+    (p, q, r) = (a, c, b) and keeps only the reduced triple.  Each
+    translation by k is the matrix [[1, k], [0, 1]] and each swap is
+    [[0, -1], [1, 0]].
+    """
+    p, q, r = t.a, t.c, t.b
+    x, y, z, w = 1, 0, 0, 1
+    while True:
+        # translate q into (-p, p]
+        k = (p - q) // (2 * p)
+        if k:
+            r += k * (q + p * k)
+            q += 2 * p * k
+            y += x * k
+            w += z * k
+        if p <= r:
+            break
+        p, q, r = r, -q, p
+        x, y, z, w = y, -x, w, -z
+    if p == r and q < 0:
+        q = -q
+        x, y, z, w = y, -x, w, -z
+    return TranscendentalForm(p, r, q), Sl2Matrix(x, y, z, w)
+
+
 @lru_cache(maxsize=None)
 def _slice_members(m: int) -> tuple[tuple[int, ...], ...]:
     """The cone slice at x0 = m, lexicographic descending on (x1..x10)."""

@@ -692,6 +692,48 @@ def test_replay_refuses_a_forged_value(verify, message):
         verify()
 
 
+def _coefficients(size: int, count: int) -> st.SearchStrategy[tuple[int, ...]]:
+    return st.tuples(*[st.integers(-size, size)] * count)
+
+
+_II = TranscendentalForm(1, 2, 1)
+
+
+_MOVED_II = sl2_matrices(5).map(lambda g: (apply_basis_change(_II, g).triple(), g.as_tuple()))
+
+
+@given(st.one_of(
+    # a normalized form and a basis change that reaches it
+    _MOVED_II,
+    # the fields drawn apart: forms that pass and forms with a non-positive
+    # diagonal, an indefinite form or 4ab - c^2 = 0; matrices of determinant
+    # 1, of determinant -1 and of any determinant
+    st.tuples(st.one_of(_MOVED_II.map(lambda fields: fields[0]),
+                        _coefficients(4, 3), _coefficients(10**30, 3),
+                        _coefficients(4, 2).map(lambda st_: (
+                            st_[0] ** 2, st_[1] ** 2, 2 * st_[0] * st_[1]))),
+              st.one_of(sl2_matrices(5).map(Sl2Matrix.as_tuple),
+                        sl2_matrices(5).map(lambda g: (g.y, g.x, g.w, g.z)),
+                        _coefficients(3, 4), _coefficients(10**30, 4)))))
+def test_embedding_field_checks_match_the_constructors_property(fields):
+    # replay checks normalized and basis_change on their ints; it must refuse
+    # exactly what TranscendentalForm or Sl2Matrix refuses, with its message
+    normalized, basis_change = fields
+    try:
+        TranscendentalForm(*normalized)
+        Sl2Matrix(*basis_change)
+    except ValueError as exc:
+        expected = f"malformed embedding certificate: {exc}"
+        with pytest.raises(VerificationError, match=f"^{re.escape(expected)}$"):
+            _verify_ii_embedding(normalized=normalized, basis_change=basis_change)
+        return
+    try:
+        _verify_ii_embedding(normalized=normalized, basis_change=basis_change)
+    except VerificationError as exc:
+        # a later check may refuse it, never this one
+        assert not str(exc).startswith("malformed embedding certificate: "), str(exc)
+
+
 def test_from_dict_rejects_a_missing_minus_two():
     data = _embedding_record()
     del data["certificate"]["minus_two"]

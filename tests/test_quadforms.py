@@ -1,16 +1,18 @@
 """Binary quadratic forms a x^2 + c x y + b y^2: reduction and representability of 1."""
 
+import json
 import math
 import random
 
 from hypothesis import given
 from hypothesis import strategies as st
 
-from k3cover import classifier
-from k3cover.lattices import TranscendentalForm, apply_basis_change, parity_class
-from k3cover.quadforms import _gauss, reduce_form, represents_one
+from k3cover import classifier, cli
+from k3cover.classifier import Classification, classify, verify_classification
+from k3cover.lattices import Sl2Matrix, TranscendentalForm, apply_basis_change, parity_class
+from k3cover.quadforms import _gauss, represents_one
 
-from conftest import pair, sl2_matrices
+from conftest import pair, reduce_form, sl2_matrices
 
 
 def _evaluate(t: TranscendentalForm, x: int, y: int) -> int:
@@ -117,6 +119,57 @@ def test_reduction_is_invariant_under_sl2_property(t, g):
     red, _ = reduce_form(t)
     assert reduce_form(moved)[0] == red
     assert represents_one(moved) == (red.a == 1)
+
+
+def _oracle_triple(t: TranscendentalForm) -> tuple[int, int, int]:
+    """The oracle's reduced form as the (p, q, r) = (a, c, b) that `_gauss` returns."""
+    red, g = reduce_form(t)
+    assert apply_basis_change(t, g) == red
+    return red.a, red.c, red.b
+
+
+def test_gauss_returns_the_oracle_triple_on_the_box():
+    # every positive definite form with a, b <= 20, |c| <= 20
+    forms = 0
+    for a in range(1, 21):
+        for b in range(1, 21):
+            for c in range(-20, 21):
+                if 4 * a * b - c * c <= 0:
+                    continue
+                assert _gauss(a, c, b) == _oracle_triple(TranscendentalForm(a, b, c)), (a, b, c)
+                forms += 1
+    assert forms == 12668
+
+
+@given(definite_forms(BIG), sl2_matrices(10**40))
+def test_gauss_returns_the_oracle_triple_on_moved_forms_property(t, g):
+    moved = apply_basis_change(t, g)
+    assert _gauss(moved.a, moved.c, moved.b) == _oracle_triple(moved)
+
+
+def _fibonacci_moved(t: TranscendentalForm, digits: int) -> TranscendentalForm:
+    """t moved by the least power of [[2, 1], [1, 1]], the product of the unit
+    shears [[1, 1], [0, 1]] and [[1, 0], [1, 1]], that gives it an ``a`` of at
+    least ``digits`` digits.  The entries of the power are Fibonacci numbers."""
+    g = Sl2Matrix.identity()
+    moved = t
+    while moved.a < 10 ** (digits - 1):
+        g = g.compose(Sl2Matrix(2, 1, 1, 1))
+        moved = apply_basis_change(t, g)
+    return moved
+
+
+def test_a_thousand_digit_fibonacci_moved_iii_1_form_reduces_and_round_trips():
+    # (3, 5, 2) is reduced, has c even and does not represent 1: case III-1
+    start = TranscendentalForm(3, 5, 2)
+    moved = _fibonacci_moved(start, 1000)
+    assert len(str(moved.a)) == 1000
+    assert _gauss(moved.a, moved.c, moved.b) == _oracle_triple(moved) == (3, 2, 5)
+    result = classify(moved)
+    assert (result.case_label, result.covers) == ("III-1", True)
+    data = json.loads(cli._scan_line(moved, result))
+    assert (data.pop("a"), data.pop("b"), data.pop("c")) == moved.triple()
+    verify_classification(moved, Classification.from_dict(data))
 
 
 def _reduces_to_one(t: TranscendentalForm) -> bool:
