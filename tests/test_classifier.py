@@ -697,8 +697,6 @@ def _coefficients(size: int, count: int) -> st.SearchStrategy[tuple[int, ...]]:
 
 
 _II = TranscendentalForm(1, 2, 1)
-
-
 _MOVED_II = sl2_matrices(5).map(lambda g: (apply_basis_change(_II, g).triple(), g.as_tuple()))
 
 
@@ -710,8 +708,8 @@ _MOVED_II = sl2_matrices(5).map(lambda g: (apply_basis_change(_II, g).triple(), 
     # 1, of determinant -1 and of any determinant
     st.tuples(st.one_of(_MOVED_II.map(lambda fields: fields[0]),
                         _coefficients(4, 3), _coefficients(10**30, 3),
-                        _coefficients(4, 2).map(lambda st_: (
-                            st_[0] ** 2, st_[1] ** 2, 2 * st_[0] * st_[1]))),
+                        _coefficients(4, 2).map(lambda xy: (
+                            xy[0] ** 2, xy[1] ** 2, 2 * xy[0] * xy[1]))),
               st.one_of(sl2_matrices(5).map(Sl2Matrix.as_tuple),
                         sl2_matrices(5).map(lambda g: (g.y, g.x, g.w, g.z)),
                         _coefficients(3, 4), _coefficients(10**30, 4)))))
