@@ -189,7 +189,10 @@ def _in_order(pool, fn, tasks, window: int):
 
 
 def _worker_count(rows) -> int:
-    limit = os.cpu_count() or 1
+    # the CPUs this process may run on, which an affinity mask (taskset,
+    # a container's cpuset) can make fewer than the machine has
+    affinity = getattr(os, "sched_getaffinity", None)
+    limit = len(affinity(0)) if affinity else (os.cpu_count() or 1)
     env = os.environ.get("K3COVER_THREADS")
     if env is not None:
         try:

@@ -1,5 +1,6 @@
 """The six-way classification and its replayable certificates."""
 
+import ast
 import itertools
 import json
 import math
@@ -7,6 +8,7 @@ import random
 import re
 import sys
 from functools import lru_cache
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
@@ -250,88 +252,6 @@ def test_certificate_from_dict_rejects_unknown_kind():
         certify(TranscendentalForm(1, 1, 1), "V")
 
 
-def test_tampered_keum_citation():
-    t = TranscendentalForm(2, 2, 2)
-    with pytest.raises(VerificationError):
-        KeumCitation(halved=(1, 1, 0)).replay(t)
-    with pytest.raises(VerificationError):
-        KeumCitation(halved=(1, 1, 1)).replay(TranscendentalForm(2, 2, 1))
-
-
-def test_tampered_embedding_certificate():
-    t = TranscendentalForm(1, 2, 1)
-    cert = classify(t).certificate
-    assert isinstance(cert, ExplicitEmbedding)
-
-    rows = [list(r) for r in cert.matrix]
-    rows[0][4] = 1
-    with pytest.raises(VerificationError):
-        ExplicitEmbedding(cert.construction, cert.normalized, cert.basis_change,
-                          tuple(tuple(r) for r in rows), cert.minor_gcd,
-                          cert.minus_two).replay(t)
-    with pytest.raises(VerificationError):
-        ExplicitEmbedding(cert.construction, (2, 1, 1), cert.basis_change,
-                          cert.matrix, cert.minor_gcd, cert.minus_two).replay(t)
-    with pytest.raises(VerificationError):
-        # a certificate listing roots must never verify as a covering
-        ExplicitEmbedding(cert.construction, cert.normalized, cert.basis_change,
-                          cert.matrix, cert.minor_gcd,
-                          ((1,) * 10,)).replay(t)
-
-
-def test_tampered_witness_certificate():
-    t = TranscendentalForm(1, 3, 0)
-    with pytest.raises(VerificationError):
-        VinbergWitness(n=3, vector=(4, 2, 2, 1, 1, 1, 1, 1, 1, 1, 1)).replay(t)
-    with pytest.raises(VerificationError):
-        VinbergWitness(n=5, vector=(6, 2, 2, 2, 2, 2, 2, 2, 1, 1, 1)).replay(t)
-    with pytest.raises(VerificationError):
-        # right norm, but the vector leaves the region (tail unsorted)
-        VinbergWitness(n=3, vector=(4, 1, 2, 1, 1, 1, 1, 1, 1, 1, 1)).replay(t)
-
-
-def test_witness_replay_rejects_a_short_vector():
-    # a 2-coordinate vector raised ValueError from vinberg.norm
-    with pytest.raises(VerificationError, match="11 integer coordinates"):
-        VinbergWitness(n=5, vector=(3, 2)).replay(TranscendentalForm(1, 5, 0))
-    with pytest.raises(VerificationError, match="11 integer coordinates"):
-        VinbergWitness(n=5, vector=(3, 2, 1, 1, 1, 1, 1, 1, 1, 1, 0.5)).replay(
-            TranscendentalForm(1, 5, 0))
-
-
-def test_tampered_absence_certificate():
-    t = TranscendentalForm(1, 1, 0)
-    with pytest.raises(VerificationError):
-        ExhaustiveAbsence(n=2, slices=ABSENCE_SLICES).replay(t)
-    with pytest.raises(VerificationError):
-        ExhaustiveAbsence(n=1, slices=ABSENCE_SLICES[:3]).replay(t)
-    with pytest.raises(VerificationError):
-        # delta 12 admits a witness, so an absence claim must not verify
-        ExhaustiveAbsence(n=3, slices=ABSENCE_SLICES).replay(TranscendentalForm(1, 3, 0))
-
-
-def test_tampered_obstruction_certificate():
-    with pytest.raises(VerificationError):
-        ParityObstruction(norms_mod_4=(0, 2), pairing_mod_2=1).replay(
-            TranscendentalForm(1, 1, 1))
-    with pytest.raises(VerificationError):
-        ParityObstruction(norms_mod_4=(2, 2), pairing_mod_2=1).replay(
-            TranscendentalForm(2, 2, 2))
-
-
-def test_mismatched_classification_fields():
-    t = TranscendentalForm(1, 1, 1)
-    good = classify(t)
-    with pytest.raises(VerificationError):
-        verify_classification(t, Classification("II", True, 3, good.certificate))
-    with pytest.raises(VerificationError):
-        verify_classification(t, Classification("IV", True, 3, good.certificate))
-    with pytest.raises(VerificationError):
-        verify_classification(t, Classification("IV", False, 5, good.certificate))
-    with pytest.raises(VerificationError):
-        verify_classification(t, Classification("IV", False, 3, KeumCitation((0, 0, 0))))
-
-
 def _all_even_classification(t: TranscendentalForm) -> Classification:
     """The case I classification of t, backed by the all-even embedding."""
     return replace(classify(t), certificate=embedding_certificate("all-even", t))
@@ -360,32 +280,6 @@ def _replay_tampered_embedding(**changes) -> None:
     replace(classify(t).certificate, **changes).replay(t)
 
 
-def test_replay_rejects_a_one_row_matrix():
-    with pytest.raises(VerificationError):
-        _replay_tampered_embedding(matrix=((1, 1, -1) + (0,) * 9,))
-
-
-def test_replay_rejects_an_eleven_column_matrix():
-    with pytest.raises(VerificationError):
-        _replay_tampered_embedding(matrix=((1, 1, -1) + (0,) * 8, (1, 2, 0, 1) + (0,) * 7))
-
-
-def test_replay_rejects_a_float_matrix_entry():
-    # replay used to convert each entry with int(), so 1.0 passed as 1
-    with pytest.raises(VerificationError, match="matrix must hold integers"):
-        _replay_tampered_embedding(matrix=((1.0, 1, -1) + (0,) * 9, (1, 2, 0, 1) + (0,) * 8))
-
-
-def test_replay_rejects_a_basis_change_of_determinant_four():
-    with pytest.raises(VerificationError):
-        _replay_tampered_embedding(basis_change=(2, 0, 0, 2))
-
-
-def test_replay_rejects_a_non_positive_normalized_form():
-    with pytest.raises(VerificationError):
-        _replay_tampered_embedding(normalized=(0, 2, 1))
-
-
 def test_complement_check_rejects_a_non_definite_block():
     # U sent onto the U summand leaves U(2) as the block, which is indefinite;
     # no record reaches this, as U is not positive definite: the kernel is
@@ -399,13 +293,14 @@ def test_complement_check_rejects_a_non_definite_block():
         _embedding_defect(0, 0, 1, rows, ((0, 0, 1, 0), (0, 0, 0, 1)))
 
 
-def _embedding_record(triple=(1, 2, 1)) -> dict:
+def _record(triple) -> dict:
+    """The JSON record of the form's classification, as parsing reads it."""
     return json.loads(json.dumps(classify(TranscendentalForm(*triple)).to_dict()))
 
 
 def _edited_record(triple, edit) -> Classification:
     """The JSON record of the form, edited in place and parsed back."""
-    data = _embedding_record(triple)
+    data = _record(triple)
     edit(data)
     return Classification.from_dict(data)
 
@@ -448,6 +343,7 @@ def _c_even_record_of_a_unit_form(t: TranscendentalForm) -> None:
 
 
 _NOT_ELEVEN_INTEGERS = "witness vector does not have 11 integer coordinates"
+_NOT_2_BY_12 = "malformed embedding certificate: matrix is not 2 x 12"
 _NO_OBSTRUCTION = ("recorded or recomputed norm residues and pairing parity"
                    " do not constitute an obstruction")
 
@@ -531,8 +427,53 @@ REPLAY_GUARD_PROBES = {
 }
 
 
-@pytest.mark.parametrize("triple, replay, message", REPLAY_GUARD_PROBES.values(),
-                         ids=list(REPLAY_GUARD_PROBES))
+def _refitted(u, v):
+    """A probe: the case II record of (2, 1, 1) with its rows replaced by
+    another primitive embedding of (2, 1, 1), which the c-odd complement
+    basis k1, k2 fails to fit at one pairing only."""
+    edit = _set_certificate(matrix=[[*u] + [0] * 8, [*v] + [0] * 8])
+    return ((2, 1, 1), _verifies((2, 1, 1), edit),
+            "matrix does not fit the complement of its named construction")
+
+
+# More probes of guards that REPLAY_GUARD_PROBES already reaches: through
+# another operand of the guard's condition, or on a certificate built in
+# code where the guard's own probe parses a record
+_MORE_GUARD_PROBES = {
+    "E8(2) column of u": _edited_ii(lambda d: d["certificate"]["matrix"][0].__setitem__(4, 1),
+        "matrix uses the E8(2) columns; an embedding must lie in U + U(2)"),
+    "one row": _edited_ii(lambda d: d["certificate"]["matrix"].pop(), _NOT_2_BY_12),
+    # the row of 11 would fail the E8(2) check next, with another message
+    "first row of 11": _edited_ii(lambda d: d["certificate"]["matrix"][0].pop(), _NOT_2_BY_12),
+    "second row of 11": _edited_ii(lambda d: d["certificate"]["matrix"][1].pop(), _NOT_2_BY_12),
+    "u.k1": _refitted((-3, 0, 1, 1), (-1, -1, 0, -1)),
+    "u.k2": _refitted((-3, -2, 2, -1), (-1, -1, 0, -1)),
+    "v.k1": _refitted((-2, -1, 1, 0), (3, -1, 2, 1)),
+    "v.k2": _refitted((-1, 0, 1, 1), (-3, -1, -1, 1)),
+    # replay used to convert each entry with int(), so 1.0 passed as 1
+    "matrix entry 1.0": ((1, 2, 1), lambda t: _replay_tampered_embedding(
+        matrix=((1.0, 1, -1) + (0,) * 9, (1, 2, 0, 1) + (0,) * 8)),
+        "malformed certificate: matrix must hold integers"),
+    # a certificate listing roots must never verify as a covering
+    "roots listed": ((1, 2, 1), lambda t: _replay_tampered_embedding(minus_two=((1,) * 10,)),
+                     "orthogonal complement contains a norm -2 vector"),
+    # a 2-coordinate vector raised ValueError from vinberg.norm
+    "two coordinates": ((1, 5, 0), VinbergWitness(5, (3, 2)).replay, _NOT_ELEVEN_INTEGERS),
+    # delta 7: n = 1 is 7 // 4, but 4 does not divide 7
+    "witness at an odd delta": ((1, 2, 1), VinbergWitness(1, (1,) + (0,) * 10).replay,
+                                "witness norm does not match the discriminant"),
+    "absence at an odd delta": ((1, 2, 1), ExhaustiveAbsence(1, ABSENCE_SLICES).replay,
+                                "absence norm does not match the discriminant"),
+    # at (1, 1, 1) only the recorded residues are wrong; the "do not
+    # constitute" probe's form has wrong residues of its own as well
+    "norms (0, 2)": ((1, 1, 1), ParityObstruction((0, 2), 1).replay, _NO_OBSTRUCTION),
+    "pairing even": ((1, 1, 1), ParityObstruction((2, 2), 0).replay, _NO_OBSTRUCTION),
+}
+
+
+@pytest.mark.parametrize("triple, replay, message",
+                         [*REPLAY_GUARD_PROBES.values(), *_MORE_GUARD_PROBES.values()],
+                         ids=[*REPLAY_GUARD_PROBES, *_MORE_GUARD_PROBES])
 def test_each_replay_guard_rejects_its_probe(triple, replay, message):
     with pytest.raises(VerificationError, match=f"^{re.escape(message)}$"):
         replay(TranscendentalForm(*triple))
@@ -732,123 +673,6 @@ def test_embedding_field_checks_match_the_constructors_property(fields):
         assert not str(exc).startswith("malformed embedding certificate: "), str(exc)
 
 
-def test_from_dict_rejects_a_missing_minus_two():
-    data = _embedding_record()
-    del data["certificate"]["minus_two"]
-    with pytest.raises(VerificationError, match="minus_two"):
-        Classification.from_dict(data)
-    with pytest.raises(VerificationError, match="minus_two"):
-        certificate_from_dict(data["certificate"])
-
-
-def test_from_dict_rejects_a_missing_certificate():
-    data = _embedding_record()
-    del data["certificate"]
-    with pytest.raises(VerificationError, match="certificate"):
-        Classification.from_dict(data)
-
-
-def _parse_and_verify(triple, data: dict) -> None:
-    t = TranscendentalForm(*triple)
-    verify_classification(t, Classification.from_dict(data))
-
-
-def test_from_dict_rejects_a_scalar_matrix():
-    data = _embedding_record()
-    data["certificate"]["matrix"] = 5
-    with pytest.raises(VerificationError, match="malformed certificate"):
-        _parse_and_verify((1, 2, 1), data)
-    with pytest.raises(VerificationError, match="malformed certificate"):
-        certificate_from_dict(data["certificate"]).replay(TranscendentalForm(1, 2, 1))
-
-
-def test_from_dict_rejects_a_string_covers():
-    # "covers": "false" used to parse as covers=True
-    data = _embedding_record()
-    for covers in ("false", 1, None):
-        data["covers"] = covers
-        with pytest.raises(VerificationError, match="covers"):
-            _parse_and_verify((1, 2, 1), data)
-
-
-def test_from_dict_rejects_a_non_integer_delta():
-    # "delta": 23.9 used to parse as delta=23
-    data = _embedding_record()
-    for delta in (23.9, 23.0, "23", True):
-        data["delta"] = delta
-        with pytest.raises(VerificationError, match="delta"):
-            _parse_and_verify((1, 2, 1), data)
-
-
-@pytest.mark.parametrize("field, value", [
-    ("certificate", {"kind": "bogus"}),
-    ("certificate", {"kind": None}),
-    ("certificate", {}),
-    ("case", 5),
-    ("case", None),
-])
-def test_from_dict_rejects_an_unknown_kind_or_a_non_string_case(field, value):
-    # an unknown kind let certificate_from_dict's ValueError escape, and
-    # str() turned "case": 5 into "5"
-    data = _embedding_record()
-    data[field] = value
-    with pytest.raises(VerificationError):
-        _parse_and_verify((1, 2, 1), data)
-
-
-def _assert_rejected(triple, data: dict) -> None:
-    """Parsing the record builds it, and replay against the form refuses it,
-    as a classification and as a certificate alone."""
-    with pytest.raises(VerificationError):
-        _parse_and_verify(triple, data)
-    certificate = certificate_from_dict(data["certificate"])
-    with pytest.raises(VerificationError):
-        certificate.replay(TranscendentalForm(*triple))
-
-
-def test_from_dict_rejects_a_non_integer_minor_gcd():
-    for minor_gcd in (1.9, 1.0, True, "1", None):
-        data = _embedding_record((2, 3, 1))
-        data["certificate"]["minor_gcd"] = minor_gcd
-        _assert_rejected((2, 3, 1), data)
-
-
-def test_from_dict_rejects_an_unknown_construction():
-    for construction in (5, "bogus", None, ["c-odd"]):
-        data = _embedding_record((2, 3, 1))
-        data["certificate"]["construction"] = construction
-        _assert_rejected((2, 3, 1), data)
-
-
-def test_from_dict_rejects_a_string_normalized_form():
-    data = _embedding_record((2, 3, 1))
-    data["certificate"]["normalized"] = [str(x) for x in data["certificate"]["normalized"]]
-    _assert_rejected((2, 3, 1), data)
-    data["certificate"]["normalized"] = "231"
-    _assert_rejected((2, 3, 1), data)
-
-
-def test_from_dict_rejects_a_non_integer_matrix_entry():
-    for entry in (2.0, "1", True, None):
-        data = _embedding_record((2, 3, 1))
-        data["certificate"]["matrix"][0][0] = entry
-        _assert_rejected((2, 3, 1), data)
-
-
-def test_from_dict_rejects_a_float_basis_change():
-    data = _embedding_record((2, 3, 1))
-    data["certificate"]["basis_change"] = [float(x) for x in data["certificate"]["basis_change"]]
-    _assert_rejected((2, 3, 1), data)
-    data["certificate"]["basis_change"] = [1, 0, 0]
-    _assert_rejected((2, 3, 1), data)
-
-
-def test_from_dict_rejects_a_non_integer_minus_two_entry():
-    data = _embedding_record((2, 3, 1))
-    data["certificate"]["minus_two"] = [[1.0] + [0] * 11]
-    _assert_rejected((2, 3, 1), data)
-
-
 def test_from_dict_accepts_every_construction():
     seen = set()
     for triple, build in (((2, 3, 1), classify), ((2, 3, 2), classify),
@@ -862,40 +686,143 @@ def test_from_dict_accepts_every_construction():
     assert seen == set(CONSTRUCTIONS)
 
 
-# (form, kind, field, value): each record used to parse, because int()
-# converted the value, the length went unchecked, or a dict or string stood
-# in for a list; a dict in `halved` made int() raise ValueError, and an
-# empty dict or string as `minus_two` verified as "no roots"
+_MALFORMED = "malformed certificate: "
+_MISSING = object()     # a value that deletes the key
+
+# (form, kind, field, value, message): the JSON record of the form, whose
+# certificate is of the kind, with the field set to the value; the field is
+# a key of the certificate, or, in a 1-tuple, of the record itself, and
+# _MISSING deletes it.  Replay refuses each record with the whole message,
+# parsed as a classification and, for a certificate field, as a certificate
+# alone.  The first 20 records used to parse, because int() converted the
+# value, the length went unchecked, or a dict or string stood in for a list;
+# a dict in `halved` made int() raise ValueError, and an empty dict or
+# string as `minus_two` verified as "no roots".  Of the record's own keys,
+# "covers": "false" used to parse as covers=True and "delta": 23.9 as 23.
 _NON_INTEGER_PROBES = [
-    ((1, 3, 0), "vinberg-witness", "n", 3.5),
-    ((1, 3, 0), "vinberg-witness", "n", 3.0),
-    ((1, 3, 0), "vinberg-witness", "vector", [4.0, 2, 2, 1, 1, 1, 1, 1, 1, 1, 1]),
-    ((1, 1, 0), "exhaustive-absence", "n", 1.0),
-    ((1, 1, 0), "exhaustive-absence", "n", True),
-    ((1, 1, 0), "exhaustive-absence", "slices", [float(m) for m in ABSENCE_SLICES]),
-    ((1, 1, 1), "parity-obstruction", "pairing_mod_2", 1.5),
-    ((1, 1, 1), "parity-obstruction", "pairing_mod_2", True),
-    ((1, 1, 1), "parity-obstruction", "norms_mod_4", [2.2, 2]),
-    ((1, 1, 1), "parity-obstruction", "norms_mod_4", [2, 2, 2]),
-    ((2, 2, 2), "keum-citation", "halved", [1.0, 1, 1]),
-    ((2, 2, 2), "keum-citation", "halved", ["1", "1", "1"]),
-    ((2, 2, 2), "keum-citation", "halved", {"a": 1}),
-    ((2, 2, 2), "keum-citation", "halved", "111"),
-    ((1, 2, 1), "explicit-embedding", "minus_two", {}),
-    ((1, 2, 1), "explicit-embedding", "minus_two", ""),
-    ((123457, 234568, 99999), "explicit-embedding", "minus_two", {}),
-    ((2, 3, 2), "explicit-embedding", "minus_two", ""),
-    ((1, 2, 1), "explicit-embedding", "matrix", {}),
-    ((1, 2, 1), "explicit-embedding", "matrix", ""),
+    ((1, 3, 0), "vinberg-witness", "n", 3.5, _MALFORMED + "n must be an integer, not float"),
+    ((1, 3, 0), "vinberg-witness", "n", 3.0, _MALFORMED + "n must be an integer, not float"),
+    ((1, 3, 0), "vinberg-witness", "vector", [4.0, 2, 2, 1, 1, 1, 1, 1, 1, 1, 1],
+     _NOT_ELEVEN_INTEGERS),
+    ((1, 1, 0), "exhaustive-absence", "n", 1.0, _MALFORMED + "n must be an integer, not float"),
+    ((1, 1, 0), "exhaustive-absence", "n", True, _MALFORMED + "n must be an integer, not bool"),
+    ((1, 1, 0), "exhaustive-absence", "slices", [float(m) for m in ABSENCE_SLICES],
+     _MALFORMED + "slices must hold integers"),
+    ((1, 1, 1), "parity-obstruction", "pairing_mod_2", 1.5,
+     _MALFORMED + "pairing_mod_2 must be an integer, not float"),
+    ((1, 1, 1), "parity-obstruction", "pairing_mod_2", True,
+     _MALFORMED + "pairing_mod_2 must be an integer, not bool"),
+    ((1, 1, 1), "parity-obstruction", "norms_mod_4", [2.2, 2],
+     _MALFORMED + "norms_mod_4 must hold integers"),
+    ((1, 1, 1), "parity-obstruction", "norms_mod_4", [2, 2, 2],
+     _MALFORMED + "norms_mod_4 must have 2 entries"),
+    ((2, 2, 2), "keum-citation", "halved", [1.0, 1, 1], _MALFORMED + "halved must hold integers"),
+    ((2, 2, 2), "keum-citation", "halved", ["1", "1", "1"],
+     _MALFORMED + "halved must hold integers"),
+    ((2, 2, 2), "keum-citation", "halved", {"a": 1}, _MALFORMED + "halved must be a list"),
+    ((2, 2, 2), "keum-citation", "halved", "111", _MALFORMED + "halved must be a list"),
+    ((1, 2, 1), "explicit-embedding", "minus_two", {}, _MALFORMED + "minus_two must be a list"),
+    ((1, 2, 1), "explicit-embedding", "minus_two", "", _MALFORMED + "minus_two must be a list"),
+    ((123457, 234568, 99999), "explicit-embedding", "minus_two", {},
+     _MALFORMED + "minus_two must be a list"),
+    ((2, 3, 2), "explicit-embedding", "minus_two", "", _MALFORMED + "minus_two must be a list"),
+    ((1, 2, 1), "explicit-embedding", "matrix", {}, _MALFORMED + "matrix must be a list"),
+    ((1, 2, 1), "explicit-embedding", "matrix", "", _MALFORMED + "matrix must be a list"),
+    ((1, 2, 1), "explicit-embedding", "minus_two", _MISSING,
+     "certificate is missing the key 'minus_two'"),
+    ((2, 3, 1), "explicit-embedding", "minor_gcd", 1.0,
+     _MALFORMED + "minor_gcd must be an integer, not float"),
+    ((2, 3, 1), "explicit-embedding", "minor_gcd", True,
+     _MALFORMED + "minor_gcd must be an integer, not bool"),
+    # a list is not hashable, so only the type check keeps it from the table
+    ((2, 3, 1), "explicit-embedding", "construction", ["c-odd"],
+     "matrix does not fit the complement of its named construction"),
+    ((2, 3, 1), "explicit-embedding", "normalized", ["2", "3", "1"],
+     _MALFORMED + "normalized must hold integers"),
+    ((2, 3, 1), "explicit-embedding", "normalized", "231",
+     _MALFORMED + "normalized must be a list"),
+    ((2, 3, 1), "explicit-embedding", "basis_change", [1.0, 0.0, 0.0, 1.0],
+     _MALFORMED + "basis_change must hold integers"),
+    ((2, 3, 1), "explicit-embedding", "basis_change", [1, 0, 0],
+     _MALFORMED + "basis_change must have 4 entries"),
+    ((2, 3, 1), "explicit-embedding", "matrix", [[2.0, 1, -3] + [0] * 9, [1, 3, 0, 1] + [0] * 8],
+     _MALFORMED + "matrix must hold integers"),
+    ((1, 2, 1), "explicit-embedding", ("certificate",), _MISSING,
+     "classification is missing the key 'certificate'"),
+    ((1, 2, 1), "explicit-embedding", ("certificate",), [],
+     _MALFORMED + "'list' object has no attribute 'get'"),
+    ((1, 2, 1), "explicit-embedding", ("certificate",), {"kind": "bogus"},
+     "malformed classification: unknown certificate kind 'bogus'"),
+    ((1, 2, 1), "explicit-embedding", ("certificate",), {},
+     "malformed classification: unknown certificate kind None"),
+    ((1, 2, 1), "explicit-embedding", ("case",), 5, "case must be a string, not int"),
+    ((1, 2, 1), "explicit-embedding", ("covers",), "false",
+     "covers must be true or false, not str"),
+    ((1, 2, 1), "explicit-embedding", ("covers",), 1, "covers must be true or false, not int"),
+    ((1, 2, 1), "explicit-embedding", ("delta",), 23.9, "delta must be an integer, not float"),
+    ((1, 2, 1), "explicit-embedding", ("delta",), 23.0, "delta must be an integer, not float"),
+    ((1, 2, 1), "explicit-embedding", ("delta",), True, "delta must be an integer, not bool"),
 ]
 
 
-@pytest.mark.parametrize("triple, kind, field, value", _NON_INTEGER_PROBES)
-def test_from_dict_rejects_non_integer_fields_of_every_kind(triple, kind, field, value):
-    data = json.loads(json.dumps(classify(TranscendentalForm(*triple)).to_dict()))
+def _probe_id(index: int, row) -> str:
+    """The id pytest gave each of the first 20 rows before the message."""
+    _, kind, field, value, _ = row
+    if type(value) not in (str, int, float, bool):
+        value = "missing" if value is _MISSING else f"value{index}"
+    return f"triple{index}-{kind}-{field if type(field) is str else field[0]}-{value}"
+
+
+@pytest.mark.parametrize("triple, kind, field, value, message", _NON_INTEGER_PROBES,
+                         ids=list(itertools.starmap(_probe_id, enumerate(_NON_INTEGER_PROBES))))
+def test_from_dict_rejects_non_integer_fields_of_every_kind(triple, kind, field, value, message):
+    data = _record(triple)
     assert data["certificate"]["kind"] == kind
-    data["certificate"][field] = value
-    _assert_rejected(triple, data)
+    record, key = (data, field[0]) if type(field) is tuple else (data["certificate"], field)
+    if value is _MISSING:
+        del record[key]
+    else:
+        record[key] = value
+    t, pattern = TranscendentalForm(*triple), f"^{re.escape(message)}$"
+    with pytest.raises(VerificationError, match=pattern):
+        verify_classification(t, Classification.from_dict(data))
+    if type(field) is str:
+        with pytest.raises(VerificationError, match=pattern):
+            certificate_from_dict(data["certificate"]).replay(t)
+
+
+# The two checks that docs/certificates.md names as reached by no record:
+# the complement block's definiteness (test_complement_check_rejects_a_non_definite_block)
+# and a slice of an absence transcript that holds the absent norm
+_UNREACHED_MESSAGES = (
+    "complement block in U + U(2) is not even and negative definite",
+    "slice 3 contains a vector of norm -1",
+)
+
+
+def _message_pattern(node: ast.expr) -> str:
+    """A regular expression for the message a raise builds: a string as it
+    is, and each replacement field of an f-string as ``.+``."""
+    if isinstance(node, ast.Constant):
+        return re.escape(node.value)
+    return "".join(".+" if isinstance(part, ast.FormattedValue) else re.escape(part.value)
+                   for part in node.values)
+
+
+def test_every_replay_message_has_a_probe():
+    tree = ast.parse(Path(classifier.__file__).read_text())
+    patterns = {_message_pattern(node.args[0]) for node in ast.walk(tree)
+                if isinstance(node, ast.Call)
+                and getattr(node.func, "id", None) == "VerificationError"}
+    pinned = [row[-1] for row in (*REPLAY_GUARD_PROBES.values(), *_MORE_GUARD_PROBES.values(),
+                                  *_FORGED_PROBES.values(), *_NON_INTEGER_PROBES)]
+
+    def matched(messages):
+        return {p for p in patterns if any(re.fullmatch(p, m) for m in messages)}
+
+    unreached = matched(_UNREACHED_MESSAGES)
+    assert len(unreached) == len(_UNREACHED_MESSAGES)
+    assert patterns - matched(pinned) == unreached
 
 
 # one valid record per case and per construction, with 6-digit forms for

@@ -329,11 +329,17 @@ def test_in_order_keeps_a_bounded_window_and_the_task_order():
     assert pool.most == 8
 
 
+def _allow_cpus(monkeypatch, count: int) -> None:
+    """Let the process run on ``count`` CPUs of a machine that has as many."""
+    monkeypatch.setattr(os, "cpu_count", lambda: count)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)), raising=False)
+
+
 def test_scan_streams_more_tasks_than_the_window_holds(runner, tmp_path, monkeypatch):
     # small tasks, so that a small box starts two workers, even on a
     # one-core machine, and its tasks outnumber the futures the parent
     # keeps in flight several times over
-    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    _allow_cpus(monkeypatch, 2)
     monkeypatch.setattr(cli, "_TASK_FORMS", 32)
     box = (12, 12, -12, 12)
     tasks = list(cli._tasks(cli._rows(*box)))
@@ -426,10 +432,25 @@ def test_a_box_without_forms_fails_at_once(runner):
     assert "no positive definite forms" in result.stderr
 
 
+def test_worker_count_stays_within_the_cpus_the_process_may_run_on(monkeypatch):
+    # the m = 40 box plans two workers on two CPUs; an affinity mask of one
+    # CPU (`taskset -c 0`) on the same two-core machine leaves one, and so
+    # does a platform without sched_getaffinity that reports one CPU
+    monkeypatch.delenv("K3COVER_THREADS", raising=False)
+    box = (40, 40, -40, 40)
+    _allow_cpus(monkeypatch, 2)
+    assert cli._worker_count(cli._rows(*box)) == 2
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    assert cli._worker_count(cli._rows(*box)) == 1
+    monkeypatch.delattr(os, "sched_getaffinity")
+    monkeypatch.setattr(os, "cpu_count", lambda: 1)
+    assert cli._worker_count(cli._rows(*box)) == 1
+
+
 def test_worker_count_reads_only_the_rows_it_needs(monkeypatch):
     # 10^12 rows of one form each: two workers' windows of tasks are 8 192
     # forms, and the count must stop there
-    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    _allow_cpus(monkeypatch, 2)
     monkeypatch.delenv("K3COVER_THREADS", raising=False)
     rows = cli._rows(10**6, 10**6, 0, 0)
     assert cli._worker_count(rows) == 2
