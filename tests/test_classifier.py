@@ -293,6 +293,69 @@ def test_complement_check_rejects_a_non_definite_block():
         _embedding_defect(0, 0, 1, rows, ((0, 0, 1, 0), (0, 0, 0, 1)))
 
 
+def _rejected_with(message: str):
+    """Expect replay to refuse with exactly this message."""
+    return pytest.raises(VerificationError, match=f"^{re.escape(message)}$")
+
+
+def test_tampered_keum_citation():
+    message = "halving certificate: twice the halved form is not the input"
+    with _rejected_with(message):
+        KeumCitation(halved=(1, 1, 0)).replay(TranscendentalForm(2, 2, 2))
+    with _rejected_with(message):
+        KeumCitation(halved=(1, 1, 1)).replay(TranscendentalForm(2, 2, 1))
+
+
+def test_tampered_witness_certificate():
+    t = TranscendentalForm(1, 3, 0)
+    with _rejected_with("witness vector has the wrong norm"):
+        VinbergWitness(n=3, vector=(4, 2, 2, 1, 1, 1, 1, 1, 1, 1, 1)).replay(t)
+    with _rejected_with("witness norm does not match the discriminant"):
+        VinbergWitness(n=5, vector=(6, 2, 2, 2, 2, 2, 2, 2, 1, 1, 1)).replay(t)
+    with _rejected_with("witness vector lies outside the region"):
+        # right norm, but the vector leaves the region (tail unsorted)
+        VinbergWitness(n=3, vector=(4, 1, 2, 1, 1, 1, 1, 1, 1, 1, 1)).replay(t)
+
+
+def test_tampered_absence_certificate():
+    t = TranscendentalForm(1, 1, 0)
+    with _rejected_with("absence norm does not match the discriminant"):
+        ExhaustiveAbsence(n=2, slices=ABSENCE_SLICES).replay(t)
+    with _rejected_with("absence transcript does not cover the required slices"):
+        ExhaustiveAbsence(n=1, slices=ABSENCE_SLICES[:3]).replay(t)
+    with _rejected_with("absence claimed for a discriminant that has a witness"):
+        # delta 12 admits a witness, so an absence claim must not verify
+        ExhaustiveAbsence(n=3, slices=ABSENCE_SLICES).replay(TranscendentalForm(1, 3, 0))
+
+
+def test_mismatched_classification_fields():
+    t = TranscendentalForm(1, 1, 1)
+    good = classify(t)
+    for cls, message in (
+        (Classification("II", True, 3, good.certificate),
+         "label 'II' disagrees with recomputed 'IV'"),
+        (Classification("IV", True, 3, good.certificate),
+         "covering verdict disagrees with the recomputed case"),
+        (Classification("IV", False, 5, good.certificate),
+         "recorded discriminant disagrees with the form"),
+        (Classification("IV", False, 3, KeumCitation((0, 0, 0))),
+         "certificate kind 'keum-citation' cannot back case 'IV'"),
+    ):
+        with _rejected_with(message):
+            verify_classification(t, cls)
+
+
+def test_replay_rejects_a_basis_change_of_determinant_four():
+    with _rejected_with("malformed embedding certificate: matrix must have determinant 1"):
+        _replay_tampered_embedding(basis_change=(2, 0, 0, 2))
+
+
+def test_replay_rejects_a_non_positive_normalized_form():
+    message = "malformed embedding certificate: diagonal coefficients a, b must be positive"
+    with _rejected_with(message):
+        _replay_tampered_embedding(normalized=(0, 2, 1))
+
+
 def _record(triple) -> dict:
     """The JSON record of the form's classification, as parsing reads it."""
     return json.loads(json.dumps(classify(TranscendentalForm(*triple)).to_dict()))
@@ -789,6 +852,38 @@ def test_from_dict_rejects_non_integer_fields_of_every_kind(triple, kind, field,
     if type(field) is str:
         with pytest.raises(VerificationError, match=pattern):
             certificate_from_dict(data["certificate"]).replay(t)
+
+
+def _assert_rejected(triple, data: dict, message: str) -> None:
+    """Replay of the parsed record against the form refuses it with the
+    message, as a classification and as a certificate alone."""
+    t = TranscendentalForm(*triple)
+    with _rejected_with(message):
+        verify_classification(t, Classification.from_dict(data))
+    with _rejected_with(message):
+        certificate_from_dict(data["certificate"]).replay(t)
+
+
+def test_from_dict_rejects_a_scalar_matrix():
+    data = _record((1, 2, 1))
+    data["certificate"]["matrix"] = 5
+    _assert_rejected((1, 2, 1), data, _MALFORMED + "matrix must be a list")
+
+
+@pytest.mark.parametrize("field, value", [("case", 5), ("case", None)])
+def test_from_dict_rejects_an_unknown_kind_or_a_non_string_case(field, value):
+    # str() turned "case": 5 into "5"
+    data = _record((1, 2, 1))
+    data[field] = value
+    with _rejected_with(f"case must be a string, not {type(value).__name__}"):
+        verify_classification(TranscendentalForm(1, 2, 1), Classification.from_dict(data))
+
+
+def test_from_dict_rejects_a_non_integer_minus_two_entry():
+    # a certificate that lists a root, even a float one, never verifies
+    data = _record((2, 3, 1))
+    data["certificate"]["minus_two"] = [[1.0] + [0] * 11]
+    _assert_rejected((2, 3, 1), data, "orthogonal complement contains a norm -2 vector")
 
 
 # The two checks that docs/certificates.md names as reached by no record:
