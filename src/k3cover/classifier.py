@@ -36,7 +36,15 @@ from .vinberg import search_norm, slice_norms
 
 CaseLabel = str
 
-_set = object.__setattr__
+
+def _setters(cls: type) -> tuple:
+    """The setters of the slots of ``cls``, in ``__slots__`` order.  Each
+    `__init__` below binds its fields through them: a slot's own setter
+    takes about half the time of ``object.__setattr__``, which first looks
+    the name up on the type, and parsing and `classify` build a certificate
+    and a classification per record."""
+    return tuple(cls.__dict__[name].__set__ for name in cls.__slots__)
+
 
 # x0-slices that certificates of absence must search; beyond the last slice
 # the per-slice maximum norm stays below -14, out of reach of -1, -2, -4.
@@ -88,33 +96,51 @@ Rows = tuple[tuple[int, ...], ...]
 
 
 # The written-down embeddings, by the name an explicit-embedding records.
-# Each maps (a, b, c) to (rows, basis): the images of u, v on the U + U(2)
-# coordinates (u1, u2, v1, v2), and the closed-form basis (k1, k2) of the
-# complement block B of those rows.  Gram matrices of the bases in U + U(2):
+# Each maps (a, b, c) to the images of u, v on the U + U(2) coordinates
+# (u1, u2, v1, v2).  `embedding_certificate` reads this table and replay
+# never does.
+def _c_odd(a: int, b: int, c: int) -> Rows:
+    # u -> a*u1 + u2 + ((c - ab - 1)/2) v1,  v -> u1 + b*u2 + v2
+    return (a, 1, (c - a * b - 1) // 2, 0), (1, b, 0, 1)
+
+
+def _c_even(a: int, b: int, c: int) -> Rows:
+    # u -> u1 + a*u2,  v -> u1 + (c - a)*u2 + v1 + ((a + b - c)/2) v2
+    return (1, a, 0, 0), (1, c - a, 1, (a + b - c) // 2)
+
+
+def _all_even(a: int, b: int, c: int) -> Rows:
+    # u -> v1 + (a/2) v2,  v -> u1 + b*u2 + (c/2) v2
+    return (0, 0, 1, a // 2), (1, b, 0, c // 2)
+
+
+CONSTRUCTIONS = {"c-odd": _c_odd, "c-even": _c_even, "all-even": _all_even}
+
+
+# The closed-form basis (k1, k2) of the complement block B of each
+# construction's rows, by the same names; replay reads this table and
+# `embedding_certificate` never does.  Gram matrices of the bases in U + U(2):
 #   c-odd, s = (c - ab - 1)/2:  2 [[-4a, 2ab - c], [2ab - c, 2bs]], det 4 delta;
 #   c-even (a, b odd):          [[-2a, 2a - c], [2a - c, -2(a + b - c)]], det delta;
 #   all-even:                   [[-2b, -c], [-c, -2a]], det delta.
 # A construction's name is binding: `_embedding_defect` proves the basis
 # is B of the rows before it uses it, and a matrix it does not fit
 # misnames its construction.
-def _c_odd(a: int, b: int, c: int) -> tuple[Rows, Rows]:
-    # u -> a*u1 + u2 + ((c - ab - 1)/2) v1,  v -> u1 + b*u2 + v2
+def _c_odd_complement(a: int, b: int, c: int) -> Rows:
     s = (c - a * b - 1) // 2
-    return ((a, 1, s, 0), (1, b, 0, 1)), ((-2 * a, 2, a * b - 1, 0), (-2 * s, 0, b * s, 1))
+    return (-2 * a, 2, a * b - 1, 0), (-2 * s, 0, b * s, 1)
 
 
-def _c_even(a: int, b: int, c: int) -> tuple[Rows, Rows]:
-    # u -> u1 + a*u2,  v -> u1 + (c - a)*u2 + v1 + ((a + b - c)/2) v2
-    return (((1, a, 0, 0), (1, c - a, 1, (a + b - c) // 2)),
-            ((1, -a, 0, a - c // 2), (0, 0, 1, (c - a - b) // 2)))
+def _c_even_complement(a: int, b: int, c: int) -> Rows:
+    return (1, -a, 0, a - c // 2), (0, 0, 1, (c - a - b) // 2)
 
 
-def _all_even(a: int, b: int, c: int) -> tuple[Rows, Rows]:
-    # u -> v1 + (a/2) v2,  v -> u1 + b*u2 + (c/2) v2
-    return ((0, 0, 1, a // 2), (1, b, 0, c // 2)), ((1, -b, 0, 0), (0, -c, 1, -(a // 2)))
+def _all_even_complement(a: int, b: int, c: int) -> Rows:
+    return (1, -b, 0, 0), (0, -c, 1, -(a // 2))
 
 
-CONSTRUCTIONS = {"c-odd": _c_odd, "c-even": _c_even, "all-even": _all_even}
+COMPLEMENTS = {"c-odd": _c_odd_complement, "c-even": _c_even_complement,
+               "all-even": _all_even_complement}
 
 # U + U(2) + E8(2) has rank 12; its first four coordinates are U + U(2)
 _AMBIENT_RANK = 12
@@ -184,7 +210,7 @@ class KeumCitation(Frozen):
     kind = "keum-citation"
 
     def __init__(self, halved: tuple[int, int, int]) -> None:
-        _set(self, "halved", halved)
+        _set_halved(self, halved)
 
     def to_dict(self) -> dict[str, object]:
         return {"kind": self.kind, "halved": list(self.halved)}
@@ -195,20 +221,23 @@ class KeumCitation(Frozen):
             raise VerificationError("halving certificate: twice the halved form is not the input")
 
 
+(_set_halved,) = _setters(KeumCitation)
+
+
 class ExplicitEmbedding(Frozen):
     """A primitive embedding into U + U(2) + E8(2) with root-free complement.
 
-    ``construction`` names the written-down embedding (a key of
-    CONSTRUCTIONS), ``normalized`` is the SL2-equivalent form the matrix
+    ``construction`` names the written-down embedding (a key of CONSTRUCTIONS
+    and of COMPLEMENTS), ``normalized`` is the SL2-equivalent form the matrix
     actually embeds and ``basis_change`` the change of basis realizing the
     equivalence.  Replay checks the types and shapes of the fields; on their
     ints, without building a form or a matrix, that ``normalized`` has a
     positive diagonal and is positive definite and that ``basis_change`` has
     determinant 1, with the messages of `TranscendentalForm` and `Sl2Matrix`;
-    and that the change moves the input's coefficients to ``normalized``.
-    It then runs `_embedding_defect` at ``normalized``, whose closed-form
-    complement makes the construction's name binding; ``minor_gcd`` must be
-    1 and ``minus_two`` empty.
+    and that the change moves the input's coefficients to ``normalized``.  It
+    then runs `_embedding_defect` at ``normalized``, whose closed-form
+    complement makes the construction's name binding; ``minor_gcd`` must be 1
+    and ``minus_two`` empty.
     """
 
     __slots__ = ("construction", "normalized", "basis_change", "matrix", "minor_gcd", "minus_two")
@@ -217,12 +246,12 @@ class ExplicitEmbedding(Frozen):
     def __init__(self, construction: str, normalized: tuple[int, int, int],
                  basis_change: tuple[int, int, int, int], matrix: Rows, minor_gcd: int,
                  minus_two: Rows) -> None:
-        _set(self, "construction", construction)
-        _set(self, "normalized", normalized)
-        _set(self, "basis_change", basis_change)
-        _set(self, "matrix", matrix)
-        _set(self, "minor_gcd", minor_gcd)
-        _set(self, "minus_two", minus_two)
+        _set_construction(self, construction)
+        _set_normalized(self, normalized)
+        _set_basis_change(self, basis_change)
+        _set_matrix(self, matrix)
+        _set_minor_gcd(self, minor_gcd)
+        _set_minus_two(self, minus_two)
 
     def to_dict(self) -> dict[str, object]:
         return {
@@ -249,15 +278,23 @@ class ExplicitEmbedding(Frozen):
         if x * w - y * z != 1:
             raise VerificationError("malformed embedding certificate:"
                                     " matrix must have determinant 1")
-        rows = [_ints("matrix", row) for row in _array("matrix", self.matrix)]
+        rows = []
+        for row in self.matrix if type(self.matrix) is tuple else _array("matrix", self.matrix):
+            if type(row) is not tuple:
+                row = tuple(_array("matrix", row))
+            for entry in row:
+                if type(entry) is not int:
+                    raise VerificationError("malformed certificate: matrix must hold integers")
+            rows.append(row)
         if len(rows) != 2 or len(rows[0]) != _AMBIENT_RANK or len(rows[1]) != _AMBIENT_RANK:
             raise VerificationError("malformed embedding certificate: matrix is not 2 x 12")
         a, b, c = t.a, t.b, t.c
         if (a * x * x + c * x * z + b * z * z, a * y * y + c * y * w + b * w * w,
                 2 * a * x * y + c * (x * w + y * z) + 2 * b * w * z) != normalized:
             raise VerificationError("recorded basis change does not reach the recorded form")
-        build = CONSTRUCTIONS.get(self.construction) if type(self.construction) is str else None
-        basis = None if build is None else build(*normalized)[1]
+        complement = (COMPLEMENTS.get(self.construction) if type(self.construction) is str
+                      else None)
+        basis = None if complement is None else complement(*normalized)
         defect = _embedding_defect(*normalized, rows, basis)
         if defect == "pullback":
             raise VerificationError("matrix does not pull the target form back to the source")
@@ -267,6 +304,10 @@ class ExplicitEmbedding(Frozen):
             raise VerificationError("orthogonal complement contains a norm -2 vector")
 
 
+(_set_construction, _set_normalized, _set_basis_change, _set_matrix, _set_minor_gcd,
+ _set_minus_two) = _setters(ExplicitEmbedding)
+
+
 class VinbergWitness(Frozen):
     """A vector of norm -n in the region P of <-1> + <1>^10, n = delta/4."""
 
@@ -274,15 +315,19 @@ class VinbergWitness(Frozen):
     kind = "vinberg-witness"
 
     def __init__(self, n: int, vector: tuple[int, ...]) -> None:
-        _set(self, "n", n)
-        _set(self, "vector", vector)
+        _set_witness_n(self, n)
+        _set_vector(self, vector)
 
     def to_dict(self) -> dict[str, object]:
         return {"kind": self.kind, "n": self.n, "vector": list(self.vector)}
 
     def replay(self, t: TranscendentalForm) -> None:
-        if len(_array("vector", self.vector)) != 11 or not all(map(_is_int, self.vector)):
+        vector = self.vector if type(self.vector) is tuple else _array("vector", self.vector)
+        if len(vector) != 11:
             raise VerificationError("witness vector does not have 11 integer coordinates")
+        for x in vector:
+            if type(x) is not int:
+                raise VerificationError("witness vector does not have 11 integer coordinates")
         if t.delta % 4 != 0 or _int("n", self.n) != t.delta // 4:
             raise VerificationError("witness norm does not match the discriminant")
         if self.n in ABSENT:
@@ -291,6 +336,9 @@ class VinbergWitness(Frozen):
             raise VerificationError("witness vector has the wrong norm")
         if not in_P(self.vector):
             raise VerificationError("witness vector lies outside the region")
+
+
+_set_witness_n, _set_vector = _setters(VinbergWitness)
 
 
 class ExhaustiveAbsence(Frozen):
@@ -304,8 +352,8 @@ class ExhaustiveAbsence(Frozen):
     kind = "exhaustive-absence"
 
     def __init__(self, n: int, slices: tuple[int, ...]) -> None:
-        _set(self, "n", n)
-        _set(self, "slices", slices)
+        _set_absence_n(self, n)
+        _set_slices(self, slices)
 
     def to_dict(self) -> dict[str, object]:
         return {"kind": self.kind, "n": self.n, "slices": list(self.slices)}
@@ -322,6 +370,9 @@ class ExhaustiveAbsence(Frozen):
                 raise VerificationError(f"slice {m} contains a vector of norm {-self.n}")
 
 
+_set_absence_n, _set_slices = _setters(ExhaustiveAbsence)
+
+
 class ParityObstruction(Frozen):
     """All of a, b, c odd: no primitive embedding avoids the parity clash.
 
@@ -333,8 +384,8 @@ class ParityObstruction(Frozen):
     kind = "parity-obstruction"
 
     def __init__(self, norms_mod_4: tuple[int, int], pairing_mod_2: int) -> None:
-        _set(self, "norms_mod_4", norms_mod_4)
-        _set(self, "pairing_mod_2", pairing_mod_2)
+        _set_norms_mod_4(self, norms_mod_4)
+        _set_pairing_mod_2(self, pairing_mod_2)
 
     def to_dict(self) -> dict[str, object]:
         return {
@@ -349,6 +400,9 @@ class ParityObstruction(Frozen):
         if norms != (2, 2) or pairing != 1 or (2 * t.a % 4, 2 * t.b % 4, t.c % 2) != (2, 2, 1):
             raise VerificationError("recorded or recomputed norm residues and pairing parity"
                                     " do not constitute an obstruction")
+
+
+_set_norms_mod_4, _set_pairing_mod_2 = _setters(ParityObstruction)
 
 
 Certificate = (
@@ -370,8 +424,9 @@ def _array(field: str, values) -> list | tuple:
 
 
 def _ints(field: str, values, length: int | None = None) -> tuple[int, ...]:
-    """The entries of a serialized integer list, each passing `_is_int`."""
-    out = tuple(_array(field, values))
+    """The entries of a serialized integer list, each passing `_is_int`;
+    an exact tuple, as parsing leaves an array, is returned as it is."""
+    out = values if type(values) is tuple else tuple(_array(field, values))
     for x in out:
         if type(x) is not int:
             raise VerificationError(f"malformed certificate: {field} must hold integers")
@@ -389,15 +444,13 @@ def _int(field: str, value) -> int:
     return value
 
 
-def _frozen(value):
+def _frozen(array: list) -> tuple:
     """A JSON array as a tuple, and each array directly inside it as well;
     anything else, deeper arrays included, as it is."""
-    if type(value) is list:
-        value = tuple(value)
-        # rows are looked for in C, so a flat array costs no Python loop
-        if list in map(type, value):
-            return tuple([tuple(x) if type(x) is list else x for x in value])
-    return value
+    for x in array:
+        if type(x) is list:
+            return tuple([tuple(x) if type(x) is list else x for x in array])
+    return tuple(array)
 
 
 # The certificate class of each kind, for parsing
@@ -418,7 +471,8 @@ def certificate_from_dict(data: dict[str, object]) -> Certificate:
         kind = data.get("kind")
         cls = _CERTIFICATE_CLASSES.get(kind) if isinstance(kind, str) else None
         if cls is not None:
-            return cls(*[_frozen(data[name]) for name in cls.__slots__])
+            return cls(*[_frozen(value) if type(value := data[name]) is list else value
+                         for name in cls.__slots__])
     except KeyError as exc:
         raise VerificationError(f"certificate is missing the key {exc}") from None
     except (AttributeError, TypeError) as exc:
@@ -448,10 +502,10 @@ class Classification(Frozen):
 
     def __init__(self, case_label: CaseLabel, covers: bool, delta: int,
                  certificate: Certificate) -> None:
-        _set(self, "case_label", case_label)
-        _set(self, "covers", covers)
-        _set(self, "delta", delta)
-        _set(self, "certificate", certificate)
+        _set_case_label(self, case_label)
+        _set_covers(self, covers)
+        _set_delta(self, delta)
+        _set_certificate(self, certificate)
 
     def to_dict(self) -> dict[str, object]:
         return {
@@ -476,6 +530,9 @@ class Classification(Frozen):
             raise VerificationError(f"malformed classification: {exc}") from None
 
 
+_set_case_label, _set_covers, _set_delta, _set_certificate = _setters(Classification)
+
+
 def embedding_certificate(construction: str, normalized: TranscendentalForm,
                           g: Sl2Matrix = _IDENTITY) -> ExplicitEmbedding:
     """The certificate of the named written-down embedding of ``normalized``,
@@ -488,7 +545,7 @@ def embedding_certificate(construction: str, normalized: TranscendentalForm,
     ``embedding_certificate("all-even", t)``, backs it as well and always
     fits: its -B/2 is (b, c, a), all even, so it never represents 1.
     """
-    (u, v), _ = CONSTRUCTIONS[construction](normalized.a, normalized.b, normalized.c)
+    u, v = CONSTRUCTIONS[construction](normalized.a, normalized.b, normalized.c)
     return ExplicitEmbedding(
         construction=construction,
         normalized=normalized.triple(),

@@ -17,8 +17,8 @@ class Frozen:
     """Base of the package's immutable value types.
 
     A subclass lists its fields in ``__slots__`` and binds them once, in its
-    own explicit ``__init__``, through ``object.__setattr__``; afterwards
-    assignment and ``del`` raise AttributeError.  Two values are equal, and
+    own explicit ``__init__``, through ``object.__setattr__`` or the slot's
+    own setter; afterwards assignment and ``del`` raise AttributeError.  Two values are equal, and
     hash alike, when they have the same exact type and equal fields.
     """
 

@@ -95,7 +95,7 @@ def written_down_embedding(t: TranscendentalForm) -> Embedding | None:
         return None
     if parity_class(t) == "III":
         t = normalize_case_III(t)[0]
-    (u, v), _ = CONSTRUCTIONS[construction_of(t)](t.a, t.b, t.c)
+    u, v = CONSTRUCTIONS[construction_of(t)](t.a, t.b, t.c)
     zeros = (0,) * 8   # the E8(2) columns
     return Embedding(to_lattice(t), LAMBDA, IntMatrix.from_rows([u + zeros, v + zeros]))
 

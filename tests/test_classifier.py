@@ -18,6 +18,7 @@ from k3cover import classifier, vinberg
 from k3cover.classifier import (
     ABSENCE_SLICES,
     CASES,
+    COMPLEMENTS,
     CONSTRUCTIONS,
     Certificate,
     Classification,
@@ -35,6 +36,7 @@ from k3cover.classifier import (
     normalize_case_III,
     verify_classification,
 )
+from k3cover.cli import _scan_line
 from k3cover.embeddings import Embedding, is_primitive, orthogonal_complement, validate
 from k3cover.errors import VerificationError
 from k3cover.intmat import IntMatrix, standard_lattice, to_lattice
@@ -405,6 +407,7 @@ def _c_even_record_of_a_unit_form(t: TranscendentalForm) -> None:
     certificate_from_dict(record).replay(t)
 
 
+_MALFORMED = "malformed certificate: "
 _NOT_ELEVEN_INTEGERS = "witness vector does not have 11 integer coordinates"
 _NOT_2_BY_12 = "malformed embedding certificate: matrix is not 2 x 12"
 _NO_OBSTRUCTION = ("recorded or recomputed norm residues and pairing parity"
@@ -544,39 +547,109 @@ def test_each_replay_guard_rejects_its_probe(triple, replay, message):
 
 # Certificates and classifications built directly, not parsed: each field
 # holds a value that merely converts to the int (or bool) replay wants, and
-# replay accepted every one of them as that value
+# replay accepted every one of them as that value.  Each is refused with the
+# whole message of the field's own gate.
 _COERCED_PROBES = {
-    "absence n 1.0": ((1, 1, 0), ExhaustiveAbsence(1.0, ABSENCE_SLICES).replay),
-    "absence n True": ((1, 1, 0), ExhaustiveAbsence(True, ABSENCE_SLICES).replay),
-    "halved 1.0": ((2, 2, 0), KeumCitation((1.0, 1, 0)).replay),
-    "residues 2.0, True": ((1, 1, 1), ParityObstruction((2.0, 2), True).replay),
-    "witness n 3.0": ((1, 3, 0), VinbergWitness(3.0, (4, 2, 1, 1, 1, 1, 1, 1, 1, 1, 1)).replay),
+    "absence n 1.0": ((1, 1, 0), ExhaustiveAbsence(1.0, ABSENCE_SLICES).replay,
+                      _MALFORMED + "n must be an integer, not float"),
+    "absence n True": ((1, 1, 0), ExhaustiveAbsence(True, ABSENCE_SLICES).replay,
+                       _MALFORMED + "n must be an integer, not bool"),
+    "halved 1.0": ((2, 2, 0), KeumCitation((1.0, 1, 0)).replay,
+                   _MALFORMED + "halved must hold integers"),
+    "residues 2.0, True": ((1, 1, 1), ParityObstruction((2.0, 2), True).replay,
+                           _MALFORMED + "norms_mod_4 must hold integers"),
+    "witness n 3.0": ((1, 3, 0), VinbergWitness(3.0, (4, 2, 1, 1, 1, 1, 1, 1, 1, 1, 1)).replay,
+                      _MALFORMED + "n must be an integer, not float"),
     # a dict iterates its keys, here a witness of norm -344
     "witness vector dict": ((1, 344, 0), VinbergWitness(
-        344, dict.fromkeys((27, 10, 9, 8, 7, 6, 5, 4, 3, 2, 1))).replay),
+        344, dict.fromkeys((27, 10, 9, 8, 7, 6, 5, 4, 3, 2, 1))).replay,
+        _MALFORMED + "vector must be a list"),
     "delta 4.0": ((1, 1, 0), lambda t: verify_classification(
-        t, replace(classify(t), delta=4.0))),
+        t, replace(classify(t), delta=4.0)), "delta must be an integer, not float"),
     "covers 0": ((1, 1, 0), lambda t: verify_classification(
-        t, replace(classify(t), covers=0))),
+        t, replace(classify(t), covers=0)), "covers must be true or false, not int"),
     # a certificate that is not one of the five classes
     "certificate None": ((1, 1, 0), lambda t: verify_classification(
-        t, replace(classify(t), certificate=None))),
+        t, replace(classify(t), certificate=None)),
+        "certificate of type NoneType is not a certificate object"),
     "certificate record dict": ((1, 1, 0), lambda t: verify_classification(
-        t, replace(classify(t), certificate=classify(t).certificate.to_dict()))),
+        t, replace(classify(t), certificate=classify(t).certificate.to_dict())),
+        "certificate of type dict is not a certificate object"),
     "certificate kind str": ((1, 1, 0), lambda t: verify_classification(
-        t, replace(classify(t), certificate="exhaustive-absence"))),
-    "minor_gcd True": ((1, 2, 1), lambda t: _replay_tampered_embedding(minor_gcd=True)),
-    "normalized 1.0": ((1, 2, 1), lambda t: _replay_tampered_embedding(normalized=(1.0, 2, 1))),
+        t, replace(classify(t), certificate="exhaustive-absence")),
+        "certificate of type str is not a certificate object"),
+    "minor_gcd True": ((1, 2, 1), lambda t: _replay_tampered_embedding(minor_gcd=True),
+                       _MALFORMED + "minor_gcd must be an integer, not bool"),
+    "normalized 1.0": ((1, 2, 1), lambda t: _replay_tampered_embedding(normalized=(1.0, 2, 1)),
+                       _MALFORMED + "normalized must hold integers"),
     "basis_change 1.0": ((1, 2, 1), lambda t: _replay_tampered_embedding(
-        basis_change=(1.0, 0, 0, 1))),
-    "minus_two {}": ((1, 2, 1), lambda t: _replay_tampered_embedding(minus_two={})),
+        basis_change=(1.0, 0, 0, 1)), _MALFORMED + "basis_change must hold integers"),
+    "minus_two {}": ((1, 2, 1), lambda t: _replay_tampered_embedding(minus_two={}),
+                     _MALFORMED + "minus_two must be a list"),
 }
 
 
-@pytest.mark.parametrize("triple, replay", _COERCED_PROBES.values(), ids=list(_COERCED_PROBES))
-def test_replay_refuses_a_value_that_merely_converts(triple, replay):
-    with pytest.raises(VerificationError):
+@pytest.mark.parametrize("triple, replay, message", _COERCED_PROBES.values(),
+                         ids=list(_COERCED_PROBES))
+def test_replay_refuses_a_value_that_merely_converts(triple, replay, message):
+    with _rejected_with(message):
         replay(TranscendentalForm(*triple))
+
+
+def _listed(certificate):
+    """The certificate rebuilt with every tuple field as a list, and each
+    tuple inside one, a matrix's rows, as a list too: as code may build it."""
+    return type(certificate)(*[
+        [list(x) if type(x) is tuple else x for x in value] if type(value) is tuple else value
+        for value in (getattr(certificate, name) for name in type(certificate).__slots__)])
+
+
+@pytest.mark.parametrize("triple", [*FROZEN_CASES, (123457, 234568, 99999),
+                                    (234568, 123457, 99998)])
+def test_replay_accepts_list_fields(triple):
+    # parsing leaves tuples; a certificate built in code may hold lists,
+    # which replay's gates let through as well
+    t = TranscendentalForm(*triple)
+    results = [classify(t)]
+    if results[0].case_label == "I":
+        results.append(_all_even_classification(t))
+    for result in results:
+        listed = _listed(result.certificate)
+        values = [getattr(listed, name) for name in type(listed).__slots__]
+        assert tuple not in map(type, values)
+        assert all(tuple not in map(type, value) for value in values if type(value) is list)
+        assert listed.to_dict() == result.certificate.to_dict()
+        listed.replay(t)
+        verify_classification(t, replace(result, certificate=listed))
+
+
+def _bumped_listed_ii(t: TranscendentalForm) -> None:
+    """The "does not pull the target form back" probe on a certificate built
+    in code with list fields: the case II certificate of (1, 2, 1), listed,
+    with the same matrix entry bumped."""
+    result = classify(TranscendentalForm(1, 2, 1))
+    certificate = _listed(result.certificate)
+    certificate.matrix[0][1] += 6
+    verify_classification(t, replace(result, certificate=certificate))
+
+
+# One refusing row per certificate kind, by its name in REPLAY_GUARD_PROBES
+# or _MORE_GUARD_PROBES, with a twin whose tuple fields are lists; the twin
+# is refused with the row's own whole message
+_LIST_FIELD_TWINS = {
+    "halving": KeumCitation([1, 1, 0]).replay,
+    "does not pull the target form back": _bumped_listed_ii,
+    "wrong norm": VinbergWitness(3, [5, 2, 1, 1, 1, 1, 1, 1, 1, 1, 1]).replay,
+    "slices": ExhaustiveAbsence(1, list(range(3, 14))).replay,
+    "norms (0, 2)": ParityObstruction([0, 2], 1).replay,
+}
+
+
+@pytest.mark.parametrize("name", list(_LIST_FIELD_TWINS))
+def test_a_list_field_twin_is_refused_as_its_row(name):
+    triple, _, message = {**REPLAY_GUARD_PROBES, **_MORE_GUARD_PROBES}[name]
+    with _rejected_with(message):
+        _LIST_FIELD_TWINS[name](TranscendentalForm(*triple))
 
 
 class _Liar(int):
@@ -749,7 +822,6 @@ def test_from_dict_accepts_every_construction():
     assert seen == set(CONSTRUCTIONS)
 
 
-_MALFORMED = "malformed certificate: "
 _MISSING = object()     # a value that deletes the key
 
 # (form, kind, field, value, message): the JSON record of the form, whose
@@ -1080,16 +1152,20 @@ def _confirm_on_the_oracle_stack(t, cert) -> None:
 _HUGE = 10**5000
 
 
-@pytest.mark.parametrize("probe", [
-    lambda: verify_classification(TranscendentalForm(1, 1, 1),
-                                  Classification("IV", _HUGE, 3, ParityObstruction((2, 2), 1))),
-    lambda: verify_classification(TranscendentalForm(1, 1, 1),
-                                  Classification(_HUGE, False, 3, ParityObstruction((2, 2), 1))),
-    lambda: verify_classification(TranscendentalForm(1, 1, 1),
-                                  Classification("IV", False, 3, _HUGE)),
-    lambda: ParityObstruction((2, 2), [_HUGE]).replay(TranscendentalForm(1, 1, 1)),
+@pytest.mark.parametrize("probe, message", [
+    (lambda: verify_classification(TranscendentalForm(1, 1, 1),
+                                   Classification("IV", _HUGE, 3, ParityObstruction((2, 2), 1))),
+     "covers must be true or false, not int"),
+    (lambda: verify_classification(TranscendentalForm(1, 1, 1),
+                                   Classification(_HUGE, False, 3, ParityObstruction((2, 2), 1))),
+     "case must be a string, not int"),
+    (lambda: verify_classification(TranscendentalForm(1, 1, 1),
+                                   Classification("IV", False, 3, _HUGE)),
+     "certificate of type int is not a certificate object"),
+    (lambda: ParityObstruction((2, 2), [_HUGE]).replay(TranscendentalForm(1, 1, 1)),
+     _MALFORMED + "pairing_mod_2 must be an integer, not list"),
 ], ids=["covers", "case", "certificate", "pairing_mod_2"])
-def test_huge_int_in_a_wrong_field_is_refused_at_the_default_digit_limit(probe):
+def test_huge_int_in_a_wrong_field_is_refused_at_the_default_digit_limit(probe, message):
     # the messages used to hold repr(value), and the repr of an int past the
     # limit raises ValueError, not VerificationError
     get_limit = getattr(sys, "get_int_max_str_digits", None)
@@ -1097,7 +1173,7 @@ def test_huge_int_in_a_wrong_field_is_refused_at_the_default_digit_limit(probe):
     if before is not None:
         sys.set_int_max_str_digits(4300)
     try:
-        with pytest.raises(VerificationError, match="not"):
+        with _rejected_with(message):
             probe()
     finally:
         if before is not None:
@@ -1141,6 +1217,45 @@ def test_classify_builds_from_proved_constructions_and_checks_nothing(monkeypatc
     with pytest.raises(VerificationError, match="wrong norm"):
         verify_classification(t, replace(witnessed, certificate=replace(
             witnessed.certificate, vector=vector[:10] + (vector[10] + 1,))))
+
+
+def _refuse_table(*args, **kwargs):
+    raise AssertionError("a construction table was read by the path that must not read it")
+
+
+def test_replay_reads_only_complements_and_classify_only_constructions(monkeypatch):
+    """The rows of a construction are the builder's, and its complement
+    basis is replay's.  With every entry of CONSTRUCTIONS made to raise, a
+    scan line of every case and of every construction replays; with every
+    entry of COMPLEMENTS made to raise, classify writes the same records."""
+    assert tuple(COMPLEMENTS) == tuple(CONSTRUCTIONS)
+    forms = {name: TranscendentalForm(*triple) for name, triple in _RECORD_FORMS.items()}
+
+    def build(name):
+        return (_all_even_classification if name == "I-all-even" else classify)(forms[name])
+
+    built = {name: build(name) for name in forms}
+    lines = {name: _scan_line(forms[name], result) for name, result in built.items()}
+    assert {result.case_label for result in built.values()} == set(CASES)
+    assert {result.certificate.construction for result in built.values()
+            if result.certificate.kind == "explicit-embedding"} == set(CONSTRUCTIONS)
+    with monkeypatch.context() as patch:
+        for name in CONSTRUCTIONS:
+            patch.setitem(CONSTRUCTIONS, name, _refuse_table)
+        for name, line in lines.items():
+            verify_classification(forms[name], Classification.from_dict(json.loads(line)))
+        # the table in place is the one the builder reads
+        with pytest.raises(AssertionError, match="construction table"):
+            build("II")
+    with monkeypatch.context() as patch:
+        for name in COMPLEMENTS:
+            patch.setitem(COMPLEMENTS, name, _refuse_table)
+        for name, result in built.items():
+            again = build(name)
+            assert again == result
+            assert _scan_line(forms[name], again) == lines[name]
+        with pytest.raises(AssertionError, match="construction table"):
+            verify_classification(forms["II"], built["II"])
 
 
 # The changes of basis with entries in {-1, 0, 1}: each carries a form to an

@@ -24,6 +24,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from k3cover.classifier import (
+    COMPLEMENTS,
     CONSTRUCTIONS,
     Classification,
     ExplicitEmbedding,
@@ -67,8 +68,9 @@ from conftest import (
 
 
 def table(construction: str, t: TranscendentalForm):
-    """The construction's (rows, basis) at t, as the classifier's table gives them."""
-    return CONSTRUCTIONS[construction](t.a, t.b, t.c)
+    """The construction's (rows, basis) at t, as the classifier's tables give them."""
+    return (CONSTRUCTIONS[construction](t.a, t.b, t.c),
+            COMPLEMENTS[construction](t.a, t.b, t.c))
 
 
 def formula_basis(e: Embedding):
@@ -439,7 +441,7 @@ def minor(x, y, i: int, j: int) -> int:
 
 def stated_gram(construction: str, t: TranscendentalForm) -> tuple[int, int, int]:
     """The Gram matrix of the complement basis, as the comment above
-    CONSTRUCTIONS states it."""
+    COMPLEMENTS states it."""
     a, b, c = t.triple()
     if construction == "c-odd":
         s = (c - a * b - 1) // 2

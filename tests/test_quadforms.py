@@ -203,7 +203,8 @@ def test_represents_one_agrees_with_reduction_on_every_complement_block_of_the_b
                     continue
                 if name == "c-even":
                     t = classifier.normalize_case_III(t)[0]
-                rows, (k1, k2) = classifier.CONSTRUCTIONS[name](t.a, t.b, t.c)
+                rows = classifier.CONSTRUCTIONS[name](t.a, t.b, t.c)
+                k1, k2 = classifier.COMPLEMENTS[name](t.a, t.b, t.c)
                 p, q, r = pair(k1, k1), pair(k1, k2), pair(k2, k2)
                 block = TranscendentalForm(-p // 2, -r // 2, -q)
                 # replay's kernel reduces the same block on plain ints
