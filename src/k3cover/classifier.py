@@ -28,22 +28,14 @@ from __future__ import annotations
 from math import gcd
 
 from .errors import VerificationError
-from .lattices import Frozen, Sl2Matrix, TranscendentalForm, apply_basis_change, parity_class
-from .quadforms import _gauss, represents_one
+from .lattices import Frozen, Sl2Matrix, TranscendentalForm, _moved, _setters
+from .lattices import apply_basis_change, parity_class
+from .quadforms import _represents_one, represents_one
 from .vinberg import ABSENT, in_P
 from .vinberg import norm as region_norm
 from .vinberg import search_norm, slice_norms
 
 CaseLabel = str
-
-
-def _setters(cls: type) -> tuple:
-    """The setters of the slots of ``cls``, in ``__slots__`` order.  Each
-    `__init__` below binds its fields through them: a slot's own setter
-    takes about half the time of ``object.__setattr__``, which first looks
-    the name up on the type, and parsing and `classify` build a certificate
-    and a classification per record."""
-    return tuple(cls.__dict__[name].__set__ for name in cls.__slots__)
 
 
 # x0-slices that certificates of absence must search; beyond the last slice
@@ -167,8 +159,7 @@ def _embedding_defect(a: int, b: int, c: int, rows, basis) -> str | None:
     5. B, even as U + U(2) is, is negative definite, else VerificationError;
        no record reaches this, as a positive definite pullback leaves B so;
     6. the complement is B + E8(2) and a norm -2 vector lies wholly in B, so
-       there is a root exactly when -B/2 represents 1: never when all its
-       coefficients are even, else when its Gauss reduction starts with 1.
+       there is a root exactly when -B/2 represents 1 (`_represents_one`).
     """
     u, v = rows
     if u[_HYPERBOLIC:] != _E8_ZEROS or v[_HYPERBOLIC:] != _E8_ZEROS:
@@ -196,7 +187,7 @@ def _embedding_defect(a: int, b: int, c: int, rows, basis) -> str | None:
     r = -(y0 * y1 + 2 * y2 * y3)
     if p <= 0 or 4 * p * r <= q * q:
         raise VerificationError("complement block in U + U(2) is not even and negative definite")
-    return "root" if (p | q | r) & 1 and _gauss(p, q, r)[0] == 1 else None
+    return "root" if _represents_one(p, q, r) else None
 
 
 class KeumCitation(Frozen):
@@ -234,7 +225,8 @@ class ExplicitEmbedding(Frozen):
     ints, without building a form or a matrix, that ``normalized`` has a
     positive diagonal and is positive definite and that ``basis_change`` has
     determinant 1, with the messages of `TranscendentalForm` and `Sl2Matrix`;
-    and that the change moves the input's coefficients to ``normalized``.  It
+    and that `_moved`, the action of `apply_basis_change`, takes the input to
+    ``normalized``.  It
     then runs `_embedding_defect` at ``normalized``, whose closed-form
     complement makes the construction's name binding; ``minor_gcd`` must be 1
     and ``minus_two`` empty.
@@ -288,9 +280,7 @@ class ExplicitEmbedding(Frozen):
             rows.append(row)
         if len(rows) != 2 or len(rows[0]) != _AMBIENT_RANK or len(rows[1]) != _AMBIENT_RANK:
             raise VerificationError("malformed embedding certificate: matrix is not 2 x 12")
-        a, b, c = t.a, t.b, t.c
-        if (a * x * x + c * x * z + b * z * z, a * y * y + c * y * w + b * w * w,
-                2 * a * x * y + c * (x * w + y * z) + 2 * b * w * z) != normalized:
+        if _moved(t.a, t.b, t.c, x, y, z, w) != normalized:
             raise VerificationError("recorded basis change does not reach the recorded form")
         complement = (COMPLEMENTS.get(self.construction) if type(self.construction) is str
                       else None)
@@ -410,11 +400,6 @@ Certificate = (
 )
 
 
-def _is_int(x) -> bool:
-    """Of type exactly int, as json gives: not a bool, nor any other subclass."""
-    return type(x) is int
-
-
 def _array(field: str, values) -> list | tuple:
     """A list field: exactly the tuple parsing makes of a JSON array, or a
     list; never a string, a subclass or an object that merely iterates."""
@@ -424,8 +409,8 @@ def _array(field: str, values) -> list | tuple:
 
 
 def _ints(field: str, values, length: int | None = None) -> tuple[int, ...]:
-    """The entries of a serialized integer list, each passing `_is_int`;
-    an exact tuple, as parsing leaves an array, is returned as it is."""
+    """The entries of a serialized integer list, each of type exactly int, as
+    json gives; an exact tuple, as parsing leaves an array, is returned as it is."""
     out = values if type(values) is tuple else tuple(_array(field, values))
     for x in out:
         if type(x) is not int:
@@ -436,9 +421,9 @@ def _ints(field: str, values, length: int | None = None) -> tuple[int, ...]:
 
 
 def _int(field: str, value) -> int:
-    """A serialized integer scalar, passing `_is_int`; the message names the
-    type of anything else, as `_check_fields` does."""
-    if not _is_int(value):
+    """A serialized integer scalar, of type exactly int; the message names the
+    type of anything else, as `verify_classification` does."""
+    if type(value) is not int:
         raise VerificationError(
             f"malformed certificate: {field} must be an integer, not {type(value).__name__}")
     return value
@@ -478,20 +463,6 @@ def certificate_from_dict(data: dict[str, object]) -> Certificate:
     except (AttributeError, TypeError) as exc:
         raise VerificationError(f"malformed certificate: {exc}") from None
     raise ValueError(f"unknown certificate kind {kind!r}")
-
-
-def _check_fields(case, covers, delta) -> None:
-    """``case`` must be of type exactly str, ``covers`` a bool and ``delta`` of
-    type exactly int, never a subclass or a value that merely converts to one.
-    The messages name the wrong value's type, not the value: the repr of an
-    int past CPython's int -> str digit limit would raise ValueError in place
-    of VerificationError."""
-    if type(case) is not str:
-        raise VerificationError(f"case must be a string, not {type(case).__name__}")
-    if not isinstance(covers, bool):
-        raise VerificationError(f"covers must be true or false, not {type(covers).__name__}")
-    if not _is_int(delta):
-        raise VerificationError(f"delta must be an integer, not {type(delta).__name__}")
 
 
 class Classification(Frozen):
@@ -589,10 +560,21 @@ def verify_classification(t: TranscendentalForm, cls: Classification) -> None:
     """Replay a classification against the form it claims to describe.
 
     Raises VerificationError unless the label, the verdict, the discriminant
-    and the certificate all check out independently, each field of the type
-    `_check_fields` requires and the certificate's type one of the five classes.
+    and the certificate all check out independently, the classification and
+    each of its fields of exactly the type it must have.
     """
-    _check_fields(cls.case_label, cls.covers, cls.delta)
+    # Types by identity, never a subclass: one could answer each read of a
+    # field differently.  The messages name the type, not the value, whose
+    # repr would raise ValueError past CPython's int -> str digit limit.
+    if type(cls) is not Classification:
+        raise VerificationError(
+            f"classification of type {type(cls).__name__} is not a Classification object")
+    if type(cls.case_label) is not str:
+        raise VerificationError(f"case must be a string, not {type(cls.case_label).__name__}")
+    if not isinstance(cls.covers, bool):
+        raise VerificationError(f"covers must be true or false, not {type(cls.covers).__name__}")
+    if type(cls.delta) is not int:
+        raise VerificationError(f"delta must be an integer, not {type(cls.delta).__name__}")
     label, covers = case_of(t)
     if cls.case_label != label:
         raise VerificationError(f"label {cls.case_label!r} disagrees with recomputed {label!r}")

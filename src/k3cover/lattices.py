@@ -10,16 +10,15 @@ lives in `intmat` beside the algebra it is built on.
 
 from __future__ import annotations
 
-_set = object.__setattr__
-
 
 class Frozen:
     """Base of the package's immutable value types.
 
     A subclass lists its fields in ``__slots__`` and binds them once, in its
-    own explicit ``__init__``, through ``object.__setattr__`` or the slot's
-    own setter; afterwards assignment and ``del`` raise AttributeError.  Two values are equal, and
-    hash alike, when they have the same exact type and equal fields.
+    own explicit ``__init__``, through the slot setters `_setters` returns;
+    afterwards assignment and ``del`` raise AttributeError.  Two values are
+    equal, and hash alike, when they have the same exact type and equal
+    fields.
     """
 
     __slots__ = ()
@@ -49,6 +48,14 @@ class Frozen:
         return self.__class__, self._values()
 
 
+def _setters(cls: type) -> tuple:
+    """The setters of the slots of ``cls``, in ``__slots__`` order.  A slot's
+    own setter takes about half the time of ``object.__setattr__``, which
+    first looks the name up on the type, and every scanned, classified or
+    replayed form builds a form, a certificate and a classification."""
+    return tuple(cls.__dict__[name].__set__ for name in cls.__slots__)
+
+
 class TranscendentalForm(Frozen):
     """Positive definite even rank-2 form [[2a, c], [c, 2b]].
 
@@ -65,9 +72,9 @@ class TranscendentalForm(Frozen):
             raise ValueError("diagonal coefficients a, b must be positive")
         if 4 * a * b - c * c <= 0:
             raise ValueError("form must be positive definite (4ab - c^2 > 0)")
-        _set(self, "a", a)
-        _set(self, "b", b)
-        _set(self, "c", c)
+        _set_a(self, a)
+        _set_b(self, b)
+        _set_c(self, c)
 
     @property
     def delta(self) -> int:
@@ -75,6 +82,9 @@ class TranscendentalForm(Frozen):
 
     def triple(self) -> tuple[int, int, int]:
         return (self.a, self.b, self.c)
+
+
+_set_a, _set_b, _set_c = _setters(TranscendentalForm)
 
 
 class Sl2Matrix(Frozen):
@@ -85,39 +95,36 @@ class Sl2Matrix(Frozen):
     def __init__(self, x: int, y: int, z: int, w: int) -> None:
         if x * w - y * z != 1:
             raise ValueError("matrix must have determinant 1")
-        _set(self, "x", x)
-        _set(self, "y", y)
-        _set(self, "z", z)
-        _set(self, "w", w)
+        _set_x(self, x)
+        _set_y(self, y)
+        _set_z(self, z)
+        _set_w(self, w)
 
     @classmethod
     def identity(cls) -> "Sl2Matrix":
         return cls(1, 0, 0, 1)
 
-    def compose(self, other: "Sl2Matrix") -> "Sl2Matrix":
-        """Matrix product self @ other."""
-        return Sl2Matrix(self.x * other.x + self.y * other.z,
-                         self.x * other.y + self.y * other.w,
-                         self.z * other.x + self.w * other.z,
-                         self.z * other.y + self.w * other.w)
-
     def as_tuple(self) -> tuple[int, int, int, int]:
         return (self.x, self.y, self.z, self.w)
 
 
-def apply_basis_change(t: TranscendentalForm, g: Sl2Matrix) -> TranscendentalForm:
-    """The form of the same lattice in the basis changed by g.
+_set_x, _set_y, _set_z, _set_w = _setters(Sl2Matrix)
+
+
+def _moved(a: int, b: int, c: int, x: int, y: int, z: int, w: int) -> tuple[int, int, int]:
+    """The SL2 action on plain ints: the coefficients of (a, b, c) in the
+    basis changed by [[x, y], [z, w]],
 
     a' = a x^2 + c x z + b z^2,  b' = a y^2 + c y w + b w^2,
     c' = 2 a x y + c (x w + y z) + 2 b w z; the discriminant is unchanged.
     """
-    a, b, c = t.a, t.b, t.c
-    x, y, z, w = g.x, g.y, g.z, g.w
-    return TranscendentalForm(
-        a=a * x * x + c * x * z + b * z * z,
-        b=a * y * y + c * y * w + b * w * w,
-        c=2 * a * x * y + c * (x * w + y * z) + 2 * b * w * z,
-    )
+    return (a * x * x + c * x * z + b * z * z, a * y * y + c * y * w + b * w * w,
+            2 * a * x * y + c * (x * w + y * z) + 2 * b * w * z)
+
+
+def apply_basis_change(t: TranscendentalForm, g: Sl2Matrix) -> TranscendentalForm:
+    """The form of the same lattice in the basis changed by g (`_moved`)."""
+    return TranscendentalForm(*_moved(t.a, t.b, t.c, g.x, g.y, g.z, g.w))
 
 
 def parity_class(t: TranscendentalForm) -> str:

@@ -8,7 +8,7 @@ to exactly one reduced form, and the reduced form starts with the minimum of
 the form, so "represents 1" is just "reduced leading coefficient is 1".
 
 Reduction runs as one loop on plain ints (p, q, r) = (a, c, b) and returns
-the reduced triple alone: `represents_one` reads its p, and no caller reads
+the reduced triple alone: `_represents_one` reads its p, and no caller reads
 the change of basis, so the loop does not track one.  The loop that does,
 and proves each reduction by applying it, is the tests' oracle.
 """
@@ -47,12 +47,18 @@ def _gauss(p: int, q: int, r: int) -> tuple[int, int, int]:
     return p, q, r
 
 
-def represents_one(t: TranscendentalForm) -> bool:
-    """Whether a x^2 + c x y + b y^2 = 1 has an integer solution.
+def _represents_one(p: int, q: int, r: int) -> bool:
+    """Whether a positive definite p x^2 + q x y + r y^2 = 1 has an integer
+    solution, on plain ints.
 
     A form whose three coefficients are all even takes only even values, so
     it never represents 1; only the other forms are reduced.
     """
-    if not (t.a | t.b | t.c) & 1:
+    if not (p | q | r) & 1:
         return False
-    return _gauss(t.a, t.c, t.b)[0] == 1
+    return _gauss(p, q, r)[0] == 1
+
+
+def represents_one(t: TranscendentalForm) -> bool:
+    """Whether a x^2 + c x y + b y^2 = 1 has an integer solution."""
+    return _represents_one(t.a, t.c, t.b)

@@ -136,10 +136,16 @@ def sl2_matrices(bound: int) -> st.SearchStrategy[Sl2Matrix]:
     return st.lists(st.integers(-bound, bound), min_size=1, max_size=4).map(_alternating_shears)
 
 
+def compose(g: Sl2Matrix, h: Sl2Matrix) -> Sl2Matrix:
+    """Matrix product g @ h."""
+    return Sl2Matrix(g.x * h.x + g.y * h.z, g.x * h.y + g.y * h.w,
+                     g.z * h.x + g.w * h.z, g.z * h.y + g.w * h.w)
+
+
 def _alternating_shears(ks: list[int]) -> Sl2Matrix:
     g = Sl2Matrix.identity()
     for i, k in enumerate(ks):
-        g = g.compose(Sl2Matrix(1, k, 0, 1) if i % 2 == 0 else Sl2Matrix(1, 0, k, 1))
+        g = compose(g, Sl2Matrix(1, k, 0, 1) if i % 2 == 0 else Sl2Matrix(1, 0, k, 1))
     return g
 
 

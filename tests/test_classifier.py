@@ -9,6 +9,7 @@ import re
 import sys
 from functools import lru_cache
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import example, given, settings
@@ -45,6 +46,7 @@ from k3cover.shortvec import NormQuery, has_norm
 
 from conftest import (
     LAMBDA,
+    compose,
     enumerate_P_slice,
     random_sl2,
     replace,
@@ -715,6 +717,22 @@ class _SkippedParity(ParityObstruction, metaclass=_EqualsEveryType):
         pass
 
 
+def _verify_shifting_ii() -> None:
+    """Verify (1, 2, 1), case II, through a Classification subclass whose
+    certificate reads as an embedding with an all-zero matrix three times,
+    and then as an object whose replay checks nothing."""
+    t = TranscendentalForm(1, 2, 1)
+    zero = replace(classify(t).certificate, matrix=((0,) * 12,) * 2)
+    reads = itertools.count()
+
+    class _ShiftingClassification(Classification):
+        __slots__ = ()
+        certificate = property(lambda self: zero if next(reads) < 3
+                               else SimpleNamespace(replay=lambda t: None))
+
+    verify_classification(t, _ShiftingClassification("II", True, t.delta, zero))
+
+
 def _verify_ii(**fields) -> None:
     """Verify the case II classification of (1, 2, 1) with fields replaced."""
     t = TranscendentalForm(1, 2, 1)
@@ -731,9 +749,11 @@ def _verify_ii_embedding(cls=ExplicitEmbedding, **fields) -> None:
 
 # Values built in code, each of a subclass that a parsed record never holds
 # and that lies about its value: replay accepted every one of them while it
-# checked types by isinstance.  The last two lie about their type as well,
+# checked types by isinstance.  The next two lie about their type as well,
 # through a metaclass, and passed while replay compared types by hash and
-# ==.  Replay now compares types by identity.
+# ==.  The last three stand in for the classification itself, which replay
+# took as given: the shifting subclass and the namespace were accepted, and
+# the string raised AttributeError.  Replay now compares types by identity.
 _FORGED_PROBES = {
     "residues and pairing that equal anything": (lambda: verify_classification(
         TranscendentalForm(1, 1, 1),
@@ -760,6 +780,16 @@ _FORGED_PROBES = {
         TranscendentalForm(1, 1, 1),
         Classification("IV", False, 3, _SkippedParity((0, 0), 0))),
         "certificate of type _SkippedParity is not a certificate object"),
+    "classification subclass whose certificate shifts": (
+        _verify_shifting_ii,
+        "classification of type _ShiftingClassification is not a Classification object"),
+    "namespace with the four fields": (lambda: verify_classification(
+        TranscendentalForm(1, 2, 1),
+        SimpleNamespace(case_label="II", covers=True, delta=7,
+                        certificate=classify(TranscendentalForm(1, 2, 1)).certificate)),
+        "classification of type SimpleNamespace is not a Classification object"),
+    "string": (lambda: verify_classification(TranscendentalForm(1, 2, 1), "x"),
+               "classification of type str is not a Classification object"),
 }
 
 
@@ -1324,7 +1354,7 @@ def test_replay_accepts_valid_certificates_that_are_not_canonical():
             moved = apply_basis_change(s, k)
             if construction == "c-even" and not moved.a % 2 == moved.b % 2 == 1:
                 continue
-            cert = embedding_certificate(construction, moved, _inverse(h).compose(k))
+            cert = embedding_certificate(construction, moved, compose(_inverse(h), k))
             _accept_and_confirm(t, label, cert, confirmed)
 
     check()

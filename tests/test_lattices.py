@@ -16,7 +16,7 @@ from k3cover.intmat import (
 )
 from k3cover.lattices import Sl2Matrix, TranscendentalForm, apply_basis_change, parity_class
 
-from conftest import random_sl2
+from conftest import compose, random_sl2
 
 
 def test_inner_product_frozen_values():
@@ -120,8 +120,8 @@ def test_sl2_validation_and_compose():
     with pytest.raises(ValueError):
         Sl2Matrix(2, 0, 0, 2)
     g = Sl2Matrix(2, 1, 1, 1)
-    assert g.compose(Sl2Matrix.identity()).as_tuple() == (2, 1, 1, 1)
-    assert g.compose(Sl2Matrix(1, 1, 0, 1)).as_tuple() == (2, 3, 1, 2)
+    assert compose(g, Sl2Matrix.identity()).as_tuple() == (2, 1, 1, 1)
+    assert compose(g, Sl2Matrix(1, 1, 0, 1)).as_tuple() == (2, 3, 1, 2)
 
 
 def test_apply_basis_change_frozen():

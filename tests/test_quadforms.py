@@ -12,7 +12,7 @@ from k3cover.classifier import Classification, classify, verify_classification
 from k3cover.lattices import Sl2Matrix, TranscendentalForm, apply_basis_change, parity_class
 from k3cover.quadforms import _gauss, represents_one
 
-from conftest import pair, reduce_form, sl2_matrices
+from conftest import compose, pair, reduce_form, sl2_matrices
 
 
 def _evaluate(t: TranscendentalForm, x: int, y: int) -> int:
@@ -154,7 +154,7 @@ def _fibonacci_moved(t: TranscendentalForm, digits: int) -> TranscendentalForm:
     g = Sl2Matrix.identity()
     moved = t
     while moved.a < 10 ** (digits - 1):
-        g = g.compose(Sl2Matrix(2, 1, 1, 1))
+        g = compose(g, Sl2Matrix(2, 1, 1, 1))
         moved = apply_basis_change(t, g)
     return moved
 

@@ -87,6 +87,7 @@ def test_certificate_kind_is_a_plain_str_class_attribute():
     (TranscendentalForm, (2.0, 2.0, 0.0)),
     (TranscendentalForm, (True, 1, 0)),
     (TranscendentalForm, (1, 1, "0")),
+    (TranscendentalForm, (1, 1.0, 0)),
 ])
 def test_invalid_value_raises_value_error(cls, args):
     with pytest.raises(ValueError):
