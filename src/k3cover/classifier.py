@@ -68,6 +68,9 @@ def case_of(t: TranscendentalForm) -> tuple[CaseLabel, bool]:
 
 
 _IDENTITY = Sl2Matrix.identity()
+# the shears that make an even a, or an even b, odd
+_SHEAR_A = Sl2Matrix(2, 1, 1, 1)
+_SHEAR_B = Sl2Matrix(1, 1, 1, 2)
 
 
 def normalize_case_III(t: TranscendentalForm) -> tuple[TranscendentalForm, Sl2Matrix]:
@@ -76,11 +79,11 @@ def normalize_case_III(t: TranscendentalForm) -> tuple[TranscendentalForm, Sl2Ma
     if parity_class(t) != "III":
         raise ValueError("normalization applies to forms with c even, a or b odd")
     if t.a % 2 == 0:
-        g = Sl2Matrix(2, 1, 1, 1)
+        g = _SHEAR_A
     elif t.b % 2 == 0:
-        g = Sl2Matrix(1, 1, 1, 2)
+        g = _SHEAR_B
     else:
-        g = _IDENTITY
+        return t, _IDENTITY
     return apply_basis_change(t, g), g
 
 
@@ -318,13 +321,14 @@ class VinbergWitness(Frozen):
         for x in vector:
             if type(x) is not int:
                 raise VerificationError("witness vector does not have 11 integer coordinates")
-        if t.delta % 4 != 0 or _int("n", self.n) != t.delta // 4:
+        delta = t.delta
+        if delta % 4 != 0 or _int("n", self.n) != delta // 4:
             raise VerificationError("witness norm does not match the discriminant")
         if self.n in ABSENT:
             raise VerificationError("witness claimed for a discriminant with none")
-        if region_norm(self.vector) != -self.n:
+        if region_norm(vector) != -self.n:
             raise VerificationError("witness vector has the wrong norm")
-        if not in_P(self.vector):
+        if not in_P(vector):
             raise VerificationError("witness vector lies outside the region")
 
 
@@ -517,20 +521,14 @@ def embedding_certificate(construction: str, normalized: TranscendentalForm,
     fits: its -B/2 is (b, c, a), all even, so it never represents 1.
     """
     u, v = CONSTRUCTIONS[construction](normalized.a, normalized.b, normalized.c)
-    return ExplicitEmbedding(
-        construction=construction,
-        normalized=normalized.triple(),
-        basis_change=g.as_tuple(),
-        matrix=(u + _E8_ZEROS, v + _E8_ZEROS),
-        minor_gcd=1,
-        minus_two=(),
-    )
+    return ExplicitEmbedding(construction, normalized.triple(), g.as_tuple(),
+                             (u + _E8_ZEROS, v + _E8_ZEROS), 1, ())
 
 
 def certify(t: TranscendentalForm, label: CaseLabel) -> Certificate:
     """Build the certificate backing a classification label for this form."""
     if label == "I":
-        return KeumCitation(halved=(t.a // 2, t.b // 2, t.c // 2))
+        return KeumCitation((t.a // 2, t.b // 2, t.c // 2))
     if label == "II":
         return embedding_certificate("c-odd", t)
     if label == "III-1":
@@ -538,22 +536,18 @@ def certify(t: TranscendentalForm, label: CaseLabel) -> Certificate:
     if label == "III-2":
         # III-2 means n = delta / 4 lies outside ABSENT
         n = t.delta // 4
-        return VinbergWitness(n=n, vector=search_norm(n))
+        return VinbergWitness(n, search_norm(n))
     if label == "III-3":
-        return ExhaustiveAbsence(n=t.delta // 4, slices=ABSENCE_SLICES)
+        return ExhaustiveAbsence(t.delta // 4, ABSENCE_SLICES)
     if label == "IV":
-        return ParityObstruction(
-            norms_mod_4=(2 * t.a % 4, 2 * t.b % 4),
-            pairing_mod_2=t.c % 2,
-        )
+        return ParityObstruction((2 * t.a % 4, 2 * t.b % 4), t.c % 2)
     raise ValueError(f"unknown case label {label!r}")
 
 
 def classify(t: TranscendentalForm) -> Classification:
     """Full decision for one form: label, verdict, and certificate."""
     label, covers = case_of(t)
-    return Classification(case_label=label, covers=covers, delta=t.delta,
-                          certificate=certify(t, label))
+    return Classification(label, covers, t.delta, certify(t, label))
 
 
 def verify_classification(t: TranscendentalForm, cls: Classification) -> None:

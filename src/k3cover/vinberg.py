@@ -28,7 +28,6 @@ from __future__ import annotations
 
 from functools import lru_cache
 from math import gcd
-from operator import ge, mul
 
 SLICE_CAP = 20          # desk-scale cap on x0 for exhaustive slice work
 ABSENT = frozenset({1, 2, 4})   # norms -N with no witness in P
@@ -40,8 +39,9 @@ def norm(v) -> int:
     v = tuple(v)
     if len(v) != 11:
         raise ValueError("vectors here have 11 coordinates")
-    tail = v[1:]
-    return sum(map(mul, tail, tail)) - v[0] * v[0]
+    x0, x1, x2, x3, x4, x5, x6, x7, x8, x9, x10 = v
+    return (x1 * x1 + x2 * x2 + x3 * x3 + x4 * x4 + x5 * x5 + x6 * x6 + x7 * x7 + x8 * x8
+            + x9 * x9 + x10 * x10 - x0 * x0)
 
 
 def in_P(v) -> bool:
@@ -49,13 +49,9 @@ def in_P(v) -> bool:
     v = tuple(v)
     if len(v) != 11:
         raise ValueError("vectors here have 11 coordinates")
-    if gcd(*v) != 1:
-        return False
-    tail = v[1:]
-    # x1 >= x2 >= ... >= x10, compared pairwise in C
-    if not all(map(ge, tail, v[2:])) or tail[9] <= 0:
-        return False
-    return v[0] >= tail[0] + tail[1] + tail[2] and 3 * v[0] > sum(tail)
+    x0, x1, x2, x3, x4, x5, x6, x7, x8, x9, x10 = v
+    return (gcd(*v) == 1 and x1 >= x2 >= x3 >= x4 >= x5 >= x6 >= x7 >= x8 >= x9 >= x10 > 0
+            and x0 >= x1 + x2 + x3 and 3 * x0 > x1 + x2 + x3 + x4 + x5 + x6 + x7 + x8 + x9 + x10)
 
 
 def in_slice(v, m: int) -> bool:

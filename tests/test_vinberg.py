@@ -58,12 +58,16 @@ def _slice_oracle(m):
     return out
 
 
+_LENGTH_MESSAGE = "^vectors here have 11 coordinates$"
+
+
 def test_norm_frozen_and_length_checked():
     assert norm((1,) + (0,) * 10) == -1
     assert norm(family_vector("Y6")) == -6
     assert norm((13, 5, 4, 4, 4, 4, 4, 4, 4, 2, 2)) == -24
-    with pytest.raises(ValueError):
-        norm((1, 2, 3))
+    for length in (2, 3, 10, 12):
+        with pytest.raises(ValueError, match=_LENGTH_MESSAGE):
+            norm((1,) * length)
 
 
 def test_in_P_frozen():
@@ -72,8 +76,9 @@ def test_in_P_frozen():
     assert not in_P((4, 2, 1, 1, 1, 1, 1, 1, 1, 1, 0))   # tail must stay positive
     assert not in_P((4, 1, 2, 1, 1, 1, 1, 1, 1, 1, 1))   # tail must be sorted
     assert not in_P((8, 4, 2, 2, 2, 2, 2, 2, 2, 2, 2))   # gcd 2
-    with pytest.raises(ValueError):
-        in_P((1, 1))
+    for length in (2, 3, 10, 12):
+        with pytest.raises(ValueError, match=_LENGTH_MESSAGE):
+            in_P((1,) * length)
 
 
 def _in_P_reference(v) -> bool:
@@ -91,6 +96,14 @@ def _in_P_reference(v) -> bool:
     if v[0] < v[1] + v[2] + v[3]:
         return False
     return 3 * v[0] > sum(v[1:])
+
+
+def _norm_reference(v) -> int:
+    """The norm -x0^2 + x1^2 + .. + x10^2, by a plain loop."""
+    total = -v[0] * v[0]
+    for x in v[1:]:
+        total += x * x
+    return total
 
 
 @st.composite
@@ -113,6 +126,16 @@ def near_P_vectors(draw):
 def test_in_P_matches_the_loop_reference_property(v):
     assert in_P(v) == _in_P_reference(v)
     assert in_P(list(v)) == in_P(v)
+    assert in_P(x for x in v) == in_P(v)
+
+
+@given(near_P_vectors())
+@example((4,) + (1,) * 10)
+@example((0,) * 11)
+def test_norm_matches_the_loop_reference_property(v):
+    assert norm(v) == _norm_reference(v)
+    assert norm(list(v)) == norm(v)
+    assert norm(x for x in v) == norm(v)
 
 
 def test_family_vectors_frozen():
