@@ -25,6 +25,7 @@ transcript, or the parity residues that make an embedding impossible.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from math import gcd
 
 from .errors import VerificationError
@@ -335,6 +336,16 @@ class VinbergWitness(Frozen):
 _set_witness_n, _set_vector = _setters(VinbergWitness)
 
 
+@lru_cache(maxsize=None)
+def _absence_breach(n: int) -> int | None:
+    """The first slice of ABSENCE_SLICES whose norms hold -n, or None; replay
+    asks only for n in ABSENT, so the cache holds at most three entries."""
+    for m in ABSENCE_SLICES:
+        if -n in slice_norms(m):
+            return m
+    return None
+
+
 class ExhaustiveAbsence(Frozen):
     """No vector of norm -n in P, checked slice by slice (n in {1, 2, 4}).
 
@@ -359,9 +370,8 @@ class ExhaustiveAbsence(Frozen):
             raise VerificationError("absence claimed for a discriminant that has a witness")
         if _ints("slices", self.slices) != ABSENCE_SLICES:
             raise VerificationError("absence transcript does not cover the required slices")
-        for m in self.slices:
-            if -self.n in slice_norms(m):
-                raise VerificationError(f"slice {m} contains a vector of norm {-self.n}")
+        if (m := _absence_breach(self.n)) is not None:
+            raise VerificationError(f"slice {m} contains a vector of norm {-self.n}")
 
 
 _set_absence_n, _set_slices = _setters(ExhaustiveAbsence)

@@ -202,6 +202,8 @@ def _worker_count(rows) -> int:
         if cap < 1:
             _fail("K3COVER_THREADS must be at least 1", 1)
         limit = min(limit, cap)
+    if limit == 1:      # one worker needs no count of the rows
+        return 1
     # a pool costs about 40 ms to start, which a worker earns back only
     # once it has a window's worth of tasks to run.  Every row holds a form,
     # so `limit` windows' worth of rows settle the count.

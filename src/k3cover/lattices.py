@@ -56,11 +56,21 @@ def _setters(cls: type) -> tuple:
     return tuple(cls.__dict__[name].__set__ for name in cls.__slots__)
 
 
-class TranscendentalForm(Frozen):
+class _Discriminant(Frozen):
+    """A form's discriminant 4ab - c^2, in a slot that is not a field."""
+
+    __slots__ = ("delta",)
+
+
+(_set_delta,) = _setters(_Discriminant)
+
+
+class TranscendentalForm(_Discriminant):
     """Positive definite even rank-2 form [[2a, c], [c, 2b]].
 
     This is the transcendental lattice datum of a singular K3 surface,
     presented by the half-integer triple (a, b, c) of ints (bools refused).
+    Its ``delta`` = 4ab - c^2 is bound once, by the definiteness check.
     """
 
     __slots__ = ("a", "b", "c")
@@ -70,15 +80,13 @@ class TranscendentalForm(Frozen):
             raise ValueError("coefficients a, b, c must be ints")
         if a <= 0 or b <= 0:
             raise ValueError("diagonal coefficients a, b must be positive")
-        if 4 * a * b - c * c <= 0:
+        delta = 4 * a * b - c * c
+        if delta <= 0:
             raise ValueError("form must be positive definite (4ab - c^2 > 0)")
         _set_a(self, a)
         _set_b(self, b)
         _set_c(self, c)
-
-    @property
-    def delta(self) -> int:
-        return 4 * self.a * self.b - self.c * self.c
+        _set_delta(self, delta)
 
     def triple(self) -> tuple[int, int, int]:
         return (self.a, self.b, self.c)

@@ -179,6 +179,12 @@ def predicted_max_norm(m: int) -> int | None:
     return None if top is None else norm(top)
 
 
+# search_norm's tables from FAMILIES: the X and Y runs by intercept (n mod 24, n)
+_X_RUNS, _Y_RUNS = ({intercept: runs for name, (_, (_, intercept), runs) in FAMILIES.items()
+                     if name[0] == letter} for letter in "XY")
+_Z_RUNS, _W_RUNS = FAMILIES["Z"][2], FAMILIES["W"][2]
+
+
 def search_norm(n: int) -> Vector11 | None:
     """A vector of P with norm -n, or None when no such vector exists.
 
@@ -191,8 +197,8 @@ def search_norm(n: int) -> Vector11 | None:
         raise ValueError("search target must be a positive integer")
     if n in ABSENT:
         return None
-    if n in (6, 8, 16, 20):
-        return family_vector(f"Y{n}")
+    if n in _Y_RUNS:
+        return _expand(_Y_RUNS[n], 0)
     if n % 2 == 1:
-        return family_vector("Z", (n + 1) // 4) if n % 4 == 3 else family_vector("W", (n + 3) // 4)
-    return family_vector(f"X{n % 24}", n // 24)
+        return _expand(_Z_RUNS, (n + 1) // 4) if n % 4 == 3 else _expand(_W_RUNS, (n + 3) // 4)
+    return _expand(_X_RUNS[n % 24], n // 24)

@@ -332,6 +332,58 @@ def test_tampered_absence_certificate():
         ExhaustiveAbsence(n=3, slices=ABSENCE_SLICES).replay(TranscendentalForm(1, 3, 0))
 
 
+def _first_slice_holding(n: int) -> int | None:
+    for m in ABSENCE_SLICES:
+        if -n in vinberg.slice_norms(m):
+            return m
+    return None
+
+
+def test_absence_breach_matches_a_loop_over_the_slices():
+    try:
+        breaches = {n: classifier._absence_breach(n) for n in range(1, 31)}
+        assert breaches == {n: _first_slice_holding(n) for n in range(1, 31)}
+        assert {n for n, m in breaches.items() if m is None} == vinberg.ABSENT
+        assert breaches[3] == 4      # slice 3 is empty, slice 4 holds norm -3
+    finally:
+        classifier._absence_breach.cache_clear()
+
+
+def test_absence_replay_looks_up_the_slices_once_per_n(monkeypatch):
+    lookups = []
+
+    def counted(m):
+        lookups.append(m)
+        return vinberg.slice_norms(m)
+
+    classifier._absence_breach.cache_clear()
+    monkeypatch.setattr(classifier, "slice_norms", counted)
+    try:
+        t = TranscendentalForm(1, 1, 0)
+        verify_classification(t, classify(t))
+        assert lookups == list(ABSENCE_SLICES)
+        moved = apply_basis_change(t, Sl2Matrix(2, 1, 1, 1))
+        verify_classification(moved, classify(moved))
+        assert lookups == list(ABSENCE_SLICES)
+        t = TranscendentalForm(1, 2, 0)
+        verify_classification(t, classify(t))
+        assert lookups == 2 * list(ABSENCE_SLICES)
+    finally:
+        classifier._absence_breach.cache_clear()
+
+
+def test_absence_replay_names_the_first_slice_that_holds_the_norm(monkeypatch):
+    # no slice holds -1; made to, slices 9 and 11 are refused by the first
+    classifier._absence_breach.cache_clear()
+    monkeypatch.setattr(classifier, "slice_norms",
+                        lambda m: vinberg.slice_norms(m) | ({-1} if m in (9, 11) else set()))
+    try:
+        with _rejected_with("slice 9 contains a vector of norm -1"):
+            ExhaustiveAbsence(n=1, slices=ABSENCE_SLICES).replay(TranscendentalForm(1, 1, 0))
+    finally:
+        classifier._absence_breach.cache_clear()
+
+
 def test_mismatched_classification_fields():
     t = TranscendentalForm(1, 1, 1)
     good = classify(t)

@@ -457,6 +457,20 @@ def test_worker_count_reads_only_the_rows_it_needs(monkeypatch):
     assert next(rows) == (1, 8193, 0, 0)
 
 
+def test_worker_count_reads_no_row_at_one_worker(monkeypatch):
+    # one worker needs no count: the rows are left as they were
+    _allow_cpus(monkeypatch, 2)
+    monkeypatch.setenv("K3COVER_THREADS", "1")
+    rows = cli._rows(10**6, 10**6, 0, 0)
+    assert cli._worker_count(rows) == 1
+    assert next(rows) == (1, 1, 0, 0)
+    _allow_cpus(monkeypatch, 1)
+    monkeypatch.delenv("K3COVER_THREADS")
+    rows = cli._rows(10**6, 10**6, 0, 0)
+    assert cli._worker_count(rows) == 1
+    assert next(rows) == (1, 1, 0, 0)
+
+
 def test_scan_of_a_box_whose_rows_are_almost_all_empty(runner, tmp_path):
     # c^2 < 4ab needs a, b > 2 990 here, so every row with a or b below
     # 2 900 is empty, and the brute force needs to look at no other

@@ -1,8 +1,12 @@
 """Gram containers, the standard ambient blocks, and basis-change invariants."""
 
+import math
+import pickle
 import random
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from k3cover.intmat import (
     IntegralLattice,
@@ -16,7 +20,7 @@ from k3cover.intmat import (
 )
 from k3cover.lattices import Sl2Matrix, TranscendentalForm, apply_basis_change, parity_class
 
-from conftest import compose, random_sl2
+from conftest import compose, random_sl2, sl2_matrices
 
 
 def test_inner_product_frozen_values():
@@ -104,6 +108,32 @@ def test_transcendental_form_validation():
     t = TranscendentalForm(2, 3, -2)         # negative pairing is allowed
     assert t.delta == 20
     assert t.triple() == (2, 3, -2)
+
+
+def test_delta_is_a_slot_but_not_a_field():
+    t = TranscendentalForm(2, 3, -2)
+    assert TranscendentalForm.__slots__ == ("a", "b", "c")
+    assert t.delta == 20 and "delta" not in repr(t)
+    with pytest.raises(AttributeError):
+        t.delta = 21
+    with pytest.raises(AttributeError):
+        del t.delta
+    assert t.delta == 20
+    assert pickle.loads(pickle.dumps(t)).delta == 20
+
+
+@st.composite
+def huge_forms(draw) -> TranscendentalForm:
+    a, b = draw(st.integers(1, 10**45)), draw(st.integers(10**40, 10**45))
+    c_max = math.isqrt(4 * a * b - 1)
+    return TranscendentalForm(a, b, draw(st.integers(-c_max, c_max)))
+
+
+@given(huge_forms(), sl2_matrices(10**15))
+def test_delta_is_bound_at_construction_and_kept_by_basis_changes_property(t, g):
+    assert t.delta == 4 * t.a * t.b - t.c * t.c
+    moved = apply_basis_change(t, g)
+    assert moved.delta == 4 * moved.a * moved.b - moved.c * moved.c == t.delta
 
 
 def test_to_lattice_frozen_grams():

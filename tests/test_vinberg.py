@@ -272,35 +272,43 @@ def test_family_totality_catches_a_tampered_family(name, change, check, monkeypa
         _assert_total(name)
 
 
-def test_search_norm_dispatch_covers_every_norm(monkeypatch):
-    """search_norm calls one family with a parameter in its range for every
-    n >= 3 outside ABSENT, and no family for n in ABSENT.
+def _dispatch_rule(n: int) -> tuple[str, int]:
+    """The family and parameter search_norm's docstring names for n outside
+    ABSENT: Y for n in {6, 8, 16, 20}, Z for n = 3 mod 4, W for the other
+    odd n, and X by n mod 24 for the rest."""
+    if n in (6, 8, 16, 20):
+        return f"Y{n}", 0
+    if n % 2 == 1:
+        return ("Z", (n + 1) // 4) if n % 4 == 3 else ("W", (n + 3) // 4)
+    return f"X{n % 24}", n // 24
+
+
+def test_search_norm_dispatch_covers_every_norm():
+    """search_norm builds the rule's family at a parameter in its range for
+    every n >= 3 outside ABSENT, and nothing for n in ABSENT.
 
     From n = 24 on the family depends only on n mod 24 (X) or n mod 4 (Z, W),
     and n + 24 raises the parameter by 1 (X) or by 6 (Z, W); so two periods
-    past 24 cover every larger n.
+    past 24 cover every larger n, and search_norm follows the rule far past
+    them too.
     """
-    calls = []
-
-    def recording(name, param=0):
-        calls.append((name, param))
-        return family_vector(name, param)
-
-    monkeypatch.setattr(vinberg, "family_vector", recording)
     dispatched = {}
     for n in range(1, 24 * 4):
-        calls.clear()
         v = search_norm(n)
         if n in ABSENT:
-            assert v is None and calls == []
+            assert v is None, n
             continue
-        [(name, param)] = calls
+        name, param = _dispatch_rule(n)
         assert param >= FAMILIES[name][0], n
+        assert v == family_vector(name, param), n
         assert norm(v) == -n
         dispatched[n] = (name, param)
+    assert set(dispatched) == set(range(1, 24 * 4)) - ABSENT
     for n in range(24, 24 * 3):
         name, param = dispatched[n]
         assert dispatched[n + 24] == (name, param + (1 if name.startswith("X") else 6))
+    for n in range(10**30, 10**30 + 24):
+        assert search_norm(n) == family_vector(*_dispatch_rule(n)), n
 
 
 # sha256 of json.dumps([search_norm(n) for n in range(1, 20001)]), recorded
