@@ -12,16 +12,15 @@ dispatch that never enumerates.  FAMILIES states each family once, as a row
 x10 in order), where a run (slope, intercept, count) stands for `count`
 entries slope*k + intercept.  For N in {1, 2, 4} no vector of P has norm
 -N: the per-slice norm sets verify it through slice SLICE_CAP, and beyond
-that it rests on the per-slice maximum table, which nothing yet checks
-past SLICE_CAP.
+that it rests on the per-slice maximum table of `lemmas`, which nothing
+yet checks past SLICE_CAP.
 
 Slices are indexed by x0 = m.  A slice deliberately drops the gcd
-condition: the maximum-norm table is stated for the plain cone slices (its
-slice-8 maximizer is divisible by 2), and searching the larger set only
-strengthens absence results.  in_slice checks membership of one slice,
-in_P full membership, gcd included.  No slice is ever listed: slice_norms
-builds a slice's set of norms by a memoised recurrence on sums of squares,
-and the test suite holds it to an explicit enumeration of the slice.
+condition: searching the larger set only strengthens absence results.
+in_P checks full membership, gcd included.  No slice is ever listed:
+slice_norms builds a slice's set of norms by a memoised recurrence on sums
+of squares, and the test suite holds it to an explicit enumeration of the
+slice.
 """
 
 from __future__ import annotations
@@ -54,17 +53,6 @@ def in_P(v) -> bool:
             and x0 >= x1 + x2 + x3 and 3 * x0 > x1 + x2 + x3 + x4 + x5 + x6 + x7 + x8 + x9 + x10)
 
 
-def in_slice(v, m: int) -> bool:
-    """Membership in the slice x0 = m: the conditions of P but the gcd.
-
-    Those conditions are homogeneous, so v meets them exactly when v divided
-    by its gcd does, and that vector has gcd 1: in_P holds the one copy.
-    """
-    v = tuple(v)
-    g = gcd(*v)
-    return g > 0 and in_P(x // g for x in v) and v[0] == m
-
-
 # name -> (minimal parameter k, N = slope*k + intercept as (slope, intercept),
 # runs (slope, intercept, count) of x0, x1, .., x10); the tests' proof reads these
 FAMILIES: dict[str, tuple[int, tuple[int, int], tuple[tuple[int, int, int], ...]]] = {
@@ -95,18 +83,6 @@ def _expand(runs, k: int) -> Vector11:
     for slope, intercept, count in runs:
         out += (slope * k + intercept,) * count
     return out
-
-
-def family_vector(name: str, param: int = 0) -> Vector11:
-    """A family's closed-form witness at a parameter in its range.  It only
-    builds: the tests prove every family in P with its stated norm, and the
-    `family-coverage` row of `verify-lemmas` re-checks the members it draws."""
-    if name not in FAMILIES:
-        raise ValueError(f"unknown family {name!r}")
-    min_param, _, runs = FAMILIES[name]
-    if param < min_param:
-        raise ValueError(f"family {name} needs parameter >= {min_param}")
-    return _expand(runs, param)
 
 
 @lru_cache(maxsize=None)
@@ -147,36 +123,6 @@ def slice_norms(m: int) -> frozenset[int]:
                          << x1 * x1 + x2 * x2 + x3 * x3)
     # bit j of `bits` is digit j from the right of its binary string
     return frozenset(j - m * m for j, digit in enumerate(reversed(bin(bits))) if digit == "1")
-
-
-def max_norm_in_slice(m: int) -> int | None:
-    """Largest norm over the slice; None when the slice is empty."""
-    return max(slice_norms(m), default=None)
-
-
-# The maximum table, stated once as the maximizer of each slice m: slices 5,
-# 6 and 8 written out, the empty slice 3 as None, and every other m = 3q + r
-# as runs in q by the residue r, of norms 5 - 4q, 1 - 4q and 9 - 8q
-_MAXIMIZERS = {3: None, 5: (5, 3, 1, 1, 1, 1, 1, 1, 1, 1, 1),
-               6: (6, 2, 2, 2, 2, 2, 2, 2, 1, 1, 1), 8: (8, 4, 2, 2, 2, 2, 2, 2, 2, 2, 2)}
-_MAXIMIZER_RUNS = (((3, 0, 1), (1, 0, 8), (1, -2, 1), (0, 1, 1)),
-                   ((3, 1, 1), (1, 1, 1), (1, 0, 8), (0, 1, 1)),
-                   ((3, 2, 1), (1, 2, 1), (1, 0, 8), (0, 3, 1)))
-
-
-def slice_maximizer(m: int) -> Vector11 | None:
-    """The stated maximizer of slice m; None for the empty slice m = 3."""
-    _check_slice(m)
-    if m in _MAXIMIZERS:
-        return _MAXIMIZERS[m]
-    q, r = divmod(m, 3)
-    return _expand(_MAXIMIZER_RUNS[r], q)
-
-
-def predicted_max_norm(m: int) -> int | None:
-    """The stated slice maximum: the norm of slice_maximizer(m)."""
-    top = slice_maximizer(m)
-    return None if top is None else norm(top)
 
 
 # search_norm's tables from FAMILIES: the X and Y runs by intercept (n mod 24, n)

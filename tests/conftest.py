@@ -203,7 +203,7 @@ def _slice_members(m: int) -> tuple[tuple[int, ...], ...]:
 def enumerate_P_slice(m: int) -> list[tuple[int, ...]]:
     """The slice x0 = m of the ordering and cone conditions (gcd not applied),
     listed member by member: the oracle `vinberg.slice_norms` and
-    `vinberg.in_slice` are held to.  Desk scale only: 3 <= m <= SLICE_CAP.
+    `lemmas.in_slice` are held to.  Desk scale only: 3 <= m <= SLICE_CAP.
     """
     if not 3 <= m <= SLICE_CAP:
         raise ValueError(f"slice index must lie in [3, {SLICE_CAP}]")

@@ -32,13 +32,8 @@ from k3cover.intmat import (
 from k3cover.lattices import TranscendentalForm, apply_basis_change
 from k3cover.quadforms import represents_one
 from k3cover.shortvec import NormQuery, enumerate_by_norm, enumerate_norm
-from k3cover.vinberg import (
-    in_P,
-    max_norm_in_slice,
-    norm,
-    search_norm,
-    slice_maximizer,
-)
+from k3cover.lemmas import max_norm_in_slice, slice_maximizer
+from k3cover.vinberg import in_P, norm, search_norm
 
 from conftest import (
     LAMBDA,

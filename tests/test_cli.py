@@ -19,7 +19,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import k3cover
-from k3cover import classifier, cli, vinberg
+from k3cover import classifier, cli, lemmas, vinberg
 from k3cover.cli import CASE_ORDER, main
 from k3cover.classifier import (
     Classification,
@@ -592,6 +592,7 @@ def test_verify_lemmas_passes(runner):
     assert len(lines) == 3
     names = [line.split()[0] for line in lines]
     assert names == ["family-coverage", "small-norm-absence", "max-table"]
+    assert names == [name for name, _ in lemmas.ROWS]
     assert all(" pass " in line for line in lines)
     assert lines[1].endswith(f"through slice {vinberg.SLICE_CAP}")
     assert lines[2].endswith(f"slices 4..{vinberg.SLICE_CAP} match the formulas")
@@ -607,40 +608,57 @@ def test_verify_lemmas_catches_corrupted_table(runner, monkeypatch):
         result.stdout.splitlines()
 
 
+def test_verify_lemmas_fails_a_row_whose_check_breaks_in_any_other_way(runner, monkeypatch):
+    # a family row the check cannot unpack raises ValueError, not
+    # VerificationError: its row still reads FAIL, the other rows still run
+    # and pass, and nothing escapes the command
+    monkeypatch.setitem(vinberg.FAMILIES, "Z", vinberg.FAMILIES["Z"][:2])
+    result = runner.invoke(main, ["verify-lemmas"])
+    assert result.exit_code == 2
+    lines = result.stdout.splitlines()
+    assert [line.split()[:2] for line in lines] == [
+        ["family-coverage", "FAIL"], ["small-norm-absence", "pass"], ["max-table", "pass"]]
+    assert lines[0].startswith("family-coverage      FAIL  not enough values to unpack")
+    assert result.stderr == ""
+
+
 # One wrong fact each, for slice 9 or norm -4 alone, and the row that must
 # catch it: a stated maximizer with the right norm that lies outside its
 # slice, a maximum formula off by one, a norm -4 in a slice's norm set, and
 # a witness for the absent norm -4, which only small-norm-absence checks.
 # Then two wrong entries of the maximum table as data: the last run of the
 # maximizers of slices 3q + 1 raised from 1 to 2, and slice 8's written-out
-# maximizer replaced by a member of its slice of lower norm
+# maximizer replaced by a member of its slice of lower norm.  Each row names
+# the module it patches: `lemmas` for the maximum table, `vinberg` for what
+# classify and replay run, which the rows must reach through that module
 _LOWER_IN_SLICE_8 = (8, 3, 2, 2, 2, 2, 2, 2, 2, 2, 2)
 _LEMMA_PROBES = {
     "maximizer-outside-slice": (
-        "max-table", "slice_maximizer",
+        "max-table", lemmas, "slice_maximizer",
         lambda real: lambda m: real(m)[:1] + real(m)[:0:-1] if m == 9 else real(m)),
     "max-formula-off-by-one": (
-        "max-table", "predicted_max_norm",
+        "max-table", lemmas, "predicted_max_norm",
         lambda real: lambda m: real(m) + 1 if m == 9 else real(m)),
     "minus-4-in-slice-9": (
-        "small-norm-absence", "slice_norms",
+        "small-norm-absence", vinberg, "slice_norms",
         lambda real: lambda m: real(m) | {-4} if m == 9 else real(m)),
     "witness-for-minus-4": (
-        "small-norm-absence", "search_norm",
+        "small-norm-absence", vinberg, "search_norm",
         lambda real: lambda n: real(5) if n == 4 else real(n)),
     "maximizer-run-changed": (
-        "max-table", "_MAXIMIZER_RUNS",
+        "max-table", lemmas, "_MAXIMIZER_RUNS",
         lambda real: (real[0], real[1][:-1] + ((0, 2, 1),), real[2])),
     "slice-8-maximizer-lowered": (
-        "max-table", "_MAXIMIZERS",
+        "max-table", lemmas, "_MAXIMIZERS",
         lambda real: {**real, 8: _LOWER_IN_SLICE_8}),
 }
 
 
-@pytest.mark.parametrize("row, name, wrong", _LEMMA_PROBES.values(), ids=list(_LEMMA_PROBES))
-def test_verify_lemmas_fails_the_row_of_each_wrong_slice_fact(runner, monkeypatch, row, name,
-                                                               wrong):
-    monkeypatch.setattr(vinberg, name, wrong(getattr(vinberg, name)))
+@pytest.mark.parametrize("row, module, name, wrong", _LEMMA_PROBES.values(),
+                         ids=list(_LEMMA_PROBES))
+def test_verify_lemmas_fails_the_row_of_each_wrong_slice_fact(runner, monkeypatch, row, module,
+                                                               name, wrong):
+    monkeypatch.setattr(module, name, wrong(getattr(module, name)))
     result = runner.invoke(main, ["verify-lemmas"])
     assert result.exit_code == 2
     rows = {line.split()[0]: line.split()[1] for line in result.stdout.splitlines()}
@@ -649,14 +667,14 @@ def test_verify_lemmas_fails_the_row_of_each_wrong_slice_fact(runner, monkeypatc
 
 
 def test_the_outside_maximizer_probe_has_the_right_norm():
-    top = _LEMMA_PROBES["maximizer-outside-slice"][2](vinberg.slice_maximizer)(9)
-    assert vinberg.norm(top) == vinberg.predicted_max_norm(9)
+    top = _LEMMA_PROBES["maximizer-outside-slice"][3](lemmas.slice_maximizer)(9)
+    assert vinberg.norm(top) == lemmas.predicted_max_norm(9)
     assert top not in enumerate_P_slice(9)
 
 
 def test_the_lowered_maximizer_probe_lies_in_its_slice():
     assert _LOWER_IN_SLICE_8 in enumerate_P_slice(8)
-    assert vinberg.norm(_LOWER_IN_SLICE_8) < vinberg.predicted_max_norm(8)
+    assert vinberg.norm(_LOWER_IN_SLICE_8) < lemmas.predicted_max_norm(8)
 
 
 def test_case_order_is_complete():
@@ -680,14 +698,16 @@ def test_cli_import_leaves_out_the_short_vector_search():
     # child reports them with `repr`, so that it loads nothing itself.
     src = str(Path(k3cover.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": src}
-    for target in ("k3cover.cli", "k3cover.classifier, k3cover.lattices"):
+    # the lemma checks are not on the path of classify or replay either
+    for target, left_out in (("k3cover.cli", set()),
+                             ("k3cover.classifier, k3cover.lattices", {"k3cover.lemmas"})):
         code = ("import sys; before = set(sys.modules); import " + target + "; "
                 "print(repr(sorted(set(sys.modules) - before)))")
         done = subprocess.run([sys.executable, "-S", "-c", code], env=env, capture_output=True,
                               text=True, timeout=60, check=True)
         added = set(ast.literal_eval(done.stdout))
         assert "k3cover.classifier" in added, target
-        assert added & OFF_THE_CLASSIFY_PATH == set(), target
+        assert added & (OFF_THE_CLASSIFY_PATH | left_out) == set(), target
 
 
 def test_no_command_loads_the_oracle_stack():

@@ -8,8 +8,10 @@ against both the stored formulas and the raw slice data.
 """
 
 import hashlib
+import inspect
 import itertools
 import json
+import sys
 from dataclasses import dataclass
 from math import gcd
 
@@ -17,21 +19,23 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from k3cover import cli, vinberg
-from k3cover.classifier import classify
+from k3cover import classifier, cli, lemmas, vinberg
+from k3cover.classifier import classify, verify_classification
 from k3cover.lattices import TranscendentalForm
+from k3cover.lemmas import (
+    family_vector,
+    in_slice,
+    max_norm_in_slice,
+    predicted_max_norm,
+    slice_maximizer,
+)
 from k3cover.vinberg import (
     ABSENT,
     FAMILIES,
     SLICE_CAP,
-    family_vector,
     in_P,
-    in_slice,
-    max_norm_in_slice,
     norm,
-    predicted_max_norm,
     search_norm,
-    slice_maximizer,
     slice_norms,
 )
 
@@ -487,3 +491,34 @@ def test_slices_keep_imprimitive_vectors():
     assert gcd(*top) == 2
     assert not in_P(top)
     assert max(norm(v) for v in eight if in_P(v)) == -14
+
+
+def _functions_of(module) -> dict:
+    """The code of each function the module defines, memoised ones unwrapped."""
+    out = {}
+    for name, obj in vars(module).items():
+        fn = inspect.unwrap(obj) if callable(obj) else None
+        if inspect.isfunction(fn) and fn.__module__ == module.__name__:
+            out[fn.__code__] = name
+    return out
+
+
+def test_classify_and_replay_run_all_of_vinberg_and_none_of_lemmas():
+    # vinberg holds what classify and replay run, lemmas what only
+    # verify-lemmas runs.  The memos are emptied first, so that the slice
+    # recurrence runs under the profile too.
+    for memo in (vinberg.slice_norms, vinberg._tail_squares, classifier._absence_breach):
+        memo.cache_clear()
+    called = set()
+    sys.setprofile(lambda frame, event, arg: called.add(frame.f_code) if event == "call" else None)
+    try:
+        for a, b, lo, hi in cli._rows(20, 20, -20, 20):
+            for c in range(lo, hi + 1):
+                t = TranscendentalForm(a, b, c)
+                verify_classification(t, classify(t))
+    finally:
+        sys.setprofile(None)
+    program = _functions_of(vinberg)
+    assert set(program.values()) >= {"norm", "in_P", "search_norm", "slice_norms"}
+    assert sorted(program[code] for code in program.keys() - called) == []
+    assert sorted(name for code, name in _functions_of(lemmas).items() if code in called) == []
