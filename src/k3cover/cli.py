@@ -122,13 +122,16 @@ def _classify_line(form: TranscendentalForm, result: classifier.Classification) 
     return f'{{{_verdict_members(result)},"input":{{"a":{form.a},"b":{form.b},"c":{form.c}}}}}'
 
 
-# A task gathers whole rows until it holds this many forms: enough to pay
-# for a round trip through the pool, and small enough that its block of
-# lines stays a few hundred kB.
+# Measured in process, 2-core VM, CPython 3.11.  A task gathers whole rows until
+# it holds this many forms: a 224 kB block, made in 7 ms, pickled both ways in 0.1 ms.
 _TASK_FORMS = 1024
-# Tasks in flight per worker process: the pool never waits for work, and
-# the parent never holds more than this many blocks.
+# Tasks in flight per worker, and so blocks the parent holds: two workers ran
+# the m = 40 box at 7.0, 6.0, 5.3 and 5.6 us a form with 1, 2, 4 and 8.
 _TASKS_PER_WORKER = 4
+# A pool pays once each worker gets this many forms.  Two workers cost 27 ms (import,
+# start, first block, shutdown) and save 4.0 of m = 40's 10.5 us a form if the second
+# CPU is free; on a shared VM they beat one in 1/8 pairs at 20 000 forms, 7/8 at 21 692.
+_POOL_FORMS = 11_000
 
 
 def _rows(a_max: int, b_max: int, c_min: int, c_max: int):
@@ -188,7 +191,7 @@ def _in_order(pool, fn, tasks, window: int):
         yield pending.popleft().result()
 
 
-def _worker_count(rows) -> int:
+def _worker_count(a_max: int, b_max: int, c_min: int, c_max: int) -> int:
     # the CPUs this process may run on, which an affinity mask (taskset,
     # a container's cpuset) can make fewer than the machine has
     affinity = getattr(os, "sched_getaffinity", None)
@@ -202,14 +205,12 @@ def _worker_count(rows) -> int:
         if cap < 1:
             _fail("K3COVER_THREADS must be at least 1", 1)
         limit = min(limit, cap)
-    if limit == 1:      # one worker needs no count of the rows
+    # one worker, or a box with fewer triples (a, b, c) than two shares, counts no row
+    if limit == 1 or a_max * b_max * (c_max - c_min + 1) < 2 * _POOL_FORMS:
         return 1
-    # a pool costs about 40 ms to start, which a worker earns back only
-    # once it has a window's worth of tasks to run.  Every row holds a form,
-    # so `limit` windows' worth of rows settle the count.
-    window = _TASKS_PER_WORKER * _TASK_FORMS
-    n_forms = sum(hi - lo + 1 for _, _, lo, hi in islice(rows, limit * window))
-    return max(1, min(limit, n_forms // window))
+    # every row holds a form, so `limit` shares' worth of rows settle the count
+    rows = islice(_rows(a_max, b_max, c_min, c_max), limit * _POOL_FORMS)
+    return max(1, min(limit, sum(hi - lo + 1 for _, _, lo, hi in rows) // _POOL_FORMS))
 
 
 def scan_cmd(a_max: int, b_max: int, c_min: int, c_max: int, out: str) -> None:
@@ -223,7 +224,7 @@ def scan_cmd(a_max: int, b_max: int, c_min: int, c_max: int, out: str) -> None:
     box = (a_max, b_max, c_min, c_max)
     if next(_rows(*box), None) is None:
         _fail("no positive definite forms in the requested ranges", 1)
-    workers = _worker_count(_rows(*box))
+    workers = _worker_count(*box)
     try:
         handle = sys.stdout if out == "-" else open(out, "w", encoding="utf-8")
     except OSError as exc:
@@ -237,7 +238,6 @@ def scan_cmd(a_max: int, b_max: int, c_min: int, c_max: int, out: str) -> None:
         else:
             # imported on demand: it adds 20-40 ms to every start-up
             from concurrent.futures import ProcessPoolExecutor
-
             pool = ProcessPoolExecutor(max_workers=workers)
             blocks = _in_order(pool, _scan_rows, tasks, _TASKS_PER_WORKER * workers)
         for task_counts, block in blocks:

@@ -216,7 +216,7 @@ def test_scan_output_bytes_are_pinned(runner, tmp_path):
 SCAN_20_SHA256 = "bc2490feacaa5c3cc5abaab98ed6fcad8ba044aa3c76a859a202c4b4ea586b12"
 
 
-def test_full_box_scan_lines_are_pinned(runner, tmp_path):
+def test_full_box_scan_lines_are_pinned(runner, tmp_path, monkeypatch):
     # every line is also parsed back and replayed against its own form: the
     # traffic that replay, the one gate for every certificate field, serves
     digest = hashlib.sha256()
@@ -227,7 +227,12 @@ def test_full_box_scan_lines_are_pinned(runner, tmp_path):
         parsed = Classification.from_dict(json.loads(line))
         verify_classification(t, parsed)
     assert digest.hexdigest() == SCAN_20_SHA256
-    # the same bytes through the command and a pool of two workers
+    # the same bytes through the command and a pool of two workers, which
+    # this box starts once a worker's share of forms is made smaller
+    _allow_cpus(monkeypatch, 2)
+    monkeypatch.setattr(cli, "_POOL_FORMS", 4096)
+    monkeypatch.delenv("K3COVER_THREADS", raising=False)
+    assert cli._worker_count(20, 20, -20, 20) == 2
     out = tmp_path / "scan.jsonl"
     result = runner.invoke(main, [
         "scan", "--a-max", "20", "--b-max", "20", "--c-min", "-20", "--c-max", "20",
@@ -336,16 +341,17 @@ def _allow_cpus(monkeypatch, count: int) -> None:
 
 
 def test_scan_streams_more_tasks_than_the_window_holds(runner, tmp_path, monkeypatch):
-    # small tasks, so that a small box starts two workers, even on a
-    # one-core machine, and its tasks outnumber the futures the parent
-    # keeps in flight several times over
+    # small tasks and a small share of forms a worker, so that a small box
+    # starts two workers, even on a one-core machine, and its tasks outnumber
+    # the futures the parent keeps in flight several times over
     _allow_cpus(monkeypatch, 2)
     monkeypatch.setattr(cli, "_TASK_FORMS", 32)
+    monkeypatch.setattr(cli, "_POOL_FORMS", 4 * 32)
     box = (12, 12, -12, 12)
     tasks = list(cli._tasks(cli._rows(*box)))
     assert len(tasks) > 3 * cli._TASKS_PER_WORKER * 2
     assert [row for task in tasks for row in task] == list(cli._rows(*box))
-    assert cli._worker_count(cli._rows(*box)) == 2
+    assert cli._worker_count(*box) == 2
     args = ["scan", "--a-max", "12", "--b-max", "12", "--c-min", "-12", "--c-max", "12"]
     outputs, tallies = [], []
     for workers in ("1", "2"):
@@ -396,7 +402,14 @@ def test_scan_stdout_default(runner):
     assert json.loads(lines[1])["case"] == "IV"
 
 
-def test_scan_deterministic_across_worker_counts(runner, tmp_path):
+def test_scan_deterministic_across_worker_counts(runner, tmp_path, monkeypatch):
+    # K3COVER_THREADS=4 on two allowed CPUs starts two workers for the 55
+    # forms, given tasks and shares small enough
+    _allow_cpus(monkeypatch, 2)
+    monkeypatch.setattr(cli, "_TASK_FORMS", 8)
+    monkeypatch.setattr(cli, "_POOL_FORMS", 16)
+    monkeypatch.setenv("K3COVER_THREADS", "4")
+    assert cli._worker_count(3, 3, -3, 3) == 2
     args = ["scan", "--a-max", "3", "--b-max", "3", "--c-min", "-3", "--c-max", "3"]
     single = tmp_path / "single.jsonl"
     multi = tmp_path / "multi.jsonl"
@@ -439,36 +452,65 @@ def test_worker_count_stays_within_the_cpus_the_process_may_run_on(monkeypatch):
     monkeypatch.delenv("K3COVER_THREADS", raising=False)
     box = (40, 40, -40, 40)
     _allow_cpus(monkeypatch, 2)
-    assert cli._worker_count(cli._rows(*box)) == 2
+    assert cli._worker_count(*box) == 2
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
-    assert cli._worker_count(cli._rows(*box)) == 1
+    assert cli._worker_count(*box) == 1
     monkeypatch.delattr(os, "sched_getaffinity")
     monkeypatch.setattr(os, "cpu_count", lambda: 1)
-    assert cli._worker_count(cli._rows(*box)) == 1
+    assert cli._worker_count(*box) == 1
+
+
+def _recorded_rows(monkeypatch) -> list:
+    """Make `cli._rows` keep each iterator it returns in the list returned."""
+    made, rows = [], cli._rows
+    monkeypatch.setattr(cli, "_rows", lambda *box: made.append(rows(*box)) or made[-1])
+    return made
 
 
 def test_worker_count_reads_only_the_rows_it_needs(monkeypatch):
-    # 10^12 rows of one form each: two workers' windows of tasks are 8 192
+    # 10^12 rows of one form each: two workers' shares are 2 * _POOL_FORMS
     # forms, and the count must stop there
     _allow_cpus(monkeypatch, 2)
     monkeypatch.delenv("K3COVER_THREADS", raising=False)
-    rows = cli._rows(10**6, 10**6, 0, 0)
-    assert cli._worker_count(rows) == 2
-    assert next(rows) == (1, 8193, 0, 0)
+    made = _recorded_rows(monkeypatch)
+    assert cli._worker_count(10**6, 10**6, 0, 0) == 2
+    [rows] = made
+    assert next(rows) == (1, 2 * cli._POOL_FORMS + 1, 0, 0)
+
+
+# boxes on either side of the break-even: the full box and the witness box
+# (a = 1, b <= 20 000, c = 0) are below it, m = 30 and m = 40 past it
+_FULL_BOX, _WITNESS_BOX = (20, 20, -20, 20), (1, 20000, 0, 0)
+_M30_BOX, _M40_BOX = (30, 30, -30, 30), (40, 40, -40, 40)
+
+
+def test_worker_count_pools_only_past_the_break_even(monkeypatch):
+    # at two CPUs, a pool of two was slower than one worker on the full box
+    # (12 668 forms) and the witness box (20 000), and faster from 21 692 on.
+    # Neither small box holds two shares' worth of triples, so neither is
+    # counted; K3COVER_THREADS=1 counts no box
+    _allow_cpus(monkeypatch, 2)
+    monkeypatch.delenv("K3COVER_THREADS", raising=False)
+    made = _recorded_rows(monkeypatch)
+    assert [cli._worker_count(*box) for box in (_FULL_BOX, _WITNESS_BOX)] == [1, 1]
+    assert made == []
+    assert [cli._worker_count(*box) for box in (_M30_BOX, _M40_BOX)] == [2, 2]
+    assert len(made) == 2
+    monkeypatch.setenv("K3COVER_THREADS", "1")
+    assert cli._worker_count(*_M40_BOX) == 1
+    assert len(made) == 2
 
 
 def test_worker_count_reads_no_row_at_one_worker(monkeypatch):
-    # one worker needs no count: the rows are left as they were
+    # one worker needs no count: not a row is made, let alone read
     _allow_cpus(monkeypatch, 2)
     monkeypatch.setenv("K3COVER_THREADS", "1")
-    rows = cli._rows(10**6, 10**6, 0, 0)
-    assert cli._worker_count(rows) == 1
-    assert next(rows) == (1, 1, 0, 0)
+    made = _recorded_rows(monkeypatch)
+    assert cli._worker_count(10**6, 10**6, 0, 0) == 1
     _allow_cpus(monkeypatch, 1)
     monkeypatch.delenv("K3COVER_THREADS")
-    rows = cli._rows(10**6, 10**6, 0, 0)
-    assert cli._worker_count(rows) == 1
-    assert next(rows) == (1, 1, 0, 0)
+    assert cli._worker_count(10**6, 10**6, 0, 0) == 1
+    assert made == []
 
 
 def test_scan_of_a_box_whose_rows_are_almost_all_empty(runner, tmp_path):
@@ -528,15 +570,24 @@ _WORKERS_AND_BUFFERING = [pytest.param(workers, unbuffered, id=workers + suffix)
                           for workers in ("1", "2")]
 
 
+def _box_scan(box) -> list[str]:
+    """The `scan` arguments of a box (a_max, b_max, c_min, c_max)."""
+    a_max, b_max, c_min, c_max = map(str, box)
+    return ["scan", "--a-max", a_max, "--b-max", b_max, "--c-min", c_min, "--c-max", c_max]
+
+
+# the box each worker count scans: the full box runs in process, and m = 30,
+# past the break-even, starts two workers
+_SCAN_OF_WORKERS = {"1": _box_scan(_FULL_BOX), "2": _box_scan(_M30_BOX)}
+
+
 @pytest.mark.parametrize("workers, unbuffered", _WORKERS_AND_BUFFERING)
 def test_scan_into_a_closed_pipe_exits_1_without_a_traceback(workers, unbuffered):
     # `k3cover scan ... | head -n 1`: the reader takes one line and closes
-    # the pipe.  The box's 2.9 MB of records overflow the pipe buffer, so
-    # the scan's later writes meet the closed end; its 12 668 forms are
-    # enough for `_worker_count` to start two workers.
+    # the pipe.  Each box's records (2.9 MB for the full box) overflow the
+    # pipe buffer, so the scan's later writes meet the closed end.
     env = _child_env(unbuffered, K3COVER_THREADS=workers)
-    args = [sys.executable, "-m", "k3cover.cli", "scan", "--a-max", "20", "--b-max", "20",
-            "--c-min", "-20", "--c-max", "20"]
+    args = [sys.executable, "-m", "k3cover.cli", *_SCAN_OF_WORKERS[workers]]
     with subprocess.Popen(args, env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
                           text=True) as proc:
         first = proc.stdout.readline()
@@ -549,19 +600,18 @@ def test_scan_into_a_closed_pipe_exits_1_without_a_traceback(workers, unbuffered
     assert stderr.startswith("error: ")
 
 
-_FULL_BOX_SCAN = ["scan", "--a-max", "20", "--b-max", "20", "--c-min", "-20", "--c-max", "20"]
-
-
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs the /dev/full device")
 @pytest.mark.parametrize("workers, unbuffered", _WORKERS_AND_BUFFERING)
 @pytest.mark.parametrize("args", [
     ["classify", "--a", "1", "--b", "2", "--c", "1"],
-    _FULL_BOX_SCAN,
-    _FULL_BOX_SCAN + ["--out", "/dev/full"],
+    ["scan"],
+    ["scan", "--out", "/dev/full"],
 ], ids=["classify", "scan", "scan-out"])
 def test_a_write_to_a_full_device_exits_1_without_a_traceback(args, workers, unbuffered):
-    # every write to /dev/full fails with ENOSPC; the full box is large
-    # enough for `_worker_count` to start two workers
+    # every write to /dev/full fails with ENOSPC; a scan covers the box of
+    # its worker count, so that "2" starts two workers
+    if args[0] == "scan":
+        args = _SCAN_OF_WORKERS[workers] + args[1:]
     env = _child_env(unbuffered, K3COVER_THREADS=workers)
     with open("/dev/full", "w") as full:
         done = subprocess.run([sys.executable, "-m", "k3cover.cli", *args], env=env,
@@ -729,6 +779,29 @@ def test_no_command_loads_the_oracle_stack():
     loaded = set(ast.literal_eval(done.stdout.splitlines()[-1]))
     assert "k3cover.vinberg" in loaded
     assert loaded & (OFF_THE_CLASSIFY_PATH | {"random"}) == set()
+
+
+def test_a_scan_below_the_break_even_starts_no_pool():
+    # the default full-box scan at two allowed CPUs runs in process, and so
+    # loads neither concurrent.futures nor multiprocessing, which add 20-40 ms
+    # to start-up.  The child's second to last line is the plan of m = 30 at
+    # the same CPUs, which shows that they took; its last, its modules.
+    src = str(Path(k3cover.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    env.pop("K3COVER_THREADS", None)
+    code = ("import os, sys\n"
+            "os.sched_getaffinity = lambda pid: {0, 1}\n"
+            "os.cpu_count = lambda: 2\n"
+            "from k3cover import cli\n"
+            f"cli.main({_box_scan(_FULL_BOX)!r} + ['--out', os.devnull])\n"
+            f"print(cli._worker_count(*{_M30_BOX!r}))\n"
+            "print(repr(sorted(sys.modules)))\n")
+    done = subprocess.run([sys.executable, "-S", "-c", code], env=env, capture_output=True,
+                          text=True, timeout=60, check=True)
+    *_, plan, modules = done.stdout.splitlines()
+    assert plan == "2"
+    assert {"concurrent.futures", "multiprocessing"} & set(ast.literal_eval(modules)) == set()
+    assert done.stderr.startswith("scanned 12668 forms:")
 
 
 README = Path(__file__).resolve().parents[1] / "README.md"
