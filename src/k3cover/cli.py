@@ -2,7 +2,8 @@
 
 Three subcommands:
 
-  classify        decide one form (a, b, c), print verdict or JSON
+  classify        decide one form (a, b, c), replay its certificate, and
+                  print the verdict or the form's scan line
   scan            classify a whole box of forms to JSON lines
   verify-lemmas   re-check the tabulated facts the classifier relies on
 
@@ -34,8 +35,8 @@ def _fail(message: str, code: int) -> None:
 
 
 def classify_cmd(a: int | None, b: int | None, c: int | None, gram: str | None,
-                 as_json: bool, do_verify: bool) -> None:
-    """Classify a single form and print its verdict."""
+                 as_json: bool) -> None:
+    """Classify a single form, replay its certificate, and print its verdict."""
     if gram is not None:
         if a is not None or b is not None or c is not None:
             _fail("--gram cannot be combined with --a/--b/--c", 1)
@@ -53,13 +54,12 @@ def classify_cmd(a: int | None, b: int | None, c: int | None, gram: str | None,
     except ValueError as exc:
         _fail(str(exc), 1)
     result = classify(form)
-    if do_verify:
-        try:
-            verify_classification(form, result)
-        except VerificationError as exc:
-            _fail(f"verification failed: {exc}", 2)
+    try:
+        verify_classification(form, result)
+    except VerificationError as exc:
+        _fail(f"verification failed: {exc}", 2)
     if as_json:
-        print(_classify_line(form, result))
+        print(_scan_line(form, result))
     else:
         verdict = "covers" if result.covers else "does not cover"
         print(f"case {result.case_label}: {verdict}")
@@ -97,29 +97,18 @@ _CERTIFICATE_JSON = {
 }
 
 
-def _verdict_members(result: classifier.Classification) -> str:
-    """The "case", "certificate", "covers" and "delta" members of a record,
-    written from fixed templates.
+def _scan_line(form: TranscendentalForm, result: classifier.Classification) -> str:
+    """The record of one form, as `scan` writes it and `classify --json` prints it.
 
     The bytes are those `json.dumps` writes, with sorted keys and no
-    whitespace, for ``result.to_dict()``, which stays the oracle the tests
-    hold this encoder to: ints through `str`, booleans as true / false, and
-    no string but the fixed ones in `_QUOTED`.
+    whitespace, for ``{"a", "b", "c"}`` next to ``result.to_dict()``, which
+    stays the oracle the tests hold this encoder to: ints through `str`,
+    booleans as true / false, and no string but the fixed ones in `_QUOTED`.
     """
     cert = result.certificate
-    return (f'"case":{_QUOTED[result.case_label]},'
+    return (f'{{"a":{form.a},"b":{form.b},"c":{form.c},"case":{_QUOTED[result.case_label]},'
             f'"certificate":{_CERTIFICATE_JSON[cert.kind](cert)},'
-            f'"covers":{"true" if result.covers else "false"},"delta":{result.delta}')
-
-
-def _scan_line(form: TranscendentalForm, result: classifier.Classification) -> str:
-    """The scan record of one form: ``{"a", "b", "c"}`` next to the verdict."""
-    return f'{{"a":{form.a},"b":{form.b},"c":{form.c},{_verdict_members(result)}}}'
-
-
-def _classify_line(form: TranscendentalForm, result: classifier.Classification) -> str:
-    """The `classify --json` record: the verdict, then the form as "input"."""
-    return f'{{{_verdict_members(result)},"input":{{"a":{form.a},"b":{form.b},"c":{form.c}}}}}'
+            f'"covers":{"true" if result.covers else "false"},"delta":{result.delta}}}')
 
 
 # Measured in process, 2-core VM, CPython 3.11.  A task gathers whole rows until
@@ -295,16 +284,15 @@ def _parser() -> argparse.ArgumentParser:
                     "can be replayed independently.")
     commands = parser.add_subparsers(required=True, metavar="COMMAND")
 
-    cmd = commands.add_parser("classify", help="Classify a single form and print its verdict.")
+    cmd = commands.add_parser(
+        "classify", help="Classify a single form, replay its certificate and print its verdict.")
     cmd.add_argument("--a", type=int, help="Half the first diagonal entry.")
     cmd.add_argument("--b", type=int, help="Half the second diagonal entry.")
     cmd.add_argument("--c", type=int, help="The off-diagonal entry.")
     cmd.add_argument("--gram", metavar="D1,C,D2",
                      help="Raw Gram entries instead of --a/--b/--c; diagonal must be even.")
     cmd.add_argument("--json", dest="as_json", action="store_true",
-                     help="Emit the full record as JSON.")
-    cmd.add_argument("--verify", dest="do_verify", action="store_true",
-                     help="Replay the certificate before printing (exit 2 on failure).")
+                     help="Print the form's record as the JSON line scan writes.")
     cmd.set_defaults(run=classify_cmd)
 
     cmd = commands.add_parser(

@@ -61,8 +61,8 @@ def test_classify_json_output(runner):
     result = runner.invoke(main, ["classify", "--a", "1", "--b", "3", "--c", "0", "--json"])
     assert result.exit_code == 0
     data = json.loads(result.output)
-    assert set(data) == {"input", "case", "covers", "delta", "certificate"}
-    assert data["input"] == {"a": 1, "b": 3, "c": 0}
+    assert set(data) == {"a", "b", "c", "case", "certificate", "covers", "delta"}
+    assert (data["a"], data["b"], data["c"]) == (1, 3, 0)
     assert data["case"] == "III-2"
     assert data["covers"] is True
     assert data["delta"] == 12
@@ -81,10 +81,60 @@ def test_classify_gram_option(runner):
     assert result.output == "case II: covers\n"
 
 
-def test_classify_verify_flag(runner):
-    result = runner.invoke(main, ["classify", "--a", "2", "--b", "3", "--c", "2", "--verify"])
+def test_plain_classify_replays_the_certificate(runner, monkeypatch):
+    replayed = []
+
+    def replay(form, result):
+        replayed.append((form, result))
+        verify_classification(form, result)
+
+    monkeypatch.setattr(cli, "verify_classification", replay)
+    result = runner.invoke(main, ["classify", "--a", "2", "--b", "3", "--c", "2"])
     assert result.exit_code == 0
     assert result.output == "case III-1: covers\n"
+    form = TranscendentalForm(2, 3, 2)
+    assert replayed == [(form, classify(form))]
+
+
+# A III-2 record whose witness is (4, 2, 1, ..., 1, 1) with its last entry
+# raised to 2: the verdict stands, the certificate does not prove it
+_FORGED = Classification("III-2", True, 12, VinbergWitness(3, (4, 2, 1, 1, 1, 1, 1, 1, 1, 1, 2)))
+
+
+@pytest.mark.parametrize("json_flag", [[], ["--json"]], ids=["plain", "json"])
+def test_classify_exits_2_on_a_failed_replay(runner, monkeypatch, json_flag):
+    monkeypatch.setattr(cli, "classify", lambda form: _FORGED)
+    result = runner.invoke(main, ["classify", "--a", "1", "--b", "3", "--c", "0", *json_flag])
+    assert result.exit_code == 2
+    assert result.stderr == "error: verification failed: witness vector has the wrong norm\n"
+    assert result.stdout == ""
+
+
+# one form of each case, in the order of CASE_ORDER, all inside the box
+# a <= 2, b <= 3, 0 <= c <= 2
+_ONE_FORM_PER_CASE = ((2, 2, 0), (1, 2, 1), (2, 3, 2), (1, 3, 0), (1, 1, 0), (1, 1, 1))
+
+
+def test_classify_json_prints_the_line_scan_writes(runner, tmp_path):
+    assert tuple(case_of(TranscendentalForm(*t))[0] for t in _ONE_FORM_PER_CASE) == CASE_ORDER
+    out = tmp_path / "scan.jsonl"
+    result = runner.invoke(main, [
+        "scan", "--a-max", "2", "--b-max", "3", "--c-min", "0", "--c-max", "2",
+        "--out", str(out)])
+    assert result.exit_code == 0
+    scanned = {tuple(json.loads(line)[key] for key in "abc"): line + "\n"
+               for line in out.read_text().splitlines()}
+    for a, b, c in _ONE_FORM_PER_CASE:
+        result = runner.invoke(main, ["classify", "--a", str(a), "--b", str(b), "--c", str(c),
+                                      "--json"])
+        assert result.exit_code == 0
+        assert result.stdout == scanned[a, b, c]
+    # past CPython's digit limit no box can be scanned, so scan's writer is the reference
+    t = TranscendentalForm(2 * 10**2499, 3 * 10**2499, 1)
+    result = runner.invoke(main, ["classify", "--a", str(t.a), "--b", str(t.b), "--c", "1",
+                                  "--json"])
+    assert result.exit_code == 0
+    assert result.stdout == cli._scan_line(t, classify(t)) + "\n"
 
 
 def test_classify_rejects_bad_input(runner):
@@ -109,8 +159,9 @@ def test_classify_rejects_bad_input(runner):
     ["scan", "--a-max", "1", "--c-min", "0", "--c-max", "1"],
     ["colour"],
     ["verify-lemmas", "--slice-max", "20"],
+    ["classify", "--a", "1", "--b", "1", "--c", "0", "--verify"],
 ], ids=["not-an-int", "unknown-option", "missing-option", "unknown-subcommand",
-        "verify-lemmas-option"])
+        "verify-lemmas-option", "verify-option"])
 def test_usage_errors_exit_1(runner, args):
     # a malformed call is invalid input (1), never a failed replay (2)
     result = runner.invoke(main, args)
@@ -132,18 +183,17 @@ def test_classify_round_trips_a_2500_digit_form(runner):
     # CPython's default limit of 4 300 for int <-> str
     a, b = 2 * 10**2499, 3 * 10**2499
     result = runner.invoke(main, ["classify", "--a", str(a), "--b", str(b), "--c", "1",
-                                  "--json", "--verify"])
+                                  "--json"])
     assert result.exit_code == 0, result.output
     data = json.loads(result.output)
-    assert data["input"] == {"a": a, "b": b, "c": 1}
+    assert (data["a"], data["b"], data["c"]) == (a, b, 1)
     assert data["case"] == "II"
     assert max(len(str(abs(x))) for row in data["certificate"]["matrix"] for x in row) > 4300
     verify_classification(TranscendentalForm(a, b, 1), Classification.from_dict(data))
 
 
 def test_classify_accepts_a_5000_digit_coefficient(runner):
-    result = runner.invoke(main, ["classify", "--a", "1" + "0" * 4999, "--b", "1", "--c", "0",
-                                  "--verify"])
+    result = runner.invoke(main, ["classify", "--a", "1" + "0" * 4999, "--b", "1", "--c", "0"])
     assert result.exit_code == 0, result.output
     assert result.output == "case III-2: covers\n"
 
@@ -247,13 +297,6 @@ def _json_oracle(form, result) -> str:
     return json.dumps(data, sort_keys=True, separators=(",", ":"))
 
 
-def _classify_json_oracle(form, result) -> str:
-    """The `classify --json` record as json.dumps writes it: the bytes
-    `_classify_line` must keep."""
-    data = {"input": {"a": form.a, "b": form.b, "c": form.c}, **result.to_dict()}
-    return json.dumps(data, sort_keys=True, separators=(",", ":"))
-
-
 # small ints, ints past 10**30, and ints past CPython's 4 300-digit limit
 _INTS = st.one_of(st.integers(-10**6, 10**6), st.integers(10**30, 10**40),
                   st.integers(-10**40, -10**30), st.integers(10**4400, 10**4401))
@@ -282,7 +325,6 @@ def test_scan_line_is_json_dumps_of_the_record_property(a, b, label, covers, del
     form = TranscendentalForm(a, b, 1)
     result = Classification(label, covers, delta, certificate)
     assert cli._scan_line(form, result) == _json_oracle(form, result)
-    assert cli._classify_line(form, result) == _classify_json_oracle(form, result)
 
 
 def test_scan_line_is_json_dumps_of_classified_forms():
@@ -296,7 +338,6 @@ def test_scan_line_is_json_dumps_of_classified_forms():
     for t in forms:
         result = classify(t)
         assert cli._scan_line(t, result) == _json_oracle(t, result)
-        assert cli._classify_line(t, result) == _classify_json_oracle(t, result)
 
 
 def test_scan_line_writes_no_string_but_the_fixed_ones():
@@ -769,7 +810,7 @@ def test_no_command_loads_the_oracle_stack():
     env = {**os.environ, "PYTHONPATH": src, "K3COVER_THREADS": "1"}
     code = ("import os, sys\n"
             "from k3cover.cli import main\n"
-            "main(['classify', '--a', '1', '--b', '2', '--c', '1', '--json', '--verify'])\n"
+            "main(['classify', '--a', '1', '--b', '2', '--c', '1', '--json'])\n"
             "main(['scan', '--a-max', '3', '--b-max', '3', '--c-min', '-3', '--c-max', '3',\n"
             "      '--out', os.devnull])\n"
             "main(['verify-lemmas'])\n"
