@@ -31,7 +31,7 @@ from math import gcd
 from .errors import VerificationError
 from .lattices import Frozen, Sl2Matrix, TranscendentalForm, _moved, _setters
 from .lattices import apply_basis_change, parity_class
-from .quadforms import _represents_one, represents_one
+from .quadforms import represents_one
 from .vinberg import ABSENT, in_P
 from .vinberg import norm as region_norm
 from .vinberg import search_norm, slice_norms
@@ -55,16 +55,21 @@ CASES: dict[CaseLabel, tuple[bool, tuple[str, ...]]] = {
 }
 
 
+def _case(a: int, b: int, c: int, delta: int) -> CaseLabel:
+    """The label of (a, b, c), delta = 4ab - c^2, from integer facts alone: the
+    parities (`parity_class`), then whether the form represents 1, then delta / 4."""
+    if c & 1:
+        return "IV" if a & b & 1 else "II"
+    if not (a | b) & 1:
+        return "I"
+    if not represents_one(a, c, b):
+        return "III-1"
+    return "III-3" if delta // 4 in ABSENT else "III-2"     # c is even, so 4 divides delta
+
+
 def case_of(t: TranscendentalForm) -> tuple[CaseLabel, bool]:
     """Classification label for the form and whether a covering exists."""
-    label = parity_class(t)
-    if label == "III":
-        if not represents_one(t):
-            label = "III-1"
-        elif t.delta // 4 in ABSENT:     # c is even, so 4 divides delta
-            label = "III-3"
-        else:
-            label = "III-2"
+    label = _case(t.a, t.b, t.c, t.delta)
     return label, CASES[label][0]
 
 
@@ -163,7 +168,7 @@ def _embedding_defect(a: int, b: int, c: int, rows, basis) -> str | None:
     5. B, even as U + U(2) is, is negative definite, else VerificationError;
        no record reaches this, as a positive definite pullback leaves B so;
     6. the complement is B + E8(2) and a norm -2 vector lies wholly in B, so
-       there is a root exactly when -B/2 represents 1 (`_represents_one`).
+       there is a root exactly when -B/2 represents 1 (`represents_one`).
     """
     u, v = rows
     if u[_HYPERBOLIC:] != _E8_ZEROS or v[_HYPERBOLIC:] != _E8_ZEROS:
@@ -191,7 +196,7 @@ def _embedding_defect(a: int, b: int, c: int, rows, basis) -> str | None:
     r = -(y0 * y1 + 2 * y2 * y3)
     if p <= 0 or 4 * p * r <= q * q:
         raise VerificationError("complement block in U + U(2) is not even and negative definite")
-    return "root" if _represents_one(p, q, r) else None
+    return "root" if represents_one(p, q, r) else None
 
 
 class KeumCitation(Frozen):
@@ -518,6 +523,12 @@ class Classification(Frozen):
 _set_case_label, _set_covers, _set_delta, _set_certificate = _setters(Classification)
 
 
+def _embedding_fields(construction: str, a: int, b: int, c: int, g=(1, 0, 0, 1)) -> tuple:
+    """The fields of `embedding_certificate`, on ints, in __slots__ order."""
+    u, v = CONSTRUCTIONS[construction](a, b, c)
+    return construction, (a, b, c), g, (u + _E8_ZEROS, v + _E8_ZEROS), 1, ()
+
+
 def embedding_certificate(construction: str, normalized: TranscendentalForm,
                           g: Sl2Matrix = _IDENTITY) -> ExplicitEmbedding:
     """The certificate of the named written-down embedding of ``normalized``,
@@ -530,28 +541,32 @@ def embedding_certificate(construction: str, normalized: TranscendentalForm,
     ``embedding_certificate("all-even", t)``, backs it as well and always
     fits: its -B/2 is (b, c, a), all even, so it never represents 1.
     """
-    u, v = CONSTRUCTIONS[construction](normalized.a, normalized.b, normalized.c)
-    return ExplicitEmbedding(construction, normalized.triple(), g.as_tuple(),
-                             (u + _E8_ZEROS, v + _E8_ZEROS), 1, ())
+    return ExplicitEmbedding(*_embedding_fields(construction, *normalized.triple(), g.as_tuple()))
+
+
+def _c_even_fields(a: int, b: int, c: int, delta: int) -> tuple:
+    t, g = normalize_case_III(TranscendentalForm(a, b, c))
+    return _embedding_fields("c-even", *t.triple(), g.as_tuple())
+
+
+# The certificate `certify` builds for each case: its kind, and its fields from
+# (a, b, c, delta) on ints, in __slots__ order.  III-2 means delta / 4 is not in ABSENT.
+_CERTIFY = {
+    "I": ("keum-citation", lambda a, b, c, delta: ((a // 2, b // 2, c // 2),)),
+    "II": ("explicit-embedding", lambda a, b, c, delta: _embedding_fields("c-odd", a, b, c)),
+    "III-1": ("explicit-embedding", _c_even_fields),
+    "III-2": ("vinberg-witness", lambda a, b, c, delta: (delta // 4, search_norm(delta // 4))),
+    "III-3": ("exhaustive-absence", lambda a, b, c, delta: (delta // 4, ABSENCE_SLICES)),
+    "IV": ("parity-obstruction", lambda a, b, c, delta: ((2 * a % 4, 2 * b % 4), c % 2)),
+}
 
 
 def certify(t: TranscendentalForm, label: CaseLabel) -> Certificate:
     """Build the certificate backing a classification label for this form."""
-    if label == "I":
-        return KeumCitation((t.a // 2, t.b // 2, t.c // 2))
-    if label == "II":
-        return embedding_certificate("c-odd", t)
-    if label == "III-1":
-        return embedding_certificate("c-even", *normalize_case_III(t))
-    if label == "III-2":
-        # III-2 means n = delta / 4 lies outside ABSENT
-        n = t.delta // 4
-        return VinbergWitness(n, search_norm(n))
-    if label == "III-3":
-        return ExhaustiveAbsence(t.delta // 4, ABSENCE_SLICES)
-    if label == "IV":
-        return ParityObstruction((2 * t.a % 4, 2 * t.b % 4), t.c % 2)
-    raise ValueError(f"unknown case label {label!r}")
+    if label not in _CERTIFY:
+        raise ValueError(f"unknown case label {label!r}")
+    kind, fields = _CERTIFY[label]
+    return _CERTIFICATE_CLASSES[kind](*fields(t.a, t.b, t.c, t.delta))
 
 
 def classify(t: TranscendentalForm) -> Classification:

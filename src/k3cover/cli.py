@@ -17,11 +17,12 @@ import argparse
 import os
 import sys
 from collections import deque
+from functools import lru_cache
 from itertools import islice
 from math import isqrt
 from operator import add
 
-from . import classifier, lemmas
+from . import classifier
 from .classifier import classify, verify_classification
 from .errors import VerificationError
 from .lattices import TranscendentalForm
@@ -65,8 +66,13 @@ def classify_cmd(a: int | None, b: int | None, c: int | None, gram: str | None,
         print(f"case {result.case_label}: {verdict}")
 
 
-def _join(values) -> str:
-    return ",".join(map(str, values))
+@lru_cache(maxsize=None)
+def _format(n: int) -> str:
+    return ",".join(["%d"] * n)     # made once per length, "%d" writes an int as str does
+
+
+def _join(values: tuple) -> str:
+    return _format(len(values)) % values
 
 
 def _rows_json(rows) -> str:
@@ -78,37 +84,41 @@ def _rows_json(rows) -> str:
 # string a template writes needs escaping.
 _QUOTED = {name: f'"{name}"' for name in (*CASE_ORDER, *classifier.CONSTRUCTIONS)}
 
-# One template per certificate kind: `to_dict()` of the certificate as
-# json.dumps writes it with sorted keys and no whitespace.
+# One template per certificate kind, on its fields in __slots__ order: `to_dict()`
+# of the certificate as json.dumps writes it with sorted keys and no whitespace.
 _CERTIFICATE_JSON = {
-    "keum-citation": lambda k: f'{{"halved":[{_join(k.halved)}],"kind":"keum-citation"}}',
-    "explicit-embedding": lambda e: (
-        f'{{"basis_change":[{_join(e.basis_change)}],'
-        f'"construction":{_QUOTED[e.construction]},"kind":"explicit-embedding",'
-        f'"matrix":{_rows_json(e.matrix)},"minor_gcd":{e.minor_gcd},'
-        f'"minus_two":{_rows_json(e.minus_two)},"normalized":[{_join(e.normalized)}]}}'),
-    "vinberg-witness": lambda w: (
-        f'{{"kind":"vinberg-witness","n":{w.n},"vector":[{_join(w.vector)}]}}'),
-    "exhaustive-absence": lambda x: (
-        f'{{"kind":"exhaustive-absence","n":{x.n},"slices":[{_join(x.slices)}]}}'),
-    "parity-obstruction": lambda p: (
-        f'{{"kind":"parity-obstruction","norms_mod_4":[{_join(p.norms_mod_4)}],'
-        f'"pairing_mod_2":{p.pairing_mod_2}}}'),
+    "keum-citation": lambda halved: f'{{"halved":[{_join(halved)}],"kind":"keum-citation"}}',
+    "explicit-embedding": lambda construction, normalized, basis_change, matrix, minor_gcd,
+    minus_two: (
+        f'{{"basis_change":[{_join(basis_change)}],'
+        f'"construction":{_QUOTED[construction]},"kind":"explicit-embedding",'
+        f'"matrix":{_rows_json(matrix)},"minor_gcd":{minor_gcd},'
+        f'"minus_two":{_rows_json(minus_two)},"normalized":[{_join(normalized)}]}}'),
+    "vinberg-witness": lambda n, vector: (
+        f'{{"kind":"vinberg-witness","n":{n},"vector":[{_join(vector)}]}}'),
+    "exhaustive-absence": lambda n, slices: (
+        f'{{"kind":"exhaustive-absence","n":{n},"slices":[{_join(slices)}]}}'),
+    "parity-obstruction": lambda norms_mod_4, pairing_mod_2: (
+        f'{{"kind":"parity-obstruction","norms_mod_4":[{_join(norms_mod_4)}],'
+        f'"pairing_mod_2":{pairing_mod_2}}}'),
 }
 
 
-def _scan_line(form: TranscendentalForm, result: classifier.Classification) -> str:
-    """The record of one form, as `scan` writes it and `classify --json` prints it.
+def _line(a: int, b: int, c: int, label: str, covers: bool, delta: int, kind: str, fields):
+    """The record of one form, as `scan` writes it and `classify --json` prints it:
+    the bytes of `json.dumps`, sorted keys and no whitespace, for ``{"a", "b", "c"}``
+    next to ``Classification.to_dict()``, the tests' oracle.  No string but
+    the fixed ones in `_QUOTED` is written."""
+    return (f'{{"a":{a},"b":{b},"c":{c},"case":{_QUOTED[label]},'
+            f'"certificate":{_CERTIFICATE_JSON[kind](*fields)},'
+            f'"covers":{"true" if covers else "false"},"delta":{delta}}}')
 
-    The bytes are those `json.dumps` writes, with sorted keys and no
-    whitespace, for ``{"a", "b", "c"}`` next to ``result.to_dict()``, which
-    stays the oracle the tests hold this encoder to: ints through `str`,
-    booleans as true / false, and no string but the fixed ones in `_QUOTED`.
-    """
+
+def _scan_line(form: TranscendentalForm, result: classifier.Classification) -> str:
+    """`_line` of a classified form."""
     cert = result.certificate
-    return (f'{{"a":{form.a},"b":{form.b},"c":{form.c},"case":{_QUOTED[result.case_label]},'
-            f'"certificate":{_CERTIFICATE_JSON[cert.kind](cert)},'
-            f'"covers":{"true" if result.covers else "false"},"delta":{result.delta}}}')
+    return _line(form.a, form.b, form.c, result.case_label, result.covers, result.delta,
+                 cert.kind, cert._values())
 
 
 # Measured in process, 2-core VM, CPython 3.11.  A task gathers whole rows until
@@ -118,8 +128,9 @@ _TASK_FORMS = 1024
 # the m = 40 box at 7.0, 6.0, 5.3 and 5.6 us a form with 1, 2, 4 and 8.
 _TASKS_PER_WORKER = 4
 # A pool pays once each worker gets this many forms.  Two workers cost 27 ms (import,
-# start, first block, shutdown) and save 4.0 of m = 40's 10.5 us a form if the second
-# CPU is free; on a shared VM they beat one in 1/8 pairs at 20 000 forms, 7/8 at 21 692.
+# start, first block, shutdown) and save 2.0 of m = 40's 6.4 us a form if the second
+# CPU is free; on a shared VM they beat one in 5/12 pairs at m = 22 (16 782 forms),
+# 10/12 at m = 24 (21 692), and on the cheaper forms a = 1, c = 0 in 7/12 at 25 000.
 _POOL_FORMS = 11_000
 
 
@@ -155,15 +166,20 @@ def _tasks(rows):
 
 def _scan_rows(rows) -> tuple[tuple[int, ...], str]:
     """Classify every form of some rows: the per-case counts, in CASE_ORDER,
-    and the rows' lines as one block, each line ended by a newline."""
+    and the rows' lines as one block, each line ended by a newline.  The lines
+    come from the integer decision that `classify` wraps (`classifier._case`,
+    `classifier._CERTIFY`), which builds no form, certificate or classification."""
+    case, table, cases = classifier._case, classifier._CERTIFY, classifier.CASES
     counts = dict.fromkeys(CASE_ORDER, 0)
     lines = []
     for a, b, lo, hi in rows:
         for c in range(lo, hi + 1):
-            form = TranscendentalForm(a, b, c)
-            result = classify(form)
-            counts[result.case_label] += 1
-            lines.append(_scan_line(form, result))
+            delta = 4 * a * b - c * c
+            label = case(a, b, c, delta)
+            counts[label] += 1
+            kind, fields = table[label]
+            lines.append(_line(a, b, c, label, cases[label][0], delta, kind,
+                               fields(a, b, c, delta)))
     lines.append("")
     return tuple(counts.values()), "\n".join(lines)
 
@@ -244,6 +260,7 @@ def scan_cmd(a_max: int, b_max: int, c_min: int, c_max: int, out: str) -> None:
 
 def verify_lemmas_cmd() -> None:
     """Print one line per row of `lemmas.ROWS`; exit 2 on any failure."""
+    from . import lemmas   # here, not at the top: no other command needs it
     failed = False
     for name, check in lemmas.ROWS:
         try:

@@ -51,8 +51,8 @@ class Frozen:
 def _setters(cls: type) -> tuple:
     """The setters of the slots of ``cls``, in ``__slots__`` order.  A slot's
     own setter takes about half the time of ``object.__setattr__``, which
-    first looks the name up on the type, and every scanned, classified or
-    replayed form builds a form, a certificate and a classification."""
+    first looks the name up on the type, and every classified or replayed
+    form builds a form, a certificate and a classification."""
     return tuple(cls.__dict__[name].__set__ for name in cls.__slots__)
 
 

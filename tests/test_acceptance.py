@@ -63,7 +63,7 @@ def test_criterion_01_grid_selects_exactly_one_branch():
     for t in GRID:
         a_even, b_even, c_even = t.a % 2 == 0, t.b % 2 == 0, t.c % 2 == 0
         is_iii = c_even and not (a_even and b_even)
-        rep1 = represents_one(t) if is_iii else False
+        rep1 = represents_one(t.a, t.c, t.b) if is_iii else False
         predicates = {
             "I": a_even and b_even and c_even,
             "II": not c_even and (a_even or b_even),

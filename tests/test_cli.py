@@ -351,6 +351,42 @@ def test_scan_line_writes_no_string_but_the_fixed_ones():
         cli._scan_line(form, Classification("II", True, 23, bad))
 
 
+def _rows_of_every_case(k: int) -> list[tuple[int, int, int, int]]:
+    """Rows (a, b, first c, last c) that hold all six cases for any k > 2:
+    (1, k^2 + 1) reaches delta = 4 (III-3) at c = 2k and 8k (III-2) at
+    c = 2k - 2, its odd c give II or IV by the parity of k, (3, k) and
+    (3, k + 1) at c = 0 give III-1 with an even and an odd b, and (2, 2k)
+    gives I and II."""
+    return [(1, k * k + 1, 2 * k - 3, 2 * k), (2, 2 * k, -2, 2), (3, k, 0, 0),
+            (3, k + 1, 0, 0), (1, (k + 1) ** 2 + 1, 2 * k - 1, 2 * k + 2)]
+
+
+@pytest.mark.parametrize("rows", [
+    list(cli._rows(6, 6, -6, 6)), _rows_of_every_case(10**30 + 7),
+    _rows_of_every_case(10**4400 + 3)], ids=["small", "past 10**30", "past 4 300 digits"])
+def test_scan_rows_write_the_line_of_each_classified_form(rows):
+    sys.set_int_max_str_digits(0)   # restored by the digit_limit fixture
+    forms = [TranscendentalForm(a, b, c) for a, b, lo, hi in rows for c in range(lo, hi + 1)]
+    results = [classify(t) for t in forms]
+    assert {result.case_label for result in results} == set(CASE_ORDER)
+    counts, block = cli._scan_rows(rows)
+    assert block == "".join(cli._scan_line(t, result) + "\n" for t, result in zip(forms, results))
+    assert counts == tuple(sum(result.case_label == label for result in results)
+                           for label in CASE_ORDER)
+
+
+def test_scanning_the_witness_box_builds_no_form_certificate_or_classification(monkeypatch):
+    def refused(self, *args):
+        raise AssertionError(f"{type(self).__name__} built")
+
+    for cls in (TranscendentalForm, Classification, *classifier.Certificate.__args__):
+        monkeypatch.setattr(cls, "__init__", refused)
+    counts, block = cli._scan_rows(cli._rows(1, 20000, 0, 0))
+    assert sum(counts) == block.count("\n") == 20000
+    with pytest.raises(AssertionError, match="^TranscendentalForm built$"):
+        TranscendentalForm(1, 1, 0)
+
+
 class _CountingPool:
     """A stand-in for a process pool that runs each task at once and records
     how many were submitted and not yet taken."""
@@ -820,6 +856,26 @@ def test_no_command_loads_the_oracle_stack():
     loaded = set(ast.literal_eval(done.stdout.splitlines()[-1]))
     assert "k3cover.vinberg" in loaded
     assert loaded & (OFF_THE_CLASSIFY_PATH | {"random"}) == set()
+
+
+def test_scan_and_classify_load_no_lemma_checks():
+    # only verify-lemmas imports `k3cover.lemmas`: a `-S` child that runs
+    # classify with replay and a small scan lists its modules last
+    src = str(Path(k3cover.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src, "K3COVER_THREADS": "1"}
+    code = ("import os, sys\n"
+            "from k3cover.cli import main\n"
+            "main(['classify', '--a', '2', '--b', '3', '--c', '2', '--json'])\n"
+            "main(['classify', '--a', '1', '--b', '1', '--c', '0'])\n"
+            "main(['scan', '--a-max', '3', '--b-max', '3', '--c-min', '-3', '--c-max', '3',\n"
+            "      '--out', os.devnull])\n"
+            "print(repr(sorted(sys.modules)))\n")
+    done = subprocess.run([sys.executable, "-S", "-c", code], env=env, capture_output=True,
+                          text=True, timeout=60, check=True)
+    loaded = set(ast.literal_eval(done.stdout.splitlines()[-1]))
+    assert {"k3cover.cli", "k3cover.classifier", "k3cover.vinberg"} <= loaded
+    assert "k3cover.lemmas" not in loaded
+    assert done.stderr.startswith("scanned ")
 
 
 def test_a_scan_below_the_break_even_starts_no_pool():

@@ -333,7 +333,8 @@ def hnf_block_has_root(e: Embedding) -> bool:
     """
     p, q, r = hermite_block_gram(e.matrix.entries)
     assert p < 0 and p * r > q * q and p % 2 == r % 2 == 0
-    return represents_one(TranscendentalForm(-p // 2, -r // 2, -q))
+    block = TranscendentalForm(-p // 2, -r // 2, -q)
+    return represents_one(block.a, block.c, block.b)
 
 
 def test_block_defect_on_coefficients_beyond_10_to_30():
@@ -409,9 +410,11 @@ def test_formula_complement_matches_the_kernel_search_property(construction, a, 
     found = defect(t, [row + E8_ZEROS for row in rows], (k1, k2))
     assert found in (None, "root")
     has_root = found == "root"
-    assert has_root == represents_one(TranscendentalForm(-xp // 2, -xr // 2, -xq))
+    block = TranscendentalForm(-xp // 2, -xr // 2, -xq)
+    assert has_root == represents_one(block.a, block.c, block.b)
     assert has_root == (construction == "c-even" and case_of(t)[0] != "III-1")
-    assert has_root == represents_one(TranscendentalForm(-p // 2, -r // 2, -q))
+    block = TranscendentalForm(-p // 2, -r // 2, -q)
+    assert has_root == represents_one(block.a, block.c, block.b)
 
 
 def test_construction_table_knows_only_the_three_constructions():

@@ -68,9 +68,9 @@ def _represents_one_naive(t):
 
 
 def test_represents_one_frozen():
-    assert represents_one(TranscendentalForm(1, 5, 0))
-    assert not represents_one(TranscendentalForm(2, 3, 2))
-    assert represents_one(TranscendentalForm(5, 1, 4))
+    assert represents_one(1, 0, 5)
+    assert not represents_one(2, 2, 3)
+    assert represents_one(5, 4, 1)
 
 
 def test_represents_one_against_box_search():
@@ -84,7 +84,7 @@ def test_represents_one_against_box_search():
             continue
         done += 1
         t = TranscendentalForm(a, b, c)
-        assert represents_one(t) == _represents_one_naive(t)
+        assert represents_one(t.a, t.c, t.b) == _represents_one_naive(t)
 
 
 @st.composite
@@ -102,7 +102,7 @@ BIG = st.one_of(st.integers(1, 10**6), st.integers(10**30, 10**40))
 
 @given(definite_forms(SMALL))
 def test_represents_one_matches_box_search_property(t):
-    assert represents_one(t) == _represents_one_naive(t)
+    assert represents_one(t.a, t.c, t.b) == _represents_one_naive(t)
 
 
 @given(definite_forms(BIG))
@@ -118,7 +118,7 @@ def test_reduction_is_invariant_under_sl2_property(t, g):
     moved = apply_basis_change(t, g)
     red, _ = reduce_form(t)
     assert reduce_form(moved)[0] == red
-    assert represents_one(moved) == (red.a == 1)
+    assert represents_one(moved.a, moved.c, moved.b) == (red.a == 1)
 
 
 def _oracle_triple(t: TranscendentalForm) -> tuple[int, int, int]:
@@ -182,8 +182,8 @@ def test_all_even_forms_never_represent_one_property(t):
     # the guard answers for the doubled form without reducing it, and must
     # agree with reduction on it and on the form itself
     doubled = TranscendentalForm(2 * t.a, 2 * t.b, 2 * t.c)
-    assert represents_one(doubled) is _reduces_to_one(doubled) is False
-    assert represents_one(t) == _reduces_to_one(t)
+    assert represents_one(doubled.a, doubled.c, doubled.b) is _reduces_to_one(doubled) is False
+    assert represents_one(t.a, t.c, t.b) == _reduces_to_one(t)
 
 
 def test_represents_one_agrees_with_reduction_on_every_complement_block_of_the_box():
@@ -210,8 +210,8 @@ def test_represents_one_agrees_with_reduction_on_every_complement_block_of_the_b
                 # replay's kernel reduces the same block on plain ints
                 found = classifier._embedding_defect(
                     t.a, t.b, t.c, tuple(row + (0,) * 8 for row in rows), (k1, k2))
-                assert represents_one(block) == _reduces_to_one(block) == (found == "root"), \
-                    (name, t)
+                assert represents_one(block.a, block.c, block.b) == _reduces_to_one(block) \
+                    == (found == "root"), (name, t)
                 blocks += 1
     # every form of the box but its 1 510 case IV forms, which have no embedding
     assert blocks == 12668 - 1510

@@ -351,6 +351,10 @@ def test_closed_forms_and_the_witness_box_are_pinned():
         t = TranscendentalForm(1, b, 0)
         digest.update((cli._scan_line(t, classify(t)) + "\n").encode())
     assert digest.hexdigest() == WITNESS_BOX_SHA256
+    # and through scan's own path, the integer decision that classify wraps
+    counts, block = cli._scan_rows(cli._rows(1, 20000, 0, 0))
+    assert hashlib.sha256(block.encode()).hexdigest() == WITNESS_BOX_SHA256
+    assert sum(counts) == 20000
 
 
 def test_search_norm_frozen():
