@@ -30,7 +30,6 @@ from math import gcd
 
 from .errors import VerificationError
 from .lattices import Frozen, Sl2Matrix, TranscendentalForm, _moved, _setters
-from .lattices import apply_basis_change, parity_class
 from .quadforms import represents_one
 from .vinberg import ABSENT, in_P
 from .vinberg import norm as region_norm
@@ -57,7 +56,7 @@ CASES: dict[CaseLabel, tuple[bool, tuple[str, ...]]] = {
 
 def _case(a: int, b: int, c: int, delta: int) -> CaseLabel:
     """The label of (a, b, c), delta = 4ab - c^2, from integer facts alone: the
-    parities (`parity_class`), then whether the form represents 1, then delta / 4."""
+    parities (`lattices.parity_class`), then whether the form represents 1, then delta / 4."""
     if c & 1:
         return "IV" if a & b & 1 else "II"
     if not (a | b) & 1:
@@ -74,23 +73,6 @@ def case_of(t: TranscendentalForm) -> tuple[CaseLabel, bool]:
 
 
 _IDENTITY = Sl2Matrix.identity()
-# the shears that make an even a, or an even b, odd
-_SHEAR_A = Sl2Matrix(2, 1, 1, 1)
-_SHEAR_B = Sl2Matrix(1, 1, 1, 2)
-
-
-def normalize_case_III(t: TranscendentalForm) -> tuple[TranscendentalForm, Sl2Matrix]:
-    """Equivalent form with both diagonal entries odd (c stays even), and the
-    basis change g that carries t to it."""
-    if parity_class(t) != "III":
-        raise ValueError("normalization applies to forms with c even, a or b odd")
-    if t.a % 2 == 0:
-        g = _SHEAR_A
-    elif t.b % 2 == 0:
-        g = _SHEAR_B
-    else:
-        return t, _IDENTITY
-    return apply_basis_change(t, g), g
 
 
 Rows = tuple[tuple[int, ...], ...]
@@ -545,8 +527,10 @@ def embedding_certificate(construction: str, normalized: TranscendentalForm,
 
 
 def _c_even_fields(a: int, b: int, c: int, delta: int) -> tuple:
-    t, g = normalize_case_III(TranscendentalForm(a, b, c))
-    return _embedding_fields("c-even", *t.triple(), g.as_tuple())
+    """The `c-even` fields of a case III-1 form (c even, a or b odd): the
+    shear that makes an even a, or an even b, odd, and the form it reaches."""
+    g = (2, 1, 1, 1) if not a & 1 else (1, 1, 1, 2) if not b & 1 else (1, 0, 0, 1)
+    return _embedding_fields("c-even", *_moved(a, b, c, *g), g)
 
 
 # The certificate `certify` builds for each case: its kind, and its fields from

@@ -23,7 +23,7 @@ from hypothesis import strategies as st
 from sympy import ZZ, Matrix
 from sympy.matrices.normalforms import invariant_factors
 
-from k3cover.classifier import CONSTRUCTIONS, normalize_case_III
+from k3cover.classifier import CONSTRUCTIONS, _c_even_fields
 from k3cover.embeddings import Embedding
 from k3cover.intmat import IntMatrix, rank, solve_left, standard_lattice, to_lattice, xgcd
 from k3cover.lattices import Sl2Matrix, TranscendentalForm, parity_class
@@ -88,13 +88,20 @@ def construction_of(t: TranscendentalForm) -> str:
     return CONSTRUCTION_OF_PARITY[parity_class(t)]
 
 
+def c_even_normalized(t: TranscendentalForm) -> tuple[TranscendentalForm, tuple[int, ...]]:
+    """The form that the c-even construction embeds for a case III form t, a
+    and b odd, and the basis change to it, as `_c_even_fields` records them."""
+    _, normalized, g = _c_even_fields(t.a, t.b, t.c, t.delta)[:3]
+    return TranscendentalForm(*normalized), g
+
+
 def written_down_embedding(t: TranscendentalForm) -> Embedding | None:
     """The construction of t's parity class, of the normalized form in case III,
     as an `Embedding` into U + U(2) + E8(2) for the oracle stack; None in case IV."""
     if parity_class(t) not in CONSTRUCTION_OF_PARITY:
         return None
     if parity_class(t) == "III":
-        t = normalize_case_III(t)[0]
+        t = c_even_normalized(t)[0]
     u, v = CONSTRUCTIONS[construction_of(t)](t.a, t.b, t.c)
     zeros = (0,) * 8   # the E8(2) columns
     return Embedding(to_lattice(t), LAMBDA, IntMatrix.from_rows([u + zeros, v + zeros]))

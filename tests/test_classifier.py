@@ -34,7 +34,6 @@ from k3cover.classifier import (
     certify,
     classify,
     embedding_certificate,
-    normalize_case_III,
     verify_classification,
 )
 from k3cover.cli import _scan_line
@@ -46,6 +45,7 @@ from k3cover.shortvec import NormQuery, has_norm
 
 from conftest import (
     LAMBDA,
+    c_even_normalized,
     compose,
     enumerate_P_slice,
     random_sl2,
@@ -138,20 +138,17 @@ def test_case_invariant_under_basis_change():
 
 
 def test_normalize_case_III():
-    assert normalize_case_III(TranscendentalForm(2, 1, 0))[0].triple() == (9, 3, 10)
-    assert normalize_case_III(TranscendentalForm(1, 2, 2))[0].triple() == (5, 13, 16)
-    assert normalize_case_III(TranscendentalForm(1, 1, 0))[0].triple() == (1, 1, 0)
+    # the normalized form and basis change that `_c_even_fields` records
+    assert c_even_normalized(TranscendentalForm(2, 1, 0))[0].triple() == (9, 3, 10)
+    assert c_even_normalized(TranscendentalForm(1, 2, 2))[0].triple() == (5, 13, 16)
+    assert c_even_normalized(TranscendentalForm(1, 1, 0))[0].triple() == (1, 1, 0)
     for t in _grid():
         if case_of(t)[0].startswith("III"):
-            n, g = normalize_case_III(t)
-            assert apply_basis_change(t, g) == n
+            n, g = c_even_normalized(t)
+            assert apply_basis_change(t, Sl2Matrix(*g)) == n
             assert n.a % 2 == 1 and n.b % 2 == 1 and n.c % 2 == 0
             assert n.delta == t.delta
-            assert normalize_case_III(n)[0].triple() == n.triple()
-    with pytest.raises(ValueError):
-        normalize_case_III(TranscendentalForm(1, 2, 1))
-    with pytest.raises(ValueError):
-        normalize_case_III(TranscendentalForm(2, 2, 2))
+            assert c_even_normalized(n) == (n, (1, 0, 0, 1))
 
 
 def test_embedding_constructors_frozen():
@@ -162,7 +159,7 @@ def test_embedding_constructors_frozen():
     ]
     assert validate(e) and is_primitive(e)
 
-    n = normalize_case_III(TranscendentalForm(2, 3, 2))[0]
+    n = c_even_normalized(TranscendentalForm(2, 3, 2))[0]
     assert n.triple() == (15, 7, 20)
     e = written_down_embedding(n)
     assert e.matrix.to_lists() == [
@@ -1390,17 +1387,22 @@ def test_replay_accepts_valid_certificates_that_are_not_canonical():
     discriminant.  The oracle stack confirms each record."""
     confirmed: set = set()
     by_case = _box_by_case()
-
-    @settings(max_examples=100)
-    @given(st.sampled_from(("I", "II", "III-1", "III-2")).flatmap(
-        lambda label: st.sampled_from(by_case[label])), sl2_matrices(10**30))
-    def check(s, h):
+    # drawn from a seeded generator, not by Hypothesis, whose draws change
+    # with the constants of the other modules collected beside this one
+    rng = random.Random(1381)
+    for _ in range(100):
+        s = rng.choice(by_case[rng.choice(("I", "II", "III-1", "III-2"))])
+        h = Sl2Matrix.identity()
+        for i in range(rng.randint(1, 4)):
+            bound = 10 ** rng.randint(0, 30)
+            k = rng.randint(-bound, bound)
+            h = compose(h, Sl2Matrix(1, k, 0, 1) if i % 2 == 0 else Sl2Matrix(1, 0, k, 1))
         t = apply_basis_change(s, h)
         label = case_of(t)[0]
         if label == "III-2":
             for v in _witnesses_by_norm()[t.delta // 4]:
                 _accept_and_confirm(t, label, VinbergWitness(t.delta // 4, v), confirmed)
-            return
+            continue
         construction = {"I": "all-even", "II": "c-odd", "III-1": "c-even"}[label]
         for k in _SMALL_MOVES:
             moved = apply_basis_change(s, k)
@@ -1408,8 +1410,6 @@ def test_replay_accepts_valid_certificates_that_are_not_canonical():
                 continue
             cert = embedding_certificate(construction, moved, compose(_inverse(h), k))
             _accept_and_confirm(t, label, cert, confirmed)
-
-    check()
     rng = random.Random(2951)
     for n, witnesses in _witnesses_by_norm().items():
         t = apply_basis_change(TranscendentalForm(1, n, 0), random_sl2(rng, 10**30))

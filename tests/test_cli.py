@@ -32,7 +32,7 @@ from k3cover.classifier import (
     classify,
     verify_classification,
 )
-from k3cover.lattices import TranscendentalForm, apply_basis_change
+from k3cover.lattices import Sl2Matrix, TranscendentalForm, apply_basis_change
 
 from conftest import enumerate_P_slice, random_sl2
 
@@ -379,10 +379,12 @@ def test_scanning_the_witness_box_builds_no_form_certificate_or_classification(m
     def refused(self, *args):
         raise AssertionError(f"{type(self).__name__} built")
 
-    for cls in (TranscendentalForm, Classification, *classifier.Certificate.__args__):
+    for cls in (TranscendentalForm, Sl2Matrix, Classification, *classifier.Certificate.__args__):
         monkeypatch.setattr(cls, "__init__", refused)
-    counts, block = cli._scan_rows(cli._rows(1, 20000, 0, 0))
-    assert sum(counts) == block.count("\n") == 20000
+    # the witness box, then the full box, whose III-1 forms are sheared
+    for box, forms in (((1, 20000, 0, 0), 20000), ((20, 20, -20, 20), 12668)):
+        counts, block = cli._scan_rows(cli._rows(*box))
+        assert sum(counts) == block.count("\n") == forms
     with pytest.raises(AssertionError, match="^TranscendentalForm built$"):
         TranscendentalForm(1, 1, 0)
 
@@ -791,6 +793,27 @@ def test_verify_lemmas_fails_the_row_of_each_wrong_slice_fact(runner, monkeypatc
     rows = {line.split()[0]: line.split()[1] for line in result.stdout.splitlines()}
     assert rows[row] == "FAIL", result.stdout
     assert rows["family-coverage"] == "pass"
+
+
+# the two raises of family-coverage's witness loop: a norm left without a
+# witness, and a witness of another norm
+_WITNESS_PROBES = {
+    "no-witness-for-minus-7": (lambda real: lambda n: None if n == 7 else real(n),
+                               "no witness of norm -7"),
+    "minus-8-witness-for-minus-7": (lambda real: lambda n: real(8) if n == 7 else real(n),
+                                    "witness for norm -7 fails membership"),
+}
+
+
+@pytest.mark.parametrize("wrong, message", _WITNESS_PROBES.values(), ids=list(_WITNESS_PROBES))
+def test_verify_lemmas_fails_family_coverage_on_a_wrong_witness(runner, monkeypatch, wrong,
+                                                                message):
+    monkeypatch.setattr(vinberg, "search_norm", wrong(vinberg.search_norm))
+    result = runner.invoke(main, ["verify-lemmas"])
+    assert result.exit_code == 2
+    rows = {line.split()[0]: line.split(None, 2)[1:] for line in result.stdout.splitlines()}
+    assert rows["family-coverage"] == ["FAIL", message], result.stdout
+    assert rows["small-norm-absence"][0] == rows["max-table"][0] == "pass"
 
 
 def test_the_outside_maximizer_probe_has_the_right_norm():

@@ -33,7 +33,6 @@ from k3cover.classifier import (
     certify,
     classify,
     embedding_certificate,
-    normalize_case_III,
     verify_classification,
 )
 from k3cover.embeddings import (
@@ -56,6 +55,7 @@ from k3cover.shortvec import NormQuery, enumerate_norm
 
 from conftest import (
     LAMBDA,
+    c_even_normalized,
     construction_of,
     minor_gcd,
     pair,
@@ -196,8 +196,7 @@ def test_replay_rejects_a_matrix_touching_e8():
         e = reflect_into_e8(written_down_embedding(t))
         assert any(row[4] for row in e.matrix.entries)
         assert validate(e) and is_primitive(e)
-        basis_change = (normalize_case_III(t)[1].as_tuple()
-                        if parity_class(t) == "III" else (1, 0, 0, 1))
+        basis_change = c_even_normalized(t)[1] if parity_class(t) == "III" else (1, 0, 0, 1)
         cert = ExplicitEmbedding(construction_of(t), source_form(e).triple(), basis_change,
                                  e.matrix.entries, 1, ())
         label, covers = case_of(t)
@@ -383,7 +382,7 @@ def construction_form(construction: str, a: int, b: int, c: int, g) -> Transcend
     else:
         a, b, c = a + a % 2, b + b % 2, c - c % 2
     t = apply_basis_change(TranscendentalForm(a, b, c), g)
-    return normalize_case_III(t)[0] if construction == "c-even" else t
+    return c_even_normalized(t)[0] if construction == "c-even" else t
 
 
 def gram(k1, k2) -> tuple[int, int, int]:

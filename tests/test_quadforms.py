@@ -7,12 +7,12 @@ import random
 from hypothesis import given
 from hypothesis import strategies as st
 
-from k3cover import classifier, cli
+from k3cover import classifier, cli, quadforms
 from k3cover.classifier import Classification, classify, verify_classification
 from k3cover.lattices import Sl2Matrix, TranscendentalForm, apply_basis_change, parity_class
 from k3cover.quadforms import _gauss, represents_one
 
-from conftest import compose, pair, reduce_form, sl2_matrices
+from conftest import c_even_normalized, compose, pair, reduce_form, sl2_matrices
 
 
 def _evaluate(t: TranscendentalForm, x: int, y: int) -> int:
@@ -22,6 +22,24 @@ def _evaluate(t: TranscendentalForm, x: int, y: int) -> int:
 def _is_reduced(t: TranscendentalForm) -> bool:
     """|c| <= a <= b, with c >= 0 on the boundary |c| = a or a = b."""
     return abs(t.c) <= t.a <= t.b and (t.c >= 0 or not (-t.c == t.a or t.a == t.b))
+
+
+def test_is_reduced_agrees_with_the_oracle_on_a_grid():
+    # in process the program's check runs only under `_gauss`'s assert, on
+    # reduced forms; here it also meets |q| > p, p > r and a negative q on
+    # the boundary |q| = p or p = r
+    assert not quadforms._is_reduced(2, 3, 5)
+    assert not quadforms._is_reduced(3, 1, 2)
+    assert not quadforms._is_reduced(2, -2, 5)
+    assert not quadforms._is_reduced(3, -1, 3)
+    assert quadforms._is_reduced(2, 2, 5) and quadforms._is_reduced(3, 1, 3)
+    assert quadforms._is_reduced(2, -1, 5)
+    for p in range(1, 7):
+        for r in range(1, 7):
+            for q in range(-7, 8):
+                if 4 * p * r - q * q > 0:
+                    assert quadforms._is_reduced(p, q, r) == _is_reduced(
+                        TranscendentalForm(p, r, q)), (p, q, r)
 
 
 def test_evaluate_frozen():
@@ -202,7 +220,7 @@ def test_represents_one_agrees_with_reduction_on_every_complement_block_of_the_b
                 if name is None:
                     continue
                 if name == "c-even":
-                    t = classifier.normalize_case_III(t)[0]
+                    t = c_even_normalized(t)[0]
                 rows = classifier.CONSTRUCTIONS[name](t.a, t.b, t.c)
                 k1, k2 = classifier.COMPLEMENTS[name](t.a, t.b, t.c)
                 p, q, r = pair(k1, k1), pair(k1, k2), pair(k2, k2)

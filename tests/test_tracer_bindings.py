@@ -25,7 +25,6 @@ LIVE = {
     ("k3cover.classifier", "represents_one"),
     ("k3cover.classifier", "search_norm"),
     ("k3cover.classifier", "in_P"),
-    ("k3cover.classifier", "apply_basis_change"),
     ("k3cover.vinberg", "in_P"),
 }
 
@@ -41,6 +40,7 @@ DEAD = {
     ("k3cover.classifier", "enumerate_P_slice"),
     ("k3cover.vinberg", "_slice_members"),
     ("k3cover.classifier", "standard_lattice"),
+    ("k3cover.classifier", "apply_basis_change"),
     ("k3cover.shortvec", "_level_range"),
     ("k3cover.shortvec", "_component_groups"),
     ("k3cover.shortvec", "_fp_groups"),
