@@ -29,7 +29,7 @@ from functools import lru_cache
 from math import gcd
 
 from .errors import VerificationError
-from .lattices import Frozen, Sl2Matrix, TranscendentalForm, _moved, _setters
+from .lattices import Frozen, TranscendentalForm, _moved, _setters
 from .quadforms import represents_one
 from .vinberg import ABSENT, in_P
 from .vinberg import norm as region_norm
@@ -56,7 +56,9 @@ CASES: dict[CaseLabel, tuple[bool, tuple[str, ...]]] = {
 
 def _case(a: int, b: int, c: int, delta: int) -> CaseLabel:
     """The label of (a, b, c), delta = 4ab - c^2, from integer facts alone: the
-    parities (`lattices.parity_class`), then whether the form represents 1, then delta / 4."""
+    parity class, then whether the form represents 1, then delta / 4, none of
+    which the SL2 action `_moved` changes.  `lattices.parity_class` states the
+    parity classes independently, and the tests hold this function to it."""
     if c & 1:
         return "IV" if a & b & 1 else "II"
     if not (a | b) & 1:
@@ -70,9 +72,6 @@ def case_of(t: TranscendentalForm) -> tuple[CaseLabel, bool]:
     """Classification label for the form and whether a covering exists."""
     label = _case(t.a, t.b, t.c, t.delta)
     return label, CASES[label][0]
-
-
-_IDENTITY = Sl2Matrix.identity()
 
 
 Rows = tuple[tuple[int, ...], ...]
@@ -212,15 +211,15 @@ class ExplicitEmbedding(Frozen):
     ``construction`` names the written-down embedding (a key of CONSTRUCTIONS
     and of COMPLEMENTS), ``normalized`` is the SL2-equivalent form the matrix
     actually embeds and ``basis_change`` the change of basis realizing the
-    equivalence.  Replay checks the types and shapes of the fields; on their
-    ints, without building a form or a matrix, that ``normalized`` has a
-    positive diagonal and is positive definite and that ``basis_change`` has
-    determinant 1, with the messages of `TranscendentalForm` and `Sl2Matrix`;
-    and that `_moved`, the action of `apply_basis_change`, takes the input to
-    ``normalized``.  It
-    then runs `_embedding_defect` at ``normalized``, whose closed-form
-    complement makes the construction's name binding; ``minor_gcd`` must be 1
-    and ``minus_two`` empty.
+    equivalence, the int 4-tuple (x, y, z, w) of [[x, y], [z, w]].  Replay
+    checks the types and shapes of the fields; on their ints, without building
+    a form, that ``normalized`` has a positive diagonal and is positive
+    definite, with the messages of `TranscendentalForm`; that
+    ``basis_change`` has determinant 1, which nothing else checks; and
+    that `_moved` takes the input to ``normalized``.  It then runs
+    `_embedding_defect` at ``normalized``, whose closed-form complement makes
+    the construction's name binding; ``minor_gcd`` must be 1 and
+    ``minus_two`` empty.
     """
 
     __slots__ = ("construction", "normalized", "basis_change", "matrix", "minor_gcd", "minus_two")
@@ -248,8 +247,8 @@ class ExplicitEmbedding(Frozen):
         }
 
     def replay(self, t: TranscendentalForm) -> None:
-        # the checks of TranscendentalForm and Sl2Matrix, in their order and
-        # with their messages, on the ints themselves
+        # the checks of TranscendentalForm, in its order and with its
+        # messages, on the ints themselves; then the basis change's determinant
         na, nb, nc = normalized = _ints("normalized", self.normalized, 3)
         if na <= 0 or nb <= 0:
             raise VerificationError("malformed embedding certificate:"
@@ -261,14 +260,8 @@ class ExplicitEmbedding(Frozen):
         if x * w - y * z != 1:
             raise VerificationError("malformed embedding certificate:"
                                     " matrix must have determinant 1")
-        rows = []
-        for row in self.matrix if type(self.matrix) is tuple else _array("matrix", self.matrix):
-            if type(row) is not tuple:
-                row = tuple(_array("matrix", row))
-            for entry in row:
-                if type(entry) is not int:
-                    raise VerificationError("malformed certificate: matrix must hold integers")
-            rows.append(row)
+        rows = [_ints("matrix", row) for row in
+                (self.matrix if type(self.matrix) is tuple else _array("matrix", self.matrix))]
         if len(rows) != 2 or len(rows[0]) != _AMBIENT_RANK or len(rows[1]) != _AMBIENT_RANK:
             raise VerificationError("malformed embedding certificate: matrix is not 2 x 12")
         if _moved(t.a, t.b, t.c, x, y, z, w) != normalized:
@@ -512,18 +505,19 @@ def _embedding_fields(construction: str, a: int, b: int, c: int, g=(1, 0, 0, 1))
 
 
 def embedding_certificate(construction: str, normalized: TranscendentalForm,
-                          g: Sl2Matrix = _IDENTITY) -> ExplicitEmbedding:
+                          g: tuple[int, int, int, int] = (1, 0, 0, 1)) -> ExplicitEmbedding:
     """The certificate of the named written-down embedding of ``normalized``,
-    the form that ``g`` carries the input to.
+    the form that ``g`` = (x, y, z, w), the basis change [[x, y], [z, w]],
+    carries the input to.
 
-    It only builds, and replay is the one check: the test suite proves each
-    construction for every form of its parity class.  `certify` backs case II
-    by `c-odd` and case III-1 by `c-even` of the normalized form.  Case I is
-    backed by the citation; the `all-even` embedding,
+    It only builds, whatever ``g`` is, and replay is the one check: the test
+    suite proves each construction for every form of its parity class.
+    `certify` backs case II by `c-odd` and case III-1 by `c-even` of the
+    normalized form.  Case I is backed by the citation; the `all-even` embedding,
     ``embedding_certificate("all-even", t)``, backs it as well and always
     fits: its -B/2 is (b, c, a), all even, so it never represents 1.
     """
-    return ExplicitEmbedding(*_embedding_fields(construction, *normalized.triple(), g.as_tuple()))
+    return ExplicitEmbedding(*_embedding_fields(construction, *normalized.triple(), g))
 
 
 def _c_even_fields(a: int, b: int, c: int, delta: int) -> tuple:

@@ -1,11 +1,13 @@
-"""Rank-2 transcendental forms, their SL2 changes of basis, and parity classes.
+"""Rank-2 transcendental forms, the SL2 action on them, and parity classes.
 
 `TranscendentalForm(a, b, c)` is the package's one binary-form type: the
 Gram matrix [[2a, c], [c, 2b]], or equally the positive definite form
-a x^2 + c x y + b y^2 that `quadforms` reduces.  These are the value types
-the classifier reads its input through, kept free of any matrix machinery:
-the Gram-matrix layer (integral lattices and the ambient U + U(2) + E8(2))
-lives in `intmat` beside the algebra it is built on.
+a x^2 + c x y + b y^2 that `quadforms` reduces.  It is the one value type
+the classifier reads its input through.  A change of basis is the plain
+int 4-tuple (x, y, z, w) of [[x, y], [z, w]] that certificates record;
+`_moved` states its action once, on ints, and replay is the one check that
+a recorded one has determinant 1.  The Gram-matrix layer (integral lattices
+and the ambient U + U(2) + E8(2)) lives in `intmat` beside its algebra.
 """
 
 from __future__ import annotations
@@ -95,30 +97,6 @@ class TranscendentalForm(_Discriminant):
 _set_a, _set_b, _set_c = _setters(TranscendentalForm)
 
 
-class Sl2Matrix(Frozen):
-    """Integer matrix [[x, y], [z, w]] of determinant one."""
-
-    __slots__ = ("x", "y", "z", "w")
-
-    def __init__(self, x: int, y: int, z: int, w: int) -> None:
-        if x * w - y * z != 1:
-            raise ValueError("matrix must have determinant 1")
-        _set_x(self, x)
-        _set_y(self, y)
-        _set_z(self, z)
-        _set_w(self, w)
-
-    @classmethod
-    def identity(cls) -> "Sl2Matrix":
-        return cls(1, 0, 0, 1)
-
-    def as_tuple(self) -> tuple[int, int, int, int]:
-        return (self.x, self.y, self.z, self.w)
-
-
-_set_x, _set_y, _set_z, _set_w = _setters(Sl2Matrix)
-
-
 def _moved(a: int, b: int, c: int, x: int, y: int, z: int, w: int) -> tuple[int, int, int]:
     """The SL2 action on plain ints: the coefficients of (a, b, c) in the
     basis changed by [[x, y], [z, w]],
@@ -128,11 +106,6 @@ def _moved(a: int, b: int, c: int, x: int, y: int, z: int, w: int) -> tuple[int,
     """
     return (a * x * x + c * x * z + b * z * z, a * y * y + c * y * w + b * w * w,
             2 * a * x * y + c * (x * w + y * z) + 2 * b * w * z)
-
-
-def apply_basis_change(t: TranscendentalForm, g: Sl2Matrix) -> TranscendentalForm:
-    """The form of the same lattice in the basis changed by g (`_moved`)."""
-    return TranscendentalForm(*_moved(t.a, t.b, t.c, g.x, g.y, g.z, g.w))
 
 
 def parity_class(t: TranscendentalForm) -> str:

@@ -26,7 +26,7 @@ from sympy.matrices.normalforms import invariant_factors
 from k3cover.classifier import CONSTRUCTIONS, _c_even_fields
 from k3cover.embeddings import Embedding
 from k3cover.intmat import IntMatrix, rank, solve_left, standard_lattice, to_lattice, xgcd
-from k3cover.lattices import Sl2Matrix, TranscendentalForm, parity_class
+from k3cover.lattices import TranscendentalForm, _moved, parity_class
 from k3cover.vinberg import SLICE_CAP
 
 # Property tests replay the same examples on every run, like the seeded
@@ -119,7 +119,18 @@ def minor_gcd(x, y) -> int:
     return gcd(*(x[i] * y[j] - x[j] * y[i] for i, j in itertools.combinations(range(4), 2)))
 
 
-def random_sl2(rng: random.Random, bound: int = 20) -> Sl2Matrix:
+# A change of basis is the int 4-tuple (x, y, z, w) of [[x, y], [z, w]], as
+# certificates record it; no type checks its determinant, so the helpers
+# below that build one assert it themselves.
+Sl2 = tuple[int, int, int, int]
+
+
+def moved(t: TranscendentalForm, g: Sl2) -> TranscendentalForm:
+    """The form of the same lattice in the basis changed by g (`_moved`)."""
+    return TranscendentalForm(*_moved(t.a, t.b, t.c, *g))
+
+
+def random_sl2(rng: random.Random, bound: int = 20) -> Sl2:
     """Random determinant-one integer matrix with entries bounded by `bound`."""
     while True:
         x = rng.randint(-bound, bound)
@@ -131,10 +142,11 @@ def random_sl2(rng: random.Random, bound: int = 20) -> Sl2Matrix:
         k = rng.randint(-3, 3)
         y, w = -t + k * x, s + k * z
         if max(abs(y), abs(w)) <= bound:
-            return Sl2Matrix(x, y, z, w)
+            assert x * w - y * z == 1
+            return x, y, z, w
 
 
-def sl2_matrices(bound: int) -> st.SearchStrategy[Sl2Matrix]:
+def sl2_matrices(bound: int) -> st.SearchStrategy[Sl2]:
     """Hypothesis strategy: products of one to four alternating upper and
     lower shears [[1, k], [0, 1]], [[1, 0], [k, 1]] with |k| <= bound.
 
@@ -143,23 +155,26 @@ def sl2_matrices(bound: int) -> st.SearchStrategy[Sl2Matrix]:
     return st.lists(st.integers(-bound, bound), min_size=1, max_size=4).map(_alternating_shears)
 
 
-def compose(g: Sl2Matrix, h: Sl2Matrix) -> Sl2Matrix:
-    """Matrix product g @ h."""
-    return Sl2Matrix(g.x * h.x + g.y * h.z, g.x * h.y + g.y * h.w,
-                     g.z * h.x + g.w * h.z, g.z * h.y + g.w * h.w)
+def compose(g: Sl2, h: Sl2) -> Sl2:
+    """Matrix product g @ h of two determinant-one matrices."""
+    gx, gy, gz, gw = g
+    hx, hy, hz, hw = h
+    x, y, z, w = gx * hx + gy * hz, gx * hy + gy * hw, gz * hx + gw * hz, gz * hy + gw * hw
+    assert x * w - y * z == 1
+    return x, y, z, w
 
 
-def _alternating_shears(ks: list[int]) -> Sl2Matrix:
-    g = Sl2Matrix.identity()
+def _alternating_shears(ks: list[int]) -> Sl2:
+    g = (1, 0, 0, 1)
     for i, k in enumerate(ks):
-        g = compose(g, Sl2Matrix(1, k, 0, 1) if i % 2 == 0 else Sl2Matrix(1, 0, k, 1))
+        g = compose(g, (1, k, 0, 1) if i % 2 == 0 else (1, 0, k, 1))
     return g
 
 
-def reduce_form(t: TranscendentalForm) -> tuple[TranscendentalForm, Sl2Matrix]:
+def reduce_form(t: TranscendentalForm) -> tuple[TranscendentalForm, Sl2]:
     """Gauss reduction of a x^2 + c x y + b y^2, tracking the change of basis.
 
-    Returns (reduced, g) with apply_basis_change(t, g) == reduced: the
+    Returns (reduced, g) with moved(t, g) == reduced: the
     tests' oracle for `quadforms._gauss`, which runs the same loop on
     (p, q, r) = (a, c, b) and keeps only the reduced triple.  Each
     translation by k is the matrix [[1, k], [0, 1]] and each swap is
@@ -182,7 +197,7 @@ def reduce_form(t: TranscendentalForm) -> tuple[TranscendentalForm, Sl2Matrix]:
     if p == r and q < 0:
         q = -q
         x, y, z, w = y, -x, w, -z
-    return TranscendentalForm(p, r, q), Sl2Matrix(x, y, z, w)
+    return TranscendentalForm(p, r, q), (x, y, z, w)
 
 
 @lru_cache(maxsize=None)

@@ -29,7 +29,7 @@ from k3cover.intmat import (
     maximal_minor_gcd,
     standard_lattice,
 )
-from k3cover.lattices import TranscendentalForm, apply_basis_change
+from k3cover.lattices import TranscendentalForm
 from k3cover.quadforms import represents_one
 from k3cover.shortvec import NormQuery, enumerate_by_norm, enumerate_norm
 from k3cover.lemmas import max_norm_in_slice, slice_maximizer
@@ -38,6 +38,7 @@ from k3cover.vinberg import in_P, norm, search_norm
 from conftest import (
     LAMBDA,
     enumerate_P_slice,
+    moved,
     random_full_rank,
     random_sl2,
     smith_invariant_factors,
@@ -260,7 +261,6 @@ def test_criterion_09_classification_is_basis_invariant():
             continue
         done += 1
         t = TranscendentalForm(a, b, c)
-        moved = apply_basis_change(t, random_sl2(rng))
-        assert case_of(moved) == case_of(t)
+        assert case_of(moved(t, random_sl2(rng))) == case_of(t)
     elapsed = time.perf_counter() - start
     assert elapsed < 5.0, f"took {elapsed:.2f}s"

@@ -40,7 +40,7 @@ from k3cover.cli import _scan_line
 from k3cover.embeddings import Embedding, is_primitive, orthogonal_complement, validate
 from k3cover.errors import VerificationError
 from k3cover.intmat import IntMatrix, standard_lattice, to_lattice
-from k3cover.lattices import Sl2Matrix, TranscendentalForm, apply_basis_change
+from k3cover.lattices import TranscendentalForm
 from k3cover.shortvec import NormQuery, has_norm
 
 from conftest import (
@@ -48,6 +48,7 @@ from conftest import (
     c_even_normalized,
     compose,
     enumerate_P_slice,
+    moved,
     random_sl2,
     replace,
     sl2_matrices,
@@ -109,7 +110,7 @@ def test_grid_case_structure():
 def test_case_of_is_invariant_for_moved_unit_forms_property(n, g):
     # (1, n, 0) represents 1, so it is III-2 or III-3 in every basis
     t = TranscendentalForm(1, n, 0)
-    assert case_of(apply_basis_change(t, g)) == case_of(t)
+    assert case_of(moved(t, g)) == case_of(t)
 
 
 @st.composite
@@ -121,7 +122,7 @@ def small_forms(draw) -> TranscendentalForm:
 
 @given(small_forms(), sl2_matrices(10**15))
 def test_case_of_is_invariant_under_large_basis_changes_property(t, g):
-    assert case_of(apply_basis_change(t, g)) == case_of(t)
+    assert case_of(moved(t, g)) == case_of(t)
 
 
 def test_case_invariant_under_basis_change():
@@ -134,7 +135,7 @@ def test_case_invariant_under_basis_change():
             continue
         done += 1
         t = TranscendentalForm(a, b, c)
-        assert case_of(apply_basis_change(t, random_sl2(rng))) == case_of(t)
+        assert case_of(moved(t, random_sl2(rng))) == case_of(t)
 
 
 def test_normalize_case_III():
@@ -145,7 +146,7 @@ def test_normalize_case_III():
     for t in _grid():
         if case_of(t)[0].startswith("III"):
             n, g = c_even_normalized(t)
-            assert apply_basis_change(t, Sl2Matrix(*g)) == n
+            assert moved(t, g) == n
             assert n.a % 2 == 1 and n.b % 2 == 1 and n.c % 2 == 0
             assert n.delta == t.delta
             assert c_even_normalized(n) == (n, (1, 0, 0, 1))
@@ -359,8 +360,8 @@ def test_absence_replay_looks_up_the_slices_once_per_n(monkeypatch):
         t = TranscendentalForm(1, 1, 0)
         verify_classification(t, classify(t))
         assert lookups == list(ABSENCE_SLICES)
-        moved = apply_basis_change(t, Sl2Matrix(2, 1, 1, 1))
-        verify_classification(moved, classify(moved))
+        sheared = moved(t, (2, 1, 1, 1))
+        verify_classification(sheared, classify(sheared))
         assert lookups == list(ABSENCE_SLICES)
         t = TranscendentalForm(1, 2, 0)
         verify_classification(t, classify(t))
@@ -401,6 +402,18 @@ def test_mismatched_classification_fields():
 def test_replay_rejects_a_basis_change_of_determinant_four():
     with _rejected_with("malformed embedding certificate: matrix must have determinant 1"):
         _replay_tampered_embedding(basis_change=(2, 0, 0, 2))
+
+
+@pytest.mark.parametrize("g, message", [
+    ((1, 1, 1, 1), "malformed embedding certificate: matrix must have determinant 1"),
+    ((2, 1, 1, 1), "recorded basis change does not reach the recorded form"),
+], ids=["determinant 0", "misses the form"])
+def test_embedding_certificate_builds_any_basis_change_and_replay_refuses_it(g, message):
+    # building checks nothing about g; replay is the one check
+    cert = embedding_certificate("c-odd", TranscendentalForm(1, 2, 1), g)
+    assert cert.basis_change == g
+    with _rejected_with(message):
+        _verify_ii(certificate=cert)
 
 
 def test_replay_rejects_a_non_positive_normalized_form():
@@ -853,7 +866,7 @@ def _coefficients(size: int, count: int) -> st.SearchStrategy[tuple[int, ...]]:
 
 
 _II = TranscendentalForm(1, 2, 1)
-_MOVED_II = sl2_matrices(5).map(lambda g: (apply_basis_change(_II, g).triple(), g.as_tuple()))
+_MOVED_II = sl2_matrices(5).map(lambda g: (moved(_II, g).triple(), g))
 
 
 @given(st.one_of(
@@ -866,16 +879,19 @@ _MOVED_II = sl2_matrices(5).map(lambda g: (apply_basis_change(_II, g).triple(), 
                         _coefficients(4, 3), _coefficients(10**30, 3),
                         _coefficients(4, 2).map(lambda xy: (
                             xy[0] ** 2, xy[1] ** 2, 2 * xy[0] * xy[1]))),
-              st.one_of(sl2_matrices(5).map(Sl2Matrix.as_tuple),
-                        sl2_matrices(5).map(lambda g: (g.y, g.x, g.w, g.z)),
+              st.one_of(sl2_matrices(5),
+                        sl2_matrices(5).map(lambda g: (g[1], g[0], g[3], g[2])),
                         _coefficients(3, 4), _coefficients(10**30, 4)))))
 def test_embedding_field_checks_match_the_constructors_property(fields):
     # replay checks normalized and basis_change on their ints; it must refuse
-    # exactly what TranscendentalForm or Sl2Matrix refuses, with its message
+    # exactly what TranscendentalForm refuses, with its message, and then a
+    # matrix whose determinant is not 1
     normalized, basis_change = fields
+    x, y, z, w = basis_change
     try:
         TranscendentalForm(*normalized)
-        Sl2Matrix(*basis_change)
+        if x * w - y * z != 1:
+            raise ValueError("matrix must have determinant 1")
     except ValueError as exc:
         expected = f"malformed embedding certificate: {exc}"
         with pytest.raises(VerificationError, match=f"^{re.escape(expected)}$"):
@@ -1216,7 +1232,7 @@ def _confirm_on_the_oracle_stack(t, cert) -> None:
             assert all(vinberg.norm(v) != -cert.n for v in enumerate_P_slice(m))
     elif cert.kind == "explicit-embedding":
         normalized = TranscendentalForm(*cert.normalized)
-        assert apply_basis_change(t, Sl2Matrix(*cert.basis_change)) == normalized
+        assert moved(t, cert.basis_change) == normalized
         e = Embedding(to_lattice(normalized), LAMBDA, IntMatrix.from_rows(cert.matrix))
         assert validate(e) and is_primitive(e)
         _, complement = orthogonal_complement(LAMBDA, e)
@@ -1339,12 +1355,13 @@ def test_replay_reads_only_complements_and_classify_only_constructions(monkeypat
 
 # The changes of basis with entries in {-1, 0, 1}: each carries a form to an
 # equivalent one that a valid certificate may embed instead
-_SMALL_MOVES = tuple(Sl2Matrix(*m) for m in itertools.product((-1, 0, 1), repeat=4)
+_SMALL_MOVES = tuple(m for m in itertools.product((-1, 0, 1), repeat=4)
                      if m[0] * m[3] - m[1] * m[2] == 1)
 
 
-def _inverse(g: Sl2Matrix) -> Sl2Matrix:
-    return Sl2Matrix(g.w, -g.y, -g.z, g.x)
+def _inverse(g: tuple[int, int, int, int]) -> tuple[int, int, int, int]:
+    x, y, z, w = g
+    return w, -y, -z, x
 
 
 def _box_by_case() -> dict[str, tuple[TranscendentalForm, ...]]:
@@ -1392,12 +1409,12 @@ def test_replay_accepts_valid_certificates_that_are_not_canonical():
     rng = random.Random(1381)
     for _ in range(100):
         s = rng.choice(by_case[rng.choice(("I", "II", "III-1", "III-2"))])
-        h = Sl2Matrix.identity()
+        h = (1, 0, 0, 1)
         for i in range(rng.randint(1, 4)):
             bound = 10 ** rng.randint(0, 30)
             k = rng.randint(-bound, bound)
-            h = compose(h, Sl2Matrix(1, k, 0, 1) if i % 2 == 0 else Sl2Matrix(1, 0, k, 1))
-        t = apply_basis_change(s, h)
+            h = compose(h, (1, k, 0, 1) if i % 2 == 0 else (1, 0, k, 1))
+        t = moved(s, h)
         label = case_of(t)[0]
         if label == "III-2":
             for v in _witnesses_by_norm()[t.delta // 4]:
@@ -1405,14 +1422,14 @@ def test_replay_accepts_valid_certificates_that_are_not_canonical():
             continue
         construction = {"I": "all-even", "II": "c-odd", "III-1": "c-even"}[label]
         for k in _SMALL_MOVES:
-            moved = apply_basis_change(s, k)
-            if construction == "c-even" and not moved.a % 2 == moved.b % 2 == 1:
+            form = moved(s, k)
+            if construction == "c-even" and not form.a % 2 == form.b % 2 == 1:
                 continue
-            cert = embedding_certificate(construction, moved, compose(_inverse(h), k))
+            cert = embedding_certificate(construction, form, compose(_inverse(h), k))
             _accept_and_confirm(t, label, cert, confirmed)
     rng = random.Random(2951)
     for n, witnesses in _witnesses_by_norm().items():
-        t = apply_basis_change(TranscendentalForm(1, n, 0), random_sl2(rng, 10**30))
+        t = moved(TranscendentalForm(1, n, 0), random_sl2(rng, 10**30))
         for v in witnesses:
             _accept_and_confirm(t, "III-2", VinbergWitness(n, v), confirmed)
     assert sum(cert.kind == "explicit-embedding" for _, cert in confirmed) >= 1000

@@ -32,9 +32,9 @@ from k3cover.classifier import (
     classify,
     verify_classification,
 )
-from k3cover.lattices import Sl2Matrix, TranscendentalForm, apply_basis_change
+from k3cover.lattices import TranscendentalForm
 
-from conftest import enumerate_P_slice, random_sl2
+from conftest import enumerate_P_slice, moved, random_sl2
 
 
 @pytest.fixture(autouse=True)
@@ -333,7 +333,7 @@ def test_scan_line_is_json_dumps_of_classified_forms():
     rng = random.Random(1707)
     for a, b, c in ((2, 4, 2), (2, 3, 1), (2, 3, 2), (1, 5, 0), (1, 1, 0), (1, 1, 1)):
         g = random_sl2(rng, 10**15)
-        forms.append(apply_basis_change(TranscendentalForm(a, b, c), g))
+        forms.append(moved(TranscendentalForm(a, b, c), g))
     assert {case_of(t)[0] for t in forms} == set(CASE_ORDER)
     for t in forms:
         result = classify(t)
@@ -379,7 +379,7 @@ def test_scanning_the_witness_box_builds_no_form_certificate_or_classification(m
     def refused(self, *args):
         raise AssertionError(f"{type(self).__name__} built")
 
-    for cls in (TranscendentalForm, Sl2Matrix, Classification, *classifier.Certificate.__args__):
+    for cls in (TranscendentalForm, Classification, *classifier.Certificate.__args__):
         monkeypatch.setattr(cls, "__init__", refused)
     # the witness box, then the full box, whose III-1 forms are sheared
     for box, forms in (((1, 20000, 0, 0), 20000), ((20, 20, -20, 20), 12668)):

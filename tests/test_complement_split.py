@@ -49,7 +49,7 @@ from k3cover.intmat import (
     left_kernel,
     to_lattice,
 )
-from k3cover.lattices import TranscendentalForm, apply_basis_change, parity_class
+from k3cover.lattices import TranscendentalForm, parity_class
 from k3cover.quadforms import represents_one
 from k3cover.shortvec import NormQuery, enumerate_norm
 
@@ -58,6 +58,7 @@ from conftest import (
     c_even_normalized,
     construction_of,
     minor_gcd,
+    moved,
     pair,
     random_sl2,
     replace,
@@ -156,8 +157,7 @@ def test_block_check_matches_enumeration_on_big_coefficients():
             forms.append(TranscendentalForm(a, b, c))
     while len(forms) < 50:
         # (1, n, 0) in a random basis: represents 1, so the c-even complement has a root
-        t = apply_basis_change(TranscendentalForm(1, rng.randint(10**3, 10**4), 0),
-                               random_sl2(rng, 30))
+        t = moved(TranscendentalForm(1, rng.randint(10**3, 10**4), 0), random_sl2(rng, 30))
         if min(t.a, t.b) >= 10**5:
             forms.append(t)
     with_roots = 0
@@ -346,8 +346,7 @@ def test_block_defect_on_coefficients_beyond_10_to_30():
             forms.append(TranscendentalForm(a, b, c))
     while len(forms) < 40:
         # represents 1, so its c-even complement has a root
-        t = apply_basis_change(TranscendentalForm(1, rng.randint(10**30, 10**31), 0),
-                               random_sl2(rng, 30))
+        t = moved(TranscendentalForm(1, rng.randint(10**30, 10**31), 0), random_sl2(rng, 30))
         forms.append(t)
     seen = set()
     for t in forms:
@@ -381,7 +380,7 @@ def construction_form(construction: str, a: int, b: int, c: int, g) -> Transcend
         a, c = a | 1, c - c % 2
     else:
         a, b, c = a + a % 2, b + b % 2, c - c % 2
-    t = apply_basis_change(TranscendentalForm(a, b, c), g)
+    t = moved(TranscendentalForm(a, b, c), g)
     return c_even_normalized(t)[0] if construction == "c-even" else t
 
 

@@ -18,9 +18,9 @@ from k3cover.intmat import (
     standard_lattice,
     to_lattice,
 )
-from k3cover.lattices import Sl2Matrix, TranscendentalForm, apply_basis_change, parity_class
+from k3cover.lattices import TranscendentalForm, _moved, parity_class
 
-from conftest import compose, random_sl2, sl2_matrices
+from conftest import compose, moved, random_sl2, sl2_matrices
 
 
 def test_inner_product_frozen_values():
@@ -132,8 +132,8 @@ def huge_forms(draw) -> TranscendentalForm:
 @given(huge_forms(), sl2_matrices(10**15))
 def test_delta_is_bound_at_construction_and_kept_by_basis_changes_property(t, g):
     assert t.delta == 4 * t.a * t.b - t.c * t.c
-    moved = apply_basis_change(t, g)
-    assert moved.delta == 4 * moved.a * moved.b - moved.c * moved.c == t.delta
+    out = moved(t, g)
+    assert out.delta == 4 * out.a * out.b - out.c * out.c == t.delta
 
 
 def test_to_lattice_frozen_grams():
@@ -145,21 +145,27 @@ def test_to_lattice_frozen_grams():
 
 
 def test_sl2_validation_and_compose():
-    with pytest.raises(ValueError):
-        Sl2Matrix(1, 0, 0, -1)
-    with pytest.raises(ValueError):
-        Sl2Matrix(2, 0, 0, 2)
-    g = Sl2Matrix(2, 1, 1, 1)
-    assert compose(g, Sl2Matrix.identity()).as_tuple() == (2, 1, 1, 1)
-    assert compose(g, Sl2Matrix(1, 1, 0, 1)).as_tuple() == (2, 3, 1, 2)
+    g = (2, 1, 1, 1)
+    assert compose(g, (1, 0, 0, 1)) == (2, 1, 1, 1)
+    assert compose(g, (1, 1, 0, 1)) == (2, 3, 1, 2)
 
 
 def test_apply_basis_change_frozen():
+    assert _moved(2, 1, 0, 2, 1, 1, 1) == (9, 3, 10)
     t = TranscendentalForm(2, 1, 0)
-    out = apply_basis_change(t, Sl2Matrix(2, 1, 1, 1))
+    out = moved(t, (2, 1, 1, 1))
     assert out.triple() == (9, 3, 10)
     assert out.delta == t.delta == 8
-    assert apply_basis_change(t, Sl2Matrix.identity()).triple() == (2, 1, 0)
+    assert _moved(2, 1, 0, 1, 0, 0, 1) == (2, 1, 0)
+
+
+def _assert_moved_is_gram_congruence(t: TranscendentalForm, g) -> None:
+    """`_moved` gives the Gram matrix g^T G g of t in the basis changed by g."""
+    x, y, z, w = g
+    m = IntMatrix.from_rows([[x, z], [y, w]])
+    expect = m @ to_lattice(t).gram @ m.transpose()
+    out = TranscendentalForm(*_moved(t.a, t.b, t.c, x, y, z, w))
+    assert to_lattice(out).gram.to_lists() == expect.to_lists()
 
 
 def test_apply_basis_change_is_gram_congruence():
@@ -171,12 +177,12 @@ def test_apply_basis_change_is_gram_congruence():
         if 4 * a * b - c * c <= 0:
             continue
         done += 1
-        t = TranscendentalForm(a, b, c)
-        g = random_sl2(rng)
-        x, y, z, w = g.as_tuple()
-        m = IntMatrix.from_rows([[x, z], [y, w]])
-        expect = m @ to_lattice(t).gram @ m.transpose()
-        assert to_lattice(apply_basis_change(t, g)).gram.to_lists() == expect.to_lists()
+        _assert_moved_is_gram_congruence(TranscendentalForm(a, b, c), random_sl2(rng))
+
+
+@given(huge_forms(), sl2_matrices(10**15))
+def test_moved_is_gram_congruence_at_big_integers_property(t, g):
+    _assert_moved_is_gram_congruence(t, g)
 
 
 def test_basis_change_preserves_class_and_delta():
@@ -189,7 +195,7 @@ def test_basis_change_preserves_class_and_delta():
             continue
         done += 1
         t = TranscendentalForm(a, b, c)
-        out = apply_basis_change(t, random_sl2(rng, bound=20))
+        out = moved(t, random_sl2(rng, bound=20))
         assert out.delta == t.delta
         assert parity_class(out) == parity_class(t)
 

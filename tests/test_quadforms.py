@@ -9,10 +9,10 @@ from hypothesis import strategies as st
 
 from k3cover import classifier, cli, quadforms
 from k3cover.classifier import Classification, classify, verify_classification
-from k3cover.lattices import Sl2Matrix, TranscendentalForm, apply_basis_change, parity_class
+from k3cover.lattices import TranscendentalForm, parity_class
 from k3cover.quadforms import _gauss, represents_one
 
-from conftest import c_even_normalized, compose, pair, reduce_form, sl2_matrices
+from conftest import c_even_normalized, compose, moved, pair, reduce_form, sl2_matrices
 
 
 def _evaluate(t: TranscendentalForm, x: int, y: int) -> int:
@@ -68,7 +68,7 @@ def test_reduce_transform_consistency():
         done += 1
         t = TranscendentalForm(a, b, c)
         red, g = reduce_form(t)
-        assert apply_basis_change(t, g) == red
+        assert moved(t, g) == red
         assert red.delta == t.delta
         assert abs(red.c) <= red.a <= red.b
         again, _ = reduce_form(red)
@@ -126,23 +126,23 @@ def test_represents_one_matches_box_search_property(t):
 @given(definite_forms(BIG))
 def test_reduce_form_returns_its_transform_property(t):
     red, g = reduce_form(t)
-    assert apply_basis_change(t, g) == red
+    assert moved(t, g) == red
     assert _is_reduced(red)
     assert red.delta == t.delta
 
 
 @given(definite_forms(BIG), sl2_matrices(10**30))
 def test_reduction_is_invariant_under_sl2_property(t, g):
-    moved = apply_basis_change(t, g)
+    u = moved(t, g)
     red, _ = reduce_form(t)
-    assert reduce_form(moved)[0] == red
-    assert represents_one(moved.a, moved.c, moved.b) == (red.a == 1)
+    assert reduce_form(u)[0] == red
+    assert represents_one(u.a, u.c, u.b) == (red.a == 1)
 
 
 def _oracle_triple(t: TranscendentalForm) -> tuple[int, int, int]:
     """The oracle's reduced form as the (p, q, r) = (a, c, b) that `_gauss` returns."""
     red, g = reduce_form(t)
-    assert apply_basis_change(t, g) == red
+    assert moved(t, g) == red
     return red.a, red.c, red.b
 
 
@@ -161,20 +161,20 @@ def test_gauss_returns_the_oracle_triple_on_the_box():
 
 @given(definite_forms(BIG), sl2_matrices(10**40))
 def test_gauss_returns_the_oracle_triple_on_moved_forms_property(t, g):
-    moved = apply_basis_change(t, g)
-    assert _gauss(moved.a, moved.c, moved.b) == _oracle_triple(moved)
+    u = moved(t, g)
+    assert _gauss(u.a, u.c, u.b) == _oracle_triple(u)
 
 
 def _fibonacci_moved(t: TranscendentalForm, digits: int) -> TranscendentalForm:
     """t moved by the least power of [[2, 1], [1, 1]], the product of the unit
     shears [[1, 1], [0, 1]] and [[1, 0], [1, 1]], that gives it an ``a`` of at
     least ``digits`` digits.  The entries of the power are Fibonacci numbers."""
-    g = Sl2Matrix.identity()
-    moved = t
-    while moved.a < 10 ** (digits - 1):
-        g = compose(g, Sl2Matrix(2, 1, 1, 1))
-        moved = apply_basis_change(t, g)
-    return moved
+    g = (1, 0, 0, 1)
+    u = t
+    while u.a < 10 ** (digits - 1):
+        g = compose(g, (2, 1, 1, 1))
+        u = moved(t, g)
+    return u
 
 
 def test_a_thousand_digit_fibonacci_moved_iii_1_form_reduces_and_round_trips():

@@ -15,7 +15,7 @@ from k3cover.classifier import (
     ParityObstruction,
     VinbergWitness,
 )
-from k3cover.lattices import Sl2Matrix, TranscendentalForm
+from k3cover.lattices import TranscendentalForm
 
 _ROWS = ((1, 1, -1, 0) + (0,) * 8, (1, 2, 0, 1) + (0,) * 8)
 _WITNESS = (4, 2, 1, 1, 1, 1, 1, 1, 1, 1, 1)
@@ -24,7 +24,6 @@ _WITNESS = (4, 2, 1, 1, 1, 1, 1, 1, 1, 1, 1)
 # differs from it in exactly one field
 VALUES = [
     (TranscendentalForm, (1, 2, 1), (1, 3, 1)),
-    (Sl2Matrix, (2, 1, 1, 1), (1, 1, 0, 1)),
     (KeumCitation, ((1, 1, 1),), ((1, 1, 2),)),
     (ExplicitEmbedding, ("c-odd", (1, 2, 1), (1, 0, 0, 1), _ROWS, 1, ()),
                         ("c-even", (1, 2, 1), (1, 0, 0, 1), _ROWS, 1, ())),
@@ -73,22 +72,26 @@ def test_certificate_kind_is_a_plain_str_class_attribute():
         assert type(cls.__dict__["kind"]) is str
 
 
-@pytest.mark.parametrize("cls, args", [
-    (TranscendentalForm, (0, 1, 0)),
-    (TranscendentalForm, (1, -1, 0)),
-    (TranscendentalForm, (1, 1, 2)),     # 4ab - c^2 zero
-    (Sl2Matrix, (1, 1, 1, 1)),
-    (Sl2Matrix, (2, 0, 0, 2)),
-    (TranscendentalForm, (-1, 1, 0)),
-    (TranscendentalForm, (0, 1, 1)),
-    (TranscendentalForm, (1, 1, 3)),     # indefinite
+# Keyed by the number in each row's test id; rows 3 and 4 held a matrix
+# type that no longer exists, and the other rows keep their ids.
+_INVALID = {
+    0: (TranscendentalForm, (0, 1, 0)),
+    1: (TranscendentalForm, (1, -1, 0)),
+    2: (TranscendentalForm, (1, 1, 2)),     # 4ab - c^2 zero
+    5: (TranscendentalForm, (-1, 1, 0)),
+    6: (TranscendentalForm, (0, 1, 1)),
+    7: (TranscendentalForm, (1, 1, 3)),     # indefinite
     # coefficients that are not ints, bools among them
-    (TranscendentalForm, (0.5, 1, 0)),
-    (TranscendentalForm, (2.0, 2.0, 0.0)),
-    (TranscendentalForm, (True, 1, 0)),
-    (TranscendentalForm, (1, 1, "0")),
-    (TranscendentalForm, (1, 1.0, 0)),
-])
+    8: (TranscendentalForm, (0.5, 1, 0)),
+    9: (TranscendentalForm, (2.0, 2.0, 0.0)),
+    10: (TranscendentalForm, (True, 1, 0)),
+    11: (TranscendentalForm, (1, 1, "0")),
+    12: (TranscendentalForm, (1, 1.0, 0)),
+}
+
+
+@pytest.mark.parametrize("cls, args", list(_INVALID.values()),
+                         ids=[f"{cls.__name__}-args{i}" for i, (cls, _) in _INVALID.items()])
 def test_invalid_value_raises_value_error(cls, args):
     with pytest.raises(ValueError):
         cls(*args)
