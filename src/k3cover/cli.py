@@ -238,22 +238,27 @@ def scan_cmd(a_max: int, b_max: int, c_min: int, c_max: int, out: str) -> None:
     tasks = _tasks(_rows(*box))
     pool = None
     try:
-        if workers == 1:
-            blocks = map(_scan_rows, tasks)
-        else:
-            # imported on demand: it adds 20-40 ms to every start-up
-            from concurrent.futures import ProcessPoolExecutor
-            pool = ProcessPoolExecutor(max_workers=workers)
-            blocks = _in_order(pool, _scan_rows, tasks, _TASKS_PER_WORKER * workers)
-        for task_counts, block in blocks:
-            counts = list(map(add, counts, task_counts))
-            handle.write(block)
-    finally:
-        if pool is not None:
-            # after a failed write, the window's tasks not yet started are dropped
-            pool.shutdown(cancel_futures=True)
-        if handle is not sys.stdout:
-            handle.close()
+        try:
+            if workers == 1:
+                blocks = map(_scan_rows, tasks)
+            else:
+                # imported on demand: it adds 20-40 ms to every start-up
+                from concurrent.futures import ProcessPoolExecutor
+                pool = ProcessPoolExecutor(max_workers=workers)
+                blocks = _in_order(pool, _scan_rows, tasks, _TASKS_PER_WORKER * workers)
+            for task_counts, block in blocks:
+                counts = list(map(add, counts, task_counts))
+                handle.write(block)
+        finally:
+            if pool is not None:
+                # after a failed write, the window's tasks not yet started are dropped
+                pool.shutdown(cancel_futures=True)
+            if handle is not sys.stdout:
+                handle.close()
+    except OSError as exc:
+        if handle is sys.stdout:
+            raise       # to main, which quiets stdout; a failed --out file leaves it be
+        _fail(f"cannot write the output: {exc.strerror or exc}", 1)
     tally = " ".join(f"{label}={count}" for label, count in zip(CASE_ORDER, counts))
     print(f"scanned {sum(counts)} forms: {tally}", file=sys.stderr)
 
@@ -343,10 +348,15 @@ def main(argv: list[str] | None = None) -> None:
         args.pop("run")(**args)
         sys.stdout.flush()
     except OSError as exc:
-        # the output could not be written: the reader closed the pipe
+        # stdout could not be written: the reader closed the pipe
         # (`k3cover scan ... | head`) or the device is full.  What is still
         # buffered goes to the null device, so the exit flush stays silent.
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        null = os.open(os.devnull, os.O_WRONLY)
+        try:
+            os.dup2(null, sys.stdout.fileno())
+        except OSError:
+            pass    # no descriptor, as a caller's StringIO: nothing waits for the exit flush
+        os.close(null)
         _fail(f"cannot write the output: {exc.strerror or exc}", 1)
 
 

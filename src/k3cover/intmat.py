@@ -1,9 +1,9 @@
 """Exact integer matrix algebra, and the integral lattices built on it.
 
 Everything here runs on arbitrary-precision Python ints (plus Fraction for
-the one rational solve and the signature).  No floating point anywhere:
-determinants, Hermite forms, kernels and adjugates are computed exactly,
-so the certificate machinery built on top can be replayed bit for bit.
+the one rational solve).  No floating point anywhere: determinants, Hermite
+forms, kernels and adjugates are computed exactly, so the certificate
+machinery built on top can be replayed bit for bit.
 
 The Gram-matrix layer at the end gives integral lattices and the ambient
 lattice of every covering question here, the even lattice of signature
@@ -309,10 +309,6 @@ class IntegralLattice:
     def is_even(self) -> bool:
         return all(self.gram.entries[i][i] % 2 == 0 for i in range(self.rank))
 
-    def signature(self) -> tuple[int, int, int]:
-        """(positive, negative, zero) counts of a rational diagonalization."""
-        return _signature(self.gram)
-
 
 def inner_product(lattice: IntegralLattice, u, v) -> int:
     """Bilinear form value u . v in the given lattice."""
@@ -332,46 +328,6 @@ def direct_sum(a: IntegralLattice, b: IntegralLattice) -> IntegralLattice:
     for i in range(m):
         rows.append((0,) * n + tuple(b.gram.entries[i]))
     return IntegralLattice(n + m, IntMatrix.from_rows(rows) if rows else IntMatrix(0, 0, ()))
-
-
-def _signature(gram: IntMatrix) -> tuple[int, int, int]:
-    """Signature by exact symmetric Gaussian diagonalization over Q."""
-    n = gram.rows
-    m = [[Fraction(x) for x in row] for row in gram.entries]
-    pos = neg = zero = 0
-    for k in range(n):
-        if m[k][k] == 0:
-            # bring a nonzero diagonal entry into position k if possible
-            swap = next((i for i in range(k + 1, n) if m[i][i] != 0), None)
-            if swap is not None:
-                m[k], m[swap] = m[swap], m[k]
-                for row in m:
-                    row[k], row[swap] = row[swap], row[k]
-            else:
-                off = next((j for j in range(k + 1, n) if m[k][j] != 0), None)
-                if off is None:
-                    zero += 1
-                    continue
-                # m[k][k] = m[off][off] = 0, m[k][off] != 0: fold row/col `off` in
-                for j in range(n):
-                    m[k][j] += m[off][j]
-                for i in range(n):
-                    m[i][k] += m[i][off]
-        p = m[k][k]
-        if p > 0:
-            pos += 1
-        else:
-            neg += 1
-        # row-eliminate below the pivot; the matching column operations then
-        # only zero out row k, leaving the symmetric Schur complement
-        for i in range(k + 1, n):
-            if m[i][k] != 0:
-                f = m[i][k] / p
-                for j in range(k, n):
-                    m[i][j] -= f * m[k][j]
-        for j in range(k + 1, n):
-            m[k][j] = Fraction(0)
-    return pos, neg, zero
 
 
 _E8_EDGES = ((0, 2), (2, 3), (3, 4), (4, 5), (5, 6), (6, 7), (1, 3))

@@ -25,7 +25,8 @@ from sympy.matrices.normalforms import invariant_factors
 
 from k3cover.classifier import CONSTRUCTIONS, _c_even_fields
 from k3cover.embeddings import Embedding
-from k3cover.intmat import IntMatrix, rank, solve_left, standard_lattice, to_lattice, xgcd
+from k3cover.intmat import (IntegralLattice, IntMatrix, rank, solve_left, standard_lattice,
+                            to_lattice, xgcd)
 from k3cover.lattices import TranscendentalForm, _moved, parity_class
 from k3cover.vinberg import SLICE_CAP
 
@@ -236,6 +237,17 @@ def smith_invariant_factors(a: IntMatrix) -> tuple[int, ...]:
     """The nonzero invariant factors d1 | d2 | ... of the matrix, all
     positive, from sympy's Smith normal form: the tests' one Smith oracle."""
     return tuple(abs(int(d)) for d in invariant_factors(Matrix(a.to_lists()), domain=ZZ) if d)
+
+
+def signature(lattice: IntegralLattice) -> tuple[int, int, int]:
+    """(positive, negative, zero) eigenvalue counts of the Gram matrix, exact:
+    sympy's characteristic polynomial, its zero roots divided out, has its
+    real roots counted with multiplicity on each side of 0 (the square-free
+    factors' roots are simple).  The tests' one signature oracle."""
+    (zero,), p = Matrix(lattice.gram.to_lists()).charpoly().terms_gcd()
+    factors = p.sqf_list()[1]
+    return (sum(m * f.count_roots(0, None) for f, m in factors),
+            sum(m * f.count_roots(None, 0) for f, m in factors), zero)
 
 
 def random_full_rank(rng: random.Random, n: int, m: int, bound: int = 5) -> IntMatrix:

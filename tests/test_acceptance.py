@@ -41,6 +41,7 @@ from conftest import (
     moved,
     random_full_rank,
     random_sl2,
+    signature,
     smith_invariant_factors,
     written_down_embedding,
 )
@@ -239,7 +240,7 @@ def test_criterion_08_ambient_lattice_invariants():
     assert LAMBDA.is_even()
     assert LAMBDA.rank == 12
     assert abs(LAMBDA.det()) == 1024
-    pos, neg, zero = LAMBDA.signature()
+    pos, neg, zero = signature(LAMBDA)
     assert (pos, neg, zero) == (2, 10, 0)
     reps = enumerate_norm(NormQuery(standard_lattice("E8_2"), -4))
     assert 2 * len(reps) == 240

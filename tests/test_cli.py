@@ -1,7 +1,9 @@
 """Command line surface: classify, scan, verify-lemmas."""
 
 import ast
+import errno
 import hashlib
+import io
 import json
 import os
 import random
@@ -13,6 +15,7 @@ from pathlib import Path
 
 import tracemalloc
 from concurrent.futures import Future
+from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
 from hypothesis import given
@@ -712,6 +715,66 @@ def test_help_to_a_full_device_exits_1_without_a_traceback(args, unbuffered):
     assert done.returncode == 1, done.stderr
     assert done.stderr.startswith("error: ")
     assert "Traceback" not in done.stderr and "Exception ignored" not in done.stderr
+
+
+_NO_SPACE = "error: cannot write the output: No space left on device\n"
+_FULL_AND_FDS = pytest.mark.skipif(
+    not (os.path.exists("/dev/full") and os.path.isdir("/proc/self/fd")),
+    reason="needs the /dev/full device and /proc/self/fd")
+
+
+def _open_fds() -> list[str]:
+    return sorted(os.listdir("/proc/self/fd"))
+
+
+def _main_in_process(args, stdout) -> tuple[int, str]:
+    """`main(args)` run in this process with the given stdout: its exit code
+    and what it wrote to stderr."""
+    err = io.StringIO()
+    with redirect_stdout(stdout), redirect_stderr(err), pytest.raises(SystemExit) as exit_:
+        main(args)
+    return exit_.value.code, err.getvalue()
+
+
+class _FullStream(io.StringIO):
+    """A stdout with no descriptor that refuses every write as a full device does."""
+
+    def write(self, text: str) -> int:
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+
+@_FULL_AND_FDS
+@pytest.mark.parametrize("descriptor", [False, True], ids=["stringio", "file"])
+@pytest.mark.parametrize("box", [(1, 1, 0, 0), _FULL_BOX], ids=["at-close", "at-write"])
+def test_a_full_out_file_fails_in_process_and_leaves_stdout_as_it_is(box, descriptor, tmp_path):
+    # one line fails when the --out file is closed, the full box's 2.9 MB
+    # already at a write; stdout, which did not fail, is neither touched nor
+    # asked for a descriptor, and no descriptor is left open
+    path = tmp_path / "stdout.txt"
+    with (open(path, "w") if descriptor else io.StringIO()) as stdout:
+        before = _open_fds()
+        assert _main_in_process(_box_scan(box) + ["--out", "/dev/full"], stdout) == (1, _NO_SPACE)
+        assert _open_fds() == before
+        if descriptor:
+            assert os.path.samestat(os.fstat(stdout.fileno()), os.stat(path))
+
+
+@_FULL_AND_FDS
+@pytest.mark.parametrize("args", [
+    ["classify", "--a", "1", "--b", "2", "--c", "1"],
+    _box_scan(_FULL_BOX),
+], ids=["classify", "scan"])
+def test_a_full_stdout_fails_in_process_and_closes_what_it_opens(args):
+    # main's handler: a real descriptor is pointed at the null device, so the
+    # exit flush stays silent, and a stream with none is left as it is
+    with open("/dev/full", "w") as full:
+        before = _open_fds()
+        assert _main_in_process(args, full) == (1, _NO_SPACE)
+        assert _open_fds() == before
+        assert os.path.samestat(os.fstat(full.fileno()), os.stat(os.devnull))
+    before = _open_fds()
+    assert _main_in_process(args, _FullStream()) == (1, _NO_SPACE)
+    assert _open_fds() == before
 
 
 def test_verify_lemmas_passes(runner):

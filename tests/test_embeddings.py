@@ -30,7 +30,7 @@ from k3cover.intmat import (
 from k3cover.intmat import maximal_minor_gcd as matrix_minor_gcd
 from k3cover.lattices import TranscendentalForm
 
-from conftest import LAMBDA, random_full_rank, written_down_embedding
+from conftest import LAMBDA, random_full_rank, signature, written_down_embedding
 
 
 def _pad(row):
@@ -170,7 +170,7 @@ def test_complement_of_covering_embedding():
     e = written_down_embedding(TranscendentalForm(1, 2, 1))
     _, comp = orthogonal_complement(LAMBDA, e)
     assert comp.rank == 10
-    assert comp.signature() == (0, 10, 0)
+    assert signature(comp) == (0, 10, 0)
     g = comp.gram.entries
     for i in range(10):
         assert g[i][i] % 4 == 0

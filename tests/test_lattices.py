@@ -15,12 +15,13 @@ from k3cover.intmat import (
     hyperbolic_plane,
     inner_product,
     primitive_vector,
+    rank,
     standard_lattice,
     to_lattice,
 )
 from k3cover.lattices import TranscendentalForm, _moved, parity_class
 
-from conftest import compose, moved, random_sl2, sl2_matrices
+from conftest import compose, moved, random_sl2, signature, sl2_matrices
 
 
 def test_inner_product_frozen_values():
@@ -47,16 +48,16 @@ def test_inner_product_bilinear_and_symmetric():
 
 def test_standard_lattice_invariants():
     u = standard_lattice("U")
-    assert (u.rank, u.det(), u.signature()) == (2, -1, (1, 1, 0))
+    assert (u.rank, u.det(), signature(u)) == (2, -1, (1, 1, 0))
     assert u.is_even()
     u2 = standard_lattice("U2")
     assert (u2.rank, u2.det()) == (2, -4)
     assert u2.gram.to_lists() == [[0, 2], [2, 0]]
     e8 = standard_lattice("E8_2")
-    assert (e8.rank, e8.det(), e8.signature()) == (8, 256, (0, 8, 0))
+    assert (e8.rank, e8.det(), signature(e8)) == (8, 256, (0, 8, 0))
     assert all(e8.gram.entries[i][i] == -4 for i in range(8))
     lam = standard_lattice("LambdaMinus")
-    assert (lam.rank, lam.det(), lam.signature()) == (12, 1024, (2, 10, 0))
+    assert (lam.rank, lam.det(), signature(lam)) == (12, 1024, (2, 10, 0))
     assert lam.is_even()
     with pytest.raises(ValueError):
         standard_lattice("E7")
@@ -92,10 +93,34 @@ def test_gram_validation():
         IntegralLattice(3, IntMatrix.identity(2))
     odd = IntegralLattice.from_gram_rows([[1, 0], [0, -2]])
     assert not odd.is_even()
-    assert odd.signature() == (1, 1, 0)
+    assert signature(odd) == (1, 1, 0)
     degenerate = IntegralLattice.from_gram_rows([[0, 0], [0, 2]])
-    assert degenerate.signature() == (1, 0, 1)
+    assert signature(degenerate) == (1, 0, 1)
     assert degenerate.det() == 0
+
+
+def test_signature_oracle_agrees_with_rank_and_determinant():
+    """conftest's sympy signature, held to our own exact algebra on 200
+    random symmetric Gram matrices: the counts add up to n, the zero count is
+    n - rank, and a nonzero determinant has the sign (-1)^neg."""
+    rng = random.Random(39)
+    for _ in range(200):
+        n = rng.randint(0, 6)
+        rows = [[0] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(i + 1):
+                rows[i][j] = rows[j][i] = rng.randint(-3, 3)
+        lattice = IntegralLattice.from_gram_rows(rows)
+        pos, neg, zero = signature(lattice)
+        assert pos + neg + zero == n
+        assert zero == n - rank(lattice.gram)
+        det = lattice.gram.det()
+        if det:
+            assert (-1) ** neg == (1 if det > 0 else -1)
+    # the zero form, a zero pivot beside a nonzero pairing, and a repeated eigenvalue
+    assert signature(IntegralLattice.from_gram_rows([[0, 0], [0, 0]])) == (0, 0, 2)
+    assert signature(IntegralLattice.from_gram_rows([[0, 1, 0], [1, 0, 0], [0, 0, 0]])) == (1, 1, 1)
+    assert signature(IntegralLattice.from_gram_rows([[2, 0, 0], [0, 2, 0], [0, 0, -2]])) == (2, 1, 0)
 
 
 def test_transcendental_form_validation():
