@@ -456,7 +456,11 @@ def certificate_from_dict(data: dict[str, object]) -> Certificate:
         raise VerificationError(f"certificate is missing the key {exc}") from None
     except (AttributeError, TypeError) as exc:
         raise VerificationError(f"malformed certificate: {exc}") from None
-    raise ValueError(f"unknown certificate kind {kind!r}")
+    try:
+        named = repr(kind)
+    except ValueError:  # an int past the int <-> str digit limit, or holding one
+        named = f"of type {type(kind).__name__}"
+    raise ValueError(f"unknown certificate kind {named}")
 
 
 class Classification(Frozen):

@@ -18,12 +18,12 @@ from .errors import VerificationError
 from .intmat import (
     IntegralLattice,
     IntMatrix,
+    hnf,
     inner_product,
     left_kernel,
     maximal_minor_gcd as _matrix_minor_gcd,
     primitive_vector,
     rank,
-    solve_left,
 )
 
 
@@ -59,9 +59,20 @@ def is_primitive(e: Embedding) -> bool:
 
 
 def in_image(e: Embedding, z) -> bool:
-    """Whether z (target coordinates) is an integer combination of image rows."""
-    x = solve_left(e.matrix, z)
-    return x is not None and all(f.denominator == 1 for f in x)
+    """Whether z (target coordinates) is an integer combination of image rows:
+    each Hermite row in turn clears z at its pivot, or z is not a member."""
+    z = list(z)
+    if len(z) != e.matrix.cols:
+        raise ValueError("target length does not match column count")
+    for row in hnf(e.matrix)[0].entries:
+        pivot = next((j for j, x in enumerate(row) if x), None)
+        if pivot is None:
+            break
+        q, r = divmod(z[pivot], row[pivot])
+        if r:
+            return False
+        z = [zj - q * hj for zj, hj in zip(z, row)]
+    return not any(z)
 
 
 @dataclass(frozen=True)

@@ -1,9 +1,9 @@
 """Exact integer matrix algebra, and the integral lattices built on it.
 
-Everything here runs on arbitrary-precision Python ints (plus Fraction for
-the one rational solve).  No floating point anywhere: determinants, Hermite
-forms, kernels and adjugates are computed exactly, so the certificate
-machinery built on top can be replayed bit for bit.
+Everything here runs on arbitrary-precision Python ints, with no rational
+or floating-point step: determinants, Hermite forms, kernels and adjugates
+are computed exactly, so the certificate machinery built on top can be
+replayed bit for bit.
 
 The Gram-matrix layer at the end gives integral lattices and the ambient
 lattice of every covering question here, the even lattice of signature
@@ -18,7 +18,6 @@ stands on.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cache
 from itertools import combinations
 from math import gcd
@@ -70,13 +69,6 @@ class IntMatrix:
         ents = tuple(tuple(int(x) for x in row) for row in rows)
         ncols = len(ents[0]) if ents else 0
         return cls(len(ents), ncols, ents)
-
-    @classmethod
-    def identity(cls, n: int) -> "IntMatrix":
-        return cls(n, n, tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n)))
-
-    def row(self, i: int) -> tuple[int, ...]:
-        return self.entries[i]
 
     def transpose(self) -> "IntMatrix":
         return IntMatrix(self.cols, self.rows,
@@ -137,7 +129,7 @@ class IntMatrix:
 
 
 def _det_bareiss(m: list[list[int]]) -> int:
-    """Fraction-free Gaussian elimination; exact for integer matrices."""
+    """Bareiss elimination: each division is exact, so every step stays integral."""
     n = len(m)
     if n == 0:
         return 1
@@ -226,44 +218,6 @@ def left_kernel(a: IntMatrix) -> IntMatrix:
         return IntMatrix(0, a.rows, ())
     canon, _ = hnf(IntMatrix.from_rows(ker))
     return canon
-
-
-def solve_left(a: IntMatrix, target) -> tuple[Fraction, ...] | None:
-    """Rational solution x of x @ a = target, or None if inconsistent.
-
-    Used for lattice membership: target lies in the row span of `a` over Q
-    iff a solution exists, and in the integer row span iff that solution
-    can be chosen integral (unique when `a` has full row rank).
-    """
-    target = tuple(target)
-    if len(target) != a.cols:
-        raise ValueError("target length does not match column count")
-    # solve a^T x^T = target^T by exact Gaussian elimination
-    n, m = a.rows, a.cols
-    aug = [[Fraction(a.entries[i][j]) for i in range(n)] + [Fraction(target[j])]
-           for j in range(m)]
-    pivots: list[int] = []
-    row = 0
-    for col in range(n):
-        piv = next((i for i in range(row, m) if aug[i][col] != 0), None)
-        if piv is None:
-            continue
-        aug[row], aug[piv] = aug[piv], aug[row]
-        inv = aug[row][col]
-        aug[row] = [x / inv for x in aug[row]]
-        for i in range(m):
-            if i != row and aug[i][col] != 0:
-                f = aug[i][col]
-                aug[i] = [x - f * y for x, y in zip(aug[i], aug[row])]
-        pivots.append(col)
-        row += 1
-    for i in range(row, m):
-        if aug[i][n] != 0:
-            return None
-    x = [Fraction(0)] * n
-    for r, col in enumerate(pivots):
-        x[col] = aug[r][n]
-    return tuple(x)
 
 
 def maximal_minors(a: IntMatrix):

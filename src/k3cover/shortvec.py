@@ -23,21 +23,12 @@ standard Gram matrix is already reduced.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt
 
 from .intmat import IntegralLattice, IntMatrix
 
 NORM_CEILING = 64
-
-
-@dataclass(frozen=True)
-class NormQuery:
-    """Search request: every vector of norm exactly target_norm."""
-
-    lattice: IntegralLattice
-    target_norm: int
 
 
 def _validate(target_norm: int) -> int:
@@ -143,10 +134,6 @@ def _component_groups(gram_rows: tuple[tuple[int, ...], ...],
     return groups
 
 
-def clear_cache() -> None:
-    _CACHE.clear()
-
-
 def _components(gram: IntMatrix) -> list[tuple[int, ...]]:
     """Connected components of the Gram matrix's nonzero pattern, by index."""
     n = gram.rows
@@ -220,17 +207,17 @@ def enumerate_by_norm(lattice: IntegralLattice,
     return {norm: tuple(sorted(vecs)) for norm, vecs in sorted(out.items())}
 
 
-def enumerate_norm(q: NormQuery) -> list[tuple[int, ...]]:
-    """All vectors of the requested norm.
+def enumerate_norm(lattice: IntegralLattice, target_norm: int) -> list[tuple[int, ...]]:
+    """All vectors of norm exactly target_norm.
 
     One representative per +/- pair, first nonzero coordinate positive,
     sorted lexicographically.
     """
-    bound = _validate(q.target_norm)
-    return sorted(v for v, _ in _iter_vectors(q.lattice, bound, bound))
+    bound = _validate(target_norm)
+    return sorted(v for v, _ in _iter_vectors(lattice, bound, bound))
 
 
-def has_norm(q: NormQuery) -> bool:
-    """Existence check; stops at the first witness."""
-    bound = _validate(q.target_norm)
-    return next(_iter_vectors(q.lattice, bound, bound), None) is not None
+def has_norm(lattice: IntegralLattice, target_norm: int) -> bool:
+    """Whether a vector of norm target_norm exists; stops at the first witness."""
+    bound = _validate(target_norm)
+    return next(_iter_vectors(lattice, bound, bound), None) is not None

@@ -25,7 +25,7 @@ from sympy.matrices.normalforms import invariant_factors
 
 from k3cover.classifier import CONSTRUCTIONS, _c_even_fields
 from k3cover.embeddings import Embedding
-from k3cover.intmat import (IntegralLattice, IntMatrix, rank, solve_left, standard_lattice,
+from k3cover.intmat import (IntegralLattice, IntMatrix, rank, standard_lattice,
                             to_lattice, xgcd)
 from k3cover.lattices import TranscendentalForm, _moved, parity_class
 from k3cover.vinberg import SLICE_CAP
@@ -284,9 +284,11 @@ def e8_root_coefficients() -> set[tuple[int, ...]]:
     Built independently of the package's search code: the coordinate model
     lists the doubled roots directly (112 vectors with two entries +-2, and
     128 vectors of all +-1 with an even number of minus signs), and each is
-    converted by solving one linear system against the simple root rows.
+    converted by solving x @ S = r against the simple root rows S, as
+    x = r @ adj(S) / det(S).
     """
     s = doubled_simple_roots()
+    adj, det = s.adjugate(), s.det()
     doubled: list[tuple[int, ...]] = []
     for i in range(8):
         for j in range(i + 1, 8):
@@ -301,9 +303,8 @@ def e8_root_coefficients() -> set[tuple[int, ...]]:
     assert len(doubled) == 240
     out: set[tuple[int, ...]] = set()
     for r in doubled:
-        sol = solve_left(s, r)
-        assert sol is not None, "coordinate root outside the simple-root span"
-        assert all(f.denominator == 1 for f in sol), "non-integral root coefficients"
-        out.add(tuple(int(f) for f in sol))
+        scaled = (IntMatrix.from_rows([r]) @ adj).entries[0]
+        assert all(x % det == 0 for x in scaled), "non-integral root coefficients"
+        out.add(tuple(x // det for x in scaled))
     assert len(out) == 240
     return out

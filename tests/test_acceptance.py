@@ -31,7 +31,7 @@ from k3cover.intmat import (
 )
 from k3cover.lattices import TranscendentalForm
 from k3cover.quadforms import represents_one
-from k3cover.shortvec import NormQuery, enumerate_by_norm, enumerate_norm
+from k3cover.shortvec import enumerate_by_norm, enumerate_norm
 from k3cover.lemmas import max_norm_in_slice, slice_maximizer
 from k3cover.vinberg import in_P, norm, search_norm
 
@@ -102,7 +102,7 @@ def test_criterion_02_case_ii_embeddings_are_root_free():
         assert validate(e)
         assert maximal_minor_gcd(e.matrix) == 1
         _, comp = orthogonal_complement(LAMBDA, e)
-        assert enumerate_norm(NormQuery(comp, -2)) == []
+        assert enumerate_norm(comp, -2) == []
         shallow = enumerate_by_norm(comp, -16)
         assert shallow, t.triple()
         for nrm, vecs in shallow.items():
@@ -129,7 +129,7 @@ def test_criterion_03_case_iii_split_by_complement_roots():
         assert validate(e)
         assert is_primitive(e)
         _, comp = orthogonal_complement(LAMBDA, e)
-        roots = enumerate_norm(NormQuery(comp, -2))
+        roots = enumerate_norm(comp, -2)
         if label == "III-1":
             assert roots == [], t.triple()
         else:
@@ -242,7 +242,7 @@ def test_criterion_08_ambient_lattice_invariants():
     assert abs(LAMBDA.det()) == 1024
     pos, neg, zero = signature(LAMBDA)
     assert (pos, neg, zero) == (2, 10, 0)
-    reps = enumerate_norm(NormQuery(standard_lattice("E8_2"), -4))
+    reps = enumerate_norm(standard_lattice("E8_2"), -4)
     assert 2 * len(reps) == 240
     assert all(v != tuple(-x for x in v) for v in reps)
     elapsed = time.perf_counter() - start

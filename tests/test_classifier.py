@@ -41,7 +41,7 @@ from k3cover.embeddings import Embedding, is_primitive, orthogonal_complement, v
 from k3cover.errors import VerificationError
 from k3cover.intmat import IntMatrix, standard_lattice, to_lattice
 from k3cover.lattices import TranscendentalForm
-from k3cover.shortvec import NormQuery, has_norm
+from k3cover.shortvec import has_norm
 
 from conftest import (
     LAMBDA,
@@ -192,7 +192,7 @@ def test_complement_root_presence_separates_the_iii_branches():
     def complement_has_root(t):
         e = written_down_embedding(t)
         _, comp = orthogonal_complement(LAMBDA, e)
-        return has_norm(NormQuery(comp, -2))
+        return has_norm(comp, -2)
 
     assert not complement_has_root(TranscendentalForm(2, 3, 2))   # III-1
     assert complement_has_root(TranscendentalForm(1, 3, 0))       # III-2
@@ -1236,7 +1236,7 @@ def _confirm_on_the_oracle_stack(t, cert) -> None:
         e = Embedding(to_lattice(normalized), LAMBDA, IntMatrix.from_rows(cert.matrix))
         assert validate(e) and is_primitive(e)
         _, complement = orthogonal_complement(LAMBDA, e)
-        assert not has_norm(NormQuery(complement, -2))
+        assert not has_norm(complement, -2)
     elif cert.kind == "vinberg-witness":
         assert 4 * vinberg.norm(cert.vector) == -t.delta and vinberg.in_P(cert.vector)
     else:
@@ -1259,7 +1259,10 @@ _HUGE = 10**5000
      "certificate of type int is not a certificate object"),
     (lambda: ParityObstruction((2, 2), [_HUGE]).replay(TranscendentalForm(1, 1, 1)),
      _MALFORMED + "pairing_mod_2 must be an integer, not list"),
-], ids=["covers", "case", "certificate", "pairing_mod_2"])
+    (lambda: Classification.from_dict({"case": "IV", "covers": False, "delta": 3,
+                                       "certificate": {"kind": _HUGE}}),
+     "malformed classification: unknown certificate kind of type int"),
+], ids=["covers", "case", "certificate", "pairing_mod_2", "kind"])
 def test_huge_int_in_a_wrong_field_is_refused_at_the_default_digit_limit(probe, message):
     # the messages used to hold repr(value), and the repr of an int past the
     # limit raises ValueError, not VerificationError

@@ -1008,6 +1008,20 @@ def _readme_commands() -> list[tuple[str, str]]:
 README_COMMANDS = _readme_commands()
 
 
+def test_readme_library_block_runs_and_shows_its_results():
+    block = README.read_text(encoding="utf-8").split("## Library\n\n```python\n", 1)[1]
+    block = block.split("```", 1)[0]
+    namespace: dict[str, object] = {}
+    exec(block, namespace)
+    shown = {code.strip(): comment.strip() for code, _, comment
+             in (line.partition("#") for line in block.splitlines())}
+    for expression, result in (("result.case_label", "'III-2'"), ("result.covers", "True")):
+        assert shown[expression] == result == repr(eval(expression, namespace))
+    prefix = "{'kind': 'vinberg-witness', 'n': 3, "
+    assert shown["result.certificate.to_dict()"] == prefix + "...}"
+    assert repr(eval("result.certificate.to_dict()", namespace)).startswith(prefix)
+
+
 def test_readme_shows_every_subcommand():
     assert {shlex.split(command)[0] for command, _ in README_COMMANDS} == \
         {"classify", "scan", "verify-lemmas"}

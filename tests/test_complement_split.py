@@ -51,7 +51,7 @@ from k3cover.intmat import (
 )
 from k3cover.lattices import TranscendentalForm, parity_class
 from k3cover.quadforms import represents_one
-from k3cover.shortvec import NormQuery, enumerate_norm
+from k3cover.shortvec import enumerate_norm
 
 from conftest import (
     LAMBDA,
@@ -99,7 +99,7 @@ def kernel_has_root(e: Embedding) -> bool:
 
 def oracle_has_root(e: Embedding) -> bool:
     _, comp = orthogonal_complement(LAMBDA, e)
-    return bool(enumerate_norm(NormQuery(comp, -2)))
+    return bool(enumerate_norm(comp, -2))
 
 
 def source_form(e: Embedding) -> TranscendentalForm:

@@ -2,7 +2,7 @@
 
 import itertools
 import random
-from math import gcd
+from math import gcd, prod
 
 import pytest
 
@@ -30,7 +30,8 @@ from k3cover.intmat import (
 from k3cover.intmat import maximal_minor_gcd as matrix_minor_gcd
 from k3cover.lattices import TranscendentalForm
 
-from conftest import LAMBDA, random_full_rank, signature, written_down_embedding
+from conftest import (LAMBDA, random_full_rank, signature, smith_invariant_factors,
+                      written_down_embedding)
 
 
 def _pad(row):
@@ -50,12 +51,12 @@ def test_embedding_shape_checked():
     u = standard_lattice("U")
     src = IntegralLattice.from_gram_rows([[2]])
     with pytest.raises(ValueError):
-        Embedding(src, u, IntMatrix.identity(2))
+        Embedding(src, u, IntMatrix.from_rows([[1, 0], [0, 1]]))
 
 
 def test_validate_frozen_examples():
     u = standard_lattice("U")
-    assert validate(Embedding(u, u, IntMatrix.identity(2)))
+    assert validate(Embedding(u, u, IntMatrix.from_rows([[1, 0], [0, 1]])))
 
     t = TranscendentalForm(1, 3, 0)
     rows = [_pad([1, 1]), _pad([1, -1, 1, 2])]
@@ -109,7 +110,7 @@ def test_torsion_witness_diagonal_image():
 def test_torsion_witness_requires_imprimitive_image():
     u = standard_lattice("U")
     with pytest.raises(ValueError):
-        torsion_witness(Embedding(u, u, IntMatrix.identity(2)))
+        torsion_witness(Embedding(u, u, IntMatrix.from_rows([[1, 0], [0, 1]])))
 
 
 def test_verify_torsion_witness_rejects_tampering():
@@ -124,6 +125,56 @@ def test_verify_torsion_witness_rejects_tampering():
     with pytest.raises(VerificationError):
         # combination holds but gcd(order, coeffs) != 1, so the order is not pinned
         verify_torsion_witness(e, TorsionWitness(4, (2,), (1, 0)))
+
+
+def _embedding_of(rows) -> Embedding:
+    """The rows as a map into Z^m with the standard form; in_image reads only the rows."""
+    mat = IntMatrix.from_rows(rows)
+    target = IntegralLattice.from_gram_rows(
+        [[1 if i == j else 0 for j in range(mat.cols)] for i in range(mat.cols)])
+    return Embedding(IntegralLattice.from_gram_rows((mat @ mat.transpose()).to_lists()),
+                     target, mat)
+
+
+def test_in_image_without_full_row_rank():
+    # 1 = -2 + 3, and -2 is itself a row; neither matrix has full row rank,
+    # and each has a rational solution that is not integral
+    assert in_image(_embedding_of([[2], [3]]), (1,))
+    assert in_image(_embedding_of([[-3], [3], [-2]]), (-2,))
+    assert not in_image(_embedding_of([[2], [4]]), (1,))
+    with pytest.raises(ValueError):
+        in_image(_embedding_of([[1, 0], [0, 1]]), (1, 0, 0))
+
+
+def _member_by_smith(rows, z) -> bool:
+    """z lies in the row lattice L exactly when L + Zz has the rank of L
+    (the count of nonzero invariant factors) and the same index in its
+    saturation (their product)."""
+    before = smith_invariant_factors(IntMatrix.from_rows(rows))
+    after = smith_invariant_factors(IntMatrix.from_rows(rows + [z]))
+    return len(after) == len(before) and prod(after) == prod(before)
+
+
+def test_in_image_matches_the_smith_form():
+    rng = random.Random(83)
+    answers = []
+    for i in range(600):
+        # every third matrix lacks full row rank
+        while True:
+            n, m = rng.randint(1, 3), rng.randint(1, 4)
+            rows = [[rng.randint(-3, 3) for _ in range(m)] for _ in range(n)]
+            if (len(smith_invariant_factors(IntMatrix.from_rows(rows))) < n) == (i % 3 == 0):
+                break
+        e = _embedding_of(rows)
+        x = [rng.randint(-3, 3) for _ in range(n)]
+        combo = [sum(xi * row[j] for xi, row in zip(x, rows)) for j in range(m)]
+        # a member, that member divided by its content, and a random vector
+        for z in (combo, [c // (gcd(*combo) or 1) for c in combo],
+                  [rng.randint(-3, 3) for _ in range(m)]):
+            answers.append(_member_by_smith(rows, z))
+            assert in_image(e, z) == answers[-1], (rows, z)
+    # members and non-members each in the hundreds
+    assert min(sum(answers), len(answers) - sum(answers)) > 400
 
 
 def test_primitivity_matches_torsion_existence():
@@ -184,13 +235,13 @@ def test_complement_properties_random():
         n = rng.randint(3, 5)
         target = IntegralLattice.from_gram_rows(_random_definite_gram(rng, n).to_lists())
         mat = random_full_rank(rng, 1, n, bound=4)
-        v = mat.row(0)
+        v = mat.entries[0]
         src = IntegralLattice.from_gram_rows([[inner_product(target, v, v)]])
         e = Embedding(src, target, mat)
         basis, comp = orthogonal_complement(target, e)
         assert comp.rank == n - 1
         for i in range(basis.rows):
-            assert inner_product(target, basis.row(i), v) == 0
+            assert inner_product(target, basis.entries[i], v) == 0
         if basis.rows:
             assert matrix_minor_gcd(basis) == 1
 

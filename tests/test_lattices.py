@@ -90,7 +90,7 @@ def test_gram_validation():
     with pytest.raises(ValueError):
         IntegralLattice.from_gram_rows([[0, 1], [2, 0]])
     with pytest.raises(ValueError):
-        IntegralLattice(3, IntMatrix.identity(2))
+        IntegralLattice(3, IntMatrix.from_rows([[1, 0], [0, 1]]))
     odd = IntegralLattice.from_gram_rows([[1, 0], [0, -2]])
     assert not odd.is_even()
     assert signature(odd) == (1, 1, 0)

@@ -7,11 +7,10 @@ import random
 import pytest
 import sympy
 
+from k3cover import shortvec
 from k3cover.intmat import IntegralLattice, IntMatrix, inner_product, standard_lattice
 from k3cover.shortvec import (
     NORM_CEILING,
-    NormQuery,
-    clear_cache,
     enumerate_by_norm,
     enumerate_norm,
     has_norm,
@@ -53,26 +52,26 @@ def _naive_by_radius(lat, depth):
 
 def test_rank_one_and_diagonal_frozen():
     one = IntegralLattice.from_gram_rows([[-2]])
-    assert enumerate_norm(NormQuery(one, -2)) == [(1,)]
-    assert enumerate_norm(NormQuery(one, -1)) == []
+    assert enumerate_norm(one, -2) == [(1,)]
+    assert enumerate_norm(one, -1) == []
     two = IntegralLattice.from_gram_rows([[-2, 0], [0, -2]])
-    assert enumerate_norm(NormQuery(two, -2)) == [(0, 1), (1, 0)]
-    assert enumerate_norm(NormQuery(two, -4)) == [(1, -1), (1, 1)]
+    assert enumerate_norm(two, -2) == [(0, 1), (1, 0)]
+    assert enumerate_norm(two, -4) == [(1, -1), (1, 1)]
     empty = IntegralLattice.from_gram_rows([])
-    assert enumerate_norm(NormQuery(empty, -2)) == []
+    assert enumerate_norm(empty, -2) == []
 
 
 def test_validation_errors():
     lat = IntegralLattice.from_gram_rows([[-2]])
     with pytest.raises(ValueError):
-        enumerate_norm(NormQuery(lat, 0))
+        enumerate_norm(lat, 0)
     with pytest.raises(ValueError):
-        enumerate_norm(NormQuery(lat, 2))
+        enumerate_norm(lat, 2)
     with pytest.raises(ValueError):
-        enumerate_norm(NormQuery(lat, -(NORM_CEILING + 1)))
+        enumerate_norm(lat, -(NORM_CEILING + 1))
     for bad in ([[2]], [[0]], [[-2, 3], [3, -2]]):
         with pytest.raises(ValueError):
-            enumerate_norm(NormQuery(IntegralLattice.from_gram_rows(bad), -2))
+            enumerate_norm(IntegralLattice.from_gram_rows(bad), -2)
 
 
 def test_definiteness_check_matches_sympy():
@@ -92,7 +91,7 @@ def test_definiteness_check_matches_sympy():
         lat = IntegralLattice.from_gram_rows(rows)
         expected = sympy.Matrix(rows).is_negative_definite
         try:
-            enumerate_norm(NormQuery(lat, -2))
+            enumerate_norm(lat, -2)
             ok = True
         except ValueError:
             ok = False
@@ -105,7 +104,7 @@ def test_doubled_e8_roots_match_coordinate_model():
     e8 = standard_lattice("E8_2")
     s = doubled_simple_roots()
     assert (s @ s.transpose()).to_lists() == e8.gram.scale(-2).to_lists()
-    reps = enumerate_norm(NormQuery(e8, -4))
+    reps = enumerate_norm(e8, -4)
     assert len(reps) == 120
     full = set(reps) | {tuple(-x for x in v) for v in reps}
     assert full == e8_root_coefficients()
@@ -129,9 +128,9 @@ def test_exact_norm_is_a_slice_of_the_floor_answer():
         lat = IntegralLattice.from_gram_rows(_random_neg_def(rng, n).to_lists())
         by_norm = enumerate_by_norm(lat, -12)
         for target in range(-12, 0):
-            exact = enumerate_norm(NormQuery(lat, target))
+            exact = enumerate_norm(lat, target)
             assert tuple(exact) == by_norm.get(target, ())
-            assert has_norm(NormQuery(lat, target)) == bool(exact)
+            assert has_norm(lat, target) == bool(exact)
 
 
 def test_reported_norms_are_real():
@@ -170,6 +169,6 @@ def test_congruent_lattices_have_equal_norm_counts():
 
 def test_cache_reset_changes_nothing():
     e8 = standard_lattice("E8_2")
-    first = enumerate_norm(NormQuery(e8, -4))
-    clear_cache()
-    assert enumerate_norm(NormQuery(e8, -4)) == first
+    first = enumerate_norm(e8, -4)
+    shortvec._CACHE.clear()
+    assert enumerate_norm(e8, -4) == first
