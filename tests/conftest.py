@@ -250,6 +250,17 @@ def signature(lattice: IntegralLattice) -> tuple[int, int, int]:
             sum(m * f.count_roots(None, 0) for f, m in factors), zero)
 
 
+def norms_divisible_by_4(gram) -> bool:
+    """Whether every vector of the integral lattice with Gram matrix `gram`
+    (a square list of rows) has norm 0 mod 4.
+
+    x.x = sum_i g_ii x_i^2 + 2 sum_{i<j} g_ij x_i x_j, so the norms are all
+    0 mod 4 when each g_ii is 0 mod 4 and each g_ij even; conversely e_i
+    has norm g_ii, and e_i + e_j has norm g_ii + g_jj + 2 g_ij."""
+    return all(g % (4 if i == j else 2) == 0
+               for i, row in enumerate(gram) for j, g in enumerate(row))
+
+
 def random_full_rank(rng: random.Random, n: int, m: int, bound: int = 5) -> IntMatrix:
     """Random n x m integer matrix of full row rank; needs n <= m."""
     while True:

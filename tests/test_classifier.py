@@ -93,6 +93,20 @@ def test_case_table_names_exactly_the_certificate_kinds():
     assert len(Certificate.__args__) == 5
 
 
+CERTIFICATES_DOC = Path(__file__).resolve().parents[1] / "docs" / "certificates.md"
+
+
+def test_certificates_doc_names_every_integer_field():
+    """docs/certificates.md's list of the fields that must hold JSON integers
+    is every certificate class's fields but `construction`, a string."""
+    text = CERTIFICATES_DOC.read_text(encoding="utf-8")
+    listed = re.search(r"Every integer field of every certificate kind \((.*?)\)", text, re.S)
+    named = re.findall(r"`(\w+)`", listed.group(1))
+    fields = {name for cls in Certificate.__args__ for name in cls.__slots__}
+    assert len(named) == len(set(named))
+    assert set(named) == fields - {"construction"}
+
+
 def test_grid_case_structure():
     for t in _grid():
         label, covers = case_of(t)

@@ -127,25 +127,6 @@ def box_embeddings(bound: int):
                         yield e
 
 
-def test_block_check_matches_enumeration_on_the_box():
-    checked = with_roots = 0
-    for a in range(1, 13):
-        for b in range(1, 13):
-            for c in range(-12, 13):
-                if 4 * a * b - c * c <= 0:
-                    continue
-                t = TranscendentalForm(a, b, c)
-                e = written_down_embedding(t)
-                if e is None:
-                    continue
-                has_root = kernel_has_root(e)
-                assert has_root == oracle_has_root(e), t.triple()
-                checked += 1
-                with_roots += has_root
-    assert checked == 2498
-    assert with_roots >= 155
-
-
 def test_block_check_matches_enumeration_on_big_coefficients():
     rng = random.Random(211)
     forms = []

@@ -11,12 +11,11 @@ from k3cover import shortvec
 from k3cover.intmat import IntegralLattice, IntMatrix, inner_product, standard_lattice
 from k3cover.shortvec import (
     NORM_CEILING,
-    enumerate_by_norm,
     enumerate_norm,
     has_norm,
 )
 
-from conftest import doubled_simple_roots, e8_root_coefficients
+from conftest import doubled_simple_roots, e8_root_coefficients, norms_divisible_by_4
 
 
 def _random_neg_def(rng, n, bound=3):
@@ -111,26 +110,18 @@ def test_doubled_e8_roots_match_coordinate_model():
 
 
 def test_enumeration_matches_box_search():
+    """Each norm from -10 to -1, asked for alone, gets exactly the box
+    search's vectors, sorted; has_norm agrees with it."""
     rng = random.Random(73)
     for _ in range(25):
         n = rng.randint(1, 4)
         lat = IntegralLattice.from_gram_rows(_random_neg_def(rng, n).to_lists())
-        got = enumerate_by_norm(lat, -10)
         want = _naive_by_radius(lat, 10)
-        assert {k: set(v) for k, v in got.items()} == want
-        assert list(got) == sorted(got)
-
-
-def test_exact_norm_is_a_slice_of_the_floor_answer():
-    rng = random.Random(79)
-    for _ in range(20):
-        n = rng.randint(1, 4)
-        lat = IntegralLattice.from_gram_rows(_random_neg_def(rng, n).to_lists())
-        by_norm = enumerate_by_norm(lat, -12)
-        for target in range(-12, 0):
-            exact = enumerate_norm(lat, target)
-            assert tuple(exact) == by_norm.get(target, ())
-            assert has_norm(lat, target) == bool(exact)
+        for target in range(-10, 0):
+            got = enumerate_norm(lat, target)
+            assert set(got) == want.get(target, set())
+            assert got == sorted(got)
+            assert has_norm(lat, target) == bool(got)
 
 
 def test_reported_norms_are_real():
@@ -138,11 +129,55 @@ def test_reported_norms_are_real():
     for _ in range(10):
         n = rng.randint(2, 4)
         lat = IntegralLattice.from_gram_rows(_random_neg_def(rng, n).to_lists())
-        for nrm, vecs in enumerate_by_norm(lat, -16).items():
-            for v in vecs:
-                assert inner_product(lat, v, v) == nrm
+        for target in range(-16, 0):
+            for v in enumerate_norm(lat, target):
+                assert inner_product(lat, v, v) == target
                 lead = next(x for x in v if x)
                 assert lead > 0
+
+
+def _random_gram_by_residue(rng, n):
+    """A random negative definite Gram matrix of rank n, diagonally dominant,
+    whose diagonal is drawn 0 mod 4, 0 mod 2 or free, and whose other entries
+    are drawn even or free, so every outcome of the Gram-entry test occurs."""
+    step = rng.choice((1, 2))
+    off = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i):
+            off[i][j] = off[j][i] = step * rng.randint(-1, 1)
+    mod = rng.choice((1, 2, 4))
+    gram = [row[:] for row in off]
+    for i in range(n):
+        least = sum(abs(x) for x in off[i]) + 1
+        gram[i][i] = -(least + (-least) % mod + mod * rng.randint(0, 1))
+    return gram
+
+
+def test_norm_residues_follow_the_gram_entries():
+    """`norms_divisible_by_4` holds exactly when every norm is 0 mod 4: when
+    it says so, no vector of norm -16 to -1 has another residue; when not, e_i
+    or e_i + e_j does."""
+    rng = random.Random(89)
+    outcomes = {True: 0, False: 0}
+    diagonal_alone = 0
+    for _ in range(200):
+        n = rng.randint(1, 4)
+        gram = _random_gram_by_residue(rng, n)
+        lat = IntegralLattice.from_gram_rows(gram)
+        says = norms_divisible_by_4(gram)
+        outcomes[says] += 1
+        if says:
+            for target in range(-16, 0):
+                assert target % 4 == 0 or enumerate_norm(lat, target) == [], gram
+        else:
+            units = [tuple(int(k == i) for k in range(n)) for i in range(n)]
+            pairs = [tuple(x + y for x, y in zip(u, v))
+                     for u, v in itertools.combinations(units, 2)]
+            assert any(inner_product(lat, v, v) % 4 for v in units + pairs), gram
+            diagonal_alone += all(gram[i][i] % 4 == 0 for i in range(n))
+    assert min(outcomes.values()) > 20, outcomes
+    # a helper that read the diagonal alone would say yes to these
+    assert diagonal_alone > 5, diagonal_alone
 
 
 def test_congruent_lattices_have_equal_norm_counts():
@@ -162,9 +197,10 @@ def test_congruent_lattices_have_equal_norm_counts():
                 [[u.entries[r][c] + (k * u.entries[j][c] if r == i else 0)
                   for c in range(n)] for r in range(n)])
         h = u @ g @ u.transpose()
-        a = enumerate_by_norm(IntegralLattice.from_gram_rows(g.to_lists()), -12)
-        b = enumerate_by_norm(IntegralLattice.from_gram_rows(h.to_lists()), -12)
-        assert {k_: len(v) for k_, v in a.items()} == {k_: len(v) for k_, v in b.items()}
+        a = IntegralLattice.from_gram_rows(g.to_lists())
+        b = IntegralLattice.from_gram_rows(h.to_lists())
+        for target in range(-12, 0):
+            assert len(enumerate_norm(a, target)) == len(enumerate_norm(b, target))
 
 
 def test_cache_reset_changes_nothing():
