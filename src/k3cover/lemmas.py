@@ -7,6 +7,7 @@ cone slices, with no gcd condition: its slice-8 maximizer is divisible by 2.
 
 from __future__ import annotations
 
+from itertools import combinations
 from math import gcd
 
 from . import vinberg
@@ -26,8 +27,8 @@ def in_slice(v, m: int) -> bool:
 
 def family_vector(name: str, param: int = 0) -> vinberg.Vector11:
     """A family's closed-form witness at a parameter in its range.  It only
-    builds: the tests prove every family in P with its stated norm, and the
-    `family-coverage` row re-checks the members it draws."""
+    builds: the `family-coverage` row proves every family in P with its
+    stated norm."""
     if name not in vinberg.FAMILIES:
         raise ValueError(f"unknown family {name!r}")
     min_param, _, runs = vinberg.FAMILIES[name]
@@ -66,24 +67,69 @@ def predicted_max_norm(m: int) -> int | None:
     return None if top is None else vinberg.norm(top)
 
 
+_CONDITIONS = (*(f"x{i} >= x{i + 1}" for i in range(1, 10)), "x10 > 0", "x0 >= x1 + x2 + x3",
+               "3 x0 > x1 + ... + x10")
+
+
+def _margins(v) -> list[int]:
+    """For each condition of P but the gcd, a margin that is >= 0 exactly when it holds."""
+    x0, *tail = v
+    return [*(x - y for x, y in zip(tail, tail[1:])), tail[9] - 1,
+            x0 - tail[0] - tail[1] - tail[2], 3 * x0 - sum(tail) - 1]
+
+
+def _coprime_for_every_k(x, y, k0: int) -> bool:
+    """Whether the entries s k + t and u k + w of runs x and y are coprime for every
+    k >= k0: their gcd divides d = u t - s w, so it repeats with period |d| in k, and
+    when s = u = 0 it is gcd(t, w)."""
+    (s, t, _), (u, w, _) = x, y
+    period = abs(u * t - s * w) or int(s == u == 0)
+    return period > 0 and all(gcd(s * k + t, u * k + w) == 1 for k in range(k0, k0 + period))
+
+
+def _check_family(name: str) -> None:
+    """Prove family `name` in P with its stated norm for every k >= k0.  Its entries are
+    affine in k, so each margin is too: one that holds at k0 with a slope >= 0 always holds.
+    The gcd is 1 when two entries are coprime for every k.  The norm is quadratic in k and
+    the stated norm linear, so three parameters prove them equal."""
+    k0, (slope, intercept), runs = vinberg.FAMILIES[name]
+    members = [family_vector(name, k) for k in (k0, k0 + 1, k0 + 2)]
+    for label, m, next_m in zip(_CONDITIONS, _margins(members[0]), _margins(members[1])):
+        if m < 0 or next_m < m:
+            k = k0 if m < 0 else k0 + m // (m - next_m) + 1     # the first k it fails at
+            raise VerificationError(f"family {name}({k}) is not in P: condition {label} fails")
+    if not any(_coprime_for_every_k(x, y, k0) for x, y in combinations(runs, 2)):
+        raise VerificationError(f"family {name}: no two entries have gcd 1 for every k")
+    for k, v in enumerate(members, k0):
+        if vinberg.norm(v) != -(slope * k + intercept) or not vinberg.in_P(v):
+            raise VerificationError(f"family {name}({k}) is not in P with its norm")
+
+
 def _check_family_coverage() -> str:
-    up_to = 200     # every admissible norm -n up to here must have its witness
-    for name, (min_param, (slope, intercept), _) in sorted(vinberg.FAMILIES.items()):
-        for param in range(min_param, min_param + 25):
-            v = family_vector(name, param)
-            if vinberg.norm(v) != -(slope * param + intercept) or not vinberg.in_P(v):
-                raise VerificationError(f"family {name}({param}) is not in P with its norm")
-    witnessed = 0
-    for n in range(3, up_to + 1):
+    """Prove every family, then search_norm(n) a family member (name, k >= k0) of stated
+    norm n for every n outside ABSENT: for each n < 96, and 24 spot checks past 10^30.
+    From n = 24 on, n + 24 keeps the family and adds 24 / slope to k, 1 for X and 6 for
+    Z and W: two periods show it, and every larger n follows."""
+    for name in sorted(vinberg.FAMILIES):
+        _check_family(name)
+    rule = {}
+    for n in (*range(1, 96), *range(10**30, 10**30 + 24)):
         if n in vinberg.ABSENT:
             continue    # small-norm-absence checks that these have no witness
         v = vinberg.search_norm(n)
         if v is None:
             raise VerificationError(f"no witness of norm -{n}")
-        if vinberg.norm(v) != -n or not vinberg.in_P(v):
+        rule[n] = next(((name, k) for name, (k0, (s, t), _) in vinberg.FAMILIES.items()
+                        for k in ((n - t) // s if s else k0,)     # the k of norm n, if any
+                        if s * k + t == n and k >= k0 and family_vector(name, k) == v), None)
+        if rule[n] is None:
             raise VerificationError(f"witness for norm -{n} fails membership")
-        witnessed += 1
-    return f"{witnessed} norms witnessed up to {up_to}"
+    for n in range(24, 72):
+        name, k = rule[n]
+        if rule[n + 24] != (name, k + 24 // vinberg.FAMILIES[name][1][0]):
+            raise VerificationError(f"witness for norm -{n + 24} breaks the period 24")
+    return (f"{len(vinberg.FAMILIES)} families in P for every parameter, "
+            f"every norm but {sorted(vinberg.ABSENT)} witnessed")
 
 
 def _check_absence() -> str:
@@ -104,9 +150,7 @@ def _check_max_table() -> str:
         if got != want:
             raise VerificationError(f"slice {m}: maximum {got}, formula says {want}")
         top = slice_maximizer(m)
-        if top is None and got is None:
-            continue    # an empty slice states no maximizer
-        if top is None or vinberg.norm(top) != want or not in_slice(top, m):
+        if top is not None and not in_slice(top, m):
             raise VerificationError(f"slice {m}: stated maximizer is invalid")
     return f"slices 4..{vinberg.SLICE_CAP} match the formulas"
 

@@ -800,6 +800,24 @@ def test_verify_lemmas_catches_corrupted_table(runner, monkeypatch):
         result.stdout.splitlines()
 
 
+# A family in P with its stated norm for k = 1 .. 25 that leaves P at k = 26,
+# where x0 - x1 - x2 - x3 = 51 - 2k turns negative: its first 25 members pass
+_LEAVES_P_AT_26 = (1, (576, 4493), ((5, 68, 1), (3, 6, 1), (2, 6, 1), (2, 5, 1), (2, 3, 1),
+                                    (2, 3, 1), (0, 3, 1), (0, 2, 1), (0, 1, 1), (0, 1, 1),
+                                    (0, 1, 1)))
+
+
+def test_verify_lemmas_fails_a_family_that_leaves_P_past_its_first_members(runner, monkeypatch):
+    monkeypatch.setitem(vinberg.FAMILIES, "T", _LEAVES_P_AT_26)
+    members = [lemmas.family_vector("T", k) for k in range(1, 27)]
+    assert [vinberg.in_P(v) for v in members] == [True] * 25 + [False]
+    assert [vinberg.norm(v) for v in members] == [-(576 * k + 4493) for k in range(1, 27)]
+    result = runner.invoke(main, ["verify-lemmas"])
+    assert result.exit_code == 2
+    assert result.stdout.splitlines()[0] == (
+        "family-coverage      FAIL  family T(26) is not in P: condition x0 >= x1 + x2 + x3 fails")
+
+
 def test_verify_lemmas_fails_a_row_whose_check_breaks_in_any_other_way(runner, monkeypatch):
     # a family row the check cannot unpack raises ValueError, not
     # VerificationError: its row still reads FAIL, the other rows still run

@@ -31,21 +31,25 @@ def _naive_by_radius(lat, depth):
 
     The box radius per coordinate comes from the ellipsoid bound
     x_i^2 <= depth * (Q^-1)_ii for the positive definite Q = -gram,
-    computed exactly through the adjugate.
+    computed exactly through the adjugate.  Along the last coordinate x the
+    norm is base + 2 x lin + g_nn x^2, with base and lin fixed by the others.
     """
     n = lat.rank
     q = lat.gram.scale(-1)
     adj, det = q.adjugate(), q.det()
     radii = [math.isqrt(depth * adj.entries[i][i] // det) + 1 for i in range(n)]
+    *rows, last = lat.gram.entries
     out = {}
-    for xs in itertools.product(*[range(-r, r + 1) for r in radii]):
-        if not any(xs):
-            continue
-        nrm = inner_product(lat, xs, xs)
-        if -depth <= nrm:
-            lead = next(x for x in xs if x)
-            canon = xs if lead > 0 else tuple(-x for x in xs)
-            out.setdefault(nrm, set()).add(canon)
+    for head in itertools.product(*[range(-r, r + 1) for r in radii[:-1]]):
+        base = sum(x * sum(g * y for g, y in zip(row, head)) for x, row in zip(head, rows))
+        lin = sum(g * y for g, y in zip(last, head))
+        for x in range(-radii[-1], radii[-1] + 1):
+            nrm = base + (2 * lin + last[-1] * x) * x
+            if -depth <= nrm and (x or any(head)):
+                xs = head + (x,)
+                lead = next(y for y in xs if y)
+                canon = xs if lead > 0 else tuple(-y for y in xs)
+                out.setdefault(nrm, set()).add(canon)
     return out
 
 

@@ -12,7 +12,6 @@ import inspect
 import itertools
 import json
 import sys
-from dataclasses import dataclass
 from math import gcd
 
 import pytest
@@ -21,6 +20,7 @@ from hypothesis import strategies as st
 
 from k3cover import classifier, cli, lemmas, vinberg
 from k3cover.classifier import classify, verify_classification
+from k3cover.errors import VerificationError
 from k3cover.lattices import TranscendentalForm
 from k3cover.lemmas import (
     family_vector,
@@ -165,7 +165,7 @@ def test_families_verify_to_large_norms():
     """Every family member up to norm 1000 lies in P with the claimed norm.
 
     family_vector only builds, so the two asserts below are the check;
-    `_assert_total` proves the same for every parameter.
+    `lemmas._check_family` proves the same for every parameter.
     """
     for name, (min_param, (slope, intercept), _) in sorted(FAMILIES.items()):
         param = min_param
@@ -178,84 +178,9 @@ def test_families_verify_to_large_norms():
                 break                      # the Y families are single vectors
 
 
-@dataclass(frozen=True)
-class Affine:
-    """The value t + s*k of a family entry, as a function of the parameter k."""
-
-    t: int
-    s: int
-
-    def _lift(self, other):
-        return other if isinstance(other, Affine) else Affine(other, 0)
-
-    def __add__(self, other):
-        other = self._lift(other)
-        return Affine(self.t + other.t, self.s + other.s)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        other = self._lift(other)
-        return Affine(self.t - other.t, self.s - other.s)
-
-    def __mul__(self, c):
-        assert isinstance(c, int)
-        return Affine(self.t * c, self.s * c)
-
-    __rmul__ = __mul__
-
-    def at(self, k: int) -> int:
-        return self.t + self.s * k
-
-
-def _coprime_for_every_parameter(x: Affine, y: Affine) -> bool:
-    """Two entries whose gcd is 1 for every parameter: an entry 1, two
-    consecutive values, or an odd value 2j*k + odd beside a power of two."""
-    if (x.s, x.t) == (0, 1) or (y.s, y.t) == (0, 1):
-        return True
-    if x.s == y.s and abs(x.t - y.t) == 1:
-        return True
-    for odd, power in ((x, y), (y, x)):
-        c = power.t
-        if power.s == 0 and c > 0 and c & (c - 1) == 0 and odd.s % 2 == 0 and odd.t % 2 == 1:
-            return True
-    return False
-
-
-def _assert_total(name: str) -> None:
-    """Every member of the family, for every parameter from the minimal one
-    on, lies in P and has the stated norm.
-
-    The family's row gives each entry as an affine function of the
-    parameter k, run by run.  So the norm is a quadratic in k, and the
-    stated norm is linear; three parameters prove them equal.  Each
-    condition of P other than the gcd, the order of the tail included, is an
-    affine function of k that must stay >= 0: it holds at the minimal
-    parameter and has a slope >= 0.  The gcd is 1 because two of the entries
-    are coprime for every k.
-    """
-    start, (slope, intercept), runs = FAMILIES[name]
-    v = tuple(Affine(t, s) for s, t, count in runs for _ in range(count))
-    assert len(v) == 11
-    for k in (start, start + 1, start + 2):
-        member = family_vector(name, k)
-        assert member == tuple(x.at(k) for x in v)
-        assert norm(member) == -(slope * k + intercept), "norm"
-    x0, tail = v[0], v[1:]
-    conditions = [tail[i] - tail[i + 1] for i in range(9)] + [
-        tail[9] - 1,                                # x10 > 0
-        x0 - (tail[0] + tail[1] + tail[2]),         # x0 >= x1 + x2 + x3
-        3 * x0 - sum(tail) - 1,                     # 3 x0 > x1 + ... + x10
-    ]
-    for condition in conditions:
-        assert condition.at(start) >= 0 and condition.s >= 0, f"condition {condition}"
-    assert any(_coprime_for_every_parameter(x, y)
-               for x, y in itertools.combinations(v, 2)), "gcd"
-
-
 @pytest.mark.parametrize("name", sorted(FAMILIES))
 def test_family_lies_in_P_with_its_norm_for_every_parameter(name):
-    _assert_total(name)
+    lemmas._check_family(name)
 
 
 # Each change maps a row (start, stated norm, runs) to a tampered one
@@ -272,47 +197,22 @@ def test_family_lies_in_P_with_its_norm_for_every_parameter(name):
 ])
 def test_family_totality_catches_a_tampered_family(name, change, check, monkeypatch):
     monkeypatch.setitem(FAMILIES, name, change(*FAMILIES[name]))
-    with pytest.raises(AssertionError, match=check):
-        _assert_total(name)
-
-
-def _dispatch_rule(n: int) -> tuple[str, int]:
-    """The family and parameter search_norm's docstring names for n outside
-    ABSENT: Y for n in {6, 8, 16, 20}, Z for n = 3 mod 4, W for the other
-    odd n, and X by n mod 24 for the rest."""
-    if n in (6, 8, 16, 20):
-        return f"Y{n}", 0
-    if n % 2 == 1:
-        return ("Z", (n + 1) // 4) if n % 4 == 3 else ("W", (n + 3) // 4)
-    return f"X{n % 24}", n // 24
+    with pytest.raises(VerificationError, match=check):
+        lemmas._check_family_coverage()
 
 
 def test_search_norm_dispatch_covers_every_norm():
-    """search_norm builds the rule's family at a parameter in its range for
-    every n >= 3 outside ABSENT, and nothing for n in ABSENT.
+    """search_norm builds a family member of stated norm n at a parameter in
+    its range for every n >= 3 outside ABSENT, and nothing for n in ABSENT.
 
-    From n = 24 on the family depends only on n mod 24 (X) or n mod 4 (Z, W),
-    and n + 24 raises the parameter by 1 (X) or by 6 (Z, W); so two periods
-    past 24 cover every larger n, and search_norm follows the rule far past
-    them too.
+    The family-coverage row proves the first: from n = 24 on, n + 24 keeps
+    the family and raises the parameter by 1 (X) or by 6 (Z, W), so two
+    periods past 24 cover every larger n, and it spot-checks search_norm far
+    past them too.
     """
-    dispatched = {}
-    for n in range(1, 24 * 4):
-        v = search_norm(n)
-        if n in ABSENT:
-            assert v is None, n
-            continue
-        name, param = _dispatch_rule(n)
-        assert param >= FAMILIES[name][0], n
-        assert v == family_vector(name, param), n
-        assert norm(v) == -n
-        dispatched[n] = (name, param)
-    assert set(dispatched) == set(range(1, 24 * 4)) - ABSENT
-    for n in range(24, 24 * 3):
-        name, param = dispatched[n]
-        assert dispatched[n + 24] == (name, param + (1 if name.startswith("X") else 6))
-    for n in range(10**30, 10**30 + 24):
-        assert search_norm(n) == family_vector(*_dispatch_rule(n)), n
+    for n in ABSENT:
+        assert search_norm(n) is None, n
+    lemmas._check_family_coverage()
 
 
 # sha256 of json.dumps([search_norm(n) for n in range(1, 20001)]), recorded
