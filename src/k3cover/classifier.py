@@ -29,7 +29,7 @@ from functools import lru_cache
 from math import gcd
 
 from .errors import VerificationError
-from .lattices import Frozen, TranscendentalForm, _moved, _setters
+from .lattices import Frozen, TranscendentalForm, _moved
 from .quadforms import represents_one
 from .vinberg import ABSENT, in_P
 from .vinberg import norm as region_norm
@@ -190,9 +190,6 @@ class KeumCitation(Frozen):
     __slots__ = ("halved",)
     kind = "keum-citation"
 
-    def __init__(self, halved: tuple[int, int, int]) -> None:
-        _set_halved(self, halved)
-
     def to_dict(self) -> dict[str, object]:
         return {"kind": self.kind, "halved": list(self.halved)}
 
@@ -200,9 +197,6 @@ class KeumCitation(Frozen):
         a, b, c = _ints("halved", self.halved, 3)
         if (2 * a, 2 * b, 2 * c) != (t.a, t.b, t.c):
             raise VerificationError("halving certificate: twice the halved form is not the input")
-
-
-(_set_halved,) = _setters(KeumCitation)
 
 
 class ExplicitEmbedding(Frozen):
@@ -224,16 +218,6 @@ class ExplicitEmbedding(Frozen):
 
     __slots__ = ("construction", "normalized", "basis_change", "matrix", "minor_gcd", "minus_two")
     kind = "explicit-embedding"
-
-    def __init__(self, construction: str, normalized: tuple[int, int, int],
-                 basis_change: tuple[int, int, int, int], matrix: Rows, minor_gcd: int,
-                 minus_two: Rows) -> None:
-        _set_construction(self, construction)
-        _set_normalized(self, normalized)
-        _set_basis_change(self, basis_change)
-        _set_matrix(self, matrix)
-        _set_minor_gcd(self, minor_gcd)
-        _set_minus_two(self, minus_two)
 
     def to_dict(self) -> dict[str, object]:
         return {
@@ -278,19 +262,11 @@ class ExplicitEmbedding(Frozen):
             raise VerificationError("orthogonal complement contains a norm -2 vector")
 
 
-(_set_construction, _set_normalized, _set_basis_change, _set_matrix, _set_minor_gcd,
- _set_minus_two) = _setters(ExplicitEmbedding)
-
-
 class VinbergWitness(Frozen):
     """A vector of norm -n in the region P of <-1> + <1>^10, n = delta/4."""
 
     __slots__ = ("n", "vector")
     kind = "vinberg-witness"
-
-    def __init__(self, n: int, vector: tuple[int, ...]) -> None:
-        _set_witness_n(self, n)
-        _set_vector(self, vector)
 
     def to_dict(self) -> dict[str, object]:
         return {"kind": self.kind, "n": self.n, "vector": list(self.vector)}
@@ -313,9 +289,6 @@ class VinbergWitness(Frozen):
             raise VerificationError("witness vector lies outside the region")
 
 
-_set_witness_n, _set_vector = _setters(VinbergWitness)
-
-
 @lru_cache(maxsize=None)
 def _absence_breach(n: int) -> int | None:
     """The first slice of ABSENCE_SLICES whose norms hold -n, or None; replay
@@ -336,10 +309,6 @@ class ExhaustiveAbsence(Frozen):
     __slots__ = ("n", "slices")
     kind = "exhaustive-absence"
 
-    def __init__(self, n: int, slices: tuple[int, ...]) -> None:
-        _set_absence_n(self, n)
-        _set_slices(self, slices)
-
     def to_dict(self) -> dict[str, object]:
         return {"kind": self.kind, "n": self.n, "slices": list(self.slices)}
 
@@ -354,9 +323,6 @@ class ExhaustiveAbsence(Frozen):
             raise VerificationError(f"slice {m} contains a vector of norm {-self.n}")
 
 
-_set_absence_n, _set_slices = _setters(ExhaustiveAbsence)
-
-
 class ParityObstruction(Frozen):
     """All of a, b, c odd: no primitive embedding avoids the parity clash.
 
@@ -366,10 +332,6 @@ class ParityObstruction(Frozen):
 
     __slots__ = ("norms_mod_4", "pairing_mod_2")
     kind = "parity-obstruction"
-
-    def __init__(self, norms_mod_4: tuple[int, int], pairing_mod_2: int) -> None:
-        _set_norms_mod_4(self, norms_mod_4)
-        _set_pairing_mod_2(self, pairing_mod_2)
 
     def to_dict(self) -> dict[str, object]:
         return {
@@ -384,9 +346,6 @@ class ParityObstruction(Frozen):
         if norms != (2, 2) or pairing != 1 or (2 * t.a % 4, 2 * t.b % 4, t.c % 2) != (2, 2, 1):
             raise VerificationError("recorded or recomputed norm residues and pairing parity"
                                     " do not constitute an obstruction")
-
-
-_set_norms_mod_4, _set_pairing_mod_2 = _setters(ParityObstruction)
 
 
 Certificate = (
@@ -469,13 +428,6 @@ class Classification(Frozen):
 
     __slots__ = ("case_label", "covers", "delta", "certificate")
 
-    def __init__(self, case_label: CaseLabel, covers: bool, delta: int,
-                 certificate: Certificate) -> None:
-        _set_case_label(self, case_label)
-        _set_covers(self, covers)
-        _set_delta(self, delta)
-        _set_certificate(self, certificate)
-
     def to_dict(self) -> dict[str, object]:
         return {
             "case": self.case_label,
@@ -497,9 +449,6 @@ class Classification(Frozen):
             raise VerificationError(f"classification is missing the key {exc}") from None
         except (TypeError, ValueError) as exc:
             raise VerificationError(f"malformed classification: {exc}") from None
-
-
-_set_case_label, _set_covers, _set_delta, _set_certificate = _setters(Classification)
 
 
 def _embedding_fields(construction: str, a: int, b: int, c: int, g=(1, 0, 0, 1)) -> tuple:

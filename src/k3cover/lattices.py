@@ -16,14 +16,27 @@ from __future__ import annotations
 class Frozen:
     """Base of the package's immutable value types.
 
-    A subclass lists its fields in ``__slots__`` and binds them once, in its
-    own explicit ``__init__``, through the slot setters `_setters` returns;
-    afterwards assignment and ``del`` raise AttributeError.  Two values are
-    equal, and hash alike, when they have the same exact type and equal
-    fields.
+    A class's fields are its own ``__slots__``.  A subclass that lists fields
+    there and writes no ``__init__`` gets ``__init__(self, <fields in slot
+    order>)``, compiled once from source as in `dataclasses`, which binds
+    each field through its slot's setter (`_setters`) and so costs what a
+    hand-written one does; one with ``__slots__ = ()`` keeps its parent's.
+    Afterwards assignment and ``del`` raise AttributeError.  Two values are
+    equal, and hash alike, when they have the same exact type and equal fields.
     """
 
     __slots__ = ()
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        fields = cls.__dict__.get("__slots__", ())
+        if not fields or "__init__" in cls.__dict__:
+            return
+        namespace = {f"_set_{name}": setter for name, setter in zip(fields, _setters(cls))}
+        exec(f"def __init__(self, {', '.join(fields)}):\n"
+             + "".join(f"    _set_{name}(self, {name})\n" for name in fields), namespace)
+        cls.__init__ = namespace["__init__"]
+        cls.__init__.__qualname__ = f"{cls.__qualname__}.__init__"
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r} of {type(self).__name__}")
@@ -51,10 +64,12 @@ class Frozen:
 
 
 def _setters(cls: type) -> tuple:
-    """The setters of the slots of ``cls``, in ``__slots__`` order.  A slot's
-    own setter takes about half the time of ``object.__setattr__``, which
-    first looks the name up on the type, and every classified or replayed
-    form builds a form, a certificate and a classification."""
+    """The setters of the slots of ``cls``, in ``__slots__`` order, for the
+    generated constructors and `TranscendentalForm`'s.  A slot's own setter
+    takes about half the time of ``object.__setattr__``, which first looks
+    the name up on the type, and the `classify` command, the library and the
+    benchmark's classify and replay phases build a form, a certificate and a
+    classification per form."""
     return tuple(cls.__dict__[name].__set__ for name in cls.__slots__)
 
 

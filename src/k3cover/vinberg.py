@@ -54,7 +54,8 @@ def in_P(v) -> bool:
 
 
 # name -> (minimal parameter k, N = slope*k + intercept as (slope, intercept),
-# runs (slope, intercept, count) of x0, x1, .., x10); the tests' proof reads these
+# runs (slope, intercept, count) of x0, x1, .., x10); `lemmas`' family-coverage
+# row proves from these that every member lies in P with its norm
 FAMILIES: dict[str, tuple[int, tuple[int, int], tuple[tuple[int, int, int], ...]]] = {
     "X0": (1, (24, 0), ((9, 4, 1), (3, 2, 1), (3, 1, 7), (3, -1, 1), (0, 2, 1))),
     "X2": (1, (24, 2), ((9, 4, 1), (3, 2, 1), (3, 1, 6), (3, 0, 2), (0, 2, 1))),

@@ -15,7 +15,7 @@ from k3cover.classifier import (
     ParityObstruction,
     VinbergWitness,
 )
-from k3cover.lattices import TranscendentalForm
+from k3cover.lattices import Frozen, TranscendentalForm
 
 _ROWS = ((1, 1, -1, 0) + (0,) * 8, (1, 2, 0, 1) + (0,) * 8)
 _WITNESS = (4, 2, 1, 1, 1, 1, 1, 1, 1, 1, 1)
@@ -57,6 +57,34 @@ def test_value_type_contract(cls, args, other):
     assert eval(repr(value), namespace) == value
     assert pickle.loads(pickle.dumps(value)) == value
     assert copy.deepcopy(value) == value
+    # the constructor takes exactly the fields, in slot order, and names itself
+    code = cls.__init__.__code__
+    assert code.co_varnames[1:code.co_argcount] == cls.__slots__
+    with pytest.raises(TypeError, match=rf"^{cls.__name__}\.__init__\(\) missing"):
+        cls(*args[:-1])
+
+
+class Pair(Frozen):
+    __slots__ = ("x", "y")
+
+
+class SubPair(Pair):
+    __slots__ = ()
+
+
+def test_frozen_generates_the_constructor_from_its_own_slots():
+    pair = Pair(1, 2)
+    assert (pair.x, pair.y) == (1, 2) and Pair(y=2, x=1) == pair
+    for name in ("x", "y"):
+        with pytest.raises(AttributeError):
+            setattr(pair, name, 3)
+        with pytest.raises(AttributeError):
+            delattr(pair, name)
+    assert hash(Pair(1, 2)) == hash(pair) and Pair(1, 3) != pair and pair != (1, 2)
+    assert pickle.loads(pickle.dumps(pair)) == pair and copy.deepcopy(pair) == pair
+    # a subclass with no fields of its own keeps its parent's constructor
+    assert SubPair.__init__ is Pair.__init__
+    assert (SubPair(1, 2).x, SubPair(1, 2).y) == (1, 2) and SubPair(1, 2) != pair
 
 
 def test_certificates_of_one_shape_differ_by_type():
