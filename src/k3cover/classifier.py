@@ -29,7 +29,7 @@ from functools import lru_cache
 from math import gcd
 
 from .errors import VerificationError
-from .lattices import Frozen, TranscendentalForm, _moved
+from .lattices import Frozen, TranscendentalForm, _compiled, _moved
 from .quadforms import represents_one
 from .vinberg import ABSENT, in_P
 from .vinberg import norm as region_norm
@@ -180,18 +180,47 @@ def _embedding_defect(a: int, b: int, c: int, rows, basis) -> str | None:
     return "root" if represents_one(p, q, r) else None
 
 
-class KeumCitation(Frozen):
+# Each certificate kind's fields in __slots__ order, each with its JSON shape: a
+# quoted "name", an "int", "ints" or "rows" of ints.  The slots, `to_dict` and
+# cli's writers are made from it at import; replay's gates still name the fields.
+FIELDS: dict[str, dict[str, str]] = {
+    "keum-citation": {"halved": "ints"},
+    "explicit-embedding": {"construction": "name", "normalized": "ints", "basis_change": "ints",
+                           "matrix": "rows", "minor_gcd": "int", "minus_two": "rows"},
+    "vinberg-witness": {"n": "int", "vector": "ints"},
+    "exhaustive-absence": {"n": "int", "slices": "ints"},
+    "parity-obstruction": {"norms_mod_4": "ints", "pairing_mod_2": "int"},
+}
+
+# `to_dict`'s value of a field of each shape, on the field's name
+_TO_DICT = {"name": "self.{}", "int": "self.{}", "ints": "list(self.{})",
+            "rows": "[list(row) for row in self.{}]"}
+
+
+class _Certificate(Frozen):
+    """Base of the certificates: a subclass with fields of its own gets `to_dict`,
+    compiled once from `FIELDS`; one with ``__slots__ = ()`` keeps its parent's."""
+
+    __slots__ = ()
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        if cls.__dict__.get("__slots__"):
+            values = "".join(f', "{name}": {_TO_DICT[shape].format(name)}'
+                             for name, shape in FIELDS[cls.kind].items())
+            cls.to_dict = _compiled(f"{cls.__qualname__}.to_dict", ("self",),
+                                    [f'return {{"kind": self.kind{values}}}'], {})
+
+
+class KeumCitation(_Certificate):
     """Covering certificate for all-even forms: the form is twice another.
 
     The replayed content is the halving itself; that a doubled form always
     covers is the classical theorem this certificate points to.
     """
 
-    __slots__ = ("halved",)
     kind = "keum-citation"
-
-    def to_dict(self) -> dict[str, object]:
-        return {"kind": self.kind, "halved": list(self.halved)}
+    __slots__ = tuple(FIELDS[kind])
 
     def replay(self, t: TranscendentalForm) -> None:
         a, b, c = _ints("halved", self.halved, 3)
@@ -199,7 +228,7 @@ class KeumCitation(Frozen):
             raise VerificationError("halving certificate: twice the halved form is not the input")
 
 
-class ExplicitEmbedding(Frozen):
+class ExplicitEmbedding(_Certificate):
     """A primitive embedding into U + U(2) + E8(2) with root-free complement.
 
     ``construction`` names the written-down embedding (a key of CONSTRUCTIONS
@@ -216,19 +245,8 @@ class ExplicitEmbedding(Frozen):
     ``minus_two`` empty.
     """
 
-    __slots__ = ("construction", "normalized", "basis_change", "matrix", "minor_gcd", "minus_two")
     kind = "explicit-embedding"
-
-    def to_dict(self) -> dict[str, object]:
-        return {
-            "kind": self.kind,
-            "construction": self.construction,
-            "normalized": list(self.normalized),
-            "basis_change": list(self.basis_change),
-            "matrix": [list(row) for row in self.matrix],
-            "minor_gcd": self.minor_gcd,
-            "minus_two": [list(v) for v in self.minus_two],
-        }
+    __slots__ = tuple(FIELDS[kind])
 
     def replay(self, t: TranscendentalForm) -> None:
         # the checks of TranscendentalForm, in its order and with its
@@ -262,14 +280,11 @@ class ExplicitEmbedding(Frozen):
             raise VerificationError("orthogonal complement contains a norm -2 vector")
 
 
-class VinbergWitness(Frozen):
+class VinbergWitness(_Certificate):
     """A vector of norm -n in the region P of <-1> + <1>^10, n = delta/4."""
 
-    __slots__ = ("n", "vector")
     kind = "vinberg-witness"
-
-    def to_dict(self) -> dict[str, object]:
-        return {"kind": self.kind, "n": self.n, "vector": list(self.vector)}
+    __slots__ = tuple(FIELDS[kind])
 
     def replay(self, t: TranscendentalForm) -> None:
         vector = self.vector if type(self.vector) is tuple else _array("vector", self.vector)
@@ -299,18 +314,15 @@ def _absence_breach(n: int) -> int | None:
     return None
 
 
-class ExhaustiveAbsence(Frozen):
+class ExhaustiveAbsence(_Certificate):
     """No vector of norm -n in P, checked slice by slice (n in {1, 2, 4}).
 
     Slices past the recorded range cannot help: their maximum norm drops
     below every norm in question, so the finite transcript is conclusive.
     """
 
-    __slots__ = ("n", "slices")
     kind = "exhaustive-absence"
-
-    def to_dict(self) -> dict[str, object]:
-        return {"kind": self.kind, "n": self.n, "slices": list(self.slices)}
+    __slots__ = tuple(FIELDS[kind])
 
     def replay(self, t: TranscendentalForm) -> None:
         if t.delta % 4 != 0 or _int("n", self.n) != t.delta // 4:
@@ -323,22 +335,15 @@ class ExhaustiveAbsence(Frozen):
             raise VerificationError(f"slice {m} contains a vector of norm {-self.n}")
 
 
-class ParityObstruction(Frozen):
+class ParityObstruction(_Certificate):
     """All of a, b, c odd: no primitive embedding avoids the parity clash.
 
     Any vectors of norms 2a and 2b, both 2 mod 4, must each use both
     hyperbolic coordinates oddly, forcing an even pairing; c is odd.
     """
 
-    __slots__ = ("norms_mod_4", "pairing_mod_2")
     kind = "parity-obstruction"
-
-    def to_dict(self) -> dict[str, object]:
-        return {
-            "kind": self.kind,
-            "norms_mod_4": list(self.norms_mod_4),
-            "pairing_mod_2": self.pairing_mod_2,
-        }
+    __slots__ = tuple(FIELDS[kind])
 
     def replay(self, t: TranscendentalForm) -> None:
         norms = _ints("norms_mod_4", self.norms_mod_4, 2)
@@ -417,7 +422,7 @@ def certificate_from_dict(data: dict[str, object]) -> Certificate:
         raise VerificationError(f"malformed certificate: {exc}") from None
     try:
         named = repr(kind)
-    except ValueError:  # an int past the int <-> str digit limit, or holding one
+    except (ValueError, RecursionError):  # an int past the digit limit, or nested too deep
         named = f"of type {type(kind).__name__}"
     raise ValueError(f"unknown certificate kind {named}")
 

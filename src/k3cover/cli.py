@@ -25,7 +25,7 @@ from operator import add
 from . import classifier
 from .classifier import classify, verify_classification
 from .errors import VerificationError
-from .lattices import TranscendentalForm
+from .lattices import TranscendentalForm, _compiled
 
 CASE_ORDER = tuple(classifier.CASES)
 
@@ -84,24 +84,21 @@ def _rows_json(rows) -> str:
 # string a template writes needs escaping.
 _QUOTED = {name: f'"{name}"' for name in (*CASE_ORDER, *classifier.CONSTRUCTIONS)}
 
-# One template per certificate kind, on its fields in __slots__ order: `to_dict()`
-# of the certificate as json.dumps writes it with sorted keys and no whitespace.
-_CERTIFICATE_JSON = {
-    "keum-citation": lambda halved: f'{{"halved":[{_join(halved)}],"kind":"keum-citation"}}',
-    "explicit-embedding": lambda construction, normalized, basis_change, matrix, minor_gcd,
-    minus_two: (
-        f'{{"basis_change":[{_join(basis_change)}],'
-        f'"construction":{_QUOTED[construction]},"kind":"explicit-embedding",'
-        f'"matrix":{_rows_json(matrix)},"minor_gcd":{minor_gcd},'
-        f'"minus_two":{_rows_json(minus_two)},"normalized":[{_join(normalized)}]}}'),
-    "vinberg-witness": lambda n, vector: (
-        f'{{"kind":"vinberg-witness","n":{n},"vector":[{_join(vector)}]}}'),
-    "exhaustive-absence": lambda n, slices: (
-        f'{{"kind":"exhaustive-absence","n":{n},"slices":[{_join(slices)}]}}'),
-    "parity-obstruction": lambda norms_mod_4, pairing_mod_2: (
-        f'{{"kind":"parity-obstruction","norms_mod_4":[{_join(norms_mod_4)}],'
-        f'"pairing_mod_2":{pairing_mod_2}}}'),
-}
+# Each certificate kind's writer, on its fields in __slots__ order: `to_dict()` of the
+# certificate as json.dumps writes it with sorted keys and no whitespace, one f-string
+# compiled once from `classifier.FIELDS`, each field written as its shape says here.
+_SHAPE_JSON = {"name": "{_QUOTED[%s]}", "int": "{%s}", "ints": "[{_join(%s)}]",
+               "rows": "{_rows_json(%s)}"}
+
+
+def _writer(kind: str, fields: dict[str, str]):
+    parts = {"kind": f'"{kind}"'} | {n: _SHAPE_JSON[shape] % n for n, shape in fields.items()}
+    body = ",".join(f'"{key}":{parts[key]}' for key in sorted(parts))
+    return _compiled(f"_write_{kind.replace('-', '_')}", fields, [f"return f'{{{{{body}}}}}'"],
+                     {"_QUOTED": _QUOTED, "_join": _join, "_rows_json": _rows_json})
+
+
+_CERTIFICATE_JSON = {kind: _writer(kind, fields) for kind, fields in classifier.FIELDS.items()}
 
 
 def _line(a: int, b: int, c: int, label: str, covers: bool, delta: int, kind: str, fields):

@@ -18,11 +18,12 @@ class Frozen:
 
     A class's fields are its own ``__slots__``.  A subclass that lists fields
     there and writes no ``__init__`` gets ``__init__(self, <fields in slot
-    order>)``, compiled once from source as in `dataclasses`, which binds
-    each field through its slot's setter (`_setters`) and so costs what a
-    hand-written one does; one with ``__slots__ = ()`` keeps its parent's.
-    Afterwards assignment and ``del`` raise AttributeError.  Two values are
-    equal, and hash alike, when they have the same exact type and equal fields.
+    order>)`` from `_compiled`, as the certificates' ``to_dict`` and scan
+    writers are, which binds each field through its slot's setter
+    (`_setters`) and so costs what a hand-written one does; one with
+    ``__slots__ = ()`` keeps its parent's.  Afterwards assignment and ``del``
+    raise AttributeError.  Two values are equal, and hash alike, when they
+    have the same exact type and equal fields.
     """
 
     __slots__ = ()
@@ -30,13 +31,11 @@ class Frozen:
     def __init_subclass__(cls, **kwargs):
         super().__init_subclass__(**kwargs)
         fields = cls.__dict__.get("__slots__", ())
-        if not fields or "__init__" in cls.__dict__:
-            return
-        namespace = {f"_set_{name}": setter for name, setter in zip(fields, _setters(cls))}
-        exec(f"def __init__(self, {', '.join(fields)}):\n"
-             + "".join(f"    _set_{name}(self, {name})\n" for name in fields), namespace)
-        cls.__init__ = namespace["__init__"]
-        cls.__init__.__qualname__ = f"{cls.__qualname__}.__init__"
+        if fields and "__init__" not in cls.__dict__:
+            cls.__init__ = _compiled(
+                f"{cls.__qualname__}.__init__", ("self", *fields),
+                [f"_set_{name}(self, {name})" for name in fields],
+                {f"_set_{name}": setter for name, setter in zip(fields, _setters(cls))})
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r} of {type(self).__name__}")
@@ -71,6 +70,15 @@ def _setters(cls: type) -> tuple:
     benchmark's classify and replay phases build a form, a certificate and a
     classification per form."""
     return tuple(cls.__dict__[name].__set__ for name in cls.__slots__)
+
+
+def _compiled(qualname: str, parameters, lines, namespace: dict):
+    """``def`` of ``parameters`` with body ``lines``, compiled once from source with
+    ``namespace`` as its globals, as `dataclasses` builds methods, named ``qualname``."""
+    name = qualname.rpartition(".")[2]
+    exec(f"def {name}({', '.join(parameters)}):\n    " + "\n    ".join(lines), namespace)
+    namespace[name].__qualname__ = qualname
+    return namespace[name]
 
 
 class _Discriminant(Frozen):

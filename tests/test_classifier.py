@@ -107,6 +107,30 @@ def test_certificates_doc_names_every_integer_field():
     assert set(named) == fields - {"construction"}
 
 
+# each shape of classifier.FIELDS, as a parsed JSON value must have it
+_SHAPE_OF = {
+    "name": lambda value: type(value) is str,
+    "int": lambda value: type(value) is int,
+    "ints": lambda value: type(value) is list and all(type(x) is int for x in value),
+    "rows": lambda value: type(value) is list and all(
+        type(row) is list and all(type(x) is int for x in row) for row in value),
+}
+
+
+@pytest.mark.parametrize("kind", list(classifier.FIELDS))
+def test_certificates_doc_examples_follow_the_field_table(kind):
+    """The JSON example under each kind's heading in docs/certificates.md has
+    the keys of `classifier.FIELDS`, in its order after ``kind``, and each
+    value the shape the table states."""
+    text = CERTIFICATES_DOC.read_text(encoding="utf-8")
+    section = re.search(rf"^## {re.escape(kind)}\n(.*?)(?=^## |\Z)", text, re.M | re.S)
+    example = json.loads(re.search(r"```json\n(.*?)```", section.group(1), re.S).group(1))
+    fields = classifier.FIELDS[kind]
+    assert list(example) == ["kind", *fields] and example["kind"] == kind
+    for name, shape in fields.items():
+        assert _SHAPE_OF[shape](example[name]), (name, shape, example[name])
+
+
 def test_grid_case_structure():
     for t in _grid():
         label, covers = case_of(t)
@@ -1261,6 +1285,14 @@ def _confirm_on_the_oracle_stack(t, cert) -> None:
 _HUGE = 10**5000
 
 
+def _nested(depth: int) -> list:
+    """An empty list inside ``depth`` lists, made without recursion."""
+    value = []
+    for _ in range(depth):
+        value = [value]
+    return value
+
+
 @pytest.mark.parametrize("probe, message", [
     (lambda: verify_classification(TranscendentalForm(1, 1, 1),
                                    Classification("IV", _HUGE, 3, ParityObstruction((2, 2), 1))),
@@ -1276,7 +1308,11 @@ _HUGE = 10**5000
     (lambda: Classification.from_dict({"case": "IV", "covers": False, "delta": 3,
                                        "certificate": {"kind": _HUGE}}),
      "malformed classification: unknown certificate kind of type int"),
-], ids=["covers", "case", "certificate", "pairing_mod_2", "kind"])
+    # a kind whose repr raises RecursionError, not ValueError
+    (lambda: Classification.from_dict({"case": "IV", "covers": False, "delta": 3,
+                                       "certificate": {"kind": _nested(100_000)}}),
+     "malformed classification: unknown certificate kind of type list"),
+], ids=["covers", "case", "certificate", "pairing_mod_2", "kind", "kind-nested"])
 def test_huge_int_in_a_wrong_field_is_refused_at_the_default_digit_limit(probe, message):
     # the messages used to hold repr(value), and the repr of an int past the
     # limit raises ValueError, not VerificationError

@@ -1,12 +1,14 @@
 """The immutable value types: construction, immutability, equality, hashing."""
 
 import copy
+import json
 import pickle
 
 import pytest
 
 from k3cover.classifier import (
     ABSENCE_SLICES,
+    FIELDS,
     Certificate,
     Classification,
     ExhaustiveAbsence,
@@ -15,6 +17,7 @@ from k3cover.classifier import (
     ParityObstruction,
     VinbergWitness,
 )
+from k3cover.cli import _CERTIFICATE_JSON
 from k3cover.lattices import Frozen, TranscendentalForm
 
 _ROWS = ((1, 1, -1, 0) + (0,) * 8, (1, 2, 0, 1) + (0,) * 8)
@@ -62,6 +65,14 @@ def test_value_type_contract(cls, args, other):
     assert code.co_varnames[1:code.co_argcount] == cls.__slots__
     with pytest.raises(TypeError, match=rf"^{cls.__name__}\.__init__\(\) missing"):
         cls(*args[:-1])
+    if cls in Certificate.__args__:
+        # a certificate's slots, to_dict and scan writer are all made from FIELDS
+        assert cls.__slots__ == tuple(FIELDS[cls.kind])
+        assert cls.to_dict.__qualname__ == f"{cls.__name__}.to_dict"
+        assert type("Sub", (cls,), {"__slots__": ()}).to_dict is cls.to_dict
+        writer = _CERTIFICATE_JSON[cls.kind]
+        assert writer.__code__.co_varnames[:writer.__code__.co_argcount] == cls.__slots__
+        assert writer(*args) == json.dumps(value.to_dict(), sort_keys=True, separators=(",", ":"))
 
 
 class Pair(Frozen):
