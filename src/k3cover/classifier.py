@@ -30,7 +30,7 @@ from math import gcd
 
 from .errors import VerificationError
 from .lattices import Frozen, TranscendentalForm, _compiled, _moved
-from .quadforms import represents_one
+from .quadforms import definite_defect, represents_one
 from .vinberg import ABSENT, in_P
 from .vinberg import norm as region_norm
 from .vinberg import search_norm, slice_norms
@@ -146,8 +146,8 @@ def _embedding_defect(a: int, b: int, c: int, rows, basis) -> str | None:
        construction (None for an unknown name), pairs to zero with u and v
        and its own six minors have gcd 1, so it spans the whole rank-2
        kernel of the rows; else VerificationError;
-    5. B, even as U + U(2) is, is negative definite, else VerificationError;
-       no record reaches this, as a positive definite pullback leaves B so;
+    5. -B/2 passes `definite_defect`, else VerificationError; no record reaches
+       this, as a positive definite pullback leaves B negative definite;
     6. the complement is B + E8(2) and a norm -2 vector lies wholly in B, so
        there is a root exactly when -B/2 represents 1 (`represents_one`).
     """
@@ -175,7 +175,7 @@ def _embedding_defect(a: int, b: int, c: int, rows, basis) -> str | None:
     p = -(x0 * x1 + 2 * x2 * x3)
     q = -(x0 * y1 + x1 * y0 + 2 * (x2 * y3 + x3 * y2))
     r = -(y0 * y1 + 2 * y2 * y3)
-    if p <= 0 or 4 * p * r <= q * q:
+    if definite_defect(p, r, q) is not None:
         raise VerificationError("complement block in U + U(2) is not even and negative definite")
     return "root" if represents_one(p, q, r) else None
 
@@ -236,12 +236,11 @@ class ExplicitEmbedding(_Certificate):
     actually embeds and ``basis_change`` the change of basis realizing the
     equivalence, the int 4-tuple (x, y, z, w) of [[x, y], [z, w]].  Replay
     checks the types and shapes of the fields; on their ints, without building
-    a form, that ``normalized`` has a positive diagonal and is positive
-    definite, with the messages of `TranscendentalForm`; that
-    ``basis_change`` has determinant 1, which nothing else checks; and
-    that `_moved` takes the input to ``normalized``.  It then runs
-    `_embedding_defect` at ``normalized``, whose closed-form complement makes
-    the construction's name binding; ``minor_gcd`` must be 1 and
+    a form, that ``normalized`` is positive definite (`definite_defect`, the
+    form's own rule); that ``basis_change`` has determinant 1, which nothing
+    else checks; and that `_moved` takes the input to ``normalized``.  It then
+    runs `_embedding_defect` at ``normalized``, whose closed-form complement
+    makes the construction's name binding; ``minor_gcd`` must be 1 and
     ``minus_two`` empty.
     """
 
@@ -249,19 +248,12 @@ class ExplicitEmbedding(_Certificate):
     __slots__ = tuple(FIELDS[kind])
 
     def replay(self, t: TranscendentalForm) -> None:
-        # the checks of TranscendentalForm, in its order and with its
-        # messages, on the ints themselves; then the basis change's determinant
-        na, nb, nc = normalized = _ints("normalized", self.normalized, 3)
-        if na <= 0 or nb <= 0:
-            raise VerificationError("malformed embedding certificate:"
-                                    " diagonal coefficients a, b must be positive")
-        if 4 * na * nb - nc * nc <= 0:
-            raise VerificationError("malformed embedding certificate:"
-                                    " form must be positive definite (4ab - c^2 > 0)")
+        normalized = _ints("normalized", self.normalized, 3)
+        if (defect := definite_defect(*normalized)) is not None:
+            raise VerificationError(f"malformed embedding certificate: {defect}")
         x, y, z, w = _ints("basis_change", self.basis_change, 4)
         if x * w - y * z != 1:
-            raise VerificationError("malformed embedding certificate:"
-                                    " matrix must have determinant 1")
+            raise VerificationError("malformed embedding certificate: matrix must have determinant 1")
         rows = [_ints("matrix", row) for row in
                 (self.matrix if type(self.matrix) is tuple else _array("matrix", self.matrix))]
         if len(rows) != 2 or len(rows[0]) != _AMBIENT_RANK or len(rows[1]) != _AMBIENT_RANK:
@@ -404,15 +396,15 @@ def certificate_from_dict(data: dict[str, object]) -> Certificate:
     """Build the certificate a serialized one describes; an unknown kind
     raises ValueError, a missing key or a non-mapping VerificationError.
 
-    The class is looked up by ``kind`` in one table; a kind that is not a
-    string, hashable or not, is unknown.  Parsing only builds: each field is
-    taken as it is, its arrays as tuples, and nothing is checked or
-    converted.  `replay` checks every field and refuses a wrong type, shape
-    or construction; it never coerces one.
+    The class is looked up by ``kind`` in one table; a kind not of type
+    ``str`` itself, a subclass or an unhashable value, is unknown.  Parsing
+    only builds: each field is taken as it is, its arrays as tuples, and
+    nothing is checked or converted.  `replay` checks every field and
+    refuses a wrong type, shape or construction; it never coerces one.
     """
     try:
         kind = data.get("kind")
-        cls = _CERTIFICATE_CLASSES.get(kind) if isinstance(kind, str) else None
+        cls = _CERTIFICATE_CLASSES.get(kind) if type(kind) is str else None
         if cls is not None:
             return cls(*[_frozen(value) if type(value := data[name]) is list else value
                          for name in cls.__slots__])
@@ -420,11 +412,11 @@ def certificate_from_dict(data: dict[str, object]) -> Certificate:
         raise VerificationError(f"certificate is missing the key {exc}") from None
     except (AttributeError, TypeError) as exc:
         raise VerificationError(f"malformed certificate: {exc}") from None
-    try:
-        named = repr(kind)
+    try:  # a str subclass is named by its type, so that none of its own methods run
+        named = None if issubclass(type(kind), str) and type(kind) is not str else repr(kind)
     except (ValueError, RecursionError):  # an int past the digit limit, or nested too deep
-        named = f"of type {type(kind).__name__}"
-    raise ValueError(f"unknown certificate kind {named}")
+        named = None
+    raise ValueError(f"unknown certificate kind {named or 'of type ' + type(kind).__name__}")
 
 
 class Classification(Frozen):

@@ -12,6 +12,8 @@ and the ambient U + U(2) + E8(2)) lives in `intmat` beside its algebra.
 
 from __future__ import annotations
 
+from .quadforms import definite_defect
+
 
 class Frozen:
     """Base of the package's immutable value types.
@@ -95,7 +97,7 @@ class TranscendentalForm(_Discriminant):
 
     This is the transcendental lattice datum of a singular K3 surface,
     presented by the half-integer triple (a, b, c) of ints (bools refused).
-    Its ``delta`` = 4ab - c^2 is bound once, by the definiteness check.
+    Its ``delta`` = 4ab - c^2 is bound once, after `quadforms.definite_defect`.
     """
 
     __slots__ = ("a", "b", "c")
@@ -103,15 +105,12 @@ class TranscendentalForm(_Discriminant):
     def __init__(self, a: int, b: int, c: int) -> None:
         if type(a) is not int or type(b) is not int or type(c) is not int:
             raise ValueError("coefficients a, b, c must be ints")
-        if a <= 0 or b <= 0:
-            raise ValueError("diagonal coefficients a, b must be positive")
-        delta = 4 * a * b - c * c
-        if delta <= 0:
-            raise ValueError("form must be positive definite (4ab - c^2 > 0)")
+        if (defect := definite_defect(a, b, c)) is not None:
+            raise ValueError(defect)
         _set_a(self, a)
         _set_b(self, b)
         _set_c(self, c)
-        _set_delta(self, delta)
+        _set_delta(self, 4 * a * b - c * c)
 
     def triple(self) -> tuple[int, int, int]:
         return (self.a, self.b, self.c)

@@ -1,10 +1,11 @@
-"""Gauss reduction of positive definite binary forms, and representing 1.
+"""Positive definiteness and Gauss reduction of binary forms, and representing 1.
 
-A `TranscendentalForm` (a, b, c), the Gram matrix [[2a, c], [c, 2b]], is
-the form a x^2 + c x y + b y^2.  Written as p x^2 + q x y + r y^2, a form
-is reduced when |q| <= p <= r, with q >= 0 on the boundary (|q| = p or
-p = r).  Every positive definite form is equivalent to exactly one reduced
-form, and the reduced form starts with the minimum of the form, so
+A `TranscendentalForm` (a, b, c), the Gram matrix [[2a, c], [c, 2b]], is the
+form a x^2 + c x y + b y^2; `definite_defect` is the one rule that it is
+positive definite, a, b > 0 and 4ab - c^2 > 0.  Written p x^2 + q x y + r y^2,
+a form is reduced when |q| <= p <= r, with q >= 0 on the boundary (|q| = p
+or p = r).  Every positive definite form is equivalent to exactly one
+reduced form, whose leading coefficient is the minimum of the form, so
 "represents 1" is just "reduced leading coefficient is 1".
 
 Reduction runs as one loop on plain ints (p, q, r) = (a, c, b) and returns
@@ -14,6 +15,14 @@ and proves each reduction by applying it, is the tests' oracle.
 """
 
 from __future__ import annotations
+
+
+def definite_defect(a: int, b: int, c: int) -> str | None:
+    """The message of the first condition that a x^2 + c x y + b y^2, on plain
+    ints, fails as a positive definite form, or None if it is one."""
+    if a <= 0 or b <= 0:
+        return "diagonal coefficients a, b must be positive"
+    return None if 4 * a * b > c * c else "form must be positive definite (4ab - c^2 > 0)"
 
 
 def _is_reduced(p: int, q: int, r: int) -> bool:

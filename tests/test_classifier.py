@@ -15,7 +15,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from k3cover import classifier, vinberg
+from k3cover import classifier, cli, quadforms, vinberg
 from k3cover.classifier import (
     ABSENCE_SLICES,
     CASES,
@@ -1125,6 +1125,19 @@ def test_every_replay_message_has_a_probe():
     assert patterns - matched(pinned) == unreached
 
 
+def test_every_definiteness_message_has_a_probe():
+    # replay's embedding message fills in what quadforms.definite_defect
+    # returns, so the rule's own strings are held to the probes here
+    tree = ast.parse(Path(quadforms.__file__).read_text())
+    rule = next(node for node in tree.body
+                if isinstance(node, ast.FunctionDef) and node.name == "definite_defect")
+    messages = {node.value for statement in rule.body[1:] for node in ast.walk(statement)
+                if isinstance(node, ast.Constant) and isinstance(node.value, str)}
+    assert len(messages) == 2
+    pinned = {row[-1] for row in REPLAY_GUARD_PROBES.values()}
+    assert {f"malformed embedding certificate: {message}" for message in messages} <= pinned
+
+
 # one valid record per case and per construction, with 6-digit forms for
 # the two cases whose embeddings carry the form's own coefficients
 _RECORD_FORMS = {
@@ -1328,6 +1341,33 @@ def test_huge_int_in_a_wrong_field_is_refused_at_the_default_digit_limit(probe, 
             sys.set_int_max_str_digits(before)
 
 
+class _RaisingStr(str):
+    """A str whose own hash, equality and repr raise."""
+
+    def __hash__(self):
+        return 1 // 0
+
+    def __eq__(self, other):
+        return 1 // 0
+
+    def __repr__(self):
+        return 1 // 0
+
+
+@pytest.mark.parametrize("triple, kind", [
+    ((1, 3, 0), _RaisingStr("vinberg-witness")),
+    ((2, 2, 2), _LiarStr("keum-citation")),
+], ids=["hash raises", "equals anything"])
+def test_a_str_subclass_kind_is_unknown_and_named_by_its_type(triple, kind):
+    # kind is looked up only when it is of type str itself, so none of the
+    # subclass's own methods run, its repr included
+    data = _record(triple)
+    data["certificate"]["kind"] = kind
+    with _rejected_with("malformed classification: unknown certificate kind of type "
+                        + type(kind).__name__):
+        Classification.from_dict(data)
+
+
 def _refuse(*args, **kwargs):
     raise AssertionError("classify ran a check that belongs to replay")
 
@@ -1404,6 +1444,30 @@ def test_replay_reads_only_complements_and_classify_only_constructions(monkeypat
             assert _scan_line(forms[name], again) == lines[name]
         with pytest.raises(AssertionError, match="construction table"):
             verify_classification(forms["II"], built["II"])
+
+
+def test_replay_reaches_no_builder():
+    """Parsing and replaying every scan line of the full box runs none of the
+    functions that build certificates or write records."""
+    lines = cli._scan_rows(cli._rows(20, 20, -20, 20))[1].splitlines()
+    records = [(TranscendentalForm(d["a"], d["b"], d["c"]), d) for d in map(json.loads, lines)]
+    builders = {fn.__code__: fn.__qualname__ for fn in (
+        vinberg.search_norm, *CONSTRUCTIONS.values(),
+        *(fields for _, fields in classifier._CERTIFY.values()),
+        classifier._embedding_fields, classifier._c_even_fields, embedding_certificate,
+        certify, classify, *(cls.to_dict for cls in Certificate.__args__),
+        *cli._CERTIFICATE_JSON.values())}
+    called = set()
+    sys.setprofile(lambda frame, event, arg: called.add(frame.f_code) if event == "call" else None)
+    try:
+        for t, data in records:
+            verify_classification(t, Classification.from_dict(data))
+    finally:
+        sys.setprofile(None)
+    # the profile saw replay itself, of every kind
+    assert {cls.replay.__code__ for cls in Certificate.__args__} <= called
+    assert _embedding_defect.__code__ in called
+    assert sorted(name for code, name in builders.items() if code in called) == []
 
 
 # The changes of basis with entries in {-1, 0, 1}: each carries a form to an
