@@ -56,9 +56,8 @@ CASES: dict[CaseLabel, tuple[bool, tuple[str, ...]]] = {
 
 def _case(a: int, b: int, c: int, delta: int) -> CaseLabel:
     """The label of (a, b, c), delta = 4ab - c^2, from integer facts alone: the
-    parity class, then whether the form represents 1, then delta / 4, none of
-    which the SL2 action `_moved` changes.  `lattices.parity_class` states the
-    parity classes independently, and the tests hold this function to it."""
+    parity class, then whether the form represents 1, then delta / 4, none of which
+    `_moved` changes.  The tests hold it to their own statement, `parity_class`."""
     if c & 1:
         return "IV" if a & b & 1 else "II"
     if not (a | b) & 1:
@@ -390,6 +389,21 @@ def _frozen(array: list) -> tuple:
 
 # The certificate class of each kind, for parsing
 _CERTIFICATE_CLASSES = {cls.kind: cls for cls in Certificate.__args__}
+_JSON_TYPES = (dict, list, str, int, float, bool, type(None))
+
+
+def _json_typed(value) -> bool:
+    """Whether ``value`` and all inside it are of types json gives, compared by identity,
+    so no subclass's or metaclass's code runs; json never gives one container twice."""
+    stack, seen = [value], set()
+    while stack:
+        node = stack.pop()
+        if id(node) in seen or not any(type(node) is t for t in _JSON_TYPES):
+            return False
+        if type(node) is list or type(node) is dict:
+            seen.add(id(node))
+            stack += [*node, *node.values()] if type(node) is dict else node
+    return True
 
 
 def certificate_from_dict(data: dict[str, object]) -> Certificate:
@@ -403,6 +417,8 @@ def certificate_from_dict(data: dict[str, object]) -> Certificate:
     refuses a wrong type, shape or construction; it never coerces one.
     """
     try:
+        if type(data) is not dict and not _json_typed(data):  # a subclass's get never runs
+            raise TypeError(f"certificate of type {type(data).__name__} is not a dict")
         kind = data.get("kind")
         cls = _CERTIFICATE_CLASSES.get(kind) if type(kind) is str else None
         if cls is not None:
@@ -412,8 +428,8 @@ def certificate_from_dict(data: dict[str, object]) -> Certificate:
         raise VerificationError(f"certificate is missing the key {exc}") from None
     except (AttributeError, TypeError) as exc:
         raise VerificationError(f"malformed certificate: {exc}") from None
-    try:  # a str subclass is named by its type, so that none of its own methods run
-        named = None if issubclass(type(kind), str) and type(kind) is not str else repr(kind)
+    try:  # a kind json could not give is named by its type, so none of its methods run
+        named = repr(kind) if _json_typed(kind) else None
     except (ValueError, RecursionError):  # an int past the digit limit, or nested too deep
         named = None
     raise ValueError(f"unknown certificate kind {named or 'of type ' + type(kind).__name__}")
@@ -440,6 +456,8 @@ class Classification(Frozen):
         refused here, each with VerificationError; `verify_classification`
         checks every field."""
         try:
+            if type(data) is not dict and not _json_typed(data):  # a subclass's lookups never run
+                raise TypeError(f"record of type {type(data).__name__} is not a dict")
             return cls(data["case"], data["covers"], data["delta"],
                        certificate_from_dict(data["certificate"]))
         except KeyError as exc:
@@ -467,7 +485,8 @@ def embedding_certificate(construction: str, normalized: TranscendentalForm,
     ``embedding_certificate("all-even", t)``, backs it as well and always
     fits: its -B/2 is (b, c, a), all even, so it never represents 1.
     """
-    return ExplicitEmbedding(*_embedding_fields(construction, *normalized.triple(), g))
+    return ExplicitEmbedding(*_embedding_fields(construction, normalized.a, normalized.b,
+                                                 normalized.c, g))
 
 
 def _c_even_fields(a: int, b: int, c: int, delta: int) -> tuple:

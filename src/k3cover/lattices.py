@@ -1,4 +1,4 @@
-"""Rank-2 transcendental forms, the SL2 action on them, and parity classes.
+"""Rank-2 transcendental forms and the SL2 action on them.
 
 `TranscendentalForm(a, b, c)` is the package's one binary-form type: the
 Gram matrix [[2a, c], [c, 2b]], or equally the positive definite form
@@ -112,9 +112,6 @@ class TranscendentalForm(_Discriminant):
         _set_c(self, c)
         _set_delta(self, 4 * a * b - c * c)
 
-    def triple(self) -> tuple[int, int, int]:
-        return (self.a, self.b, self.c)
-
 
 _set_a, _set_b, _set_c = _setters(TranscendentalForm)
 
@@ -129,15 +126,3 @@ def _moved(a: int, b: int, c: int, x: int, y: int, z: int, w: int) -> tuple[int,
     return (a * x * x + c * x * z + b * z * z, a * y * y + c * y * w + b * w * w,
             2 * a * x * y + c * (x * w + y * z) + 2 * b * w * z)
 
-
-def parity_class(t: TranscendentalForm) -> str:
-    """The basis-change invariant parity class of (a, b, c).
-
-    "I": all even; "II": c odd, ab even; "III": c even, a or b odd;
-    "IV": all odd.  Basis changes preserve the class (and the discriminant),
-    so the class is a property of the lattice, not the chosen basis.
-    """
-    a_even, b_even, c_even = t.a % 2 == 0, t.b % 2 == 0, t.c % 2 == 0
-    if c_even:
-        return "I" if a_even and b_even else "III"
-    return "II" if a_even or b_even else "IV"

@@ -33,12 +33,9 @@ def _is_reduced(p: int, q: int, r: int) -> bool:
 
 
 def _gauss(p: int, q: int, r: int) -> tuple[int, int, int]:
-    """Gauss reduction of a positive definite p x^2 + q x y + r y^2 on plain ints.
-
-    Returns the reduced (p, q, r).  Each step translates by t, the basis
-    change [[1, t], [0, 1]], or swaps, [[0, -1], [1, 0]]; the steps are not
-    recorded.
-    """
+    """Gauss reduction of a positive definite p x^2 + q x y + r y^2 on plain ints:
+    the reduced (p, q, r).  Each step translates by t, the basis change
+    [[1, t], [0, 1]], or swaps, [[0, -1], [1, 0]]."""
     while True:
         # translate q into (-p, p]
         t = (p - q) // (2 * p)

@@ -53,8 +53,7 @@ def in_P(v) -> bool:
             and x0 >= x1 + x2 + x3 and 3 * x0 > x1 + x2 + x3 + x4 + x5 + x6 + x7 + x8 + x9 + x10)
 
 
-# name -> (minimal parameter k, N = slope*k + intercept as (slope, intercept),
-# runs (slope, intercept, count) of x0, x1, .., x10); `lemmas`' family-coverage
+# name -> row, laid out as the module docstring says; `lemmas`' family-coverage
 # row proves from these that every member lies in P with its norm
 FAMILIES: dict[str, tuple[int, tuple[int, int], tuple[tuple[int, int, int], ...]]] = {
     "X0": (1, (24, 0), ((9, 4, 1), (3, 2, 1), (3, 1, 7), (3, -1, 1), (0, 2, 1))),

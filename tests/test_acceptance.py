@@ -76,7 +76,7 @@ def test_criterion_01_grid_selects_exactly_one_branch():
             "IV": not (a_even or b_even or c_even),
         }
         holding = [label for label, holds in predicates.items() if holds]
-        assert len(holding) == 1, (t.triple(), holding)
+        assert len(holding) == 1, ((t.a, t.b, t.c), holding)
 
         cls = classify(t)
         assert cls.case_label == holding[0]
@@ -109,7 +109,7 @@ def test_criterion_02_case_ii_embeddings_are_root_free():
         assert maximal_minor_gcd(e.matrix) == 1
         _, comp = orthogonal_complement(LAMBDA, e)
         assert enumerate_norm(comp, -2) == []
-        assert norms_divisible_by_4(comp.gram.entries), t.triple()
+        assert norms_divisible_by_4(comp.gram.entries), (t.a, t.b, t.c)
     assert checked == 160
     elapsed = time.perf_counter() - start
     assert elapsed < 30.0, f"took {elapsed:.2f}s"
@@ -133,9 +133,9 @@ def test_criterion_03_case_iii_split_by_complement_roots():
         _, comp = orthogonal_complement(LAMBDA, e)
         roots = enumerate_norm(comp, -2)
         if label == "III-1":
-            assert roots == [], t.triple()
+            assert roots == [], (t.a, t.b, t.c)
         else:
-            assert roots != [], (t.triple(), label)
+            assert roots != [], ((t.a, t.b, t.c), label)
     assert all(seen.values()), seen
     elapsed = time.perf_counter() - start
     assert elapsed < 60.0, f"took {elapsed:.2f}s"

@@ -40,7 +40,7 @@ from k3cover.cli import _scan_line
 from k3cover.embeddings import Embedding, is_primitive, orthogonal_complement, validate
 from k3cover.errors import VerificationError
 from k3cover.intmat import IntMatrix, standard_lattice, to_lattice
-from k3cover.lattices import TranscendentalForm
+from k3cover.lattices import TranscendentalForm, _moved
 from k3cover.shortvec import has_norm
 
 from conftest import (
@@ -49,6 +49,7 @@ from conftest import (
     compose,
     enumerate_P_slice,
     moved,
+    parity_class,
     random_sl2,
     replace,
     sl2_matrices,
@@ -137,6 +138,7 @@ def test_grid_case_structure():
         assert covers == (label in ("I", "II", "III-1", "III-2"))
         if label == "III-3":
             assert t.delta in (4, 8, 16)
+        assert label.split("-")[0] == parity_class(t)
         parities = (t.a % 2, t.b % 2, t.c % 2)
         if parities == (0, 0, 0):
             assert label == "I" and covers
@@ -178,9 +180,9 @@ def test_case_invariant_under_basis_change():
 
 def test_normalize_case_III():
     # the normalized form and basis change that `_c_even_fields` records
-    assert c_even_normalized(TranscendentalForm(2, 1, 0))[0].triple() == (9, 3, 10)
-    assert c_even_normalized(TranscendentalForm(1, 2, 2))[0].triple() == (5, 13, 16)
-    assert c_even_normalized(TranscendentalForm(1, 1, 0))[0].triple() == (1, 1, 0)
+    assert c_even_normalized(TranscendentalForm(2, 1, 0))[0] == TranscendentalForm(9, 3, 10)
+    assert c_even_normalized(TranscendentalForm(1, 2, 2))[0] == TranscendentalForm(5, 13, 16)
+    assert c_even_normalized(TranscendentalForm(1, 1, 0))[0] == TranscendentalForm(1, 1, 0)
     for t in _grid():
         if case_of(t)[0].startswith("III"):
             n, g = c_even_normalized(t)
@@ -199,7 +201,7 @@ def test_embedding_constructors_frozen():
     assert validate(e) and is_primitive(e)
 
     n = c_even_normalized(TranscendentalForm(2, 3, 2))[0]
-    assert n.triple() == (15, 7, 20)
+    assert n == TranscendentalForm(15, 7, 20)
     e = written_down_embedding(n)
     assert e.matrix.to_lists() == [
         [1, 15, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0],
@@ -308,7 +310,7 @@ def test_all_even_embedding_backs_every_all_even_form():
                 t = TranscendentalForm(a, b, c)
                 cls = _all_even_classification(t)
                 assert cls.case_label == "I"
-                assert cls.certificate.kind == "explicit-embedding", t.triple()
+                assert cls.certificate.kind == "explicit-embedding", (t.a, t.b, t.c)
                 assert cls.certificate.construction == "all-even"
                 verify_classification(t, cls)
                 checked += 1
@@ -798,6 +800,21 @@ class _LooksEmpty(tuple):
         return 0
 
 
+class _RaisingDict(dict):
+    """A dict whose own lookups raise."""
+
+    def get(self, key, default=None):
+        return 1 // 0
+
+    def __getitem__(self, key):
+        return 1 // 0
+
+
+def _parse_iii_2(**fields) -> Classification:
+    """Parse the JSON record of (1, 3, 0), case III-2, with fields replaced."""
+    return Classification.from_dict({**_record((1, 3, 0)), **fields})
+
+
 class _SkippedReplay(ExplicitEmbedding):
     """An explicit embedding whose replay checks nothing."""
 
@@ -854,6 +871,10 @@ def _verify_ii_embedding(cls=ExplicitEmbedding, **fields) -> None:
 # ==.  The last three stand in for the classification itself, which replay
 # took as given: the shifting subclass and the namespace were accepted, and
 # the string raised AttributeError.  Replay now compares types by identity.
+# The last five are refused by parsing, which raised ZeroDivisionError on
+# each while it named a kind by repr and looked a mapping up as given: a
+# kind holding a str whose repr raises, and a dict whose lookups raise, as
+# the record, as its certificate, and as a certificate alone.
 _FORGED_PROBES = {
     "residues and pairing that equal anything": (lambda: verify_classification(
         TranscendentalForm(1, 1, 1),
@@ -890,6 +911,21 @@ _FORGED_PROBES = {
         "classification of type SimpleNamespace is not a Classification object"),
     "string": (lambda: verify_classification(TranscendentalForm(1, 2, 1), "x"),
                "classification of type str is not a Classification object"),
+    "kind in a list, with a repr that raises": (
+        lambda: _parse_iii_2(certificate={"kind": [_RaisingStr("x")]}),
+        "malformed classification: unknown certificate kind of type list"),
+    "kind in an object, with a repr that raises": (
+        lambda: _parse_iii_2(certificate={"kind": {"k": _RaisingStr("y")}}),
+        "malformed classification: unknown certificate kind of type dict"),
+    "record whose lookups raise": (
+        lambda: Classification.from_dict(_RaisingDict(_record((1, 3, 0)))),
+        "malformed classification: record of type _RaisingDict is not a dict"),
+    "certificate whose lookups raise": (
+        lambda: _parse_iii_2(certificate=_RaisingDict(_record((1, 3, 0))["certificate"])),
+        _MALFORMED + "certificate of type _RaisingDict is not a dict"),
+    "certificate alone whose lookups raise": (
+        lambda: certificate_from_dict(_RaisingDict(_record((1, 3, 0))["certificate"])),
+        _MALFORMED + "certificate of type _RaisingDict is not a dict"),
 }
 
 
@@ -904,7 +940,7 @@ def _coefficients(size: int, count: int) -> st.SearchStrategy[tuple[int, ...]]:
 
 
 _II = TranscendentalForm(1, 2, 1)
-_MOVED_II = sl2_matrices(5).map(lambda g: (moved(_II, g).triple(), g))
+_MOVED_II = sl2_matrices(5).map(lambda g: (_moved(_II.a, _II.b, _II.c, *g), g))
 
 
 @given(st.one_of(
@@ -1100,13 +1136,38 @@ _UNREACHED_MESSAGES = (
 )
 
 
-def _message_pattern(node: ast.expr) -> str:
+def _message_pattern(node: ast.expr, in_sum: bool = False) -> str:
     """A regular expression for the message a raise builds: a string as it
-    is, and each replacement field of an f-string as ``.+``."""
-    if isinstance(node, ast.Constant):
+    is, each replacement field of an f-string as ``.+``, and a ``+`` of such
+    parts with any other part of it as ``.+``.  Any other message fails the
+    test, naming its line."""
+    if isinstance(node, ast.Constant) and type(node.value) is str:
         return re.escape(node.value)
-    return "".join(".+" if isinstance(part, ast.FormattedValue) else re.escape(part.value)
-                   for part in node.values)
+    if isinstance(node, ast.JoinedStr):
+        return "".join(".+" if isinstance(part, ast.FormattedValue) else re.escape(part.value)
+                       for part in node.values)
+    if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Add):
+        return _message_pattern(node.left, True) + _message_pattern(node.right, True)
+    if in_sum:
+        return ".+"
+    pytest.fail(f"line {node.lineno}: cannot read the message {ast.unparse(node)}")
+
+
+@pytest.mark.parametrize("source, message, other", [
+    ('"no witness"', "no witness", "no witness!"),
+    ('f"slice {m} holds {-n!r}"', "slice 3 holds -1", "slice 3 has -1"),
+    ('"malformed: " + defect', "malformed: not definite", "malformed not definite"),
+    ('f"{field} must " + "be " + kind.upper()', "n must be INT", "n must INT"),
+])
+def test_message_pattern_reads_each_form_of_message(source, message, other):
+    pattern = _message_pattern(ast.parse(source, mode="eval").body)
+    assert re.fullmatch(pattern, message) and not re.fullmatch(pattern, other)
+
+
+@pytest.mark.parametrize("source", ["message", "messages[0]", "'%s' % kind", "5"])
+def test_message_pattern_names_the_line_of_a_message_it_cannot_read(source):
+    with pytest.raises(pytest.fail.Exception, match="^line 2: cannot read the message "):
+        _message_pattern(ast.parse(f"(\n{source})", mode="eval").body)
 
 
 def test_every_replay_message_has_a_probe():

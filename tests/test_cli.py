@@ -7,6 +7,7 @@ import io
 import json
 import os
 import random
+import re
 import shlex
 import subprocess
 import sys
@@ -1054,3 +1055,38 @@ def test_readme_command_prints_what_the_readme_shows(runner, tmp_path, monkeypat
     assert result.exit_code == 0, result.output
     # scan writes its records to --out and its tally to stderr
     assert (result.stderr if command.startswith("scan") else result.stdout) == shown
+
+
+CERTIFICATES_DOC = README.parent / "docs" / "certificates.md"
+
+# What README and docs/certificates.md leave to docstrings and CHANGES.md,
+# outside fenced blocks: a private name (`_x` or `mod._x`), a timing (a
+# number, a space, then s, ms, µs or us) and a line count
+_IMPLEMENTATION_FACTS = {
+    "private name": re.compile(r"`(?:\w+\.)*_[A-Za-z]\w*"),
+    "timing": re.compile(r"\d\s(?:s|ms|µs|us)\b"),
+    "line count": re.compile(r"\d\s+lines?\b"),
+}
+
+
+def _implementation_facts(text: str) -> list[tuple[int, str, str]]:
+    """(line number, kind, line) of each line outside a fenced block that
+    states one of `_IMPLEMENTATION_FACTS`."""
+    found, fenced = [], False
+    for number, line in enumerate(text.splitlines(), 1):
+        if line.lstrip().startswith("```"):
+            fenced = not fenced
+        elif not fenced:
+            found += [(number, kind, line) for kind, pattern in _IMPLEMENTATION_FACTS.items()
+                      if pattern.search(line)]
+    return found
+
+
+def test_docs_state_no_private_name_timing_or_line_count():
+    planted = ["replay moves it by `lattices._moved`", "the root search takes 0.15 s",
+               "README has 270 lines"]
+    fenced = ["```", "`_moved` took 0.15 s over 270 lines", "```"]
+    assert [kind for _, kind, _ in _implementation_facts("\n".join(fenced + planted))] == \
+        list(_IMPLEMENTATION_FACTS)
+    for doc in (README, CERTIFICATES_DOC):
+        assert _implementation_facts(doc.read_text(encoding="utf-8")) == [], doc.name

@@ -49,7 +49,7 @@ from k3cover.intmat import (
     left_kernel,
     to_lattice,
 )
-from k3cover.lattices import TranscendentalForm, parity_class
+from k3cover.lattices import TranscendentalForm
 from k3cover.quadforms import represents_one
 from k3cover.shortvec import enumerate_norm
 
@@ -60,6 +60,7 @@ from conftest import (
     minor_gcd,
     moved,
     pair,
+    parity_class,
     random_sl2,
     replace,
     sl2_matrices,
@@ -145,7 +146,7 @@ def test_block_check_matches_enumeration_on_big_coefficients():
     for t in forms:
         e = written_down_embedding(t)
         has_root = kernel_has_root(e)
-        assert has_root == oracle_has_root(e), t.triple()
+        assert has_root == oracle_has_root(e), (t.a, t.b, t.c)
         with_roots += has_root
     assert 0 < with_roots < len(forms)
 
@@ -178,7 +179,8 @@ def test_replay_rejects_a_matrix_touching_e8():
         assert any(row[4] for row in e.matrix.entries)
         assert validate(e) and is_primitive(e)
         basis_change = c_even_normalized(t)[1] if parity_class(t) == "III" else (1, 0, 0, 1)
-        cert = ExplicitEmbedding(construction_of(t), source_form(e).triple(), basis_change,
+        source = source_form(e)
+        cert = ExplicitEmbedding(construction_of(t), (source.a, source.b, source.c), basis_change,
                                  e.matrix.entries, 1, ())
         label, covers = case_of(t)
         records.append((t, json.loads(json.dumps(
@@ -201,7 +203,7 @@ def test_block_defect_matches_the_general_path_on_the_box():
     for e in box_embeddings(12):
         t, rows = source_form(e), e.matrix.entries
         found = defect(t, rows, formula_basis(e))
-        assert found == oracle_defect(t, rows), t.triple()
+        assert found == oracle_defect(t, rows), (t.a, t.b, t.c)
         defects[found] = defects.get(found, 0) + 1
     assert defects == {None: 2498 - defects["root"], "root": defects["root"]}
     assert defects["root"] >= 155
@@ -216,7 +218,7 @@ def test_block_defect_matches_the_general_path_on_bumped_rows():
                 rows = [list(row) for row in e.matrix.entries]
                 rows[i][j] += 1
                 found = defect(t, rows, formula_basis(e))
-                assert found == oracle_defect(t, rows), (t.triple(), i, j)
+                assert found == oracle_defect(t, rows), ((t.a, t.b, t.c), i, j)
                 defects[found] = defects.get(found, 0) + 1
     assert defects["pullback"] > 0.9 * sum(defects.values())
 
@@ -334,11 +336,11 @@ def test_block_defect_on_coefficients_beyond_10_to_30():
         e = written_down_embedding(t)
         small, rows = source_form(e), e.matrix.entries
         found = defect(small, rows, formula_basis(e))
-        assert found == oracle_defect(small, rows, hnf_block_has_root), t.triple()
+        assert found == oracle_defect(small, rows, hnf_block_has_root), (t.a, t.b, t.c)
         # the c-odd and c-even complements have a root exactly when case_of
         # says the form does not cover through this embedding
         if parity_class(t) in ("II", "III"):
-            assert (found == "root") == (case_of(t)[0] in ("III-2", "III-3")), t.triple()
+            assert (found == "root") == (case_of(t)[0] in ("III-2", "III-3")), (t.a, t.b, t.c)
         bumped = [list(row) for row in rows]
         bumped[1][1] += 1
         assert defect(small, bumped, formula_basis(e)) \
@@ -424,7 +426,7 @@ def minor(x, y, i: int, j: int) -> int:
 def stated_gram(construction: str, t: TranscendentalForm) -> tuple[int, int, int]:
     """The Gram matrix of the complement basis, as the comment above
     COMPLEMENTS states it."""
-    a, b, c = t.triple()
+    a, b, c = t.a, t.b, t.c
     if construction == "c-odd":
         s = (c - a * b - 1) // 2
         return -8 * a, 2 * (2 * a * b - c), 4 * b * s

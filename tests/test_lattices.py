@@ -19,9 +19,9 @@ from k3cover.intmat import (
     standard_lattice,
     to_lattice,
 )
-from k3cover.lattices import TranscendentalForm, _moved, parity_class
+from k3cover.lattices import TranscendentalForm, _moved
 
-from conftest import compose, moved, random_sl2, signature, sl2_matrices
+from conftest import compose, moved, parity_class, random_sl2, signature, sl2_matrices
 
 
 def test_inner_product_frozen_values():
@@ -132,7 +132,7 @@ def test_transcendental_form_validation():
         TranscendentalForm(1, 1, 2)          # 4ab - c^2 == 0
     t = TranscendentalForm(2, 3, -2)         # negative pairing is allowed
     assert t.delta == 20
-    assert t.triple() == (2, 3, -2)
+    assert (t.a, t.b, t.c) == (2, 3, -2)
 
 
 def test_delta_is_a_slot_but_not_a_field():
@@ -179,7 +179,7 @@ def test_apply_basis_change_frozen():
     assert _moved(2, 1, 0, 2, 1, 1, 1) == (9, 3, 10)
     t = TranscendentalForm(2, 1, 0)
     out = moved(t, (2, 1, 1, 1))
-    assert out.triple() == (9, 3, 10)
+    assert (out.a, out.b, out.c) == (9, 3, 10)
     assert out.delta == t.delta == 8
     assert _moved(2, 1, 0, 1, 0, 0, 1) == (2, 1, 0)
 

@@ -9,10 +9,11 @@ from hypothesis import strategies as st
 
 from k3cover import classifier, cli, quadforms
 from k3cover.classifier import Classification, classify, verify_classification
-from k3cover.lattices import TranscendentalForm, parity_class
+from k3cover.lattices import TranscendentalForm
 from k3cover.quadforms import _gauss, represents_one
 
-from conftest import c_even_normalized, compose, moved, pair, reduce_form, sl2_matrices
+from conftest import (c_even_normalized, compose, moved, pair, parity_class, reduce_form,
+                      sl2_matrices)
 
 
 def _evaluate(t: TranscendentalForm, x: int, y: int) -> int:
@@ -186,7 +187,7 @@ def test_a_thousand_digit_fibonacci_moved_iii_1_form_reduces_and_round_trips():
     result = classify(moved)
     assert (result.case_label, result.covers) == ("III-1", True)
     data = json.loads(cli._scan_line(moved, result))
-    assert (data.pop("a"), data.pop("b"), data.pop("c")) == moved.triple()
+    assert (data.pop("a"), data.pop("b"), data.pop("c")) == (moved.a, moved.b, moved.c)
     verify_classification(moved, Classification.from_dict(data))
 
 
