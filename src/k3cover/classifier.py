@@ -392,23 +392,23 @@ _CERTIFICATE_CLASSES = {cls.kind: cls for cls in Certificate.__args__}
 _JSON_TYPES = (dict, list, str, int, float, bool, type(None))
 
 
-def _json_typed(value) -> bool:
-    """Whether ``value`` and all inside it are of types json gives, compared by identity,
-    so no subclass's or metaclass's code runs; json never gives one container twice."""
-    stack, seen = [value], set()
-    while stack:
-        node = stack.pop()
-        if id(node) in seen or not any(type(node) is t for t in _JSON_TYPES):
-            return False
-        if type(node) is list or type(node) is dict:
-            seen.add(id(node))
-            stack += [*node, *node.values()] if type(node) is dict else node
-    return True
+def _parsable(data, what: str) -> None:
+    """Refuse with TypeError, before any lookup, a ``what`` not of a type json
+    gives, or a dict with a key not of type str, the types compared by identity
+    so that none of the value's own code runs.  A list or a scalar fails its
+    lookup with Python's own message, which runs none of its elements' code."""
+    if type(data) is dict:
+        for key in data:
+            if type(key) is not str:
+                raise TypeError(f"{what} key of type {type(key).__name__} is not a str")
+    elif not any(type(data) is t for t in _JSON_TYPES):
+        raise TypeError(f"{what} of type {type(data).__name__} is not a dict")
 
 
 def certificate_from_dict(data: dict[str, object]) -> Certificate:
     """Build the certificate a serialized one describes; an unknown kind
-    raises ValueError, a missing key or a non-mapping VerificationError.
+    raises ValueError, a missing key, a non-mapping or a key not of type str
+    VerificationError.
 
     The class is looked up by ``kind`` in one table; a kind not of type
     ``str`` itself, a subclass or an unhashable value, is unknown.  Parsing
@@ -417,8 +417,7 @@ def certificate_from_dict(data: dict[str, object]) -> Certificate:
     refuses a wrong type, shape or construction; it never coerces one.
     """
     try:
-        if type(data) is not dict and not _json_typed(data):  # a subclass's get never runs
-            raise TypeError(f"certificate of type {type(data).__name__} is not a dict")
+        _parsable(data, "certificate")
         kind = data.get("kind")
         cls = _CERTIFICATE_CLASSES.get(kind) if type(kind) is str else None
         if cls is not None:
@@ -428,11 +427,9 @@ def certificate_from_dict(data: dict[str, object]) -> Certificate:
         raise VerificationError(f"certificate is missing the key {exc}") from None
     except (AttributeError, TypeError) as exc:
         raise VerificationError(f"malformed certificate: {exc}") from None
-    try:  # a kind json could not give is named by its type, so none of its methods run
-        named = repr(kind) if _json_typed(kind) else None
-    except (ValueError, RecursionError):  # an int past the digit limit, or nested too deep
-        named = None
-    raise ValueError(f"unknown certificate kind {named or 'of type ' + type(kind).__name__}")
+    # quoted only as a str or None, so that no other value's repr runs
+    named = repr(kind) if type(kind) is str or kind is None else "of type " + type(kind).__name__
+    raise ValueError(f"unknown certificate kind {named}")
 
 
 class Classification(Frozen):
@@ -452,12 +449,11 @@ class Classification(Frozen):
     @classmethod
     def from_dict(cls, data: dict[str, object]) -> "Classification":
         """Build the classification a serialized one describes.  Only a
-        missing key, a non-mapping and an unknown certificate kind are
-        refused here, each with VerificationError; `verify_classification`
-        checks every field."""
+        missing key, a non-mapping, a key not of type str and an unknown
+        certificate kind are refused here, each with VerificationError;
+        `verify_classification` checks every field."""
         try:
-            if type(data) is not dict and not _json_typed(data):  # a subclass's lookups never run
-                raise TypeError(f"record of type {type(data).__name__} is not a dict")
+            _parsable(data, "record")
             return cls(data["case"], data["covers"], data["delta"],
                        certificate_from_dict(data["certificate"]))
         except KeyError as exc:
@@ -537,7 +533,7 @@ def verify_classification(t: TranscendentalForm, cls: Classification) -> None:
             f"classification of type {type(cls).__name__} is not a Classification object")
     if type(cls.case_label) is not str:
         raise VerificationError(f"case must be a string, not {type(cls.case_label).__name__}")
-    if not isinstance(cls.covers, bool):
+    if type(cls.covers) is not bool:
         raise VerificationError(f"covers must be true or false, not {type(cls.covers).__name__}")
     if type(cls.delta) is not int:
         raise VerificationError(f"delta must be an integer, not {type(cls.delta).__name__}")

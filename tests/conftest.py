@@ -12,7 +12,7 @@ import itertools
 import os
 import random
 from contextlib import redirect_stderr, redirect_stdout
-from functools import lru_cache
+from functools import lru_cache, partial
 from math import gcd
 from types import SimpleNamespace
 from unittest.mock import patch
@@ -184,6 +184,106 @@ def _alternating_shears(ks: list[int]) -> Sl2:
     for i, k in enumerate(ks):
         g = compose(g, (1, k, 0, 1) if i % 2 == 0 else (1, 0, k, 1))
     return g
+
+
+def _raise(*args, **kwargs):
+    return 1 // 0
+
+
+# What each hostile method returns when it lies: what a caller that trusted
+# it would take for a valid value or an empty one
+_LIES = {
+    "__repr__": lambda self: "'keum-citation'",
+    "__hash__": lambda self: hash("kind"),
+    "__eq__": lambda self, other: True,
+    "__ne__": lambda self, other: False,
+    "__iter__": lambda self: iter(()),
+    "__len__": lambda self: 0,
+    "get": lambda self, key, default=None: "keum-citation",
+    "__getitem__": lambda self, key: 1,
+}
+
+# The plain values a hostile subclass of each type is built from when the
+# value it replaces is of another type: names and values a record holds
+_HOSTILE_SEEDS = {
+    str: ("kind", "case", "keum-citation", "c-odd", "III-2"),
+    int: (0, 1, 3, 12),
+    list: ([1, 1, 0], [], [[0] * 12] * 2),
+    tuple: ((1, 1, 0), (2, 2), ()),
+    dict: ({"kind": "keum-citation", "halved": [1, 1, 0]}, {}),
+    object: (None,),
+}
+
+
+def _hostile(base: type, behaviours: tuple, claimed, seed, like):
+    """An instance of a fresh subclass of ``base`` holding ``like``, the value
+    it replaces, if that is of type ``base``, else ``seed``.  Each method of
+    `_LIES` is kept, lies or raises as ``behaviours`` says, in that order, and
+    ``__class__`` raises or names the type ``claimed`` unless that is None."""
+    namespace = {"__hash__": base.__hash__}   # kept unless drawn, as __eq__ drops it
+    for name, behaviour in zip(_LIES, behaviours):
+        if behaviour is not None:
+            namespace[name] = _LIES[name] if behaviour == "lies" else _raise
+    if claimed is not None:
+        namespace["__class__"] = property(_raise if claimed == "raises" else lambda self: claimed)
+    cls = type(f"Hostile{base.__name__.title()}", (base,), namespace)
+    return cls() if base is object else cls(like if type(like) is base else seed)
+
+
+@lru_cache(maxsize=None)
+def nested(container: type) -> list | dict:
+    """An empty list or dict inside 100 000 more, past any recursion limit,
+    made without recursion and once for each type: the tests only read it."""
+    value = container()
+    for _ in range(100_000):
+        value = [value] if container is list else {"kind": value}
+    return value
+
+
+def _deep(container: type, like) -> list | dict:
+    return nested(container)
+
+
+def _huge(k: int, like) -> int:
+    """An int past CPython's 4 300-digit int <-> str limit."""
+    return k * 10**5000 + 1
+
+
+def _list_of(makers: tuple, like) -> list:
+    return [make(like) for make in makers]
+
+
+def _dict_of(items: tuple, like) -> dict:
+    return {key: make(like) for key, make in items}
+
+
+def hostile_values() -> st.SearchStrategy[partial]:
+    """Hypothesis strategy: functions that build, from the plain value ``like``
+    they are to replace, a value that a parse or replay entry point must refuse
+    by its type without running its code, alone or inside plain lists and dicts.
+
+    The values are subclasses of str, int, list, tuple and dict, and of object,
+    whose ``__repr__``, ``__hash__``, ``__eq__``, ``__ne__``, ``__iter__``,
+    ``__len__``, ``get`` or ``__getitem__`` raise or lie and whose
+    ``__class__`` may raise or name another type; ints past CPython's
+    4 300-digit int <-> str limit; and a list or dict nested past the
+    recursion limit.  The test builds each one: hypothesis prints every
+    explicit example and every failing one, and so prints only the function.
+    """
+    subclasses = st.sampled_from(tuple(_HOSTILE_SEEDS)).flatmap(lambda base: st.builds(
+        partial, st.just(_hostile), st.just(base),
+        st.tuples(*[st.sampled_from((None, "lies", "raises"))] * len(_LIES)),
+        st.sampled_from((None, "raises", bool, dict, str, int, list)),
+        st.sampled_from(_HOSTILE_SEEDS[base])))
+    leaves = (subclasses | st.integers(-2, 2).map(partial(partial, _huge))
+              | st.sampled_from((list, dict)).map(partial(partial, _deep)))
+    return st.recursive(
+        leaves, lambda children: st.lists(children, min_size=1, max_size=3).map(
+            lambda makers: partial(_list_of, tuple(makers)))
+        | st.dictionaries(st.sampled_from(("kind", "case", "halved")), children,
+                          min_size=1, max_size=2).map(
+            lambda makers: partial(_dict_of, tuple(makers.items()))),
+        max_leaves=3)
 
 
 def reduce_form(t: TranscendentalForm) -> tuple[TranscendentalForm, Sl2]:

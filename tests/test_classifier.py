@@ -12,7 +12,7 @@ from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import example, given, reject, settings
 from hypothesis import strategies as st
 
 from k3cover import classifier, cli, quadforms, vinberg
@@ -48,7 +48,9 @@ from conftest import (
     c_even_normalized,
     compose,
     enumerate_P_slice,
+    hostile_values,
     moved,
+    nested,
     parity_class,
     random_sl2,
     replace,
@@ -286,9 +288,12 @@ def test_json_round_trip():
 
 def test_certificate_from_dict_rejects_unknown_kind():
     # the kinds are looked up in a table: a kind that is not a string, an
-    # unhashable one included, is as unknown as a wrong name
-    for kind in ("handshake", None, 5, ["keum-citation"], {"kind": "keum-citation"}):
-        with pytest.raises(ValueError, match=f"^unknown certificate kind {re.escape(repr(kind))}$"):
+    # unhashable one included, is as unknown as a wrong name; only a string
+    # or None is quoted, anything else is named by its type
+    for kind, named in (("handshake", "'handshake'"), (None, "None"), (5, "of type int"),
+                        (["keum-citation"], "of type list"),
+                        ({"kind": "keum-citation"}, "of type dict")):
+        with pytest.raises(ValueError, match=f"^unknown certificate kind {re.escape(named)}$"):
             certificate_from_dict({"kind": kind, "halved": [1, 1, 1]})
     with pytest.raises(ValueError):
         certify(TranscendentalForm(1, 1, 1), "V")
@@ -810,6 +815,38 @@ class _RaisingDict(dict):
         return 1 // 0
 
 
+class _RaisingKey(str):
+    """A str that hashes as str does and whose equality raises, so that a
+    lookup in a dict holding it as a key raises when it meets it."""
+
+    __hash__ = str.__hash__
+
+    def __eq__(self, other):
+        return 1 // 0
+
+
+def _with_raising_key(data: dict, key: str) -> dict:
+    """The dict with its key ``key`` replaced by a `_RaisingKey`."""
+    return {(_RaisingKey(k) if k == key else k): v for k, v in data.items()}
+
+
+class _ClassRaises:
+    """An object whose __class__ raises."""
+
+    @property
+    def __class__(self):
+        return 1 // 0
+
+
+class _ClaimsBool:
+    """An object whose __class__ is bool and that claims to equal everything."""
+
+    __class__ = property(lambda self: bool)
+    __eq__ = _Liar.__eq__
+    __ne__ = _Liar.__ne__
+    __hash__ = object.__hash__
+
+
 def _parse_iii_2(**fields) -> Classification:
     """Parse the JSON record of (1, 3, 0), case III-2, with fields replaced."""
     return Classification.from_dict({**_record((1, 3, 0)), **fields})
@@ -871,10 +908,15 @@ def _verify_ii_embedding(cls=ExplicitEmbedding, **fields) -> None:
 # ==.  The last three stand in for the classification itself, which replay
 # took as given: the shifting subclass and the namespace were accepted, and
 # the string raised AttributeError.  Replay now compares types by identity.
-# The last five are refused by parsing, which raised ZeroDivisionError on
-# each while it named a kind by repr and looked a mapping up as given: a
+# The five after them are refused by parsing, which raised ZeroDivisionError
+# on each while it named a kind by repr and looked a mapping up as given: a
 # kind holding a str whose repr raises, and a dict whose lookups raise, as
-# the record, as its certificate, and as a certificate alone.
+# the record, as its certificate, and as a certificate alone.  Of the last
+# five, the first two are covers values: one raised ZeroDivisionError and
+# one was accepted while replay read covers by isinstance, which asks the
+# value's own __class__.  The other three raised ZeroDivisionError while
+# parsing looked a key up among keys not of type str: the record's, its
+# certificate's, and a certificate's alone.
 _FORGED_PROBES = {
     "residues and pairing that equal anything": (lambda: verify_classification(
         TranscendentalForm(1, 1, 1),
@@ -926,6 +968,21 @@ _FORGED_PROBES = {
     "certificate alone whose lookups raise": (
         lambda: certificate_from_dict(_RaisingDict(_record((1, 3, 0))["certificate"])),
         _MALFORMED + "certificate of type _RaisingDict is not a dict"),
+    "covers whose __class__ raises": (lambda: _verify_ii(covers=_ClassRaises()),
+                                      "covers must be true or false, not _ClassRaises"),
+    "covers whose __class__ is bool": (lambda: _verify_ii(covers=_ClaimsBool()),
+                                       "covers must be true or false, not _ClaimsBool"),
+    "record key whose equality raises": (
+        lambda: Classification.from_dict(_with_raising_key(_record((1, 3, 0)), "case")),
+        "malformed classification: record key of type _RaisingKey is not a str"),
+    "certificate key whose equality raises": (
+        lambda: _parse_iii_2(certificate=_with_raising_key(_record((1, 3, 0))["certificate"],
+                                                           "kind")),
+        _MALFORMED + "certificate key of type _RaisingKey is not a str"),
+    "certificate alone with a key whose equality raises": (
+        lambda: certificate_from_dict(_with_raising_key(_record((1, 3, 0))["certificate"],
+                                                        "kind")),
+        _MALFORMED + "certificate key of type _RaisingKey is not a str"),
 }
 
 
@@ -1355,16 +1412,92 @@ def _confirm_on_the_oracle_stack(t, cert) -> None:
         raise AssertionError(f"no oracle for {cert.kind!r}")
 
 
+# Every place a hostile value can take in a record: the record itself, the
+# value at any path, and any key of the record or of its certificate; the
+# record and certificate levels are drawn as often as all deeper paths
+_HOSTILE_SITES = ([(name, (), "value") for name in _MUTATED_RECORDS]
+                  + [(name, path, "value") for name, path in _MUTATION_SITES]
+                  + [(name, path, "key") for name, path in _MUTATION_SITES
+                     if type(path[-1]) is str])
+
+
+@given(st.sampled_from([site for site in _HOSTILE_SITES if len(site[1]) <= 2])
+       | st.sampled_from([site for site in _HOSTILE_SITES if len(site[1]) > 2]),
+       hostile_values())
+@example(("I", ("covers",), "value"), lambda like: _ClassRaises())
+@example(("II", ("covers",), "value"), lambda like: _ClaimsBool())
+@example(("III-2", ("case",), "key"), _RaisingKey)
+@example(("I", ("certificate", "kind"), "key"), _RaisingKey)
+def test_a_hostile_value_at_any_path_is_rejected_or_verifies_unchanged_property(site, make):
+    # parsing a record, parsing its certificate alone, and a classification
+    # built in code each end in VerificationError (or, for a certificate
+    # alone, the ValueError of an unknown kind) or replay an identical record
+    name, path, where = site
+    t = TranscendentalForm(*_RECORD_FORMS[name])
+    valid = Classification.from_dict(_MUTATED_RECORDS[name])
+    data = parent = json.loads(json.dumps(_MUTATED_RECORDS[name]))
+    for key in path[:-1]:
+        parent = parent[key]
+    if not path:
+        data = value = make(data)
+    elif where == "value":
+        parent[path[-1]] = value = make(parent[path[-1]])
+    else:
+        try:  # a key must hash, and compare with any key of the same hash
+            value = make(path[-1])
+            keyed = {(value if key == path[-1] else key): item for key, item in parent.items()}
+        except (ZeroDivisionError, TypeError):
+            reject()
+        parent.clear()
+        parent.update(keyed)
+    _refused_or_identical(t, lambda: Classification.from_dict(data), valid)
+    if path[:1] == ("certificate",) and (where, len(path)) != ("key", 1):
+        try:
+            _refused_or_identical(t, lambda: replace(
+                valid, certificate=certificate_from_dict(data["certificate"])), valid)
+        except ValueError as exc:
+            assert str(exc).startswith("unknown certificate kind ")
+    if where == "value" and "kind" not in path:
+        _refused_or_identical(t, lambda: _put(valid, path, value), valid)
+
+
+def _refused_or_identical(t, build, valid) -> None:
+    """Build a classification and replay it against t: either step must raise
+    VerificationError, or the classification be identical to ``valid``."""
+    try:
+        cls = build()
+        verify_classification(t, cls)
+    except VerificationError:
+        return
+    assert _identical(cls, valid)
+
+
+def _identical(x, y) -> bool:
+    """Whether x and y are equal and of the same exact type, field by field and
+    entry by entry, so that no value's own __eq__ or __class__ takes part."""
+    if type(x) is not type(y):
+        return False
+    if type(x) is tuple or type(x) is list:
+        return len(x) == len(y) and all(map(_identical, x, y))
+    if type(y) in (Classification, *Certificate.__args__):
+        return all(_identical(getattr(x, name), getattr(y, name)) for name in type(y).__slots__)
+    return x == y
+
+
+def _put(node, path, value):
+    """A classification, certificate or tuple of fields with the value at the
+    record path ``path`` replaced, built in code rather than parsed."""
+    if not path:
+        return value
+    key, rest = path[0], path[1:]
+    if type(node) is tuple:
+        return node[:key] + (_put(node[key], rest, value),) + node[key + 1:]
+    field = "case_label" if key == "case" else key
+    return replace(node, **{field: _put(getattr(node, field), rest, value)})
+
+
 # 4 300 is CPython's default int <-> str digit limit; 10**5000 lies past it
 _HUGE = 10**5000
-
-
-def _nested(depth: int) -> list:
-    """An empty list inside ``depth`` lists, made without recursion."""
-    value = []
-    for _ in range(depth):
-        value = [value]
-    return value
 
 
 @pytest.mark.parametrize("probe, message", [
@@ -1384,7 +1517,7 @@ def _nested(depth: int) -> list:
      "malformed classification: unknown certificate kind of type int"),
     # a kind whose repr raises RecursionError, not ValueError
     (lambda: Classification.from_dict({"case": "IV", "covers": False, "delta": 3,
-                                       "certificate": {"kind": _nested(100_000)}}),
+                                       "certificate": {"kind": nested(list)}}),
      "malformed classification: unknown certificate kind of type list"),
 ], ids=["covers", "case", "certificate", "pairing_mod_2", "kind", "kind-nested"])
 def test_huge_int_in_a_wrong_field_is_refused_at_the_default_digit_limit(probe, message):
