@@ -349,6 +349,12 @@ Certificate = (
 )
 
 
+def _type_name(x) -> str:
+    """The name of the type of ``x``, for a message that refuses ``x``, read by
+    `type`'s own getter: ``type(x).__name__`` would run a metaclass's property."""
+    return type.__dict__["__name__"].__get__(type(x))
+
+
 def _array(field: str, values) -> list | tuple:
     """A list field: exactly the tuple parsing makes of a JSON array, or a
     list; never a string, a subclass or an object that merely iterates."""
@@ -374,7 +380,7 @@ def _int(field: str, value) -> int:
     type of anything else, as `verify_classification` does."""
     if type(value) is not int:
         raise VerificationError(
-            f"malformed certificate: {field} must be an integer, not {type(value).__name__}")
+            f"malformed certificate: {field} must be an integer, not {_type_name(value)}")
     return value
 
 
@@ -400,9 +406,9 @@ def _parsable(data, what: str) -> None:
     if type(data) is dict:
         for key in data:
             if type(key) is not str:
-                raise TypeError(f"{what} key of type {type(key).__name__} is not a str")
+                raise TypeError(f"{what} key of type {_type_name(key)} is not a str")
     elif not any(type(data) is t for t in _JSON_TYPES):
-        raise TypeError(f"{what} of type {type(data).__name__} is not a dict")
+        raise TypeError(f"{what} of type {_type_name(data)} is not a dict")
 
 
 def certificate_from_dict(data: dict[str, object]) -> Certificate:
@@ -428,7 +434,7 @@ def certificate_from_dict(data: dict[str, object]) -> Certificate:
     except (AttributeError, TypeError) as exc:
         raise VerificationError(f"malformed certificate: {exc}") from None
     # quoted only as a str or None, so that no other value's repr runs
-    named = repr(kind) if type(kind) is str or kind is None else "of type " + type(kind).__name__
+    named = repr(kind) if type(kind) is str or kind is None else "of type " + _type_name(kind)
     raise ValueError(f"unknown certificate kind {named}")
 
 
@@ -530,13 +536,13 @@ def verify_classification(t: TranscendentalForm, cls: Classification) -> None:
     # repr would raise ValueError past CPython's int -> str digit limit.
     if type(cls) is not Classification:
         raise VerificationError(
-            f"classification of type {type(cls).__name__} is not a Classification object")
+            f"classification of type {_type_name(cls)} is not a Classification object")
     if type(cls.case_label) is not str:
-        raise VerificationError(f"case must be a string, not {type(cls.case_label).__name__}")
+        raise VerificationError(f"case must be a string, not {_type_name(cls.case_label)}")
     if type(cls.covers) is not bool:
-        raise VerificationError(f"covers must be true or false, not {type(cls.covers).__name__}")
+        raise VerificationError(f"covers must be true or false, not {_type_name(cls.covers)}")
     if type(cls.delta) is not int:
-        raise VerificationError(f"delta must be an integer, not {type(cls.delta).__name__}")
+        raise VerificationError(f"delta must be an integer, not {_type_name(cls.delta)}")
     label, covers = case_of(t)
     if cls.case_label != label:
         raise VerificationError(f"label {cls.case_label!r} disagrees with recomputed {label!r}")
@@ -550,7 +556,7 @@ def verify_classification(t: TranscendentalForm, cls: Classification) -> None:
             break
     else:
         raise VerificationError(
-            f"certificate of type {type(cls.certificate).__name__} is not a certificate object")
+            f"certificate of type {_type_name(cls.certificate)} is not a certificate object")
     if cls.certificate.kind not in CASES[label][1]:
         raise VerificationError(
             f"certificate kind {cls.certificate.kind!r} cannot back case {label!r}"

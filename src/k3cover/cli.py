@@ -137,14 +137,19 @@ def _rows(a_max: int, b_max: int, c_min: int, c_max: int):
     The form is positive definite exactly when c^2 < 4ab, that is when
     |c| <= isqrt(4ab - 1), so each row is one interval of c, non-empty
     exactly when 4ab > c0^2 for c0 the smallest |c| of the range: a and b
-    start where that holds, and no empty row is visited."""
+    start where that holds, and no empty row is visited.  The whole range
+    fits once 4ab > c1^2, for c1 the largest |c| of the range, and from that
+    b on a row is the range itself, with no isqrt."""
     if c_min > c_max or b_max < 1:
         return
-    c0 = max(c_min, -c_max, 0)
+    c0, c1 = max(c_min, -c_max, 0), max(-c_min, c_max)
     for a in range(c0 * c0 // (4 * b_max) + 1, a_max + 1):
-        for b in range(c0 * c0 // (4 * a) + 1, b_max + 1):
+        fits = c1 * c1 // (4 * a) + 1       # the first b with 4ab > c1^2
+        for b in range(c0 * c0 // (4 * a) + 1, min(fits, b_max + 1)):
             r = isqrt(4 * a * b - 1)
             yield a, b, max(c_min, -r), min(c_max, r)
+        for b in range(fits, b_max + 1):
+            yield a, b, c_min, c_max
 
 
 def _tasks(rows):

@@ -1,8 +1,12 @@
 """The facts about the region P that `verify-lemmas` re-derives: ROWS holds
 one (name, check) row each, and a check returns its detail line or raises.
 The rows reach `vinberg` through its module, so they check what classify
-and replay run.  The per-slice maximum table here is stated for the plain
-cone slices, with no gcd condition: its slice-8 maximizer is divisible by 2.
+and replay run.  `_expand` is the proof's reference for a row of runs: the
+family members and the slice maximizers are built by it, and the
+family-coverage row holds `vinberg.search_norm`, which runs the families'
+compiled closed forms, to it.  The per-slice maximum table here is stated
+for the plain cone slices, with no gcd condition: its slice-8 maximizer is
+divisible by 2.
 """
 
 from __future__ import annotations
@@ -25,6 +29,14 @@ def in_slice(v, m: int) -> bool:
     return g > 0 and vinberg.in_P(x // g for x in v) and v[0] == m
 
 
+def _expand(runs, k: int) -> vinberg.Vector11:
+    """The vector of runs (slope, intercept, count) at parameter k."""
+    out: vinberg.Vector11 = ()
+    for slope, intercept, count in runs:
+        out += (slope * k + intercept,) * count
+    return out
+
+
 def family_vector(name: str, param: int = 0) -> vinberg.Vector11:
     """A family's closed-form witness at a parameter in its range.  It only
     builds: the `family-coverage` row proves every family in P with its
@@ -34,7 +46,7 @@ def family_vector(name: str, param: int = 0) -> vinberg.Vector11:
     min_param, _, runs = vinberg.FAMILIES[name]
     if param < min_param:
         raise ValueError(f"family {name} needs parameter >= {min_param}")
-    return vinberg._expand(runs, param)
+    return _expand(runs, param)
 
 
 def max_norm_in_slice(m: int) -> int | None:
@@ -58,7 +70,7 @@ def slice_maximizer(m: int) -> vinberg.Vector11 | None:
     if m in _MAXIMIZERS:
         return _MAXIMIZERS[m]
     q, r = divmod(m, 3)
-    return vinberg._expand(_MAXIMIZER_RUNS[r], q)
+    return _expand(_MAXIMIZER_RUNS[r], q)
 
 
 def predicted_max_norm(m: int) -> int | None:
@@ -107,7 +119,9 @@ def _check_family(name: str) -> None:
 
 def _check_family_coverage() -> str:
     """Prove every family, then search_norm(n) a family member (name, k >= k0) of stated
-    norm n for every n outside ABSENT: for each n < 96, and 24 spot checks past 10^30.
+    norm n for every n outside ABSENT: for each n < 96, which reaches every family, and
+    24 spot checks past 10^30, which reach every X, Z and W family.  Members are built by
+    `_expand`, which shares no code with the compiled closed forms search_norm runs.
     From n = 24 on, n + 24 keeps the family and adds 24 / slope to k, 1 for X and 6 for
     Z and W: two periods show it, and every larger n follows."""
     for name in sorted(vinberg.FAMILIES):

@@ -10,10 +10,12 @@ Closed-form families cover every N >= 3 except N = 4, so search_norm is a
 dispatch that never enumerates.  FAMILIES states each family once, as a row
 (minimal parameter k, stated N as (slope, intercept), runs of x0, x1, ..,
 x10 in order), where a run (slope, intercept, count) stands for `count`
-entries slope*k + intercept.  For N in {1, 2, 4} no vector of P has norm
--N: the per-slice norm sets verify it through slice SLICE_CAP, and beyond
-that it rests on the per-slice maximum table of `lemmas`, which nothing
-yet checks past SLICE_CAP.
+entries slope*k + intercept.  search_norm runs each row compiled to one
+function of k (`_closed_forms`); `lemmas` expands the rows by code of its
+own and checks the two against each other.  For N in {1, 2, 4} no vector
+of P has norm -N: the per-slice norm sets verify it through slice
+SLICE_CAP, and beyond that it rests on the per-slice maximum table of
+`lemmas`, which nothing yet checks past SLICE_CAP.
 
 Slices are indexed by x0 = m.  A slice deliberately drops the gcd
 condition: searching the larger set only strengthens absence results.
@@ -27,6 +29,8 @@ from __future__ import annotations
 
 from functools import lru_cache
 from math import gcd
+
+from .lattices import _compiled
 
 SLICE_CAP = 20          # desk-scale cap on x0 for exhaustive slice work
 ABSENT = frozenset({1, 2, 4})   # norms -N with no witness in P
@@ -77,14 +81,6 @@ FAMILIES: dict[str, tuple[int, tuple[int, int], tuple[tuple[int, int, int], ...]
 }
 
 
-def _expand(runs, k: int) -> Vector11:
-    """The vector of runs (slope, intercept, count) at parameter k."""
-    out: Vector11 = ()
-    for slope, intercept, count in runs:
-        out += (slope * k + intercept,) * count
-    return out
-
-
 @lru_cache(maxsize=None)
 def _tail_squares(k: int, top: int, room: int) -> int:
     """The sums of squares of k entries, as a bitset: bit j is set when k
@@ -125,10 +121,31 @@ def slice_norms(m: int) -> frozenset[int]:
     return frozenset(j - m * m for j, digit in enumerate(reversed(bin(bits))) if digit == "1")
 
 
-# search_norm's tables from FAMILIES: the X and Y runs by intercept (n mod 24, n)
-_X_RUNS, _Y_RUNS = ({intercept: runs for name, (_, (_, intercept), runs) in FAMILIES.items()
-                     if name[0] == letter} for letter in "XY")
-_Z_RUNS, _W_RUNS = FAMILIES["Z"][2], FAMILIES["W"][2]
+@lru_cache(maxsize=None)
+def _closed_forms() -> dict:
+    """Each family's member as a function of its parameter k, by name, each body
+    one tuple display of the eleven affine entries, a repeated one bound once to
+    a local, which halves the time of writing it out at each place.  All are
+    compiled at the first call, not at import, where they would add about
+    0.6 ms to every start-up, and not one at a time, which would put a compile
+    of about 40 us into the first form of each family (2-core VM, CPython 3.11)."""
+    forms = {}
+    for name, (_, _, runs) in FAMILIES.items():
+        lines, entries = [], []
+        for i, (slope, intercept, count) in enumerate(runs):
+            entry = f"{slope} * k + {intercept}" if slope else str(intercept)
+            if slope and count > 1:
+                lines.append(f"e{i} = {entry}")
+                entry = f"e{i}"
+            entries += [entry] * count
+        forms[name] = _compiled(f"_family_{name}", ("k",),
+                                [*lines, f"return ({', '.join(entries)})"], {})
+    return forms
+
+
+# search_norm's tables from FAMILIES: the X and Y names by intercept (n mod 24, n)
+_X_NAMES, _Y_NAMES = ({intercept: name for name, (_, (_, intercept), _) in FAMILIES.items()
+                       if name[0] == letter} for letter in "XY")
 
 
 def search_norm(n: int) -> Vector11 | None:
@@ -143,8 +160,9 @@ def search_norm(n: int) -> Vector11 | None:
         raise ValueError("search target must be a positive integer")
     if n in ABSENT:
         return None
-    if n in _Y_RUNS:
-        return _expand(_Y_RUNS[n], 0)
+    forms = _closed_forms()
+    if n in _Y_NAMES:
+        return forms[_Y_NAMES[n]](0)
     if n % 2 == 1:
-        return _expand(_Z_RUNS, (n + 1) // 4) if n % 4 == 3 else _expand(_W_RUNS, (n + 3) // 4)
-    return _expand(_X_RUNS[n % 24], n // 24)
+        return forms["Z"]((n + 1) // 4) if n % 4 == 3 else forms["W"]((n + 3) // 4)
+    return forms[_X_NAMES[n % 24]](n // 24)

@@ -215,18 +215,26 @@ _HOSTILE_SEEDS = {
 }
 
 
-def _hostile(base: type, behaviours: tuple, claimed, seed, like):
+class NameRaises(type):
+    """A metaclass whose classes' ``__name__`` raises."""
+
+    __name__ = property(_raise)
+
+
+def _hostile(base: type, behaviours: tuple, claimed, nameless: bool, seed, like):
     """An instance of a fresh subclass of ``base`` holding ``like``, the value
     it replaces, if that is of type ``base``, else ``seed``.  Each method of
-    `_LIES` is kept, lies or raises as ``behaviours`` says, in that order, and
-    ``__class__`` raises or names the type ``claimed`` unless that is None."""
+    `_LIES` is kept, lies or raises as ``behaviours`` says, in that order,
+    ``__class__`` raises or names the type ``claimed`` unless that is None,
+    and the subclass's ``__name__`` raises when ``nameless`` is true."""
     namespace = {"__hash__": base.__hash__}   # kept unless drawn, as __eq__ drops it
     for name, behaviour in zip(_LIES, behaviours):
         if behaviour is not None:
             namespace[name] = _LIES[name] if behaviour == "lies" else _raise
     if claimed is not None:
         namespace["__class__"] = property(_raise if claimed == "raises" else lambda self: claimed)
-    cls = type(f"Hostile{base.__name__.title()}", (base,), namespace)
+    meta = NameRaises if nameless else type
+    cls = meta(f"Hostile{base.__name__.title()}", (base,), namespace)
     return cls() if base is object else cls(like if type(like) is base else seed)
 
 
@@ -265,7 +273,8 @@ def hostile_values() -> st.SearchStrategy[partial]:
     The values are subclasses of str, int, list, tuple and dict, and of object,
     whose ``__repr__``, ``__hash__``, ``__eq__``, ``__ne__``, ``__iter__``,
     ``__len__``, ``get`` or ``__getitem__`` raise or lie and whose
-    ``__class__`` may raise or name another type; ints past CPython's
+    ``__class__`` may raise or name another type, of a type whose
+    ``__name__`` may raise; ints past CPython's
     4 300-digit int <-> str limit; and a list or dict nested past the
     recursion limit.  The test builds each one: hypothesis prints every
     explicit example and every failing one, and so prints only the function.
@@ -273,7 +282,7 @@ def hostile_values() -> st.SearchStrategy[partial]:
     subclasses = st.sampled_from(tuple(_HOSTILE_SEEDS)).flatmap(lambda base: st.builds(
         partial, st.just(_hostile), st.just(base),
         st.tuples(*[st.sampled_from((None, "lies", "raises"))] * len(_LIES)),
-        st.sampled_from((None, "raises", bool, dict, str, int, list)),
+        st.sampled_from((None, "raises", bool, dict, str, int, list)), st.booleans(),
         st.sampled_from(_HOSTILE_SEEDS[base])))
     leaves = (subclasses | st.integers(-2, 2).map(partial(partial, _huge))
               | st.sampled_from((list, dict)).map(partial(partial, _deep)))

@@ -45,6 +45,7 @@ from k3cover.shortvec import has_norm
 
 from conftest import (
     LAMBDA,
+    NameRaises,
     c_even_normalized,
     compose,
     enumerate_P_slice,
@@ -798,6 +799,10 @@ class _TypeLiar(_Liar, metaclass=_EqualsEveryType):
     """An int that claims to equal everything, of a type that claims the same."""
 
 
+class _NamelessStr(str, metaclass=NameRaises):
+    """A str of a type whose __name__ raises."""
+
+
 class _LooksEmpty(tuple):
     """A tuple that reports no entries, whatever it holds."""
 
@@ -916,7 +921,10 @@ def _verify_ii_embedding(cls=ExplicitEmbedding, **fields) -> None:
 # one was accepted while replay read covers by isinstance, which asks the
 # value's own __class__.  The other three raised ZeroDivisionError while
 # parsing looked a key up among keys not of type str: the record's, its
-# certificate's, and a certificate's alone.
+# certificate's, and a certificate's alone.  The last three are str values
+# of a type whose metaclass makes __name__ raise, as the case, as the kind
+# and as a record key: each raised ZeroDivisionError while the messages
+# read type(x).__name__, which runs the metaclass's property.
 _FORGED_PROBES = {
     "residues and pairing that equal anything": (lambda: verify_classification(
         TranscendentalForm(1, 1, 1),
@@ -983,6 +991,16 @@ _FORGED_PROBES = {
         lambda: certificate_from_dict(_with_raising_key(_record((1, 3, 0))["certificate"],
                                                         "kind")),
         _MALFORMED + "certificate key of type _RaisingKey is not a str"),
+    "case of a type whose name raises": (lambda: _verify_ii(case_label=_NamelessStr("II")),
+                                         "case must be a string, not _NamelessStr"),
+    "kind of a type whose name raises": (
+        lambda: _parse_iii_2(certificate={**_record((1, 3, 0))["certificate"],
+                                          "kind": _NamelessStr("vinberg-witness")}),
+        "malformed classification: unknown certificate kind of type _NamelessStr"),
+    "record key of a type whose name raises": (
+        lambda: Classification.from_dict({(_NamelessStr(k) if k == "case" else k): v
+                                          for k, v in _record((1, 3, 0)).items()}),
+        "malformed classification: record key of type _NamelessStr is not a str"),
 }
 
 
@@ -1428,6 +1446,9 @@ _HOSTILE_SITES = ([(name, (), "value") for name in _MUTATED_RECORDS]
 @example(("II", ("covers",), "value"), lambda like: _ClaimsBool())
 @example(("III-2", ("case",), "key"), _RaisingKey)
 @example(("I", ("certificate", "kind"), "key"), _RaisingKey)
+@example(("III-2", ("case",), "value"), _NamelessStr)
+@example(("III-2", ("certificate", "kind"), "value"), _NamelessStr)
+@example(("III-2", ("case",), "key"), _NamelessStr)
 def test_a_hostile_value_at_any_path_is_rejected_or_verifies_unchanged_property(site, make):
     # parsing a record, parsing its certificate alone, and a classification
     # built in code each end in VerificationError (or, for a certificate

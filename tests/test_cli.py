@@ -19,7 +19,7 @@ from concurrent.futures import Future
 from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 import k3cover
@@ -506,6 +506,9 @@ def test_scan_deterministic_across_worker_counts(runner, tmp_path, monkeypatch):
 
 
 @given(st.integers(-1, 8), st.integers(-1, 8), st.integers(-30, 30), st.integers(-30, 30))
+@example(8, 8, -1, 1)       # 4ab > 1 on every row: each row is the whole range
+@example(2, 2, -30, 30)     # 4ab <= 16 < 30^2 on every row: each row is clipped
+@example(8, 8, -3, 7)       # clipped up to ab = 12, the whole range from 4ab > 7^2 on
 def test_rows_are_the_non_empty_rows_of_the_box_property(a_max, b_max, c_min, c_max):
     # empty and negative c ranges, ranges off one end and empty a or b ranges
     expected = []
@@ -895,6 +898,20 @@ def test_verify_lemmas_fails_family_coverage_on_a_wrong_witness(runner, monkeypa
     assert result.exit_code == 2
     rows = {line.split()[0]: line.split(None, 2)[1:] for line in result.stdout.splitlines()}
     assert rows["family-coverage"] == ["FAIL", message], result.stdout
+    assert rows["small-norm-absence"][0] == rows["max-table"][0] == "pass"
+
+
+def test_verify_lemmas_checks_the_closed_forms_search_norm_runs(runner, monkeypatch):
+    # x0 + 1 in the compiled closed form of X2 alone: the rows build members
+    # by lemmas' own expansion of FAMILIES, so only family-coverage's
+    # comparison with search_norm can see it, at the first such norm, 26
+    x2 = vinberg._closed_forms()["X2"]
+    monkeypatch.setitem(vinberg._closed_forms(), "X2", lambda k: (x2(k)[0] + 1, *x2(k)[1:]))
+    assert vinberg.search_norm(26) != lemmas.family_vector("X2", 1)
+    result = runner.invoke(main, ["verify-lemmas"])
+    assert result.exit_code == 2
+    rows = {line.split()[0]: line.split(None, 2)[1:] for line in result.stdout.splitlines()}
+    assert rows["family-coverage"] == ["FAIL", "witness for norm -26 fails membership"]
     assert rows["small-norm-absence"][0] == rows["max-table"][0] == "pass"
 
 

@@ -410,8 +410,9 @@ def _functions_of(module) -> dict:
 def test_classify_and_replay_run_all_of_vinberg_and_none_of_lemmas():
     # vinberg holds what classify and replay run, lemmas what only
     # verify-lemmas runs.  The memos are emptied first, so that the slice
-    # recurrence runs under the profile too.
-    for memo in (vinberg.slice_norms, vinberg._tail_squares, classifier._absence_breach):
+    # recurrence and the compiling of the closed forms run under the profile too.
+    for memo in (vinberg.slice_norms, vinberg._tail_squares, vinberg._closed_forms,
+                 classifier._absence_breach):
         memo.cache_clear()
     called = set()
     sys.setprofile(lambda frame, event, arg: called.add(frame.f_code) if event == "call" else None)
