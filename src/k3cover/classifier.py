@@ -474,21 +474,19 @@ def _embedding_fields(construction: str, a: int, b: int, c: int, g=(1, 0, 0, 1))
     return construction, (a, b, c), g, (u + _E8_ZEROS, v + _E8_ZEROS), 1, ()
 
 
-def embedding_certificate(construction: str, normalized: TranscendentalForm,
-                          g: tuple[int, int, int, int] = (1, 0, 0, 1)) -> ExplicitEmbedding:
+def embedding_certificate(construction: str, normalized: TranscendentalForm) -> ExplicitEmbedding:
     """The certificate of the named written-down embedding of ``normalized``,
-    the form that ``g`` = (x, y, z, w), the basis change [[x, y], [z, w]],
-    carries the input to.
+    at the identity basis change.
 
-    It only builds, whatever ``g`` is, and replay is the one check: the test
-    suite proves each construction for every form of its parity class.
-    `certify` backs case II by `c-odd` and case III-1 by `c-even` of the
-    normalized form.  Case I is backed by the citation; the `all-even` embedding,
+    It only builds, and replay is the one check: the test suite proves each
+    construction for every form of its parity class.  `certify` backs case
+    II by `c-odd` and case III-1 by `c-even` of the normalized form.  Case I
+    is backed by the citation; the `all-even` embedding,
     ``embedding_certificate("all-even", t)``, backs it as well and always
     fits: its -B/2 is (b, c, a), all even, so it never represents 1.
     """
     return ExplicitEmbedding(*_embedding_fields(construction, normalized.a, normalized.b,
-                                                 normalized.c, g))
+                                                 normalized.c))
 
 
 def _c_even_fields(a: int, b: int, c: int, delta: int) -> tuple:

@@ -49,19 +49,19 @@ class Frozen:
         return tuple(getattr(self, name) for name in self.__slots__)
 
     def __eq__(self, other):
-        if other.__class__ is not self.__class__:
+        if type(other) is not type(self):
             return NotImplemented
         return self._values() == other._values()
 
     def __hash__(self):
-        return hash((self.__class__, self._values()))
+        return hash((type(self), self._values()))
 
     def __repr__(self):
         args = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
         return f"{type(self).__name__}({args})"
 
     def __reduce__(self):
-        return self.__class__, self._values()
+        return type(self), self._values()
 
 
 def _setters(cls: type) -> tuple:
@@ -83,8 +83,8 @@ def _compiled(qualname: str, parameters, lines, namespace: dict):
     return namespace[name]
 
 
-class _Discriminant(Frozen):
-    """A form's discriminant 4ab - c^2, in a slot that is not a field."""
+class _Discriminant:
+    """Holds a form's discriminant 4ab - c^2 in a slot that is not a field; not a value type."""
 
     __slots__ = ("delta",)
 
@@ -92,7 +92,7 @@ class _Discriminant(Frozen):
 (_set_delta,) = _setters(_Discriminant)
 
 
-class TranscendentalForm(_Discriminant):
+class TranscendentalForm(_Discriminant, Frozen):
     """Positive definite even rank-2 form [[2a, c], [c, 2b]].
 
     This is the transcendental lattice datum of a singular K3 surface,

@@ -80,6 +80,25 @@ def runner() -> Runner:
     return Runner()
 
 
+def box_triples(a_max: int, b_max: int, c_min: int, c_max: int):
+    """The triples (a, b, c) of positive definite forms with 1 <= a <= a_max,
+    1 <= b <= b_max and c_min <= c <= c_max, in scan order, by brute force:
+    the tests' box, stated apart from `cli._rows`."""
+    for a in range(1, a_max + 1):
+        for b in range(1, b_max + 1):
+            for c in range(c_min, c_max + 1):
+                if 4 * a * b - c * c > 0:
+                    yield a, b, c
+
+
+# The small grid of the classification tests: 1 <= a, b <= 6, |c| <= 7
+GRID = tuple(TranscendentalForm(*triple) for triple in box_triples(6, 6, -7, 7))
+
+# One form of each case, in the order of `cli.CASE_ORDER`, all inside the box
+# a <= 2, b <= 3, 0 <= c <= 2
+ONE_FORM_PER_CASE = ((2, 2, 2), (1, 2, 1), (2, 3, 2), (1, 3, 0), (1, 1, 0), (1, 1, 1))
+
+
 def parity_class(t: TranscendentalForm) -> str:
     """The basis-change invariant parity class of (a, b, c), stated apart from
     `classifier._case`, which the tests hold to it.

@@ -36,6 +36,7 @@ from k3cover.lemmas import max_norm_in_slice, slice_maximizer
 from k3cover.vinberg import in_P, norm, search_norm
 
 from conftest import (
+    GRID,
     LAMBDA,
     enumerate_P_slice,
     moved,
@@ -46,14 +47,6 @@ from conftest import (
     smith_invariant_factors,
     written_down_embedding,
 )
-
-GRID = [
-    TranscendentalForm(a, b, c)
-    for a in range(1, 7)
-    for b in range(1, 7)
-    for c in range(-7, 8)
-    if 4 * a * b - c * c > 0
-]
 
 MAX_TABLE = (-3, -7, -5, -7, -12, -7, -11, -15, -11, -15, -23)
 

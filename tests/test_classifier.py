@@ -44,8 +44,10 @@ from k3cover.lattices import TranscendentalForm, _moved
 from k3cover.shortvec import has_norm
 
 from conftest import (
+    GRID,
     LAMBDA,
     NameRaises,
+    box_triples,
     c_even_normalized,
     compose,
     enumerate_P_slice,
@@ -76,14 +78,6 @@ EXPECTED_KIND = {
     "III-3": "exhaustive-absence",
     "IV": "parity-obstruction",
 }
-
-
-def _grid():
-    for a in range(1, 7):
-        for b in range(1, 7):
-            for c in range(-7, 8):
-                if 4 * a * b - c * c > 0:
-                    yield TranscendentalForm(a, b, c)
 
 
 def test_case_of_frozen():
@@ -136,7 +130,7 @@ def test_certificates_doc_examples_follow_the_field_table(kind):
 
 
 def test_grid_case_structure():
-    for t in _grid():
+    for t in GRID:
         label, covers = case_of(t)
         assert covers == (label in ("I", "II", "III-1", "III-2"))
         if label == "III-3":
@@ -186,7 +180,7 @@ def test_normalize_case_III():
     assert c_even_normalized(TranscendentalForm(2, 1, 0))[0] == TranscendentalForm(9, 3, 10)
     assert c_even_normalized(TranscendentalForm(1, 2, 2))[0] == TranscendentalForm(5, 13, 16)
     assert c_even_normalized(TranscendentalForm(1, 1, 0))[0] == TranscendentalForm(1, 1, 0)
-    for t in _grid():
+    for t in GRID:
         if case_of(t)[0].startswith("III"):
             n, g = c_even_normalized(t)
             assert moved(t, g) == n
@@ -215,7 +209,7 @@ def test_embedding_constructors_frozen():
 
 def test_embedding_constructors_on_samples():
     rng = random.Random(109)
-    grid = list(_grid())
+    grid = list(GRID)
     rng.shuffle(grid)
     seen = {"II": 0, "III": 0}
     for t in grid:
@@ -454,9 +448,9 @@ def test_replay_rejects_a_basis_change_of_determinant_four():
     ((1, 1, 1, 1), "malformed embedding certificate: matrix must have determinant 1"),
     ((2, 1, 1, 1), "recorded basis change does not reach the recorded form"),
 ], ids=["determinant 0", "misses the form"])
-def test_embedding_certificate_builds_any_basis_change_and_replay_refuses_it(g, message):
-    # building checks nothing about g; replay is the one check
-    cert = embedding_certificate("c-odd", TranscendentalForm(1, 2, 1), g)
+def test_replay_refuses_a_basis_change_that_does_not_hold(g, message):
+    # the fields are built with no check on g; replay is the one check
+    cert = ExplicitEmbedding(*classifier._embedding_fields("c-odd", 1, 2, 1, g))
     assert cert.basis_change == g
     with _rejected_with(message):
         _verify_ii(certificate=cert)
@@ -1699,12 +1693,9 @@ def _inverse(g: tuple[int, int, int, int]) -> tuple[int, int, int, int]:
 def _box_by_case() -> dict[str, tuple[TranscendentalForm, ...]]:
     """The forms of the box a, b <= 20, |c| <= 20, by case."""
     out: dict[str, list[TranscendentalForm]] = {}
-    for a in range(1, 21):
-        for b in range(1, 21):
-            for c in range(-20, 21):
-                if 4 * a * b - c * c > 0:
-                    t = TranscendentalForm(a, b, c)
-                    out.setdefault(case_of(t)[0], []).append(t)
+    for triple in box_triples(20, 20, -20, 20):
+        t = TranscendentalForm(*triple)
+        out.setdefault(case_of(t)[0], []).append(t)
     return {label: tuple(forms) for label, forms in out.items()}
 
 
@@ -1757,7 +1748,8 @@ def test_replay_accepts_valid_certificates_that_are_not_canonical():
             form = moved(s, k)
             if construction == "c-even" and not form.a % 2 == form.b % 2 == 1:
                 continue
-            cert = embedding_certificate(construction, form, compose(_inverse(h), k))
+            cert = ExplicitEmbedding(*classifier._embedding_fields(
+                construction, form.a, form.b, form.c, compose(_inverse(h), k)))
             _accept_and_confirm(t, label, cert, confirmed)
     rng = random.Random(2951)
     for n, witnesses in _witnesses_by_norm().items():

@@ -38,7 +38,7 @@ from k3cover.classifier import (
 )
 from k3cover.lattices import TranscendentalForm
 
-from conftest import enumerate_P_slice, moved, random_sl2
+from conftest import ONE_FORM_PER_CASE, box_triples, enumerate_P_slice, moved, random_sl2
 
 
 @pytest.fixture(autouse=True)
@@ -114,13 +114,8 @@ def test_classify_exits_2_on_a_failed_replay(runner, monkeypatch, json_flag):
     assert result.stdout == ""
 
 
-# one form of each case, in the order of CASE_ORDER, all inside the box
-# a <= 2, b <= 3, 0 <= c <= 2
-_ONE_FORM_PER_CASE = ((2, 2, 0), (1, 2, 1), (2, 3, 2), (1, 3, 0), (1, 1, 0), (1, 1, 1))
-
-
 def test_classify_json_prints_the_line_scan_writes(runner, tmp_path):
-    assert tuple(case_of(TranscendentalForm(*t))[0] for t in _ONE_FORM_PER_CASE) == CASE_ORDER
+    assert tuple(case_of(TranscendentalForm(*t))[0] for t in ONE_FORM_PER_CASE) == CASE_ORDER
     out = tmp_path / "scan.jsonl"
     result = runner.invoke(main, [
         "scan", "--a-max", "2", "--b-max", "3", "--c-min", "0", "--c-max", "2",
@@ -128,7 +123,7 @@ def test_classify_json_prints_the_line_scan_writes(runner, tmp_path):
     assert result.exit_code == 0
     scanned = {tuple(json.loads(line)[key] for key in "abc"): line + "\n"
                for line in out.read_text().splitlines()}
-    for a, b, c in _ONE_FORM_PER_CASE:
+    for a, b, c in ONE_FORM_PER_CASE:
         result = runner.invoke(main, ["classify", "--a", str(a), "--b", str(b), "--c", str(c),
                                       "--json"])
         assert result.exit_code == 0
@@ -202,16 +197,6 @@ def test_classify_accepts_a_5000_digit_coefficient(runner):
     assert result.output == "case III-2: covers\n"
 
 
-def _expected_records(a_max, b_max, c_min, c_max):
-    out = []
-    for a in range(1, a_max + 1):
-        for b in range(1, b_max + 1):
-            for c in range(c_min, c_max + 1):
-                if 4 * a * b - c * c > 0:
-                    out.append((a, b, c))
-    return out
-
-
 def test_scan_records_and_tally(runner, tmp_path):
     out = tmp_path / "scan.jsonl"
     result = runner.invoke(main, [
@@ -219,7 +204,7 @@ def test_scan_records_and_tally(runner, tmp_path):
         "--out", str(out)])
     assert result.exit_code == 0
     lines = out.read_text().splitlines()
-    expected = _expected_records(2, 2, 0, 2)
+    expected = list(box_triples(2, 2, 0, 2))
     assert len(lines) == len(expected) == 11
     assert result.stderr.strip() == \
         "scanned 11 forms: I=2 II=3 III-1=0 III-2=0 III-3=5 IV=1"
@@ -274,7 +259,7 @@ def test_full_box_scan_lines_are_pinned(runner, tmp_path, monkeypatch):
     # every line is also parsed back and replayed against its own form: the
     # traffic that replay, the one gate for every certificate field, serves
     digest = hashlib.sha256()
-    for triple in _expected_records(20, 20, -20, 20):
+    for triple in box_triples(20, 20, -20, 20):
         t = TranscendentalForm(*triple)
         line = cli._scan_line(t, classify(t))
         digest.update((line + "\n").encode())
@@ -333,7 +318,7 @@ def test_scan_line_is_json_dumps_of_the_record_property(a, b, label, covers, del
 
 def test_scan_line_is_json_dumps_of_classified_forms():
     # every case, at small coefficients and in random SL2 bases past 10**30
-    forms = [TranscendentalForm(*triple) for triple in _expected_records(6, 6, -6, 6)]
+    forms = [TranscendentalForm(*triple) for triple in box_triples(6, 6, -6, 6)]
     rng = random.Random(1707)
     for a, b, c in ((2, 4, 2), (2, 3, 1), (2, 3, 2), (1, 5, 0), (1, 1, 0), (1, 1, 1)):
         g = random_sl2(rng, 10**15)
@@ -446,7 +431,7 @@ def test_scan_streams_more_tasks_than_the_window_holds(runner, tmp_path, monkeyp
         tallies.append(result.stderr)
     assert outputs[0] == outputs[1]
     assert tallies[0] == tallies[1]
-    expected = _expected_records(*box)
+    expected = list(box_triples(*box))
     lines = outputs[0].decode().splitlines()
     assert [tuple(json.loads(line)[k] for k in "abc") for line in lines] == expected
     assert tallies[0].startswith(f"scanned {len(expected)} forms:")

@@ -55,6 +55,7 @@ from k3cover.shortvec import enumerate_norm
 
 from conftest import (
     LAMBDA,
+    box_triples,
     c_even_normalized,
     construction_of,
     minor_gcd,
@@ -119,13 +120,10 @@ def oracle_defect(t: TranscendentalForm, rows, has_root=oracle_has_root) -> str 
 
 
 def box_embeddings(bound: int):
-    for a in range(1, bound + 1):
-        for b in range(1, bound + 1):
-            for c in range(-bound, bound + 1):
-                if 4 * a * b - c * c > 0:
-                    e = written_down_embedding(TranscendentalForm(a, b, c))
-                    if e is not None:
-                        yield e
+    for triple in box_triples(bound, bound, -bound, bound):
+        e = written_down_embedding(TranscendentalForm(*triple))
+        if e is not None:
+            yield e
 
 
 def test_block_check_matches_enumeration_on_big_coefficients():
@@ -519,17 +517,13 @@ def test_certify_and_replay_never_search_the_kernel():
     # every embedding certify writes replays through its own construction's
     # closed-form complement, the only complement replay computes
     embedded = 0
-    for a in range(1, 13):
-        for b in range(1, 13):
-            for c in range(-12, 13):
-                if 4 * a * b - c * c <= 0:
-                    continue
-                t = TranscendentalForm(a, b, c)
-                label = case_of(t)[0]
-                cert = embedding_certificate("all-even", t) if label == "I" else certify(t, label)
-                if cert.kind == "explicit-embedding":
-                    verify_classification(t, Classification(label, True, t.delta, cert))
-                    embedded += 1
+    for triple in box_triples(12, 12, -12, 12):
+        t = TranscendentalForm(*triple)
+        label = case_of(t)[0]
+        cert = embedding_certificate("all-even", t) if label == "I" else certify(t, label)
+        if cert.kind == "explicit-embedding":
+            verify_classification(t, Classification(label, True, t.delta, cert))
+            embedded += 1
     assert embedded == 2343
 
 

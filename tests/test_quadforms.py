@@ -12,8 +12,8 @@ from k3cover.classifier import Classification, classify, verify_classification
 from k3cover.lattices import TranscendentalForm
 from k3cover.quadforms import _gauss, represents_one
 
-from conftest import (c_even_normalized, compose, moved, pair, parity_class, reduce_form,
-                      sl2_matrices)
+from conftest import (box_triples, c_even_normalized, compose, moved, pair, parity_class,
+                      reduce_form, sl2_matrices)
 
 
 def _evaluate(t: TranscendentalForm, x: int, y: int) -> int:
@@ -150,13 +150,9 @@ def _oracle_triple(t: TranscendentalForm) -> tuple[int, int, int]:
 def test_gauss_returns_the_oracle_triple_on_the_box():
     # every positive definite form with a, b <= 20, |c| <= 20
     forms = 0
-    for a in range(1, 21):
-        for b in range(1, 21):
-            for c in range(-20, 21):
-                if 4 * a * b - c * c <= 0:
-                    continue
-                assert _gauss(a, c, b) == _oracle_triple(TranscendentalForm(a, b, c)), (a, b, c)
-                forms += 1
+    for a, b, c in box_triples(20, 20, -20, 20):
+        assert _gauss(a, c, b) == _oracle_triple(TranscendentalForm(a, b, c)), (a, b, c)
+        forms += 1
     assert forms == 12668
 
 
@@ -211,26 +207,22 @@ def test_represents_one_agrees_with_reduction_on_every_complement_block_of_the_b
     # at the normalized form for III; c-odd and all-even blocks are all even
     construction = {"I": "all-even", "II": "c-odd", "III": "c-even"}
     blocks = 0
-    for a in range(1, 21):
-        for b in range(1, 21):
-            for c in range(-20, 21):
-                if 4 * a * b - c * c <= 0:
-                    continue
-                t = TranscendentalForm(a, b, c)
-                name = construction.get(parity_class(t))
-                if name is None:
-                    continue
-                if name == "c-even":
-                    t = c_even_normalized(t)[0]
-                rows = classifier.CONSTRUCTIONS[name](t.a, t.b, t.c)
-                k1, k2 = classifier.COMPLEMENTS[name](t.a, t.b, t.c)
-                p, q, r = pair(k1, k1), pair(k1, k2), pair(k2, k2)
-                block = TranscendentalForm(-p // 2, -r // 2, -q)
-                # replay's kernel reduces the same block on plain ints
-                found = classifier._embedding_defect(
-                    t.a, t.b, t.c, tuple(row + (0,) * 8 for row in rows), (k1, k2))
-                assert represents_one(block.a, block.c, block.b) == _reduces_to_one(block) \
-                    == (found == "root"), (name, t)
-                blocks += 1
+    for triple in box_triples(20, 20, -20, 20):
+        t = TranscendentalForm(*triple)
+        name = construction.get(parity_class(t))
+        if name is None:
+            continue
+        if name == "c-even":
+            t = c_even_normalized(t)[0]
+        rows = classifier.CONSTRUCTIONS[name](t.a, t.b, t.c)
+        k1, k2 = classifier.COMPLEMENTS[name](t.a, t.b, t.c)
+        p, q, r = pair(k1, k1), pair(k1, k2), pair(k2, k2)
+        block = TranscendentalForm(-p // 2, -r // 2, -q)
+        # replay's kernel reduces the same block on plain ints
+        found = classifier._embedding_defect(
+            t.a, t.b, t.c, tuple(row + (0,) * 8 for row in rows), (k1, k2))
+        assert represents_one(block.a, block.c, block.b) == _reduces_to_one(block) \
+            == (found == "root"), (name, t)
+        blocks += 1
     # every form of the box but its 1 510 case IV forms, which have no embedding
     assert blocks == 12668 - 1510

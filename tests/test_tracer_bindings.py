@@ -15,7 +15,10 @@ from pathlib import Path
 
 from k3cover import classifier
 from k3cover.classifier import Certificate, classify, verify_classification
+from k3cover.cli import CASE_ORDER
 from k3cover.lattices import TranscendentalForm
+
+from conftest import ONE_FORM_PER_CASE
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
@@ -45,11 +48,6 @@ DEAD = {
     ("k3cover.shortvec", "_component_groups"),
     ("k3cover.shortvec", "_fp_groups"),
 }
-
-# one form of each case: classify and replay of these reach every live binding
-_FORMS = {"I": (2, 2, 2), "II": (1, 2, 1), "III-1": (2, 3, 2), "III-2": (1, 3, 0),
-          "III-3": (1, 1, 0), "IV": (1, 1, 1)}
-
 
 def _traced_rows() -> set[tuple[str, str]]:
     """The (module, attribute) of every row of SPANS and COUNTS."""
@@ -90,7 +88,8 @@ def test_classify_and_replay_call_every_live_binding(monkeypatch):
         monkeypatch.setattr(classifier, attr, counted(attr, getattr(classifier, attr)))
     for cls in _replay_classes():
         monkeypatch.setattr(cls, "replay", counted(cls.kind, cls.replay))
-    for label, triple in _FORMS.items():
+    # one form of each case: classify and replay of these reach every live binding
+    for label, triple in zip(CASE_ORDER, ONE_FORM_PER_CASE):
         t = TranscendentalForm(*triple)
         record = classify(t)
         assert record.case_label == label

@@ -16,6 +16,7 @@ from k3cover.classifier import (
     KeumCitation,
     ParityObstruction,
     VinbergWitness,
+    _Certificate,
 )
 from k3cover.cli import _CERTIFICATE_JSON
 from k3cover.lattices import Frozen, TranscendentalForm
@@ -38,6 +39,28 @@ VALUES = [
 ]
 
 
+class _Impostor:
+    """Names a value type through ``__class__`` and holds a value's fields."""
+
+    def __init__(self, cls: type, fields: tuple) -> None:
+        self._cls, self._fields = cls, fields
+
+    @property
+    def __class__(self):
+        return self._cls
+
+    def _values(self) -> tuple:
+        return self._fields
+
+
+class _ClassRaises:
+    """An object whose ``__class__`` raises."""
+
+    @property
+    def __class__(self):
+        return 1 // 0
+
+
 @pytest.mark.parametrize("cls, args, other", VALUES, ids=[v[0].__name__ for v in VALUES])
 def test_value_type_contract(cls, args, other):
     value = cls(*args)
@@ -48,6 +71,12 @@ def test_value_type_contract(cls, args, other):
     # equality and hash depend on the exact type, never on the fields alone
     assert value != args and value != tuple(fields.values())
     assert type("Sub", (cls,), {"__slots__": ()})(*args) != value
+    # the type is read by type(), never asked of the other operand: an object
+    # that names cls through __class__ with equal fields, and one whose
+    # __class__ raises, compare unequal without raising
+    for stranger in (_Impostor(cls, value._values()), _ClassRaises()):
+        assert not value == stranger and value != stranger
+        assert not stranger == value and stranger != value
     for name in cls.__slots__:
         with pytest.raises(AttributeError):
             setattr(value, name, getattr(value, name))
@@ -73,6 +102,17 @@ def test_value_type_contract(cls, args, other):
         writer = _CERTIFICATE_JSON[cls.kind]
         assert writer.__code__.co_varnames[:writer.__code__.co_argcount] == cls.__slots__
         assert writer(*args) == json.dumps(value.to_dict(), sort_keys=True, separators=(",", ":"))
+
+
+def test_frozen_subclasses_in_k3cover_are_the_value_types():
+    # a helper base that derived from Frozen would get a generated constructor
+    found, bases = set(), [Frozen]
+    while bases:
+        for cls in bases.pop().__subclasses__():
+            bases.append(cls)
+            if cls.__module__.startswith("k3cover."):
+                found.add(cls)
+    assert found == {cls for cls, _, _ in VALUES} | {_Certificate}
 
 
 class Pair(Frozen):
