@@ -240,19 +240,32 @@ class NameRaises(type):
     __name__ = property(_raise)
 
 
-def _hostile(base: type, behaviours: tuple, claimed, nameless: bool, seed, like):
-    """An instance of a fresh subclass of ``base`` holding ``like``, the value
-    it replaces, if that is of type ``base``, else ``seed``.  Each method of
-    `_LIES` is kept, lies or raises as ``behaviours`` says, in that order,
-    ``__class__`` raises or names the type ``claimed`` unless that is None,
-    and the subclass's ``__name__`` raises when ``nameless`` is true."""
+class EqualsEveryType(type):
+    """A metaclass whose classes equal every type and hash like their base,
+    so that a lookup of their base in a set or dict of types finds them."""
+
+    def __eq__(cls, other):
+        return True
+
+    def __ne__(cls, other):
+        return False
+
+    def __hash__(cls):
+        return hash(cls.__base__)
+
+
+def _hostile(base: type, behaviours: tuple, claimed, meta: type, seed, like):
+    """An instance of a fresh subclass of ``base``, of metaclass ``meta``,
+    holding ``like``, the value it replaces, if that is of type ``base``,
+    else ``seed``.  Each method of `_LIES` is kept, lies or raises as
+    ``behaviours`` says, in that order, and ``__class__`` raises or names
+    the type ``claimed`` unless that is None."""
     namespace = {"__hash__": base.__hash__}   # kept unless drawn, as __eq__ drops it
     for name, behaviour in zip(_LIES, behaviours):
         if behaviour is not None:
             namespace[name] = _LIES[name] if behaviour == "lies" else _raise
     if claimed is not None:
         namespace["__class__"] = property(_raise if claimed == "raises" else lambda self: claimed)
-    meta = NameRaises if nameless else type
     cls = meta(f"Hostile{base.__name__.title()}", (base,), namespace)
     return cls() if base is object else cls(like if type(like) is base else seed)
 
@@ -293,7 +306,7 @@ def hostile_values() -> st.SearchStrategy[partial]:
     whose ``__repr__``, ``__hash__``, ``__eq__``, ``__ne__``, ``__iter__``,
     ``__len__``, ``get`` or ``__getitem__`` raise or lie and whose
     ``__class__`` may raise or name another type, of a type whose
-    ``__name__`` may raise; ints past CPython's
+    ``__name__`` may raise or that may equal every type; ints past CPython's
     4 300-digit int <-> str limit; and a list or dict nested past the
     recursion limit.  The test builds each one: hypothesis prints every
     explicit example and every failing one, and so prints only the function.
@@ -301,7 +314,8 @@ def hostile_values() -> st.SearchStrategy[partial]:
     subclasses = st.sampled_from(tuple(_HOSTILE_SEEDS)).flatmap(lambda base: st.builds(
         partial, st.just(_hostile), st.just(base),
         st.tuples(*[st.sampled_from((None, "lies", "raises"))] * len(_LIES)),
-        st.sampled_from((None, "raises", bool, dict, str, int, list)), st.booleans(),
+        st.sampled_from((None, "raises", bool, dict, str, int, list)),
+        st.sampled_from((type, NameRaises, EqualsEveryType)),
         st.sampled_from(_HOSTILE_SEEDS[base])))
     leaves = (subclasses | st.integers(-2, 2).map(partial(partial, _huge))
               | st.sampled_from((list, dict)).map(partial(partial, _deep)))

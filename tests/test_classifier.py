@@ -44,9 +44,11 @@ from k3cover.lattices import TranscendentalForm, _moved
 from k3cover.shortvec import has_norm
 
 from conftest import (
+    EqualsEveryType,
     GRID,
     LAMBDA,
     NameRaises,
+    ONE_FORM_PER_CASE,
     box_triples,
     c_even_normalized,
     compose,
@@ -61,14 +63,9 @@ from conftest import (
     written_down_embedding,
 )
 
-FROZEN_CASES = {
-    (2, 2, 2): ("I", True),
-    (1, 2, 1): ("II", True),
-    (2, 3, 2): ("III-1", True),
-    (1, 3, 0): ("III-2", True),
-    (1, 1, 0): ("III-3", False),
-    (1, 1, 1): ("IV", False),
-}
+# each form's (case, covers), in the case order of ONE_FORM_PER_CASE
+FROZEN_CASES = dict(zip(ONE_FORM_PER_CASE, (("I", True), ("II", True), ("III-1", True),
+                                            ("III-2", True), ("III-3", False), ("IV", False))))
 
 EXPECTED_KIND = {
     "I": "keum-citation",
@@ -776,21 +773,13 @@ class _LiarStr(str):
     __hash__ = str.__hash__
 
 
-class _EqualsEveryType(type):
-    """A metaclass whose classes hash like int and equal every type."""
+class _TypeLiar(int, metaclass=EqualsEveryType):
+    """An int that claims to equal everything, of a type that equals every
+    type and hashes like int."""
 
-    def __eq__(cls, other):
-        return True
-
-    def __ne__(cls, other):
-        return False
-
-    def __hash__(cls):
-        return hash(int)
-
-
-class _TypeLiar(_Liar, metaclass=_EqualsEveryType):
-    """An int that claims to equal everything, of a type that claims the same."""
+    __eq__ = _Liar.__eq__
+    __ne__ = _Liar.__ne__
+    __hash__ = int.__hash__
 
 
 class _NamelessStr(str, metaclass=NameRaises):
@@ -860,7 +849,7 @@ class _SkippedReplay(ExplicitEmbedding):
         pass
 
 
-class _SkippedParity(ParityObstruction, metaclass=_EqualsEveryType):
+class _SkippedParity(ParityObstruction, metaclass=EqualsEveryType):
     """A parity obstruction whose replay checks nothing, of a type that
     claims to equal every type."""
 

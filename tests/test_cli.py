@@ -320,7 +320,7 @@ def test_scan_line_is_json_dumps_of_classified_forms():
     # every case, at small coefficients and in random SL2 bases past 10**30
     forms = [TranscendentalForm(*triple) for triple in box_triples(6, 6, -6, 6)]
     rng = random.Random(1707)
-    for a, b, c in ((2, 4, 2), (2, 3, 1), (2, 3, 2), (1, 5, 0), (1, 1, 0), (1, 1, 1)):
+    for a, b, c in ONE_FORM_PER_CASE:
         g = random_sl2(rng, 10**15)
         forms.append(moved(TranscendentalForm(a, b, c), g))
     assert {case_of(t)[0] for t in forms} == set(CASE_ORDER)

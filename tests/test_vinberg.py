@@ -161,11 +161,11 @@ def test_family_parameter_ranges():
         family_vector("Q", 1)
 
 
+# Kept beside family-coverage: `norm` and `in_P` read every member, not `lemmas._margins`
 def test_families_verify_to_large_norms():
     """Every family member up to norm 1000 lies in P with the claimed norm.
 
-    family_vector only builds, so the two asserts below are the check;
-    `lemmas._check_family` proves the same for every parameter.
+    family_vector only builds, so the two asserts below are the check.
     """
     for name, (min_param, (slope, intercept), _) in sorted(FAMILIES.items()):
         param = min_param
@@ -257,6 +257,7 @@ def test_closed_forms_and_the_witness_box_are_pinned():
     assert sum(counts) == 20000
 
 
+# Kept beside family-coverage: the pinned witnesses of norms 3 and 5, and ValueError for n <= 0
 def test_search_norm_frozen():
     assert search_norm(3) == (4, 2, 1, 1, 1, 1, 1, 1, 1, 1, 1)
     assert search_norm(5) == (6, 2, 2, 2, 2, 2, 2, 2, 1, 1, 1)
@@ -268,6 +269,7 @@ def test_search_norm_frozen():
         search_norm(-3)
 
 
+# Kept beside family-coverage: search_norm(16) is the Y16 row's own vector, pinned as a literal
 def test_search_norm_sixteen_has_a_witness():
     # norm -16 falls outside the X16 family's parameter range, so it has a
     # family of its own, Y16; pinned so that its certificates do not move
@@ -278,6 +280,7 @@ def test_search_norm_sixteen_has_a_witness():
     assert in_P(v)
 
 
+# Kept beside family-coverage: `norm` and `in_P` read every witness, not a `family_vector` match
 def test_search_norm_sweep():
     for n in range(3, 61):
         v = search_norm(n)
