@@ -337,36 +337,6 @@ def _rejected_with(message: str):
     return pytest.raises(VerificationError, match=f"^{re.escape(message)}$")
 
 
-def test_tampered_keum_citation():
-    message = "halving certificate: twice the halved form is not the input"
-    with _rejected_with(message):
-        KeumCitation(halved=(1, 1, 0)).replay(TranscendentalForm(2, 2, 2))
-    with _rejected_with(message):
-        KeumCitation(halved=(1, 1, 1)).replay(TranscendentalForm(2, 2, 1))
-
-
-def test_tampered_witness_certificate():
-    t = TranscendentalForm(1, 3, 0)
-    with _rejected_with("witness vector has the wrong norm"):
-        VinbergWitness(n=3, vector=(4, 2, 2, 1, 1, 1, 1, 1, 1, 1, 1)).replay(t)
-    with _rejected_with("witness norm does not match the discriminant"):
-        VinbergWitness(n=5, vector=(6, 2, 2, 2, 2, 2, 2, 2, 1, 1, 1)).replay(t)
-    with _rejected_with("witness vector lies outside the region"):
-        # right norm, but the vector leaves the region (tail unsorted)
-        VinbergWitness(n=3, vector=(4, 1, 2, 1, 1, 1, 1, 1, 1, 1, 1)).replay(t)
-
-
-def test_tampered_absence_certificate():
-    t = TranscendentalForm(1, 1, 0)
-    with _rejected_with("absence norm does not match the discriminant"):
-        ExhaustiveAbsence(n=2, slices=ABSENCE_SLICES).replay(t)
-    with _rejected_with("absence transcript does not cover the required slices"):
-        ExhaustiveAbsence(n=1, slices=ABSENCE_SLICES[:3]).replay(t)
-    with _rejected_with("absence claimed for a discriminant that has a witness"):
-        # delta 12 admits a witness, so an absence claim must not verify
-        ExhaustiveAbsence(n=3, slices=ABSENCE_SLICES).replay(TranscendentalForm(1, 3, 0))
-
-
 def _first_slice_holding(n: int) -> int | None:
     for m in ABSENCE_SLICES:
         if -n in vinberg.slice_norms(m):
@@ -419,28 +389,6 @@ def test_absence_replay_names_the_first_slice_that_holds_the_norm(monkeypatch):
         classifier._absence_breach.cache_clear()
 
 
-def test_mismatched_classification_fields():
-    t = TranscendentalForm(1, 1, 1)
-    good = classify(t)
-    for cls, message in (
-        (Classification("II", True, 3, good.certificate),
-         "label 'II' disagrees with recomputed 'IV'"),
-        (Classification("IV", True, 3, good.certificate),
-         "covering verdict disagrees with the recomputed case"),
-        (Classification("IV", False, 5, good.certificate),
-         "recorded discriminant disagrees with the form"),
-        (Classification("IV", False, 3, KeumCitation((0, 0, 0))),
-         "certificate kind 'keum-citation' cannot back case 'IV'"),
-    ):
-        with _rejected_with(message):
-            verify_classification(t, cls)
-
-
-def test_replay_rejects_a_basis_change_of_determinant_four():
-    with _rejected_with("malformed embedding certificate: matrix must have determinant 1"):
-        _replay_tampered_embedding(basis_change=(2, 0, 0, 2))
-
-
 @pytest.mark.parametrize("g, message", [
     ((1, 1, 1, 1), "malformed embedding certificate: matrix must have determinant 1"),
     ((2, 1, 1, 1), "recorded basis change does not reach the recorded form"),
@@ -451,12 +399,6 @@ def test_replay_refuses_a_basis_change_that_does_not_hold(g, message):
     assert cert.basis_change == g
     with _rejected_with(message):
         _verify_ii(certificate=cert)
-
-
-def test_replay_rejects_a_non_positive_normalized_form():
-    message = "malformed embedding certificate: diagonal coefficients a, b must be positive"
-    with _rejected_with(message):
-        _replay_tampered_embedding(normalized=(0, 2, 1))
 
 
 def _record(triple) -> dict:
@@ -511,6 +453,7 @@ def _c_even_record_of_a_unit_form(t: TranscendentalForm) -> None:
 _MALFORMED = "malformed certificate: "
 _NOT_ELEVEN_INTEGERS = "witness vector does not have 11 integer coordinates"
 _NOT_2_BY_12 = "malformed embedding certificate: matrix is not 2 x 12"
+_NOT_TWICE = "halving certificate: twice the halved form is not the input"
 _NO_OBSTRUCTION = ("recorded or recomputed norm residues and pairing parity"
                    " do not constitute an obstruction")
 
@@ -603,9 +546,15 @@ def _refitted(u, v):
             "matrix does not fit the complement of its named construction")
 
 
+def _built_iv(label, covers, delta, certificate, message):
+    """A probe: the classification of these fields against (1, 1, 1), case IV."""
+    return ((1, 1, 1), lambda t: verify_classification(
+        t, Classification(label, covers, delta, certificate or classify(t).certificate)), message)
+
+
 # More probes of guards that REPLAY_GUARD_PROBES already reaches: through
-# another operand of the guard's condition, or on a certificate built in
-# code where the guard's own probe parses a record
+# another operand of the guard's condition, on another form or value, or on
+# an object built in code where the guard's own probe parses a record
 _MORE_GUARD_PROBES = {
     "E8(2) column of u": _edited_ii(lambda d: d["certificate"]["matrix"][0].__setitem__(4, 1),
         "matrix uses the E8(2) columns; an embedding must lie in U + U(2)"),
@@ -635,6 +584,25 @@ _MORE_GUARD_PROBES = {
     # constitute" probe's form has wrong residues of its own as well
     "norms (0, 2)": ((1, 1, 1), ParityObstruction((0, 2), 1).replay, _NO_OBSTRUCTION),
     "pairing even": ((1, 1, 1), ParityObstruction((2, 2), 0).replay, _NO_OBSTRUCTION),
+    "halved (1, 1, 0) of (2, 2, 2)": ((2, 2, 2), KeumCitation((1, 1, 0)).replay, _NOT_TWICE),
+    "halved (1, 1, 1) of (2, 2, 1)": ((2, 2, 1), KeumCitation((1, 1, 1)).replay, _NOT_TWICE),
+    "wrong norm, tail 2, 2": ((1, 3, 0), VinbergWitness(
+        3, (4, 2, 2, 1, 1, 1, 1, 1, 1, 1, 1)).replay, "witness vector has the wrong norm"),
+    "witness norm 5": ((1, 3, 0), VinbergWitness(5, (6, 2, 2, 2, 2, 2, 2, 2, 1, 1, 1)).replay,
+                       "witness norm does not match the discriminant"),
+    "first three slices": ((1, 1, 0), ExhaustiveAbsence(1, ABSENCE_SLICES[:3]).replay,
+                           "absence transcript does not cover the required slices"),
+    "label II at IV": _built_iv("II", True, 3, None, "label 'II' disagrees with recomputed 'IV'"),
+    "covering case IV": _built_iv("IV", True, 3, None,
+                                  "covering verdict disagrees with the recomputed case"),
+    "discriminant 5 of (1, 1, 1)": _built_iv("IV", False, 5, None,
+                                             "recorded discriminant disagrees with the form"),
+    "citation backing case IV": _built_iv("IV", False, 3, KeumCitation((0, 0, 0)),
+                                          "certificate kind 'keum-citation' cannot back case 'IV'"),
+    "determinant 4": ((1, 2, 1), lambda t: _replay_tampered_embedding(basis_change=(2, 0, 0, 2)),
+                      "malformed embedding certificate: matrix must have determinant 1"),
+    "diagonal 0": ((1, 2, 1), lambda t: _replay_tampered_embedding(normalized=(0, 2, 1)),
+                   "malformed embedding certificate: diagonal coefficients a, b must be positive"),
 }
 
 
@@ -786,6 +754,14 @@ class _NamelessStr(str, metaclass=NameRaises):
     """A str of a type whose __name__ raises."""
 
 
+class _SameInt(int, metaclass=EqualsEveryType):
+    """An int, every method inherited, of a type that equals every type."""
+
+
+class _SameStr(str, metaclass=EqualsEveryType):
+    """A str, every method inherited, of a type that equals every type."""
+
+
 class _LooksEmpty(tuple):
     """A tuple that reports no entries, whatever it holds."""
 
@@ -907,7 +883,9 @@ def _verify_ii_embedding(cls=ExplicitEmbedding, **fields) -> None:
 # certificate's, and a certificate's alone.  The last three are str values
 # of a type whose metaclass makes __name__ raise, as the case, as the kind
 # and as a record key: each raised ZeroDivisionError while the messages
-# read type(x).__name__, which runs the metaclass's property.
+# read type(x).__name__, which runs the metaclass's property.  The last two
+# hold the record's own delta and case in a subclass of its type whose
+# metaclass equals every type, which type(x) not in {int} would accept.
 _FORGED_PROBES = {
     "residues and pairing that equal anything": (lambda: verify_classification(
         TranscendentalForm(1, 1, 1),
@@ -984,6 +962,10 @@ _FORGED_PROBES = {
         lambda: Classification.from_dict({(_NamelessStr(k) if k == "case" else k): v
                                           for k, v in _record((1, 3, 0)).items()}),
         "malformed classification: record key of type _NamelessStr is not a str"),
+    "delta of an int type that equals every type": (lambda: _verify_ii(delta=_SameInt(7)),
+                                                    "delta must be an integer, not _SameInt"),
+    "case of a str type that equals every type": (lambda: _verify_ii(case_label=_SameStr("II")),
+                                                  "case must be a string, not _SameStr"),
 }
 
 
@@ -1124,6 +1106,12 @@ _NON_INTEGER_PROBES = [
     ((1, 2, 1), "explicit-embedding", ("delta",), 23.9, "delta must be an integer, not float"),
     ((1, 2, 1), "explicit-embedding", ("delta",), 23.0, "delta must be an integer, not float"),
     ((1, 2, 1), "explicit-embedding", ("delta",), True, "delta must be an integer, not bool"),
+    # a null case, like 5 above, which str() once turned into "5"; a scalar
+    # matrix; and a listed root, which never verifies, even a float one
+    ((1, 2, 1), "explicit-embedding", ("case",), None, "case must be a string, not NoneType"),
+    ((1, 2, 1), "explicit-embedding", "matrix", 5, _MALFORMED + "matrix must be a list"),
+    ((2, 3, 1), "explicit-embedding", "minus_two", [[1.0] + [0] * 11],
+     "orthogonal complement contains a norm -2 vector"),
 ]
 
 
@@ -1151,38 +1139,6 @@ def test_from_dict_rejects_non_integer_fields_of_every_kind(triple, kind, field,
     if type(field) is str:
         with pytest.raises(VerificationError, match=pattern):
             certificate_from_dict(data["certificate"]).replay(t)
-
-
-def _assert_rejected(triple, data: dict, message: str) -> None:
-    """Replay of the parsed record against the form refuses it with the
-    message, as a classification and as a certificate alone."""
-    t = TranscendentalForm(*triple)
-    with _rejected_with(message):
-        verify_classification(t, Classification.from_dict(data))
-    with _rejected_with(message):
-        certificate_from_dict(data["certificate"]).replay(t)
-
-
-def test_from_dict_rejects_a_scalar_matrix():
-    data = _record((1, 2, 1))
-    data["certificate"]["matrix"] = 5
-    _assert_rejected((1, 2, 1), data, _MALFORMED + "matrix must be a list")
-
-
-@pytest.mark.parametrize("field, value", [("case", 5), ("case", None)])
-def test_from_dict_rejects_an_unknown_kind_or_a_non_string_case(field, value):
-    # str() turned "case": 5 into "5"
-    data = _record((1, 2, 1))
-    data[field] = value
-    with _rejected_with(f"case must be a string, not {type(value).__name__}"):
-        verify_classification(TranscendentalForm(1, 2, 1), Classification.from_dict(data))
-
-
-def test_from_dict_rejects_a_non_integer_minus_two_entry():
-    # a certificate that lists a root, even a float one, never verifies
-    data = _record((2, 3, 1))
-    data["certificate"]["minus_two"] = [[1.0] + [0] * 11]
-    _assert_rejected((2, 3, 1), data, "orthogonal complement contains a norm -2 vector")
 
 
 # The two checks that docs/certificates.md names as reached by no record:
