@@ -159,19 +159,6 @@ def test_case_of_is_invariant_under_large_basis_changes_property(t, g):
     assert case_of(moved(t, g)) == case_of(t)
 
 
-def test_case_invariant_under_basis_change():
-    rng = random.Random(107)
-    done = 0
-    while done < 200:
-        a, b = rng.randint(1, 6), rng.randint(1, 6)
-        c = rng.randint(-7, 7)
-        if 4 * a * b - c * c <= 0:
-            continue
-        done += 1
-        t = TranscendentalForm(a, b, c)
-        assert case_of(moved(t, random_sl2(rng))) == case_of(t)
-
-
 def test_normalize_case_III():
     # the normalized form and basis change that `_c_even_fields` records
     assert c_even_normalized(TranscendentalForm(2, 1, 0))[0] == TranscendentalForm(9, 3, 10)
@@ -202,35 +189,6 @@ def test_embedding_constructors_frozen():
         [1, 5, 1, 1, 0, 0, 0, 0, 0, 0, 0, 0],
     ]
     assert validate(e) and is_primitive(e)
-
-
-def test_embedding_constructors_on_samples():
-    rng = random.Random(109)
-    grid = list(GRID)
-    rng.shuffle(grid)
-    seen = {"II": 0, "III": 0}
-    for t in grid:
-        label = case_of(t)[0]
-        if label == "II" and seen["II"] < 12:
-            seen["II"] += 1
-            e = written_down_embedding(t)
-            assert validate(e) and is_primitive(e)
-        elif label.startswith("III") and seen["III"] < 12:
-            seen["III"] += 1
-            e = written_down_embedding(t)
-            assert validate(e) and is_primitive(e)
-    assert seen == {"II": 12, "III": 12}
-
-
-def test_complement_root_presence_separates_the_iii_branches():
-    def complement_has_root(t):
-        e = written_down_embedding(t)
-        _, comp = orthogonal_complement(LAMBDA, e)
-        return has_norm(comp, -2)
-
-    assert not complement_has_root(TranscendentalForm(2, 3, 2))   # III-1
-    assert complement_has_root(TranscendentalForm(1, 3, 0))       # III-2
-    assert complement_has_root(TranscendentalForm(1, 1, 0))       # III-3
 
 
 def test_classify_frozen_cases():

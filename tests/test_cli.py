@@ -221,19 +221,6 @@ def test_scan_records_and_tally(runner, tmp_path):
         verify_classification(t, classification)
 
 
-def test_scan_all_even_box_covers(runner, tmp_path):
-    out = tmp_path / "even.jsonl"
-    result = runner.invoke(main, [
-        "scan", "--a-max", "4", "--b-max", "4", "--c-min", "-2", "--c-max", "2",
-        "--out", str(out)])
-    assert result.exit_code == 0
-    for line in out.read_text().splitlines():
-        data = json.loads(line)
-        if data["a"] % 2 == 0 and data["b"] % 2 == 0 and data["c"] % 2 == 0:
-            assert data["case"] == "I"
-            assert data["covers"] is True
-
-
 # sha256 of the scan below, recorded before the 2 x 4 block check replaced
 # the 12 x 12 matrix algebra; certificates and their order must not move
 SCAN_6_SHA256 = "136f7796ac2e6474298d364da374a19a67636bf75ae780c0b5f8d5211d9ee1aa"
@@ -623,13 +610,14 @@ def test_scan_error_paths(runner, tmp_path):
 
 
 def _child_env(unbuffered: bool, **extra: str) -> dict[str, str]:
-    """The environment of a `python -m k3cover.cli` child, with its stdout
-    buffered or not whatever PYTHONUNBUFFERED this process has.  Buffered,
-    a write may fail only at the flush `main` makes before it returns;
-    unbuffered, the write itself fails.  The child runs in Python's
-    development mode with warnings as errors, so that a file it leaves
-    open, or any other warning, shows on its stderr for `_CI_GATE`; this
-    process does not, as it also loads sympy and hypothesis."""
+    """The environment of every child process tier-1 starts, the `python -m
+    k3cover.cli` runs and the `-S` child that lists the modules the commands
+    load, with its stdout buffered or not whatever PYTHONUNBUFFERED this
+    process has.  Buffered, a write may fail only at the flush `main` makes
+    before it returns; unbuffered, the write itself fails.  The child runs in
+    Python's development mode with warnings as errors, so that a file it
+    leaves open, or any other warning, shows on its stderr for `_CI_GATE`;
+    this process does not, as it also loads sympy and hypothesis."""
     src = str(Path(k3cover.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": src, "PYTHONDEVMODE": "1", "PYTHONWARNINGS": "error",
            **extra}
@@ -926,95 +914,62 @@ def test_case_order_is_complete():
 
 
 # modules no command runs (classify, scan or verify-lemmas): the tests'
-# oracle stack, sympy, and the standard library modules that only cost start-up
+# oracle stack, sympy, and the standard library modules that only cost
+# start-up.  The child that shows it gets its environment from `_child_env`,
+# as every child tier-1 starts does, so it runs in development mode too
 OFF_THE_CLASSIFY_PATH = {"click", "dataclasses", "inspect", "fractions", "decimal", "typing",
                          "json", "sympy", "k3cover.intmat", "k3cover.embeddings",
                          "k3cover.shortvec"}
 
-
-def test_cli_import_leaves_out_the_short_vector_search():
-    # the classifier's checks are closed forms and binary-form reduction;
-    # embeddings, shortvec and the matrix layer under them are the tests'
-    # oracle stack, not dependencies of the program.  Only the modules the
-    # import adds count, not those the interpreter's start-up already loaded;
-    # `-S` keeps `site` from preloading any (it may load `typing`), and the
-    # child reports them with `repr`, so that it loads nothing itself.
-    src = str(Path(k3cover.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": src}
-    # the lemma checks are not on the path of classify or replay either
-    for target, left_out in (("k3cover.cli", set()),
-                             ("k3cover.classifier, k3cover.lattices", {"k3cover.lemmas"})):
-        code = ("import sys; before = set(sys.modules); import " + target + "; "
-                "print(repr(sorted(set(sys.modules) - before)))")
-        done = subprocess.run([sys.executable, "-S", "-c", code], env=env, capture_output=True,
-                              text=True, timeout=60, check=True)
-        added = set(ast.literal_eval(done.stdout))
-        assert "k3cover.classifier" in added, target
-        assert added & (OFF_THE_CLASSIFY_PATH | left_out) == set(), target
+# the child of the test below: after each stage it prints every module
+# loaded since start-up, as a list's `repr`, so that printing loads none;
+# `-S` keeps `site` from preloading any (it may load `typing`).  Two allowed
+# CPUs, as on the 2-core machine whose timings set the break-even
+_STAGES = f"""\
+import os, sys
+os.sched_getaffinity = lambda pid: {{0, 1}}
+os.cpu_count = lambda: 2
+start = set(sys.modules)
+from k3cover import cli
+print("modules", sorted(set(sys.modules) - start))
+cli.main(['classify', '--a', '1', '--b', '2', '--c', '1', '--json'])
+cli.main(['classify', '--a', '2', '--b', '3', '--c', '2', '--json'])
+cli.main(['classify', '--a', '1', '--b', '1', '--c', '0'])
+cli.main({_box_scan(_FULL_BOX)!r} + ['--out', os.devnull])
+print("plan", cli._worker_count(*{_M30_BOX!r}))
+print("modules", sorted(set(sys.modules) - start))
+cli.main(['verify-lemmas'])
+print("modules", sorted(set(sys.modules) - start))
+"""
 
 
 def test_no_command_loads_the_oracle_stack():
-    # what running the commands loads, not only importing the CLI: classify
-    # with replay, a small scan and verify-lemmas, one after another in one
-    # `-S` process, leave out the oracle stack, `json` and `random`.  The
-    # child's last line is the `repr` of its modules.
-    src = str(Path(k3cover.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": src, "K3COVER_THREADS": "1"}
-    code = ("import os, sys\n"
-            "from k3cover.cli import main\n"
-            "main(['classify', '--a', '1', '--b', '2', '--c', '1', '--json'])\n"
-            "main(['scan', '--a-max', '3', '--b-max', '3', '--c-min', '-3', '--c-max', '3',\n"
-            "      '--out', os.devnull])\n"
-            "main(['verify-lemmas'])\n"
-            "print(repr(sorted(sys.modules)))\n")
-    done = subprocess.run([sys.executable, "-S", "-c", code], env=env, capture_output=True,
-                          text=True, timeout=60, check=True)
-    loaded = set(ast.literal_eval(done.stdout.splitlines()[-1]))
-    assert "k3cover.vinberg" in loaded
-    assert loaded & (OFF_THE_CLASSIFY_PATH | {"random"}) == set()
-
-
-def test_scan_and_classify_load_no_lemma_checks():
-    # only verify-lemmas imports `k3cover.lemmas`: a `-S` child that runs
-    # classify with replay and a small scan lists its modules last
-    src = str(Path(k3cover.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": src, "K3COVER_THREADS": "1"}
-    code = ("import os, sys\n"
-            "from k3cover.cli import main\n"
-            "main(['classify', '--a', '2', '--b', '3', '--c', '2', '--json'])\n"
-            "main(['classify', '--a', '1', '--b', '1', '--c', '0'])\n"
-            "main(['scan', '--a-max', '3', '--b-max', '3', '--c-min', '-3', '--c-max', '3',\n"
-            "      '--out', os.devnull])\n"
-            "print(repr(sorted(sys.modules)))\n")
-    done = subprocess.run([sys.executable, "-S", "-c", code], env=env, capture_output=True,
-                          text=True, timeout=60, check=True)
-    loaded = set(ast.literal_eval(done.stdout.splitlines()[-1]))
-    assert {"k3cover.cli", "k3cover.classifier", "k3cover.vinberg"} <= loaded
-    assert "k3cover.lemmas" not in loaded
-    assert done.stderr.startswith("scanned ")
-
-
-def test_a_scan_below_the_break_even_starts_no_pool():
-    # the default full-box scan at two allowed CPUs runs in process, and so
-    # loads neither concurrent.futures nor multiprocessing, which add 20-40 ms
-    # to start-up.  The child's second to last line is the plan of m = 30 at
-    # the same CPUs, which shows that they took; its last, its modules.
-    src = str(Path(k3cover.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": src}
+    # the classifier's checks are closed forms and binary-form reduction;
+    # embeddings, shortvec and the matrix layer under them are the tests'
+    # oracle stack, not dependencies of the program.  Importing the CLI, then
+    # classify with replay and a full-box scan, leave out the oracle stack,
+    # `json`, `random` and the lemma checks; the scan, below the break-even,
+    # runs in process, so neither concurrent.futures nor multiprocessing
+    # (20-40 ms of start-up) loads, though m = 30 would plan two workers at
+    # the same CPUs.  Only verify-lemmas then adds `k3cover.lemmas`.
+    env = _child_env(False)
     env.pop("K3COVER_THREADS", None)
-    code = ("import os, sys\n"
-            "os.sched_getaffinity = lambda pid: {0, 1}\n"
-            "os.cpu_count = lambda: 2\n"
-            "from k3cover import cli\n"
-            f"cli.main({_box_scan(_FULL_BOX)!r} + ['--out', os.devnull])\n"
-            f"print(cli._worker_count(*{_M30_BOX!r}))\n"
-            "print(repr(sorted(sys.modules)))\n")
-    done = subprocess.run([sys.executable, "-S", "-c", code], env=env, capture_output=True,
-                          text=True, timeout=60, check=True)
-    *_, plan, modules = done.stdout.splitlines()
-    assert plan == "2"
-    assert {"concurrent.futures", "multiprocessing"} & set(ast.literal_eval(modules)) == set()
+    done = subprocess.run([sys.executable, "-S", "-c", _STAGES], env=env, capture_output=True,
+                          text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert not _CI_GATE.search(done.stderr), done.stderr
     assert done.stderr.startswith("scanned 12668 forms:")
+    lines = done.stdout.splitlines()
+    imported, commands, lemma_checks = (set(ast.literal_eval(line[len("modules "):]))
+                                        for line in lines if line.startswith("modules "))
+    assert "k3cover.classifier" in imported
+    assert imported & (OFF_THE_CLASSIFY_PATH | {"k3cover.lemmas"}) == set()
+    assert {"k3cover.cli", "k3cover.classifier", "k3cover.vinberg"} <= commands
+    assert commands & (OFF_THE_CLASSIFY_PATH | {"random", "k3cover.lemmas",
+                                                "concurrent.futures", "multiprocessing"}) == set()
+    assert "plan 2" in lines
+    assert "k3cover.lemmas" in lemma_checks
+    assert lemma_checks & (OFF_THE_CLASSIFY_PATH | {"random"}) == set()
 
 
 README = Path(__file__).resolve().parents[1] / "README.md"

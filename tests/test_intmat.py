@@ -15,8 +15,6 @@ from k3cover.intmat import (
     xgcd,
 )
 
-from conftest import random_full_rank, smith_invariant_factors
-
 
 def _random_matrix(rng, n, m, bound=9):
     return IntMatrix.from_rows(
@@ -150,15 +148,3 @@ def test_maximal_minor_gcd_frozen_values():
     assert maximal_minor_gcd(IntMatrix.from_rows([[1, 2], [2, 4]])) == 0
     with pytest.raises(ValueError):
         maximal_minor_gcd(IntMatrix.from_rows([[1], [2]]))
-
-
-def test_minor_gcd_equals_invariant_factor_product():
-    rng = random.Random(37)
-    for _ in range(150):
-        n = rng.randint(1, 4)
-        m = rng.randint(n, 6)
-        a = random_full_rank(rng, n, m)
-        prod = 1
-        for d in smith_invariant_factors(a):
-            prod *= d
-        assert maximal_minor_gcd(a) == prod

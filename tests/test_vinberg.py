@@ -308,16 +308,6 @@ def test_slice_bounds():
         enumerate_P_slice(SLICE_CAP + 1)
 
 
-def test_slice_frozen_members():
-    four = enumerate_P_slice(4)
-    assert (4, 2, 1, 1, 1, 1, 1, 1, 1, 1, 1) in four
-    assert max_norm_in_slice(4) == -3
-    eight = enumerate_P_slice(8)
-    assert (8, 4, 2, 2, 2, 2, 2, 2, 2, 2, 2) in eight
-    assert max_norm_in_slice(8) == -12
-    assert max_norm_in_slice(3) is None
-
-
 def test_slice_norms_match_members():
     assert slice_norms(3) == frozenset()
     for m in range(4, SLICE_CAP + 1):
