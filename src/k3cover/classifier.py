@@ -234,13 +234,13 @@ class ExplicitEmbedding(_Certificate):
     and of COMPLEMENTS), ``normalized`` is the SL2-equivalent form the matrix
     actually embeds and ``basis_change`` the change of basis realizing the
     equivalence, the int 4-tuple (x, y, z, w) of [[x, y], [z, w]].  Replay
-    checks the types and shapes of the fields; on their ints, without building
-    a form, that ``normalized`` is positive definite (`definite_defect`, the
-    form's own rule); that ``basis_change`` has determinant 1, which nothing
-    else checks; and that `_moved` takes the input to ``normalized``.  It then
-    runs `_embedding_defect` at ``normalized``, whose closed-form complement
-    makes the construction's name binding; ``minor_gcd`` must be 1 and
-    ``minus_two`` empty.
+    checks the types and shapes of the fields, each list through `_array`; on
+    their ints, without building a form, that ``normalized`` is positive
+    definite (`definite_defect`, the form's own rule); that ``basis_change``
+    has determinant 1, which nothing else checks; and that `_moved` takes the
+    input to ``normalized``.  It then runs `_embedding_defect` at
+    ``normalized``, whose closed-form complement makes the construction's name
+    binding; ``minor_gcd`` must be 1 and ``minus_two`` empty.
     """
 
     kind = "explicit-embedding"
@@ -253,8 +253,7 @@ class ExplicitEmbedding(_Certificate):
         x, y, z, w = _ints("basis_change", self.basis_change, 4)
         if x * w - y * z != 1:
             raise VerificationError("malformed embedding certificate: matrix must have determinant 1")
-        rows = [_ints("matrix", row) for row in
-                (self.matrix if type(self.matrix) is tuple else _array("matrix", self.matrix))]
+        rows = [_ints("matrix", row) for row in _array("matrix", self.matrix)]
         if len(rows) != 2 or len(rows[0]) != _AMBIENT_RANK or len(rows[1]) != _AMBIENT_RANK:
             raise VerificationError("malformed embedding certificate: matrix is not 2 x 12")
         if _moved(t.a, t.b, t.c, x, y, z, w) != normalized:
@@ -278,7 +277,7 @@ class VinbergWitness(_Certificate):
     __slots__ = tuple(FIELDS[kind])
 
     def replay(self, t: TranscendentalForm) -> None:
-        vector = self.vector if type(self.vector) is tuple else _array("vector", self.vector)
+        vector = _array("vector", self.vector)
         if len(vector) != 11:
             raise VerificationError("witness vector does not have 11 integer coordinates")
         for x in vector:
@@ -356,8 +355,8 @@ def _type_name(x) -> str:
 
 
 def _array(field: str, values) -> list | tuple:
-    """A list field: exactly the tuple parsing makes of a JSON array, or a
-    list; never a string, a subclass or an object that merely iterates."""
+    """Replay's one gate for list fields, `_ints`' too: exactly the tuple parsing
+    makes of a JSON array, or a list; never a str, a subclass or a mere iterable."""
     if type(values) is not list and type(values) is not tuple:
         raise VerificationError(f"malformed certificate: {field} must be a list")
     return values

@@ -426,6 +426,17 @@ def random_full_rank(rng: random.Random, n: int, m: int, bound: int = 5) -> IntM
             return a
 
 
+def random_definite_gram(rng: random.Random, n: int, negate: bool = False) -> IntMatrix:
+    """Random positive definite n x n Gram matrix A A^T, entries of A in [-3, 3];
+    negative definite with ``negate``."""
+    while True:
+        a = IntMatrix.from_rows(
+            [[rng.randint(-3, 3) for _ in range(n)] for _ in range(n)])
+        if a.det() != 0:
+            g = a @ a.transpose()
+            return g.scale(-1) if negate else g
+
+
 # Doubled simple roots of E8 in the even coordinate model, one per row,
 # ordered to match the Gram matrix of standard_lattice("E8_2"): indices
 # 0 and 2..7 form the long chain, index 1 hangs off index 3.

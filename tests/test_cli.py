@@ -546,17 +546,20 @@ def test_worker_count_pools_only_past_the_break_even(monkeypatch):
     # at two CPUs, a pool of two was slower than one worker on the full box
     # (12 668 forms) and the witness box (20 000), and faster from 21 692 on.
     # Neither small box holds two shares' worth of triples, so neither is
-    # counted; K3COVER_THREADS=1 counts no box
+    # counted; the sparse box holds 99 million triples but 220 forms, so it is
+    # counted and plans one worker; K3COVER_THREADS=1 counts no box
     _allow_cpus(monkeypatch, 2)
     monkeypatch.delenv("K3COVER_THREADS", raising=False)
     made = _recorded_rows(monkeypatch)
     assert [cli._worker_count(*box) for box in (_FULL_BOX, _WITNESS_BOX)] == [1, 1]
     assert made == []
+    assert cli._worker_count(3000, 3000, 5990, 6000) == 1
+    assert len(made) == 1
     assert [cli._worker_count(*box) for box in (_M30_BOX, _M40_BOX)] == [2, 2]
-    assert len(made) == 2
+    assert len(made) == 3
     monkeypatch.setenv("K3COVER_THREADS", "1")
     assert cli._worker_count(*_M40_BOX) == 1
-    assert len(made) == 2
+    assert len(made) == 3
 
 
 def test_worker_count_reads_no_row_at_one_worker(monkeypatch):

@@ -30,21 +30,12 @@ from k3cover.intmat import (
 from k3cover.intmat import maximal_minor_gcd as matrix_minor_gcd
 from k3cover.lattices import TranscendentalForm
 
-from conftest import (LAMBDA, random_full_rank, signature, smith_invariant_factors,
-                      written_down_embedding)
+from conftest import (LAMBDA, random_definite_gram, random_full_rank, signature,
+                      smith_invariant_factors, written_down_embedding)
 
 
 def _pad(row):
     return list(row) + [0] * (12 - len(row))
-
-
-def _random_definite_gram(rng, n, negate=False):
-    while True:
-        a = IntMatrix.from_rows(
-            [[rng.randint(-3, 3) for _ in range(n)] for _ in range(n)])
-        if a.det() != 0:
-            g = a @ a.transpose()
-            return g.scale(-1) if negate else g
 
 
 def test_embedding_shape_checked():
@@ -233,7 +224,7 @@ def test_complement_properties_random():
     rng = random.Random(61)
     for _ in range(40):
         n = rng.randint(3, 5)
-        target = IntegralLattice.from_gram_rows(_random_definite_gram(rng, n).to_lists())
+        target = IntegralLattice.from_gram_rows(random_definite_gram(rng, n).to_lists())
         mat = random_full_rank(rng, 1, n, bound=4)
         v = mat.entries[0]
         src = IntegralLattice.from_gram_rows([[inner_product(target, v, v)]])
@@ -262,7 +253,7 @@ def test_index_of_split_divides_norm():
     done = 0
     while done < 100:
         n = rng.randint(2, 5)
-        g = _random_definite_gram(rng, n, negate=rng.random() < 0.5)
+        g = random_definite_gram(rng, n, negate=rng.random() < 0.5)
         lat = IntegralLattice.from_gram_rows(g.to_lists())
         v = [rng.randint(-4, 4) for _ in range(n)]
         if gcd(*v) != 1:

@@ -15,15 +15,8 @@ from k3cover.shortvec import (
     has_norm,
 )
 
-from conftest import doubled_simple_roots, e8_root_coefficients, norms_divisible_by_4
-
-
-def _random_neg_def(rng, n, bound=3):
-    while True:
-        a = IntMatrix.from_rows(
-            [[rng.randint(-bound, bound) for _ in range(n)] for _ in range(n)])
-        if a.det() != 0:
-            return (a @ a.transpose()).scale(-1)
+from conftest import (doubled_simple_roots, e8_root_coefficients, norms_divisible_by_4,
+                      random_definite_gram)
 
 
 def _naive_by_radius(lat, depth):
@@ -84,7 +77,7 @@ def test_definiteness_check_matches_sympy():
     rng = random.Random(79)
     for trial in range(300):
         n = rng.randint(1, 6)
-        g = _random_neg_def(rng, n)
+        g = random_definite_gram(rng, n, negate=True)
         rows = g.to_lists()
         if trial % 2:
             i, j = rng.randrange(n), rng.randrange(n)
@@ -119,7 +112,7 @@ def test_enumeration_matches_box_search():
     rng = random.Random(73)
     for _ in range(25):
         n = rng.randint(1, 4)
-        lat = IntegralLattice.from_gram_rows(_random_neg_def(rng, n).to_lists())
+        lat = IntegralLattice.from_gram_rows(random_definite_gram(rng, n, negate=True).to_lists())
         want = _naive_by_radius(lat, 10)
         for target in range(-10, 0):
             got = enumerate_norm(lat, target)
@@ -132,7 +125,7 @@ def test_reported_norms_are_real():
     rng = random.Random(83)
     for _ in range(10):
         n = rng.randint(2, 4)
-        lat = IntegralLattice.from_gram_rows(_random_neg_def(rng, n).to_lists())
+        lat = IntegralLattice.from_gram_rows(random_definite_gram(rng, n, negate=True).to_lists())
         for target in range(-16, 0):
             for v in enumerate_norm(lat, target):
                 assert inner_product(lat, v, v) == target
@@ -188,7 +181,7 @@ def test_congruent_lattices_have_equal_norm_counts():
     rng = random.Random(101)
     for _ in range(15):
         n = rng.randint(2, 4)
-        g = _random_neg_def(rng, n)
+        g = random_definite_gram(rng, n, negate=True)
         u = IntMatrix.from_rows(
             [[1 if i == j else 0 for j in range(n)] for i in range(n)])
         # random unimodular congruence by row shears
