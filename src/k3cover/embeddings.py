@@ -4,15 +4,14 @@ An embedding is stored as its matrix of images: row i holds the coordinates
 of the image of the i-th source basis vector in the target basis.  The image
 sublattice is primitive (the quotient by it is torsion free) exactly when
 the gcd of the maximal minors of that matrix is 1; when the gcd d exceeds 1
-we can always construct an explicit order-N torsion element of the quotient
-with N > 1 dividing d, which is what `torsion_witness` returns.
+the quotient has an explicit torsion element whose order is the least prime
+of d, which is what `torsion_witness` returns.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
-from math import gcd
+from math import gcd, isqrt
 
 from .errors import VerificationError
 from .intmat import (
@@ -108,12 +107,14 @@ def verify_torsion_witness(e: Embedding, w: TorsionWitness) -> None:
 
 
 def torsion_witness(e: Embedding) -> TorsionWitness:
-    """Constructive torsion element when the minor gcd d exceeds 1.
+    """Torsion element of order p, the least prime of the minor gcd d > 1.
 
-    Writes d = p1^a1 ... pr^ar, picks a maximal minor D0 = d*K with some pi
-    not dividing K (one always exists, else d would not be the gcd), and
-    builds integer coefficients from one row of the adjugate of that n x n
-    block.  The construction is re-verified before returning.
+    The image rows A are dependent modulo p, so the integer kernel of A
+    stacked on p times the identity holds a row (c, y) with c @ A = -p y and
+    c not 0 modulo p.  Then z = c @ A / p is integral with p z in the image,
+    and z lies outside it: z = b @ A would give c = p b, as A has full row
+    rank.  As p is prime, gcd(p, c) = 1.  The construction is re-verified
+    before returning.
     """
     a = e.matrix
     d = _matrix_minor_gcd(a)
@@ -121,86 +122,16 @@ def torsion_witness(e: Embedding) -> TorsionWitness:
         raise ValueError("matrix is not of full row rank")
     if d == 1:
         raise ValueError("image is primitive; no torsion witness exists")
-    primes = _prime_divisors(d)
-    n, m = a.rows, a.cols
-
-    chosen = None
-    for cols in combinations(range(m), n):
-        d0 = a.take_columns(cols).det()
-        if d0 == 0:
-            continue
-        k = d0 // d
-        if any(k % p for p in primes):
-            chosen = cols
-            break
-    if chosen is None:
-        raise VerificationError("no usable minor found; gcd computation inconsistent")
-
-    order_cols = list(chosen) + [j for j in range(m) if j not in chosen]
-    ap = a.take_columns(order_cols)
-    a0 = ap.take_columns(range(n))
-    delta0 = a0.det()
-    adj = a0.adjugate()
-
-    ell = None
-    for i in range(n):
-        row_gcd = 0
-        for x in adj.entries[i]:
-            row_gcd = gcd(row_gcd, x)
-        if row_gcd % d != 0:
-            ell = i
-            break
-    if ell is None:
-        raise VerificationError("every adjugate row divisible by d; impossible for the gcd")
-
-    row_gcd = 0
-    for x in adj.entries[ell]:
-        row_gcd = gcd(row_gcd, x)
-    d_small = gcd(d, row_gcd)
-    order = d // d_small
-    coeffs = tuple(x // d_small for x in adj.entries[ell])
-
-    ks = [0] * m
-    ks[ell] = delta0 // d_small
-    for i in range(n, m):
-        cols_i = list(range(n))
-        cols_i[ell] = i
-        ks[i] = ap.take_columns(cols_i).det() // d_small
-
-    # the three arithmetic facts the construction rests on
-    if any(k % order for k in ks):
-        raise VerificationError("order does not divide every k coefficient")
-    g = order
-    for c in coeffs:
-        g = gcd(g, c)
-    if g != 1:
-        raise VerificationError("order shares a factor with the coefficients")
-    for j in range(m):
-        lhs = sum(coeffs[i] * ap.entries[i][j] for i in range(n))
-        if lhs != ks[j]:
-            raise VerificationError("coefficient identity (c @ A = k) failed")
-
-    z_perm = [k // order for k in ks]
-    z = [0] * m
-    for pos, col in enumerate(order_cols):
-        z[col] = z_perm[pos]
-    witness = TorsionWitness(order=order, coeffs=coeffs, z=tuple(z))
+    p = next((q for q in range(2, isqrt(d) + 1) if d % q == 0), d)
+    m = a.cols
+    stacked = IntMatrix.from_rows(
+        a.to_lists() + [[p if i == j else 0 for j in range(m)] for i in range(m)])
+    coeffs = next(row[:a.rows] for row in left_kernel(stacked).entries
+                  if any(x % p for x in row[:a.rows]))
+    z = tuple(sum(c * row[j] for c, row in zip(coeffs, a.entries)) // p for j in range(m))
+    witness = TorsionWitness(order=p, coeffs=coeffs, z=z)
     verify_torsion_witness(e, witness)
     return witness
-
-
-def _prime_divisors(n: int) -> list[int]:
-    out = []
-    p = 2
-    while p * p <= n:
-        if n % p == 0:
-            out.append(p)
-            while n % p == 0:
-                n //= p
-        p += 1 if p == 2 else 2
-    if n > 1:
-        out.append(n)
-    return out
 
 
 def orthogonal_complement(target: IntegralLattice, e: Embedding) -> tuple[IntMatrix, IntegralLattice]:

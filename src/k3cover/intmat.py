@@ -1,8 +1,8 @@
 """Exact integer matrix algebra, and the integral lattices built on it.
 
 Everything here runs on arbitrary-precision Python ints, with no rational
-or floating-point step: determinants, Hermite forms, kernels and adjugates
-are computed exactly, so the certificate machinery built on top can be
+or floating-point step: determinants, Hermite forms and kernels are
+computed exactly, so the certificate machinery built on top can be
 replayed bit for bit.
 
 The Gram-matrix layer at the end gives integral lattices and the ambient
@@ -19,7 +19,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cache
-from itertools import combinations
 from math import gcd
 
 from .lattices import TranscendentalForm
@@ -96,11 +95,6 @@ class IntMatrix:
         e = self.entries
         return all(e[i][j] == e[j][i] for i in range(self.rows) for j in range(i))
 
-    def take_columns(self, cols) -> "IntMatrix":
-        cols = tuple(cols)
-        return IntMatrix(self.rows, len(cols),
-                         tuple(tuple(row[j] for j in cols) for row in self.entries))
-
     def to_lists(self) -> list[list[int]]:
         return [list(row) for row in self.entries]
 
@@ -108,24 +102,6 @@ class IntMatrix:
         if not self.is_square():
             raise ValueError("determinant of a non-square matrix")
         return _det_bareiss(self.to_lists())
-
-    def adjugate(self) -> "IntMatrix":
-        """Adj(A) with A @ Adj(A) = Adj(A) @ A = det(A) * I."""
-        if not self.is_square():
-            raise ValueError("adjugate of a non-square matrix")
-        n = self.rows
-        if n == 0:
-            return IntMatrix(0, 0, ())
-        if n == 1:
-            return IntMatrix(1, 1, ((1,),))
-        e = self.entries
-        # adj[i][j] = (-1)^(i+j) * minor with row j and column i deleted
-        adj = [[0] * n for _ in range(n)]
-        for i in range(n):
-            for j in range(n):
-                sub = [[e[r][c] for c in range(n) if c != i] for r in range(n) if r != j]
-                adj[i][j] = (-1) ** (i + j) * _det_bareiss(sub)
-        return IntMatrix.from_rows(adj)
 
 
 def _det_bareiss(m: list[list[int]]) -> int:
@@ -220,22 +196,20 @@ def left_kernel(a: IntMatrix) -> IntMatrix:
     return canon
 
 
-def maximal_minors(a: IntMatrix):
-    """Yield the determinant of every rows x rows column submatrix."""
-    n = a.rows
-    for cols in combinations(range(a.cols), n):
-        yield a.take_columns(cols).det()
-
-
 def maximal_minor_gcd(a: IntMatrix) -> int:
-    """gcd of all maximal minors; 0 when the matrix is not of full row rank."""
+    """gcd of all maximal minors; 0 when the matrix is not of full row rank.
+
+    A unimodular change of columns keeps that gcd (Cauchy-Binet), and the
+    row Hermite form of the transpose is one: it takes `a` to [T | 0] with
+    T triangular, whose one nonzero maximal minor is the product of T's
+    pivots.  A rank below the row count leaves a zero on that diagonal.
+    """
     if a.rows > a.cols:
         raise ValueError("more rows than columns")
-    d = 0
-    for minor in maximal_minors(a):
-        d = gcd(d, minor)
-        if d == 1:
-            return 1
+    h = hnf(a.transpose())[0].entries
+    d = 1
+    for i in range(a.rows):
+        d *= h[i][i]
     return d
 
 

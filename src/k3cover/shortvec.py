@@ -80,7 +80,7 @@ def _fp_groups(q: list[list[int]], bound: int) -> dict[int, list[tuple[int, ...]
     """All x != 0 with x Q x^T <= bound (Q positive definite), grouped by value.
 
     One representative per +/- pair: the deepest assigned coordinate that is
-    nonzero is positive (callers re-normalize signs after any basis change).
+    nonzero is positive.
     """
     n = len(q)
     d, u = _cholesky([[Fraction(x) for x in row] for row in q])

@@ -466,7 +466,8 @@ def e8_root_coefficients() -> set[tuple[int, ...]]:
     x = r @ adj(S) / det(S).
     """
     s = doubled_simple_roots()
-    adj, det = s.adjugate(), s.det()
+    adj = IntMatrix.from_rows(Matrix(s.to_lists()).adjugate().tolist())
+    det = s.det()
     doubled: list[tuple[int, ...]] = []
     for i in range(8):
         for j in range(i + 1, 8):

@@ -94,6 +94,7 @@ def test_torsion_witness_diagonal_image():
     w = torsion_witness(e)
     verify_torsion_witness(e, w)
     assert w.order > 1 and 6 % w.order == 0
+    assert w.order == 2                 # the least prime of the minor gcd
     assert in_image(e, [w.order * x for x in w.z])
     assert not in_image(e, w.z)
 
@@ -184,6 +185,7 @@ def test_primitivity_matches_torsion_existence():
         else:
             w = torsion_witness(e)
             verify_torsion_witness(e, w)
+            assert maximal_minor_gcd(e) % w.order == 0
             assert in_image(e, [w.order * x for x in w.z])
             assert not in_image(e, w.z)
 

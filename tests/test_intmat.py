@@ -1,7 +1,7 @@
 """Integer matrix layer, cross-checked against sympy where it overlaps."""
 
 import random
-from math import gcd
+from math import gcd, prod
 
 import pytest
 import sympy
@@ -14,6 +14,8 @@ from k3cover.intmat import (
     rank,
     xgcd,
 )
+
+from conftest import smith_invariant_factors
 
 
 def _random_matrix(rng, n, m, bound=9):
@@ -77,19 +79,6 @@ def test_det_and_rank_match_sympy():
         IntMatrix.from_rows([[1, 2, 3]]).det()
 
 
-def test_adjugate_identity():
-    rng = random.Random(13)
-    for _ in range(60):
-        n = rng.randint(1, 4)
-        a = _random_matrix(rng, n, n, bound=6)
-        d = a.det()
-        d_identity = [[d if i == j else 0 for j in range(n)] for i in range(n)]
-        assert (a @ a.adjugate()).to_lists() == d_identity
-        assert (a.adjugate() @ a).to_lists() == d_identity
-    singular = IntMatrix.from_rows([[1, 2], [2, 4]])
-    assert (singular @ singular.adjugate()).to_lists() == [[0, 0], [0, 0]]
-
-
 def test_hnf_transform_and_shape():
     """U @ a == H with U unimodular, H in echelon form with positive pivots
     and the entries above each pivot reduced into [0, pivot)."""
@@ -148,3 +137,30 @@ def test_maximal_minor_gcd_frozen_values():
     assert maximal_minor_gcd(IntMatrix.from_rows([[1, 2], [2, 4]])) == 0
     with pytest.raises(ValueError):
         maximal_minor_gcd(IntMatrix.from_rows([[1], [2]]))
+
+
+def test_maximal_minor_gcd_pivots_off_the_diagonal():
+    # a's leading entries sit right of the diagonal, so the transpose's
+    # Hermite form must move its pivots up to it
+    assert maximal_minor_gcd(IntMatrix.from_rows([[0, 2, 0], [0, 0, 3]])) == 6
+    assert maximal_minor_gcd(IntMatrix.from_rows([[0, 1, 0], [0, 2, 0]])) == 0
+    assert maximal_minor_gcd(IntMatrix(0, 3, ())) == 1
+
+
+def test_maximal_minor_gcd_matches_the_smith_form():
+    """The pivot product is the product of the Smith invariant factors when
+    there are as many as rows, and 0 otherwise."""
+    rng = random.Random(89)
+    for i in range(300):
+        m = rng.randint(1, 6)
+        n = rng.randint(1, m)
+        rows = _random_matrix(rng, n, m, bound=4).to_lists()
+        if i % 3 == 0:
+            # every third matrix lacks full row rank: one row is an integer
+            # combination of the others, or zero when it is alone
+            k = [rng.randint(-2, 2) for _ in range(n - 1)]
+            rows[-1] = [sum(c * row[j] for c, row in zip(k, rows)) for j in range(m)]
+            rng.shuffle(rows)
+        a = IntMatrix.from_rows(rows)
+        factors = smith_invariant_factors(a)
+        assert maximal_minor_gcd(a) == (prod(factors) if len(factors) == n else 0), rows

@@ -29,7 +29,8 @@ def _naive_by_radius(lat, depth):
     """
     n = lat.rank
     q = lat.gram.scale(-1)
-    adj, det = q.adjugate(), q.det()
+    adj = IntMatrix.from_rows(sympy.Matrix(q.to_lists()).adjugate().tolist())
+    det = q.det()
     radii = [math.isqrt(depth * adj.entries[i][i] // det) + 1 for i in range(n)]
     *rows, last = lat.gram.entries
     out = {}
