@@ -5,7 +5,8 @@ of the image of the i-th source basis vector in the target basis.  The image
 sublattice is primitive (the quotient by it is torsion free) exactly when
 the gcd of the maximal minors of that matrix is 1; when the gcd d exceeds 1
 the quotient has an explicit torsion element whose order is the least prime
-of d, which is what `torsion_witness` returns.
+of d, which is what `torsion_witness` returns.  Every answer is read off
+Hermite forms and kernels, from `intmat`'s one elimination.
 """
 
 from __future__ import annotations
@@ -59,19 +60,14 @@ def is_primitive(e: Embedding) -> bool:
 
 def in_image(e: Embedding, z) -> bool:
     """Whether z (target coordinates) is an integer combination of image rows:
-    each Hermite row in turn clears z at its pivot, or z is not a member."""
-    z = list(z)
-    if len(z) != e.matrix.cols:
+    exactly when the Hermite form of the rows with z appended is the image's
+    Hermite form followed by a zero row."""
+    m = e.matrix
+    z = tuple(z)
+    if len(z) != m.cols:
         raise ValueError("target length does not match column count")
-    for row in hnf(e.matrix)[0].entries:
-        pivot = next((j for j, x in enumerate(row) if x), None)
-        if pivot is None:
-            break
-        q, r = divmod(z[pivot], row[pivot])
-        if r:
-            return False
-        z = [zj - q * hj for zj, hj in zip(z, row)]
-    return not any(z)
+    h = hnf(IntMatrix(m.rows + 1, m.cols, m.entries + (z,))).entries
+    return not any(h[-1]) and h[:-1] == hnf(m).entries
 
 
 @dataclass(frozen=True)

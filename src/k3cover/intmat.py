@@ -1,9 +1,10 @@
 """Exact integer matrix algebra, and the integral lattices built on it.
 
 Everything here runs on arbitrary-precision Python ints, with no rational
-or floating-point step: determinants, Hermite forms and kernels are
-computed exactly, so the certificate machinery built on top can be
-replayed bit for bit.
+or floating-point step, so the certificate machinery built on top can be
+replayed bit for bit.  One elimination, `_echelon`, answers all six
+questions asked of an integer matrix: Hermite form, rank, left kernel,
+determinant, maximal-minor gcd and (in `embeddings`) membership.
 
 The Gram-matrix layer at the end gives integral lattices and the ambient
 lattice of every covering question here, the even lattice of signature
@@ -99,60 +100,28 @@ class IntMatrix:
         return [list(row) for row in self.entries]
 
     def det(self) -> int:
+        """Sign of the row operations times the Hermite form's diagonal."""
         if not self.is_square():
             raise ValueError("determinant of a non-square matrix")
-        return _det_bareiss(self.to_lists())
+        h, d = _echelon(self.to_lists())
+        for i in range(self.rows):
+            d *= h[i][i]
+        return d
 
 
-def _det_bareiss(m: list[list[int]]) -> int:
-    """Bareiss elimination: each division is exact, so every step stays integral."""
-    n = len(m)
-    if n == 0:
-        return 1
+def _echelon(h: list[list[int]]) -> tuple[list[list[int]], int]:
+    """Hermite form of the rows `h`, in place, and the determinant (±1) of the row operations."""
+    n = len(h)
     sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if m[k][k] == 0:
-            for i in range(k + 1, n):
-                if m[i][k] != 0:
-                    m[k], m[i] = m[i], m[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        pivot = m[k][k]
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                m[i][j] = (m[i][j] * pivot - m[i][k] * m[k][j]) // prev
-            m[i][k] = 0
-        prev = pivot
-    return sign * m[n - 1][n - 1]
-
-
-def hnf(a: IntMatrix) -> tuple[IntMatrix, IntMatrix]:
-    """Row Hermite normal form with transform: returns (H, U), U @ a == H.
-
-    U is unimodular.  H is in row echelon form with positive pivots and
-    entries above each pivot reduced into [0, pivot).  Zero rows sink to
-    the bottom, so the nonzero rows of H are a canonical basis of the row
-    lattice of `a`.
-    """
-    h = a.to_lists()
-    n, m = a.rows, a.cols
-    u = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
     r = 0
-    for c in range(m):
+    for c in range(len(h[0]) if h else 0):
         # clear column c below row r, accumulating the gcd in row r
-        piv = None
-        for i in range(r, n):
-            if h[i][c] != 0:
-                piv = i
-                break
+        piv = next((i for i in range(r, n) if h[i][c]), None)
         if piv is None:
             continue
         if piv != r:
             h[r], h[piv] = h[piv], h[r]
-            u[r], u[piv] = u[piv], u[r]
+            sign = -sign
         for i in range(r + 1, n):
             if h[i][c] == 0:
                 continue
@@ -161,39 +130,46 @@ def hnf(a: IntMatrix) -> tuple[IntMatrix, IntMatrix]:
             # [[x, y], [-q, p]] has determinant 1 and sends the pair to (g, 0)
             h[r], h[i] = ([x * hr + y * hi for hr, hi in zip(h[r], h[i])],
                           [-q * hr + p * hi for hr, hi in zip(h[r], h[i])])
-            u[r], u[i] = ([x * ur + y * ui for ur, ui in zip(u[r], u[i])],
-                          [-q * ur + p * ui for ur, ui in zip(u[r], u[i])])
         if h[r][c] < 0:
             h[r] = [-x for x in h[r]]
-            u[r] = [-x for x in u[r]]
+            sign = -sign
         for i in range(r):
             q = h[i][c] // h[r][c]
             if q:
                 h[i] = [hi - q * hr for hi, hr in zip(h[i], h[r])]
-                u[i] = [ui - q * ur for ui, ur in zip(u[i], u[r])]
         r += 1
         if r == n:
             break
-    return IntMatrix.from_rows(h) if n else IntMatrix(0, m, ()), IntMatrix.from_rows(u) if n else IntMatrix(0, 0, ())
+    return h, sign
+
+
+def hnf(a: IntMatrix) -> IntMatrix:
+    """Row Hermite normal form H of `a`.
+
+    H is in row echelon form with positive pivots and entries above each
+    pivot reduced into [0, pivot).  Zero rows sink to the bottom, so the
+    nonzero rows of H are a canonical basis of the row lattice of `a`.
+    """
+    h, _ = _echelon(a.to_lists())
+    return IntMatrix(a.rows, a.cols, tuple(map(tuple, h)))
 
 
 def rank(a: IntMatrix) -> int:
-    h, _ = hnf(a)
-    return sum(1 for row in h.entries if any(row))
+    return sum(1 for row in hnf(a).entries if any(row))
 
 
 def left_kernel(a: IntMatrix) -> IntMatrix:
     """Basis of {y integer row : y @ a = 0}, as rows of the result.
 
-    The kernel of an integer matrix is saturated, and the returned basis is
-    canonical (its own Hermite normal form).
+    The Hermite form of [a | I] is [H | U] with U @ a = H.  The rows where
+    H is zero come last, and their U-parts are the canonical (Hermite)
+    basis of the kernel, which is saturated.
     """
-    h, u = hnf(a)
-    ker = [u.entries[i] for i in range(a.rows) if not any(h.entries[i])]
-    if not ker:
-        return IntMatrix(0, a.rows, ())
-    canon, _ = hnf(IntMatrix.from_rows(ker))
-    return canon
+    n = a.rows
+    h, _ = _echelon([list(row) + [int(i == j) for j in range(n)]
+                     for i, row in enumerate(a.entries)])
+    ker = tuple(tuple(row[a.cols:]) for row in h if not any(row[:a.cols]))
+    return IntMatrix(len(ker), n, ker)
 
 
 def maximal_minor_gcd(a: IntMatrix) -> int:
@@ -206,7 +182,7 @@ def maximal_minor_gcd(a: IntMatrix) -> int:
     """
     if a.rows > a.cols:
         raise ValueError("more rows than columns")
-    h = hnf(a.transpose())[0].entries
+    h = hnf(a.transpose()).entries
     d = 1
     for i in range(a.rows):
         d *= h[i][i]

@@ -79,6 +79,14 @@ def test_det_and_rank_match_sympy():
         IntMatrix.from_rows([[1, 2, 3]]).det()
 
 
+def test_det_frozen_values():
+    # [[0, 1], [1, 0]] -> -1 is pinned by test_lattices' hyperbolic plane
+    assert IntMatrix.from_rows([[0, -2], [3, 0]]).det() == 6     # a swap, then a negation
+    assert IntMatrix.from_rows([[-3]]).det() == -3               # a negated pivot
+    assert IntMatrix.from_rows([[2, 4], [1, 2]]).det() == 0
+    assert IntMatrix(0, 0, ()).det() == 1
+
+
 def test_hnf_transform_and_shape():
     """U @ a == H with U unimodular, H in echelon form with positive pivots
     and the entries above each pivot reduced into [0, pivot)."""
@@ -86,7 +94,11 @@ def test_hnf_transform_and_shape():
     for _ in range(120):
         n, m = rng.randint(1, 5), rng.randint(1, 5)
         a = _random_matrix(rng, n, m)
-        h, u = hnf(a)
+        h = hnf(a)
+        # the Hermite form of [a | I] is [H | U]
+        hu = hnf(IntMatrix.from_rows(
+            [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(a.entries)]))
+        u = IntMatrix.from_rows([row[m:] for row in hu.entries])
         assert (u @ a).to_lists() == h.to_lists()
         assert abs(u.det()) == 1
         pivots = []
@@ -111,8 +123,8 @@ def test_hnf_canonical_under_row_changes():
     for _ in range(60):
         n, m = rng.randint(1, 4), rng.randint(1, 4)
         a = _random_matrix(rng, n, m)
-        h, _ = hnf(a)
-        h2, _ = hnf(_random_unimodular(rng, n) @ a)
+        h = hnf(a)
+        h2 = hnf(_random_unimodular(rng, n) @ a)
         assert h.to_lists() == h2.to_lists()
 
 
@@ -128,6 +140,11 @@ def test_left_kernel_properties():
             assert all(x == 0 for row in (k @ a).entries for x in row)
             # saturated: the basis extends to a basis of Z^n
             assert maximal_minor_gcd(k) == 1
+
+
+def test_left_kernel_without_rows_or_columns():
+    assert left_kernel(IntMatrix(0, 3, ())) == IntMatrix(0, 0, ())
+    assert left_kernel(IntMatrix(2, 0, ((), ()))).to_lists() == [[1, 0], [0, 1]]
 
 
 def test_maximal_minor_gcd_frozen_values():
